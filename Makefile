@@ -1,4 +1,4 @@
-.PHONY: all build test bench lint lint-deep monitor-smoke explain-smoke doctor-smoke verify baseline clean
+.PHONY: all build test bench lint lint-deep monitor-smoke explain-smoke doctor-smoke bench-smoke verify baseline clean
 
 all: build
 
@@ -58,7 +58,7 @@ monitor-smoke: | $(SMOKE_DIR)
 
 # Miss-attribution smoke (DESIGN.md section 13): the explain report and
 # the regime-conditioned attainment table must be byte-identical across
-# job counts (cold per-scenario solves); the Prometheus page must be
+# job counts (per-scenario solver state); the Prometheus page must be
 # byte-identical across repeated runs at a fixed job count (trace
 # counters such as warm-start iteration totals legitimately differ
 # across job counts, so the page is only repeat-stable).
@@ -99,6 +99,24 @@ doctor-smoke: | $(SMOKE_DIR)
 	  --from-dump $(SMOKE_DIR)/health-dump-near-singular-fixture.json \
 	  --jobs 4 --out $(SMOKE_DIR)/doctor-d.json
 	cmp $(SMOKE_DIR)/doctor-c.json $(SMOKE_DIR)/doctor-d.json
+
+# End-to-end benchmark smoke: each BENCHMARK.json workload once, with
+# no timed phase, failing unless its last line reports every output
+# check passed (reference penalties, the CWIX plan digest, the online
+# allocations' guarantees).  Logs land in smoke/bench-<workload>.txt.
+BENCH_WORKLOADS = $(shell python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+
+bench-smoke: | $(SMOKE_DIR)
+	dune build flexbench/main.exe
+	@for w in $(BENCH_WORKLOADS); do \
+	  echo "bench-smoke: $$w"; \
+	  dune exec --no-build --display=quiet -- flexbench/main.exe --workload $$w \
+	    --seed 1 --seconds 0 --trace 0 > $(SMOKE_DIR)/bench-$$w.txt || exit 1; \
+	  last=$$(tail -n 1 $(SMOKE_DIR)/bench-$$w.txt); \
+	  case "$$last" in *'"correct": true'*'"failed": 0,'*) ;; \
+	    *) echo "bench-smoke: $$w failed its checks"; \
+	       grep 'CHECK FAILED' $(SMOKE_DIR)/bench-$$w.txt; exit 1;; esac; \
+	done
 
 # Relative headroom for the benchmark regression gate.  50% absorbs
 # ordinary same-machine jitter; CI overrides this upward because the

@@ -12,6 +12,12 @@ type csc = {
   values : float array;
 }
 
+type csr = {
+  row_start : int array;
+  col_idx : int array;
+  row_values : float array;
+}
+
 type t = {
   model_name : string;
   (* variables *)
@@ -29,8 +35,9 @@ type t = {
   mutable row_cols : int array array;
   mutable row_vals : float array array;
   mutable nnz : int;
-  (* lazily-built column view *)
+  (* lazily-built column and row views *)
   mutable csc_cache : csc option;
+  mutable csr_cache : csr option;
 }
 
 let create ?(name = "lp") () =
@@ -49,9 +56,28 @@ let create ?(name = "lp") () =
     row_vals = Array.make 16 [||];
     nnz = 0;
     csc_cache = None;
+    csr_cache = None;
   }
 
 let name t = t.model_name
+
+(* Per-row coefficient arrays and the matrix views are never written
+   in place, so the copy shares them; every per-entry array is copied,
+   without the spare capacity. *)
+let copy t =
+  let vars a = Array.sub a 0 t.nv and rows a = Array.sub a 0 t.nr in
+  {
+    t with
+    lbs = vars t.lbs;
+    ubs = vars t.ubs;
+    objs = vars t.objs;
+    vnames = vars t.vnames;
+    senses = rows t.senses;
+    rhss = rows t.rhss;
+    rnames = rows t.rnames;
+    row_cols = rows t.row_cols;
+    row_vals = rows t.row_vals;
+  }
 let nvars t = t.nv
 let nrows t = t.nr
 
@@ -89,6 +115,7 @@ let add_var t ?(name = "") ?(lb = 0.) ?(ub = infinity) ?(obj = 0.) () =
   t.vnames.(j) <- (if name = "" then "x" ^ string_of_int j else name);
   t.nv <- j + 1;
   t.csc_cache <- None;
+  t.csr_cache <- None;
   j
 
 let add_vars t n ?(lb = 0.) ?(ub = infinity) ?(obj = 0.) () =
@@ -132,6 +159,7 @@ let add_row t ?(name = "") sense rhs coeffs =
   t.nnz <- t.nnz + k;
   t.nr <- i + 1;
   t.csc_cache <- None;
+  t.csr_cache <- None;
   i
 
 let check_row t i =
@@ -152,6 +180,23 @@ let rhs t i =
 let row_sense t i =
   check_row t i;
   t.senses.(i)
+
+(* Coefficient of an existing entry; the sparsity pattern never changes.
+   Row arrays are shared with [copy]s, so the row is copied before the
+   write. *)
+let set_coef t i j v =
+  check_row t i;
+  check_bound "coefficient" v;
+  if not (Float_cmp.nonzero v) then invalid_arg "Lp_model.set_coef: zero";
+  let cols = t.row_cols.(i) in
+  let k = ref (-1) in
+  Array.iteri (fun idx c -> if c = j then k := idx) cols;
+  if !k < 0 then invalid_arg "Lp_model.set_coef: no such entry";
+  let vals = Array.copy t.row_vals.(i) in
+  vals.(!k) <- v;
+  t.row_vals.(i) <- vals;
+  t.csc_cache <- None;
+  t.csr_cache <- None
 
 let set_obj t j v =
   check_var t j;
@@ -218,6 +263,23 @@ let csc t =
       done;
       let c = { col_start; row_idx; values } in
       t.csc_cache <- Some c;
+      c
+
+let csr t =
+  match t.csr_cache with
+  | Some c -> c
+  | None ->
+      let row_start = Array.make (t.nr + 1) 0 in
+      for i = 0 to t.nr - 1 do
+        row_start.(i + 1) <- row_start.(i) + Array.length t.row_cols.(i)
+      done;
+      let col_idx = Array.make t.nnz 0 and row_values = Array.make t.nnz 0. in
+      for i = 0 to t.nr - 1 do
+        Array.blit t.row_cols.(i) 0 col_idx row_start.(i) (Array.length t.row_cols.(i));
+        Array.blit t.row_vals.(i) 0 row_values row_start.(i) (Array.length t.row_vals.(i))
+      done;
+      let c = { row_start; col_idx; row_values } in
+      t.csr_cache <- Some c;
       c
 
 let objective_value t x =

@@ -22,6 +22,10 @@ val create : ?name:string -> unit -> t
 
 val name : t -> string
 
+val copy : t -> t
+(** An independent model with the same variables, rows, bounds, RHS and
+    objective: changes to either leave the other as it was. *)
+
 val add_var : t -> ?name:string -> ?lb:float -> ?ub:float -> ?obj:float -> unit -> var
 (** Add a variable.  Defaults: [lb = 0.], [ub = infinity], [obj = 0.].
     Raises [Invalid_argument] if [lb > ub] or a bound is NaN. *)
@@ -39,6 +43,11 @@ val set_rhs : t -> row -> float -> unit
 val rhs : t -> row -> float
 val row_sense : t -> row -> sense
 
+val set_coef : t -> row -> var -> float -> unit
+(** [set_coef t row var c] changes the coefficient of an existing
+    nonzero entry to the nonzero [c]; the sparsity pattern is fixed.
+    Raises [Invalid_argument] if [row] has no entry for [var]. *)
+
 val set_obj : t -> var -> float -> unit
 val obj_coef : t -> var -> float
 
@@ -55,7 +64,9 @@ val row_coeffs : t -> row -> (var * float) list
 (** Coefficients of a row, in insertion order (duplicates pre-summed). *)
 
 (** Column-compressed view of the coefficient matrix, rebuilt lazily
-    whenever rows were added since the last call. *)
+    whenever rows were added or a coefficient changed since the last
+    call.  Both views are shared by {!copy}s until one of them changes
+    its matrix. *)
 type csc = private {
   col_start : int array;  (** length nvars+1 *)
   row_idx : int array;
@@ -63,6 +74,16 @@ type csc = private {
 }
 
 val csc : t -> csc
+
+(** Row-compressed view of the same matrix, entries of each row in
+    ascending column order; rebuilt lazily like {!csc}. *)
+type csr = private {
+  row_start : int array;  (** length nrows+1 *)
+  col_idx : int array;
+  row_values : float array;
+}
+
+val csr : t -> csr
 
 val objective_value : t -> float array -> float
 (** Objective of a full primal assignment (length [nvars]). *)

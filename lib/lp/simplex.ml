@@ -84,7 +84,9 @@ type sp = {
   n : int;
   m : int;
   ntot : int;
-  model : Lp_model.t; (* kept for health snapshots, never re-read *)
+  model : Lp_model.t;
+      (* re-read by [sync_model] (bounds, RHS, costs) and captured by
+         health snapshots; the matrix is fixed at [make_sp] *)
   csc : Lp_model.csc;
   lo : float array;
   up : float array;
@@ -101,7 +103,8 @@ type sp = {
   rho : float array; (* BTRAN row of B^-1, length m *)
   y : float array; (* row duals, length m *)
   bt : float array; (* recompute_xb scratch, length m *)
-  (* CSR mirror of the structural columns, for pivot-row products *)
+  (* CSR mirror of the structural columns, for pivot-row products
+     (the model's cached row view, shared and never written) *)
   row_start : int array; (* length m+1 *)
   row_col : int array;
   row_val : float array;
@@ -154,28 +157,7 @@ let make_sp ?eta_limit ?thresholds model =
   done;
   let sec_size = max 256 ((ntot + 7) / 8) in
   let nsec = max 1 ((ntot + sec_size - 1) / sec_size) in
-  (* transpose the CSC structural columns into CSR once *)
-  let csc = Lp_model.csc model in
-  let nnz = csc.Lp_model.col_start.(n) in
-  let row_start = Array.make (m + 1) 0 in
-  let row_col = Array.make (max 1 nnz) 0 in
-  let row_val = Array.make (max 1 nnz) 0. in
-  for k = 0 to nnz - 1 do
-    let i = csc.Lp_model.row_idx.(k) in
-    row_start.(i + 1) <- row_start.(i + 1) + 1
-  done;
-  for i = 0 to m - 1 do
-    row_start.(i + 1) <- row_start.(i + 1) + row_start.(i)
-  done;
-  let fill = Array.copy row_start in
-  for j = 0 to n - 1 do
-    for k = csc.Lp_model.col_start.(j) to csc.Lp_model.col_start.(j + 1) - 1 do
-      let i = csc.Lp_model.row_idx.(k) in
-      row_col.(fill.(i)) <- j;
-      row_val.(fill.(i)) <- csc.Lp_model.values.(k);
-      fill.(i) <- fill.(i) + 1
-    done
-  done;
+  let csr = Lp_model.csr model in
   let eta_limit =
     match eta_limit with Some _ as l -> l | None -> eta_limit_env ()
   in
@@ -199,9 +181,9 @@ let make_sp ?eta_limit ?thresholds model =
     rho = Array.make m 0.;
     y = Array.make m 0.;
     bt = Array.make m 0.;
-    row_start;
-    row_col;
-    row_val;
+    row_start = csr.Lp_model.row_start;
+    row_col = csr.Lp_model.col_idx;
+    row_val = csr.Lp_model.row_values;
     asv = Sparse.Svec.create ntot;
     d = Array.make ntot 0.;
     d_valid = false;
@@ -766,12 +748,35 @@ let finish_solve st ~status ~iterations =
   extract_solution st ~status ~iterations
 
 let default_iter_limit st = 50_000 + (50 * (st.n + st.m))
+let iter_limit_of st = function Some l -> l | None -> default_iter_limit st
+
+let primal_feasible ~tol st =
+  let ok = ref true in
+  for i = 0 to st.m - 1 do
+    let q = st.bas.(i) in
+    if st.xb.(i) < st.lo.(q) -. tol || st.xb.(i) > st.up.(q) +. tol then
+      ok := false
+  done;
+  !ok
+
+(* Phase 2 from a primal feasible basis, then a polish pass that guards
+   against drift of the updated factors. *)
+let primal_phase2 ~iter_limit st iters =
+  st.hphase <- phase_primal2;
+  match primal_loop st st.cost ~iter_limit iters with
+  | P_optimal ->
+      recompute_xb st;
+      if not (primal_feasible ~tol:(10. *. feas_tol) st) then begin
+        ignore (refactorize st);
+        ignore (primal_loop st st.cost ~iter_limit iters)
+      end;
+      Optimal
+  | P_unbounded -> Unbounded
+  | P_iter_limit -> Iteration_limit
 
 let cold_solve ?iter_limit st =
   Trace.incr c_cold_solves;
-  let iter_limit =
-    match iter_limit with Some l -> l | None -> default_iter_limit st
-  in
+  let iter_limit = iter_limit_of st iter_limit in
   setup_cold st;
   let iters = ref 0 in
   let phase1_failed =
@@ -797,46 +802,40 @@ let cold_solve ?iter_limit st =
   else begin
     close_phase1 st;
     recompute_xb st;
-    st.hphase <- phase_primal2;
-    match primal_loop st st.cost ~iter_limit iters with
-    | P_optimal ->
-        (* polish: guard against drift of the updated factors *)
-        recompute_xb st;
-        let bad = ref false in
-        for i = 0 to st.m - 1 do
-          let q = st.bas.(i) in
-          if
-            st.xb.(i) < st.lo.(q) -. (10. *. feas_tol)
-            || st.xb.(i) > st.up.(q) +. (10. *. feas_tol)
-          then bad := true
-        done;
-        if !bad then begin
-          ignore (refactorize st);
-          ignore (primal_loop st st.cost ~iter_limit iters)
-        end;
-        finish_solve st ~status:Optimal ~iterations:!iters
-    | P_unbounded -> finish_solve st ~status:Unbounded ~iterations:!iters
-    | P_iter_limit ->
-        finish_solve st ~status:Iteration_limit ~iterations:!iters
+    let status = primal_phase2 ~iter_limit st iters in
+    finish_solve st ~status ~iterations:!iters
   end
 
 (* ------------------------------------------------------------------ *)
-(* Dual simplex for RHS-only changes.                                  *)
+(* Dual simplex for restarts after bound and RHS changes.              *)
 (* ------------------------------------------------------------------ *)
 
 type dual_result = D_optimal | D_infeasible | D_iter_limit
 
+(* Exact phase-2 reduced costs of the nonbasic variables into [d]. *)
+let exact_duals st =
+  btran st st.cost st.y;
+  for j = 0 to st.ntot - 1 do
+    if st.vstat.(j) <> basic then st.d.(j) <- st.cost.(j) -. col_dot st st.y j
+  done;
+  st.d_valid <- true
+
+(* Whether nonbasic [j] with reduced cost [d] is dual feasible: a fixed
+   variable always is, otherwise the sign must match its bound. *)
+let dual_sign_ok st j d =
+  if st.lo.(j) >= st.up.(j) then true
+  else
+    let s = st.vstat.(j) in
+    if s = at_lower then d >= -1e-6
+    else if s = at_upper then d <= 1e-6
+    else if s = free then Float.abs d <= 1e-6
+    else true
+
 let dual_loop st ~iter_limit iters =
   let m = st.m in
-  let rho = st.rho and w = st.w and y = st.y in
+  let rho = st.rho and w = st.w in
   let d = st.d in
-  let recompute_duals () =
-    btran st st.cost y;
-    for j = 0 to st.ntot - 1 do
-      if st.vstat.(j) <> basic then d.(j) <- st.cost.(j) -. col_dot st y j
-    done;
-    st.d_valid <- true
-  in
+  let recompute_duals () = exact_duals st in
   (* a warm restart from an optimal basis inherits its exact reduced
      costs; rebuild only when the basis has moved under us *)
   if not st.d_valid then recompute_duals ();
@@ -968,76 +967,150 @@ let dual_loop st ~iter_limit iters =
    must be dual feasible under exactly-recomputed reduced costs.  If
    drift broke it, fall back to a cold solve rather than return a
    primal-feasible but suboptimal point. *)
-let dual_feasible st =
-  let y = st.y in
-  btran st st.cost y;
+let nonbasic_signs_ok st d_of =
   let ok = ref true in
   for j = 0 to st.ntot - 1 do
-    if !ok && st.vstat.(j) <> basic && st.lo.(j) < st.up.(j) then begin
-      let d = st.cost.(j) -. col_dot st y j in
-      if st.vstat.(j) = at_lower && d < -1e-6 then ok := false
-      else if st.vstat.(j) = at_upper && d > 1e-6 then ok := false
-      else if st.vstat.(j) = free && Float.abs d > 1e-6 then ok := false
-    end
+    if !ok && st.vstat.(j) <> basic then ok := dual_sign_ok st j (d_of j)
   done;
   !ok
+
+let dual_feasible st =
+  btran st st.cost st.y;
+  nonbasic_signs_ok st (fun j -> st.cost.(j) -. col_dot st st.y j)
+
+(* Exact reduced costs of a basis whose duals are not maintained (fresh
+   from [extend] or [make ~basis], or after a cost change), checked for
+   dual feasibility. *)
+let dual_start_ok st =
+  exact_duals st;
+  nonbasic_signs_ok st (fun j -> st.d.(j))
+
+(* A warm success: sampled only under elevated instrumentation, since
+   sampling every restart would tax the sweep hot path for little
+   signal. *)
+let warm_hit st ~status ~iterations =
+  Trace.incr c_warm_hits;
+  if Health.capture st.health then
+    health_sample st ~kind:Health.Final ~eta:(eta_epoch_of st) ~patched:[];
+  extract_solution st ~status ~iterations
+
+(* Re-optimize from the last optimal basis after any change of bounds,
+   RHS or costs.  A dual feasible basis restarts the dual simplex (the
+   usual case: bounds and RHS moved, costs did not); a basis that only
+   lost dual feasibility but is still primal feasible restarts primal
+   phase 2; anything else, and every failed restart, falls back to a
+   cold solve of the same state. *)
+let restart_sp ~iter_limit st =
+  let cold () = cold_solve ~iter_limit st in
+  let fallback () =
+    Trace.incr c_warm_fallbacks;
+    cold ()
+  in
+  match st.last_status with
+  | Some Optimal ->
+      Trace.incr c_warm_attempts;
+      recompute_xb st;
+      let iters = ref 0 in
+      if st.d_valid || dual_start_ok st then begin
+        st.hphase <- phase_dual;
+        match dual_loop st ~iter_limit iters with
+        | D_optimal ->
+            if dual_feasible st then warm_hit st ~status:Optimal ~iterations:!iters
+            else begin
+              Health.note_dual_guard_trip ();
+              Log.debug (fun m ->
+                  m "dual simplex drifted out of dual feasibility; cold re-solve");
+              fallback ()
+            end
+        | D_infeasible ->
+            (* confirm with a cold solve to guard against numerics *)
+            let sol = cold () in
+            if sol.status = Optimal then begin
+              Trace.incr c_warm_fallbacks;
+              sol
+            end
+            else begin
+              (* the warm dual correctly proved infeasibility *)
+              Trace.incr c_warm_hits;
+              extract_solution st ~status:Infeasible ~iterations:!iters
+            end
+        | D_iter_limit -> fallback ()
+      end
+      else if primal_feasible ~tol:feas_tol st then begin
+        match primal_phase2 ~iter_limit st iters with
+        | Optimal -> warm_hit st ~status:Optimal ~iterations:!iters
+        | _ -> fallback ()
+      end
+      else fallback ()
+  | _ -> cold ()
 
 let resolve_rhs_sp ?iter_limit st rhs =
   if Array.length rhs <> st.m then invalid_arg "Simplex.resolve_rhs";
   Array.blit rhs 0 st.b 0 st.m;
-  let iter_limit =
-    match iter_limit with Some l -> l | None -> default_iter_limit st
-  in
-  let cold () = cold_solve ~iter_limit st in
-  match st.last_status with
-  | Some Optimal -> (
-      Trace.incr c_warm_attempts;
-      recompute_xb st;
-      st.hphase <- phase_dual;
-      let iters = ref 0 in
-      match dual_loop st ~iter_limit iters with
-      | D_optimal ->
-          if dual_feasible st then begin
-            Trace.incr c_warm_hits;
-            (* elevated instrumentation only: sampling every warm
-               resolve would tax the sweep hot path for little signal *)
-            if Health.capture st.health then
-              health_sample st ~kind:Health.Final ~eta:(eta_epoch_of st)
-                ~patched:[];
-            extract_solution st ~status:Optimal ~iterations:!iters
-          end
-          else begin
-            Trace.incr c_warm_fallbacks;
-            Health.note_dual_guard_trip ();
-            Log.debug (fun m ->
-                m "dual simplex drifted out of dual feasibility; cold re-solve");
-            cold ()
-          end
-      | D_infeasible ->
-          (* confirm with a cold solve to guard against numerics *)
-          let sol = cold () in
-          if sol.status = Optimal then begin
-            Trace.incr c_warm_fallbacks;
-            sol
-          end
-          else begin
-            (* the warm dual correctly proved infeasibility *)
-            Trace.incr c_warm_hits;
-            extract_solution st ~status:Infeasible ~iterations:!iters
-          end
-      | D_iter_limit ->
-          Trace.incr c_warm_fallbacks;
-          cold ())
-  | _ -> cold ()
+  restart_sp ~iter_limit:(iter_limit_of st iter_limit) st
 
-let solve_warm_sp ?iter_limit st =
+(* Put nonbasic [j] on a finite bound, keeping its side when that bound
+   is still finite.  Returns whether the side changed. *)
+let place_nonbasic st j =
+  let s = st.vstat.(j) in
+  let s' =
+    if s = at_lower && st.lo.(j) > neg_infinity then at_lower
+    else if s = at_upper && st.up.(j) < infinity then at_upper
+    else if st.lo.(j) > neg_infinity then at_lower
+    else if st.up.(j) < infinity then at_upper
+    else free
+  in
+  st.vstat.(j) <- s';
+  st.xn.(j) <-
+    (if s' = at_lower then st.lo.(j) else if s' = at_upper then st.up.(j) else 0.);
+  s' <> s
+
+(* Re-read the structural bounds, the RHS and the costs from the model.
+   Reduced costs stay valid under bound and RHS changes unless a
+   nonbasic variable changes side or stops being fixed (its reduced
+   cost then has to be checked again), and never under cost changes. *)
+let sync_model st =
+  let model = st.model in
+  for j = 0 to st.n - 1 do
+    let c = Lp_model.obj_coef model j in
+    if not (Float.equal c st.cost.(j)) then begin
+      st.cost.(j) <- c;
+      st.d_valid <- false
+    end;
+    let lo = Lp_model.lb model j and up = Lp_model.ub model j in
+    if not (Float.equal lo st.lo.(j) && Float.equal up st.up.(j)) then begin
+      let was_fixed = st.lo.(j) >= st.up.(j) in
+      st.lo.(j) <- lo;
+      st.up.(j) <- up;
+      if st.vstat.(j) <> basic && (place_nonbasic st j || was_fixed) then
+        st.d_valid <- false
+    end
+  done;
+  for i = 0 to st.m - 1 do
+    st.b.(i) <- Lp_model.rhs model i
+  done
+
+(* An optimal basis, copied out of a solver state. *)
+type basis = { b_bas : int array; b_vstat : int array }
+
+let basis_sp st =
   match st.last_status with
-  | Some Optimal ->
-      (* model RHS may have been mutated by the caller through the
-         handle's captured copy; re-read is the caller's duty via
-         [resolve_rhs].  Here just re-run from the current state. *)
-      resolve_rhs_sp ?iter_limit st (Array.copy st.b)
-  | _ -> cold_solve ?iter_limit st
+  | Some Optimal -> Some { b_bas = Array.copy st.bas; b_vstat = Array.copy st.vstat }
+  | _ -> None
+
+(* Start [st] from a recorded basis: nonbasics on their bounds under the
+   model's current bounds, the basis factorized (a singular one is
+   repaired), and the state flagged warm so the next solve restarts. *)
+let seed_basis st b =
+  if Array.length b.b_bas <> st.m || Array.length b.b_vstat <> st.ntot then
+    invalid_arg "Simplex.make: basis dimension mismatch";
+  Array.blit b.b_bas 0 st.bas 0 st.m;
+  Array.blit b.b_vstat 0 st.vstat 0 st.ntot;
+  for j = 0 to st.ntot - 1 do
+    if st.vstat.(j) <> basic then ignore (place_nonbasic st j)
+  done;
+  ignore (refactorize st);
+  st.last_status <- Some Optimal
 
 let extend_sp st model =
   let st2 = make_sp model in
@@ -1086,7 +1159,7 @@ let extend_sp st model =
 (* when FLEXILE_DENSE_SIMPLEX=1 (differential-testing escape hatch).   *)
 (* ------------------------------------------------------------------ *)
 
-type t = Sp of sp | Dn of Simplex_dense.t
+type t = Sp of sp | Dn of Simplex_dense.t * Lp_model.t
 
 let dense_selected () =
   match Sys.getenv_opt "FLEXILE_DENSE_SIMPLEX" with
@@ -1110,25 +1183,37 @@ let of_dense_solution (s : Simplex_dense.solution) =
     iterations = s.Simplex_dense.iterations;
   }
 
-let make model =
-  if dense_selected () then Dn (Simplex_dense.make model)
-  else Sp (make_sp model)
+let make ?basis model =
+  if dense_selected () then Dn (Simplex_dense.make model, model)
+  else begin
+    let st = make_sp model in
+    Option.iter (seed_basis st) basis;
+    Sp st
+  end
+
+let basis = function Sp st -> basis_sp st | Dn _ -> None
 
 let solve_warm ?iter_limit t =
+  Trace.in_span sp_solve @@ fun () ->
   match t with
-  | Sp st -> solve_warm_sp ?iter_limit st
-  | Dn d -> of_dense_solution (Simplex_dense.solve_warm ?iter_limit d)
+  | Sp st ->
+      sync_model st;
+      restart_sp ~iter_limit:(iter_limit_of st iter_limit) st
+  | Dn (_, model) ->
+      (* the dense reference captures the model when made and cannot
+         re-read it, so it solves the current model cold *)
+      of_dense_solution (Simplex_dense.solve ?iter_limit model)
 
 let resolve_rhs ?iter_limit t rhs =
   Trace.in_span sp_resolve @@ fun () ->
   match t with
   | Sp st -> resolve_rhs_sp ?iter_limit st rhs
-  | Dn d -> of_dense_solution (Simplex_dense.resolve_rhs ?iter_limit d rhs)
+  | Dn (d, _) -> of_dense_solution (Simplex_dense.resolve_rhs ?iter_limit d rhs)
 
 let extend t model =
   match t with
   | Sp st -> Sp (extend_sp st model)
-  | Dn d -> Dn (Simplex_dense.extend d model)
+  | Dn (d, _) -> Dn (Simplex_dense.extend d model, model)
 
 let health = function Sp st -> Some st.health | Dn _ -> None
 

@@ -1,5 +1,5 @@
 (** Two-phase bounded-variable revised primal simplex, with a dual
-    simplex for warm restarts after right-hand-side changes.
+    simplex for warm restarts after bound and right-hand-side changes.
 
     The basis is held LU-factorized ([Sparse.Basis]) and advanced by
     product-form eta updates; the frozen dense-inverse solver survives
@@ -44,19 +44,42 @@ val solve : ?iter_limit:int -> Lp_model.t -> solution
 
 (** {1 Warm-restart interface}
 
-    A [t] captures the model structure (columns, bounds, costs) at
-    creation time; [resolve_rhs] then re-optimizes for a new RHS with
-    the dual simplex starting from the previous optimal basis.  This is
-    the paper's "the dual solution space is common across the LPs for
-    different scenarios" acceleration. *)
+    A [t] captures the model's matrix at creation time.  Every later
+    solve restarts from the previous optimal basis: with the dual
+    simplex while that basis stays dual feasible (bound and RHS
+    changes), with primal phase 2 when only a cost change broke dual
+    feasibility, and with a cold solve of the same state otherwise or
+    when the restart fails.  Restarts count in [simplex.warm_attempts],
+    each ending in exactly one of [simplex.warm_hits] and
+    [simplex.warm_fallbacks]; a fallback's cold solve also counts in
+    [simplex.cold_solves].  This is the paper's "the dual solution
+    space is common across the LPs for different scenarios"
+    acceleration. *)
 
 type t
 
-val make : Lp_model.t -> t
+type basis
+(** An optimal basis copied out of a solver state: which variable is
+    basic in each position and the bound side of every nonbasic one.
+    Immutable; one basis may seed any number of solver states. *)
+
+val make : ?basis:basis -> Lp_model.t -> t
+(** A solver state for the model.  With [basis] (taken from a model of
+    the same dimensions, for example the same template under other
+    bounds, RHS or coefficients) the first solve restarts from it
+    instead of solving cold. *)
+
+val basis : t -> basis option
+(** The basis of the last solve, if it ended optimal. *)
 
 val solve_warm : ?iter_limit:int -> t -> solution
-(** First solve (cold).  Subsequent calls re-solve for the model's
-    current RHS reusing the last basis. *)
+(** Re-read the model's variable bounds, RHS and objective (never its
+    matrix), then restart from the last optimal basis as described
+    above; the first solve is cold unless [make] was given a basis.
+    The re-read RHS replaces any set by {!resolve_rhs}.  Runs in the
+    [simplex.solve] span, like {!solve}.  On the dense reference path
+    (FLEXILE_DENSE_SIMPLEX=1) every call solves the current model
+    cold. *)
 
 val resolve_rhs : ?iter_limit:int -> t -> float array -> solution
 (** [resolve_rhs t rhs] re-optimizes with row right-hand sides [rhs]

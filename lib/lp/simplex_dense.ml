@@ -755,15 +755,6 @@ let resolve_rhs ?iter_limit st rhs =
       | D_iter_limit -> cold ())
   | _ -> cold ()
 
-let solve_warm ?iter_limit st =
-  match st.last_status with
-  | Some Optimal ->
-      (* model RHS may have been mutated by the caller through the
-         handle's captured copy; re-read is the caller's duty via
-         [resolve_rhs].  Here just re-run from the current state. *)
-      resolve_rhs ?iter_limit st (Array.copy st.b)
-  | _ -> cold_solve ?iter_limit st
-
 let extend st model =
   let st2 = make model in
   if st2.n <> st.n || st2.m < st.m then

@@ -26,6 +26,5 @@ val solve : ?iter_limit:int -> Lp_model.t -> solution
 type t
 
 val make : Lp_model.t -> t
-val solve_warm : ?iter_limit:int -> t -> solution
 val resolve_rhs : ?iter_limit:int -> t -> float array -> solution
 val extend : t -> Lp_model.t -> t

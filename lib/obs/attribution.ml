@@ -66,8 +66,9 @@ let prepare ?jobs ?(tol = 1e-6) inst ~offline ~promised () =
   let nk = Array.length inst.Instance.classes in
   if Array.length promised <> nk then invalid_arg "Attribution.prepare: promised";
   let online, duals = Flexile_online.run_with_duals ?jobs inst ~offline in
-  (* clairvoyant per-class optima: one fresh LP per (scenario, class),
-     fanned out deterministically (cold solves, static sharding) *)
+  (* clairvoyant per-class optima: one LP per (scenario, class), each
+     with solver state of its own, fanned out deterministically (static
+     sharding) *)
   let optima =
     Scenario_engine.sweep ?jobs inst
       ~init:(fun _ -> ())

@@ -35,5 +35,6 @@ val run_with_duals :
   Instance.losses * (int * float) list array
 (** {!run}, additionally returning each scenario's binding capacity
     edges [(edge, |dual|)] captured from the LP solution the
-    allocation already computed.  Every per-scenario solve is cold, so
-    both results are bit-identical for every job count. *)
+    allocation already computed.  Every allocation restarts from the
+    instance's nominal basis with solver state of its own, so both
+    results are bit-identical for every job count. *)

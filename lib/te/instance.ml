@@ -13,6 +13,8 @@ type flow = {
   demand : float;
 }
 
+type memo = ..
+
 type t = {
   graph : Graph.t;
   classes : cls array;
@@ -23,6 +25,7 @@ type t = {
   alive_tunnels : int array array array array;
   demand_factors : float array array option;
   regimes : string array option;
+  memo : memo Flexile_util.Parallel.once;
 }
 
 let make ~graph ~classes ~pairs ~tunnels ~demands ?demand_factors ?regimes
@@ -109,6 +112,7 @@ let make ~graph ~classes ~pairs ~tunnels ~demands ?demand_factors ?regimes
     alive_tunnels;
     demand_factors;
     regimes;
+    memo = Flexile_util.Parallel.once ();
   }
 
 let demand_in t (f : flow) sid =

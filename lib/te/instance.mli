@@ -21,6 +21,12 @@ type flow = {
   demand : float;
 }
 
+type memo = ..
+(** Data derived from an instance by another module, computed on first
+    use and cached on the instance (the scenario LP template of
+    {!Scen_lp}).  It depends only on the topology, tunnels, flows and
+    class count, which {!with_classes} keeps, so the copy shares it. *)
+
 type t = {
   graph : Flexile_net.Graph.t;
   classes : cls array;
@@ -40,6 +46,9 @@ type t = {
           {!Flexile_failure.Scenario_gen.set.regimes}; [None] for
           legacy sets (read through {!regime}, which derives
           ["nominal"] / ["independent"] defaults) *)
+  memo : memo Flexile_util.Parallel.once;
+      (** empty when made; computed once, by whichever domain needs
+          it first, while any other domain needing it waits *)
 }
 
 val make :

@@ -6,123 +6,213 @@ let src = Logs.Src.create "flexile.te" ~doc:"TE schemes"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* The arc-path LP of an instance, compiled once: every tunnel, the loss
+   variable, coverage row and level row of every positive-demand flow,
+   the capacity row of every edge some tunnel crosses, and the max-min
+   level variable [lambda] (objective 1).  Under its nominal settings
+   every tunnel is alive, capacities and demands are the base ones and
+   every level row is inactive; a scenario changes only bounds, RHS and
+   demand coefficients.  Never written after [compile]. *)
+type template = {
+  base : Lp_model.t;
+  tx : Lp_model.var array array array;
+  tl : Lp_model.var array;
+  tlambda : Lp_model.var;
+  demand_rows : Lp_model.row array;
+  tcap_rows : Lp_model.row array;
+  tlevel_rows : Lp_model.row array;
+  nominal : Simplex.basis option;
+}
+
+type Instance.memo += Template of template
+
 type ctx = {
   inst : Instance.t;
   sid : int;
   model : Lp_model.t;
   x : Lp_model.var array array array;
   l : Lp_model.var array;
-  demand_rows : Lp_model.row array;
+  lambda : Lp_model.var;
   cap_rows : Lp_model.row array;
+  level_rows : Lp_model.row array;
+  nominal : Simplex.basis option;
 }
 
-let build inst ~sid =
+(* A level row [lambda - l_f >= rhs] is active at RHS 0 and inactive at
+   -2, where it always holds since l <= 1 <= lambda + 2. *)
+let level_active = 0.
+let level_inactive = -2.
+
+(* The restart point of every scenario: an optimal basis of the nominal
+   template, where every level row is inactive, so lambda = 0 and the
+   basis is a feasible routing of the base demands.  On the failover
+   replay of IBM two-class this start takes ~15% fewer dual pivots
+   than the min-max-loss optimum over all flows.  The solve only reads
+   the model. *)
+let nominal_basis model =
+  let st = Simplex.make model in
+  ignore (Simplex.solve_warm st);
+  Simplex.basis st
+
+let compile inst =
   let g = inst.Instance.graph in
-  let nk = Array.length inst.Instance.classes in
-  let np = Array.length inst.Instance.pairs in
-  let model = Lp_model.create ~name:(Printf.sprintf "scen-%d" sid) () in
-  (* bandwidth variables on alive tunnels *)
+  let model = Lp_model.create ~name:"scen-template" () in
   let x =
-    Array.init nk (fun k ->
-        Array.init np (fun i ->
-            let ts = inst.Instance.tunnels.(k).(i) in
-            let alive = inst.Instance.alive_tunnels.(sid).(k).(i) in
-            let vars = Array.make (Array.length ts) (-1) in
-            Array.iter
-              (fun ti ->
-                vars.(ti) <-
-                  Lp_model.add_var model
-                    ~name:(Printf.sprintf "x_%d_%d_%d" k i ti)
-                    ())
-              alive;
-            vars))
+    Array.mapi
+      (fun k per_pair ->
+        Array.mapi
+          (fun i ts ->
+            Array.mapi
+              (fun ti _ ->
+                Lp_model.add_var model ~name:(Printf.sprintf "x_%d_%d_%d" k i ti) ())
+              ts)
+          per_pair)
+      inst.Instance.tunnels
   in
-  (* per-flow loss variables and demand coverage rows *)
   let nf = Instance.nflows inst in
   let l = Array.make nf (-1) in
+  Array.iter
+    (fun (f : Instance.flow) ->
+      if f.Instance.demand > 0. then
+        l.(f.Instance.fid) <-
+          Lp_model.add_var model ~name:(Printf.sprintf "l_%d" f.Instance.fid) ~ub:1. ())
+    inst.Instance.flows;
+  let lambda = Lp_model.add_var model ~name:"lambda" ~ub:1. ~obj:1. () in
+  (* coverage: sum_t x_t + d_f * l_f >= d_f *)
   let demand_rows = Array.make nf (-1) in
   Array.iter
     (fun (f : Instance.flow) ->
-      if f.Instance.demand > 0. then begin
-        let connected = Instance.flow_connected inst f sid in
-        let demand = Instance.demand_in inst f sid in
-        let lv =
-          if demand <= 0. then
-            (* nothing requested in this scenario: loss pinned to 0 *)
-            Lp_model.add_var model
-              ~name:(Printf.sprintf "l_%d" f.Instance.fid)
-              ~ub:0. ()
-          else
-            Lp_model.add_var model
-              ~name:(Printf.sprintf "l_%d" f.Instance.fid)
-              ~lb:(if connected then 0. else 1.)
-              ~ub:1. ()
-        in
-        l.(f.Instance.fid) <- lv;
-        if connected && demand > 0. then begin
-          let coeffs =
-            (lv, demand)
-            :: (Array.to_list inst.Instance.alive_tunnels.(sid).(f.Instance.cls).(f.Instance.pair)
-               |> List.map (fun ti -> (x.(f.Instance.cls).(f.Instance.pair).(ti), 1.)))
-          in
-          demand_rows.(f.Instance.fid) <-
-            Lp_model.add_row model Lp_model.Ge demand coeffs
-        end
-      end)
+      let fid = f.Instance.fid in
+      if l.(fid) >= 0 then
+        demand_rows.(fid) <-
+          Lp_model.add_row model Lp_model.Ge f.Instance.demand
+            ((l.(fid), f.Instance.demand)
+            :: Array.to_list
+                 (Array.map (fun v -> (v, 1.)) x.(f.Instance.cls).(f.Instance.pair))))
     inst.Instance.flows;
-  (* capacity rows: tunnels crossing each edge *)
   let per_edge = Array.make (Graph.nedges g) [] in
-  for k = 0 to nk - 1 do
-    for i = 0 to np - 1 do
-      let ts = inst.Instance.tunnels.(k).(i) in
-      Array.iteri
-        (fun ti (tun : Flexile_net.Tunnels.t) ->
-          let v = x.(k).(i).(ti) in
-          if v >= 0 then
-            Array.iter
-              (fun e -> per_edge.(e) <- (v, 1.) :: per_edge.(e))
-              tun.Flexile_net.Tunnels.path)
-        ts
-    done
-  done;
-  let cap_rows = Array.make (Graph.nedges g) (-1) in
   Array.iteri
-    (fun e coeffs ->
-      if coeffs <> [] then
-        cap_rows.(e) <-
-          Lp_model.add_row model Lp_model.Le
-            (Instance.edge_capacity inst ~sid e)
-            coeffs)
-    per_edge;
-  { inst; sid; model; x; l; demand_rows; cap_rows }
+    (fun k per_pair ->
+      Array.iteri
+        (fun i ts ->
+          Array.iteri
+            (fun ti (tun : Flexile_net.Tunnels.t) ->
+              Array.iter
+                (fun e -> per_edge.(e) <- (x.(k).(i).(ti), 1.) :: per_edge.(e))
+                tun.Flexile_net.Tunnels.path)
+            ts)
+        per_pair)
+    inst.Instance.tunnels;
+  let cap_rows =
+    Array.mapi
+      (fun e coeffs ->
+        if coeffs = [] then -1
+        else Lp_model.add_row model Lp_model.Le g.Graph.edges.(e).Graph.capacity coeffs)
+      per_edge
+  in
+  let level_rows =
+    Array.map
+      (fun lv ->
+        if lv < 0 then -1
+        else Lp_model.add_row model Lp_model.Ge level_inactive [ (lambda, 1.); (lv, -1.) ])
+      l
+  in
+  (* the matrix views are built here, before the template is shared *)
+  ignore (Lp_model.csc model);
+  ignore (Lp_model.csr model);
+  {
+    base = model;
+    tx = x;
+    tl = l;
+    tlambda = lambda;
+    demand_rows;
+    tcap_rows = cap_rows;
+    tlevel_rows = level_rows;
+    nominal = nominal_basis model;
+  }
 
-let set_losses ctx losses values =
+(* Compiled and solved on first use, then cached on the instance.  Only
+   the first domain to need it compiles (so the nominal solve's solver
+   counters are spent once per instance); the others wait for it. *)
+let template inst =
+  match Flexile_util.Parallel.force_once inst.Instance.memo (fun () -> Template (compile inst)) with
+  | Template t -> t
+  | _ -> invalid_arg "Scen_lp: the instance memo holds foreign data"
+
+let build inst ~sid =
+  let tpl = template inst in
+  let model = Lp_model.copy tpl.base in
+  let live = Array.make (Array.length tpl.tcap_rows) false in
+  Array.iteri
+    (fun k per_pair ->
+      Array.iteri
+        (fun i ts ->
+          let alive = inst.Instance.alive_tunnels.(sid).(k).(i) in
+          let next = ref 0 in
+          Array.iteri
+            (fun ti (tun : Flexile_net.Tunnels.t) ->
+              if !next < Array.length alive && alive.(!next) = ti then begin
+                incr next;
+                Array.iter (fun e -> live.(e) <- true) tun.Flexile_net.Tunnels.path
+              end
+              else Lp_model.set_bounds model tpl.tx.(k).(i).(ti) ~lb:0. ~ub:0.)
+            ts)
+        per_pair)
+    inst.Instance.tunnels;
   Array.iter
     (fun (f : Instance.flow) ->
       let fid = f.Instance.fid in
-      if f.Instance.demand <= 0. then losses.(fid).(ctx.sid) <- 0.
-      else if ctx.l.(fid) >= 0 then
-        losses.(fid).(ctx.sid) <- Float.max 0. (Float.min 1. values.(ctx.l.(fid))))
-    ctx.inst.Instance.flows
+      let lv = tpl.tl.(fid) and row = tpl.demand_rows.(fid) in
+      if lv >= 0 then begin
+        let d = Instance.demand_in inst f sid in
+        if d <= 0. then begin
+          (* nothing requested in this scenario: loss pinned to 0 *)
+          Lp_model.set_bounds model lv ~lb:0. ~ub:0.;
+          Lp_model.set_rhs model row 0.
+        end
+        else begin
+          if not (Instance.flow_connected inst f sid) then
+            Lp_model.set_bounds model lv ~lb:1. ~ub:1.;
+          if not (Float.equal d f.Instance.demand) then begin
+            Lp_model.set_rhs model row d;
+            Lp_model.set_coef model row lv d
+          end
+        end
+      end)
+    inst.Instance.flows;
+  let cap_rows =
+    Array.mapi
+      (fun e row ->
+        if row >= 0 then Lp_model.set_rhs model row (Instance.edge_capacity inst ~sid e);
+        if live.(e) then row else -1)
+      tpl.tcap_rows
+  in
+  {
+    inst;
+    sid;
+    model;
+    x = tpl.tx;
+    l = tpl.tl;
+    lambda = tpl.tlambda;
+    cap_rows;
+    level_rows = tpl.tlevel_rows;
+    nominal = tpl.nominal;
+  }
 
-let solve_min_weighted_max ctx ~flows ~frozen =
-  let lambda = Lp_model.add_var ctx.model ~ub:1. ~obj:1. () in
+(* Solver state for one call, seeded with the nominal basis.  It is
+   never kept: everything an allocation computes comes from (instance,
+   scenario, frozen set). *)
+let solver ctx = Simplex.make ?basis:ctx.nominal ctx.model
+
+let min_max_loss ctx ~flows =
   Array.iter
     (fun (f : Instance.flow) ->
-      if f.Instance.demand > 0. && ctx.l.(f.Instance.fid) >= 0 && flows f then
-        ignore
-          (Lp_model.add_row ctx.model Lp_model.Ge 0.
-             [ (lambda, 1.); (ctx.l.(f.Instance.fid), -1.) ]))
+      let r = ctx.level_rows.(f.Instance.fid) in
+      if r >= 0 && flows f then Lp_model.set_rhs ctx.model r level_active)
     ctx.inst.Instance.flows;
-  List.iter
-    (fun (fid, cap) ->
-      if ctx.l.(fid) >= 0 then
-        Lp_model.set_bounds ctx.model ctx.l.(fid) ~lb:(Lp_model.lb ctx.model ctx.l.(fid))
-          ~ub:(Float.min 1. cap))
-    frozen;
-  let sol = Simplex.solve ctx.model in
+  let sol = Simplex.solve_warm (solver ctx) in
   match sol.Simplex.status with
-  | Simplex.Optimal -> Some sol.Simplex.x.(lambda)
+  | Simplex.Optimal -> Some sol.Simplex.x.(ctx.lambda)
   | _ -> None
 
 (* Clairvoyant per-class optimum: the best max loss class [cls] could
@@ -132,11 +222,8 @@ let solve_min_weighted_max ctx ~flows ~frozen =
    here, hence online_max_loss - class_optimum >= 0 up to LP
    tolerance: the regret baseline. *)
 let class_optimum inst ~sid ~cls =
-  let ctx = build inst ~sid in
   match
-    solve_min_weighted_max ctx
-      ~flows:(fun (f : Instance.flow) -> f.Instance.cls = cls)
-      ~frozen:[]
+    min_max_loss (build inst ~sid) ~flows:(fun (f : Instance.flow) -> f.Instance.cls = cls)
   with
   | Some v -> Float.max 0. (Float.min 1. v)
   | None -> 1.
@@ -155,11 +242,12 @@ let binding_edges ctx (row_duals : float array) =
   done;
   !acc
 
-(* SWAN-style max-min on flow loss.  One model per scenario, reused
-   across levels: each participating flow gets a row
-   [lambda - l_f >= -relax_f] whose RHS toggles between 0 (active) and
-   -2 (deactivated: trivially satisfied since l <= 1 <= lambda + 2). *)
-let maxmin_losses inst ~sid ~class_order ?(merge_classes = false)
+(* SWAN-style max-min on flow loss over the scenario's template.  Each
+   level activates the level rows of the flows still active and
+   re-optimizes from the previous level's basis (the first level from
+   the nominal basis); freezing a flow caps its loss and deactivates
+   its row. *)
+let maxmin ~cold inst ~sid ~class_order ?(merge_classes = false)
     ?(freeze_routing = false) ?(prefrozen = []) ?(max_levels = 12) ?duals () =
   let ctx = build inst ~sid in
   (* bottleneck attribution hook: hand the caller the capacity-row
@@ -173,23 +261,18 @@ let maxmin_losses inst ~sid ~class_order ?(merge_classes = false)
         duals_pending := None;
         f (binding_edges ctx sol.Simplex.row_duals)
   in
-  let model = ctx.model in
-  let lambda = Lp_model.add_var model ~ub:1. ~obj:1. () in
-  let nf = Instance.nflows inst in
-  let level_rows = Array.make nf (-1) in
+  let model = ctx.model and lambda = ctx.lambda and level_rows = ctx.level_rows in
+  let solve =
+    if cold then fun () -> Simplex.solve model
+    else
+      let st = solver ctx in
+      fun () -> Simplex.solve_warm st
+  in
   let participating =
     Array.to_list inst.Instance.flows
     |> List.filter (fun (f : Instance.flow) ->
            f.Instance.demand > 0. && List.mem f.Instance.cls class_order)
   in
-  List.iter
-    (fun (f : Instance.flow) ->
-      let fid = f.Instance.fid in
-      if ctx.l.(fid) >= 0 then
-        level_rows.(fid) <-
-          Lp_model.add_row model Lp_model.Ge (-2.)
-            [ (lambda, 1.); (ctx.l.(fid), -1.) ])
-    participating;
   List.iter
     (fun (fid, cap) ->
       if ctx.l.(fid) >= 0 && Lp_model.lb model ctx.l.(fid) <= cap then
@@ -202,7 +285,7 @@ let maxmin_losses inst ~sid ~class_order ?(merge_classes = false)
       let lb = Lp_model.lb model ctx.l.(fid) in
       let ub = Float.min (Lp_model.ub model ctx.l.(fid)) (Float.max lb v) in
       Lp_model.set_bounds model ctx.l.(fid) ~lb ~ub;
-      Lp_model.set_rhs model level_rows.(fid) (-2.);
+      Lp_model.set_rhs model level_rows.(fid) level_inactive;
       results := (fid, ub) :: !results
     end
     else results := (fid, v) :: !results
@@ -230,13 +313,13 @@ let maxmin_losses inst ~sid ~class_order ?(merge_classes = false)
              participating)
       in
       (* activate level rows for this class *)
-      List.iter (fun fid -> Lp_model.set_rhs model level_rows.(fid) 0.) !active;
+      List.iter (fun fid -> Lp_model.set_rhs model level_rows.(fid) level_active) !active;
       let level = ref 0 in
       let last_lambda = ref 1. in
       let last_sol = ref None in
       while !active <> [] && !level < max_levels do
         incr level;
-        let sol = Simplex.solve model in
+        let sol = solve () in
         match sol.Simplex.status with
         | Simplex.Optimal ->
             capture sol;
@@ -268,7 +351,7 @@ let maxmin_losses inst ~sid ~class_order ?(merge_classes = false)
                 List.iter
                   (fun fid -> Lp_model.set_obj model ctx.l.(fid) 1.)
                   !active;
-                let sol2 = Simplex.solve model in
+                let sol2 = solve () in
                 (match sol2.Simplex.status with
                 | Simplex.Optimal -> last_sol := Some sol2.Simplex.x
                 | _ -> ());
@@ -308,13 +391,11 @@ let maxmin_losses inst ~sid ~class_order ?(merge_classes = false)
             List.iter
               (fun k ->
                 Array.iter
-                  (fun per_pair ->
-                    Array.iter
-                      (fun v ->
-                        if v >= 0 then
-                          Lp_model.set_bounds model v ~lb:xs.(v) ~ub:xs.(v))
-                      per_pair)
+                  (Array.iter (fun v -> Lp_model.set_bounds model v ~lb:xs.(v) ~ub:xs.(v)))
                   ctx.x.(k))
               group)
     groups;
   !results
+
+let maxmin_losses = maxmin ~cold:false
+let maxmin_losses_cold = maxmin ~cold:true

@@ -17,6 +17,6 @@ let scen_loss_optimal ?jobs inst =
     ~f:(fun () sid ->
       let ctx = Scen_lp.build inst ~sid in
       let connected f = Instance.flow_connected inst f sid in
-      match Scen_lp.solve_min_weighted_max ctx ~flows:connected ~frozen:[] with
+      match Scen_lp.min_max_loss ctx ~flows:connected with
       | Some v -> Float.max 0. (Float.min 1. v)
       | None -> 1.)

@@ -11,10 +11,18 @@ let run_maxmin ?jobs inst =
 
 (* One scenario of SWAN-Throughput: classes in priority order, each
    maximizing its delivered volume, routing pinned before the next
-   class is served. *)
+   class is served.  The scenario's template first restarts from the
+   nominal basis under the scenario's bounds alone (the dual simplex,
+   to a feasible routing); every class then only changes costs and
+   pins bounds the current point satisfies, so it restarts in primal
+   phase 2.  Changing costs and bounds at once would make the first
+   restart fall back cold. *)
 let throughput_scenario inst sid =
   let ctx = Scen_lp.build inst ~sid in
   let model = ctx.Scen_lp.model in
+  let st = Simplex.make ?basis:ctx.Scen_lp.nominal model in
+  ignore (Simplex.solve_warm st);
+  Lp_model.set_obj model ctx.Scen_lp.lambda 0.;
   let results = ref [] in
   List.iter
     (fun k ->
@@ -30,7 +38,7 @@ let throughput_scenario inst sid =
             Lp_model.set_obj model ctx.Scen_lp.l.(f.Instance.fid)
               f.Instance.demand)
         class_flows;
-      let sol = Simplex.solve model in
+      let sol = Simplex.solve_warm st in
       List.iter
         (fun (f : Instance.flow) ->
           let fid = f.Instance.fid in
@@ -55,13 +63,8 @@ let throughput_scenario inst sid =
       match sol.Simplex.status with
       | Simplex.Optimal ->
           Array.iter
-            (fun per_pair ->
-              Array.iter
-                (fun v ->
-                  if v >= 0 then
-                    Lp_model.set_bounds model v ~lb:sol.Simplex.x.(v)
-                      ~ub:sol.Simplex.x.(v))
-                per_pair)
+            (Array.iter (fun v ->
+                 Lp_model.set_bounds model v ~lb:sol.Simplex.x.(v) ~ub:sol.Simplex.x.(v)))
             ctx.Scen_lp.x.(k)
       | _ -> ())
     (class_order inst);

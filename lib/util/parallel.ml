@@ -242,3 +242,22 @@ let map ?pool ?jobs ~n ~init ~f () =
 
 let map_reduce ?pool ?jobs ~n ~init ~f ~fold acc0 =
   Array.fold_left fold acc0 (map ?pool ?jobs ~n ~init ~f ())
+
+(* The value is published through an atomic so that readers after the
+   first pay no lock; the mutex makes the first computation exclusive,
+   so [f] runs once however many domains find the cell empty. *)
+type 'a once = { value : 'a option Atomic.t; lock : Mutex.t }
+
+let once () = { value = Atomic.make None; lock = Mutex.create () }
+
+let force_once c f =
+  match Atomic.get c.value with
+  | Some v -> v
+  | None ->
+      Mutex.protect c.lock (fun () ->
+          match Atomic.get c.value with
+          | Some v -> v
+          | None ->
+              let v = f () in
+              Atomic.set c.value (Some v);
+              v)

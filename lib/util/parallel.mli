@@ -66,3 +66,16 @@ val map_reduce :
   'acc
 (** [map] followed by a sequential left fold in index order — the
     reduction order is deterministic whatever the job count. *)
+
+type 'a once
+(** A cell filled at most once, that any domain may be the first to
+    need. *)
+
+val once : unit -> 'a once
+
+val force_once : 'a once -> (unit -> 'a) -> 'a
+(** [force_once c f] is the value of [c], computed with [f] by the
+    first caller.  [f] runs exactly once: a domain that finds the cell
+    empty while another is computing it waits for that value.  If [f]
+    raises, the cell stays empty and the exception propagates to that
+    caller.  [f] must not force [c] itself. *)

@@ -198,6 +198,49 @@ let test_duplicate_rows_recovery () =
       end)
     steps
 
+(* ---- differential: bound, cost and rhs walk vs cold re-solves ---- *)
+
+(* [Simplex.solve_warm] re-reads whatever the caller changed in the
+   model.  A walk that moves bounds (fixing and freeing variables),
+   right-hand sides and now and then the costs exercises every restart
+   leg: dual simplex, primal phase 2 and the cold fallback.  A second
+   state seeded with the first one's basis must agree too. *)
+let qcheck_bound_walk_differential =
+  let gen = QCheck.Gen.(pair (int_range 2 7) (int_range 1 6)) in
+  QCheck.Test.make ~name:"bound/cost/rhs walk matches cold solves to 1e-6"
+    ~count:100 (QCheck.make gen) (fun (nv, nr) ->
+      let prng = Prng.of_string (Printf.sprintf "qc-bounds-%d-%d" nv nr) in
+      let m = random_lp prng ~nv ~nr in
+      let st = Simplex.make m in
+      let _ = Simplex.solve_warm st in
+      let agree (a : Simplex.solution) (b : Simplex.solution) =
+        match (a.Simplex.status, b.Simplex.status) with
+        | Simplex.Optimal, Simplex.Optimal ->
+            Float.abs (a.Simplex.obj -. b.Simplex.obj)
+            <= 1e-6 *. (1. +. Float.abs b.Simplex.obj)
+            && Lp_model.max_violation m a.Simplex.x <= 1e-6
+        | x, y -> x = y
+      in
+      let ok = ref true in
+      for step = 1 to 6 do
+        if !ok then begin
+          for j = 0 to nv - 1 do
+            let lb = if Prng.bool prng 0.3 then Prng.uniform prng 0. 2. else 0. in
+            let ub = if Prng.bool prng 0.2 then lb else Prng.uniform prng lb 4. in
+            Lp_model.set_bounds m j ~lb ~ub;
+            if step mod 3 = 0 then Lp_model.set_obj m j (Prng.uniform prng (-2.) 2.)
+          done;
+          for r = 0 to nr - 1 do
+            Lp_model.set_rhs m r (Prng.uniform prng (-3.) 8.)
+          done;
+          let seeded = Simplex.make ?basis:(Simplex.basis st) m in
+          let warm = Simplex.solve_warm st in
+          let cold = Simplex.solve m in
+          ok := agree warm cold && agree (Simplex.solve_warm seeded) cold
+        end
+      done;
+      !ok)
+
 (* ---- the warm/cold decision is visible in the trace counters ---- *)
 
 let expect_status name expected sol =
@@ -252,6 +295,56 @@ let test_warm_hit_counted () =
   expect_status "warm resolve" "optimal" sol2;
   Alcotest.(check int) "warm hit counted" (h0 + 1) (v "simplex.warm_hits")
 
+(* x, y in [0,10], x + y >= 2, min x + 2y: optimal at x = 2 basic. *)
+let restart_lp () =
+  let m = Lp_model.create () in
+  let x = Lp_model.add_var m ~ub:10. ~obj:1. () in
+  let y = Lp_model.add_var m ~ub:10. ~obj:2. () in
+  let r = Lp_model.add_row m Lp_model.Ge 2. [ (x, 1.); (y, 1.) ] in
+  let st = Simplex.make m in
+  expect_status "initial" "optimal" (Simplex.solve_warm st);
+  (m, x, y, r, st)
+
+let test_restart_legs_counted () =
+  let was = Trace.enabled () in
+  Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Trace.set_enabled was) @@ fun () ->
+  let v name = Trace.value_by_name name in
+  let counts () =
+    List.map v
+      [ "simplex.warm_attempts"; "simplex.warm_hits"; "simplex.warm_fallbacks"; "simplex.cold_solves" ]
+  in
+  let delta what ~before ~obj (sol : Simplex.solution) expected =
+    expect_status what "optimal" sol;
+    if Float.abs (sol.Simplex.obj -. obj) > 1e-9 then
+      Alcotest.failf "%s: expected obj %g, got %.9g" what obj sol.Simplex.obj;
+    Alcotest.(check (list int))
+      (what ^ ": attempts, hits, fallbacks, cold solves")
+      expected
+      (List.map2 ( - ) (counts ()) before)
+  in
+  (* x <= 1 leaves the basis primal infeasible but dual feasible: the
+     dual simplex moves the rest onto y *)
+  let m, x, _, _, st = restart_lp () in
+  let before = counts () in
+  Lp_model.set_bounds m x ~lb:0. ~ub:1.;
+  delta "bound change (dual simplex)" ~before ~obj:3. (Simplex.solve_warm st) [ 1; 1; 0; 0 ];
+  (* min -y: no longer dual feasible, still primal feasible *)
+  let m, x, y, _, st = restart_lp () in
+  let before = counts () in
+  Lp_model.set_obj m x 0.;
+  Lp_model.set_obj m y (-1.);
+  delta "cost change (primal phase 2)" ~before ~obj:(-10.) (Simplex.solve_warm st) [ 1; 1; 0; 0 ];
+  (* the same cost change with x + y >= 12: neither feasibility holds,
+     so the restart falls back to a cold solve *)
+  let m, x, y, r, st = restart_lp () in
+  let before = counts () in
+  Lp_model.set_obj m x 0.;
+  Lp_model.set_obj m y (-1.);
+  Lp_model.set_rhs m r 12.;
+  delta "cost and rhs change (cold fallback)" ~before ~obj:(-10.) (Simplex.solve_warm st)
+    [ 1; 0; 1; 1 ]
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "flexile_lp_props"
@@ -260,11 +353,16 @@ let () =
         List.map QCheck_alcotest.to_alcotest [ qcheck_weak_duality ] );
       ( "warm-vs-cold",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_warm_walk_differential; qcheck_warm_walk_tight_refactor ]
+          [
+            qcheck_warm_walk_differential;
+            qcheck_warm_walk_tight_refactor;
+            qcheck_bound_walk_differential;
+          ]
         @ [ quick "duplicate rows recovery" test_duplicate_rows_recovery ] );
       ( "trace-counters",
         [
           quick "fallback legs counted" test_warm_fallback_counters;
           quick "warm hit counted" test_warm_hit_counted;
+          quick "restart legs counted" test_restart_legs_counted;
         ] );
     ]
