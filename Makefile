@@ -84,7 +84,9 @@ explain-smoke: | $(SMOKE_DIR)
 # over the seeded near-singular fixture must be byte-identical across
 # job counts (the replay is single-domain and carries no wall-clock
 # values), both live — which also exercises the threshold-trip
-# auto-dump — and replayed from that dump via --from-dump.
+# auto-dump — and replayed from that dump via --from-dump.  Both the
+# live and the replayed answer must carry a passing LP duality
+# certificate ("certified":true).
 doctor-smoke: | $(SMOKE_DIR)
 	dune build bin/flexile_cli.exe
 	FLEXILE_HEALTH_DUMP=$(SMOKE_DIR) dune exec --no-build bin/flexile_cli.exe -- \
@@ -92,6 +94,7 @@ doctor-smoke: | $(SMOKE_DIR)
 	FLEXILE_HEALTH_DUMP=$(SMOKE_DIR) dune exec --no-build bin/flexile_cli.exe -- \
 	  doctor --fixture near-singular --jobs 4 --out $(SMOKE_DIR)/doctor-b.json
 	cmp $(SMOKE_DIR)/doctor-a.json $(SMOKE_DIR)/doctor-b.json
+	grep -q '"certified":true' $(SMOKE_DIR)/doctor-a.json
 	dune exec --no-build bin/flexile_cli.exe -- doctor \
 	  --from-dump $(SMOKE_DIR)/health-dump-near-singular-fixture.json \
 	  --jobs 1 --out $(SMOKE_DIR)/doctor-c.json
@@ -99,6 +102,7 @@ doctor-smoke: | $(SMOKE_DIR)
 	  --from-dump $(SMOKE_DIR)/health-dump-near-singular-fixture.json \
 	  --jobs 4 --out $(SMOKE_DIR)/doctor-d.json
 	cmp $(SMOKE_DIR)/doctor-c.json $(SMOKE_DIR)/doctor-d.json
+	grep -q '"certified":true' $(SMOKE_DIR)/doctor-c.json
 
 # End-to-end benchmark smoke: each BENCHMARK.json workload once, with
 # no timed phase, failing unless its last line reports every output

@@ -121,9 +121,8 @@ let gate_phase_order =
 
 (* ---- continental-scale phase ----
 
-   A 1100-node WAN min-MLU LP (~600 variables, ~2000 rows), far beyond
-   what the dense reference simplex can handle in CI time; it exists to
-   gate the sparse LU core at scale.  Tunnel selection dominates
+   A 1100-node WAN min-MLU LP (~600 variables, ~2000 rows); it exists
+   to gate the sparse LU core at scale.  Tunnel selection dominates
    instance construction, so the network half is built once and shared
    across gate repetitions: only the LP build + solve is timed. *)
 
@@ -312,7 +311,7 @@ let run_gate ~jobs ~repeat =
              ignore (Flexile_lp.Simplex.solve model)
            done));
     (* solver-health diagnosis end-to-end: both seeded fixtures through
-       solve_doctor (capture timeline + dense-oracle parity) and report
+       solve_doctor (capture timeline + duality certificate) and report
        rendering — gates the observatory's replay path (schema v3) *)
     ignore
       (timed "doctor" (fun () ->
@@ -344,36 +343,22 @@ let run_gate ~jobs ~repeat =
 
 (* ---- machine-readable dump (--json FILE) ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_json path ~profile_name ~jobs ~figures ~micro =
   let oc = open_out path in
   let item fmt = Printf.ksprintf (fun s -> output_string oc s) fmt in
   let entries f xs =
     List.iteri (fun i x -> if i > 0 then item ","; f x) xs
   in
-  item "{\"profile\":\"%s\",\"jobs\":%d,\"figures\":[" (json_escape profile_name)
+  item "{\"profile\":\"%s\",\"jobs\":%d,\"figures\":[" (Flexile_util.Json.escape profile_name)
     jobs;
   entries
     (fun (name, seconds) ->
-      item "{\"name\":\"%s\",\"seconds\":%.6f}" (json_escape name) seconds)
+      item "{\"name\":\"%s\",\"seconds\":%.6f}" (Flexile_util.Json.escape name) seconds)
     figures;
   item "],\"micro\":[";
   entries
     (fun (name, ms) ->
-      item "{\"name\":\"%s\",\"ms_per_run\":%.6f}" (json_escape name) ms)
+      item "{\"name\":\"%s\",\"ms_per_run\":%.6f}" (Flexile_util.Json.escape name) ms)
     micro;
   (* the trace section is the full registry — every module's counters,
      gauges, timers and span totals, plus the hierarchical span tree —

@@ -732,15 +732,6 @@ let doctor_cmd =
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Write the diagnosis JSON to $(docv) instead of stdout.")
   in
-  let no_oracle_arg =
-    Arg.(
-      value & flag
-      & info [ "no-oracle" ]
-          ~doc:
-            "Skip the dense-reference parity check (fixture/dump modes \
-             solve the LP a second time with the frozen dense simplex by \
-             default).")
-  in
   let iterations =
     Arg.(
       value & opt int 5
@@ -748,8 +739,7 @@ let doctor_cmd =
           ~doc:"Offline decomposition iterations (topology mode).")
   in
   let run () topo fixture dump two scenarios mix max_pairs iterations jobs out
-      chrome no_oracle =
-    let oracle = not no_oracle in
+      chrome =
     let deliver what contents =
       match out with
       | None -> print_string contents
@@ -778,13 +768,13 @@ let doctor_cmd =
     if chrome <> None then Trace.set_enabled true;
     match (fixture, dump, topo) with
     | Some name, None, None -> (
-        match Flexile_lp.Doctor.run_fixture ~oracle name with
+        match Flexile_lp.Doctor.run_fixture name with
         | Error e ->
             prerr_endline ("doctor: " ^ e);
             exit 1
         | Ok r -> finish r)
     | None, Some path, None -> (
-        match Flexile_lp.Doctor.run_dump ~oracle path with
+        match Flexile_lp.Doctor.run_dump path with
         | Error e ->
             prerr_endline ("doctor: " ^ e);
             exit 1
@@ -819,11 +809,8 @@ let doctor_cmd =
           (get "health.dumps");
         let b = Buffer.create 512 in
         Printf.bprintf b
-          "{\"schema\":\"flexile-doctor\",\"version\":1,\"source\":{\"kind\":\"topology\",\"name\":\"%s\"},\"solver_health\":%s}\n"
-          (String.concat ""
-             (List.map
-                (fun c -> if c = '"' || c = '\\' then "_" else String.make 1 c)
-                (List.init (String.length name) (String.get name))))
+          "{\"schema\":\"flexile-doctor\",\"version\":2,\"source\":{\"kind\":\"topology\",\"name\":\"%s\"},\"solver_health\":%s}\n"
+          (Flexile_util.Json.escape name)
           (Flexile_util.Trace_export.solver_health_json ());
         deliver "solver health" (Buffer.contents b);
         write_chrome ()
@@ -836,7 +823,7 @@ let doctor_cmd =
   let term =
     Term.(const run $ verbose_term $ topo_arg $ fixture_arg $ dump_arg
           $ two_class_arg $ scenarios_arg $ mix_arg $ pairs_arg $ iterations
-          $ jobs_arg $ out_arg $ chrome_arg $ no_oracle_arg)
+          $ jobs_arg $ out_arg $ chrome_arg)
   in
   Cmd.v
     (Cmd.info "doctor"

@@ -44,8 +44,8 @@ let of_string s =
 
 exception Timeout of t
 
-(* Rough size guards mirroring the paper's TLE rows: the dense-inverse
-   simplex degrades sharply past a few thousand rows. *)
+(* Rough size guards mirroring the paper's TLE rows: past these sizes
+   a scheme is reported as timed out instead of being run. *)
 let cvar_ad_rows inst =
   Flexile_net.Graph.nedges inst.Instance.graph * Instance.nscenarios inst
 

@@ -6,8 +6,10 @@
    a seeded pathological fixture, a snapshot dumped by a threshold trip
    ([Health.write_dump]), or a caller-provided model.  It then distills
    the timeline into a verdict: which phase stalled, which rows are
-   near-singular, which thresholds tripped, and whether the frozen
-   dense solver (the pre-sparse oracle) agrees on status and objective.
+   near-singular, which thresholds tripped, and whether an optimal
+   answer carries an LP duality certificate ([Certificate]: primal
+   feasibility, dual signs and a zero duality gap, recomputed from the
+   model).
 
    Determinism contract: a fixture or dump diagnosis depends only on
    the LP bits — the solve runs on the calling domain, every float in
@@ -121,16 +123,7 @@ let status_name = function
 
 let add_str b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  Buffer.add_string b (Flexile_util.Json.escape s);
   Buffer.add_char b '"'
 
 (* Fixed-width decimal rendering: deterministic for identical bits, and
@@ -210,7 +203,7 @@ type diagnosis = {
 
 let diagnose ~model ~(samples : Health.sample list)
     ~(stalls : Health.stall list) ~(loops : Health.loop_note list)
-    ~(oracle_verdict : string option) =
+    ~(certificate_verdict : string option) =
   let maxf f = List.fold_left (fun a s -> Float.max a (f s)) 0. samples in
   let max_cond = maxf (fun s -> s.Health.s_cond1) in
   let max_pr = maxf (fun s -> s.Health.s_primal_res) in
@@ -292,7 +285,7 @@ let diagnose ~model ~(samples : Health.sample list)
       in
       say (Printf.sprintf "threshold tripped: %s (%s)" r detail))
     tripped;
-  (match oracle_verdict with Some v -> say v | None -> ());
+  (match certificate_verdict with Some v -> say v | None -> ());
   let healthy = stalls = [] && near = [] && tripped = [] in
   if healthy && !verdicts = [] then
     say
@@ -326,43 +319,35 @@ type result = {
   r_healthy : bool;
 }
 
-let oracle_check model (sol : Simplex.solution) =
-  let d = Simplex_dense.solve model in
-  let dstatus =
-    match d.Simplex_dense.status with
-    | Simplex_dense.Optimal -> "optimal"
-    | Simplex_dense.Infeasible -> "infeasible"
-    | Simplex_dense.Unbounded -> "unbounded"
-    | Simplex_dense.Iteration_limit -> "iteration_limit"
-  in
-  let delta = Float.abs (d.Simplex_dense.obj -. sol.Simplex.obj) in
-  let scale = Float.max 1. (Float.abs sol.Simplex.obj) in
-  let agrees =
-    String.equal dstatus (status_name sol.Simplex.status)
-    && delta /. scale < 1e-6
-  in
-  (dstatus, d.Simplex_dense.obj, delta, agrees)
+(* An optimality certificate only exists for an optimal answer. *)
+let certificate model (sol : Simplex.solution) =
+  match sol.Simplex.status with
+  | Simplex.Optimal -> Some (Certificate.check model sol)
+  | _ -> None
 
 let render ~source ~model ~(sol : Simplex.solution) ~health
-    ~(dump_state : Health.state option) ~oracle =
+    ~(dump_state : Health.state option) =
   let samples =
     Health.samples health
     @ (match dump_state with Some h -> Health.samples h | None -> [])
   in
   let stalls = Health.stalls health in
   let loops = Health.loop_notes health in
-  let oracle_verdict =
-    match oracle with
-    | Some (dstatus, _, delta, agrees) when not agrees ->
+  let cert = certificate model sol in
+  let certificate_verdict =
+    match cert with
+    | Some c when not (Certificate.certified c) ->
         Some
           (Printf.sprintf
-             "dense-oracle disagreement: oracle %s, objective delta %.9g"
-             dstatus delta)
+             "certificate failed: primal violation %.9g, dual violation \
+              %.9g, gap %.9g"
+             c.Certificate.primal_violation c.Certificate.dual_violation
+             c.Certificate.gap)
     | _ -> None
   in
-  let dg = diagnose ~model ~samples ~stalls ~loops ~oracle_verdict in
+  let dg = diagnose ~model ~samples ~stalls ~loops ~certificate_verdict in
   let b = Buffer.create 8192 in
-  Buffer.add_string b "{\"schema\":\"flexile-doctor\",\"version\":1";
+  Buffer.add_string b "{\"schema\":\"flexile-doctor\",\"version\":2";
   Buffer.add_string b ",\"source\":";
   (match source with
   | Src_fixture name ->
@@ -457,18 +442,19 @@ let render ~source ~model ~(sol : Simplex.solution) ~health
   (* per-refactorization timeline of the replay *)
   Buffer.add_string b ",\"timeline\":";
   add_list b (Health.samples health) (fun s -> add_sample b model s);
-  Buffer.add_string b ",\"oracle\":";
-  (match oracle with
+  Buffer.add_string b ",\"certificate\":";
+  (match cert with
   | None -> Buffer.add_string b "null"
-  | Some (dstatus, dobj, delta, agrees) ->
-      Buffer.add_string b "{\"status\":";
-      add_str b dstatus;
-      Buffer.add_string b ",\"objective\":";
-      add_num b dobj;
-      Buffer.add_string b ",\"objective_delta\":";
-      add_num b delta;
+  | Some c ->
+      Buffer.add_string b "{\"primal_violation\":";
+      add_num b c.Certificate.primal_violation;
+      Buffer.add_string b ",\"dual_violation\":";
+      add_num b c.Certificate.dual_violation;
+      Buffer.add_string b ",\"gap\":";
+      add_num b c.Certificate.gap;
       Buffer.add_string b
-        (",\"agrees\":" ^ if agrees then "true}" else "false}"));
+        (",\"certified\":"
+        ^ if Certificate.certified c then "true}" else "false}"));
   Buffer.add_string b "}\n";
   {
     r_report = Buffer.contents b;
@@ -477,7 +463,7 @@ let render ~source ~model ~(sol : Simplex.solution) ~health
     r_healthy = dg.dg_healthy;
   }
 
-let run_lp ?(oracle = true) ?(source = Src_model) ?dump model =
+let run_lp ?(source = Src_model) ?dump model =
   let thresholds = doctor_thresholds () in
   let eta_limit =
     match dump with
@@ -494,20 +480,19 @@ let run_lp ?(oracle = true) ?(source = Src_model) ?dump model =
              ~phase:d.Health.d_phase ~iteration:d.Health.d_iteration model
              ~bas:d.Health.d_basis ~vstat:d.Health.d_vstat)
   in
-  let oracle = if oracle then Some (oracle_check model sol) else None in
-  render ~source ~model ~sol ~health ~dump_state ~oracle
+  render ~source ~model ~sol ~health ~dump_state
 
-let run_fixture ?oracle name =
+let run_fixture name =
   match fixture name with
   | None ->
       Error
         ("unknown fixture " ^ name ^ " (expected "
         ^ String.concat " or " fixture_names
         ^ ")")
-  | Some model -> Ok (run_lp ?oracle ~source:(Src_fixture name) model)
+  | Some model -> Ok (run_lp ~source:(Src_fixture name) model)
 
-let run_dump ?oracle path =
+let run_dump path =
   match Health.read_dump path with
   | Error e -> Error e
   | Ok d ->
-      Ok (run_lp ?oracle ~source:(Src_dump (path, d)) ~dump:d d.Health.d_model)
+      Ok (run_lp ~source:(Src_dump (path, d)) ~dump:d d.Health.d_model)

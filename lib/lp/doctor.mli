@@ -1,7 +1,8 @@
 (** [flexile doctor]: replay a solve with elevated instrumentation and
     emit a structured JSON diagnosis — which phase stalled, which basis
     rows are near-singular, which health thresholds tripped, whether
-    the frozen dense oracle agrees.  See DESIGN.md section 15.
+    an optimal answer carries an LP duality certificate
+    ([Certificate]).  See DESIGN.md section 15.
 
     Reports are deterministic: the replay runs on the calling domain,
     floats are rendered with a fixed format, and nothing wall-clock- or
@@ -45,17 +46,17 @@ type result = {
   r_healthy : bool;  (** no stalls, trips or near-singular rows *)
 }
 
-val run_lp :
-  ?oracle:bool -> ?source:source -> ?dump:Health.dump -> Lp_model.t -> result
+val run_lp : ?source:source -> ?dump:Health.dump -> Lp_model.t -> result
 (** Replay [model] under [Simplex.solve_doctor] with
-    [doctor_thresholds] and render the report.  [oracle] (default true)
-    also solves with [Simplex_dense] and reports status/objective
-    parity.  When [dump] is given, its basis is additionally measured
-    in isolation ([Simplex.diagnose_basis]) and its recorded eta limit
-    governs the replay's refactorization cadence. *)
+    [doctor_thresholds] and render the report.  An optimal answer's
+    [Certificate] is in the report's ["certificate"] object (null for
+    any other status); a failed one adds a verdict.  When [dump] is
+    given, its basis is additionally measured in isolation
+    ([Simplex.diagnose_basis]) and its recorded eta limit governs the
+    replay's refactorization cadence. *)
 
-val run_fixture : ?oracle:bool -> string -> (result, string) Stdlib.result
+val run_fixture : string -> (result, string) Stdlib.result
 
-val run_dump : ?oracle:bool -> string -> (result, string) Stdlib.result
+val run_dump : string -> (result, string) Stdlib.result
 (** Read a [Health.write_dump] snapshot and diagnose it: the dumped
     basis measured as captured, plus a full replay of the dumped model. *)

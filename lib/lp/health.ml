@@ -427,22 +427,9 @@ let hex_of_float x =
 
 let float_of_hex s = float_of_string_opt s
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let add_str b s =
   Buffer.add_char b '"';
-  json_escape b s;
+  Buffer.add_string b (Json.escape s);
   Buffer.add_char b '"'
 
 let add_hex b x = add_str b (hex_of_float x)

@@ -17,9 +17,9 @@
    factors, and refactorization is triggered by the eta-file length or
    a too-small eta pivot.  Pricing is devex with partial pricing over
    static candidate sections, falling back to Bland's rule under
-   degeneracy.  The frozen pre-sparse solver survives as
-   [Simplex_dense]; setting FLEXILE_DENSE_SIMPLEX=1 routes this module
-   through it (the differential tests compare the two paths). *)
+   degeneracy.  [Certificate] checks optimal solutions from the outside
+   (primal feasibility, dual signs, duality gap); the tests and
+   [Doctor] run it. *)
 
 let feas_tol = 1e-7
 let opt_tol = 1e-7
@@ -80,13 +80,13 @@ let at_upper = 1
 let basic = 2
 let free = 3
 
-type sp = {
+type t = {
   n : int;
   m : int;
   ntot : int;
   model : Lp_model.t;
       (* re-read by [sync_model] (bounds, RHS, costs) and captured by
-         health snapshots; the matrix is fixed at [make_sp] *)
+         health snapshots; the matrix is fixed at [create] *)
   csc : Lp_model.csc;
   lo : float array;
   up : float array;
@@ -135,7 +135,7 @@ let eta_limit_env () =
   | Some s -> int_of_string_opt s
   | None -> None
 
-let make_sp ?eta_limit ?thresholds model =
+let create ?eta_limit ?thresholds model =
   let n = Lp_model.nvars model and m = Lp_model.nrows model in
   let ntot = n + (2 * m) in
   let lo = Array.make ntot 0. and up = Array.make ntot 0. in
@@ -216,8 +216,8 @@ let dump_on_trip st reasons =
              d_vstat = Array.copy st.vstat;
            })
 
-let make_sp ?eta_limit ?thresholds model =
-  let st = make_sp ?eta_limit ?thresholds model in
+let create ?eta_limit ?thresholds model =
+  let st = create ?eta_limit ?thresholds model in
   Health.set_on_trip st.health (dump_on_trip st);
   st
 
@@ -1000,7 +1000,7 @@ let warm_hit st ~status ~iterations =
    lost dual feasibility but is still primal feasible restarts primal
    phase 2; anything else, and every failed restart, falls back to a
    cold solve of the same state. *)
-let restart_sp ~iter_limit st =
+let restart ~iter_limit st =
   let cold () = cold_solve ~iter_limit st in
   let fallback () =
     Trace.incr c_warm_fallbacks;
@@ -1043,11 +1043,6 @@ let restart_sp ~iter_limit st =
       end
       else fallback ()
   | _ -> cold ()
-
-let resolve_rhs_sp ?iter_limit st rhs =
-  if Array.length rhs <> st.m then invalid_arg "Simplex.resolve_rhs";
-  Array.blit rhs 0 st.b 0 st.m;
-  restart_sp ~iter_limit:(iter_limit_of st iter_limit) st
 
 (* Put nonbasic [j] on a finite bound, keeping its side when that bound
    is still finite.  Returns whether the side changed. *)
@@ -1093,7 +1088,7 @@ let sync_model st =
 (* An optimal basis, copied out of a solver state. *)
 type basis = { b_bas : int array; b_vstat : int array }
 
-let basis_sp st =
+let basis st =
   match st.last_status with
   | Some Optimal -> Some { b_bas = Array.copy st.bas; b_vstat = Array.copy st.vstat }
   | _ -> None
@@ -1112,8 +1107,8 @@ let seed_basis st b =
   ignore (refactorize st);
   st.last_status <- Some Optimal
 
-let extend_sp st model =
-  let st2 = make_sp model in
+let extend st model =
+  let st2 = create model in
   if st2.n <> st.n || st2.m < st.m then
     invalid_arg "Simplex.extend: model must only gain rows";
   match st.last_status with
@@ -1145,8 +1140,7 @@ let extend_sp st model =
       done;
       (* With the new rows' slacks basic the basis is block
          triangular, [[B, 0], [C, I]]; a fresh sparse factorization is
-         cheap (the appended unit columns pivot first) and replaces the
-         dense block-inverse construction of the pre-sparse solver. *)
+         cheap (the appended unit columns pivot first). *)
       ignore (refactorize st2);
       (* same costs, appended basic slacks: the old duals remain
          feasible, so flag the state warm for the dual simplex *)
@@ -1154,82 +1148,35 @@ let extend_sp st model =
       st2)
   | _ -> st2
 
-(* ------------------------------------------------------------------ *)
-(* Public interface: sparse by default, the frozen dense reference     *)
-(* when FLEXILE_DENSE_SIMPLEX=1 (differential-testing escape hatch).   *)
-(* ------------------------------------------------------------------ *)
-
-type t = Sp of sp | Dn of Simplex_dense.t * Lp_model.t
-
-let dense_selected () =
-  match Sys.getenv_opt "FLEXILE_DENSE_SIMPLEX" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-let of_dense_status = function
-  | Simplex_dense.Optimal -> Optimal
-  | Simplex_dense.Infeasible -> Infeasible
-  | Simplex_dense.Unbounded -> Unbounded
-  | Simplex_dense.Iteration_limit -> Iteration_limit
-
-let of_dense_solution (s : Simplex_dense.solution) =
-  {
-    status = of_dense_status s.Simplex_dense.status;
-    obj = s.Simplex_dense.obj;
-    x = s.Simplex_dense.x;
-    row_duals = s.Simplex_dense.row_duals;
-    reduced_costs = s.Simplex_dense.reduced_costs;
-    bound_term = s.Simplex_dense.bound_term;
-    iterations = s.Simplex_dense.iterations;
-  }
-
 let make ?basis model =
-  if dense_selected () then Dn (Simplex_dense.make model, model)
-  else begin
-    let st = make_sp model in
-    Option.iter (seed_basis st) basis;
-    Sp st
-  end
+  let st = create model in
+  Option.iter (seed_basis st) basis;
+  st
 
-let basis = function Sp st -> basis_sp st | Dn _ -> None
-
-let solve_warm ?iter_limit t =
+let solve_warm ?iter_limit st =
   Trace.in_span sp_solve @@ fun () ->
-  match t with
-  | Sp st ->
-      sync_model st;
-      restart_sp ~iter_limit:(iter_limit_of st iter_limit) st
-  | Dn (_, model) ->
-      (* the dense reference captures the model when made and cannot
-         re-read it, so it solves the current model cold *)
-      of_dense_solution (Simplex_dense.solve ?iter_limit model)
+  sync_model st;
+  restart ~iter_limit:(iter_limit_of st iter_limit) st
 
-let resolve_rhs ?iter_limit t rhs =
+let resolve_rhs ?iter_limit st rhs =
   Trace.in_span sp_resolve @@ fun () ->
-  match t with
-  | Sp st -> resolve_rhs_sp ?iter_limit st rhs
-  | Dn (d, _) -> of_dense_solution (Simplex_dense.resolve_rhs ?iter_limit d rhs)
-
-let extend t model =
-  match t with
-  | Sp st -> Sp (extend_sp st model)
-  | Dn (d, _) -> Dn (Simplex_dense.extend d model, model)
-
-let health = function Sp st -> Some st.health | Dn _ -> None
+  if Array.length rhs <> st.m then invalid_arg "Simplex.resolve_rhs";
+  Array.blit rhs 0 st.b 0 st.m;
+  restart ~iter_limit:(iter_limit_of st iter_limit) st
 
 (* ------------------------------------------------------------------ *)
 (* Elevated-instrumentation entry points for [Doctor].                 *)
 (* ------------------------------------------------------------------ *)
 
 let solve_doctor ?iter_limit ?eta_limit ?thresholds model =
-  let st = make_sp ?eta_limit ?thresholds model in
+  let st = create ?eta_limit ?thresholds model in
   Health.set_capture st.health true;
   let sol = cold_solve ?iter_limit st in
   (sol, st.health)
 
 let diagnose_basis ?eta_limit ?thresholds ?(phase = 0) ?(iteration = 0) model
     ~bas ~vstat =
-  let st = make_sp ?eta_limit ?thresholds model in
+  let st = create ?eta_limit ?thresholds model in
   if Array.length bas <> st.m || Array.length vstat <> st.ntot then
     invalid_arg "Simplex.diagnose_basis: dimension mismatch";
   Health.set_capture st.health true;
@@ -1250,16 +1197,12 @@ let diagnose_basis ?eta_limit ?thresholds ?(phase = 0) ?(iteration = 0) model
 
 let solve ?iter_limit model =
   Trace.in_span sp_solve @@ fun () ->
-  if dense_selected () then
-    of_dense_solution (Simplex_dense.solve ?iter_limit model)
-  else begin
-    let st = make_sp model in
-    let sol = cold_solve ?iter_limit st in
-    (if sol.status = Optimal then
-       let viol = Lp_model.max_violation model sol.x in
-       if viol > 1e-5 then
-         Log.warn (fun m ->
-             m "solution of %s violates constraints by %g"
-               (Lp_model.name model) viol));
-    sol
-  end
+  let st = create model in
+  let sol = cold_solve ?iter_limit st in
+  (if sol.status = Optimal then
+     let viol = Lp_model.max_violation model sol.x in
+     if viol > 1e-5 then
+       Log.warn (fun m ->
+           m "solution of %s violates constraints by %g" (Lp_model.name model)
+             viol));
+  sol

@@ -2,11 +2,11 @@
     simplex for warm restarts after bound and right-hand-side changes.
 
     The basis is held LU-factorized ([Sparse.Basis]) and advanced by
-    product-form eta updates; the frozen dense-inverse solver survives
-    as [Simplex_dense] for differential testing.  It produces dual
-    certificates: row duals, reduced costs, and a parametric lower
-    bound usable as a Benders cut when only the RHS varies (the
-    reformulation (17)–(18) of the paper).
+    product-form eta updates.  It produces dual certificates: row
+    duals, reduced costs, and a parametric lower bound usable as a
+    Benders cut when only the RHS varies (the reformulation (17)–(18)
+    of the paper).  [Certificate] checks an optimal solution's
+    primal/dual pair against the model without trusting the solver.
 
     Numerical health: every refactorization and every extraction feeds
     the [Health] observatory (residuals, condition estimate, stall
@@ -77,9 +77,7 @@ val solve_warm : ?iter_limit:int -> t -> solution
     matrix), then restart from the last optimal basis as described
     above; the first solve is cold unless [make] was given a basis.
     The re-read RHS replaces any set by {!resolve_rhs}.  Runs in the
-    [simplex.solve] span, like {!solve}.  On the dense reference path
-    (FLEXILE_DENSE_SIMPLEX=1) every call solves the current model
-    cold. *)
+    [simplex.solve] span, like {!solve}. *)
 
 val resolve_rhs : ?iter_limit:int -> t -> float array -> solution
 (** [resolve_rhs t rhs] re-optimizes with row right-hand sides [rhs]
@@ -99,9 +97,6 @@ val extend : t -> Lp_model.t -> t
 
     Phase tags in health samples and stall notes: 0 setup, 1 phase-1
     primal, 2 phase-2 primal, 3 dual (warm restart). *)
-
-val health : t -> Health.state option
-(** The solver's health state; [None] on the dense fallback path. *)
 
 val solve_doctor :
   ?iter_limit:int ->

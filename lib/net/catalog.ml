@@ -44,7 +44,7 @@ let build (name, n, m) =
    / [all]: full-catalog sweeps stay at reproduction scale, and the
    continental instance is reached by name from the bench and the
    sparse-core tests.  It exists to exercise the LU-factorized simplex
-   at a size the dense solver could not touch. *)
+   at scale. *)
 let continental_entry = ("Continental", 1100, 1800)
 
 let by_name name =

@@ -16,8 +16,8 @@ val all : unit -> (string * Graph.t) list
 val continental : unit -> Graph.t
 (** A deterministic 1100-node / 1800-edge synthetic continental WAN —
     an order of magnitude beyond Table 2, generated with the same
-    seeded scheme.  Sized for the sparse LU simplex; the dense
-    reference solver is not expected to handle it. *)
+    seeded scheme.  Sized to exercise the sparse LU simplex at
+    scale. *)
 
 val srlgs : Graph.t -> int array array
 (** Shared-risk link-group annotation for a catalog topology, derived

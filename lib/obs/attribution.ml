@@ -375,20 +375,6 @@ let analyze ?(top = max_int) t ~losses =
 
 let jnum v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let bprint_bottleneck b bn =
   Printf.bprintf b "{\"edge\":%d,\"u\":%d,\"v\":%d,\"dual\":%s}" bn.bedge bn.bu
     bn.bv (jnum bn.bdual)
@@ -400,7 +386,7 @@ let bprint_class b (a : class_attr) =
      \"miss_mass\":%s,\"budget_burn\":%s,\"attributed\":%s,\"other_mass\":%s,\
      \"unenumerated\":%s,\"regret\":{\"expected\":%s,\"max\":%s,\
      \"promise_gap\":%s},\"scenarios\":["
-    a.acls (json_escape a.aname) (jnum a.abeta) (jnum a.apromised)
+    a.acls (Flexile_util.Json.escape a.aname) (jnum a.abeta) (jnum a.apromised)
     (jnum a.aobserved) a.aattained a.abinding_fid (jnum a.agood_mass)
     (jnum a.abad_mass) (jnum a.amiss_mass) (jnum a.aburn)
     (jnum (attributed_total a))
@@ -412,7 +398,7 @@ let bprint_class b (a : class_attr) =
       Printf.bprintf b
         "{\"sid\":%d,\"regime\":\"%s\",\"prob\":%s,\"loss\":%s,\
          \"attributed\":%s,\"regret\":%s,\"bottlenecks\":["
-        s.ssid (json_escape s.sregime) (jnum s.sprob) (jnum s.sloss)
+        s.ssid (Flexile_util.Json.escape s.sregime) (jnum s.sprob) (jnum s.sloss)
         (jnum s.sattr) (jnum s.sregret);
       List.iteri
         (fun j bn ->
@@ -428,7 +414,7 @@ let bprint_class b (a : class_attr) =
       Printf.bprintf b
         "{\"regime\":\"%s\",\"mass\":%s,\"attributed\":%s,\"attainment\":%s,\
          \"attained\":%b,\"regret\":%s}"
-        (json_escape g.gregime) (jnum g.gmass) (jnum g.gattr)
+        (Flexile_util.Json.escape g.gregime) (jnum g.gmass) (jnum g.gattr)
         (jnum g.gattainment) g.gattained (jnum g.gregret))
     a.aregimes;
   Buffer.add_string b "],\"blame\":[";
@@ -468,7 +454,7 @@ let snapshot_json r =
         (fun j g ->
           if j > 0 then Buffer.add_char b ',';
           Printf.bprintf b "{\"regime\":\"%s\",\"attributed\":%s,\"attained\":%b}"
-            (json_escape g.gregime) (jnum g.gattr) g.gattained)
+            (Flexile_util.Json.escape g.gregime) (jnum g.gattr) g.gattained)
         a.aregimes;
       Buffer.add_string b "]}")
     r.classes;
@@ -485,14 +471,14 @@ let regimes_json r =
       if i > 0 then Buffer.add_char b ',';
       Printf.bprintf b
         "{\"cls\":%d,\"name\":\"%s\",\"promised\":%s,\"observed\":%s,\"regimes\":["
-        a.acls (json_escape a.aname) (jnum a.apromised) (jnum a.aobserved);
+        a.acls (Flexile_util.Json.escape a.aname) (jnum a.apromised) (jnum a.aobserved);
       List.iteri
         (fun j g ->
           if j > 0 then Buffer.add_char b ',';
           Printf.bprintf b
             "{\"regime\":\"%s\",\"mass\":%s,\"attributed\":%s,\"attainment\":%s,\
              \"attained\":%b,\"regret\":%s}"
-            (json_escape g.gregime) (jnum g.gmass) (jnum g.gattr)
+            (Flexile_util.Json.escape g.gregime) (jnum g.gmass) (jnum g.gattr)
             (jnum g.gattainment) g.gattained (jnum g.gregret))
         a.aregimes;
       Buffer.add_string b "]}")

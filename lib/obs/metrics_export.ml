@@ -54,20 +54,6 @@ let fnum v =
    serialize as null. *)
 let jnum v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Prometheus label VALUES have their own escaping rules (exposition
    format): backslash, double quote and line feed must be escaped;
    everything else is passed through verbatim.  Metric and label NAMES
@@ -202,7 +188,7 @@ let snapshot_json ?(deterministic = false) () =
       (fun (name, kind) ->
         if keep kind then begin
           if !first then first := false else Buffer.add_char b ',';
-          Printf.bprintf b "\"%s\":" (json_escape name);
+          Printf.bprintf b "\"%s\":" (Flexile_util.Json.escape name);
           render name
         end)
       metrics;
@@ -239,7 +225,7 @@ let histograms_json () =
       match (kind : Trace.metric_kind) with
       | Trace.Hist ->
           if !first then first := false else Buffer.add_char b ',';
-          Printf.bprintf b "\"%s\":" (json_escape name);
+          Printf.bprintf b "\"%s\":" (Flexile_util.Json.escape name);
           bprint_hist_summary b ~buckets:true (Trace.hist_snapshot_by_name name)
       | _ -> ())
     (Trace.registry ());

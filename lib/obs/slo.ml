@@ -164,20 +164,6 @@ let scenarios_seen t =
 
 let jnum v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let report_json t =
   let b = Buffer.create 512 in
   Printf.bprintf b
@@ -189,7 +175,7 @@ let report_json t =
       if i > 0 then Buffer.add_char b ',';
       Printf.bprintf b
         "{\"cls\":%d,\"name\":\"%s\",\"beta\":%s,\"promised\":%s,\"observed\":%s,\"attained\":%b,\"bad_draws\":%d,\"window_bad\":%d,\"window_len\":%d,\"burn_rate\":%s}"
-        r.rcls (json_escape r.rname) (jnum r.rbeta) (jnum r.rpromised)
+        r.rcls (Flexile_util.Json.escape r.rname) (jnum r.rbeta) (jnum r.rpromised)
         (jnum r.robserved) r.rattained r.rbad_draws r.rwindow_bad
         r.rwindow_len (jnum r.rburn_rate))
     (report t);

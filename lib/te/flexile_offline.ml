@@ -56,12 +56,12 @@ let default_config =
     share_cuts = true;
     prune = true;
     (* The paper's warm-start acceleration targets Gurobi, where dual
-       restarts amortize factorization.  With this repository's
-       simplex (incremental pricing, dense inverse) a cold primal
-       solve is ~30x faster than a dual restart between dissimilar
-       scenarios — the `--fig ablation` bench measures exactly this —
-       so cold solves are the default.  The RHS-only reformulation
-       still matters: it is what makes cut sharing (22) valid. *)
+       restarts amortize factorization.  Between dissimilar scenarios
+       a dual restart can cost more pivots than a cold primal solve;
+       the `--fig ablation` bench compares the two, and cold solves
+       (scheduling-independent, so bit-identical at any job count) are
+       the default.  The RHS-only reformulation still matters: it is
+       what makes cut sharing (22) valid. *)
     warm_start = false;
     (* 0 = auto: FLEXILE_JOBS or one worker domain per core.  The
        subproblem sweep shards scenarios over the Parallel pool; with
@@ -104,7 +104,9 @@ type cut = { target : int; coef : (int * float) array; const : float }
 type template = {
   model : Lp_model.t;
   st : Simplex.t;
+  alpha_var : int array;  (** class -> its alpha var *)
   l_var : int array;  (** fid -> loss var or -1 *)
+  loss_obj : float;  (** objective coefficient of every loss var *)
   crit_row : int array;  (** fid -> criticality row or -1 *)
   gamma_row : int array;  (** fid -> gamma row or -1 *)
   cap_row : int array;  (** edge -> capacity row or -1 *)
@@ -142,7 +144,8 @@ let build_template ?sid inst ~with_gamma =
   (* tiny secondary objective on losses: ties in alpha are broken
      toward serving every flow, so the subproblem's loss matrix is a
      meaningful achievable outcome (and a sane cap for the online
-     phase), at the price of distorting the master bound by <= ~1e-3 *)
+     phase), at the price of distorting the master bound by <= ~1e-3;
+     the loss matrix itself is kept exact by [lexicographic_losses] *)
   let eps = 1e-3 /. float_of_int (max 1 nf) in
   Array.iter
     (fun (f : Instance.flow) ->
@@ -199,7 +202,9 @@ let build_template ?sid inst ~with_gamma =
   {
     model;
     st = Simplex.make model;
+    alpha_var = alphas;
     l_var;
+    loss_obj = eps;
     crit_row;
     gamma_row;
     cap_row;
@@ -258,6 +263,41 @@ let extract_dual inst tpl (sol : Simplex.solution) rhs =
     cap_duals = Array.of_list !cap_duals;
     gamma_duals = Array.of_list !gamma_duals;
   }
+
+(* The loss tie-break can also trade penalty for loss sum: raising
+   alpha by d pays whenever it lowers the summed losses by more than
+   d / eps, and then every critical flow's loss sits above the
+   scenario's optimum, breaking Proposition 1 for the loss matrix and
+   for the online caps taken from it.  [st] holds the optimal basis of
+   [sol]; restarting from it, the penalty alone is re-optimized and,
+   only when it comes out lower, the tie-break is re-solved with every
+   class's alpha held at that optimum.  The template's costs and bounds
+   are restored; [sol] itself still supplies the cut. *)
+let lexicographic_losses tpl st (sol : Simplex.solution) =
+  let m = tpl.model in
+  let set_loss_obj v =
+    Array.iter (fun lv -> if lv >= 0 then Lp_model.set_obj m lv v) tpl.l_var
+  in
+  let penalty =
+    Array.fold_left
+      (fun a av -> a +. (Lp_model.obj_coef m av *. sol.Simplex.x.(av)))
+      0. tpl.alpha_var
+  in
+  set_loss_obj 0.;
+  let pure = Simplex.solve_warm st in
+  set_loss_obj tpl.loss_obj;
+  if
+    pure.Simplex.status <> Simplex.Optimal
+    || penalty <= pure.Simplex.obj +. 1e-9
+  then sol
+  else begin
+    Array.iter
+      (fun av -> Lp_model.set_bounds m av ~lb:0. ~ub:pure.Simplex.x.(av))
+      tpl.alpha_var;
+    let lex = Simplex.solve_warm st in
+    Array.iter (fun av -> Lp_model.set_bounds m av ~lb:0. ~ub:1.) tpl.alpha_var;
+    if lex.Simplex.status = Simplex.Optimal then lex else sol
+  end
 
 (* Instantiate a dual certificate as a cut for a target scenario. *)
 let cut_for inst di ~target ~scen_loss_opt ~gamma =
@@ -641,16 +681,23 @@ let solve ?(config = default_config) inst =
     let rhs =
       scenario_rhs inst tpl_q ~sid ~z ~scen_loss_opt ~gamma:config.gamma
     in
-    let sol =
-      if config.warm_start && not has_demand_factors then
-        Simplex.resolve_rhs tpl_q.st rhs
+    let st, sol =
+      if config.warm_start && not has_demand_factors then begin
+        let sol = Simplex.resolve_rhs tpl_q.st rhs in
+        (* the refinement below re-reads the model: give it this RHS,
+           and a state of its own so [tpl_q.st] keeps its bounds *)
+        Array.iteri (fun r v -> Lp_model.set_rhs tpl_q.model r v) rhs;
+        (Simplex.make ?basis:(Simplex.basis tpl_q.st) tpl_q.model, sol)
+      end
       else begin
         Array.iteri (fun r v -> Lp_model.set_rhs tpl_q.model r v) rhs;
-        Simplex.solve tpl_q.model
+        let st = Simplex.make tpl_q.model in
+        (st, Simplex.solve_warm st)
       end
     in
     match sol.Simplex.status with
     | Simplex.Optimal ->
+        let lex = lexicographic_losses tpl_q st sol in
         let loss_col =
           Array.to_list inst.Instance.flows
           |> List.filter_map (fun (f : Instance.flow) ->
@@ -659,7 +706,7 @@ let solve ?(config = default_config) inst =
                    Some
                      ( fid,
                        Float.max 0.
-                         (Float.min 1. sol.Simplex.x.(tpl_q.l_var.(fid))) )
+                         (Float.min 1. lex.Simplex.x.(tpl_q.l_var.(fid))) )
                  else None)
         in
         let di = extract_dual inst tpl_q sol rhs in

@@ -37,29 +37,15 @@ let median samples =
 
 (* ---- serialization ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json ?(extra = []) b =
   let buf = Buffer.create 512 in
   Printf.bprintf buf
     "{\n  \"schema\": \"%s\",\n  \"version\": %d,\n  \"profile\": \"%s\",\n  \"jobs\": %d,\n  \"repetitions\": %d,\n  \"phases\": [\n"
-    schema version (json_escape b.profile) b.jobs b.repetitions;
+    schema version (Json.escape b.profile) b.jobs b.repetitions;
   List.iteri
     (fun i p ->
       Printf.bprintf buf "    {\"name\": \"%s\", \"median_seconds\": %.6f}%s\n"
-        (json_escape p.pname) p.median_seconds
+        (Json.escape p.pname) p.median_seconds
         (if i < List.length b.phases - 1 then "," else ""))
     b.phases;
   Buffer.add_string buf "  ]";

@@ -202,3 +202,19 @@ let to_int = function Number f -> Some (int_of_float f) | _ -> None
 let to_string = function String s -> Some s | _ -> None
 let to_list = function Array l -> Some l | _ -> None
 let to_obj = function Object f -> Some f | _ -> None
+
+(* ---- writing ---- *)
+
+let escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b

@@ -1,7 +1,8 @@
 (** A minimal JSON reader, just enough to parse back the documents this
     repository emits (trace reports, Chrome traces, bench baselines)
-    without pulling in a dependency.  Numbers are floats; object fields
-    keep textual order. *)
+    without pulling in a dependency, and the one string escaper those
+    documents are written with.  Numbers are floats; object fields keep
+    textual order. *)
 
 type t =
   | Null
@@ -24,3 +25,10 @@ val to_int : t -> int option
 val to_string : t -> string option
 val to_list : t -> t list option
 val to_obj : t -> (string * t) list option
+
+(** {1 Writing} *)
+
+val escape : string -> string
+(** The body of a JSON string literal for [s], without the quotes:
+    double quote, backslash and newline are backslash-escaped, every
+    other control character (tab included) is written as [\u00XX]. *)

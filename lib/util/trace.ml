@@ -740,20 +740,6 @@ let reset () =
         st.hists)
     (snapshot_states ())
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json () =
   let ids =
     Mutex.lock reg_m;
@@ -771,7 +757,7 @@ let to_json () =
         if k = kind then begin
           if not !first then Buffer.add_char b ',';
           first := false;
-          Printf.bprintf b "\"%s\":" (json_escape name);
+          Printf.bprintf b "\"%s\":" (Json.escape name);
           fmt id
         end)
       ids;

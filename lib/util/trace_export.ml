@@ -4,20 +4,6 @@
    (`--trace-chrome` / `bench --chrome`) loadable in Perfetto or
    chrome://tracing. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* ------------------------------------------------------------------ *)
 (* Structured report                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -25,7 +11,7 @@ let json_escape s =
 let rec bprint_tree b (t : Trace.span_tree) =
   Printf.bprintf b
     "{\"name\":\"%s\",\"arg\":%d,\"dom\":%d,\"t0_ns\":%Ld,\"dur_ns\":%Ld,\"minor_words\":%.0f,\"major_words\":%.0f,\"children\":["
-    (json_escape t.Trace.node_name)
+    (Json.escape t.Trace.node_name)
     t.Trace.node_arg t.Trace.node_dom t.Trace.node_t0_ns
     (Int64.sub t.Trace.node_t1_ns t.Trace.node_t0_ns)
     t.Trace.node_minor_words t.Trace.node_major_words;
@@ -81,7 +67,7 @@ let solver_health_json () =
     (fun (name, kind) ->
       if kind = Trace.Counter then begin
         if !first then first := false else Buffer.add_char b ',';
-        Printf.bprintf b "\"%s\":%d" (json_escape name)
+        Printf.bprintf b "\"%s\":%d" (Json.escape name)
           (Trace.value_by_name name)
       end)
     metrics;
@@ -93,7 +79,7 @@ let solver_health_json () =
         if !first then first := false else Buffer.add_char b ',';
         let s = Trace.hist_snapshot_by_name name in
         Printf.bprintf b "\"%s\":{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s"
-          (json_escape name) s.Trace.hist_count (jnum s.Trace.hist_sum)
+          (Json.escape name) s.Trace.hist_count (jnum s.Trace.hist_sum)
           (jnum s.Trace.hist_min) (jnum s.Trace.hist_max);
         List.iter
           (fun (label, q) ->
@@ -112,7 +98,7 @@ let report_json ?(derived = []) () =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\"%s\": %.6g" (json_escape k) v)
+      Printf.bprintf b "\"%s\": %.6g" (Json.escape k) v)
     derived;
   (* [report] is the full registry — every module's counters, gauges,
      timers and span totals, not just the offline solver's *)
@@ -175,7 +161,7 @@ let chrome_json () =
     (fun (r : Trace.span_record) ->
       emit
         "{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"span\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"arg\":%d,\"depth\":%d,\"minor_words\":%.0f,\"major_words\":%.0f}}"
-        (json_escape r.Trace.span_name)
+        (Json.escape r.Trace.span_name)
         r.Trace.span_dom (us r.Trace.span_t0_ns)
         (Int64.to_float (Int64.sub r.Trace.span_t1_ns r.Trace.span_t0_ns)
         /. 1e3)
@@ -186,7 +172,7 @@ let chrome_json () =
     (fun (e : Trace.event_record) ->
       emit
         "{\"ph\":\"i\",\"name\":\"%s\",\"cat\":\"probe\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"args\":{\"arg\":%d}}"
-        (json_escape e.Trace.name) e.Trace.dom (us e.Trace.t_ns) e.Trace.arg)
+        (Json.escape e.Trace.name) e.Trace.dom (us e.Trace.t_ns) e.Trace.arg)
     events;
   (* final counter samples: Trace aggregates totals, not series, so a
      single C event at the trace's end still surfaces every counter and
@@ -208,7 +194,7 @@ let chrome_json () =
                 | Some x ->
                     emit
                       "{\"ph\":\"C\",\"name\":\"%s\",\"pid\":0,\"tid\":0,\"ts\":%.3f,\"args\":{\"value\":%.0f}}"
-                      (json_escape name) t_end x
+                      (Json.escape name) t_end x
                 | None -> ())
               fields
         | _ -> ()

@@ -139,7 +139,10 @@ let test_near_singular_fixture () =
       Alcotest.(check bool) "report names the row" true (mem "\"ns_r1\"");
       Alcotest.(check bool)
         "report lists the cond trip" true
-        (mem "\"thresholds_tripped\":[\"cond\"]")
+        (mem "\"thresholds_tripped\":[\"cond\"]");
+      Alcotest.(check bool)
+        "report carries a passing certificate" true
+        (mem "\"certified\":true}")
 
 (* the degenerate chain stalls under the doctor's lowered limit but is
    numerically sound: no trips, no near-singular rows *)

@@ -1,9 +1,11 @@
-(* Differential tests of the sparse revised simplex core.
+(* Tests of the sparse revised simplex core.
 
-   The sparse LU path (Simplex) is checked against the frozen dense
-   reference implementation (Simplex_dense) on random LPs and on
-   min-MLU models over catalog topologies: statuses must be identical
-   and objectives must agree to 1e-9 relative.  The eta-update path is
+   Every Optimal answer is checked by an LP duality certificate
+   (Certificate: primal feasibility, dual signs, zero duality gap,
+   recomputed from the model) over random LPs, free and one-sided
+   variables, appended cut rows, warm bound/RHS walks, the doctor
+   fixtures and min-MLU models over catalog topologies; the checker
+   itself must reject mutated answers.  The eta-update path is
    checked against the refactorize-every-pivot path (FLEXILE_ETA_LIMIT=1),
    and the Sparse kernel itself is checked against a dense Gaussian
    elimination. *)
@@ -213,13 +215,7 @@ let test_eta_vs_fresh_factor () =
     done
   done
 
-(* ---- sparse vs dense simplex: random LPs ---- *)
-
-let dense_status = function
-  | Simplex_dense.Optimal -> "optimal"
-  | Simplex_dense.Infeasible -> "infeasible"
-  | Simplex_dense.Unbounded -> "unbounded"
-  | Simplex_dense.Iteration_limit -> "iter-limit"
+(* ---- LP duality certificates ---- *)
 
 let sparse_status = function
   | Simplex.Optimal -> "optimal"
@@ -227,22 +223,23 @@ let sparse_status = function
   | Simplex.Unbounded -> "unbounded"
   | Simplex.Iteration_limit -> "iter-limit"
 
-let check_differential name m =
-  let sp = Simplex.solve m in
-  let dn = Simplex_dense.solve m in
-  Alcotest.(check string)
-    (name ^ ": status")
-    (dense_status dn.Simplex_dense.status)
-    (sparse_status sp.Simplex.status);
-  if sp.Simplex.status = Simplex.Optimal then begin
-    let tol = 1e-9 *. (1. +. Float.abs dn.Simplex_dense.obj) in
-    if Float.abs (sp.Simplex.obj -. dn.Simplex_dense.obj) > tol then
-      Alcotest.failf "%s: objective %.12g (sparse) vs %.12g (dense)" name
-        sp.Simplex.obj dn.Simplex_dense.obj;
-    if Lp_model.max_violation m sp.Simplex.x > 1e-7 then
-      Alcotest.failf "%s: sparse solution infeasible (viol %.3g)" name
-        (Lp_model.max_violation m sp.Simplex.x)
+(* 1 for a certified Optimal solve, 0 for any other status; fails the
+   test on an Optimal solve without a certificate *)
+let certify name m (sol : Simplex.solution) =
+  if sol.Simplex.status <> Simplex.Optimal then 0
+  else begin
+    let c = Certificate.check m sol in
+    if not (Certificate.certified c) then
+      Alcotest.failf "%s: not certified (primal %.3g, dual %.3g, gap %.3g)"
+        name c.Certificate.primal_violation c.Certificate.dual_violation
+        c.Certificate.gap;
+    1
   end
+
+let at_least name want got =
+  Printf.printf "%s: %d certified optimal solves\n" name got;
+  if got < want then
+    Alcotest.failf "%s: %d certified optimal solves, want >= %d" name got want
 
 let random_lp prng ~nv ~nr =
   let m = Lp_model.create () in
@@ -272,15 +269,174 @@ let random_lp prng ~nv ~nr =
   done;
   m
 
-let test_random_differential () =
-  for trial = 1 to 120 do
-    let prng = Prng.of_string (Printf.sprintf "sparse-diff-%d" trial) in
-    let nv = 2 + Prng.int prng 14 and nr = 1 + Prng.int prng 12 in
-    let m = random_lp prng ~nv ~nr in
-    check_differential (Printf.sprintf "random %d (%dx%d)" trial nv nr) m
-  done
+let random_model trial =
+  let prng = Prng.of_string (Printf.sprintf "sparse-diff-%d" trial) in
+  let nv = 2 + Prng.int prng 14 and nr = 1 + Prng.int prng 12 in
+  (prng, random_lp prng ~nv ~nr)
 
-(* ---- sparse vs dense simplex: min-MLU over catalog topologies ---- *)
+let test_random_certificates () =
+  let n = ref 0 in
+  for trial = 1 to 1000 do
+    let _, m = random_model trial in
+    n := !n + certify (Printf.sprintf "random %d" trial) m (Simplex.solve m)
+  done;
+  at_least "random LPs" 350 !n
+
+(* Variables with every bound shape (boxed, one-sided either way, free,
+   fixed); rows box some of the unbounded ones so most LPs are
+   bounded, and their duals then carry what bounds would. *)
+let mixed_lp prng =
+  let m = Lp_model.create () in
+  let nv = 2 + Prng.int prng 10 in
+  let vars =
+    Array.init nv (fun _ ->
+        let lb, ub =
+          match Prng.int prng 5 with
+          | 0 -> (0., 4.)
+          | 1 -> (neg_infinity, 3.)
+          | 2 -> (-2., infinity)
+          | 3 -> (neg_infinity, infinity)
+          | _ -> (1., 1.)
+        in
+        let v =
+          Lp_model.add_var m ~lb ~ub ~obj:(Prng.uniform prng (-2.) 2.) ()
+        in
+        if not (Float.is_finite lb) then
+          ignore (Lp_model.add_row m Lp_model.Ge (-5.) [ (v, 1.) ]);
+        if not (Float.is_finite ub) && Prng.bool prng 0.8 then
+          ignore (Lp_model.add_row m Lp_model.Le 5. [ (v, 1.) ]);
+        v)
+  in
+  for _ = 1 to 1 + Prng.int prng 8 do
+    let coeffs =
+      List.filter_map
+        (fun v ->
+          if Prng.bool prng 0.5 then Some (v, Prng.uniform prng (-3.) 3.)
+          else None)
+        (Array.to_list vars)
+    in
+    if coeffs <> [] then
+      let sense =
+        match Prng.int prng 3 with
+        | 0 -> Lp_model.Ge
+        | 1 -> Lp_model.Eq
+        | _ -> Lp_model.Le
+      in
+      ignore (Lp_model.add_row m sense (Prng.uniform prng (-3.) 6.) coeffs)
+  done;
+  m
+
+let test_mixed_bound_certificates () =
+  let n = ref 0 in
+  for trial = 1 to 800 do
+    let m = mixed_lp (Prng.of_string (Printf.sprintf "cert-mixed-%d" trial)) in
+    n := !n + certify (Printf.sprintf "mixed %d" trial) m (Simplex.solve m)
+  done;
+  at_least "free and one-sided" 400 !n
+
+(* Cutting-plane rounds: each cut is a random row through a point just
+   inside the current optimum's activity, appended with [extend]. *)
+let test_extend_certificates () =
+  let n = ref 0 in
+  for trial = 1 to 200 do
+    let prng, m = random_model (1000 + trial) in
+    let st = ref (Simplex.make m) in
+    let sol = ref (Simplex.solve_warm !st) in
+    n := !n + certify (Printf.sprintf "extend %d/0" trial) m !sol;
+    for round = 1 to 5 do
+      if !sol.Simplex.status = Simplex.Optimal then begin
+        let coeffs =
+          List.init (Lp_model.nvars m) (fun j ->
+              (j, float_of_int (Prng.int prng 5 - 2)))
+          |> List.filter (fun (_, a) -> a <> 0.)
+        in
+        if coeffs <> [] then begin
+          let act =
+            List.fold_left
+              (fun acc (j, a) -> acc +. (a *. !sol.Simplex.x.(j)))
+              0. coeffs
+          in
+          ignore
+            (Lp_model.add_row m Lp_model.Le
+               (act -. Prng.uniform prng 0. 1.)
+               coeffs);
+          st := Simplex.extend !st m;
+          sol := Simplex.solve_warm !st;
+          n :=
+            !n + certify (Printf.sprintf "extend %d/%d" trial round) m !sol
+        end
+      end
+    done
+  done;
+  at_least "extend" 340 !n
+
+(* [solve_warm] re-reads bounds and RHS: each step moves a few of both
+   in the model, and the certificate is checked against the model as it
+   stands. *)
+let test_warm_walk_certificates () =
+  let n = ref 0 in
+  for trial = 1 to 200 do
+    let prng, m = random_model (2000 + trial) in
+    let st = Simplex.make m in
+    n :=
+      !n + certify (Printf.sprintf "walk %d/0" trial) m (Simplex.solve_warm st);
+    for step = 1 to 10 do
+      for _ = 1 to 2 do
+        let j = Prng.int prng (Lp_model.nvars m) in
+        let lb = Prng.uniform prng (-1.) 1. in
+        Lp_model.set_bounds m j ~lb ~ub:(lb +. Prng.uniform prng 0. 4.)
+      done;
+      if Lp_model.nrows m > 0 then begin
+        let i = Prng.int prng (Lp_model.nrows m) in
+        Lp_model.set_rhs m i (Lp_model.rhs m i +. Prng.uniform prng (-1.) 1.)
+      end;
+      n :=
+        !n
+        + certify
+            (Printf.sprintf "walk %d/%d" trial step)
+            m (Simplex.solve_warm st)
+    done
+  done;
+  at_least "solve_warm walks" 450 !n
+
+(* [resolve_rhs] takes the RHS as an array and never re-reads the
+   model, so the walk writes the same RHS into the model for the check
+   (which also holds [dual_bound] at that RHS to the dual objective). *)
+let test_resolve_rhs_certificates () =
+  let n = ref 0 in
+  for trial = 1 to 200 do
+    let prng, m = random_model (3000 + trial) in
+    let st = Simplex.make m in
+    n :=
+      !n + certify (Printf.sprintf "rhs %d/0" trial) m (Simplex.solve_warm st);
+    for step = 1 to 10 do
+      let rhs =
+        Array.init (Lp_model.nrows m) (fun i ->
+            Lp_model.rhs m i +. Prng.uniform prng (-1.) 1.)
+      in
+      Array.iteri (Lp_model.set_rhs m) rhs;
+      n :=
+        !n
+        + certify (Printf.sprintf "rhs %d/%d" trial step) m
+            (Simplex.resolve_rhs st rhs)
+    done
+  done;
+  at_least "resolve_rhs walks" 700 !n
+
+let test_fixture_certificates () =
+  List.iter
+    (fun name ->
+      let m = Option.get (Doctor.fixture name) in
+      let sol = Simplex.solve m in
+      Alcotest.(check string)
+        (name ^ " status") "optimal"
+        (sparse_status sol.Simplex.status);
+      ignore (certify name m sol);
+      let sol, _ = Simplex.solve_doctor m in
+      ignore (certify (name ^ " (doctor)") m sol))
+    Doctor.fixture_names
+
+(* ---- min-MLU over catalog topologies ---- *)
 
 let mlu_model name npairs =
   let g = Flexile_net.Catalog.by_name name in
@@ -320,11 +476,168 @@ let mlu_model name npairs =
     per_edge;
   model
 
-let test_topology_differential () =
+let test_topology_certificates () =
   List.iter
     (fun (name, npairs) ->
-      check_differential ("mlu " ^ name) (mlu_model name npairs))
+      let m = mlu_model name npairs in
+      let sol = Simplex.solve m in
+      Alcotest.(check string)
+        (name ^ " status") "optimal"
+        (sparse_status sol.Simplex.status);
+      ignore (certify ("mlu " ^ name) m sol))
     [ ("Sprint", 30); ("IBM", 40); ("GEANT", 40); ("Tinet", 60) ]
+
+(* ---- models of known status ---- *)
+
+let test_known_status () =
+  let expect name want (sol : Simplex.solution) =
+    Alcotest.(check string) name want (sparse_status sol.Simplex.status)
+  in
+  (* x >= 2 and x <= 1 *)
+  let m = Lp_model.create () in
+  let x = Lp_model.add_var m ~obj:1. () in
+  ignore (Lp_model.add_row m Lp_model.Ge 2. [ (x, 1.) ]);
+  ignore (Lp_model.add_row m Lp_model.Le 1. [ (x, 1.) ]);
+  expect "contradictory rows" "infeasible" (Simplex.solve m);
+  (* x + y = 3 and x + y = 4 over free variables *)
+  let m = Lp_model.create () in
+  let x = Lp_model.add_var m ~lb:neg_infinity () in
+  let y = Lp_model.add_var m ~lb:neg_infinity () in
+  ignore (Lp_model.add_row m Lp_model.Eq 3. [ (x, 1.); (y, 1.) ]);
+  ignore (Lp_model.add_row m Lp_model.Eq 4. [ (x, 1.); (y, 1.) ]);
+  expect "inconsistent equalities" "infeasible" (Simplex.solve m);
+  (* a feasible box, then a warm RHS move that empties it, then a cut *)
+  let m = Lp_model.create () in
+  let x = Lp_model.add_var m ~obj:(-1.) ~ub:10. () in
+  let y = Lp_model.add_var m ~obj:(-1.) ~ub:10. () in
+  ignore (Lp_model.add_row m Lp_model.Le 4. [ (x, 1.); (y, 1.) ]);
+  ignore (Lp_model.add_row m Lp_model.Ge 1. [ (x, 1.); (y, -1.) ]);
+  let st = Simplex.make m in
+  expect "box" "optimal" (Simplex.solve_warm st);
+  expect "warm rhs into infeasibility" "infeasible"
+    (Simplex.resolve_rhs st [| -1.; 1. |]);
+  expect "warm rhs back" "optimal" (Simplex.resolve_rhs st [| 4.; 1. |]);
+  ignore (Lp_model.add_row m Lp_model.Ge 5. [ (x, 1.) ]);
+  expect "extend with a cut past the box" "infeasible"
+    (Simplex.solve_warm (Simplex.extend st m));
+  (* min -x - y  s.t.  x - y <= 1 over the nonnegative quadrant *)
+  let m = Lp_model.create () in
+  let x = Lp_model.add_var m ~obj:(-1.) () in
+  let y = Lp_model.add_var m ~obj:(-1.) () in
+  ignore (Lp_model.add_row m Lp_model.Le 1. [ (x, 1.); (y, -1.) ]);
+  expect "open ray" "unbounded" (Simplex.solve m);
+  (* min z over a free z that only appears in a loose row *)
+  let m = Lp_model.create () in
+  let z = Lp_model.add_var m ~lb:neg_infinity ~obj:1. () in
+  let w = Lp_model.add_var m ~ub:1. () in
+  ignore (Lp_model.add_row m Lp_model.Le 3. [ (z, 1.); (w, 1.) ]);
+  expect "free variable" "unbounded" (Simplex.solve m);
+  (* a bounded LP made unbounded by a warm cost change *)
+  let m = Lp_model.create () in
+  let x = Lp_model.add_var m ~obj:1. () in
+  let y = Lp_model.add_var m ~obj:1. () in
+  ignore (Lp_model.add_row m Lp_model.Ge 1. [ (x, 1.); (y, 1.) ]);
+  let st = Simplex.make m in
+  expect "bounded" "optimal" (Simplex.solve_warm st);
+  Lp_model.set_obj m x (-1.);
+  expect "warm cost change" "unbounded" (Simplex.solve_warm st)
+
+(* ---- mutations: the certificate rejects broken answers ---- *)
+
+let rejects (sol : Simplex.solution) m =
+  not (Certificate.certified (Certificate.check m sol))
+
+let test_mutations_rejected () =
+  let tried = ref 0 in
+  let fail trial what = Alcotest.failf "random %d: %s accepted" trial what in
+  for trial = 1 to 400 do
+    let _, m = random_model trial in
+    let sol = Simplex.solve m in
+    let y = sol.Simplex.row_duals in
+    let bigger a b = if Float.abs y.(b) > Float.abs y.(a) then b else a in
+    let nr = Lp_model.nrows m in
+    if sol.Simplex.status = Simplex.Optimal && nr > 0 then begin
+      let i = List.fold_left bigger 0 (List.init nr Fun.id) in
+      if Float.abs y.(i) > 1e-6 then begin
+        incr tried;
+        let flipped = Array.copy y in
+        flipped.(i) <- -.y.(i);
+        if rejects { sol with Simplex.row_duals = flipped } m then ()
+        else fail trial "flipped dual sign";
+        (* push x past row i's bound by 1e-3 along one of its columns *)
+        let j, a = List.hd (Lp_model.row_coeffs m i) in
+        let act = Lp_model.row_activity m i sol.Simplex.x in
+        let target =
+          match Lp_model.row_sense m i with
+          | Lp_model.Ge -> Lp_model.rhs m i -. 1e-3
+          | Lp_model.Le | Lp_model.Eq -> Lp_model.rhs m i +. 1e-3
+        in
+        let x = Array.copy sol.Simplex.x in
+        x.(j) <- x.(j) +. ((target -. act) /. a);
+        if not (rejects { sol with Simplex.x } m) then
+          fail trial "x outside a row";
+        let eps = 1e-6 *. (1. +. Float.abs sol.Simplex.obj) in
+        if not (rejects { sol with Simplex.obj = sol.Simplex.obj +. eps } m)
+        then fail trial "perturbed obj";
+        if
+          not
+            (rejects
+               { sol with Simplex.bound_term = sol.Simplex.bound_term +. eps }
+               m)
+        then fail trial "perturbed bound_term"
+      end
+    end
+  done;
+  if !tried < 100 then
+    Alcotest.failf "only %d solutions with a nonzero dual to mutate" !tried
+
+(* Hand-built answers that each break exactly one condition, one the
+   other measures cannot see: a wrong-sign row dual on a tight row, a
+   positive reduced cost on a free variable, a feasible but suboptimal
+   x with consistent duals, and a misreported reduced cost. *)
+let test_single_condition_rejected () =
+  let answer ~obj ~x ~y ~d ~bound_term =
+    {
+      Simplex.status = Simplex.Optimal;
+      obj;
+      x = [| x |];
+      row_duals = [| y |];
+      reduced_costs = [| d |];
+      bound_term;
+      iterations = 0;
+    }
+  in
+  let one_var ~lb ~ub ~cost sense rhs =
+    let m = Lp_model.create () in
+    let v = Lp_model.add_var m ~lb ~ub ~obj:cost () in
+    ignore (Lp_model.add_row m sense rhs [ (v, 1.) ]);
+    m
+  in
+  let case name m good bad =
+    if not (Certificate.certified (Certificate.check m good)) then
+      Alcotest.failf "%s: the right answer is not certified" name;
+    if Certificate.certified (Certificate.check m bad) then
+      Alcotest.failf "%s: accepted" name
+  in
+  (* min 0 s.t. x <= 1, x fixed at 1: y must be <= 0 *)
+  case "wrong-sign row dual"
+    (one_var ~lb:1. ~ub:1. ~cost:0. Lp_model.Le 1.)
+    (answer ~obj:0. ~x:1. ~y:0. ~d:0. ~bound_term:0.)
+    (answer ~obj:0. ~x:1. ~y:5. ~d:(-5.) ~bound_term:(-5.));
+  (* min x s.t. x >= 1, x free: d > 0 needs a finite lower bound *)
+  case "reduced cost on a free variable"
+    (one_var ~lb:neg_infinity ~ub:infinity ~cost:1. Lp_model.Ge 1.)
+    (answer ~obj:1. ~x:1. ~y:1. ~d:0. ~bound_term:0.)
+    (answer ~obj:1. ~x:1. ~y:0. ~d:1. ~bound_term:1.);
+  (* min x s.t. x <= 3, x in [0, 4]: x = 3 is feasible, not optimal,
+     even with a bound_term that agrees with it *)
+  let m = one_var ~lb:0. ~ub:4. ~cost:1. Lp_model.Le 3. in
+  let right = answer ~obj:0. ~x:0. ~y:0. ~d:1. ~bound_term:0. in
+  case "suboptimal x" m right
+    (answer ~obj:3. ~x:3. ~y:0. ~d:1. ~bound_term:3.);
+  (* the same optimum reporting a reduced cost other than c - A^T y *)
+  case "reported reduced cost" m right
+    (answer ~obj:0. ~x:0. ~y:0. ~d:2. ~bound_term:0.)
 
 (* ---- eta updates vs refactorize-every-pivot, through the solver ----
 
@@ -379,10 +692,19 @@ let () =
             test_singular_factor_patches;
           quick "eta update vs fresh factorization" test_eta_vs_fresh_factor;
         ] );
-      ( "differential",
+      ( "certificates",
         [
-          quick "random LPs: sparse = dense" test_random_differential;
-          quick "catalog min-MLU: sparse = dense" test_topology_differential;
+          quick "random LPs" test_random_certificates;
+          quick "catalog min-MLU" test_topology_certificates;
+          quick "free and one-sided variables" test_mixed_bound_certificates;
+          quick "extend with cut rows" test_extend_certificates;
+          quick "solve_warm bound+RHS walks" test_warm_walk_certificates;
+          quick "resolve_rhs walks" test_resolve_rhs_certificates;
+          quick "doctor fixtures" test_fixture_certificates;
+          quick "known statuses" test_known_status;
+          quick "mutations rejected" test_mutations_rejected;
+          quick "single broken condition rejected"
+            test_single_condition_rejected;
         ] );
       ( "eta-file",
         [ quick "warm walk: eta = refactor-every-pivot" test_eta_vs_refactor_walk ]

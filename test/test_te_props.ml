@@ -81,6 +81,33 @@ let qcheck_teavar_weaker_than_adaptive =
       done;
       !ok)
 
+(* Instances on which the subproblem's secondary loss objective once
+   bought a smaller loss sum with a higher max loss, lifting Flexile's
+   PercLoss above ScenBest's by up to 1.2e-4: the starting point's loss
+   columns must stay at each scenario's min-max optimum. *)
+let test_starting_point_at_optimum () =
+  List.iter
+    (fun salt ->
+      let name = Printf.sprintf "prop-%d" salt in
+      let inst = random_instance name in
+      let r = Flexile_scheme.run inst in
+      let start = List.hd r.Flexile_scheme.offline.Flexile_offline.iterates in
+      let optimal = Scenbest.scen_loss_optimal inst in
+      for sid = 0 to Instance.nscenarios inst - 1 do
+        let worst =
+          Metrics.scen_loss inst start.Flexile_offline.losses ~sid ()
+        in
+        if worst > optimal.(sid) +. 1e-7 then
+          Alcotest.failf "%s scenario %d: loss %.9g above the optimum %.9g"
+            name sid worst optimal.(sid)
+      done;
+      let p_smore = Metrics.perc_loss inst (Scenbest.run inst) ~cls:0 () in
+      let p_fx = Metrics.perc_loss inst r.Flexile_scheme.losses ~cls:0 () in
+      if p_fx > p_smore +. 1e-5 then
+        Alcotest.failf "%s: PercLoss %.9g (Flexile) > %.9g (ScenBest)" name
+          p_fx p_smore)
+    [ 149; 309; 354; 514; 575 ]
+
 let () =
   Alcotest.run "flexile_te_props"
     [
@@ -91,4 +118,9 @@ let () =
             qcheck_maxmin_matches_minmax;
             qcheck_teavar_weaker_than_adaptive;
           ] );
+      ( "regression",
+        [
+          Alcotest.test_case "starting point at the scenario optimum" `Quick
+            test_starting_point_at_optimum;
+        ] );
     ]
