@@ -129,7 +129,8 @@ BENCH_TOLERANCE ?= 50
 
 # Tier-1 verification: full build, both lint stages (syntactic
 # pre-build signal, then the deep typedtree stage over the fresh cmts),
-# the test suite, the monitor/explain/doctor determinism smokes, a
+# the test suite, the monitor/explain/doctor determinism smokes, the
+# benchmark smoke (reference penalties and the CWIX plan digest), a
 # smoke run of the micro-benchmarks (exercises the parallel sweep at
 # jobs 1 and 4), and the regression gate against the committed
 # baseline.
@@ -141,6 +142,7 @@ verify:
 	$(MAKE) monitor-smoke
 	$(MAKE) explain-smoke
 	$(MAKE) doctor-smoke
+	$(MAKE) bench-smoke
 	dune exec bench/main.exe -- --micro
 	dune exec bench/main.exe -- --gate --repeat 3 --jobs 2 \
 	  --check BENCH_PR8.json --tolerance $(BENCH_TOLERANCE)

@@ -37,7 +37,6 @@ module Basis = Sparse.Basis
    domain-local array write. *)
 let c_cold_solves = Trace.counter "simplex.cold_solves"
 let sp_solve = Trace.span "simplex.solve"
-let sp_resolve = Trace.span "simplex.resolve_rhs"
 let c_iterations = Trace.counter "simplex.iterations"
 let c_refactorizations = Trace.counter "simplex.refactorizations"
 let c_warm_attempts = Trace.counter "simplex.warm_attempts"
@@ -113,7 +112,8 @@ type t = {
   mutable d_valid : bool;
       (* [d] holds phase-2 reduced costs of the current basis, kept
          exact by the optimality confirmation and maintained by the
-         dual pivots — lets a warm [resolve_rhs] skip the full rebuild *)
+         dual pivots — lets a warm restart after bound and RHS changes
+         skip the full rebuild *)
   gamma : float array; (* devex reference weights over ntot *)
   sec_size : int; (* partial-pricing section length *)
   nsec : int;
@@ -1156,12 +1156,6 @@ let make ?basis model =
 let solve_warm ?iter_limit st =
   Trace.in_span sp_solve @@ fun () ->
   sync_model st;
-  restart ~iter_limit:(iter_limit_of st iter_limit) st
-
-let resolve_rhs ?iter_limit st rhs =
-  Trace.in_span sp_resolve @@ fun () ->
-  if Array.length rhs <> st.m then invalid_arg "Simplex.resolve_rhs";
-  Array.blit rhs 0 st.b 0 st.m;
   restart ~iter_limit:(iter_limit_of st iter_limit) st
 
 (* ------------------------------------------------------------------ *)

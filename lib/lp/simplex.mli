@@ -76,20 +76,14 @@ val solve_warm : ?iter_limit:int -> t -> solution
 (** Re-read the model's variable bounds, RHS and objective (never its
     matrix), then restart from the last optimal basis as described
     above; the first solve is cold unless [make] was given a basis.
-    The re-read RHS replaces any set by {!resolve_rhs}.  Runs in the
-    [simplex.solve] span, like {!solve}. *)
-
-val resolve_rhs : ?iter_limit:int -> t -> float array -> solution
-(** [resolve_rhs t rhs] re-optimizes with row right-hand sides [rhs]
-    (length [nrows]), starting the dual simplex from the last optimal
-    basis.  Falls back to a cold primal solve if the basis is unusable. *)
+    Runs in the [simplex.solve] span, like {!solve}. *)
 
 val extend : t -> Lp_model.t -> t
 (** [extend t model] builds a new solver state for [model], which must
     be the same model [t] was created from with extra rows appended
     (same variables).  The previous optimal basis is reused with the
     new rows' slacks basic — a dual-feasible starting point, so the
-    next [solve_warm]/[resolve_rhs] continues with the dual simplex
+    next [solve_warm] continues with the dual simplex
     instead of solving from scratch (the classic cutting-plane warm
     start). *)
 

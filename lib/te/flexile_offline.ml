@@ -8,7 +8,6 @@ let src = Logs.Src.create "flexile.offline" ~doc:"Flexile offline phase"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-module Parallel = Flexile_util.Parallel
 module Trace = Flexile_util.Trace
 
 (* Observability: counters mirror the paper-facing accounting of
@@ -43,7 +42,6 @@ type config = {
   gamma : float option;
   share_cuts : bool;
   prune : bool;
-  warm_start : bool;
   jobs : int;
   master : Mip.options;
 }
@@ -55,17 +53,10 @@ let default_config =
     gamma = None;
     share_cuts = true;
     prune = true;
-    (* The paper's warm-start acceleration targets Gurobi, where dual
-       restarts amortize factorization.  Between dissimilar scenarios
-       a dual restart can cost more pivots than a cold primal solve;
-       the `--fig ablation` bench compares the two, and cold solves
-       (scheduling-independent, so bit-identical at any job count) are
-       the default.  The RHS-only reformulation still matters: it is
-       what makes cut sharing (22) valid. *)
-    warm_start = false;
     (* 0 = auto: FLEXILE_JOBS or one worker domain per core.  The
-       subproblem sweep shards scenarios over the Parallel pool; with
-       the default cold solves the result is bit-identical to jobs=1. *)
+       subproblem sweep shards scenarios over the Parallel pool; every
+       scenario is a cold solve, so the result is bit-identical to
+       jobs=1. *)
     jobs = 0;
     master = { Mip.default_options with node_limit = 400; time_limit = 30. };
   }
@@ -101,9 +92,13 @@ type cut = { target : int; coef : (int * float) array; const : float }
 (* Subproblem template: one model whose RHS is specialized per scenario *)
 (* ------------------------------------------------------------------ *)
 
+(* The subproblem LP of every scenario, compiled once per [solve] under
+   the base demands and never written afterwards: each scenario solves
+   a copy.  Across scenarios without demand factors only the RHS varies
+   (the reformulation (17)-(18)), which is what makes one scenario's
+   duals a valid cut for every other (cut sharing, eq. (22)). *)
 type template = {
   model : Lp_model.t;
-  st : Simplex.t;
   alpha_var : int array;  (** class -> its alpha var *)
   l_var : int array;  (** fid -> loss var or -1 *)
   loss_obj : float;  (** objective coefficient of every loss var *)
@@ -114,10 +109,7 @@ type template = {
   base_rhs : float array;
 }
 
-(* [sid]: specialize the template to one scenario's traffic matrix
-   (§4.4 demand scenarios); without it the template is shared across
-   scenarios and only the RHS varies. *)
-let build_template ?sid inst ~with_gamma =
+let build_template inst ~with_gamma =
   let g = inst.Instance.graph in
   let nk = Array.length inst.Instance.classes in
   let np = Array.length inst.Instance.pairs in
@@ -151,24 +143,17 @@ let build_template ?sid inst ~with_gamma =
     (fun (f : Instance.flow) ->
       if f.Instance.demand > 0. then begin
         let fid = f.Instance.fid in
-        let demand =
-          match sid with
-          | Some s -> Instance.demand_in inst f s
-          | None -> f.Instance.demand
-        in
+        let demand = f.Instance.demand in
         let lv = Lp_model.add_var model ~ub:1. ~obj:eps () in
         l_var.(fid) <- lv;
-        if demand > 0. then begin
-          let coeffs =
-            (lv, demand)
-            :: Array.to_list
-                 (Array.mapi
-                    (fun ti _ -> (x.(f.Instance.cls).(f.Instance.pair).(ti), 1.))
-                    inst.Instance.tunnels.(f.Instance.cls).(f.Instance.pair))
-          in
-          demand_contrib.(fid) <-
-            Lp_model.add_row model Lp_model.Ge demand coeffs
-        end;
+        let coeffs =
+          (lv, demand)
+          :: Array.to_list
+               (Array.mapi
+                  (fun ti _ -> (x.(f.Instance.cls).(f.Instance.pair).(ti), 1.))
+                  inst.Instance.tunnels.(f.Instance.cls).(f.Instance.pair))
+        in
+        demand_contrib.(fid) <- Lp_model.add_row model Lp_model.Ge demand coeffs;
         crit_row.(fid) <-
           Lp_model.add_row model Lp_model.Ge (-1.)
             [ (alphas.(f.Instance.cls), 1.); (lv, -1.) ];
@@ -199,9 +184,11 @@ let build_template ?sid inst ~with_gamma =
   let base_rhs =
     Array.init (Lp_model.nrows model) (fun r -> Lp_model.rhs model r)
   in
+  (* the matrix views are built here, before the template is shared *)
+  ignore (Lp_model.csc model);
+  ignore (Lp_model.csr model);
   {
     model;
-    st = Simplex.make model;
     alpha_var = alphas;
     l_var;
     loss_obj = eps;
@@ -221,6 +208,8 @@ let scenario_rhs inst tpl ~sid ~z ~scen_loss_opt ~gamma =
   Array.iter
     (fun (f : Instance.flow) ->
       let fid = f.Instance.fid in
+      if tpl.demand_contrib.(fid) >= 0 then
+        rhs.(tpl.demand_contrib.(fid)) <- Instance.demand_in inst f sid;
       if tpl.crit_row.(fid) >= 0 then
         rhs.(tpl.crit_row.(fid)) <- (if z.(fid).(sid) then 0. else -1.);
       if tpl.gamma_row.(fid) >= 0 then
@@ -231,6 +220,24 @@ let scenario_rhs inst tpl ~sid ~z ~scen_loss_opt ~gamma =
           | _ -> 2.))
     inst.Instance.flows;
   rhs
+
+(* The scenario's own copy of the template under [rhs]: a flow whose
+   demand row's RHS differs from the base demand also gets it as its
+   loss coefficient (§4.4 demand scenarios).  A demand of 0 keeps the
+   coefficient, and its RHS of 0 leaves the row slack. *)
+let scenario_model inst tpl rhs =
+  let model = Lp_model.copy tpl.model in
+  Array.iteri (fun r v -> Lp_model.set_rhs model r v) rhs;
+  Array.iter
+    (fun (f : Instance.flow) ->
+      let fid = f.Instance.fid in
+      let row = tpl.demand_contrib.(fid) in
+      if
+        row >= 0 && rhs.(row) > 0.
+        && not (Float.equal rhs.(row) f.Instance.demand)
+      then Lp_model.set_coef model row tpl.l_var.(fid) rhs.(row))
+    inst.Instance.flows;
+  model
 
 (* Extract the dual information needed for cuts (21)/(22). *)
 let extract_dual inst tpl (sol : Simplex.solution) rhs =
@@ -269,12 +276,12 @@ let extract_dual inst tpl (sol : Simplex.solution) rhs =
    d / eps, and then every critical flow's loss sits above the
    scenario's optimum, breaking Proposition 1 for the loss matrix and
    for the online caps taken from it.  [st] holds the optimal basis of
-   [sol]; restarting from it, the penalty alone is re-optimized and,
-   only when it comes out lower, the tie-break is re-solved with every
-   class's alpha held at that optimum.  The template's costs and bounds
-   are restored; [sol] itself still supplies the cut. *)
-let lexicographic_losses tpl st (sol : Simplex.solution) =
-  let m = tpl.model in
+   [sol] on the scenario's model [m]; restarting from it, the penalty
+   alone is re-optimized and, only when it comes out lower, the
+   tie-break is re-solved with every class's alpha held at that
+   optimum.  [m] keeps the changed bounds; [sol] itself still supplies
+   the cut. *)
+let lexicographic_losses tpl m st (sol : Simplex.solution) =
   let set_loss_obj v =
     Array.iter (fun lv -> if lv >= 0 then Lp_model.set_obj m lv v) tpl.l_var
   in
@@ -295,7 +302,6 @@ let lexicographic_losses tpl st (sol : Simplex.solution) =
       (fun av -> Lp_model.set_bounds m av ~lb:0. ~ub:pure.Simplex.x.(av))
       tpl.alpha_var;
     let lex = Simplex.solve_warm st in
-    Array.iter (fun av -> Lp_model.set_bounds m av ~lb:0. ~ub:1.) tpl.alpha_var;
     if lex.Simplex.status = Simplex.Optimal then lex else sol
   end
 
@@ -566,43 +572,6 @@ let solve_master inst ~config ~cuts ~z_prev ~coverage_target ~perfect =
       Some (z, r.Mip.bound)
   | Mip.Infeasible | Mip.Limit -> None
 
-let selfcheck_subproblems ?jobs inst =
-  let nf = Instance.nflows inst and nq = Instance.nscenarios inst in
-  let scen_loss_opt = Array.make nq 0. in
-  let z =
-    Array.init nf (fun fid ->
-        let f = inst.Instance.flows.(fid) in
-        Array.init nq (fun q ->
-            f.Instance.demand > 0. && Instance.flow_connected inst f q))
-  in
-  (* each worker shard owns a template: the warm dual-simplex restarts
-     stay shard-local, and every shard's warm objectives must still
-     agree with an independent cold solve — this is exactly the
-     parallel ≡ sequential contract of the scenario engine *)
-  let results =
-    Scenario_engine.sweep ?jobs inst
-      ~init:(fun _ -> build_template inst ~with_gamma:false)
-      ~f:(fun tpl sid ->
-        let rhs = scenario_rhs inst tpl ~sid ~z ~scen_loss_opt ~gamma:None in
-        let warm = Simplex.resolve_rhs tpl.st rhs in
-        Array.iteri (fun r v -> Lp_model.set_rhs tpl.model r v) rhs;
-        let cold = Simplex.solve tpl.model in
-        let agree =
-          match (warm.Simplex.status, cold.Simplex.status) with
-          | Simplex.Optimal, Simplex.Optimal ->
-              Float.abs (warm.Simplex.obj -. cold.Simplex.obj)
-              <= 1e-5 *. (1. +. Float.abs cold.Simplex.obj)
-          | a, b -> a = b
-        in
-        (agree, warm.Simplex.obj, cold.Simplex.obj))
-  in
-  let bad = ref [] in
-  Array.iteri
-    (fun sid (agree, warm_obj, cold_obj) ->
-      if not agree then bad := (sid, warm_obj, cold_obj) :: !bad)
-    results;
-  List.rev !bad
-
 (* ------------------------------------------------------------------ *)
 (* Main loop (Algorithm 1)                                             *)
 (* ------------------------------------------------------------------ *)
@@ -618,22 +587,8 @@ let solve ?(config = default_config) inst =
     | Some _ -> Scenbest.scen_loss_optimal inst
     | None -> Array.make nq 0.
   in
-  let jobs = Parallel.resolve_jobs (Some config.jobs) in
-  (* Per-worker-shard subproblem templates, created lazily and kept
-     across iterations: each shard owns a Simplex.t, so the paper's
-     dual-simplex warm restarts survive within a shard while no solver
-     state is ever shared across domains.  Slot [w] is only ever
-     touched by the worker holding slot [w] of the current sweep; the
-     pool's handoff protocol orders those accesses. *)
-  let templates = Array.make jobs None in
-  let template_for w =
-    match templates.(w) with
-    | Some t -> t
-    | None ->
-        let t = build_template inst ~with_gamma:(config.gamma <> None) in
-        templates.(w) <- Some t;
-        t
-  in
+  (* compiled here, in the calling domain; workers only read it *)
+  let tpl = build_template inst ~with_gamma:(config.gamma <> None) in
   let coverage_target =
     Array.map
       (fun (f : Instance.flow) ->
@@ -664,52 +619,38 @@ let solve ?(config = default_config) inst =
   let duals_pool = ref [] in
   let subproblems = ref 0 in
   (* with per-scenario traffic matrices the LP's left-hand side varies,
-     so warm restarts and cross-scenario cuts do not apply *)
-  let has_demand_factors = inst.Instance.demand_factors <> None in
-  let share_cuts = config.share_cuts && not has_demand_factors in
-  (* Worker-side subproblem solve: reads [z]/[scen_loss_opt] (frozen
-     during a sweep) and returns the scenario's loss column plus the
-     dual certificate; all bookkeeping mutation happens in the merge
-     loop below, in ascending scenario order. *)
-  let solve_scenario tpl sid =
+     so cross-scenario cuts do not apply *)
+  let share_cuts =
+    config.share_cuts && inst.Instance.demand_factors = None
+  in
+  (* Worker-side subproblem solve: a cold solve of the scenario's own
+     model.  It reads [z]/[scen_loss_opt] (frozen during a sweep) and
+     returns the scenario's loss column plus the dual certificate; all
+     bookkeeping mutation happens in the merge loop below, in ascending
+     scenario order. *)
+  let solve_scenario sid =
     Trace.in_span ~arg:sid sp_scenario @@ fun () ->
-    let tpl_q =
-      if has_demand_factors then
-        build_template ~sid inst ~with_gamma:(config.gamma <> None)
-      else tpl
-    in
     let rhs =
-      scenario_rhs inst tpl_q ~sid ~z ~scen_loss_opt ~gamma:config.gamma
+      scenario_rhs inst tpl ~sid ~z ~scen_loss_opt ~gamma:config.gamma
     in
-    let st, sol =
-      if config.warm_start && not has_demand_factors then begin
-        let sol = Simplex.resolve_rhs tpl_q.st rhs in
-        (* the refinement below re-reads the model: give it this RHS,
-           and a state of its own so [tpl_q.st] keeps its bounds *)
-        Array.iteri (fun r v -> Lp_model.set_rhs tpl_q.model r v) rhs;
-        (Simplex.make ?basis:(Simplex.basis tpl_q.st) tpl_q.model, sol)
-      end
-      else begin
-        Array.iteri (fun r v -> Lp_model.set_rhs tpl_q.model r v) rhs;
-        let st = Simplex.make tpl_q.model in
-        (st, Simplex.solve_warm st)
-      end
-    in
+    let model = scenario_model inst tpl rhs in
+    let st = Simplex.make model in
+    let sol = Simplex.solve_warm st in
     match sol.Simplex.status with
     | Simplex.Optimal ->
-        let lex = lexicographic_losses tpl_q st sol in
+        let lex = lexicographic_losses tpl model st sol in
         let loss_col =
           Array.to_list inst.Instance.flows
           |> List.filter_map (fun (f : Instance.flow) ->
                  let fid = f.Instance.fid in
-                 if tpl_q.l_var.(fid) >= 0 then
+                 if tpl.l_var.(fid) >= 0 then
                    Some
                      ( fid,
                        Float.max 0.
-                         (Float.min 1. lex.Simplex.x.(tpl_q.l_var.(fid))) )
+                         (Float.min 1. lex.Simplex.x.(tpl.l_var.(fid))) )
                  else None)
         in
-        let di = extract_dual inst tpl_q sol rhs in
+        let di = extract_dual inst tpl sol rhs in
         Some (sol.Simplex.obj, loss_col, di)
     | _ -> None
   in
@@ -758,7 +699,7 @@ let solve ?(config = default_config) inst =
       Trace.in_span sp_sweep (fun () ->
           Trace.with_span t_sweep (fun () ->
               Scenario_engine.sweep_some ~jobs:config.jobs inst ~keep
-                ~init:template_for ~f:solve_scenario))
+                ~f:solve_scenario))
     in
     (* deterministic merge, ascending scenario order: losses, pruning
        state, the cut list and the shared-dual pool come out identical

@@ -18,15 +18,15 @@ let sweep ?jobs inst ~init ~f =
   Trace.in_span ~arg:(Instance.nscenarios inst) sp_sweep (fun () ->
       Parallel.map ?jobs ~n:(Instance.nscenarios inst) ~init ~f ())
 
-let sweep_some ?jobs inst ~keep ~init ~f =
+let sweep_some ?jobs inst ~keep ~f =
   let nq = Instance.nscenarios inst in
   let kept = Array.init nq keep in
   Trace.incr c_sweeps;
   Trace.add c_scenarios nq;
   Array.iter (fun k -> if k then Trace.incr c_kept) kept;
   Trace.in_span ~arg:nq sp_sweep (fun () ->
-      Parallel.map ?jobs ~n:nq ~init
-        ~f:(fun st sid -> if kept.(sid) then Some (f st sid) else None)
+      Parallel.map ?jobs ~n:nq ~init:ignore
+        ~f:(fun () sid -> if kept.(sid) then Some (f sid) else None)
         ())
 
 let sweep_losses ?jobs inst ~f =

@@ -9,11 +9,12 @@
     Determinism contract: results are merged in ascending scenario
     order, and work is sharded statically (scenario [sid] always lands
     on worker [sid mod jobs]).  A per-scenario function that does not
-    depend on worker-local history — every cold solve in this
-    repository — therefore produces bit-identical results for every
-    job count.  Stateful workers (shard-local dual-simplex warm
-    starts) see a deterministic scenario subsequence, so runs are
-    reproducible for a fixed job count.
+    depend on worker-local history — every sweep in this repository
+    builds and solves each scenario's LP afresh — therefore produces
+    bit-identical results for every job count.  A worker state built
+    by {!sweep}'s [init] sees a deterministic scenario subsequence, so
+    a function that carried history in it would still be reproducible
+    for a fixed job count.
 
     [jobs] convention, everywhere in this repository: [0] (or an
     omitted argument) means "auto" — the [FLEXILE_JOBS] environment
@@ -30,18 +31,17 @@ val sweep :
   'a array
 (** [sweep inst ~init ~f] evaluates [f state sid] for every scenario of
     the instance and returns the results indexed by scenario id.
-    [init w] creates worker [w]'s private state (typically a warm
-    {!Flexile_lp.Simplex} template) once per sweep. *)
+    [init w] creates worker [w]'s private state once per sweep. *)
 
 val sweep_some :
   ?jobs:int ->
   Instance.t ->
   keep:(int -> bool) ->
-  init:(int -> 'state) ->
-  f:('state -> int -> 'a) ->
+  f:(int -> 'a) ->
   'a option array
-(** Like {!sweep} with shared pruning: scenarios for which [keep sid]
-    is false are skipped ([None] in the result, [f] never called).
+(** Like {!sweep}, without worker state and with shared pruning:
+    scenarios for which [keep sid] is false are skipped ([None] in the
+    result, [f] never called).
     [keep] is evaluated in the calling domain before the fan-out, so it
     may read mutable bookkeeping (perfect/unchanged scenario sets). *)
 

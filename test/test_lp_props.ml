@@ -35,6 +35,11 @@ let cold_with_rhs m rhs =
   Array.iteri (fun r v -> Lp_model.set_rhs m r v) rhs;
   Simplex.solve m
 
+(* Restart [st], a solver state of [m], after moving only the RHS. *)
+let warm_with_rhs st m rhs =
+  Array.iteri (fun r v -> Lp_model.set_rhs m r v) rhs;
+  Simplex.solve_warm st
+
 (* ---- weak duality of Simplex.dual_bound ---- *)
 
 let qcheck_weak_duality =
@@ -92,7 +97,7 @@ let qcheck_warm_walk_differential =
           let rhs =
             Array.init (Lp_model.nrows m) (fun _ -> Prng.uniform prng (-3.) 8.)
           in
-          let warm = Simplex.resolve_rhs st rhs in
+          let warm = warm_with_rhs st m rhs in
           let cold = cold_with_rhs m rhs in
           ok :=
             (match (warm.Simplex.status, cold.Simplex.status) with
@@ -128,7 +133,7 @@ let qcheck_warm_walk_tight_refactor =
                 Array.init (Lp_model.nrows m) (fun _ ->
                     Prng.uniform prng (-3.) 8.)
               in
-              let warm = Simplex.resolve_rhs st rhs in
+              let warm = warm_with_rhs st m rhs in
               let cold = cold_with_rhs m rhs in
               ok :=
                 (match (warm.Simplex.status, cold.Simplex.status) with
@@ -176,7 +181,7 @@ let test_duplicate_rows_recovery () =
   in
   List.iteri
     (fun i (rhs, expected) ->
-      let warm = Simplex.resolve_rhs st rhs in
+      let warm = warm_with_rhs st m rhs in
       let cold = cold_with_rhs m rhs in
       Alcotest.(check string)
         (Printf.sprintf "step %d cold status" i)
@@ -263,14 +268,14 @@ let test_warm_fallback_counters () =
   expect_status "first solve" "optimal" sol1;
   Alcotest.(check int) "first solve is cold" (c0 + 1) (v "simplex.cold_solves");
   let a0 = v "simplex.warm_attempts" and c1 = v "simplex.cold_solves" in
-  let sol2 = Simplex.resolve_rhs st [| 7. |] in
+  let sol2 = warm_with_rhs st m [| 7. |] in
   expect_status "rhs 7" "infeasible" sol2;
   Alcotest.(check int) "warm attempt counted" (a0 + 1)
     (v "simplex.warm_attempts");
   Alcotest.(check int) "infeasibility confirmed by a cold solve" (c1 + 1)
     (v "simplex.cold_solves");
   let c2 = v "simplex.cold_solves" in
-  let sol3 = Simplex.resolve_rhs st [| 3. |] in
+  let sol3 = warm_with_rhs st m [| 3. |] in
   expect_status "rhs 3" "optimal" sol3;
   if Float.abs (sol3.Simplex.obj -. 3.) > 1e-9 then
     Alcotest.failf "rhs 3: expected obj 3, got %.9g" sol3.Simplex.obj;
@@ -291,7 +296,7 @@ let test_warm_hit_counted () =
   let sol1 = Simplex.solve_warm st in
   expect_status "initial" "optimal" sol1;
   let h0 = v "simplex.warm_hits" in
-  let sol2 = Simplex.resolve_rhs st [| 8.; 12. |] in
+  let sol2 = warm_with_rhs st m [| 8.; 12. |] in
   expect_status "warm resolve" "optimal" sol2;
   Alcotest.(check int) "warm hit counted" (h0 + 1) (v "simplex.warm_hits")
 

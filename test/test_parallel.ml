@@ -118,38 +118,58 @@ let test_resolve_jobs () =
 let losses_testable =
   Alcotest.(array (array (float 0.)))
 
-let test_selfcheck_parallel () =
-  let inst = Flexile_core.Builder.fig1 () in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check (list (triple int (float 1e-9) (float 1e-9))))
-        (Printf.sprintf "selfcheck clean at jobs=%d" jobs)
-        []
-        (Flexile_offline.selfcheck_subproblems ~jobs inst))
-    [ 1; 2; 4 ]
-
 let test_scenbest_bit_identical () =
   let inst = Flexile_core.Builder.fig1 () in
   let seq = Scenbest.run ~jobs:1 inst in
   let par = Scenbest.run ~jobs:3 inst in
   Alcotest.check losses_testable "ScenBest parallel == sequential" seq par
 
-let test_offline_bit_identical () =
-  let inst = Flexile_core.Builder.fig1 () in
-  let solve jobs =
-    let config =
-      { Flexile_offline.default_config with Flexile_offline.jobs }
-    in
-    let r = Flexile_offline.solve ~config inst in
-    ( r.Flexile_offline.best.Flexile_offline.penalty,
-      r.Flexile_offline.subproblems_solved,
-      r.Flexile_offline.best.Flexile_offline.losses )
+(* Sprint with per-scenario demand factors: every subproblem rewrites
+   the loss coefficient of the flows whose demand drifted. *)
+let drift_instance () =
+  let options =
+    {
+      Flexile_core.Builder.default_options with
+      Flexile_core.Builder.scenario_mix = "srlg,partial,drift";
+      max_scenarios = 16;
+      max_pairs = 16;
+    }
   in
-  let p1, n1, l1 = solve 1 in
-  let p4, n4, l4 = solve 4 in
-  Alcotest.(check (float 0.)) "penalty identical" p1 p4;
-  Alcotest.(check int) "same subproblem count" n1 n4;
-  Alcotest.check losses_testable "offline losses identical" l1 l4
+  let inst = Flexile_core.Builder.of_name ~options "Sprint" in
+  if inst.Instance.demand_factors = None then
+    Alcotest.fail "drift mix should attach demand factors";
+  inst
+
+(* The whole plan — criticality, losses, penalty, master bound and
+   subproblem count — is bit-identical at jobs 1, 2 and 4. *)
+let test_offline_bit_identical () =
+  let check name inst =
+    let solve jobs =
+      let config =
+        { Flexile_offline.default_config with Flexile_offline.jobs }
+      in
+      let r = Flexile_offline.solve ~config inst in
+      let best = r.Flexile_offline.best in
+      ( best.Flexile_offline.z,
+        best.Flexile_offline.losses,
+        best.Flexile_offline.penalty,
+        r.Flexile_offline.lower_bound,
+        r.Flexile_offline.subproblems_solved )
+    in
+    let z1, l1, p1, b1, n1 = solve 1 in
+    List.iter
+      (fun jobs ->
+        let z, l, p, b, n = solve jobs in
+        let what s = Printf.sprintf "%s: %s at jobs=%d" name s jobs in
+        Alcotest.(check (array (array bool))) (what "z identical") z1 z;
+        Alcotest.check losses_testable (what "losses identical") l1 l;
+        Alcotest.(check (float 0.)) (what "penalty identical") p1 p;
+        Alcotest.(check (float 0.)) (what "lower bound identical") b1 b;
+        Alcotest.(check int) (what "same subproblem count") n1 n)
+      [ 2; 4 ]
+  in
+  check "fig1" (Flexile_core.Builder.fig1 ());
+  check "Sprint drift" (drift_instance ())
 
 let () =
   Alcotest.run "parallel"
@@ -166,7 +186,6 @@ let () =
         ] );
       ( "engine",
         [
-          quick "selfcheck-jobs-124" test_selfcheck_parallel;
           quick "scenbest-bit-identical" test_scenbest_bit_identical;
           quick "offline-bit-identical" test_offline_bit_identical;
         ] );

@@ -399,10 +399,10 @@ let test_warm_walk_certificates () =
   done;
   at_least "solve_warm walks" 450 !n
 
-(* [resolve_rhs] takes the RHS as an array and never re-reads the
-   model, so the walk writes the same RHS into the model for the check
-   (which also holds [dual_bound] at that RHS to the dual objective). *)
-let test_resolve_rhs_certificates () =
+(* A walk that moves only the RHS, the case the dual-simplex restart
+   is built for; the check also holds [dual_bound] at that RHS to the
+   dual objective. *)
+let test_rhs_walk_certificates () =
   let n = ref 0 in
   for trial = 1 to 200 do
     let prng, m = random_model (3000 + trial) in
@@ -418,10 +418,10 @@ let test_resolve_rhs_certificates () =
       n :=
         !n
         + certify (Printf.sprintf "rhs %d/%d" trial step) m
-            (Simplex.resolve_rhs st rhs)
+            (Simplex.solve_warm st)
     done
   done;
-  at_least "resolve_rhs walks" 700 !n
+  at_least "rhs walks" 700 !n
 
 let test_fixture_certificates () =
   List.iter
@@ -514,9 +514,10 @@ let test_known_status () =
   ignore (Lp_model.add_row m Lp_model.Ge 1. [ (x, 1.); (y, -1.) ]);
   let st = Simplex.make m in
   expect "box" "optimal" (Simplex.solve_warm st);
-  expect "warm rhs into infeasibility" "infeasible"
-    (Simplex.resolve_rhs st [| -1.; 1. |]);
-  expect "warm rhs back" "optimal" (Simplex.resolve_rhs st [| 4.; 1. |]);
+  Lp_model.set_rhs m 0 (-1.);
+  expect "warm rhs into infeasibility" "infeasible" (Simplex.solve_warm st);
+  Lp_model.set_rhs m 0 4.;
+  expect "warm rhs back" "optimal" (Simplex.solve_warm st);
   ignore (Lp_model.add_row m Lp_model.Ge 5. [ (x, 1.) ]);
   expect "extend with a cut past the box" "infeasible"
     (Simplex.solve_warm (Simplex.extend st m));
@@ -655,7 +656,8 @@ let walk_objs m nsteps =
     let rhs =
       Array.init (Lp_model.nrows m) (fun _ -> Prng.uniform prng (-2.) 8.)
     in
-    let sol = Simplex.resolve_rhs st rhs in
+    Array.iteri (Lp_model.set_rhs m) rhs;
+    let sol = Simplex.solve_warm st in
     objs := (sparse_status sol.Simplex.status, sol.Simplex.obj) :: !objs
   done;
   List.rev !objs
@@ -699,7 +701,7 @@ let () =
           quick "free and one-sided variables" test_mixed_bound_certificates;
           quick "extend with cut rows" test_extend_certificates;
           quick "solve_warm bound+RHS walks" test_warm_walk_certificates;
-          quick "resolve_rhs walks" test_resolve_rhs_certificates;
+          quick "rhs walks" test_rhs_walk_certificates;
           quick "doctor fixtures" test_fixture_certificates;
           quick "known statuses" test_known_status;
           quick "mutations rejected" test_mutations_rejected;
