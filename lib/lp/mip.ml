@@ -1,5 +1,13 @@
 module Trace = Flexile_util.Trace
 
+(* Per search: node LPs solved, nodes left open, and why it stopped
+   (exactly one of the three stop counters). *)
+let c_nodes = Trace.counter "mip.nodes"
+let c_open_at_stop = Trace.counter "mip.open_nodes_at_stop"
+let c_stop_exhausted = Trace.counter "mip.stop_exhausted"
+let c_stop_node_limit = Trace.counter "mip.stop_node_limit"
+let c_stop_time_limit = Trace.counter "mip.stop_time_limit"
+
 type status = Optimal | Feasible | Infeasible | Limit
 
 type result = {
@@ -62,6 +70,7 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
   let nodes = ref 0 in
   let stack = ref [ { fixings = []; parent_bound = neg_infinity } ] in
   let hit_limit = ref false in
+  let stop = ref c_stop_exhausted in
   let frontier_bound () =
     List.fold_left
       (fun acc nd -> Float.min acc nd.parent_bound)
@@ -95,12 +104,14 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
            stack := rest;
            if !nodes >= options.node_limit then begin
              hit_limit := true;
+             stop := c_stop_node_limit;
              (* keep the node's bound contributing to the frontier bound *)
              stack := nd :: !stack;
              raise Exit
            end;
            if Trace.now_s () -. t0 > options.time_limit then begin
              hit_limit := true;
+             stop := c_stop_time_limit;
              stack := nd :: !stack;
              raise Exit
            end;
@@ -156,6 +167,9 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
            end)
      done
    with Exit -> ());
+  Trace.add c_nodes !nodes;
+  Trace.add c_open_at_stop (List.length !stack);
+  Trace.incr !stop;
   let frontier = frontier_bound () in
   restore ();
   let bound =

@@ -29,8 +29,13 @@ let src = Logs.Src.create "flexile.lp" ~doc:"LP solver"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 module Trace = Flexile_util.Trace
-module Float_cmp = Flexile_util.Float_cmp
 module Basis = Sparse.Basis
+module Svec = Sparse.Svec
+
+(* Exact-zero test, [Float_cmp.nonzero]'s semantics (NaN is nonzero,
+   -0. is zero), kept unit-local: under dune's -opaque dev profile a
+   call into another unit boxes its float argument on every column. *)
+let[@inline] nonzero x = not (Float.equal x 0.)
 
 (* Probes are per-solve or per-refactorization, never per-pivot: with
    tracing disabled each costs one branch, with it enabled one
@@ -107,7 +112,15 @@ type t = {
   row_start : int array; (* length m+1 *)
   row_col : int array;
   row_val : float array;
-  asv : Sparse.Svec.t; (* alpha = A^T rho scatter, dimension ntot *)
+  asv : Svec.t; (* alpha = A^T rho scatter, dimension ntot *)
+  fcols : int array; (* basis columns in [Basis.factor]'s encoding *)
+  (* pivot choice of the pricing and ratio-test kernels; the floats sit
+     in a float array, at the ch_ slots, since a float returned from a
+     call that is not inlined, or stored in a mutable field, is boxed *)
+  mutable enter : int; (* entering column, -1 for none *)
+  mutable leave : int; (* leaving basis position, -1 for none *)
+  mutable leave_up : bool; (* the leaving variable goes to its upper bound *)
+  choice_f : float array;
   d : float array; (* reduced costs over ntot *)
   mutable d_valid : bool;
       (* [d] holds phase-2 reduced costs of the current basis, kept
@@ -184,7 +197,12 @@ let create ?eta_limit ?thresholds model =
     row_start = csr.Lp_model.row_start;
     row_col = csr.Lp_model.col_idx;
     row_val = csr.Lp_model.row_values;
-    asv = Sparse.Svec.create ntot;
+    asv = Svec.create ntot;
+    fcols = Array.make m 0;
+    enter = -1;
+    leave = -1;
+    leave_up = false;
+    choice_f = Array.make 4 0.;
     d = Array.make ntot 0.;
     d_valid = false;
     gamma = Array.make ntot 1.;
@@ -221,7 +239,17 @@ let create ?eta_limit ?thresholds model =
   Health.set_on_trip st.health (dump_on_trip st);
   st
 
-(* Iterate over the (row, coefficient) entries of column [j]. *)
+(* Slots of [choice_f]. *)
+let ch_dir = 0 (* entering direction, 1. or -1. *)
+let ch_score = 1 (* best pricing score so far *)
+let ch_step = 2 (* primal step length, or dual ratio *)
+let ch_alpha = 3 (* dual pivot-row entry of the entering column *)
+
+(* Row of the unit column of slack or artificial [j]. *)
+let[@inline] unit_row st j = if j < st.n + st.m then j - st.n else j - st.n - st.m
+
+(* Iterate over the (row, coefficient) entries of column [j]; for the
+   health sampler only, the solver loops read the CSC arrays. *)
 let col_iter st j f =
   if j < st.n then begin
     let c = st.csc in
@@ -229,21 +257,33 @@ let col_iter st j f =
       f c.Lp_model.row_idx.(k) c.Lp_model.values.(k)
     done
   end
-  else begin
-    let i = if j < st.n + st.m then j - st.n else j - st.n - st.m in
-    f i 1.0
-  end
+  else f (unit_row st j) 1.0
 
 (* Dot of a dense m-vector with column j. *)
-let col_dot st y j =
-  let s = ref 0. in
-  col_iter st j (fun i a -> s := !s +. (y.(i) *. a));
-  !s
+let[@inline][@lint.noalloc] col_dot st y j =
+  if j < st.n then begin
+    let c = st.csc in
+    let s = ref 0. in
+    for k = c.Lp_model.col_start.(j) to c.Lp_model.col_start.(j + 1) - 1 do
+      s := !s +. (y.(c.Lp_model.row_idx.(k)) *. c.Lp_model.values.(k))
+    done;
+    !s
+  end
+  else 0. +. (y.(unit_row st j) *. 1.0)
 
 (* w := B^-1 A_j (FTRAN through the factors + eta file). *)
-let ftran st j w =
+let[@lint.noalloc] ftran st j w =
   Array.fill w 0 st.m 0.;
-  col_iter st j (fun r a -> w.(r) <- w.(r) +. a);
+  (if j < st.n then begin
+     let c = st.csc in
+     for k = c.Lp_model.col_start.(j) to c.Lp_model.col_start.(j + 1) - 1 do
+       let r = c.Lp_model.row_idx.(k) in
+       w.(r) <- w.(r) +. c.Lp_model.values.(k)
+     done
+   end
+   else
+     let r = unit_row st j in
+     w.(r) <- w.(r) +. 1.0);
   Basis.ftran st.basis w
 
 (* y := costs_B B^-1 (BTRAN). *)
@@ -260,27 +300,33 @@ let[@lint.noalloc] btran st costs y =
    of all [ntot] columns is what makes a pivot cost proportional to
    the pivot row's fill. *)
 let[@lint.noalloc] scatter_alpha st rho =
-  let sv = st.asv in
-  Sparse.Svec.clear sv;
-  for i = 0 to st.m - 1 do
-    let ri = rho.(i) in
-    if Float_cmp.nonzero ri then begin
-      for c = st.row_start.(i) to st.row_start.(i + 1) - 1 do
-        Sparse.Svec.add sv st.row_col.(c) (ri *. st.row_val.(c))
-      done;
-      Sparse.Svec.add sv (st.n + i) ri;
-      Sparse.Svec.add sv (st.n + st.m + i) ri
-    end
+  Svec.clear st.asv;
+  Svec.scatter_rows st.asv rho ~row_start:st.row_start ~row_col:st.row_col
+    ~row_val:st.row_val ~unit1:st.n ~unit2:(st.n + st.m)
+
+(* bt := b - sum_{nonbasic j} A_j xn_j, in row space. *)
+let[@lint.noalloc] nonbasic_residual st =
+  let bt = st.bt in
+  Array.blit st.b 0 bt 0 st.m;
+  for j = 0 to st.ntot - 1 do
+    let xj = st.xn.(j) in
+    if st.vstat.(j) <> basic && nonzero xj then
+      if j < st.n then begin
+        let c = st.csc in
+        for k = c.Lp_model.col_start.(j) to c.Lp_model.col_start.(j + 1) - 1 do
+          let i = c.Lp_model.row_idx.(k) in
+          bt.(i) <- bt.(i) -. (c.Lp_model.values.(k) *. xj)
+        done
+      end
+      else
+        let i = unit_row st j in
+        bt.(i) <- bt.(i) -. (1.0 *. xj)
   done
 
 (* Recompute basic values from scratch:
    xb = B^-1 (b - sum_{nonbasic j} A_j xn_j). *)
 let recompute_xb st =
-  Array.blit st.b 0 st.bt 0 st.m;
-  for j = 0 to st.ntot - 1 do
-    if st.vstat.(j) <> basic && Float_cmp.nonzero st.xn.(j) then
-      col_iter st j (fun i a -> st.bt.(i) <- st.bt.(i) -. (a *. st.xn.(j)))
-  done;
+  nonbasic_residual st;
   Basis.ftran st.basis st.bt;
   Array.blit st.bt 0 st.xb 0 st.m
 
@@ -306,13 +352,7 @@ let eta_epoch_of st =
 
 let health_sample st ~kind ~eta ~patched =
   if Health.sample_due st.health then begin
-  (* row-space b~ = b - N x_N into the scratch [bt] (recompute_xb uses
-     the same accumulation but immediately FTRANs it away) *)
-  Array.blit st.b 0 st.bt 0 st.m;
-  for j = 0 to st.ntot - 1 do
-    if st.vstat.(j) <> basic && Float_cmp.nonzero st.xn.(j) then
-      col_iter st j (fun i a -> st.bt.(i) <- st.bt.(i) -. (a *. st.xn.(j)))
-  done;
+  nonbasic_residual st;
   Health.sample st.health ~basis:st.basis ~kind ~phase:st.hphase
     ~iteration:st.hiter
     ~col:(fun pos f -> col_iter st st.bas.(pos) f)
@@ -330,9 +370,15 @@ let refactorize st =
   Trace.observe h_eta_at_refactor (float_of_int (Basis.eta_count st.basis));
   let active = health_active st in
   let eta = if active then eta_epoch_of st else Health.empty_epoch in
+  for pos = 0 to st.m - 1 do
+    let q = st.bas.(pos) in
+    st.fcols.(pos) <- (if q < st.n then q else Basis.unit_col (unit_row st q))
+  done;
   let patched =
     Trace.with_span t_factor @@ fun () ->
-    Basis.factor st.basis ~col:(fun pos f -> col_iter st st.bas.(pos) f)
+    let c = st.csc in
+    Basis.factor st.basis ~col_start:c.Lp_model.col_start
+      ~row_idx:c.Lp_model.row_idx ~values:c.Lp_model.values ~cols:st.fcols
   in
   List.iter
     (fun (pos, row) ->
@@ -377,6 +423,94 @@ let update_basis st r =
 
 type primal_result = P_optimal | P_unbounded | P_iter_limit
 
+(* Pricing over the columns [lo, hi]: devex (steepest reduced cost in
+   the reference frame), or the smallest improving index under
+   [~bland].  Improves the candidate held in [enter] and the ch_dir /
+   ch_score slots in place. *)
+let[@lint.noalloc] price st ~bland lo hi =
+  let d = st.d and gamma = st.gamma in
+  (* separate lets: deep lint sanctions only single-binding local refs *)
+  let enter = ref st.enter in
+  let dir = ref st.choice_f.(ch_dir) in
+  let best = ref st.choice_f.(ch_score) in
+  for j = lo to hi do
+    let stt = st.vstat.(j) in
+    if stt <> basic && st.lo.(j) < st.up.(j) then begin
+      let dj = d.(j) in
+      (* move 0 increases x_j (score -d_j), move 1 decreases it; a
+         free column tries both *)
+      let first = if stt = at_upper then 1 else 0 in
+      let last = if stt = at_lower then 0 else 1 in
+      for move = first to last do
+        let score = if move = 0 then -.dj else dj in
+        if score > opt_tol then
+          if bland then begin
+            if !enter = -1 || j < !enter then begin
+              enter := j;
+              dir := (if move = 0 then 1. else -1.);
+              best := score
+            end
+          end
+          else begin
+            let dscore = score *. score /. gamma.(j) in
+            if dscore > !best then begin
+              enter := j;
+              dir := (if move = 0 then 1. else -1.);
+              best := dscore
+            end
+          end
+      done
+    end
+  done;
+  st.enter <- !enter;
+  st.choice_f.(ch_dir) <- !dir;
+  st.choice_f.(ch_score) <- !best
+
+(* Primal ratio test along [w] for the entering direction in ch_dir.
+   Basic value i changes at rate (-. s *. w.(i)) per unit step.  Ties
+   are normally broken toward the largest pivot magnitude (stability);
+   under the Bland fallback they must be broken by smallest leaving
+   variable index instead — Bland's rule only guarantees termination
+   when BOTH the entering and the leaving choice use the smallest-index
+   rule.  Writes [leave] (-1 when unbounded), [leave_up] and ch_step. *)
+let[@lint.noalloc] primal_ratio st ~bland =
+  let w = st.w and s = st.choice_f.(ch_dir) in
+  let tmax = ref infinity in
+  let leave = ref (-1) in
+  let leave_to_up = ref false in
+  for i = 0 to st.m - 1 do
+    let rate = -.s *. w.(i) in
+    let q = st.bas.(i) in
+    (* side 1: row i blocks at its lower bound, 2: at its upper *)
+    let side =
+      if rate < -.pivot_tol then if st.lo.(q) > neg_infinity then 1 else 0
+      else if rate > pivot_tol && st.up.(q) < infinity then 2
+      else 0
+    in
+    if side <> 0 then begin
+      let ti =
+        if side = 1 then (st.xb.(i) -. st.lo.(q)) /. -.rate
+        else (st.up.(q) -. st.xb.(i)) /. rate
+      in
+      let ti = if ti < 0. then 0. else ti in
+      if
+        ti < !tmax -. 1e-12
+        || ti < !tmax +. 1e-12
+           && (!leave = -1
+              ||
+              if bland then q < st.bas.(!leave)
+              else Float.abs w.(i) > Float.abs w.(!leave))
+      then begin
+        tmax := ti;
+        leave := i;
+        leave_to_up := side = 2
+      end
+    end
+  done;
+  st.leave <- !leave;
+  st.leave_up <- !leave_to_up;
+  st.choice_f.(ch_step) <- !tmax
+
 let primal_loop st costs ~iter_limit iter_count =
   let m = st.m in
   let y = st.y and w = st.w and rho = st.rho in
@@ -413,61 +547,28 @@ let primal_loop st costs ~iter_limit iter_count =
       let bland = !degen > degen_threshold in
       if bland then incr bland_iters;
       (* --- pricing: choose entering variable --- *)
-      let enter = ref (-1) and enter_dir = ref 1. and best = ref 0. in
-      let consider j dj =
-        let stt = st.vstat.(j) in
-        if stt <> basic && st.lo.(j) < st.up.(j) then begin
-          let try_dir dir score =
-            if score > opt_tol then
-              if bland then begin
-                if !enter = -1 || j < !enter then begin
-                  enter := j;
-                  enter_dir := dir;
-                  best := score
-                end
-              end
-              else begin
-                (* devex: steepest reduced cost in the reference frame *)
-                let dscore = score *. score /. gamma.(j) in
-                if dscore > !best then begin
-                  enter := j;
-                  enter_dir := dir;
-                  best := dscore
-                end
-              end
-          in
-          if stt = at_lower then try_dir 1. (-.dj)
-          else if stt = at_upper then try_dir (-1.) dj
-          else begin
-            (* free: move in the improving direction *)
-            try_dir 1. (-.dj);
-            try_dir (-1.) dj
-          end
-        end
-      in
-      if bland then
-        for j = 0 to st.ntot - 1 do
-          if st.vstat.(j) <> basic then consider j d.(j)
-        done
+      st.enter <- -1;
+      st.choice_f.(ch_dir) <- 1.;
+      st.choice_f.(ch_score) <- 0.;
+      if bland then price st ~bland 0 (st.ntot - 1)
       else begin
         (* partial pricing: cyclic scan of static sections, stopping at
            the first section that yields a candidate *)
         let scanned = ref 0 in
-        while !enter = -1 && !scanned < st.nsec do
+        while st.enter = -1 && !scanned < st.nsec do
           let s0 = (st.psec + !scanned) mod st.nsec in
           let jhi = min st.ntot ((s0 + 1) * st.sec_size) - 1 in
-          for j = s0 * st.sec_size to jhi do
-            if st.vstat.(j) <> basic then consider j d.(j)
-          done;
+          price st ~bland (s0 * st.sec_size) jhi;
           (* advance the cursor past the section that produced the
              candidate: sticking to a section while it keeps yielding
              (degenerate) candidates starves the rest of the matrix and
              stalls phase 1 on massively degenerate vertices *)
-          if !enter <> -1 then st.psec <- (s0 + 1) mod st.nsec;
+          if st.enter <> -1 then st.psec <- (s0 + 1) mod st.nsec;
           incr scanned
         done
       end;
-      if !enter = -1 then begin
+      let enter = st.enter in
+      if enter = -1 then begin
         (* confirm with exact reduced costs before declaring optimal *)
         recompute_d ();
         let confirm = ref (-1) in
@@ -485,54 +586,13 @@ let primal_loop st costs ~iter_limit iter_count =
         if !confirm = -1 then result := Some P_optimal
       end
       else begin
-        let j = !enter and s = !enter_dir in
+        let j = enter and s = st.choice_f.(ch_dir) in
         ftran st j w;
-        (* --- ratio test --- *)
-        (* Basic value i changes at rate (-. s *. w.(i)) per unit step.
-           Ties are normally broken toward the largest pivot magnitude
-           (stability); under the Bland fallback they must be broken by
-           smallest leaving variable index instead — Bland's rule only
-           guarantees termination when BOTH the entering and the leaving
-           choice use the smallest-index rule. *)
-        let tmax = ref infinity and leave = ref (-1) and leave_to_up = ref false in
-        let better i ti =
-          ti < !tmax -. 1e-12
-          || ti < !tmax +. 1e-12
-             && (!leave = -1
-                ||
-                if bland then st.bas.(i) < st.bas.(!leave)
-                else Float.abs w.(i) > Float.abs w.(!leave))
-        in
-        for i = 0 to m - 1 do
-          let rate = -.s *. w.(i) in
-          if rate < -.pivot_tol then begin
-            let lb = st.lo.(st.bas.(i)) in
-            if lb > neg_infinity then begin
-              let ti = (st.xb.(i) -. lb) /. -.rate in
-              let ti = if ti < 0. then 0. else ti in
-              if better i ti then begin
-                tmax := ti;
-                leave := i;
-                leave_to_up := false
-              end
-            end
-          end
-          else if rate > pivot_tol then begin
-            let ub = st.up.(st.bas.(i)) in
-            if ub < infinity then begin
-              let ti = (ub -. st.xb.(i)) /. rate in
-              let ti = if ti < 0. then 0. else ti in
-              if better i ti then begin
-                tmax := ti;
-                leave := i;
-                leave_to_up := true
-              end
-            end
-          end
-        done;
+        primal_ratio st ~bland;
+        let leave = st.leave and tmax = st.choice_f.(ch_step) in
         (* Bound-flip possibility for the entering variable itself. *)
         let range = st.up.(j) -. st.lo.(j) in
-        if range < !tmax then begin
+        if range < tmax then begin
           (* flip: move to the opposite bound, no basis change *)
           let t = range in
           for i = 0 to m - 1 do
@@ -548,9 +608,9 @@ let primal_loop st costs ~iter_limit iter_count =
           end;
           degen := 0
         end
-        else if !leave = -1 then result := Some P_unbounded
+        else if leave = -1 then result := Some P_unbounded
         else begin
-          let r = !leave and t = !tmax in
+          let r = leave and t = tmax in
           if t <= 1e-10 then begin
             incr degen;
             if !degen > !max_run then max_run := !degen;
@@ -564,8 +624,8 @@ let primal_loop st costs ~iter_limit iter_count =
             if i <> r then st.xb.(i) <- st.xb.(i) -. (s *. w.(i) *. t)
           done;
           let q = st.bas.(r) in
-          st.vstat.(q) <- (if !leave_to_up then at_upper else at_lower);
-          st.xn.(q) <- (if !leave_to_up then st.up.(q) else st.lo.(q));
+          st.vstat.(q) <- (if st.leave_up then at_upper else at_lower);
+          st.xn.(q) <- (if st.leave_up then st.up.(q) else st.lo.(q));
           (* incremental dual/devex update with the pre-pivot row r of
              B^-1: d'_k = d_k - (d_j / w_r) (rho . A_k) and
              gamma'_k = max(gamma_k, (alpha_k / w_r)^2 gamma_j) *)
@@ -583,15 +643,16 @@ let primal_loop st costs ~iter_limit iter_count =
           end
           else begin
             scatter_alpha st rho;
-            Sparse.Svec.iter st.asv (fun k alpha_k ->
-                if st.vstat.(k) <> basic && k <> q
-                   && Float_cmp.nonzero alpha_k
-                then begin
-                  if Float_cmp.nonzero theta then
-                    d.(k) <- d.(k) -. (theta *. alpha_k);
-                  let cand = alpha_k *. alpha_k *. gscale in
-                  if cand > gamma.(k) then gamma.(k) <- cand
-                end);
+            let pat = Svec.pattern st.asv and alpha = Svec.values st.asv in
+            for p = 0 to Svec.nnz st.asv - 1 do
+              let k = pat.(p) in
+              let alpha_k = alpha.(k) in
+              if st.vstat.(k) <> basic && k <> q && nonzero alpha_k then begin
+                if nonzero theta then d.(k) <- d.(k) -. (theta *. alpha_k);
+                let cand = alpha_k *. alpha_k *. gscale in
+                if cand > gamma.(k) then gamma.(k) <- cand
+              end
+            done;
             d.(q) <- -.theta;
             gamma.(q) <- Float.max gscale 1.;
             d.(j) <- 0.
@@ -697,7 +758,7 @@ let phase1_obj st costs =
   let s = ref 0. in
   for i = 0 to st.m - 1 do
     let c = costs.(st.bas.(i)) in
-    if Float_cmp.nonzero c then s := !s +. (c *. st.xb.(i))
+    if nonzero c then s := !s +. (c *. st.xb.(i))
   done;
   !s
 
@@ -717,7 +778,7 @@ let extract_solution st ~status ~iterations =
   for j = 0 to n - 1 do
     let d = st.cost.(j) -. col_dot st y j in
     reduced.(j) <- d;
-    if st.vstat.(j) <> basic && Float_cmp.nonzero st.xn.(j) then
+    if st.vstat.(j) <> basic && nonzero st.xn.(j) then
       bound_term := !bound_term +. (d *. st.xn.(j))
   done;
   let obj = ref 0. in
@@ -822,7 +883,7 @@ let exact_duals st =
 
 (* Whether nonbasic [j] with reduced cost [d] is dual feasible: a fixed
    variable always is, otherwise the sign must match its bound. *)
-let dual_sign_ok st j d =
+let[@inline] dual_sign_ok st j d =
   if st.lo.(j) >= st.up.(j) then true
   else
     let s = st.vstat.(j) in
@@ -830,6 +891,56 @@ let dual_sign_ok st j d =
     else if s = at_upper then d <= 1e-6
     else if s = free then Float.abs d <= 1e-6
     else true
+
+(* Dual ratio test over the pivot row in [asv] (only columns in its
+   pattern can pass the pivot tolerance) for a leaving variable going
+   [~above] its upper bound or below its lower.  Writes [enter] (-1
+   when the row proves primal infeasibility), the ratio to ch_step and
+   the pivot-row entry to ch_alpha. *)
+let[@lint.noalloc] dual_ratio st ~bland ~above =
+  let d = st.d in
+  let pat = Svec.pattern st.asv and alpha_of = Svec.values st.asv in
+  let enter = ref (-1) in
+  let best_ratio = ref infinity in
+  let best_alpha = ref 0. in
+  for p = 0 to Svec.nnz st.asv - 1 do
+    let j = pat.(p) in
+    let alpha = alpha_of.(j) in
+    let stt = st.vstat.(j) in
+    if stt <> basic && st.lo.(j) < st.up.(j) && Float.abs alpha > pivot_tol
+    then begin
+      let candidate =
+        if above then
+          (stt = at_lower && alpha > 0.)
+          || (stt = at_upper && alpha < 0.)
+          || stt = free
+        else
+          (stt = at_lower && alpha < 0.)
+          || (stt = at_upper && alpha > 0.)
+          || stt = free
+      in
+      if candidate then begin
+        let ratio = Float.abs d.(j) /. Float.abs alpha in
+        (* Bland anti-cycling still honors the dual ratio test: among
+           (near-)minimal ratios take the smallest index, otherwise dual
+           feasibility would be destroyed. *)
+        if
+          ratio < !best_ratio -. 1e-12
+          || ratio < !best_ratio +. 1e-12
+             &&
+             if bland then !enter = -1 || j < !enter
+             else Float.abs alpha > Float.abs !best_alpha
+        then begin
+          enter := j;
+          best_ratio := Float.min ratio !best_ratio;
+          best_alpha := alpha
+        end
+      end
+    end
+  done;
+  st.enter <- !enter;
+  st.choice_f.(ch_step) <- !best_ratio;
+  st.choice_f.(ch_alpha) <- !best_alpha
 
 let dual_loop st ~iter_limit iters =
   let m = st.m in
@@ -881,45 +992,11 @@ let dual_loop st ~iter_limit iters =
         let bland = !zero_steps > degen_threshold in
         if bland then incr bland_iters;
         (* --- entering: dual ratio test --- *)
-        let enter = ref (-1) and best_ratio = ref infinity and best_alpha = ref 0. in
-        Sparse.Svec.iter st.asv (fun j alpha ->
-            let stt = st.vstat.(j) in
-            if stt <> basic && st.lo.(j) < st.up.(j)
-               && Float.abs alpha > pivot_tol
-            then begin
-              let candidate =
-                if !above then
-                  (stt = at_lower && alpha > 0.)
-                  || (stt = at_upper && alpha < 0.)
-                  || stt = free
-                else
-                  (stt = at_lower && alpha < 0.)
-                  || (stt = at_upper && alpha > 0.)
-                  || stt = free
-              in
-              if candidate then begin
-                let ratio = Float.abs d.(j) /. Float.abs alpha in
-                (* Bland anti-cycling still honors the dual ratio test:
-                   among (near-)minimal ratios take the smallest index,
-                   otherwise dual feasibility would be destroyed. *)
-                let better =
-                  ratio < !best_ratio -. 1e-12
-                  || ratio < !best_ratio +. 1e-12
-                     &&
-                     if bland then !enter = -1 || j < !enter
-                     else Float.abs alpha > Float.abs !best_alpha
-                in
-                if better then begin
-                  enter := j;
-                  best_ratio := Float.min ratio !best_ratio;
-                  best_alpha := alpha
-                end
-              end
-            end);
-        if !enter = -1 then result := Some D_infeasible
+        dual_ratio st ~bland ~above:!above;
+        let j = st.enter in
+        if j = -1 then result := Some D_infeasible
         else begin
-          let j = !enter in
-          if !best_ratio <= 1e-10 then begin
+          if st.choice_f.(ch_step) <= 1e-10 then begin
             incr zero_steps;
             if !zero_steps > !max_run then max_run := !zero_steps;
             if !zero_steps = stall_lim then
@@ -927,7 +1004,7 @@ let dual_loop st ~iter_limit iters =
                 ~run:!zero_steps
           end
           else zero_steps := 0;
-          let alpha_j = !best_alpha in
+          let alpha_j = st.choice_f.(ch_alpha) in
           let q = st.bas.(r) in
           let target = if !above then st.up.(q) else st.lo.(q) in
           let delta = (st.xb.(r) -. target) /. alpha_j in
@@ -948,10 +1025,14 @@ let dual_loop st ~iter_limit iters =
           end
           else begin
             (* update duals: d'_k = d_k - (d_j/alpha_j) * alpha_k *)
-            if Float_cmp.nonzero theta then
-              Sparse.Svec.iter st.asv (fun k alpha_k ->
-                  if st.vstat.(k) <> basic then
-                    d.(k) <- d.(k) -. (theta *. alpha_k));
+            if nonzero theta then begin
+              let pat = Svec.pattern st.asv and alpha = Svec.values st.asv in
+              for p = 0 to Svec.nnz st.asv - 1 do
+                let k = pat.(p) in
+                if st.vstat.(k) <> basic then
+                  d.(k) <- d.(k) -. (theta *. alpha.(k))
+              done
+            end;
             d.(q) <- -.theta;
             d.(j) <- 0.
           end
@@ -967,23 +1048,28 @@ let dual_loop st ~iter_limit iters =
    must be dual feasible under exactly-recomputed reduced costs.  If
    drift broke it, fall back to a cold solve rather than return a
    primal-feasible but suboptimal point. *)
-let nonbasic_signs_ok st d_of =
+let nonbasic_signs_ok st ~exact =
   let ok = ref true in
   for j = 0 to st.ntot - 1 do
-    if !ok && st.vstat.(j) <> basic then ok := dual_sign_ok st j (d_of j)
+    if !ok && st.vstat.(j) <> basic then
+      ok :=
+        dual_sign_ok st j
+          (if exact then st.cost.(j) -. col_dot st st.y j else st.d.(j))
   done;
   !ok
 
+(* [exact]: judge on reduced costs recomputed from the duals, leaving
+   the maintained [d] untouched. *)
 let dual_feasible st =
   btran st st.cost st.y;
-  nonbasic_signs_ok st (fun j -> st.cost.(j) -. col_dot st st.y j)
+  nonbasic_signs_ok st ~exact:true
 
 (* Exact reduced costs of a basis whose duals are not maintained (fresh
    from [extend] or [make ~basis], or after a cost change), checked for
    dual feasibility. *)
 let dual_start_ok st =
   exact_duals st;
-  nonbasic_signs_ok st (fun j -> st.d.(j))
+  nonbasic_signs_ok st ~exact:false
 
 (* A warm success: sampled only under elevated instrumentation, since
    sampling every restart would tax the sweep hot path for little

@@ -9,7 +9,10 @@
    performs no per-pivot allocation (the eta arena grows by amortized
    doubling, which is the only allocation on the pivot path). *)
 
-module Float_cmp = Flexile_util.Float_cmp
+(* Exact-zero test, [Float_cmp.nonzero]'s semantics (NaN is nonzero,
+   -0. is zero), kept unit-local: under dune's -opaque dev profile a
+   call into another unit boxes its float argument on every nonzero. *)
+let[@inline] nonzero x = not (Float.equal x 0.)
 
 (* ------------------------------------------------------------------ *)
 (* Sparse vector workspace                                             *)
@@ -44,7 +47,7 @@ module Svec = struct
     done;
     t.nnz <- 0
 
-  let[@lint.noalloc] add t i v =
+  let[@inline][@lint.noalloc] add t i v =
     if not t.mark.(i) then begin
       t.mark.(i) <- true;
       t.idx.(t.nnz) <- i;
@@ -52,13 +55,25 @@ module Svec = struct
     end;
     t.vals.(i) <- t.vals.(i) +. v
 
-  let[@lint.noalloc] get t i = t.vals.(i)
-  let[@lint.noalloc] mem t i = t.mark.(i)
+  let[@inline][@lint.noalloc] get t i = t.vals.(i)
+  let[@inline][@lint.noalloc] mem t i = t.mark.(i)
+  let values t = t.vals
+  let pattern t = t.idx
 
-  let iter t f =
-    for k = 0 to t.nnz - 1 do
-      let i = t.idx.(k) in
-      f i t.vals.(i)
+  (* For each row [i] with [x.(i)] nonzero, in ascending [i]: the CSR
+     row's entries scaled by [x.(i)], then [x.(i)] at the two unit
+     columns [unit1 + i] and [unit2 + i]. *)
+  let[@lint.noalloc] scatter_rows t x ~row_start ~row_col ~row_val ~unit1
+      ~unit2 =
+    for i = 0 to Array.length x - 1 do
+      let xi = x.(i) in
+      if nonzero xi then begin
+        for c = row_start.(i) to row_start.(i + 1) - 1 do
+          add t row_col.(c) (xi *. row_val.(c))
+        done;
+        add t (unit1 + i) xi;
+        add t (unit2 + i) xi
+      end
     done
 
   let to_dense t = Array.copy t.vals
@@ -216,14 +231,14 @@ module Basis = struct
 
   (* ---- factorization ---- *)
 
-  let push_l t row v =
+  let[@inline] push_l t row v =
     t.l_idx <- grow_i t.l_idx (t.l_len + 1);
     t.l_val <- grow_f t.l_val (t.l_len + 1);
     t.l_idx.(t.l_len) <- row;
     t.l_val.(t.l_len) <- v;
     t.l_len <- t.l_len + 1
 
-  let push_u t step v =
+  let[@inline] push_u t step v =
     t.u_idx <- grow_i t.u_idx (t.u_len + 1);
     t.u_val <- grow_f t.u_val (t.u_len + 1);
     t.u_idx.(t.u_len) <- step;
@@ -233,14 +248,22 @@ module Basis = struct
   (* Record step [k]: pivot [row] on basis position [pos] whose
      eliminated column is currently scattered in [t.ws] (empty for a
      patched unit column). *)
-  let finish_step t k ~pos ~row ~diag =
+  let[@inline] finish_step t k ~pos ~row ~diag =
     t.prow.(k) <- row;
     t.qpos.(k) <- pos;
     t.step_of_row.(row) <- k;
     t.step_of_pos.(pos) <- k;
     t.u_diag.(k) <- diag
 
-  let factor t ~col =
+  let unit_col row = -1 - row
+
+  (* Append one collected basis entry. *)
+  let[@inline] push_c t len row v =
+    t.c_idx.(len) <- row;
+    t.c_val.(len) <- v;
+    t.row_cnt.(row) <- t.row_cnt.(row) + 1
+
+  let factor t ~col_start ~row_idx ~values ~cols =
     let m = t.m in
     t.l_len <- 0;
     t.u_len <- 0;
@@ -257,17 +280,26 @@ module Basis = struct
     Array.fill t.step_of_row 0 m (-1);
     Array.fill t.step_of_pos 0 m (-1);
     Array.fill t.row_cnt 0 m 0;
-    (* collect the basis columns once (closure calls only here) *)
+    (* collect the basis columns once *)
     let len = ref 0 in
     for pos = 0 to m - 1 do
       t.c_start.(pos) <- !len;
-      col pos (fun row v ->
-          t.c_idx <- grow_i t.c_idx (!len + 1);
-          t.c_val <- grow_f t.c_val (!len + 1);
-          t.c_idx.(!len) <- row;
-          t.c_val.(!len) <- v;
-          incr len;
-          t.row_cnt.(row) <- t.row_cnt.(row) + 1);
+      let j = cols.(pos) in
+      if j >= 0 then begin
+        let k0 = col_start.(j) and k1 = col_start.(j + 1) in
+        t.c_idx <- grow_i t.c_idx (!len + k1 - k0);
+        t.c_val <- grow_f t.c_val (!len + k1 - k0);
+        for k = k0 to k1 - 1 do
+          push_c t !len row_idx.(k) values.(k);
+          incr len
+        done
+      end
+      else begin
+        t.c_idx <- grow_i t.c_idx (!len + 1);
+        t.c_val <- grow_f t.c_val (!len + 1);
+        push_c t !len (-1 - j) 1.0;
+        incr len
+      end;
       t.col_nnz.(pos) <- !len - t.c_start.(pos)
     done;
     t.c_start.(m) <- !len;
@@ -280,13 +312,12 @@ module Basis = struct
       let c = compare t.col_nnz.(a) t.col_nnz.(b) in
       if c <> 0 then c else compare a b
     in
-    (let order = Array.sub t.order 0 m in
-     Array.sort cmp order;
-     Array.blit order 0 t.order 0 m);
+    (* [order] has exactly [m] slots once [m > 0] *)
+    if m > 0 then Array.sort cmp t.order;
+    let ws = t.ws in
     let step = ref 0 in
     for o = 0 to m - 1 do
       let pos = t.order.(o) in
-      let ws = t.ws in
       (* scatter the column *)
       for c = t.c_start.(pos) to t.c_start.(pos + 1) - 1 do
         Svec.add ws t.c_idx.(c) t.c_val.(c)
@@ -298,7 +329,7 @@ module Basis = struct
         let pr = t.prow.(s) in
         if Svec.mem ws pr then begin
           let x = Svec.get ws pr in
-          if Float_cmp.nonzero x then
+          if nonzero x then
             for c = t.l_start.(s) to t.l_start.(s + 1) - 1 do
               Svec.add ws t.l_idx.(c) (-.t.l_val.(c) *. x)
             done
@@ -306,12 +337,15 @@ module Basis = struct
       done;
       (* pivot selection: threshold partial pivoting with static
          row-degree merit, deterministic index tie-break *)
+      let pat = ws.Svec.idx and vals = ws.Svec.vals in
       let vmax = ref 0. in
-      Svec.iter ws (fun row v ->
-          if t.step_of_row.(row) < 0 then begin
-            let a = Float.abs v in
-            if a > !vmax then vmax := a
-          end);
+      for p = 0 to ws.Svec.nnz - 1 do
+        let row = pat.(p) in
+        if t.step_of_row.(row) < 0 then begin
+          let a = Float.abs vals.(row) in
+          if a > !vmax then vmax := a
+        end
+      done;
       if !vmax < abs_pivot_tol then begin
         (* numerically/structurally dependent column: defer, patch later *)
         t.deferred.(t.n_deferred) <- pos;
@@ -321,25 +355,31 @@ module Basis = struct
       else begin
         let acceptable = threshold *. !vmax in
         let prow = ref (-1) and pmerit = ref max_int in
-        Svec.iter ws (fun row v ->
-            if t.step_of_row.(row) < 0 && Float.abs v >= acceptable then begin
-              let merit = t.row_cnt.(row) in
-              if
-                merit < !pmerit || (merit = !pmerit && (!prow < 0 || row < !prow))
-              then begin
-                prow := row;
-                pmerit := merit
-              end
-            end);
+        for p = 0 to ws.Svec.nnz - 1 do
+          let row = pat.(p) in
+          if t.step_of_row.(row) < 0 && Float.abs vals.(row) >= acceptable
+          then begin
+            let merit = t.row_cnt.(row) in
+            if
+              merit < !pmerit || (merit = !pmerit && (!prow < 0 || row < !prow))
+            then begin
+              prow := row;
+              pmerit := merit
+            end
+          end
+        done;
         let row = !prow in
         let k = !step in
         let piv = Svec.get ws row in
         t.l_start.(k) <- t.l_len;
         t.u_start.(k) <- t.u_len;
-        Svec.iter ws (fun r v ->
-            if Float_cmp.nonzero v then
-              if t.step_of_row.(r) >= 0 then push_u t t.step_of_row.(r) v
-              else if r <> row then push_l t r (v /. piv));
+        for p = 0 to ws.Svec.nnz - 1 do
+          let r = pat.(p) in
+          let v = vals.(r) in
+          if nonzero v then
+            if t.step_of_row.(r) >= 0 then push_u t t.step_of_row.(r) v
+            else if r <> row then push_l t r (v /. piv)
+        done;
         t.l_start.(k + 1) <- t.l_len;
         t.u_start.(k + 1) <- t.u_len;
         finish_step t k ~pos ~row ~diag:piv;
@@ -425,7 +465,7 @@ module Basis = struct
     for a = 0 to t.n_active - 1 do
       let s = t.active.(a) in
       let x = v.(t.prow.(s)) in
-      if Float_cmp.nonzero x then
+      if nonzero x then
         for c = t.l_start.(s) to t.l_start.(s + 1) - 1 do
           v.(t.l_idx.(c)) <- v.(t.l_idx.(c)) -. (t.l_val.(c) *. x)
         done
@@ -439,7 +479,7 @@ module Basis = struct
     for k = m - 1 downto 0 do
       let z = sv.(k) /. t.u_diag.(k) in
       sv.(k) <- z;
-      if Float_cmp.nonzero z then
+      if nonzero z then
         for c = t.u_start.(k) to t.u_start.(k + 1) - 1 do
           sv.(t.u_idx.(c)) <- sv.(t.u_idx.(c)) -. (t.u_val.(c) *. z)
         done
@@ -453,7 +493,7 @@ module Basis = struct
       let r = t.e_pos.(e) in
       let vr = v.(r) /. t.e_diag.(e) in
       v.(r) <- vr;
-      if Float_cmp.nonzero vr then
+      if nonzero vr then
         for c = t.e_start.(e) to t.e_start.(e + 1) - 1 do
           v.(t.e_idx.(c)) <- v.(t.e_idx.(c)) -. (t.e_val.(c) *. vr)
         done
@@ -518,7 +558,7 @@ module Basis = struct
       let wmax = ref wr in
       let len = ref t.e_len in
       for i = 0 to t.m - 1 do
-        if i <> r && Float_cmp.nonzero w.(i) then begin
+        if i <> r && nonzero w.(i) then begin
           let a = Float.abs w.(i) in
           if a > !wmax then wmax := a;
           t.e_idx <- grow_i t.e_idx (!len + 1);

@@ -30,8 +30,32 @@ module Svec : sig
   val get : t -> int -> float
   val mem : t -> int -> bool
 
-  val iter : t -> (int -> float -> unit) -> unit
-  (** Iterates the pattern in insertion order. *)
+  val values : t -> float array
+  (** The dense value array, indexed by entry.  Read-only: writes
+      break the pattern invariant. *)
+
+  val pattern : t -> int array
+  (** The pattern in insertion order: its first [nnz t] entries are
+      the touched indices.  Read-only, like [values].  Hot loops walk
+      these two arrays directly instead of calling a closure per entry
+      (a closure call boxes its float argument). *)
+
+  val scatter_rows :
+    t ->
+    float array ->
+    row_start:int array ->
+    row_col:int array ->
+    row_val:float array ->
+    unit1:int ->
+    unit2:int ->
+    unit
+  (** [scatter_rows t x ~row_start ~row_col ~row_val ~unit1 ~unit2]
+      accumulates [x^T [A | I | I]] into [t], where [A] is the CSR
+      matrix ([row_start] of length [Array.length x + 1]) and the two
+      identity blocks start at columns [unit1] and [unit2].  Rows with
+      [x.(i) = 0.] are skipped; the others are visited in ascending
+      order, each adding its [A] entries, then [unit1 + i], then
+      [unit2 + i], which fixes the pattern order. *)
 
   val to_dense : t -> float array
 end
@@ -49,9 +73,22 @@ module Basis : sig
 
   val dim : t -> int
 
-  val factor : t -> col:(int -> ((int -> float -> unit) -> unit)) -> (int * int) list
-  (** [factor t ~col] factorizes the basis whose column at position
-      [pos] is enumerated by [col pos f] (calling [f row value]).
+  val unit_col : int -> int
+  (** [unit_col row] is the [cols] entry that denotes the unit column
+      of [row] in [factor]. *)
+
+  val factor :
+    t ->
+    col_start:int array ->
+    row_idx:int array ->
+    values:float array ->
+    cols:int array ->
+    (int * int) list
+  (** [factor t ~col_start ~row_idx ~values ~cols] factorizes the basis
+      whose column at position [pos] is column [cols.(pos)] of the CSC
+      matrix ([col_start], [row_idx], [values]) when that is
+      nonnegative, and the unit column of [row] when it is
+      [unit_col row].  Only the first [m] entries of [cols] are read.
       Columns are ordered by a static Markowitz heuristic; rows by
       threshold partial pivoting with deterministic tie-breaks.
 

@@ -48,3 +48,10 @@ let[@lint.noalloc] ok_local_ref x =
     acc := !acc +. x.(i)
   done;
   !acc
+
+(* positive: the float crosses a compilation-unit boundary, so -opaque
+   boxes it on every call *)
+let[@lint.noalloc] bad_cross_unit_float a i = a.(i) <- Fx_leaf.halve a.(i)
+
+(* negative: an int-only call into another unit boxes nothing *)
+let[@lint.noalloc] ok_cross_unit_int a i = a.(i) <- Fx_leaf.pure a.(i)

@@ -10,3 +10,6 @@ let pure x = (x * 7) + 3
 (* i1 seed that must NOT be reported: nothing reachable from the
    analysis roots ever calls this *)
 let clock () = Unix.gettimeofday ()
+
+(* i3 cross-unit callee: takes and returns a float *)
+let halve x = x *. 0.5

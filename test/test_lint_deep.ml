@@ -176,6 +176,17 @@ let i3_closure () =
          && f.L.rule = "i3-noalloc")
        (findings "i3-noalloc"))
 
+let i3_cross_unit_float () =
+  match
+    find_with_chain "i3-noalloc"
+      [ "Flexile_lintfx.Fx_kernel.bad_cross_unit_float" ]
+  with
+  | None -> Alcotest.fail "no i3 finding inside bad_cross_unit_float"
+  | Some f ->
+      Alcotest.(check bool) "names the callee" true
+        (contains f.L.message "Fx_leaf.halve");
+      Alcotest.(check bool) "says why" true (contains f.L.message "boxed float")
+
 let i3_negatives () =
   List.iter
     (fun fn ->
@@ -184,7 +195,7 @@ let i3_negatives () =
            (fun f ->
              List.mem ("Flexile_lintfx.Fx_kernel." ^ fn) (chain_fns f))
            (findings "i3-noalloc")))
-    [ "saxpy"; "ok_growth"; "ok_local_ref" ]
+    [ "saxpy"; "ok_growth"; "ok_local_ref"; "ok_cross_unit_int" ]
 
 let i3_alloc_ok_used () =
   let r = Lazy.force report in
@@ -196,7 +207,7 @@ let i3_alloc_ok_used () =
 (* ---- plumbing ---- *)
 
 let total_findings () =
-  Alcotest.(check int) "exactly the seeded findings" 8
+  Alcotest.(check int) "exactly the seeded findings" 9
     (List.length (Lazy.force report).L.findings)
 
 let cmt_error () =
@@ -224,6 +235,7 @@ let () =
           Alcotest.test_case "direct tuple" `Quick i3_direct_tuple;
           Alcotest.test_case "transitive chain" `Quick i3_transitive_chain;
           Alcotest.test_case "closure" `Quick i3_closure;
+          Alcotest.test_case "cross-unit float" `Quick i3_cross_unit_float;
           Alcotest.test_case "negatives" `Quick i3_negatives;
           Alcotest.test_case "alloc_ok used" `Quick i3_alloc_ok_used;
         ] );

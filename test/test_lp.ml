@@ -276,6 +276,52 @@ let test_mip_mixed () =
   if r.Mip.status <> Mip.Optimal then Alcotest.fail "not optimal";
   check_float ~msg:"objective" (-2.) r.Mip.obj
 
+(* The mip.* trace counters: nodes solved, nodes left open and exactly
+   one stop reason per search. *)
+let test_mip_stop_counters () =
+  let module Trace = Flexile_util.Trace in
+  let was = Trace.enabled () in
+  Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Trace.set_enabled was) @@ fun () ->
+  let names =
+    [
+      "mip.nodes"; "mip.open_nodes_at_stop"; "mip.stop_exhausted";
+      "mip.stop_node_limit"; "mip.stop_time_limit";
+    ]
+  in
+  let counts () = List.map Trace.value_by_name names in
+  let delta before = List.map2 ( - ) (counts ()) before in
+  (* a 12-item knapsack whose relaxation is fractional: four nodes
+     cannot finish the search *)
+  let m = Lp_model.create () in
+  let items =
+    Array.init 12 (fun i ->
+        Lp_model.add_var m ~ub:1. ~obj:(-.float_of_int (10 + (7 * i mod 11))) ())
+  in
+  let _ =
+    Lp_model.add_row m Lp_model.Le 17.5
+      (Array.to_list (Array.mapi (fun i v -> (v, float_of_int (3 + (i mod 4)))) items))
+  in
+  let options = { Mip.default_options with Mip.node_limit = 4 } in
+  let before = counts () in
+  let r = Mip.solve ~options ~binaries:items m in
+  (match delta before with
+  | [ nodes; open_; exhausted; node_limit; time_limit ] ->
+      Alcotest.(check int) "nodes solved" 4 nodes;
+      Alcotest.(check int) "result agrees" r.Mip.nodes nodes;
+      Alcotest.(check bool) "nodes left open" true (open_ >= 1);
+      Alcotest.(check (list int)) "stopped by the node limit" [ 0; 1; 0 ]
+        [ exhausted; node_limit; time_limit ]
+  | _ -> assert false);
+  Alcotest.(check bool) "not proven optimal" true (r.Mip.status <> Mip.Optimal);
+  let before = counts () in
+  let r = Mip.solve ~binaries:items m in
+  Alcotest.(check bool) "unlimited search is optimal" true
+    (r.Mip.status = Mip.Optimal);
+  Alcotest.(check bool) "and needs more than four nodes" true (r.Mip.nodes > 4);
+  Alcotest.(check (list int)) "exhausted: nodes, none open, one stop"
+    [ r.Mip.nodes; 0; 1; 0; 0 ] (delta before)
+
 let test_mip_heuristic_used () =
   (* A model where the rounding heuristic immediately gives the optimum;
      check it is accepted (status optimal with tiny node count). *)
@@ -600,6 +646,7 @@ let () =
           quick "infeasible" test_mip_infeasible;
           quick "mixed binary/continuous" test_mip_mixed;
           quick "heuristic incumbent" test_mip_heuristic_used;
+          quick "stop counters" test_mip_stop_counters;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

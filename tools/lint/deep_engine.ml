@@ -9,11 +9,12 @@
 
    Soundness boundaries (documented in DESIGN.md section 14): i2 flags
    direct writes to captured state only (aliasing a captured ref into a
-   callee escapes the analysis); i3 ignores float boxing (the dynamic
-   span GC-delta check remains the evidence there) and sanctions local
-   refs whose every use is a deref/assign; calls through parameters are
-   unfollowable and are therefore rejected inside noalloc contexts and
-   ignored elsewhere. *)
+   callee escapes the analysis); i3 sees float boxing only where it is
+   certain under dune's -opaque dev profile — a call into another
+   analysed unit whose type takes or returns a float — and sanctions
+   local refs whose every use is a deref/assign; calls through
+   parameters are unfollowable and are therefore rejected inside
+   noalloc contexts and ignored elsewhere. *)
 
 open Typedtree
 module L = Lint_engine
@@ -168,6 +169,8 @@ type fn_info = {
   fi_file : string;
   fi_line : int;
   mutable calls : (string * int) list;  (* canonical callee, call line *)
+  mutable float_calls : (string * int) list;
+      (* applied callees whose type takes or returns a float *)
   mutable param_calls : (string * int) list;  (* unfollowable callees *)
   mutable prims : (string * int) list;  (* nondet primitive, line *)
   mutable allocs : (string * int) list;  (* what allocates, line *)
@@ -258,6 +261,13 @@ let is_float_ty ty =
   match Types.get_desc ty with
   | Types.Tconstr (p, _, _) -> Path.same p Predef.path_float
   | _ -> false
+
+(* A float parameter or result anywhere along the arrow spine. *)
+let rec float_in_signature ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (_, a, r, _) -> is_float_ty a || float_in_signature r
+  | Types.Tpoly (t, _) -> float_in_signature t
+  | _ -> is_float_ty ty
 
 let rec is_arrow_ty ty =
   match Types.get_desc ty with
@@ -500,6 +510,8 @@ and walk_expr_desc st e =
                 record_alloc st ("call to " ^ n) (line_of e.exp_loc);
               if String.contains n '.' || Hashtbl.mem st.g.fns n then
                 st.fn.calls <- (n, line_of e.exp_loc) :: st.fn.calls;
+              if float_in_signature f.exp_type then
+                st.fn.float_calls <- (n, line_of e.exp_loc) :: st.fn.float_calls;
               if List.mem n raise_family then st.err_depth <- st.err_depth + 1;
               if List.mem n shard_apis then begin
                 st.fn.shard_caller <- true;
@@ -641,6 +653,7 @@ let rec walk_structure g aliases ~file ~modpath str =
                       fi_file = file;
                       fi_line = line_of vb.vb_loc;
                       calls = [];
+                      float_calls = [];
                       param_calls = [];
                       prims = [];
                       allocs = [];
@@ -820,6 +833,22 @@ let run_noalloc g =
                     kernel %s cannot be proven allocation-free"
                    p root.key))
             (List.rev fn.param_calls);
+          (* dune's dev profile compiles with -opaque, so nothing is
+             inlined across units and a float argument or result of such
+             a call is boxed on every call *)
+          List.iter
+            (fun (callee, line) ->
+              match Hashtbl.find_opt g.fns callee with
+              | Some cf when cf.fi_file <> fn.fi_file && not cf.alloc_ok ->
+                  emit g fn "i3-noalloc" ~line ~chain:chain_here
+                    (Printf.sprintf
+                       "call to %s from another compilation unit passes or \
+                        returns a boxed float inside [@lint.noalloc] kernel \
+                        %s (-opaque: no cross-unit inlining); keep the \
+                        float arithmetic in this unit"
+                       callee root.key)
+              | _ -> ())
+            (List.rev fn.float_calls);
           List.iter
             (fun (callee, line) ->
               if Hashtbl.mem g.fns callee then visit chain_here callee

@@ -91,7 +91,9 @@ let deep_rules =
     ( "i3-noalloc",
       "the body of a [@lint.noalloc] kernel, and every lib/ function it \
        transitively calls, must not heap-allocate outside the \
-       [@lint.alloc_ok] whitelist (amortized arena growth, error paths)" );
+       [@lint.alloc_ok] whitelist (amortized arena growth, error paths), \
+       nor pass or return a float in a call into another compilation \
+       unit (boxed under -opaque)" );
   ]
 
 let driver_rules =
