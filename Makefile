@@ -1,4 +1,4 @@
-.PHONY: all build test bench lint lint-deep monitor-smoke explain-smoke doctor-smoke bench-smoke verify baseline clean
+.PHONY: all build test bench lint lint-deep monitor-smoke explain-smoke doctor-smoke bench-runs bench-smoke work-counts verify baseline clean
 
 all: build
 
@@ -104,23 +104,33 @@ doctor-smoke: | $(SMOKE_DIR)
 	cmp $(SMOKE_DIR)/doctor-c.json $(SMOKE_DIR)/doctor-d.json
 	grep -q '"certified":true' $(SMOKE_DIR)/doctor-c.json
 
-# End-to-end benchmark smoke: each BENCHMARK.json workload once, with
-# no timed phase, failing unless its last line reports every output
-# check passed (reference penalties, the CWIX plan digest, the online
-# allocations' guarantees).  Logs land in smoke/bench-<workload>.txt.
+# End-to-end benchmark smoke: each BENCHMARK.json workload once, traced,
+# with no timed phase, failing unless its last line reports every
+# output check passed (reference penalties, the CWIX plan digest, the
+# online allocations' guarantees) and its work counts equal the
+# committed bench/work_counts.json (tools/work_counts.py).  Logs land
+# in smoke/bench-<workload>.txt.
 BENCH_WORKLOADS = $(shell python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 
-bench-smoke: | $(SMOKE_DIR)
+bench-runs: | $(SMOKE_DIR)
 	dune build flexbench/main.exe
 	@for w in $(BENCH_WORKLOADS); do \
 	  echo "bench-smoke: $$w"; \
 	  dune exec --no-build --display=quiet -- flexbench/main.exe --workload $$w \
-	    --seed 1 --seconds 0 --trace 0 > $(SMOKE_DIR)/bench-$$w.txt || exit 1; \
+	    --seed 1 --seconds 0 --trace 1 > $(SMOKE_DIR)/bench-$$w.txt || exit 1; \
 	  last=$$(tail -n 1 $(SMOKE_DIR)/bench-$$w.txt); \
 	  case "$$last" in *'"correct": true'*'"failed": 0,'*) ;; \
 	    *) echo "bench-smoke: $$w failed its checks"; \
 	       grep 'CHECK FAILED' $(SMOKE_DIR)/bench-$$w.txt; exit 1;; esac; \
 	done
+
+bench-smoke: bench-runs
+	python3 tools/work_counts.py check $(SMOKE_DIR)
+
+# Re-record the committed work counts after a change that alters them
+# on purpose (name the re-record in CHANGES.md).
+work-counts: bench-runs
+	python3 tools/work_counts.py record $(SMOKE_DIR)
 
 # Relative headroom for the benchmark regression gate.  50% absorbs
 # ordinary same-machine jitter; CI overrides this upward because the

@@ -14,6 +14,8 @@ type profile = {
   emu_runs : int;
   cvar_scenarios : int;  (** scenario cap for the CVaR family *)
   ip_time_limit : float;
+      (** wall-clock limit of Fig 15's IP, whose solve time is what that
+          figure reports; Fig 14's reference IP has a node budget only *)
   jobs : int;
       (** worker domains for every scheme's scenario sweep (0 = auto,
           see {!Flexile_te.Scenario_engine}) *)

@@ -2,6 +2,7 @@ module Lp_model = Flexile_lp.Lp_model
 module Simplex = Flexile_lp.Simplex
 module Graph = Flexile_net.Graph
 module Instance = Flexile_te.Instance
+module Routing = Flexile_te.Routing
 module Prng = Flexile_util.Prng
 module Stats = Flexile_util.Stats
 module Trace = Flexile_util.Trace
@@ -20,23 +21,9 @@ type run = {
 }
 
 let reconstruct_allocation inst ~sid ~model_losses =
-  let g = inst.Instance.graph in
-  let nk = Array.length inst.Instance.classes in
-  let np = Array.length inst.Instance.pairs in
   let model = Lp_model.create ~name:(Printf.sprintf "reconstruct-%d" sid) () in
-  let x =
-    Array.init nk (fun k ->
-        Array.init np (fun i ->
-            let vars =
-              Array.make (Array.length inst.Instance.tunnels.(k).(i)) (-1)
-            in
-            Array.iter
-              (fun ti ->
-                (* tiny cost keeps the allocation minimal and unique-ish *)
-                vars.(ti) <- Lp_model.add_var model ~obj:1. ())
-              inst.Instance.alive_tunnels.(sid).(k).(i);
-            vars))
-  in
+  (* tiny cost keeps the allocation minimal and unique-ish *)
+  let x = Routing.vars ~sid ~obj:1. model inst in
   Array.iter
     (fun (f : Instance.flow) ->
       if f.Instance.demand > 0. && Instance.flow_connected inst f sid then begin
@@ -44,34 +31,12 @@ let reconstruct_allocation inst ~sid ~model_losses =
         let target = demand *. (1. -. model_losses.(f.Instance.fid).(sid)) in
         (* slack for LP tolerance in the scheme's own solve *)
         let target = Float.max 0. (target -. (1e-6 *. demand)) in
-        let coeffs =
-          Array.to_list inst.Instance.alive_tunnels.(sid).(f.Instance.cls).(f.Instance.pair)
-          |> List.map (fun ti -> (x.(f.Instance.cls).(f.Instance.pair).(ti), 1.))
-        in
-        ignore (Lp_model.add_row model Lp_model.Ge target coeffs)
+        ignore
+          (Lp_model.add_row model Lp_model.Ge target
+             (List.map (fun v -> (v, 1.)) (Routing.alive inst x ~sid f)))
       end)
     inst.Instance.flows;
-  let per_edge = Array.make (Graph.nedges g) [] in
-  for k = 0 to nk - 1 do
-    for i = 0 to np - 1 do
-      Array.iteri
-        (fun ti (t : Flexile_net.Tunnels.t) ->
-          let v = x.(k).(i).(ti) in
-          if v >= 0 then
-            Array.iter
-              (fun e -> per_edge.(e) <- (v, 1.) :: per_edge.(e))
-              t.Flexile_net.Tunnels.path)
-        inst.Instance.tunnels.(k).(i)
-    done
-  done;
-  Array.iteri
-    (fun e coeffs ->
-      if coeffs <> [] then
-        ignore
-          (Lp_model.add_row model Lp_model.Le
-             (Instance.edge_capacity inst ~sid e)
-             coeffs))
-    per_edge;
+  ignore (Routing.capacity_rows ~sid model inst x);
   let sol = Simplex.solve model in
   let value v = if v >= 0 && sol.Simplex.status = Simplex.Optimal then sol.Simplex.x.(v) else 0. in
   Array.map (Array.map (Array.map value)) x
@@ -93,7 +58,6 @@ let link_pass_factors inst ~sid tunnel_traffic =
   let g = inst.Instance.graph in
   let ne = Graph.nedges g in
   let factors = Array.make ne 1. in
-  let scen = inst.Instance.scenarios.(sid) in
   for _ = 1 to 25 do
     let load = Array.make ne 0. in
     List.iter
@@ -106,10 +70,7 @@ let link_pass_factors inst ~sid tunnel_traffic =
           t.Flexile_net.Tunnels.path)
       tunnel_traffic;
     for e = 0 to ne - 1 do
-      let cap =
-        g.Graph.edges.(e).Graph.capacity
-        *. scen.Flexile_failure.Failure_model.cap_frac.(e)
-      in
+      let cap = Instance.edge_capacity inst ~sid e in
       if cap <= 0. then factors.(e) <- 0.
       else if load.(e) > cap then factors.(e) <- cap /. load.(e)
       else factors.(e) <- 1.

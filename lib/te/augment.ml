@@ -9,10 +9,9 @@ let min_cost ?(options = { Flexile_lp.Mip.default_options with node_limit = 3000
     ?edge_cost ?max_add ~mode ~perc_limit inst =
   let g = inst.Instance.graph in
   let ne = Graph.nedges g in
-  let nk = Array.length inst.Instance.classes in
-  let np = Array.length inst.Instance.pairs in
   let nq = Instance.nscenarios inst in
-  if Array.length perc_limit <> nk then invalid_arg "Augment.min_cost";
+  if Array.length perc_limit <> Array.length inst.Instance.classes then
+    invalid_arg "Augment.min_cost";
   let edge_cost = match edge_cost with Some f -> f | None -> fun _ -> 1. in
   let max_add =
     match max_add with
@@ -44,30 +43,8 @@ let min_cost ?(options = { Flexile_lp.Mip.default_options with node_limit = 3000
   let zf = Array.make_matrix (Instance.nflows inst) nq (-1) in
   for q = 0 to nq - 1 do
     let scen = inst.Instance.scenarios.(q) in
-    let x =
-      Array.init nk (fun k ->
-          Array.init np (fun i ->
-              let vars =
-                Array.make (Array.length inst.Instance.tunnels.(k).(i)) (-1)
-              in
-              Array.iter
-                (fun ti -> vars.(ti) <- Lp_model.add_var model ())
-                inst.Instance.alive_tunnels.(q).(k).(i);
-              vars))
-    in
-    let per_edge = Array.make ne [] in
-    for k = 0 to nk - 1 do
-      for i = 0 to np - 1 do
-        Array.iteri
-          (fun ti (t : Flexile_net.Tunnels.t) ->
-            let v = x.(k).(i).(ti) in
-            if v >= 0 then
-              Array.iter
-                (fun e -> per_edge.(e) <- (v, 1.) :: per_edge.(e))
-                t.Flexile_net.Tunnels.path)
-          inst.Instance.tunnels.(k).(i)
-      done
-    done;
+    let x = Routing.vars ~sid:q model inst in
+    (* load - delta_e <= capacity on every loaded edge the scenario keeps *)
     Array.iteri
       (fun e coeffs ->
         if coeffs <> [] && scen.Failure_model.edge_alive.(e) then
@@ -75,7 +52,7 @@ let min_cost ?(options = { Flexile_lp.Mip.default_options with node_limit = 3000
             (Lp_model.add_row model Lp_model.Le
                (Instance.edge_capacity inst ~sid:q e)
                ((delta.(e), -1.) :: coeffs)))
-      per_edge;
+      (Routing.edge_load g inst.Instance.tunnels x);
     Array.iter
       (fun (f : Instance.flow) ->
         if f.Instance.demand > 0. then begin
@@ -91,10 +68,7 @@ let min_cost ?(options = { Flexile_lp.Mip.default_options with node_limit = 3000
           in
           if connected && dq > 0. then begin
             let coeffs =
-              (l, dq)
-              :: (Array.to_list inst.Instance.alive_tunnels.(q).(f.Instance.cls).(f.Instance.pair)
-                 |> List.map (fun ti ->
-                        (x.(f.Instance.cls).(f.Instance.pair).(ti), 1.)))
+              (l, dq) :: List.map (fun v -> (v, 1.)) (Routing.alive inst x ~sid:q f)
             in
             ignore (Lp_model.add_row model Lp_model.Ge dq coeffs)
           end;

@@ -1,11 +1,11 @@
 module Lp_model = Flexile_lp.Lp_model
 module Simplex = Flexile_lp.Simplex
 module Row_gen = Flexile_lp.Row_gen
-module Graph = Flexile_net.Graph
 
 type result = {
   losses : Instance.losses;
   max_flow_cvar : float;
+  allocation : float array array array;
   rounds : int;
 }
 
@@ -18,15 +18,11 @@ type result = {
 let run_common ~adaptive ?beta ?jobs inst =
   if Array.length inst.Instance.classes <> 1 then
     invalid_arg "Cvar_flow: single traffic class only";
-  if inst.Instance.demand_factors <> None then
-    invalid_arg "Cvar_flow: per-scenario traffic matrices not supported";
   let beta =
     match beta with
     | Some b -> b
     | None -> inst.Instance.classes.(0).Instance.beta
   in
-  let g = inst.Instance.graph in
-  let np = Array.length inst.Instance.pairs in
   let nq = Instance.nscenarios inst in
   let flows =
     Array.to_list (Instance.flows_of_class inst 0)
@@ -58,79 +54,38 @@ let run_common ~adaptive ?beta ?jobs inst =
       ignore (Lp_model.add_row model Lp_model.Ge 0. coeffs);
       ignore (Lp_model.add_row model Lp_model.Ge 0. [ (theta, 1.); (theta_f, -1.) ]))
     flows;
-  (* routing variables and capacity rows *)
-  let nscen_x = if adaptive then nq else 1 in
-  (* x.(qx).(pair).(tunnel); qx = 0 in the static variant *)
+  (* routing variables and capacity rows: the adaptive variant routes
+     each scenario on its alive tunnels against its degraded
+     capacities; the static one routes once against nominal capacities
+     and its losses are evaluated per scenario downstream *)
   let x =
-    Array.init nscen_x (fun qx ->
-        Array.init np (fun i ->
-            let ts = inst.Instance.tunnels.(0).(i) in
-            let vars = Array.make (Array.length ts) (-1) in
-            if adaptive then
-              Array.iter
-                (fun ti -> vars.(ti) <- Lp_model.add_var model ())
-                inst.Instance.alive_tunnels.(qx).(0).(i)
-            else
-              Array.iteri (fun ti _ -> vars.(ti) <- Lp_model.add_var model ()) ts;
-            vars))
+    if adaptive then Array.init nq (fun q -> Routing.vars ~sid:q model inst)
+    else [| Routing.vars model inst |]
   in
-  for qx = 0 to nscen_x - 1 do
-    let per_edge = Array.make (Graph.nedges g) [] in
-    Array.iteri
-      (fun i ts ->
-        Array.iteri
-          (fun ti (t : Flexile_net.Tunnels.t) ->
-            let v = x.(qx).(i).(ti) in
-            if v >= 0 then
-              Array.iter
-                (fun e -> per_edge.(e) <- (v, 1.) :: per_edge.(e))
-                t.Flexile_net.Tunnels.path)
-          ts)
-      inst.Instance.tunnels.(0);
-    Array.iteri
-      (fun e coeffs ->
-        if coeffs <> [] then
-          (* adaptive: per-scenario routing sees the degraded capacity;
-             static: one routing against nominal capacities, losses
-             evaluated per scenario downstream *)
-          let cap =
-            if adaptive then Instance.edge_capacity inst ~sid:qx e
-            else g.Graph.edges.(e).Graph.capacity
-          in
-          ignore (Lp_model.add_row model Lp_model.Le cap coeffs))
-      per_edge
-  done;
-  let delivered xval ~pair ~q =
-    let qx = if adaptive then q else 0 in
-    Array.fold_left
-      (fun acc ti ->
-        let v = x.(qx).(pair).(ti) in
-        if v >= 0 then acc +. xval v else acc)
-      0.
-      inst.Instance.alive_tunnels.(q).(0).(pair)
-  in
+  Array.iteri
+    (fun qx xq ->
+      let sid = if adaptive then Some qx else None in
+      ignore (Routing.capacity_rows ?sid model inst xq))
+    x;
+  let routing q = x.(if adaptive then q else 0) in
   let violated xval =
     let out = ref [] in
     List.iter
       (fun (f : Instance.flow) ->
         let fid = f.Instance.fid in
         for q = 0 to nq - 1 do
-          let loss =
-            1.
-            -. delivered (fun v -> xval.(v)) ~pair:f.Instance.pair ~q
-               /. f.Instance.demand
-          in
-          if xval.(s.(fid).(q)) +. xval.(alpha.(fid)) < loss -. 1e-7 then begin
-            let qx = if adaptive then q else 0 in
-            let coeffs =
-              (s.(fid).(q), 1.) :: (alpha.(fid), 1.)
-              :: (Array.to_list inst.Instance.alive_tunnels.(q).(0).(f.Instance.pair)
-                 |> List.filter_map (fun ti ->
-                        let v = x.(qx).(f.Instance.pair).(ti) in
-                        if v >= 0 then Some (v, 1. /. f.Instance.demand)
-                        else None))
+          let d = Instance.demand_in inst f q in
+          if d > 0. then begin
+            let loss =
+              1. -. (Routing.delivered inst (routing q) ~sid:q f (fun v -> xval.(v)) /. d)
             in
-            out := { Row_gen.sense = Lp_model.Ge; rhs = 1.; coeffs } :: !out
+            if xval.(s.(fid).(q)) +. xval.(alpha.(fid)) < loss -. 1e-7 then begin
+              let coeffs =
+                (s.(fid).(q), 1.) :: (alpha.(fid), 1.)
+                :: List.map (fun v -> (v, 1. /. d)) (Routing.alive inst (routing q) ~sid:q f)
+              in
+              out := { Row_gen.sense = Lp_model.Ge; rhs = 1.; coeffs } :: !out
+            end
           end
         done)
       flows;
@@ -139,19 +94,13 @@ let run_common ~adaptive ?beta ?jobs inst =
   let sol, rounds = Row_gen.solve ~per_round:800 ~violated model in
   if sol.Simplex.status <> Simplex.Optimal then
     failwith "Cvar_flow: LP did not solve";
-  let losses =
-    Scenario_engine.sweep_losses ?jobs inst ~f:(fun q ->
-        Array.to_list inst.Instance.flows
-        |> List.filter_map (fun (f : Instance.flow) ->
-               if f.Instance.demand <= 0. then None
-               else
-                 let del =
-                   delivered (fun v -> sol.Simplex.x.(v)) ~pair:f.Instance.pair
-                     ~q
-                 in
-                 Some (f.Instance.fid, 1. -. (del /. f.Instance.demand))))
+  let losses = Routing.losses ?jobs inst ~routing (fun v -> sol.Simplex.x.(v)) in
+  let allocation =
+    Array.map
+      (fun xq -> Array.map (Array.map (fun v -> if v >= 0 then sol.Simplex.x.(v) else 0.)) xq.(0))
+      x
   in
-  { losses; max_flow_cvar = sol.Simplex.obj; rounds }
+  { losses; max_flow_cvar = sol.Simplex.obj; allocation; rounds }
 
 let run_static ?beta ?jobs inst = run_common ~adaptive:false ?beta ?jobs inst
 let run_adaptive ?beta ?jobs inst = run_common ~adaptive:true ?beta ?jobs inst

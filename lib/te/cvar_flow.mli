@@ -7,6 +7,8 @@
     - [Cvar-Flow-Ad]: adaptive routing, allocations re-chosen per
       scenario (like SMORE/Flexile).
 
+    Losses are taken against each scenario's demand (per-scenario
+    demand factors included); a flow with none has loss 0 there.
     Loss-definition rows are generated lazily; the Ad variant carries
     per-scenario capacity rows, so it is only tractable on moderate
     instances — callers should bound its size (the paper itself reports
@@ -15,6 +17,10 @@
 type result = {
   losses : Instance.losses;
   max_flow_cvar : float;  (** optimal MaxFlowCVaR (eq. 20) *)
+  allocation : float array array array;
+      (** routing -> pair -> tunnel -> x_t: one routing for
+          Cvar-Flow-St, one per scenario for Cvar-Flow-Ad (0 on a
+          tunnel dead in it) *)
   rounds : int;
 }
 

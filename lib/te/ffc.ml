@@ -1,6 +1,5 @@
 module Lp_model = Flexile_lp.Lp_model
 module Simplex = Flexile_lp.Simplex
-module Graph = Flexile_net.Graph
 
 type result = {
   losses : Instance.losses;
@@ -24,35 +23,14 @@ let run ?(k = 1) ?jobs inst =
     invalid_arg "Ffc.run: single traffic class only";
   if k < 0 || k > 2 then
     invalid_arg "Ffc.run: failure protection level must be 0, 1 or 2";
-  let g = inst.Instance.graph in
-  let np = Array.length inst.Instance.pairs in
   let model = Lp_model.create ~name:"ffc" () in
-  let x =
-    Array.init np (fun i ->
-        Array.map (fun _ -> Lp_model.add_var model ()) inst.Instance.tunnels.(0).(i))
-  in
+  let x = Routing.vars model inst in
   let flows = Instance.flows_of_class inst 0 in
   (* one concurrent scale factor: every flow is granted s * d_f, the
      "bandwidth guaranteed for all flows" form of FFC's admission *)
   let s = Lp_model.add_var model ~ub:1. ~obj:(-1.) () in
   (* capacity of the no-failure reservations *)
-  let per_edge = Array.make (Graph.nedges g) [] in
-  Array.iteri
-    (fun i ts ->
-      Array.iteri
-        (fun ti (t : Flexile_net.Tunnels.t) ->
-          Array.iter
-            (fun e -> per_edge.(e) <- (x.(i).(ti), 1.) :: per_edge.(e))
-            t.Flexile_net.Tunnels.path)
-        ts)
-    inst.Instance.tunnels.(0);
-  Array.iteri
-    (fun e coeffs ->
-      if coeffs <> [] then
-        ignore
-          (Lp_model.add_row model Lp_model.Le g.Graph.edges.(e).Graph.capacity
-             coeffs))
-    per_edge;
+  ignore (Routing.capacity_rows model inst x);
   (* robustness: for every set S of <= k links, the tunnels surviving S
      must still cover b_f.  Only links appearing in the flow's own
      tunnels can hurt it, so the enumeration stays small. *)
@@ -69,23 +47,14 @@ let run ?(k = 1) ?jobs inst =
         in
         List.iter
           (fun dead ->
-            let coeffs =
-              Array.to_list ts
-              |> List.mapi (fun ti (t : Flexile_net.Tunnels.t) ->
-                     let survives =
-                       not
-                         (Array.exists
-                            (fun e -> List.mem e dead)
-                            t.Flexile_net.Tunnels.path)
-                     in
-                     if survives then Some (x.(i).(ti), 1.) else None)
-              |> List.filter_map (fun o -> o)
-            in
-            (* s * d_f - sum of surviving x <= 0 *)
-            ignore
-              (Lp_model.add_row model Lp_model.Le 0.
-                 ((s, f.Instance.demand)
-                 :: List.map (fun (v, c) -> (v, -.c)) coeffs)))
+            (* s * d_f - the sum of the x surviving [dead] <= 0 *)
+            let coeffs = ref [ (s, f.Instance.demand) ] in
+            Array.iteri
+              (fun ti (t : Flexile_net.Tunnels.t) ->
+                if not (Array.exists (fun e -> List.mem e dead) t.Flexile_net.Tunnels.path)
+                then coeffs := (x.(0).(i).(ti), -1.) :: !coeffs)
+              ts;
+            ignore (Lp_model.add_row model Lp_model.Le 0. !coeffs))
           (subsets k edges)
       end)
     flows;
@@ -97,20 +66,11 @@ let run ?(k = 1) ?jobs inst =
     (fun (f : Instance.flow) ->
       granted.(f.Instance.fid) <- scale *. f.Instance.demand)
     flows;
-  let allocation = Array.map (Array.map (fun v -> sol.Simplex.x.(v))) x in
+  let allocation = Array.map (Array.map (fun v -> sol.Simplex.x.(v))) x.(0) in
   let losses =
-    Scenario_engine.sweep_losses ?jobs inst ~f:(fun q ->
-        Array.to_list inst.Instance.flows
-        |> List.filter_map (fun (f : Instance.flow) ->
-               if f.Instance.demand <= 0. then None
-               else
-                 let surviving =
-                   Array.fold_left
-                     (fun acc ti -> acc +. allocation.(f.Instance.pair).(ti))
-                     0.
-                     inst.Instance.alive_tunnels.(q).(0).(f.Instance.pair)
-                 in
-                 let delivered = Float.min granted.(f.Instance.fid) surviving in
-                 Some (f.Instance.fid, 1. -. (delivered /. f.Instance.demand))))
+    Routing.losses ?jobs inst
+      ~grant:(fun f -> granted.(f.Instance.fid))
+      ~routing:(fun _ -> x)
+      (fun v -> sol.Simplex.x.(v))
   in
   { losses; granted; allocation }

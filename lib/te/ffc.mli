@@ -26,6 +26,8 @@ val run : ?k:int -> ?jobs:int -> Instance.t -> result
 (** [k] defaults to 1 (single-link-failure protection; supported up to
     2, by explicit enumeration over the flow's own tunnel links).
     Single traffic class, like the paper's FFC discussion.  Maximizes
-    the concurrent scale [s] with [b_f = s * d_f], then evaluates
-    losses in every sampled scenario
-    ([loss = 1 - min(b_f, surviving allocation) / d_f]). *)
+    the concurrent scale [s] with [b_f = s * d_f] over base demands,
+    then evaluates losses in every sampled scenario against the
+    scenario's demand [d_fq]
+    ([loss = 1 - min(b_f, surviving allocation) / d_fq], 0 when
+    [d_fq = 0]). *)

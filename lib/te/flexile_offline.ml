@@ -1,7 +1,6 @@
 module Lp_model = Flexile_lp.Lp_model
 module Simplex = Flexile_lp.Simplex
 module Mip = Flexile_lp.Mip
-module Graph = Flexile_net.Graph
 module Failure_model = Flexile_failure.Failure_model
 
 let src = Logs.Src.create "flexile.offline" ~doc:"Flexile offline phase"
@@ -110,9 +109,6 @@ type template = {
 }
 
 let build_template inst ~with_gamma =
-  let g = inst.Instance.graph in
-  let nk = Array.length inst.Instance.classes in
-  let np = Array.length inst.Instance.pairs in
   let nf = Instance.nflows inst in
   let model = Lp_model.create ~name:"flexile-sub" () in
   let alphas =
@@ -122,13 +118,7 @@ let build_template inst ~with_gamma =
       inst.Instance.classes
   in
   (* x over ALL tunnels: failed tunnels are killed by zeroed capacity *)
-  let x =
-    Array.init nk (fun k ->
-        Array.init np (fun i ->
-            Array.map
-              (fun _ -> Lp_model.add_var model ())
-              inst.Instance.tunnels.(k).(i)))
-  in
+  let x = Routing.vars model inst in
   let l_var = Array.make nf (-1) in
   let crit_row = Array.make nf (-1) in
   let gamma_row = Array.make nf (-1) in
@@ -149,9 +139,7 @@ let build_template inst ~with_gamma =
         let coeffs =
           (lv, demand)
           :: Array.to_list
-               (Array.mapi
-                  (fun ti _ -> (x.(f.Instance.cls).(f.Instance.pair).(ti), 1.))
-                  inst.Instance.tunnels.(f.Instance.cls).(f.Instance.pair))
+               (Array.map (fun v -> (v, 1.)) x.(f.Instance.cls).(f.Instance.pair))
         in
         demand_contrib.(fid) <- Lp_model.add_row model Lp_model.Ge demand coeffs;
         crit_row.(fid) <-
@@ -162,25 +150,7 @@ let build_template inst ~with_gamma =
           gamma_row.(fid) <- Lp_model.add_row model Lp_model.Le 2. [ (lv, 1.) ]
       end)
     inst.Instance.flows;
-  let per_edge = Array.make (Graph.nedges g) [] in
-  for k = 0 to nk - 1 do
-    for i = 0 to np - 1 do
-      Array.iteri
-        (fun ti (t : Flexile_net.Tunnels.t) ->
-          Array.iter
-            (fun e -> per_edge.(e) <- (x.(k).(i).(ti), 1.) :: per_edge.(e))
-            t.Flexile_net.Tunnels.path)
-        inst.Instance.tunnels.(k).(i)
-    done
-  done;
-  let cap_row = Array.make (Graph.nedges g) (-1) in
-  Array.iteri
-    (fun e coeffs ->
-      if coeffs <> [] then
-        cap_row.(e) <-
-          Lp_model.add_row model Lp_model.Le g.Graph.edges.(e).Graph.capacity
-            coeffs)
-    per_edge;
+  let cap_row = Routing.capacity_rows model inst x in
   let base_rhs =
     Array.init (Lp_model.nrows model) (fun r -> Lp_model.rhs model r)
   in

@@ -1,6 +1,5 @@
 module Lp_model = Flexile_lp.Lp_model
 module Mip = Flexile_lp.Mip
-module Graph = Flexile_net.Graph
 module Failure_model = Flexile_failure.Failure_model
 module Trace = Flexile_util.Trace
 
@@ -15,9 +14,6 @@ type result = {
 let solve ?(options = { Flexile_lp.Mip.default_options with node_limit = 2000; time_limit = 3600. })
     ?jobs inst =
   let t0 = Trace.now_s () in
-  let g = inst.Instance.graph in
-  let nk = Array.length inst.Instance.classes in
-  let np = Array.length inst.Instance.pairs in
   let nq = Instance.nscenarios inst in
   let nf = Instance.nflows inst in
   let model = Lp_model.create ~name:"flexile-ip" () in
@@ -32,37 +28,8 @@ let solve ?(options = { Flexile_lp.Mip.default_options with node_limit = 2000; t
   let binaries = ref [] in
   for q = 0 to nq - 1 do
     (* per-scenario routing on alive tunnels *)
-    let x =
-      Array.init nk (fun k ->
-          Array.init np (fun i ->
-              let ts = inst.Instance.tunnels.(k).(i) in
-              let vars = Array.make (Array.length ts) (-1) in
-              Array.iter
-                (fun ti -> vars.(ti) <- Lp_model.add_var model ())
-                inst.Instance.alive_tunnels.(q).(k).(i);
-              vars))
-    in
-    let per_edge = Array.make (Graph.nedges g) [] in
-    for k = 0 to nk - 1 do
-      for i = 0 to np - 1 do
-        Array.iteri
-          (fun ti (t : Flexile_net.Tunnels.t) ->
-            let v = x.(k).(i).(ti) in
-            if v >= 0 then
-              Array.iter
-                (fun e -> per_edge.(e) <- (v, 1.) :: per_edge.(e))
-                t.Flexile_net.Tunnels.path)
-          inst.Instance.tunnels.(k).(i)
-      done
-    done;
-    Array.iteri
-      (fun e coeffs ->
-        if coeffs <> [] then
-          ignore
-            (Lp_model.add_row model Lp_model.Le
-               (Instance.edge_capacity inst ~sid:q e)
-               coeffs))
-      per_edge;
+    let x = Routing.vars ~sid:q model inst in
+    ignore (Routing.capacity_rows ~sid:q model inst x);
     Array.iter
       (fun (f : Instance.flow) ->
         if f.Instance.demand > 0. then begin
@@ -82,10 +49,7 @@ let solve ?(options = { Flexile_lp.Mip.default_options with node_limit = 2000; t
           lv.(fid).(q) <- l;
           if connected && dq > 0. then begin
             let coeffs =
-              (l, dq)
-              :: (Array.to_list inst.Instance.alive_tunnels.(q).(f.Instance.cls).(f.Instance.pair)
-                 |> List.map (fun ti ->
-                        (x.(f.Instance.cls).(f.Instance.pair).(ti), 1.)))
+              (l, dq) :: List.map (fun v -> (v, 1.)) (Routing.alive inst x ~sid:q f)
             in
             ignore (Lp_model.add_row model Lp_model.Ge dq coeffs);
             (* z only where it can be 1 *)

@@ -1,6 +1,5 @@
 module Lp_model = Flexile_lp.Lp_model
 module Simplex = Flexile_lp.Simplex
-module Tbl = Flexile_util.Tbl
 
 (* Maximum volume a single flow can push over a subset of its tunnels
    (each a fixed path) subject to edge capacities: a tiny LP per
@@ -10,31 +9,22 @@ let max_alone inst (f : Instance.flow) sid =
   if Array.length alive = 0 then 0.
   else begin
     let model = Lp_model.create ~name:"isolated" () in
-    let vars = Array.map (fun _ -> Lp_model.add_var model ~obj:(-1.) ()) alive in
-    let per_edge = Hashtbl.create 16 in
+    let tunnels = [| [| inst.Instance.tunnels.(f.Instance.cls).(f.Instance.pair) |] |] in
+    let x =
+      Routing.tunnel_vars ~obj:(-1.) model tunnels ~keep:(fun _ _ t -> Array.mem t alive)
+    in
     Array.iteri
-      (fun idx ti ->
-        let t = inst.Instance.tunnels.(f.Instance.cls).(f.Instance.pair).(ti) in
-        Array.iter
-          (fun e ->
-            let prev = try Hashtbl.find per_edge e with Not_found -> [] in
-            Hashtbl.replace per_edge e ((vars.(idx), 1.) :: prev))
-          t.Flexile_net.Tunnels.path)
-      alive;
-    (* Sorted edge order: the capacity rows land in the LP in a fixed
-       sequence, so degenerate pivots cannot depend on bucket layout. *)
-    Tbl.sorted_iter
       (fun e coeffs ->
-        ignore
-          (Lp_model.add_row model Lp_model.Le
-             (Instance.edge_capacity inst ~sid e)
-             coeffs))
-      per_edge;
+        if coeffs <> [] then
+          ignore
+            (Lp_model.add_row model Lp_model.Le (Instance.edge_capacity inst ~sid e) coeffs))
+      (Routing.edge_load inst.Instance.graph tunnels x);
     (* cap at the demand so the LP stays bounded *)
     ignore
       (Lp_model.add_row model Lp_model.Le
          (Instance.demand_in inst f sid)
-         (Array.to_list (Array.map (fun v -> (v, 1.)) vars)));
+         (List.filter_map (fun v -> if v >= 0 then Some (v, 1.) else None)
+            (Array.to_list x.(0).(0))));
     let sol = Simplex.solve model in
     match sol.Simplex.status with
     | Simplex.Optimal -> -.sol.Simplex.obj

@@ -1,6 +1,5 @@
 module Lp_model = Flexile_lp.Lp_model
 module Simplex = Flexile_lp.Simplex
-module Graph = Flexile_net.Graph
 
 let src = Logs.Src.create "flexile.te" ~doc:"TE schemes"
 
@@ -55,20 +54,8 @@ let nominal_basis model =
   Simplex.basis st
 
 let compile inst =
-  let g = inst.Instance.graph in
   let model = Lp_model.create ~name:"scen-template" () in
-  let x =
-    Array.mapi
-      (fun k per_pair ->
-        Array.mapi
-          (fun i ts ->
-            Array.mapi
-              (fun ti _ ->
-                Lp_model.add_var model ~name:(Printf.sprintf "x_%d_%d_%d" k i ti) ())
-              ts)
-          per_pair)
-      inst.Instance.tunnels
-  in
+  let x = Routing.vars model inst in
   let nf = Instance.nflows inst in
   let l = Array.make nf (-1) in
   Array.iter
@@ -90,26 +77,7 @@ let compile inst =
             :: Array.to_list
                  (Array.map (fun v -> (v, 1.)) x.(f.Instance.cls).(f.Instance.pair))))
     inst.Instance.flows;
-  let per_edge = Array.make (Graph.nedges g) [] in
-  Array.iteri
-    (fun k per_pair ->
-      Array.iteri
-        (fun i ts ->
-          Array.iteri
-            (fun ti (tun : Flexile_net.Tunnels.t) ->
-              Array.iter
-                (fun e -> per_edge.(e) <- (x.(k).(i).(ti), 1.) :: per_edge.(e))
-                tun.Flexile_net.Tunnels.path)
-            ts)
-        per_pair)
-    inst.Instance.tunnels;
-  let cap_rows =
-    Array.mapi
-      (fun e coeffs ->
-        if coeffs = [] then -1
-        else Lp_model.add_row model Lp_model.Le g.Graph.edges.(e).Graph.capacity coeffs)
-      per_edge
-  in
+  let cap_rows = Routing.capacity_rows model inst x in
   let level_rows =
     Array.map
       (fun lv ->
@@ -142,23 +110,7 @@ let template inst =
 let build inst ~sid =
   let tpl = template inst in
   let model = Lp_model.copy tpl.base in
-  let live = Array.make (Array.length tpl.tcap_rows) false in
-  Array.iteri
-    (fun k per_pair ->
-      Array.iteri
-        (fun i ts ->
-          let alive = inst.Instance.alive_tunnels.(sid).(k).(i) in
-          let next = ref 0 in
-          Array.iteri
-            (fun ti (tun : Flexile_net.Tunnels.t) ->
-              if !next < Array.length alive && alive.(!next) = ti then begin
-                incr next;
-                Array.iter (fun e -> live.(e) <- true) tun.Flexile_net.Tunnels.path
-              end
-              else Lp_model.set_bounds model tpl.tx.(k).(i).(ti) ~lb:0. ~ub:0.)
-            ts)
-        per_pair)
-    inst.Instance.tunnels;
+  let live = Routing.fix_dead model inst tpl.tx ~sid in
   Array.iter
     (fun (f : Instance.flow) ->
       let fid = f.Instance.fid in

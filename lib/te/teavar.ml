@@ -1,7 +1,6 @@
 module Lp_model = Flexile_lp.Lp_model
 module Simplex = Flexile_lp.Simplex
 module Row_gen = Flexile_lp.Row_gen
-module Graph = Flexile_net.Graph
 
 type result = {
   losses : Instance.losses;
@@ -10,27 +9,14 @@ type result = {
   rounds : int;
 }
 
-(* Deliverable volume of pair [i] in scenario [sid] under static
-   allocation [x]: the sum of live-tunnel allocations (proportional
-   rescaling of dead tunnels' traffic onto live ones). *)
-let delivered inst x ~cls ~pair ~sid xval =
-  Array.fold_left
-    (fun acc ti -> acc +. xval x.(cls).(pair).(ti))
-    0.
-    inst.Instance.alive_tunnels.(sid).(cls).(pair)
-
 let run ?beta ?jobs inst =
   if Array.length inst.Instance.classes <> 1 then
     invalid_arg "Teavar.run: single traffic class only";
-  if inst.Instance.demand_factors <> None then
-    invalid_arg "Teavar.run: per-scenario traffic matrices not supported";
   let beta =
     match beta with
     | Some b -> b
     | None -> inst.Instance.classes.(0).Instance.beta
   in
-  let g = inst.Instance.graph in
-  let np = Array.length inst.Instance.pairs in
   let nq = Instance.nscenarios inst in
   let model = Lp_model.create ~name:"teavar" () in
   let alpha = Lp_model.add_var model ~name:"alpha" ~obj:1. () in
@@ -42,33 +28,11 @@ let run ?beta ?jobs inst =
           ~obj:(p /. (1. -. beta))
           ())
   in
-  let x =
-    [|
-      Array.init np (fun i ->
-          Array.map
-            (fun _ -> Lp_model.add_var model ())
-            inst.Instance.tunnels.(0).(i));
-    |]
-  in
+  let x = Routing.vars model inst in
   (* no-failure capacity: static allocations always fit *)
-  let per_edge = Array.make (Graph.nedges g) [] in
-  Array.iteri
-    (fun i ts ->
-      Array.iteri
-        (fun ti (t : Flexile_net.Tunnels.t) ->
-          Array.iter
-            (fun e -> per_edge.(e) <- (x.(0).(i).(ti), 1.) :: per_edge.(e))
-            t.Flexile_net.Tunnels.path)
-        ts)
-    inst.Instance.tunnels.(0);
-  Array.iteri
-    (fun e coeffs ->
-      if coeffs <> [] then
-        ignore
-          (Lp_model.add_row model Lp_model.Le g.Graph.edges.(e).Graph.capacity
-             coeffs))
-    per_edge;
-  (* lazy rows: s_q + alpha >= 1 - delivered(i, q) / d_i *)
+  ignore (Routing.capacity_rows model inst x);
+  (* lazy rows: s_q + alpha >= 1 - delivered(f, q) / d_fq, for every
+     flow with demand in scenario q *)
   let flows = Instance.flows_of_class inst 0 in
   let violated xval =
     (* all violated loss rows, worst first (Row_gen caps the batch) *)
@@ -76,21 +40,15 @@ let run ?beta ?jobs inst =
     for q = 0 to nq - 1 do
       Array.iter
         (fun (f : Instance.flow) ->
-          if f.Instance.demand > 0. then begin
-            let del =
-              delivered inst x ~cls:0 ~pair:f.Instance.pair ~sid:q (fun v ->
-                  xval.(v))
-            in
-            let loss = 1. -. (del /. f.Instance.demand) in
+          let d = Instance.demand_in inst f q in
+          if d > 0. then begin
+            let del = Routing.delivered inst x ~sid:q f (fun v -> xval.(v)) in
+            let loss = 1. -. (del /. d) in
             let slack = xval.(s.(q)) +. xval.(alpha) -. loss in
             if slack < -1e-7 then begin
               let coeffs =
                 (s.(q), 1.) :: (alpha, 1.)
-                :: (Array.to_list
-                      inst.Instance.alive_tunnels.(q).(0).(f.Instance.pair)
-                   |> List.map (fun ti ->
-                          ( x.(0).(f.Instance.pair).(ti),
-                            1. /. f.Instance.demand )))
+                :: List.map (fun v -> (v, 1. /. d)) (Routing.alive inst x ~sid:q f)
               in
               out :=
                 (-.slack, { Row_gen.sense = Lp_model.Ge; rhs = 1.; coeffs })
@@ -106,18 +64,7 @@ let run ?beta ?jobs inst =
   if sol.Simplex.status <> Simplex.Optimal then
     failwith "Teavar.run: LP did not solve";
   (* post-analysis losses, per scenario through the engine *)
-  let losses =
-    Scenario_engine.sweep_losses ?jobs inst ~f:(fun q ->
-        Array.to_list flows
-        |> List.filter_map (fun (f : Instance.flow) ->
-               if f.Instance.demand <= 0. then None
-               else
-                 let del =
-                   delivered inst x ~cls:0 ~pair:f.Instance.pair ~sid:q
-                     (fun v -> sol.Simplex.x.(v))
-                 in
-                 Some (f.Instance.fid, 1. -. (del /. f.Instance.demand))))
-  in
+  let losses = Routing.losses ?jobs inst ~routing:(fun _ -> x) (fun v -> sol.Simplex.x.(v)) in
   let allocation =
     Array.map (Array.map (fun v -> sol.Simplex.x.(v))) x.(0)
   in

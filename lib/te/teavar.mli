@@ -5,7 +5,9 @@
     pair's surviving tunnels, so the deliverable volume of a pair in a
     scenario is the sum of its live tunnels' allocations) and minimizes
     the {e Conditional} Value-at-Risk of the per-scenario worst-pair
-    loss at level beta.  Single traffic class, as in the paper.
+    loss at level beta.  Single traffic class, as in the paper.  Under
+    per-scenario demand factors each loss is taken against the
+    scenario's demand; a flow with none has loss 0 there.
 
     The O(|pairs| * |scenarios|) loss-definition rows are generated
     lazily (see {!Flexile_lp.Row_gen}); the returned solution is exact

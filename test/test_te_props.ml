@@ -108,6 +108,77 @@ let test_starting_point_at_optimum () =
           p_fx p_smore)
     [ 149; 309; 354; 514; 575 ]
 
+(* The shared routing block against an incidence computed
+   independently by scanning every tunnel's path: [edge_load] is that
+   incidence, [capacity_rows] has a row exactly on the loaded edges,
+   and [vars ~sid] makes one variable per alive tunnel. *)
+let qcheck_routing_block =
+  QCheck.Test.make ~name:"routing block matches the tunnel-path incidence" ~count:10
+    QCheck.(make Gen.(int_range 0 1000))
+    (fun salt ->
+      let module Lp_model = Flexile_lp.Lp_model in
+      let inst = random_instance (Printf.sprintf "rt-%d" salt) in
+      let g = inst.Instance.graph in
+      let ne = Flexile_net.Graph.nedges g in
+      let sid = salt mod Instance.nscenarios inst in
+      let incidence x =
+        Array.init ne (fun e ->
+            let acc = ref [] in
+            Array.iteri
+              (fun k per_pair ->
+                Array.iteri
+                  (fun i ts ->
+                    Array.iteri
+                      (fun t (tun : Flexile_net.Tunnels.t) ->
+                        let v = x.(k).(i).(t) in
+                        if v >= 0 && Array.mem e tun.Flexile_net.Tunnels.path then
+                          acc := v :: !acc)
+                      ts)
+                  per_pair)
+              inst.Instance.tunnels;
+            List.sort compare !acc)
+      in
+      let check ?sid x model rows =
+        let expected = incidence x in
+        let load = Routing.edge_load g inst.Instance.tunnels x in
+        Array.for_all Fun.id
+          (Array.init ne (fun e ->
+               let vars = List.sort compare (List.map fst load.(e)) in
+               let cap =
+                 match sid with
+                 | None -> g.Flexile_net.Graph.edges.(e).Flexile_net.Graph.capacity
+                 | Some sid -> Instance.edge_capacity inst ~sid e
+               in
+               vars = expected.(e)
+               && List.for_all (fun (_, c) -> c = 1.) load.(e)
+               && (expected.(e) = [] && rows.(e) = -1
+                  || rows.(e) >= 0
+                     && Lp_model.rhs model rows.(e) = cap
+                     && List.sort compare (List.map fst (Lp_model.row_coeffs model rows.(e)))
+                        = expected.(e))))
+      in
+      let nominal = Lp_model.create () in
+      let x = Routing.vars nominal inst in
+      let rows = Routing.capacity_rows nominal inst x in
+      let scen = Lp_model.create () in
+      let xs = Routing.vars ~sid scen inst in
+      let srows = Routing.capacity_rows ~sid scen inst xs in
+      let alive_count =
+        Array.fold_left
+          (Array.fold_left (fun a alive -> a + Array.length alive))
+          0 inst.Instance.alive_tunnels.(sid)
+      in
+      let one_per_alive = ref true in
+      Array.iteri
+        (fun k ->
+          Array.iteri (fun i ->
+              Array.iteri (fun t v ->
+                  let alive = Array.mem t inst.Instance.alive_tunnels.(sid).(k).(i) in
+                  if (v >= 0) <> alive then one_per_alive := false)))
+        xs;
+      check x nominal rows && check ~sid xs scen srows
+      && Lp_model.nvars scen = alive_count && !one_per_alive)
+
 let () =
   Alcotest.run "flexile_te_props"
     [
@@ -117,6 +188,7 @@ let () =
             qcheck_scheme_invariants;
             qcheck_maxmin_matches_minmax;
             qcheck_teavar_weaker_than_adaptive;
+            qcheck_routing_block;
           ] );
       ( "regression",
         [

@@ -186,6 +186,290 @@ let test_max_scale_monotone () =
   if fx < mm -. 1e-9 then
     Alcotest.failf "Flexile max scale %.2f below SWAN-Maxmin %.2f" fx mm
 
+(* ---------- golden builders ----------
+
+   Every LP builder's result on seeded small instances, pinned as the
+   MD5 of its values printed with %h (exact hex floats), next to the
+   simplex pivots it spent.  Refactors of how the builders lay out
+   variables and rows must leave all of it bit-identical: only
+   variable and row order reach the solver, so a reordering shows up
+   here as a changed pivot count or a changed digest. *)
+
+let golden_options =
+  {
+    Flexile_core.Builder.default_options with
+    Flexile_core.Builder.max_scenarios = 10;
+    max_pairs = 8;
+  }
+
+let golden_sprint () = Flexile_core.Builder.of_name ~options:golden_options "Sprint"
+
+let golden_sprint2 () =
+  Flexile_core.Builder.of_name ~options:golden_options ~two_classes:true "Sprint"
+
+let golden_sprint2_tiny () =
+  Flexile_core.Builder.of_name
+    ~options:{ golden_options with Flexile_core.Builder.max_scenarios = 6; max_pairs = 4 }
+    ~two_classes:true "Sprint"
+
+let golden_ibm () = Flexile_core.Builder.of_name ~options:golden_options "IBM"
+
+let hex_digest floats =
+  Digest.to_hex
+    (Digest.string (String.concat " " (List.map (Printf.sprintf "%h") floats)))
+
+let flat2 a = List.concat_map Array.to_list (Array.to_list a)
+let flat3 a = List.concat_map flat2 (Array.to_list a)
+
+(* [f] returns a headline value and the full list of result values *)
+let pin f =
+  let module Trace = Flexile_util.Trace in
+  let was = Trace.enabled () in
+  Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Trace.set_enabled was) @@ fun () ->
+  let before = Trace.value_by_name "simplex.iterations" in
+  let head, values = f () in
+  let iters = Trace.value_by_name "simplex.iterations" - before in
+  Printf.sprintf "iters=%d head=%h md5=%s" iters head (hex_digest values)
+
+let bool_float b = if b then 1. else 0.
+
+let teavar inst () =
+  let r = Teavar.run ~jobs:1 inst in
+  ( r.Teavar.cvar,
+    (float_of_int r.Teavar.rounds :: flat2 r.Teavar.losses) @ flat2 r.Teavar.allocation )
+
+let cvar_flow (run : ?beta:float -> ?jobs:int -> Instance.t -> Cvar_flow.result) inst () =
+  let r = run ~jobs:1 inst in
+  ( r.Cvar_flow.max_flow_cvar,
+    float_of_int r.Cvar_flow.rounds :: flat2 r.Cvar_flow.losses )
+
+let ffc inst () =
+  let r = Ffc.run ~k:1 ~jobs:1 inst in
+  ( Array.fold_left ( +. ) 0. r.Ffc.granted,
+    flat2 r.Ffc.losses @ Array.to_list r.Ffc.granted @ flat2 r.Ffc.allocation )
+
+let ip_budget =
+  { Flexile_lp.Mip.default_options with Flexile_lp.Mip.node_limit = 60; time_limit = infinity }
+
+let ip_direct inst () =
+  let r = Ip_direct.solve ~options:ip_budget ~jobs:1 inst in
+  ( r.Ip_direct.penalty,
+    r.Ip_direct.bound :: bool_float r.Ip_direct.optimal :: flat2 r.Ip_direct.losses )
+
+let augment mode inst () =
+  let perc_limit = Array.map (fun _ -> 0.) inst.Instance.classes in
+  let r = Augment.min_cost ~options:ip_budget ~mode ~perc_limit inst in
+  (r.Augment.cost, bool_float r.Augment.optimal :: Array.to_list r.Augment.added)
+
+let lower_bound inst () =
+  let losses = Lower_bound.isolated_losses inst in
+  (Array.fold_left (fun a row -> Array.fold_left ( +. ) a row) 0. losses, flat2 losses)
+
+let mlu inst () =
+  let tunnels = inst.Instance.tunnels.(0) in
+  let demands = Array.map (fun (f : Instance.flow) -> f.Instance.demand) (Instance.flows_of_class inst 0) in
+  let mu = Mlu.min_mlu ~graph:inst.Instance.graph ~tunnels ~demands in
+  (mu, [ mu ])
+
+(* the model losses are computed before the pinned call *)
+let reconstruct inst =
+  let model_losses = Scenbest.run ~jobs:1 inst in
+  fun () ->
+    let values =
+      List.concat_map
+        (fun sid ->
+          flat3 (Flexile_emu.Emulator.reconstruct_allocation inst ~sid ~model_losses))
+        (List.init (Instance.nscenarios inst) Fun.id)
+    in
+    (List.fold_left ( +. ) 0. values, values)
+
+let maxmin inst () =
+  let order = List.init (Array.length inst.Instance.classes) Fun.id in
+  let values =
+    List.concat_map
+      (fun sid ->
+        Scen_lp.maxmin_losses inst ~sid ~class_order:order ()
+        |> List.sort compare
+        |> List.concat_map (fun (fid, l) -> [ float_of_int fid; l ]))
+      (List.init (Instance.nscenarios inst) Fun.id)
+  in
+  (List.fold_left ( +. ) 0. values, values)
+
+let offline inst () =
+  let config =
+    { Flexile_offline.default_config with Flexile_offline.max_iterations = 1; jobs = 1 }
+  in
+  let r = Flexile_offline.solve ~config inst in
+  let b = r.Flexile_offline.best in
+  ( b.Flexile_offline.penalty,
+    r.Flexile_offline.lower_bound
+    :: float_of_int r.Flexile_offline.subproblems_solved
+    :: List.concat_map
+         (fun (it : Flexile_offline.iterate) ->
+           it.Flexile_offline.penalty
+           :: flat2 it.Flexile_offline.losses
+           @ List.map bool_float (flat2 it.Flexile_offline.z))
+         r.Flexile_offline.iterates )
+
+let golden_cases =
+  [
+    ("teavar fig1", teavar, Flexile_core.Builder.fig1,
+     "iters=12 head=0x1.07a0f9096bb99p-1 md5=3b475659cbb6c035a4e1f011761c6352");
+    ("teavar sprint", teavar, golden_sprint,
+     "iters=16 head=0x1.20c5b66b4017ap-2 md5=f2b7983ae6c379af3d2b6cd8b7711d7f");
+    ("cvar-flow-st fig1", cvar_flow Cvar_flow.run_static, Flexile_core.Builder.fig1,
+     "iters=18 head=0x1.055b01ae55e94p-1 md5=0f236fe55e96de40fa3130e2edc455d1");
+    ("cvar-flow-st sprint", cvar_flow Cvar_flow.run_static, golden_sprint,
+     "iters=28 head=0x1.20eaace8ffff3p-2 md5=7219b96bff0afebaa050e177e756d958");
+    ("cvar-flow-ad fig1", cvar_flow Cvar_flow.run_adaptive, Flexile_core.Builder.fig1,
+     "iters=23 head=0x1.055b01ae55e95p-1 md5=fa8920156e8c1d82f670984cfb9f9833");
+    ("cvar-flow-ad sprint", cvar_flow Cvar_flow.run_adaptive, golden_sprint,
+     "iters=91 head=0x1.20eaace8ffff3p-2 md5=50aa955dbfb33a77c72840a9644a96b9");
+    ("ffc fig1", ffc, Flexile_core.Builder.fig1,
+     "iters=8 head=0x1p+0 md5=6cf5dfb2e81ad43d71af70858f909423");
+    ("ffc sprint", ffc, golden_sprint,
+     "iters=6 head=0x0p+0 md5=08d34beb89090d46396358478d956d4a");
+    ("ip-direct fig1", ip_direct, Flexile_core.Builder.fig1,
+     "iters=125 head=0x1.0624dd2f1a9fcp-11 md5=f86d5106aefe94caf5be7fb8eab87a69");
+    ("ip-direct sprint two-class", ip_direct, golden_sprint2_tiny,
+     "iters=4112 head=0x0p+0 md5=3dfec4d9b813e19467dfb568c06b76e1");
+    ("augment common fig1", augment `Common, Flexile_core.Builder.fig1,
+     "iters=261 head=0x1p+1 md5=b160aa762a9adf477a3eac8304b7da6b");
+    ("augment per-flow fig1", augment `Per_flow, Flexile_core.Builder.fig1,
+     "iters=50 head=0x1.1f28p-45 md5=418d2c7d1dd2a2376c431492ce75df87");
+    ("augment common sprint", augment `Common, golden_sprint,
+     "iters=182 head=0x0p+0 md5=ab0e53a138dbb80f3f38390b2562eaf4");
+    ("augment per-flow sprint", augment `Per_flow, golden_sprint,
+     "iters=5690 head=0x0p+0 md5=ab0e53a138dbb80f3f38390b2562eaf4");
+    ("lower-bound fig1", lower_bound, Flexile_core.Builder.fig1,
+     "iters=22 head=0x1.8p+2 md5=6846322037e3d5d907116ef4a0afeb42");
+    ("lower-bound ibm", lower_bound, golden_ibm,
+     "iters=158 head=0x1p+0 md5=6bed37f6b604e2a37a5102304bd23b12");
+    ("mlu sprint", mlu, golden_sprint,
+     "iters=21 head=0x1.03a02e51af01fp-1 md5=5ce7957016f4488e28cd9b09036e7e11");
+    ("mlu ibm", mlu, golden_ibm,
+     "iters=20 head=0x1.4919d1f47516bp-1 md5=2da1397f17eddd8837b5aa619bf5aafa");
+    ("reconstruct fig1", reconstruct, Flexile_core.Builder.fig1,
+     "iters=24 head=0x1.ffffd60e94ee3p+2 md5=f68a3ce3b162ca7d3139857cda103b6b");
+    ("reconstruct sprint two-class", reconstruct, golden_sprint2,
+     "iters=170 head=0x1.c1b0955629b93p+4 md5=b8ca4342f56dac6d84280c9e7c132b7d");
+    ("maxmin fig1", maxmin, Flexile_core.Builder.fig1,
+     "iters=18 head=0x1p+4 md5=f13c91a7ecff1a999b2e26c84b8464ef");
+    ("maxmin sprint two-class", maxmin, golden_sprint2,
+     "iters=56 head=0x1.2e8p+10 md5=985c50868417e6cc14f77969f69e6fab");
+    ("offline fig1", offline, Flexile_core.Builder.fig1,
+     "iters=65 head=0x1p-1 md5=5f4e5ace552fbd881ec8c2c2b31a9c17");
+    ("offline sprint two-class", offline, golden_sprint2,
+     "iters=232 head=0x0p+0 md5=cd47c95fd65bcf4184d43e98145ac700");
+  ]
+
+let golden_tests =
+  List.map
+    (fun (name, builder, instance, expected) ->
+      quick name (fun () ->
+          (* the instance is built outside the pinned window *)
+          let inst = instance () in
+          Alcotest.(check string) name expected (pin (builder inst))))
+    golden_cases
+
+(* ---------- demand drift in the static-allocation schemes ---------- *)
+
+(* The same instance with every demand factor 1. *)
+let with_unit_factors inst =
+  let nk = Array.length inst.Instance.classes in
+  let demands =
+    Array.init nk (fun k ->
+        Array.map (fun (f : Instance.flow) -> f.Instance.demand) (Instance.flows_of_class inst k))
+  in
+  Instance.make ~graph:inst.Instance.graph ~classes:inst.Instance.classes
+    ~pairs:inst.Instance.pairs ~tunnels:inst.Instance.tunnels ~demands
+    ~demand_factors:
+      (Array.make_matrix (Instance.nscenarios inst) (Instance.nflows inst) 1.)
+    ~scenarios:inst.Instance.scenarios ()
+
+let static_schemes =
+  [
+    ("teavar", teavar);
+    ("cvar-flow-st", cvar_flow Cvar_flow.run_static);
+    ("cvar-flow-ad", cvar_flow Cvar_flow.run_adaptive);
+    ("ffc", ffc);
+  ]
+
+let test_unit_factors_identical () =
+  List.iter
+    (fun (name, builder) ->
+      List.iter
+        (fun instance ->
+          let inst = instance () in
+          let plain = pin (builder inst) in
+          Alcotest.(check string) name plain (pin (builder (with_unit_factors inst))))
+        [ Flexile_core.Builder.fig1; golden_sprint ])
+    static_schemes
+
+let drift_sprint () =
+  Flexile_core.Builder.of_name
+    ~options:{ golden_options with Flexile_core.Builder.scenario_mix = "independent,drift" }
+    "Sprint"
+
+(* Losses recomputed from an allocation (pair -> tunnel): the flow's
+   scenario demand against what its alive tunnels carry, capped by
+   [grant] *)
+let check_recomputed name inst losses ~routing ~grant =
+  Array.iter
+    (fun (f : Instance.flow) ->
+      if f.Instance.demand > 0. then
+        for sid = 0 to Instance.nscenarios inst - 1 do
+          let d = Instance.demand_in inst f sid in
+          let alloc = (routing sid).(f.Instance.pair) in
+          let carried =
+            Array.fold_left
+              (fun a t -> a +. alloc.(t))
+              0.
+              inst.Instance.alive_tunnels.(sid).(0).(f.Instance.pair)
+          in
+          let expected =
+            if d <= 0. then 0.
+            else Float.max 0. (Float.min 1. (1. -. (Float.min (grant f) carried /. d)))
+          in
+          let got = losses.(f.Instance.fid).(sid) in
+          if Float.abs (got -. expected) > 1e-9 then
+            Alcotest.failf "%s: flow %d scenario %d loss %h, recomputed %h" name
+              f.Instance.fid sid got expected
+        done)
+    inst.Instance.flows
+
+let test_drift_losses_recomputed () =
+  let inst = drift_sprint () in
+  let drifted =
+    match inst.Instance.demand_factors with
+    | Some df -> Array.exists (Array.exists (fun v -> v <> 1.)) df
+    | None -> false
+  in
+  if not drifted then Alcotest.fail "the drift mix carries no demand factor other than 1";
+  let tv = Teavar.run ~jobs:1 inst in
+  check_recomputed "teavar" inst tv.Teavar.losses
+    ~routing:(fun _ -> tv.Teavar.allocation)
+    ~grant:(fun _ -> infinity);
+  let st = Cvar_flow.run_static ~jobs:1 inst in
+  check_recomputed "cvar-flow-st" inst st.Cvar_flow.losses
+    ~routing:(fun _ -> st.Cvar_flow.allocation.(0))
+    ~grant:(fun _ -> infinity);
+  let ad = Cvar_flow.run_adaptive ~jobs:1 inst in
+  check_recomputed "cvar-flow-ad" inst ad.Cvar_flow.losses
+    ~routing:(fun sid -> ad.Cvar_flow.allocation.(sid))
+    ~grant:(fun _ -> infinity);
+  (* without failure protection FFC grants a positive share *)
+  let ffc = Ffc.run ~k:0 ~jobs:1 inst in
+  if Array.for_all (fun g -> g <= 0.) ffc.Ffc.granted then Alcotest.fail "FFC granted nothing";
+  check_recomputed "ffc" inst ffc.Ffc.losses
+    ~routing:(fun _ -> ffc.Ffc.allocation)
+    ~grant:(fun f -> ffc.Ffc.granted.(f.Instance.fid))
+
+let test_teavar_scheme_on_drift () =
+  let inst = drift_sprint () in
+  losses_in_range inst (Flexile_core.Schemes.run Flexile_core.Schemes.Teavar inst)
+
 let () =
   Alcotest.run "flexile_te_real"
     [
@@ -201,5 +485,12 @@ let () =
           slow "two-class priority ordering" test_two_class_priority;
           slow "ip reference on tiny instance" test_ip_reference;
           slow "max-scale ordering" test_max_scale_monotone;
+        ] );
+      ("golden builders", golden_tests);
+      ( "demand drift",
+        [
+          quick "unit factors change nothing" test_unit_factors_identical;
+          quick "losses recomputed from the allocation" test_drift_losses_recomputed;
+          quick "teavar scheme runs on a drift mix" test_teavar_scheme_on_drift;
         ] );
     ]
