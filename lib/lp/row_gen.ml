@@ -4,6 +4,8 @@ type spec = {
   coeffs : (Lp_model.var * float) list;
 }
 
+type result = { solution : Simplex.solution; rounds : int; converged : bool }
+
 let solve ?(max_rounds = 60) ?(per_round = 500) ~violated model =
   let rounds = ref 0 in
   let result = ref None in
@@ -11,10 +13,12 @@ let solve ?(max_rounds = 60) ?(per_round = 500) ~violated model =
   while !result = None do
     incr rounds;
     let sol = Simplex.solve_warm !st in
-    if sol.Simplex.status <> Simplex.Optimal then result := Some sol
+    let finish converged = result := Some { solution = sol; rounds = !rounds; converged } in
+    if sol.Simplex.status <> Simplex.Optimal then finish false
     else begin
       let rows = violated sol.Simplex.x in
-      if rows = [] || !rounds >= max_rounds then result := Some sol
+      if rows = [] then finish true
+      else if !rounds >= max_rounds then finish false
       else begin
         let added = ref 0 in
         List.iter
@@ -29,4 +33,4 @@ let solve ?(max_rounds = 60) ?(per_round = 500) ~violated model =
       end
     end
   done;
-  match !result with Some s -> (s, !rounds) | None -> assert false
+  match !result with Some r -> r | None -> assert false

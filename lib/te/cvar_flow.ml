@@ -11,10 +11,14 @@ type result = {
 
 (* Both variants share the structure
      min theta
-     s.t. theta >= alpha_f + 1/(1-beta) * sum_q p_q s_fq      (per flow)
-          s_fq + alpha_f >= 1 - delivered_fq / d_f            (lazy)
+     s.t. theta >= alpha_f + 1/(1-beta) * sum_c P_c s_fc      (per flow)
+          s_fc + alpha_f >= 1 - delivered_fq / d_fq           (lazy)
           capacity rows
-   and differ only in whether x is indexed by scenario. *)
+   and differ only in whether x is indexed by scenario.  The loss rows
+   are written per scenario class c of the flow (Instance.scenario_classes):
+   the scenarios q in c leave it the same routing copy, alive tunnels and
+   demand, so their rows are one row, built from c's first member, and
+   sum_{q in c} p_q (L - alpha)^+ = P_c (L - alpha)^+. *)
 let run_common ~adaptive ?beta ?jobs inst =
   if Array.length inst.Instance.classes <> 1 then
     invalid_arg "Cvar_flow: single traffic class only";
@@ -37,19 +41,27 @@ let run_common ~adaptive ?beta ?jobs inst =
      be optimized, or the LP solution is arbitrary for them *)
   let eps = 1e-3 /. float_of_int (max 1 (List.length flows)) in
   let alpha = Array.make (Instance.nflows inst) (-1) in
-  let s = Array.make_matrix (Instance.nflows inst) nq (-1) in
+  let classes = Array.make (Instance.nflows inst) [||] in
+  let s = Array.make (Instance.nflows inst) [||] in
   List.iter
     (fun (f : Instance.flow) ->
       let fid = f.Instance.fid in
+      (* the adaptive variant's routing copy is the scenario, so its
+         classes are singletons *)
+      classes.(fid) <-
+        Instance.scenario_classes inst ~key:(fun q ->
+            ( (if adaptive then q else 0),
+              inst.Instance.alive_tunnels.(q).(f.Instance.cls).(f.Instance.pair),
+              Instance.demand_in inst f q ));
       alpha.(fid) <- Lp_model.add_var model ();
-      for q = 0 to nq - 1 do
-        s.(fid).(q) <- Lp_model.add_var model ()
-      done;
-      let p q = inst.Instance.scenarios.(q).Flexile_failure.Failure_model.prob in
+      s.(fid) <- Array.map (fun _ -> Lp_model.add_var model ()) classes.(fid);
       let theta_f = Lp_model.add_var model ~obj:eps () in
       let coeffs =
         (theta_f, 1.) :: (alpha.(fid), -1.)
-        :: List.init nq (fun q -> (s.(fid).(q), -.p q /. (1. -. beta)))
+        :: List.mapi
+             (fun c (cl : Instance.scenario_class) ->
+               (s.(fid).(c), -.cl.Instance.mass /. (1. -. beta)))
+             (Array.to_list classes.(fid))
       in
       ignore (Lp_model.add_row model Lp_model.Ge 0. coeffs);
       ignore (Lp_model.add_row model Lp_model.Ge 0. [ (theta, 1.); (theta_f, -1.) ]))
@@ -73,27 +85,30 @@ let run_common ~adaptive ?beta ?jobs inst =
     List.iter
       (fun (f : Instance.flow) ->
         let fid = f.Instance.fid in
-        for q = 0 to nq - 1 do
-          let d = Instance.demand_in inst f q in
-          if d > 0. then begin
-            let loss =
-              1. -. (Routing.delivered inst (routing q) ~sid:q f (fun v -> xval.(v)) /. d)
-            in
-            if xval.(s.(fid).(q)) +. xval.(alpha.(fid)) < loss -. 1e-7 then begin
-              let coeffs =
-                (s.(fid).(q), 1.) :: (alpha.(fid), 1.)
-                :: List.map (fun v -> (v, 1. /. d)) (Routing.alive inst (routing q) ~sid:q f)
+        Array.iteri
+          (fun c (cl : Instance.scenario_class) ->
+            let q = cl.Instance.first in
+            let d = Instance.demand_in inst f q in
+            if d > 0. then begin
+              let loss =
+                1. -. (Routing.delivered inst (routing q) ~sid:q f (fun v -> xval.(v)) /. d)
               in
-              out := { Row_gen.sense = Lp_model.Ge; rhs = 1.; coeffs } :: !out
-            end
-          end
-        done)
+              if xval.(s.(fid).(c)) +. xval.(alpha.(fid)) < loss -. 1e-7 then begin
+                let coeffs =
+                  (s.(fid).(c), 1.) :: (alpha.(fid), 1.)
+                  :: List.map (fun v -> (v, 1. /. d)) (Routing.alive inst (routing q) ~sid:q f)
+                in
+                out := { Row_gen.sense = Lp_model.Ge; rhs = 1.; coeffs } :: !out
+              end
+            end)
+          classes.(fid))
       flows;
     !out
   in
-  let sol, rounds = Row_gen.solve ~per_round:800 ~violated model in
-  if sol.Simplex.status <> Simplex.Optimal then
-    failwith "Cvar_flow: LP did not solve";
+  let { Row_gen.solution = sol; rounds; converged } =
+    Row_gen.solve ~per_round:800 ~violated model
+  in
+  if not converged then failwith "Cvar_flow: LP did not solve";
   let losses = Routing.losses ?jobs inst ~routing (fun v -> sol.Simplex.x.(v)) in
   let allocation =
     Array.map

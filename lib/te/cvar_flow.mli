@@ -9,10 +9,14 @@
 
     Losses are taken against each scenario's demand (per-scenario
     demand factors included); a flow with none has loss 0 there.
-    Loss-definition rows are generated lazily; the Ad variant carries
-    per-scenario capacity rows, so it is only tractable on moderate
-    instances — callers should bound its size (the paper itself reports
-    TLE for large CVaR runs). *)
+    A flow's scenarios with the same routing copy, alive tunnels and
+    demand form one class with one [s] variable and one
+    loss-definition row ({!Instance.scenario_classes}); under
+    Cvar-Flow-Ad every class is one scenario.  The rows are generated
+    lazily, and both variants fail unless that converges.  The Ad
+    variant carries per-scenario capacity rows, so it is only tractable
+    on moderate instances — callers should bound its size (the paper
+    itself reports TLE for large CVaR runs). *)
 
 type result = {
   losses : Instance.losses;

@@ -154,6 +154,33 @@ let flows_of_class t k =
   Array.of_list
     (List.filter (fun f -> f.cls = k) (Array.to_list t.flows))
 
+type scenario_class = { first : int; members : int array; mass : float }
+
+let scenario_classes t ~key =
+  let index = Hashtbl.create 16 in
+  let cls =
+    Array.init (nscenarios t) (fun q ->
+        let k = key q in
+        match Hashtbl.find_opt index k with
+        | Some c -> c
+        | None ->
+            let c = Hashtbl.length index in
+            Hashtbl.add index k c;
+            c)
+  in
+  let members = Array.make (Hashtbl.length index) [] in
+  for q = nscenarios t - 1 downto 0 do
+    members.(cls.(q)) <- q :: members.(cls.(q))
+  done;
+  Array.map
+    (fun m ->
+      let members = Array.of_list m in
+      let mass =
+        Array.fold_left (fun acc q -> acc +. t.scenarios.(q).Failure_model.prob) 0. members
+      in
+      { first = members.(0); members; mass })
+    members
+
 let flow_connected t f sid =
   Array.length t.alive_tunnels.(sid).(f.cls).(f.pair) > 0
 

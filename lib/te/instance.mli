@@ -93,6 +93,18 @@ val nflows : t -> int
 val nscenarios : t -> int
 val flows_of_class : t -> int -> flow array
 
+type scenario_class = {
+  first : int;  (** the class's lowest scenario id *)
+  members : int array;  (** its scenario ids, ascending *)
+  mass : float;  (** their probabilities, summed from [0.] in ascending order *)
+}
+
+val scenario_classes : t -> key:(int -> 'a) -> scenario_class array
+(** Partitions the scenarios by [key sid] (structural equality) into
+    classes, ordered by first occurrence.  A CVaR LP whose per-scenario
+    loss rows are equal on a class writes one row and one [s] variable
+    for it, weighted by its [mass]. *)
+
 val flow_connected : t -> flow -> int -> bool
 (** Does the flow have at least one alive tunnel in scenario [sid]? *)
 

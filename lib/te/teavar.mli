@@ -9,9 +9,12 @@
     per-scenario demand factors each loss is taken against the
     scenario's demand; a flow with none has loss 0 there.
 
-    The O(|pairs| * |scenarios|) loss-definition rows are generated
-    lazily (see {!Flexile_lp.Row_gen}); the returned solution is exact
-    for the full formulation when the row generation converges. *)
+    Scenarios that leave every pair the same alive tunnels and every
+    flow the same demand share one [s] variable, weighted by their
+    summed probability, and one set of loss-definition rows
+    ({!Instance.scenario_classes}); that is exact, as their rows are
+    equal.  The rows are generated lazily (see {!Flexile_lp.Row_gen}),
+    and [run] fails unless the row generation converges. *)
 
 type result = {
   losses : Instance.losses;  (** post-analysis per-flow per-scenario *)

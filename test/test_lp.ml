@@ -231,12 +231,28 @@ let test_row_gen () =
       ]
     else []
   in
-  let sol, rounds = Row_gen.solve ~violated m in
+  let { Row_gen.solution = sol; rounds; converged } = Row_gen.solve ~violated m in
   expect_optimal sol;
+  if not converged then Alcotest.fail "row generation did not converge";
   check_float ~msg:"objective" (-4.) sol.Simplex.obj;
   if rounds < 2 then Alcotest.fail "expected at least one generation round";
   (* the generated row is now a permanent part of the model *)
   Alcotest.(check int) "row added" 1 (Lp_model.nrows m)
+
+(* A run cut short by [max_rounds] says so: the generator below never
+   runs out of violated rows, so one round ends with the last
+   relaxation optimal but not converged. *)
+let test_row_gen_cut_short () =
+  let m = Lp_model.create () in
+  let x = Lp_model.add_var m ~obj:(-1.) ~ub:3. () in
+  let violated sol =
+    [ { Row_gen.sense = Lp_model.Le; rhs = sol.(x) -. 1.; coeffs = [ (x, 1.) ] } ]
+  in
+  let r = Row_gen.solve ~max_rounds:1 ~violated m in
+  expect_optimal r.Row_gen.solution;
+  Alcotest.(check int) "rounds" 1 r.Row_gen.rounds;
+  Alcotest.(check bool) "converged" false r.Row_gen.converged;
+  Alcotest.(check int) "no row added past the budget" 0 (Lp_model.nrows m)
 
 (* ---------------- MIP ---------------- *)
 
@@ -639,7 +655,8 @@ let () =
           quick "rhs re-solve infeasible" test_warm_restart_infeasible;
           quick "row extension (cutting planes)" test_extend_rows;
         ] );
-      ( "row-generation", [ quick "lazy rows" test_row_gen ] );
+      ( "row-generation",
+        [ quick "lazy rows" test_row_gen; quick "cut short by max_rounds" test_row_gen_cut_short ] );
       ( "mip",
         [
           quick "knapsack" test_mip_knapsack;

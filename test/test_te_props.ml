@@ -6,7 +6,7 @@ module Prng = Flexile_util.Prng
 
 (* A small random instance: 4-6 nodes ring + chords, unit-ish demands,
    handful of scenarios. *)
-let random_instance seed_name =
+let random_instance ?(mix = "independent") seed_name =
   let prng = Prng.of_string seed_name in
   let n = 4 + Prng.int prng 3 in
   let extra = Prng.int prng 3 in
@@ -20,6 +20,7 @@ let random_instance seed_name =
       Flexile_core.Builder.default_options with
       Flexile_core.Builder.max_scenarios = 12;
       max_pairs = 8;
+      scenario_mix = mix;
     }
   in
   Flexile_core.Builder.single_class ~options ~graph ()
@@ -179,6 +180,58 @@ let qcheck_routing_block =
       check x nominal rows && check ~sid xs scen srows
       && Lp_model.nvars scen = alive_count && !one_per_alive)
 
+(* [Instance.scenario_classes] under the keys the CVaR LPs group by:
+   Cvar-Flow's per flow (routing copy, alive tunnels, demand), with one
+   routing copy (St) or one per scenario (Ad), and TeaVar's (every
+   pair's alive tunnels, every flow's demand).  The classes partition
+   the scenarios in first-occurrence order, share their key, differ
+   from each other in it, and carry their members' summed mass; under
+   per-scenario routing every class is a singleton. *)
+let qcheck_scenario_classes =
+  let mixes = [| "independent"; "srlg,partial"; "independent,drift"; "srlg,partial,drift" |] in
+  QCheck.Test.make ~name:"scenario classes partition by the loss-row key" ~count:12
+    QCheck.(make Gen.(pair (int_range 0 1000) (int_range 0 (Array.length mixes - 1))))
+    (fun (salt, mix) ->
+      let inst = random_instance ~mix:mixes.(mix) (Printf.sprintf "sc-%d" salt) in
+      let nq = Instance.nscenarios inst in
+      let prob q = inst.Instance.scenarios.(q).Flexile_failure.Failure_model.prob in
+      let valid key classes =
+        let firsts = Array.map (fun (c : Instance.scenario_class) -> c.Instance.first) classes in
+        let all = List.concat_map (fun (c : Instance.scenario_class) -> Array.to_list c.Instance.members) (Array.to_list classes) in
+        List.sort compare all = List.init nq Fun.id
+        && Array.for_all
+             (fun (c : Instance.scenario_class) ->
+               let m = c.Instance.members in
+               m.(0) = c.Instance.first
+               && List.sort_uniq compare (Array.to_list m) = Array.to_list m
+               && Array.for_all (fun q -> key q = key c.Instance.first) m
+               && c.Instance.mass = Array.fold_left (fun acc q -> acc +. prob q) 0. m)
+             classes
+        && List.sort_uniq compare (Array.to_list firsts) = Array.to_list firsts
+        && List.length (List.sort_uniq compare (Array.to_list (Array.map key firsts)))
+           = Array.length classes
+      in
+      let flow_key ~adaptive (f : Instance.flow) q =
+        ( (if adaptive then q else 0),
+          inst.Instance.alive_tunnels.(q).(f.Instance.cls).(f.Instance.pair),
+          Instance.demand_in inst f q )
+      in
+      let teavar_key q =
+        ( inst.Instance.alive_tunnels.(q),
+          Array.map (fun f -> Instance.demand_in inst f q) inst.Instance.flows )
+      in
+      valid teavar_key (Instance.scenario_classes inst ~key:teavar_key)
+      && Array.for_all
+           (fun f ->
+             let st = flow_key ~adaptive:false f and ad = flow_key ~adaptive:true f in
+             let ad_classes = Instance.scenario_classes inst ~key:ad in
+             valid st (Instance.scenario_classes inst ~key:st)
+             && valid ad ad_classes
+             && Array.for_all
+                  (fun (c : Instance.scenario_class) -> Array.length c.Instance.members = 1)
+                  ad_classes)
+           inst.Instance.flows)
+
 let () =
   Alcotest.run "flexile_te_props"
     [
@@ -189,6 +242,7 @@ let () =
             qcheck_maxmin_matches_minmax;
             qcheck_teavar_weaker_than_adaptive;
             qcheck_routing_block;
+            qcheck_scenario_classes;
           ] );
       ( "regression",
         [

@@ -315,13 +315,13 @@ let offline inst () =
 let golden_cases =
   [
     ("teavar fig1", teavar, Flexile_core.Builder.fig1,
-     "iters=12 head=0x1.07a0f9096bb99p-1 md5=3b475659cbb6c035a4e1f011761c6352");
+     "iters=11 head=0x1.07a0f9096bb99p-1 md5=3b475659cbb6c035a4e1f011761c6352");
     ("teavar sprint", teavar, golden_sprint,
      "iters=16 head=0x1.20c5b66b4017ap-2 md5=f2b7983ae6c379af3d2b6cd8b7711d7f");
     ("cvar-flow-st fig1", cvar_flow Cvar_flow.run_static, Flexile_core.Builder.fig1,
-     "iters=18 head=0x1.055b01ae55e94p-1 md5=0f236fe55e96de40fa3130e2edc455d1");
+     "iters=13 head=0x1.055b01ae55e94p-1 md5=3b03f4c43e59089d7fb992c9a1222a63");
     ("cvar-flow-st sprint", cvar_flow Cvar_flow.run_static, golden_sprint,
-     "iters=28 head=0x1.20eaace8ffff3p-2 md5=7219b96bff0afebaa050e177e756d958");
+     "iters=25 head=0x1.20eaace8ffff3p-2 md5=0e49784d936ce55ab84db07471112aa8");
     ("cvar-flow-ad fig1", cvar_flow Cvar_flow.run_adaptive, Flexile_core.Builder.fig1,
      "iters=23 head=0x1.055b01ae55e95p-1 md5=fa8920156e8c1d82f670984cfb9f9833");
     ("cvar-flow-ad sprint", cvar_flow Cvar_flow.run_adaptive, golden_sprint,
@@ -470,6 +470,144 @@ let test_teavar_scheme_on_drift () =
   let inst = drift_sprint () in
   losses_in_range inst (Flexile_core.Schemes.run Flexile_core.Schemes.Teavar inst)
 
+(* ---------- full-row oracle for the CVaR LPs ----------
+
+   TeaVar and Cvar-Flow write one loss row and one [s] variable per
+   scenario class and generate the rows lazily.  The oracle writes the
+   same LPs the long way: one [s] per (flow, scenario) for Cvar-Flow,
+   one per scenario for TeaVar, weighted by the scenario's own
+   probability, and every loss row with demand up front, solved once.
+   Row generation stops at 1e-7 violations, so a scheme's optimum may
+   sit just below the oracle's, never above it. *)
+
+module Lp_model = Flexile_lp.Lp_model
+module Simplex = Flexile_lp.Simplex
+
+let prob inst q = inst.Instance.scenarios.(q).Flexile_failure.Failure_model.prob
+
+(* s + alpha + sum of the flow's tunnels alive in [q] / d >= 1 *)
+let loss_row m inst (x : Routing.vars) (f : Instance.flow) q ~s ~alpha =
+  let d = Instance.demand_in inst f q in
+  if d > 0. then
+    let xs = x.(f.Instance.cls).(f.Instance.pair) in
+    let tunnels = inst.Instance.alive_tunnels.(q).(f.Instance.cls).(f.Instance.pair) in
+    ignore
+      (Lp_model.add_row m Lp_model.Ge 1.
+         ((s, 1.) :: (alpha, 1.)
+         :: List.map (fun t -> (xs.(t), 1. /. d)) (Array.to_list tunnels)))
+
+let full_teavar inst =
+  let beta = inst.Instance.classes.(0).Instance.beta in
+  let m = Lp_model.create () in
+  let alpha = Lp_model.add_var m ~obj:1. () in
+  let s =
+    Array.init (Instance.nscenarios inst) (fun q ->
+        Lp_model.add_var m ~obj:(prob inst q /. (1. -. beta)) ())
+  in
+  let x = Routing.vars m inst in
+  ignore (Routing.capacity_rows m inst x);
+  Array.iteri
+    (fun q s -> Array.iter (fun f -> loss_row m inst x f q ~s ~alpha) (Instance.flows_of_class inst 0))
+    s;
+  m
+
+let full_cvar_flow ~adaptive inst =
+  let beta = inst.Instance.classes.(0).Instance.beta in
+  let nq = Instance.nscenarios inst in
+  let flows =
+    List.filter (fun (f : Instance.flow) -> f.Instance.demand > 0.)
+      (Array.to_list (Instance.flows_of_class inst 0))
+  in
+  let m = Lp_model.create () in
+  let theta = Lp_model.add_var m ~obj:1. () in
+  let eps = 1e-3 /. float_of_int (max 1 (List.length flows)) in
+  let x =
+    if adaptive then Array.init nq (fun q -> Routing.vars ~sid:q m inst)
+    else [| Routing.vars m inst |]
+  in
+  Array.iteri
+    (fun c xc -> ignore (Routing.capacity_rows ?sid:(if adaptive then Some c else None) m inst xc))
+    x;
+  List.iter
+    (fun f ->
+      let alpha = Lp_model.add_var m () in
+      let s = Array.init nq (fun _ -> Lp_model.add_var m ()) in
+      let theta_f = Lp_model.add_var m ~obj:eps () in
+      ignore
+        (Lp_model.add_row m Lp_model.Ge 0.
+           ((theta_f, 1.) :: (alpha, -1.)
+           :: List.init nq (fun q -> (s.(q), -.prob inst q /. (1. -. beta)))));
+      ignore (Lp_model.add_row m Lp_model.Ge 0. [ (theta, 1.); (theta_f, -1.) ]);
+      Array.iteri
+        (fun q s -> loss_row m inst x.(if adaptive then q else 0) f q ~s ~alpha)
+        s)
+    flows;
+  m
+
+let oracle_instance mix name () =
+  Flexile_core.Builder.of_name
+    ~options:{ golden_options with Flexile_core.Builder.scenario_mix = mix }
+    name
+
+let oracle_cases =
+  ("fig1", Flexile_core.Builder.fig1)
+  :: List.concat_map
+       (fun name ->
+         List.map
+           (fun mix -> (String.lowercase_ascii name ^ " " ^ mix, oracle_instance mix name))
+           [ "independent"; "srlg,partial"; "independent,drift" ])
+       [ "Sprint"; "IBM" ]
+
+(* The CVaR at [beta] of a per-scenario loss, as the LPs write it:
+   the least alpha >= 0 + sum_q p_q (loss q - alpha)^+ / (1 - beta),
+   reached at 0 or at one of the losses. *)
+let cvar inst ~beta loss =
+  let qs = List.init (Instance.nscenarios inst) Fun.id in
+  let value a =
+    a
+    +. List.fold_left (fun acc q -> acc +. (prob inst q *. Float.max 0. (loss q -. a))) 0. qs
+       /. (1. -. beta)
+  in
+  List.fold_left (fun acc q -> Float.min acc (value (Float.max 0. (loss q)))) (value 0.) qs
+
+(* Each scheme's objective against the oracle's optimum, and the
+   oracle's objective at the scheme's returned losses, which a
+   feasible allocation cannot take below the optimum. *)
+let test_full_row_oracle instance () =
+  let inst = instance () in
+  let beta = inst.Instance.classes.(0).Instance.beta in
+  let flows =
+    List.filter (fun (f : Instance.flow) -> f.Instance.demand > 0.)
+      (Array.to_list (Instance.flows_of_class inst 0))
+  in
+  let check name ~got ~achieved full =
+    let sol = Simplex.solve full in
+    if sol.Simplex.status <> Simplex.Optimal then Alcotest.failf "%s: oracle LP did not solve" name;
+    let opt = sol.Simplex.obj in
+    if got > opt +. 1e-9 || got < opt -. 1e-5 then
+      Alcotest.failf "%s: objective %.12g, full-row optimum %.12g" name got opt;
+    if achieved > opt +. 1e-5 then
+      Alcotest.failf "%s: losses achieve %.12g, full-row optimum %.12g" name achieved opt
+  in
+  let tv = Teavar.run ~jobs:1 inst in
+  let scen_loss q =
+    List.fold_left (fun acc (f : Instance.flow) -> Float.max acc tv.Teavar.losses.(f.Instance.fid).(q)) 0. flows
+  in
+  check "teavar" ~got:tv.Teavar.cvar ~achieved:(cvar inst ~beta scen_loss) (full_teavar inst);
+  let eps = 1e-3 /. float_of_int (max 1 (List.length flows)) in
+  let flow_cvar (r : Cvar_flow.result) =
+    let per_flow =
+      List.map (fun (f : Instance.flow) -> cvar inst ~beta (fun q -> r.Cvar_flow.losses.(f.Instance.fid).(q))) flows
+    in
+    List.fold_left Float.max 0. per_flow +. (eps *. List.fold_left ( +. ) 0. per_flow)
+  in
+  List.iter
+    (fun (name, adaptive) ->
+      let run = if adaptive then Cvar_flow.run_adaptive else Cvar_flow.run_static in
+      let r = run ~jobs:1 inst in
+      check name ~got:r.Cvar_flow.max_flow_cvar ~achieved:(flow_cvar r) (full_cvar_flow ~adaptive inst))
+    [ ("cvar-flow-st", false); ("cvar-flow-ad", true) ]
+
 let () =
   Alcotest.run "flexile_te_real"
     [
@@ -493,4 +631,6 @@ let () =
           quick "losses recomputed from the allocation" test_drift_losses_recomputed;
           quick "teavar scheme runs on a drift mix" test_teavar_scheme_on_drift;
         ] );
+      ( "cvar oracle",
+        List.map (fun (name, instance) -> quick name (test_full_row_oracle instance)) oracle_cases );
     ]
