@@ -1,4 +1,4 @@
-.PHONY: all build test bench lint lint-deep monitor-smoke explain-smoke doctor-smoke bench-runs bench-smoke work-counts verify baseline clean
+.PHONY: all build test bench lint lint-deep monitor-smoke explain-smoke doctor-smoke bench-runs bench-smoke work-counts verify clean
 
 all: build
 
@@ -132,18 +132,12 @@ bench-smoke: bench-runs
 work-counts: bench-runs
 	python3 tools/work_counts.py record $(SMOKE_DIR)
 
-# Relative headroom for the benchmark regression gate.  50% absorbs
-# ordinary same-machine jitter; CI overrides this upward because the
-# committed baseline was recorded on a different machine.
-BENCH_TOLERANCE ?= 50
-
 # Tier-1 verification: full build, both lint stages (syntactic
 # pre-build signal, then the deep typedtree stage over the fresh cmts),
 # the test suite, the monitor/explain/doctor determinism smokes, the
-# benchmark smoke (reference penalties and the CWIX plan digest), a
-# smoke run of the micro-benchmarks (exercises the parallel sweep at
-# jobs 1 and 4), and the regression gate against the committed
-# baseline.
+# benchmark smoke (reference penalties, the CWIX plan digest and the
+# exact work counts), and a smoke run of the micro-benchmarks
+# (exercises the parallel sweep at jobs 1 and 4).
 verify:
 	$(MAKE) lint
 	dune build
@@ -154,13 +148,6 @@ verify:
 	$(MAKE) doctor-smoke
 	$(MAKE) bench-smoke
 	dune exec bench/main.exe -- --micro
-	dune exec bench/main.exe -- --gate --repeat 3 --jobs 2 \
-	  --check BENCH_PR8.json --tolerance $(BENCH_TOLERANCE)
-
-# Re-record the committed gate baseline (run on an idle machine).
-baseline:
-	dune exec bench/main.exe -- --gate --repeat 5 --jobs 2 \
-	  --baseline BENCH_PR8.json
 
 clean:
 	dune clean

@@ -42,9 +42,9 @@ let build (name, n, m) =
 (* Continental-scale synthetic WAN, far beyond Table 2 (whose largest
    entry is Deltacom at 103 nodes).  Deliberately not part of [table2]
    / [all]: full-catalog sweeps stay at reproduction scale, and the
-   continental instance is reached by name from the bench and the
-   sparse-core tests.  It exists to exercise the LU-factorized simplex
-   at scale. *)
+   continental instance is reached only through [by_name], from the
+   sparse-core certificate tests.  It exists to exercise the
+   LU-factorized simplex at scale. *)
 let continental_entry = ("Continental", 1100, 1800)
 
 let by_name name =
@@ -60,7 +60,6 @@ let by_name name =
       else raise Not_found
 
 let all () = List.map (fun ((name, _, _) as e) -> (name, build e)) table2
-let continental () = build continental_entry
 
 (* Shared-risk link groups for a catalog topology, derived
    deterministically from the topology name: conduits leaving a site

@@ -6,18 +6,15 @@ val table2 : (string * int * int) list
 (** (name, nodes, edges) exactly as in Table 2 of the paper. *)
 
 val by_name : string -> Graph.t
-(** Case-insensitive lookup in {!table2} (plus ["continental"]).
+(** Case-insensitive lookup in {!table2}, plus ["continental"]: a
+    deterministic 1100-node / 1800-edge synthetic continental WAN, an
+    order of magnitude beyond Table 2, generated with the same seeded
+    scheme and sized to exercise the sparse LU simplex at scale.
     Raises [Not_found]. *)
 
 val all : unit -> (string * Graph.t) list
 (** All 20 evaluation topologies, smallest edge count first.  Does not
-    include {!continental}, which is opt-in by name. *)
-
-val continental : unit -> Graph.t
-(** A deterministic 1100-node / 1800-edge synthetic continental WAN —
-    an order of magnitude beyond Table 2, generated with the same
-    seeded scheme.  Sized to exercise the sparse LU simplex at
-    scale. *)
+    include the continental WAN, which is opt-in by name. *)
 
 val srlgs : Graph.t -> int array array
 (** Shared-risk link-group annotation for a catalog topology, derived

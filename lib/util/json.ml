@@ -1,6 +1,6 @@
 (* Minimal JSON: just enough to parse back the documents this
-   repository itself emits (trace reports, Chrome traces, bench
-   baselines) without adding a dependency.  Numbers are floats, objects
+   repository itself emits (trace reports, Chrome traces, doctor
+   dumps) without adding a dependency.  Numbers are floats, objects
    keep their textual field order. *)
 
 type t =

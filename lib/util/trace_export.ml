@@ -41,9 +41,9 @@ let span_tree_json () =
    [health.*] metric (samples, trips, stalls, residual/condition/growth
    histograms — see Flexile_lp.Health) plus the [simplex.*] counters
    that give them context (warm-start attempts/fallbacks, refactor
-   cadence).  Emitted as its own section in `--trace` reports and as a
-   standalone artifact by `bench --gate` and CI, so dashboards can read
-   solver health without parsing the full registry. *)
+   cadence).  Emitted as its own section in `--trace` reports and in
+   the `flexile doctor TOPOLOGY` report, so dashboards can read solver
+   health without parsing the full registry. *)
 let solver_health_schema = "flexile-solver-health"
 let solver_health_version = 1
 

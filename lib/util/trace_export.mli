@@ -27,9 +27,9 @@ val solver_health_json : unit -> string
     of every [health.*] counter and histogram (samples, threshold
     trips, stalls, residual/condition/growth distributions — see
     [Flexile_lp.Health]) plus the [simplex.*] counters that give them
-    context.  Embedded in {!report_json} and written standalone by
-    [bench --gate] and CI so dashboards read solver health without
-    parsing the full registry. *)
+    context.  Embedded in {!report_json} and in the
+    [flexile doctor TOPOLOGY] report so dashboards read solver health
+    without parsing the full registry. *)
 
 val chrome_json : unit -> string
 (** Chrome trace-event JSON (object format), loadable in Perfetto /

@@ -1,14 +1,14 @@
-(* Tests of the hierarchical span profiler and the benchmark
-   regression gate: span-nesting invariants (balanced begin/end, child
-   intervals contained in the parent, deterministic cross-domain
-   merge), Chrome trace-event JSON well-formedness checked by parsing
-   it back, and the gate's pass/fail logic on synthetic baselines. *)
+(* Tests of the hierarchical span profiler: span-nesting invariants
+   (balanced begin/end, child intervals contained in the parent,
+   deterministic cross-domain merge), Chrome trace-event JSON
+   well-formedness checked by parsing it back, the benchmark's sample
+   median and the Json reader. *)
 
 module Trace = Flexile_util.Trace
 module Trace_export = Flexile_util.Trace_export
 module Parallel = Flexile_util.Parallel
 module Json = Flexile_util.Json
-module Gate = Flexile_util.Bench_gate
+module Bench_gate = Flexile_util.Bench_gate
 
 let with_tracing enabled f =
   let was = Trace.enabled () in
@@ -245,80 +245,12 @@ let test_report_has_full_registry () =
       if Trace.spans_open () <> 0 then
         Alcotest.fail "solver left spans open at the quiescent point"
 
-(* ---- the regression gate on synthetic baselines ---- *)
-
-let baseline phases =
-  {
-    Gate.profile = "test";
-    jobs = 1;
-    repetitions = 3;
-    phases =
-      List.map (fun (n, m) -> { Gate.pname = n; median_seconds = m }) phases;
-  }
-
-let test_gate_logic () =
-  let b = baseline [ ("solve", 1.0); ("sweep", 0.5) ] in
-  let ok v = Gate.passed v and bad v = not (Gate.passed v) in
-  let chk current tol = Gate.check ~baseline:b ~current ~tolerance_pct:tol () in
-  if not (ok (chk [ ("solve", 1.1); ("sweep", 0.55) ] 25.)) then
-    Alcotest.fail "within tolerance should pass";
-  if not (ok (chk [ ("solve", 0.4); ("sweep", 0.2) ] 25.)) then
-    Alcotest.fail "improvements should pass";
-  if not (bad (chk [ ("solve", 1.4); ("sweep", 0.5) ] 25.)) then
-    Alcotest.fail "26%+ regression should fail";
-  if not (bad (chk [ ("solve", 1.0) ] 25.)) then
-    Alcotest.fail "missing tracked phase should fail";
-  if not (ok (chk [ ("solve", 1.0); ("sweep", 0.5); ("extra", 9.) ] 25.)) then
-    Alcotest.fail "untracked extra phases are ignored";
-  (* the absolute floor damps jitter on sub-hundredth phases *)
-  let tiny = baseline [ ("blink", 0.001) ] in
-  if
-    not
-      (ok (Gate.check ~baseline:tiny ~current:[ ("blink", 0.01) ]
-             ~tolerance_pct:25. ()))
-  then Alcotest.fail "sub-floor absolute delta should pass";
-  if
-    not
-      (bad (Gate.check ~baseline:tiny ~current:[ ("blink", 0.5) ]
-              ~tolerance_pct:25. ()))
-  then Alcotest.fail "large delta on a tiny phase should fail";
-  match chk [ ("solve", 2.0); ("sweep", 0.5) ] 25. with
-  | [ v; _ ] ->
-      Alcotest.(check (float 1e-9)) "ratio" 2.0 v.Gate.ratio;
-      if not v.Gate.regressed then Alcotest.fail "2x must regress"
-  | _ -> Alcotest.fail "one verdict per tracked phase"
-
-let test_gate_roundtrip () =
-  let b =
-    baseline [ ("a-phase", 0.123456); ("b phase \"quoted\"", 2.5) ]
-  in
-  let path = Filename.temp_file "flexile-baseline" ".json" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Gate.save path b;
-  match Gate.load path with
-  | Error e -> Alcotest.failf "roundtrip load failed: %s" e
-  | Ok b' ->
-      Alcotest.(check int) "phase count" 2 (List.length b'.Gate.phases);
-      List.iter2
-        (fun p p' ->
-          Alcotest.(check string) "name" p.Gate.pname p'.Gate.pname;
-          Alcotest.(check (float 1e-6))
-            "median" p.Gate.median_seconds p'.Gate.median_seconds)
-        b.Gate.phases b'.Gate.phases;
-      Alcotest.(check int) "repetitions" 3 b'.Gate.repetitions
-
-let test_gate_rejects_garbage () =
-  (match Gate.of_json (Json.Object [ ("schema", Json.String "nope") ]) with
-  | Ok _ -> Alcotest.fail "wrong schema accepted"
-  | Error _ -> ());
-  match Json.parse "{not json" with
-  | Ok _ -> Alcotest.fail "garbage parsed"
-  | Error _ -> ()
+(* ---- the sample median flexbench reports ---- *)
 
 let test_median () =
-  Alcotest.(check (float 1e-9)) "odd" 2. (Gate.median [ 3.; 1.; 2. ]);
-  Alcotest.(check (float 1e-9)) "even" 1.5 (Gate.median [ 2.; 1. ]);
-  Alcotest.(check (float 1e-9)) "empty" 0. (Gate.median [])
+  Alcotest.(check (float 1e-9)) "odd" 2. (Bench_gate.median [ 3.; 1.; 2. ]);
+  Alcotest.(check (float 1e-9)) "even" 1.5 (Bench_gate.median [ 2.; 1. ]);
+  Alcotest.(check (float 1e-9)) "empty" 0. (Bench_gate.median [])
 
 (* ---- the Json reader itself ---- *)
 
@@ -363,12 +295,6 @@ let () =
           quick "chrome trace well-formed" test_chrome_well_formed;
           quick "report carries the full registry" test_report_has_full_registry;
         ] );
-      ( "gate",
-        [
-          quick "pass/fail logic" test_gate_logic;
-          quick "baseline roundtrip" test_gate_roundtrip;
-          quick "rejects bad input" test_gate_rejects_garbage;
-          quick "median" test_median;
-        ] );
+      ("median", [ quick "median" test_median ]);
       ("json", [ quick "reader" test_json_parser ]);
     ]

@@ -500,7 +500,11 @@ let test_topology_certificates () =
         (name ^ " status") "optimal"
         (sparse_status sol.Simplex.status);
       ignore (certify ("mlu " ^ name) m sol))
-    [ ("Sprint", 30); ("IBM", 40); ("GEANT", 40); ("Tinet", 60) ]
+    [
+      ("Sprint", 30); ("IBM", 40); ("GEANT", 40); ("Tinet", 60);
+      (* 1100 nodes: the only LP at continental scale in the suite *)
+      ("continental", 200);
+    ]
 
 (* ---- models of known status ---- *)
 
