@@ -138,7 +138,7 @@ val note_loop_end :
 
 val note_dual_guard_trip : unit -> unit
 (** A warm-started dual solve failed the a-posteriori dual-feasibility
-    guard and fell back to a cold solve. *)
+    guard; primal phase 2 finishes from its basis. *)
 
 (** {1 Reproducible LP dumps}
 

@@ -37,11 +37,14 @@ module Svec = Sparse.Svec
    call into another unit boxes its float argument on every column. *)
 let[@inline] nonzero x = not (Float.equal x 0.)
 
-(* Probes are per-solve or per-refactorization, never per-pivot: with
-   tracing disabled each costs one branch, with it enabled one
-   domain-local array write. *)
+(* Probes are per-solve, per-pivot-loop or per-refactorization, never
+   per-pivot: with tracing disabled each costs one branch, with it
+   enabled one domain-local array write. *)
 let c_cold_solves = Trace.counter "simplex.cold_solves"
 let sp_solve = Trace.span "simplex.solve"
+
+(* added by every pivot loop as it ends, so the pivots of a restart
+   that falls back to a cold solve are counted too *)
 let c_iterations = Trace.counter "simplex.iterations"
 let c_refactorizations = Trace.counter "simplex.refactorizations"
 let c_warm_attempts = Trace.counter "simplex.warm_attempts"
@@ -666,6 +669,7 @@ let primal_loop st costs ~iter_limit iter_count =
   (match !result with
   | Some P_optimal when costs == st.cost -> st.d_valid <- true
   | _ -> ());
+  Trace.add c_iterations (!iter_count - iters0);
   Health.note_loop_end st.health ~phase:st.hphase
     ~iterations:(!iter_count - iters0) ~max_run:!max_run ~bland:!bland_iters;
   match !result with Some r -> r | None -> assert false
@@ -785,7 +789,6 @@ let extract_solution st ~status ~iterations =
   for j = 0 to n - 1 do
     obj := !obj +. (st.cost.(j) *. x.(j))
   done;
-  Trace.add c_iterations iterations;
   Trace.observe h_iterations (float_of_int iterations);
   st.last_status <- Some status;
   {
@@ -1040,14 +1043,15 @@ let dual_loop st ~iter_limit iters =
       end
     end
   done;
+  Trace.add c_iterations (!iters - iters0);
   Health.note_loop_end st.health ~phase:st.hphase
     ~iterations:(!iters - iters0) ~max_run:!max_run ~bland:!bland_iters;
   match !result with Some r -> r | None -> assert false
 
 (* A posteriori optimality check for the dual simplex: the final basis
    must be dual feasible under exactly-recomputed reduced costs.  If
-   drift broke it, fall back to a cold solve rather than return a
-   primal-feasible but suboptimal point. *)
+   drift broke it, primal phase 2 finishes from that basis rather than
+   return a primal-feasible but suboptimal point. *)
 let nonbasic_signs_ok st ~exact =
   let ok = ref true in
   for j = 0 to st.ntot - 1 do
@@ -1084,13 +1088,22 @@ let warm_hit st ~status ~iterations =
    RHS or costs.  A dual feasible basis restarts the dual simplex (the
    usual case: bounds and RHS moved, costs did not); a basis that only
    lost dual feasibility but is still primal feasible restarts primal
-   phase 2; anything else, and every failed restart, falls back to a
-   cold solve of the same state. *)
+   phase 2.  Primal phase 2 also cleans up after a dual simplex that
+   ends primal feasible but, under exactly recomputed reduced costs, no
+   longer dual feasible (drift): its basis is kept, not thrown away.  A
+   cold solve of the same state remains for a failed primal phase 2, an
+   iteration limit, a start that is neither primal nor dual feasible,
+   and to confirm an infeasibility proof of the dual simplex. *)
 let restart ~iter_limit st =
   let cold () = cold_solve ~iter_limit st in
   let fallback () =
     Trace.incr c_warm_fallbacks;
     cold ()
+  in
+  let primal_cleanup iters =
+    match primal_phase2 ~iter_limit st iters with
+    | Optimal -> warm_hit st ~status:Optimal ~iterations:!iters
+    | _ -> fallback ()
   in
   match st.last_status with
   | Some Optimal ->
@@ -1105,8 +1118,8 @@ let restart ~iter_limit st =
             else begin
               Health.note_dual_guard_trip ();
               Log.debug (fun m ->
-                  m "dual simplex drifted out of dual feasibility; cold re-solve");
-              fallback ()
+                  m "dual simplex drifted out of dual feasibility; primal cleanup");
+              primal_cleanup iters
             end
         | D_infeasible ->
             (* confirm with a cold solve to guard against numerics *)
@@ -1122,11 +1135,7 @@ let restart ~iter_limit st =
             end
         | D_iter_limit -> fallback ()
       end
-      else if primal_feasible ~tol:feas_tol st then begin
-        match primal_phase2 ~iter_limit st iters with
-        | Optimal -> warm_hit st ~status:Optimal ~iterations:!iters
-        | _ -> fallback ()
-      end
+      else if primal_feasible ~tol:feas_tol st then primal_cleanup iters
       else fallback ()
   | _ -> cold ()
 

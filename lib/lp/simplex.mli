@@ -47,14 +47,21 @@ val solve : ?iter_limit:int -> Lp_model.t -> solution
     A [t] captures the model's matrix at creation time.  Every later
     solve restarts from the previous optimal basis: with the dual
     simplex while that basis stays dual feasible (bound and RHS
-    changes), with primal phase 2 when only a cost change broke dual
-    feasibility, and with a cold solve of the same state otherwise or
-    when the restart fails.  Restarts count in [simplex.warm_attempts],
-    each ending in exactly one of [simplex.warm_hits] and
-    [simplex.warm_fallbacks]; a fallback's cold solve also counts in
-    [simplex.cold_solves].  This is the paper's "the dual solution
-    space is common across the LPs for different scenarios"
-    acceleration. *)
+    changes), and with primal phase 2 when only a cost change broke
+    dual feasibility.  When the dual simplex ends primal feasible but
+    the exactly recomputed reduced costs show it drifted out of dual
+    feasibility ([health.dual_guard_trips]), primal phase 2 finishes
+    from that basis and the restart still counts as a hit.  A cold
+    solve of the same state is left for a failed primal phase 2, an
+    iteration limit, a start that is neither primal nor dual feasible,
+    and to confirm an infeasibility proof of the dual simplex.
+    Restarts count in [simplex.warm_attempts], each ending in exactly
+    one of [simplex.warm_hits] and [simplex.warm_fallbacks]; a
+    fallback's cold solve also counts in [simplex.cold_solves].
+    [simplex.iterations] counts the pivots of every loop, those of a
+    restart abandoned for a cold solve included.  This is the paper's
+    "the dual solution space is common across the LPs for different
+    scenarios" acceleration. *)
 
 type t
 

@@ -19,6 +19,12 @@ let c_pruned = Trace.counter "flexile.scenarios_pruned"
 let c_flips = Trace.counter "flexile.hamming_flips"
 let c_iters = Trace.counter "flexile.iterations"
 let c_masters = Trace.counter "flexile.master_solves"
+
+(* Why the Benders loop stopped: exactly one per [solve]. *)
+let c_stop_gap_closed = Trace.counter "flexile.stop_gap_closed"
+let c_stop_same_plan = Trace.counter "flexile.stop_same_plan"
+let c_stop_max_iterations = Trace.counter "flexile.stop_max_iterations"
+let c_stop_master_failed = Trace.counter "flexile.stop_master_failed"
 let t_sweep = Trace.timer "flexile.subproblem_sweep"
 let t_master = Trace.timer "flexile.master"
 let p_iteration = Trace.probe "flexile.iteration"
@@ -57,7 +63,9 @@ let default_config =
        scenario is a cold solve, so the result is bit-identical to
        jobs=1. *)
     jobs = 0;
-    master = { Mip.default_options with node_limit = 400; time_limit = 30. };
+    (* the node budget alone stops the master, so the plan does not
+       depend on the host's speed *)
+    master = { Mip.default_options with node_limit = 400; time_limit = infinity };
   }
 
 type iterate = {
@@ -644,9 +652,18 @@ let solve ?(config = default_config) inst =
     it
   in
   let master_bound = ref 0. in
+  (* Algorithm 1's stop rule: the best achieved penalty meets the
+     master's lower bound.  Tested before a master solve, whose bound
+     could then only be discarded, and after one, which saves a sweep. *)
+  let gap_closed () =
+    let best_so_far =
+      List.fold_left (fun a it -> Float.min a it.penalty) infinity !iterates
+    in
+    best_so_far <= !master_bound +. 1e-7
+  in
   let iteration = ref 0 in
-  let stop = ref false in
-  while (not !stop) && !iteration < config.max_iterations do
+  let stop = ref None in
+  while Option.is_none !stop do
     Trace.in_span ~arg:!iteration sp_iteration @@ fun () ->
     (* --- subproblem sweep: domain-parallel over scenario shards --- *)
     duals_pool := [];
@@ -722,7 +739,9 @@ let solve ?(config = default_config) inst =
         m "iteration %d: penalty %.4f (%d cuts)" !iteration it.penalty
           (List.length !cuts));
     incr iteration;
-    if !iteration >= config.max_iterations then stop := true
+    if gap_closed () then stop := Some c_stop_gap_closed
+    else if !iteration >= config.max_iterations then
+      stop := Some c_stop_max_iterations
     else begin
       (* keep only the most recent few cuts per target scenario to keep
          the master lean *)
@@ -748,7 +767,7 @@ let solve ?(config = default_config) inst =
       with
       | None ->
           Log.warn (fun m -> m "master did not produce a solution; stopping");
-          stop := true
+          stop := Some c_stop_master_failed
       | Some (z_new, bound) ->
           master_bound := Float.max !master_bound bound;
           let flips = ref 0 in
@@ -759,14 +778,11 @@ let solve ?(config = default_config) inst =
             Array.blit z_new.(fid) 0 z.(fid) 0 nq
           done;
           Trace.add c_flips !flips;
-          let same = ref (!flips = 0) in
-          let best_so_far =
-            List.fold_left (fun a it -> Float.min a it.penalty) infinity
-              !iterates
-          in
-          if !same || best_so_far <= !master_bound +. 1e-7 then stop := true
+          if gap_closed () then stop := Some c_stop_gap_closed
+          else if !flips = 0 then stop := Some c_stop_same_plan
     end
   done;
+  Option.iter Trace.incr !stop;
   let iterates = List.rev !iterates in
   let best =
     List.fold_left
@@ -799,6 +815,10 @@ let trace_summary () =
     ("cuts_shared", v "flexile.cuts_shared");
     ("hamming_flips", v "flexile.hamming_flips");
     ("master_solves", v "flexile.master_solves");
+    ("stop_gap_closed", v "flexile.stop_gap_closed");
+    ("stop_same_plan", v "flexile.stop_same_plan");
+    ("stop_max_iterations", v "flexile.stop_max_iterations");
+    ("stop_master_failed", v "flexile.stop_master_failed");
     ("warm_start_attempts", warm_attempts);
     ("warm_start_hit_rate", hit_rate);
     ( "subproblem_sweep_seconds",

@@ -15,10 +15,21 @@
     - a Hamming-distance constraint (23) stabilizes the master;
     - the starting point sets a flow's critical scenarios to all
       scenarios in which it is connected, which already guarantees a
-      solution at least as good as TeaVar or ScenBest (Proposition 1). *)
+      solution at least as good as TeaVar or ScenBest (Proposition 1).
+
+    The loop stops (Algorithm 1) once the best achieved penalty meets
+    the master's lower bound, tested after every sweep, before the
+    next master is solved, and again after each master; it also stops
+    when a master proposes the same plan, after [max_iterations]
+    sweeps, or when a master finds no solution.  Exactly one of the
+    counters [flexile.stop_gap_closed], [flexile.stop_same_plan],
+    [flexile.stop_max_iterations] and [flexile.stop_master_failed]
+    records why. *)
 
 type config = {
-  max_iterations : int;  (** outer iterations; the paper uses 5 *)
+  max_iterations : int;
+      (** outer iterations (subproblem sweeps); the paper uses 5.  The
+          starting point's sweep always runs *)
   hamming_limit : int option;
       (** max flips of z per iteration; [None] disables (23) *)
   gamma : float option;
@@ -34,6 +45,9 @@ type config = {
           core).  No worker keeps state across scenarios, so the result
           is bit-identical for every job count *)
   master : Flexile_lp.Mip.options;
+      (** the default stops each master on its 400-node budget only
+          (no wall-clock limit), so the plan does not depend on the
+          host's speed *)
 }
 
 val default_config : config
@@ -50,7 +64,12 @@ type iterate = {
 type result = {
   iterates : iterate list;  (** chronological, starting point first *)
   best : iterate;  (** lowest achieved penalty *)
-  lower_bound : float;  (** best master bound (valid if master exact) *)
+  lower_bound : float;
+      (** the largest bound of the masters solved, or [0.] when none
+          was (the starting point's sweep closed the gap, or
+          [max_iterations = 1]).  A valid lower bound on the optimal
+          penalty up to the subproblems' secondary loss objective
+          (<= ~1e-3) *)
   subproblems_solved : int;
   wall_time : float;
 }

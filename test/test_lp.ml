@@ -183,6 +183,35 @@ let test_warm_restart_infeasible () =
     "infeasible rhs" "infeasible"
     (solve_status sol2.Simplex.status)
 
+(* A restart whose dual simplex runs out of iterations falls back to a
+   cold solve; [simplex.iterations] keeps the abandoned dual pivots, the
+   solution reports the cold solve's own. *)
+let test_fallback_pivots_counted () =
+  let module Trace = Flexile_util.Trace in
+  let was = Trace.enabled () in
+  Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Trace.set_enabled was) @@ fun () ->
+  let m = Lp_model.create () in
+  let x = Lp_model.add_var m ~obj:(-2.) () in
+  let y = Lp_model.add_var m ~obj:(-3.) () in
+  let _ = Lp_model.add_row m Lp_model.Le 10. [ (x, 1.); (y, 2.) ] in
+  let _ = Lp_model.add_row m Lp_model.Le 15. [ (x, 3.); (y, 1.) ] in
+  let st = Simplex.make m in
+  expect_optimal (Simplex.solve_warm st);
+  (* the optimal basis {x, y} now puts x at -1.2: one dual pivot, then
+     the limit *)
+  Lp_model.set_rhs m 1 2.;
+  let names = [ "simplex.iterations"; "simplex.warm_fallbacks"; "simplex.cold_solves" ] in
+  let before = List.map Trace.value_by_name names in
+  let sol = Simplex.solve_warm ~iter_limit:1 st in
+  Alcotest.(check string) "status" "iter-limit" (solve_status sol.Simplex.status);
+  match List.map2 (fun n b -> Trace.value_by_name n - b) names before with
+  | [ iterations; fallbacks; colds ] ->
+      Alcotest.(check int) "fell back" 1 fallbacks;
+      Alcotest.(check int) "cold solves" 1 colds;
+      Alcotest.(check int) "dual and cold pivots" (1 + sol.Simplex.iterations) iterations
+  | _ -> assert false
+
 let test_extend_rows () =
   (* cutting-plane warm start: solve, add rows, extend, re-solve; must
      match a cold solve of the extended model *)
@@ -654,6 +683,7 @@ let () =
           quick "rhs re-solve matches cold" test_warm_restart;
           quick "rhs re-solve infeasible" test_warm_restart_infeasible;
           quick "row extension (cutting planes)" test_extend_rows;
+          quick "fallback keeps the abandoned pivots" test_fallback_pivots_counted;
         ] );
       ( "row-generation",
         [ quick "lazy rows" test_row_gen; quick "cut short by max_rounds" test_row_gen_cut_short ] );

@@ -608,6 +608,34 @@ let test_full_row_oracle instance () =
       check name ~got:r.Cvar_flow.max_flow_cvar ~achieved:(flow_cvar r) (full_cvar_flow ~adaptive inst))
     [ ("cvar-flow-st", false); ("cvar-flow-ad", true) ]
 
+(* Cvar-Flow-St on the IBM srlg,partial mix: a row-generation restart's
+   dual simplex ends primal feasible but, under exactly recomputed
+   reduced costs, drifted out of dual feasibility.  Primal phase 2
+   finishes from that basis; no restart falls back to a cold solve, and
+   the answer is the reference penalty. *)
+let test_drift_cleanup () =
+  let module Trace = Flexile_util.Trace in
+  let inst =
+    Flexile_core.Builder.of_name
+      ~options:
+        { Flexile_core.Builder.default_options with Flexile_core.Builder.scenario_mix = "srlg,partial" }
+      "IBM"
+  in
+  let was = Trace.enabled () in
+  Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Trace.set_enabled was) @@ fun () ->
+  let names = [ "health.dual_guard_trips"; "simplex.warm_fallbacks" ] in
+  let before = List.map Trace.value_by_name names in
+  let r = Cvar_flow.run_static ~jobs:1 inst in
+  (match List.map2 (fun n b -> Trace.value_by_name n - b) names before with
+  | [ trips; fallbacks ] ->
+      if trips < 1 then Alcotest.fail "no restart tripped the dual feasibility guard";
+      Alcotest.(check int) "warm fallbacks" 0 fallbacks
+  | _ -> assert false);
+  Alcotest.(check (float 1e-9))
+    "penalty" 0.72402278236039286
+    (Metrics.total_weighted_penalty inst r.Cvar_flow.losses)
+
 let () =
   Alcotest.run "flexile_te_real"
     [
@@ -632,5 +660,6 @@ let () =
           quick "teavar scheme runs on a drift mix" test_teavar_scheme_on_drift;
         ] );
       ( "cvar oracle",
-        List.map (fun (name, instance) -> quick name (test_full_row_oracle instance)) oracle_cases );
+        List.map (fun (name, instance) -> quick name (test_full_row_oracle instance)) oracle_cases
+        @ [ quick "drift cleanup keeps the warm basis" test_drift_cleanup ] );
     ]

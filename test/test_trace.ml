@@ -100,6 +100,81 @@ let test_flexile_counters_exact () =
   if get "subproblem_sweep_seconds" <= 0. then
     Alcotest.fail "sweep timer did not accumulate"
 
+(* ---- the Benders loop's stop reasons ---- *)
+
+let stop_names =
+  [
+    "flexile.stop_gap_closed"; "flexile.stop_same_plan";
+    "flexile.stop_max_iterations"; "flexile.stop_master_failed";
+  ]
+
+(* [solve] with the deltas of the stop counters and of master solves *)
+let solve_counting ?config inst =
+  let names = "flexile.master_solves" :: stop_names in
+  let before = List.map Trace.value_by_name names in
+  let r = Offline.solve ?config inst in
+  match List.map2 (fun n b -> Trace.value_by_name n - b) names before with
+  | masters :: stops -> (r, masters, stops)
+  | [] -> assert false
+
+(* Exactly one reason per solve; the cases cover three of the four.
+   The loop stops after a sweep (the gap closed, or the last sweep) or
+   after a master (the gap closed, or the same plan again). *)
+let test_flexile_one_stop_reason () =
+  with_tracing true @@ fun () ->
+  let small name mix =
+    Flexile_core.Builder.of_name
+      ~options:
+        {
+          Flexile_core.Builder.default_options with
+          max_scenarios = 30;
+          max_pairs = 40;
+          scenario_mix = mix;
+        }
+      name
+  in
+  let fig1 = Flexile_core.Builder.fig1 () in
+  let ibm_mix = small "IBM" "srlg,partial" in
+  List.iter
+    (fun (what, inst, max_iterations, hamming_limit, reason, after_master) ->
+      let config =
+        { Offline.default_config with max_iterations; hamming_limit; jobs = 1 }
+      in
+      let r, masters, stops = solve_counting ~config inst in
+      Alcotest.(check (list int))
+        (what ^ ": only " ^ reason)
+        (List.map (fun n -> if n = reason then 1 else 0) stop_names)
+        stops;
+      let sweeps = List.length r.Offline.iterates in
+      Alcotest.(check int)
+        (what ^ ": masters")
+        (if after_master then sweeps else sweeps - 1)
+        masters)
+    [
+      ("fig1", fig1, 5, None, "flexile.stop_gap_closed", false);
+      ("fig1, one sweep", fig1, 1, None, "flexile.stop_max_iterations", false);
+      ("Sprint", small "Sprint" "independent", 5, None, "flexile.stop_gap_closed", false);
+      ("IBM srlg,partial", ibm_mix, 5, None, "flexile.stop_max_iterations", false);
+      ("IBM srlg,partial, no flips", ibm_mix, 5, Some 0, "flexile.stop_same_plan", true);
+    ]
+
+(* IBM two-class is served losslessly from the starting point: its
+   penalty 0 meets the initial bound 0, so no master is solved. *)
+let test_flexile_gap_closed_at_start () =
+  with_tracing true @@ fun () ->
+  let inst =
+    Flexile_core.Builder.of_name
+      ~options:{ Flexile_core.Builder.default_options with jobs = 1 }
+      ~two_classes:true "IBM"
+  in
+  let config = { Offline.default_config with jobs = 1 } in
+  let r, masters, stops = solve_counting ~config inst in
+  Alcotest.(check (list int)) "stopped on the closed gap" [ 1; 0; 0; 0 ] stops;
+  Alcotest.(check int) "no master" 0 masters;
+  Alcotest.(check int) "one sweep" 1 (List.length r.Offline.iterates);
+  Alcotest.(check (float 0.)) "best penalty" 0. r.Offline.best.Offline.penalty;
+  Alcotest.(check (float 0.)) "lower bound" 0. r.Offline.lower_bound
+
 let test_flexile_disabled_counts_zero () =
   Trace.reset ();
   with_tracing false @@ fun () ->
@@ -277,7 +352,11 @@ let () =
           quick "solver counters stay zero" test_flexile_disabled_counts_zero;
         ] );
       ( "solver",
-        [ quick "offline counters exact" test_flexile_counters_exact ] );
+        [
+          quick "offline counters exact" test_flexile_counters_exact;
+          quick "one stop reason per offline solve" test_flexile_one_stop_reason;
+          quick "gap closed by the starting point" test_flexile_gap_closed_at_start;
+        ] );
       ("json", [ quick "report shape" test_json_shape ]);
       ( "histograms",
         [
