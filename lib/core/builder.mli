@@ -65,7 +65,8 @@ val scenario_set :
 val single_class :
   ?options:options -> graph:Flexile_net.Graph.t -> unit -> Flexile_te.Instance.t
 (** One traffic class; beta is the paper's "as high as possible while
-    all flows remain connected" target ({!Flexile_te.Instance.max_beta_single}). *)
+    all flows remain connected" target: the smallest
+    {!Flexile_te.Instance.connected_mass} over the flows with demand. *)
 
 val two_class :
   ?options:options -> graph:Flexile_net.Graph.t -> unit -> Flexile_te.Instance.t

@@ -150,8 +150,10 @@ type state = {
   m : int;
   thresholds : thresholds;
   mutable capture : bool;
-  hy : float array; (* scratch, length m *)
-  hz : float array; (* scratch, length m *)
+  (* estimator scratch, length m, allocated by the first sample: the
+     stride leaves most solver states unsampled *)
+  mutable hy : float array;
+  mutable hz : float array;
   mutable samples : sample list; (* newest first *)
   mutable stalls : stall list;
   mutable loops : loop_note list;
@@ -166,8 +168,8 @@ let make ?(capture = false) ?thresholds m =
     m;
     thresholds;
     capture;
-    hy = Array.make (max 1 m) 0.;
-    hz = Array.make (max 1 m) 0.;
+    hy = [||];
+    hz = [||];
     samples = [];
     stalls = [];
     loops = [];
@@ -223,6 +225,10 @@ let sample_due state =
 (* Estimators                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* A dense solve: the pattern of [v] is found by a scan. *)
+let solve kernel state ~basis ~pat v =
+  ignore (kernel basis v ~pat ~nnz:(Sparse.nonzeros v state.m pat))
+
 (* max_i |(B x_B - b~)_i| / max(1, ||b~||_inf).  [col pos f] enumerates
    the basis column at [pos]; [btilde] is the row-space right-hand side
    b - N x_N the solver already maintains. *)
@@ -250,7 +256,7 @@ let primal_residual state ~col ~btilde ~xb =
 (* max_j |(B^T y - c_B)_j| / max(1, ||c_B||_inf) with y = B^-T c_B —
    how far the duals the pricing loop trusts drift from the basic
    costs under the current factorization. *)
-let dual_residual state ~basis ~col ~cb =
+let dual_residual state ~basis ~pat ~col ~cb =
   let m = state.m in
   let y = state.hy in
   let cmax = ref 1. in
@@ -260,7 +266,7 @@ let dual_residual state ~basis ~col ~cb =
     let a = Float.abs c in
     if a > !cmax then cmax := a
   done;
-  Sparse.Basis.btran basis y;
+  solve Sparse.Basis.btran state ~basis ~pat y;
   let worst = ref 0. in
   for pos = 0 to m - 1 do
     let s = ref (-.(cb pos)) in
@@ -283,7 +289,7 @@ let dual_residual state ~basis ~col ~cb =
    uniform probe (and its sign vector) never sees the 1/eps direction,
    while the alternating probe hits it head-on.  This is the classic
    LINPACK-style sign heuristic grafted onto Hager's iteration. *)
-let hager_pass state ~basis ~alt =
+let hager_pass state ~basis ~pat ~alt =
   let m = state.m in
   let y = state.hy and z = state.hz in
   let est = ref 0. in
@@ -300,7 +306,7 @@ let hager_pass state ~basis ~alt =
           Array.fill y 0 m 0.;
           y.(!xj) <- 1.
         end);
-       Sparse.Basis.ftran basis y;
+       solve Sparse.Basis.ftran state ~basis ~pat y;
        let y1 = ref 0. in
        for i = 0 to m - 1 do
          y1 := !y1 +. Float.abs y.(i)
@@ -309,7 +315,7 @@ let hager_pass state ~basis ~alt =
        for i = 0 to m - 1 do
          z.(i) <- (if y.(i) >= 0. then 1. else -1.)
        done;
-       Sparse.Basis.btran basis z;
+       solve Sparse.Basis.btran state ~basis ~pat z;
        let zmax = ref 0. and jmax = ref 0 in
        for i = 0 to m - 1 do
          let a = Float.abs z.(i) in
@@ -334,24 +340,28 @@ let hager_pass state ~basis ~alt =
    with Exit -> ());
   !est
 
-let cond1_estimate state ~basis =
+let cond1_estimate state ~basis ~pat =
   if state.m = 0 then 1.
   else
-    let eu = hager_pass state ~basis ~alt:false in
-    let ea = hager_pass state ~basis ~alt:true in
+    let eu = hager_pass state ~basis ~pat ~alt:false in
+    let ea = hager_pass state ~basis ~pat ~alt:true in
     Sparse.Basis.norm1 basis *. Float.max eu ea
 
 (* ------------------------------------------------------------------ *)
 (* Sampling                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let sample state ~basis ~kind ~phase ~iteration ~col ~cb ~btilde ~xb ~eta
-    ~patched =
+let sample state ~basis ~pat ~kind ~phase ~iteration ~col ~cb ~btilde ~xb
+    ~eta ~patched =
   Trace.incr c_samples;
   Trace.event p_sample iteration;
+  if Array.length state.hy = 0 then begin
+    state.hy <- Array.make (max 1 state.m) 0.;
+    state.hz <- Array.make (max 1 state.m) 0.
+  end;
   let pr = primal_residual state ~col ~btilde ~xb in
-  let dr = dual_residual state ~basis ~col ~cb in
-  let cond = cond1_estimate state ~basis in
+  let dr = dual_residual state ~basis ~pat ~col ~cb in
+  let cond = cond1_estimate state ~basis ~pat in
   let growth = Sparse.Basis.lu_growth basis in
   let t = state.thresholds in
   let near = Sparse.Basis.near_singular_rows basis ~rtol:t.near_singular_rtol in

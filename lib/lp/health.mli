@@ -111,6 +111,7 @@ val sample_due : state -> bool
 val sample :
   state ->
   basis:Sparse.Basis.t ->
+  pat:int array ->
   kind:kind ->
   phase:int ->
   iteration:int ->
@@ -125,7 +126,8 @@ val sample :
     column at [pos]; [cb pos] is the cost of the basic variable there;
     [btilde] is the row-space right-hand side [b - N x_N]; [xb] the
     basic values; [eta] the epoch statistics read before the
-    factorization reset them.  Costs a handful of FTRAN/BTRAN solves
+    factorization reset them; [pat] the solves' pattern scratch, of at
+    least [m] slots.  Costs a handful of FTRAN/BTRAN solves
     plus O(nnz) scans; must be called at most once per refactorization
     or extraction. *)
 

@@ -118,9 +118,6 @@ let add_var t ?(name = "") ?(lb = 0.) ?(ub = infinity) ?(obj = 0.) () =
   t.csr_cache <- None;
   j
 
-let add_vars t n ?(lb = 0.) ?(ub = infinity) ?(obj = 0.) () =
-  Array.init n (fun _ -> add_var t ~lb ~ub ~obj ())
-
 let add_row t ?(name = "") sense rhs coeffs =
   check_bound "rhs" rhs;
   let i = t.nr in
@@ -314,7 +311,3 @@ let max_violation t x =
     ()
   done;
   !worst
-
-let pp_stats fmt t =
-  Format.fprintf fmt "%s: %d vars, %d rows, %d nonzeros" t.model_name t.nv
-    t.nr t.nnz

@@ -30,10 +30,6 @@ val add_var : t -> ?name:string -> ?lb:float -> ?ub:float -> ?obj:float -> unit 
 (** Add a variable.  Defaults: [lb = 0.], [ub = infinity], [obj = 0.].
     Raises [Invalid_argument] if [lb > ub] or a bound is NaN. *)
 
-val add_vars : t -> int -> ?lb:float -> ?ub:float -> ?obj:float -> unit -> var array
-(** [add_vars t n] adds [n] identically-bounded variables and returns
-    their indices in order. *)
-
 val add_row : t -> ?name:string -> sense -> float -> (var * float) list -> row
 (** [add_row t sense rhs coeffs] adds a constraint
     [sum_j c_j x_j  <sense>  rhs].  Duplicate variable entries are
@@ -92,5 +88,3 @@ val row_activity : t -> row -> float array -> float
 
 val max_violation : t -> float array -> float
 (** Largest bound or row violation of an assignment; 0. if feasible. *)
-
-val pp_stats : Format.formatter -> t -> unit

@@ -71,10 +71,22 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
   let stack = ref [ { fixings = []; parent_bound = neg_infinity } ] in
   let hit_limit = ref false in
   let stop = ref c_stop_exhausted in
+  (* smallest parent bound of a node whose LP was never bounded
+     (unbounded or cut short): it stays in the frontier, so the search
+     cannot read as exhausted *)
+  let dropped_bound = ref None in
   let frontier_bound () =
     List.fold_left
       (fun acc nd -> Float.min acc nd.parent_bound)
-      infinity !stack
+      (Option.value !dropped_bound ~default:infinity)
+      !stack
+  in
+  let drop nd =
+    hit_limit := true;
+    dropped_bound :=
+      Some
+        (Float.min nd.parent_bound
+           (Option.value !dropped_bound ~default:infinity))
   in
   let try_incumbent x obj =
     if obj < !incumbent_obj -. 1e-12 then begin
@@ -126,11 +138,7 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
                nd.fixings;
              match lp.Simplex.status with
              | Simplex.Infeasible -> ()
-             | Simplex.Unbounded ->
-                 (* with binary fixings and a bounded relaxation this
-                    signals numerical trouble; drop the node *)
-                 ()
-             | Simplex.Iteration_limit -> hit_limit := true
+             | Simplex.Unbounded | Simplex.Iteration_limit -> drop nd
              | Simplex.Optimal ->
                  if lp.Simplex.obj < !incumbent_obj -. options.gap_tol then begin
                    if List.length nd.fixings = 0 then
@@ -173,7 +181,7 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
   let frontier = frontier_bound () in
   restore ();
   let bound =
-    if !stack = [] then
+    if !stack = [] && !dropped_bound = None then
       (* search exhausted: the incumbent (if any) is optimal *)
       if !incumbent = None then infinity else !incumbent_obj
     else Float.max !best_proven (Float.min frontier !incumbent_obj)
@@ -182,7 +190,8 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
   | Some x ->
       let gap = Float.max 0. (!incumbent_obj -. bound) in
       let status =
-        if (not !hit_limit) || gap <= options.gap_tol then Optimal
+        if !dropped_bound = None && ((not !hit_limit) || gap <= options.gap_tol)
+        then Optimal
         else Feasible
       in
       { status; obj = !incumbent_obj; x; bound; nodes = !nodes; gap }

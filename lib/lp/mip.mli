@@ -6,7 +6,12 @@
     The search is depth-first with best-bound pruning, an optional
     rounding heuristic for incumbents, and node/time limits.  When a
     limit is hit the best incumbent is returned together with the best
-    proven lower bound, so callers can report an optimality gap. *)
+    proven lower bound, so callers can report an optimality gap.
+
+    A node whose LP relaxation reads [Unbounded] or stops at its
+    iteration limit is dropped unbounded: it counts as a limit, and its
+    parent's bound stays in the frontier.  Such a search ends
+    [Feasible] or [Limit], never [Optimal] or [Infeasible]. *)
 
 type status =
   | Optimal  (** incumbent proven optimal (within [gap_tol]) *)

@@ -105,11 +105,22 @@ type t = {
   xb : float array;
   xn : float array; (* bound value of each nonbasic variable *)
   mutable last_status : status option;
-  (* persistent workspaces: the pivot loops allocate nothing *)
+  (* persistent workspaces: the pivot loops allocate nothing.  [w] and
+     [rho] are zero outside their ascending patterns, which every
+     per-pivot loop walks instead of all m rows. *)
   w : float array; (* FTRAN column, length m *)
+  w_pat : int array;
+  mutable w_nnz : int;
   rho : float array; (* BTRAN row of B^-1, length m *)
+  rho_pat : int array;
+  mutable rho_nnz : int;
   y : float array; (* row duals, length m *)
-  bt : float array; (* recompute_xb scratch, length m *)
+  bt : float array;
+      (* b - N x_N for recompute_xb and the health sampler; [y]'s array:
+         each is written right before it is read *)
+  dpat : int array;
+      (* pattern scratch of the dense solves (xb, duals); [fcols]'s
+         array, which only [refactorize] reads, before its solves *)
   (* CSR mirror of the structural columns, for pivot-row products
      (the model's cached row view, shared and never written) *)
   row_start : int array; (* length m+1 *)
@@ -177,6 +188,7 @@ let create ?eta_limit ?thresholds model =
   let eta_limit =
     match eta_limit with Some _ as l -> l | None -> eta_limit_env ()
   in
+  let fcols = Array.make m 0 and y = Array.make m 0. in
   {
     n;
     m;
@@ -194,14 +206,19 @@ let create ?eta_limit ?thresholds model =
     xn = Array.make ntot 0.;
     last_status = None;
     w = Array.make m 0.;
+    w_pat = Array.make m 0;
+    w_nnz = 0;
     rho = Array.make m 0.;
-    y = Array.make m 0.;
-    bt = Array.make m 0.;
+    rho_pat = Array.make m 0;
+    rho_nnz = 0;
+    y;
+    bt = y;
+    dpat = fcols;
     row_start = csr.Lp_model.row_start;
     row_col = csr.Lp_model.col_idx;
     row_val = csr.Lp_model.row_values;
     asv = Svec.create ntot;
-    fcols = Array.make m 0;
+    fcols;
     enter = -1;
     leave = -1;
     leave_up = false;
@@ -274,38 +291,57 @@ let[@inline][@lint.noalloc] col_dot st y j =
   end
   else 0. +. (y.(unit_row st j) *. 1.0)
 
-(* w := B^-1 A_j (FTRAN through the factors + eta file). *)
-let[@lint.noalloc] ftran st j w =
-  Array.fill w 0 st.m 0.;
-  (if j < st.n then begin
-     let c = st.csc in
-     for k = c.Lp_model.col_start.(j) to c.Lp_model.col_start.(j + 1) - 1 do
-       let r = c.Lp_model.row_idx.(k) in
-       w.(r) <- w.(r) +. c.Lp_model.values.(k)
-     done
-   end
-   else
-     let r = unit_row st j in
-     w.(r) <- w.(r) +. 1.0);
-  Basis.ftran st.basis w
+(* w := B^-1 A_j (FTRAN through the factors + eta file), clearing the
+   previous column along its pattern. *)
+let[@lint.noalloc] ftran st j =
+  let w = st.w and pat = st.w_pat in
+  for p = 0 to st.w_nnz - 1 do
+    w.(pat.(p)) <- 0.
+  done;
+  let nnz =
+    if j < st.n then begin
+      let c = st.csc in
+      let k0 = c.Lp_model.col_start.(j) in
+      for k = k0 to c.Lp_model.col_start.(j + 1) - 1 do
+        let r = c.Lp_model.row_idx.(k) in
+        w.(r) <- w.(r) +. c.Lp_model.values.(k);
+        pat.(k - k0) <- r
+      done;
+      c.Lp_model.col_start.(j + 1) - k0
+    end
+    else begin
+      let r = unit_row st j in
+      w.(r) <- w.(r) +. 1.0;
+      pat.(0) <- r;
+      1
+    end
+  in
+  st.w_nnz <- Basis.ftran st.basis w ~pat ~nnz
 
 (* y := costs_B B^-1 (BTRAN). *)
 let[@lint.noalloc] btran st costs y =
   for k = 0 to st.m - 1 do
     y.(k) <- costs.(st.bas.(k))
   done;
-  Basis.btran st.basis y
+  ignore
+    (Basis.btran st.basis y ~pat:st.dpat ~nnz:(Sparse.nonzeros y st.m st.dpat))
 
 (* asv := A^T rho over every column (structural via the CSR mirror,
    slack and artificial unit columns directly), visiting only the rows
-   where [rho] is nonzero.  This is the pivot-row product the pricing
+   of [rho]'s ascending pattern.  This is the pivot-row product the pricing
    updates and the dual ratio test need; iterating its pattern instead
    of all [ntot] columns is what makes a pivot cost proportional to
    the pivot row's fill. *)
-let[@lint.noalloc] scatter_alpha st rho =
+let[@lint.noalloc] scatter_alpha st =
   Svec.clear st.asv;
-  Svec.scatter_rows st.asv rho ~row_start:st.row_start ~row_col:st.row_col
-    ~row_val:st.row_val ~unit1:st.n ~unit2:(st.n + st.m)
+  Svec.scatter_rows st.asv st.rho ~pat:st.rho_pat ~nnz:st.rho_nnz
+    ~row_start:st.row_start ~row_col:st.row_col ~row_val:st.row_val
+    ~unit1:st.n ~unit2:(st.n + st.m)
+
+(* rho := row r of B^-1 (BTRAN of a unit vector). *)
+let[@lint.noalloc] btran_row st r =
+  st.rho_nnz <-
+    Basis.btran_unit st.basis r st.rho ~pat:st.rho_pat ~nnz:st.rho_nnz
 
 (* bt := b - sum_{nonbasic j} A_j xn_j, in row space. *)
 let[@lint.noalloc] nonbasic_residual st =
@@ -330,7 +366,9 @@ let[@lint.noalloc] nonbasic_residual st =
    xb = B^-1 (b - sum_{nonbasic j} A_j xn_j). *)
 let recompute_xb st =
   nonbasic_residual st;
-  Basis.ftran st.basis st.bt;
+  ignore
+    (Basis.ftran st.basis st.bt ~pat:st.dpat
+       ~nnz:(Sparse.nonzeros st.bt st.m st.dpat));
   Array.blit st.bt 0 st.xb 0 st.m
 
 (* ------------------------------------------------------------------ *)
@@ -356,8 +394,8 @@ let eta_epoch_of st =
 let health_sample st ~kind ~eta ~patched =
   if Health.sample_due st.health then begin
   nonbasic_residual st;
-  Health.sample st.health ~basis:st.basis ~kind ~phase:st.hphase
-    ~iteration:st.hiter
+  Health.sample st.health ~basis:st.basis ~pat:st.dpat ~kind
+    ~phase:st.hphase ~iteration:st.hiter
     ~col:(fun pos f -> col_iter st st.bas.(pos) f)
     ~cb:(fun pos -> st.cost.(st.bas.(pos)))
     ~btilde:st.bt ~xb:st.xb ~eta ~patched
@@ -414,7 +452,7 @@ let refactorize st =
    factorization of the already-updated recorded basis instead.
    Returns true when the basis was repaired (duals must be rebuilt). *)
 let update_basis st r =
-  if Basis.update st.basis ~r ~w:st.w then begin
+  if Basis.update st.basis ~r ~w:st.w ~pat:st.w_pat ~nnz:st.w_nnz then begin
     Trace.incr c_eta_updates;
     if Basis.needs_refactor st.basis then refactorize st else false
   end
@@ -469,8 +507,9 @@ let[@lint.noalloc] price st ~bland lo hi =
   st.choice_f.(ch_dir) <- !dir;
   st.choice_f.(ch_score) <- !best
 
-(* Primal ratio test along [w] for the entering direction in ch_dir.
-   Basic value i changes at rate (-. s *. w.(i)) per unit step.  Ties
+(* Primal ratio test along [w] for the entering direction in ch_dir,
+   over [w]'s ascending pattern (a zero entry never blocks).  Basic
+   value i changes at rate (-. s *. w.(i)) per unit step.  Ties
    are normally broken toward the largest pivot magnitude (stability);
    under the Bland fallback they must be broken by smallest leaving
    variable index instead — Bland's rule only guarantees termination
@@ -481,7 +520,8 @@ let[@lint.noalloc] primal_ratio st ~bland =
   let tmax = ref infinity in
   let leave = ref (-1) in
   let leave_to_up = ref false in
-  for i = 0 to st.m - 1 do
+  for p = 0 to st.w_nnz - 1 do
+    let i = st.w_pat.(p) in
     let rate = -.s *. w.(i) in
     let q = st.bas.(i) in
     (* side 1: row i blocks at its lower bound, 2: at its upper *)
@@ -515,8 +555,7 @@ let[@lint.noalloc] primal_ratio st ~bland =
   st.choice_f.(ch_step) <- !tmax
 
 let primal_loop st costs ~iter_limit iter_count =
-  let m = st.m in
-  let y = st.y and w = st.w and rho = st.rho in
+  let y = st.y and w = st.w and wpat = st.w_pat in
   (* reduced costs, maintained incrementally (O(nnz) per pivot instead
      of a BTRAN per iteration) and recomputed periodically; devex
      weights reset whenever the reduced costs are rebuilt exactly *)
@@ -590,7 +629,7 @@ let primal_loop st costs ~iter_limit iter_count =
       end
       else begin
         let j = enter and s = st.choice_f.(ch_dir) in
-        ftran st j w;
+        ftran st j;
         primal_ratio st ~bland;
         let leave = st.leave and tmax = st.choice_f.(ch_step) in
         (* Bound-flip possibility for the entering variable itself. *)
@@ -598,7 +637,8 @@ let primal_loop st costs ~iter_limit iter_count =
         if range < tmax then begin
           (* flip: move to the opposite bound, no basis change *)
           let t = range in
-          for i = 0 to m - 1 do
+          for p = 0 to st.w_nnz - 1 do
+            let i = wpat.(p) in
             st.xb.(i) <- st.xb.(i) -. (s *. w.(i) *. t)
           done;
           if s > 0. then begin
@@ -623,7 +663,8 @@ let primal_loop st costs ~iter_limit iter_count =
           end
           else degen := 0;
           let entering_value = st.xn.(j) +. (s *. t) in
-          for i = 0 to m - 1 do
+          for p = 0 to st.w_nnz - 1 do
+            let i = wpat.(p) in
             if i <> r then st.xb.(i) <- st.xb.(i) -. (s *. w.(i) *. t)
           done;
           let q = st.bas.(r) in
@@ -632,7 +673,7 @@ let primal_loop st costs ~iter_limit iter_count =
           (* incremental dual/devex update with the pre-pivot row r of
              B^-1: d'_k = d_k - (d_j / w_r) (rho . A_k) and
              gamma'_k = max(gamma_k, (alpha_k / w_r)^2 gamma_j) *)
-          Basis.btran_unit st.basis r rho;
+          btran_row st r;
           let alpha_j = w.(r) in
           let theta = d.(j) /. alpha_j in
           let gscale = gamma.(j) /. (alpha_j *. alpha_j) in
@@ -645,7 +686,7 @@ let primal_loop st costs ~iter_limit iter_count =
             recompute_d ()
           end
           else begin
-            scatter_alpha st rho;
+            scatter_alpha st;
             let pat = Svec.pattern st.asv and alpha = Svec.values st.asv in
             for p = 0 to Svec.nnz st.asv - 1 do
               let k = pat.(p) in
@@ -947,7 +988,7 @@ let[@lint.noalloc] dual_ratio st ~bland ~above =
 
 let dual_loop st ~iter_limit iters =
   let m = st.m in
-  let rho = st.rho and w = st.w in
+  let w = st.w and wpat = st.w_pat in
   let d = st.d in
   let recompute_duals () = exact_duals st in
   (* a warm restart from an optimal basis inherits its exact reduced
@@ -987,11 +1028,11 @@ let dual_loop st ~iter_limit iters =
       if !r = -1 then result := Some D_optimal
       else begin
         let r = !r in
-        Basis.btran_unit st.basis r rho;
+        btran_row st r;
         (* pivot-row entries alpha_k = rho . A_k; only columns in the
            scatter pattern can pass the pivot tolerance, so the ratio
            test and the dual update below visit just the pattern *)
-        scatter_alpha st rho;
+        scatter_alpha st;
         let bland = !zero_steps > degen_threshold in
         if bland then incr bland_iters;
         (* --- entering: dual ratio test --- *)
@@ -1011,8 +1052,9 @@ let dual_loop st ~iter_limit iters =
           let q = st.bas.(r) in
           let target = if !above then st.up.(q) else st.lo.(q) in
           let delta = (st.xb.(r) -. target) /. alpha_j in
-          ftran st j w;
-          for i = 0 to m - 1 do
+          ftran st j;
+          for p = 0 to st.w_nnz - 1 do
+            let i = wpat.(p) in
             if i <> r then st.xb.(i) <- st.xb.(i) -. (w.(i) *. delta)
           done;
           st.vstat.(q) <- (if !above then at_upper else at_lower);

@@ -2,7 +2,12 @@
     simplex for warm restarts after bound and right-hand-side changes.
 
     The basis is held LU-factorized ([Sparse.Basis]) and advanced by
-    product-form eta updates.  It produces dual certificates: row
+    product-form eta updates.  Each pivot's FTRAN column and BTRAN row
+    carry their ascending nonzero patterns, and the ratio test, the
+    basic-value and bound-flip updates, the eta append and the
+    pivot-row product walk those patterns, never all rows; every pivot
+    is the one the full sweeps would choose (DESIGN.md section 11).
+    It produces dual certificates: row
     duals, reduced costs, and a parametric lower bound usable as a
     Benders cut when only the RHS varies (the reformulation (17)–(18)
     of the paper).  [Certificate] checks an optimal solution's

@@ -60,12 +60,13 @@ module Svec = struct
   let values t = t.vals
   let pattern t = t.idx
 
-  (* For each row [i] with [x.(i)] nonzero, in ascending [i]: the CSR
-     row's entries scaled by [x.(i)], then [x.(i)] at the two unit
-     columns [unit1 + i] and [unit2 + i]. *)
-  let[@lint.noalloc] scatter_rows t x ~row_start ~row_col ~row_val ~unit1
-      ~unit2 =
-    for i = 0 to Array.length x - 1 do
+  (* For each row [i] of [x]'s ascending pattern with [x.(i)] nonzero:
+     the CSR row's entries scaled by [x.(i)], then [x.(i)] at the two
+     unit columns [unit1 + i] and [unit2 + i]. *)
+  let[@lint.noalloc] scatter_rows t x ~pat ~nnz ~row_start ~row_col ~row_val
+      ~unit1 ~unit2 =
+    for p = 0 to nnz - 1 do
+      let i = pat.(p) in
       let xi = x.(i) in
       if nonzero xi then begin
         for c = row_start.(i) to row_start.(i + 1) - 1 do
@@ -99,6 +100,16 @@ let[@lint.alloc_ok "amortized-doubling arena growth"] grow_f a needed =
     b
   end
 
+let[@lint.noalloc] nonzeros v m pat =
+  let k = ref 0 in
+  for i = 0 to m - 1 do
+    if nonzero v.(i) then begin
+      pat.(!k) <- i;
+      incr k
+    end
+  done;
+  !k
+
 (* ------------------------------------------------------------------ *)
 (* LU-factorized basis with eta-file updates                           *)
 (* ------------------------------------------------------------------ *)
@@ -117,7 +128,14 @@ module Basis = struct
      B' = B E where E is the identity with column r replaced by w.
      E^-1 is applied after the LU solves in FTRAN and before them
      (transposed, in reverse order) in BTRAN; the (r, w) pairs are the
-     eta file, stored sparsely in one arena. *)
+     eta file, stored sparsely in one arena.
+
+     Solves are hypersparse (Hall & McKinnon 2005): a solve visits only
+     the steps and etas one of whose inputs is nonzero, in the order the
+     full sweep would, and returns the ascending pattern of its result.
+     FTRAN pushes along the stored L, U and eta columns; BTRAN pulls
+     through them, and finds the steps to pull through the transposed
+     patterns [ut]/[lt] and the per-position eta chains. *)
 
   let threshold = 0.01 (* relative pivot-acceptance threshold *)
   let abs_pivot_tol = 1e-11 (* below this a column is deferred/patched *)
@@ -150,9 +168,36 @@ module Basis = struct
     mutable e_val : float array;
     mutable n_eta : int;
     mutable e_len : int;
+    (* per-position chains over the eta entries, newest first:
+       [e_head.(i)] is the newest entry at position [i] (-1: none),
+       [e_next] the next older entry at the same position *)
+    e_head : int array;
+    mutable e_next : int array;
+    (* transposed patterns for BTRAN, rebuilt by [factor]: [ut_idx]
+       lists, per step [s], the later steps whose U column has an entry
+       at [s]; [lt_idx], per step [k], the earlier steps whose L column
+       has an entry at row [prow.(k)] *)
+    ut_start : int array; (* length m+1 *)
+    mutable ut_idx : int array;
+    lt_start : int array; (* length m+1; [row_cnt]'s array *)
+    mutable lt_idx : int array;
+    (* hypersparse solve scratch, on the arrays of factor-only scratch
+       (named after their factor use below) *)
+    stamp : int array; (* mark: [stamp.(i) = gen]; [col_nnz]'s array *)
+    mutable gen : int;
+    heap : int array; (* min-heap of steps or positions; [order]'s array *)
+    mutable heap_len : int;
+    list : int array; (* visited steps, candidates; [deferred]'s array *)
+    dense_nnz : int; (* a result with this many nonzeros is dense *)
+    mutable ftran_nnz : int; (* nonzeros of the last FTRAN result *)
+    mutable btran_nnz : int; (* nonzeros of the last BTRAN result *)
     (* factorization scratch *)
-    ws : Svec.t;
-    step_vec : float array; (* step-space solve workspace *)
+    step_vec : float array;
+        (* step-space solve workspace, and the values of the factor's
+           column workspace; zero between calls *)
+    mutable ws_nnz : int;
+        (* the factor's column workspace: values in [step_vec], pattern
+           (insertion order) in [ut_start], members stamped [gen] *)
     row_cnt : int array; (* static row degrees of the current basis *)
     order : int array; (* column processing order *)
     col_nnz : int array;
@@ -173,12 +218,28 @@ module Basis = struct
     mutable eta_rejections : int; (* updates refused for a tiny pivot *)
   }
 
+  (* The density rule.  A hypersparse solve pays a heap step, about
+     log2 k compares, for each of the k entries it visits; the full
+     sweep pays one pass over all m.  A result of at least the k where
+     k * bits(k) reaches m is dense. *)
+  let dense_threshold m =
+    let rec bits k = if k = 0 then 0 else 1 + bits (k lsr 1) in
+    let rec go k = if k * bits k >= m then k else go (k + 1) in
+    go 1
+
   let create ?eta_limit m =
     let eta_limit =
       match eta_limit with
       | Some l -> max 1 l
       | None -> max 64 (m / 2)
     in
+    (* the per-eta arrays hold a full eta file (of up to [max 64 m]
+       etas) without growing *)
+    let eta_slots = min eta_limit (max 64 m) in
+    let row_cnt = Array.make (m + 1) 0 and ut_start = Array.make (m + 1) 0 in
+    let order = Array.make (max 1 m) 0 and col_nnz = Array.make (max 1 m) 0 in
+    let deferred = Array.make (max 1 m) 0 in
+    let step_vec = Array.make (max 1 m) 0. in
     {
       m;
       eta_limit;
@@ -197,22 +258,36 @@ module Basis = struct
       u_diag = Array.make (max 1 m) 0.;
       active = Array.make (max 1 m) 0;
       n_active = 0;
-      e_pos = Array.make 16 0;
-      e_diag = Array.make 16 0.;
-      e_start = Array.make 17 0;
+      e_pos = Array.make eta_slots 0;
+      e_diag = Array.make eta_slots 0.;
+      e_start = Array.make (eta_slots + 1) 0;
       e_idx = Array.make 64 0;
       e_val = Array.make 64 0.;
       n_eta = 0;
       e_len = 0;
-      ws = Svec.create (max 1 m);
-      step_vec = Array.make (max 1 m) 0.;
-      row_cnt = Array.make (max 1 m) 0;
-      order = Array.make (max 1 m) 0;
-      col_nnz = Array.make (max 1 m) 0;
+      e_head = Array.make (max 1 m) (-1);
+      e_next = Array.make 64 0;
+      ut_start;
+      ut_idx = [||];
+      lt_start = row_cnt;
+      lt_idx = [||];
+      stamp = col_nnz;
+      gen = 0;
+      heap = order;
+      heap_len = 0;
+      list = deferred;
+      dense_nnz = dense_threshold m;
+      ftran_nnz = 0;
+      btran_nnz = 0;
+      step_vec;
+      ws_nnz = 0;
+      row_cnt;
+      order;
+      col_nnz;
       c_start = Array.make (m + 1) 0;
       c_idx = Array.make (max 16 m) 0;
       c_val = Array.make (max 16 m) 0.;
-      deferred = Array.make (max 1 m) 0;
+      deferred;
       n_deferred = 0;
       factored = false;
       stat = Array.make 8 0.;
@@ -225,6 +300,49 @@ module Basis = struct
   let eta_count t = t.n_eta
   let eta_nnz t = t.e_len
   let lu_nnz t = t.l_len + t.u_len + t.m
+
+  type factors = {
+    f_m : int;
+    f_prow : int array;
+    f_qpos : int array;
+    f_active : int array;
+    f_n_active : int;
+    f_l_start : int array;
+    f_l_idx : int array;
+    f_l_val : float array;
+    f_u_start : int array;
+    f_u_idx : int array;
+    f_u_val : float array;
+    f_u_diag : float array;
+    f_e_pos : int array;
+    f_e_diag : float array;
+    f_e_start : int array;
+    f_e_idx : int array;
+    f_e_val : float array;
+    f_n_eta : int;
+  }
+
+  let factors t =
+    {
+      f_m = t.m;
+      f_prow = t.prow;
+      f_qpos = t.qpos;
+      f_active = t.active;
+      f_n_active = t.n_active;
+      f_l_start = t.l_start;
+      f_l_idx = t.l_idx;
+      f_l_val = t.l_val;
+      f_u_start = t.u_start;
+      f_u_idx = t.u_idx;
+      f_u_val = t.u_val;
+      f_u_diag = t.u_diag;
+      f_e_pos = t.e_pos;
+      f_e_diag = t.e_diag;
+      f_e_start = t.e_start;
+      f_e_idx = t.e_idx;
+      f_e_val = t.e_val;
+      f_n_eta = t.n_eta;
+    }
 
   let needs_refactor t =
     t.n_eta >= t.eta_limit || t.e_len > 4 * (t.l_len + t.u_len + t.m)
@@ -246,7 +364,7 @@ module Basis = struct
     t.u_len <- t.u_len + 1
 
   (* Record step [k]: pivot [row] on basis position [pos] whose
-     eliminated column is currently scattered in [t.ws] (empty for a
+     eliminated column is currently in the column workspace (empty for a
      patched unit column). *)
   let[@inline] finish_step t k ~pos ~row ~diag =
     t.prow.(k) <- row;
@@ -262,6 +380,62 @@ module Basis = struct
     t.c_idx.(len) <- row;
     t.c_val.(len) <- v;
     t.row_cnt.(row) <- t.row_cnt.(row) + 1
+
+  (* The transposed patterns of the finished factors: counts, prefix
+     sums, then a fill in ascending step order ([list] is the cursor). *)
+  let build_transposes t =
+    let m = t.m in
+    Array.fill t.ut_start 0 (m + 1) 0;
+    Array.fill t.lt_start 0 (m + 1) 0;
+    for k = 0 to m - 1 do
+      for c = t.u_start.(k) to t.u_start.(k + 1) - 1 do
+        let s = t.u_idx.(c) in
+        t.ut_start.(s + 1) <- t.ut_start.(s + 1) + 1
+      done;
+      for c = t.l_start.(k) to t.l_start.(k + 1) - 1 do
+        let s = t.step_of_row.(t.l_idx.(c)) in
+        t.lt_start.(s + 1) <- t.lt_start.(s + 1) + 1
+      done
+    done;
+    for k = 0 to m - 1 do
+      t.ut_start.(k + 1) <- t.ut_start.(k + 1) + t.ut_start.(k);
+      t.lt_start.(k + 1) <- t.lt_start.(k + 1) + t.lt_start.(k)
+    done;
+    t.ut_idx <- grow_i t.ut_idx t.u_len;
+    t.lt_idx <- grow_i t.lt_idx t.l_len;
+    let cur = t.list in
+    Array.blit t.ut_start 0 cur 0 m;
+    for k = 0 to m - 1 do
+      for c = t.u_start.(k) to t.u_start.(k + 1) - 1 do
+        let s = t.u_idx.(c) in
+        t.ut_idx.(cur.(s)) <- k;
+        cur.(s) <- cur.(s) + 1
+      done
+    done;
+    Array.blit t.lt_start 0 cur 0 m;
+    for k = 0 to m - 1 do
+      for c = t.l_start.(k) to t.l_start.(k + 1) - 1 do
+        let s = t.step_of_row.(t.l_idx.(c)) in
+        t.lt_idx.(cur.(s)) <- k;
+        cur.(s) <- cur.(s) + 1
+      done
+    done
+
+  (* The factor's column workspace, an [Svec] on the solve scratch. *)
+  let[@inline] ws_add t i v =
+    if t.stamp.(i) <> t.gen then begin
+      t.stamp.(i) <- t.gen;
+      t.ut_start.(t.ws_nnz) <- i;
+      t.ws_nnz <- t.ws_nnz + 1
+    end;
+    t.step_vec.(i) <- t.step_vec.(i) +. v
+
+  let ws_clear t =
+    for p = 0 to t.ws_nnz - 1 do
+      t.step_vec.(t.ut_start.(p)) <- 0.
+    done;
+    t.ws_nnz <- 0;
+    t.gen <- t.gen + 1
 
   let factor t ~col_start ~row_idx ~values ~cols =
     let m = t.m in
@@ -279,6 +453,7 @@ module Basis = struct
     t.eta_rejections <- 0;
     Array.fill t.step_of_row 0 m (-1);
     Array.fill t.step_of_pos 0 m (-1);
+    Array.fill t.e_head 0 m (-1);
     Array.fill t.row_cnt 0 m 0;
     (* collect the basis columns once *)
     let len = ref 0 in
@@ -314,32 +489,34 @@ module Basis = struct
     in
     (* [order] has exactly [m] slots once [m > 0] *)
     if m > 0 then Array.sort cmp t.order;
-    let ws = t.ws in
+    (* [col_nnz] is read; its array now stamps the column workspace *)
+    Array.fill t.stamp 0 m 0;
+    t.gen <- t.gen + 1;
     let step = ref 0 in
     for o = 0 to m - 1 do
       let pos = t.order.(o) in
       (* scatter the column *)
       for c = t.c_start.(pos) to t.c_start.(pos + 1) - 1 do
-        Svec.add ws t.c_idx.(c) t.c_val.(c)
+        ws_add t t.c_idx.(c) t.c_val.(c)
       done;
       (* eliminate with the already-computed L columns, ascending step
          order (dependencies only point forward, so one pass is exact) *)
       for a = 0 to t.n_active - 1 do
         let s = t.active.(a) in
         let pr = t.prow.(s) in
-        if Svec.mem ws pr then begin
-          let x = Svec.get ws pr in
+        if t.stamp.(pr) = t.gen then begin
+          let x = t.step_vec.(pr) in
           if nonzero x then
             for c = t.l_start.(s) to t.l_start.(s + 1) - 1 do
-              Svec.add ws t.l_idx.(c) (-.t.l_val.(c) *. x)
+              ws_add t t.l_idx.(c) (-.t.l_val.(c) *. x)
             done
         end
       done;
       (* pivot selection: threshold partial pivoting with static
          row-degree merit, deterministic index tie-break *)
-      let pat = ws.Svec.idx and vals = ws.Svec.vals in
+      let pat = t.ut_start and vals = t.step_vec in
       let vmax = ref 0. in
-      for p = 0 to ws.Svec.nnz - 1 do
+      for p = 0 to t.ws_nnz - 1 do
         let row = pat.(p) in
         if t.step_of_row.(row) < 0 then begin
           let a = Float.abs vals.(row) in
@@ -350,12 +527,12 @@ module Basis = struct
         (* numerically/structurally dependent column: defer, patch later *)
         t.deferred.(t.n_deferred) <- pos;
         t.n_deferred <- t.n_deferred + 1;
-        Svec.clear ws
+        ws_clear t
       end
       else begin
         let acceptable = threshold *. !vmax in
         let prow = ref (-1) and pmerit = ref max_int in
-        for p = 0 to ws.Svec.nnz - 1 do
+        for p = 0 to t.ws_nnz - 1 do
           let row = pat.(p) in
           if t.step_of_row.(row) < 0 && Float.abs vals.(row) >= acceptable
           then begin
@@ -370,10 +547,10 @@ module Basis = struct
         done;
         let row = !prow in
         let k = !step in
-        let piv = Svec.get ws row in
+        let piv = vals.(row) in
         t.l_start.(k) <- t.l_len;
         t.u_start.(k) <- t.u_len;
-        for p = 0 to ws.Svec.nnz - 1 do
+        for p = 0 to t.ws_nnz - 1 do
           let r = pat.(p) in
           let v = vals.(r) in
           if nonzero v then
@@ -388,7 +565,7 @@ module Basis = struct
           t.n_active <- t.n_active + 1
         end;
         incr step;
-        Svec.clear ws
+        ws_clear t
       end
     done;
     (* patch deferred positions with unit columns of the unpivoted
@@ -414,6 +591,7 @@ module Basis = struct
           patched := (pos, row) :: !patched)
         defer
     end;
+    build_transposes t;
     t.factored <- true;
     List.rev !patched
 
@@ -456,10 +634,87 @@ module Basis = struct
 
   (* ---- solves ---- *)
 
-  (* FTRAN: in place, input indexed by row, output indexed by basis
-     position: v := E_k^-1 ... E_1^-1 Q U^-1 L^-1 P v. *)
-  let[@lint.noalloc] ftran t v =
-    if not t.factored then invalid_arg "Sparse.Basis.ftran: not factored";
+  (* Binary min-heap over [heap.(0 .. heap_len-1)].  A descending walk
+     pushes [lnot k], which reverses the order of non-negative keys. *)
+  let[@inline][@lint.noalloc] heap_push t x =
+    let h = t.heap in
+    let i = ref t.heap_len in
+    t.heap_len <- !i + 1;
+    while !i > 0 && h.((!i - 1) / 2) > x do
+      h.(!i) <- h.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    h.(!i) <- x
+
+  let[@inline][@lint.noalloc] heap_pop t =
+    let h = t.heap in
+    let top = h.(0) in
+    let n = t.heap_len - 1 in
+    t.heap_len <- n;
+    if n > 0 then begin
+      let x = h.(n) in
+      let i = ref 0 in
+      let go = ref true in
+      while !go do
+        let l = (2 * !i) + 1 in
+        if l >= n then go := false
+        else begin
+          let c = if l + 1 < n && h.(l + 1) < h.(l) then l + 1 else l in
+          if h.(c) < x then begin
+            h.(!i) <- h.(c);
+            i := c
+          end
+          else go := false
+        end
+      done;
+      h.(!i) <- x
+    end;
+    top
+
+  (* Mark [i] in the current generation; true when it was unmarked. *)
+  let[@inline][@lint.noalloc] mark t i =
+    if t.stamp.(i) = t.gen then false
+    else begin
+      t.stamp.(i) <- t.gen;
+      true
+    end
+
+  let[@inline][@lint.noalloc] next_gen t =
+    t.gen <- t.gen + 1;
+    t.heap_len <- 0
+
+  (* The result's pattern: the candidates [list.(0 .. cnt-1)] that hold
+     a nonzero, ascending, into [pat].  [v] is zero off the candidates,
+     so a scan of all [m] gives the same pattern when it is cheaper than
+     sorting. *)
+  let[@lint.noalloc] emit t v pat cnt =
+    let k = ref 0 in
+    if cnt >= t.dense_nnz then begin
+      for i = 0 to t.m - 1 do
+        if nonzero v.(i) then begin
+          pat.(!k) <- i;
+          incr k
+        end
+      done
+    end
+    else begin
+      next_gen t;
+      for q = 0 to cnt - 1 do
+        heap_push t t.list.(q)
+      done;
+      while t.heap_len > 0 do
+        let i = heap_pop t in
+        if nonzero v.(i) then begin
+          pat.(!k) <- i;
+          incr k
+        end
+      done
+    end;
+    !k
+
+  (* The full FTRAN sweep: v := E_k^-1 ... E_1^-1 Q U^-1 L^-1 P v over
+     every step and eta. *)
+  let[@lint.noalloc] ftran_full t v =
     let m = t.m in
     (* L solve in row space, ascending steps *)
     for a = 0 to t.n_active - 1 do
@@ -486,7 +741,8 @@ module Basis = struct
     done;
     (* scatter to basis-position space *)
     for k = 0 to m - 1 do
-      v.(t.qpos.(k)) <- sv.(k)
+      v.(t.qpos.(k)) <- sv.(k);
+      sv.(k) <- 0.
     done;
     (* eta file, oldest first: v_r := v_r / w_r; v_i -= w_i * v_r *)
     for e = 0 to t.n_eta - 1 do
@@ -499,10 +755,103 @@ module Basis = struct
         done
     done
 
-  (* BTRAN: in place, input indexed by basis position, output indexed
-     by row: y solves y^T B = c^T. *)
-  let[@lint.noalloc] btran t v =
-    if not t.factored then invalid_arg "Sparse.Basis.btran: not factored";
+  (* The hypersparse FTRAN: the full sweep's operations on the steps
+     and etas whose entry is nonzero, in the same order.  L and U push
+     along their columns to later (L) or earlier (U) steps, so a heap
+     of the steps reached yields them in sweep order; a skipped step
+     or eta would only subtract products with an exact zero. *)
+  let[@lint.noalloc] ftran_sparse t v pat nnz =
+    let sv = t.step_vec and list = t.list in
+    (* L solve in row space: reached steps, ascending *)
+    next_gen t;
+    for p = 0 to nnz - 1 do
+      let k = t.step_of_row.(pat.(p)) in
+      if mark t k then heap_push t k
+    done;
+    let cnt = ref 0 in
+    while t.heap_len > 0 do
+      let s = heap_pop t in
+      list.(!cnt) <- s;
+      incr cnt;
+      let x = v.(t.prow.(s)) in
+      if nonzero x then
+        for c = t.l_start.(s) to t.l_start.(s + 1) - 1 do
+          let i = t.l_idx.(c) in
+          v.(i) <- v.(i) -. (t.l_val.(c) *. x);
+          let k = t.step_of_row.(i) in
+          if mark t k then heap_push t k
+        done
+    done;
+    (* gather into step space, leaving [v] all zero *)
+    next_gen t;
+    for q = 0 to !cnt - 1 do
+      let k = list.(q) in
+      let r = t.prow.(k) in
+      sv.(k) <- v.(r);
+      v.(r) <- 0.;
+      ignore (mark t k);
+      heap_push t (lnot k)
+    done;
+    (* U back-substitution, descending, scattering each finished step
+       to its basis position *)
+    let out = ref 0 in
+    while t.heap_len > 0 do
+      let k = lnot (heap_pop t) in
+      let z = sv.(k) /. t.u_diag.(k) in
+      sv.(k) <- 0.;
+      if nonzero z then begin
+        for c = t.u_start.(k) to t.u_start.(k + 1) - 1 do
+          let s = t.u_idx.(c) in
+          sv.(s) <- sv.(s) -. (t.u_val.(c) *. z);
+          if mark t s then heap_push t (lnot s)
+        done;
+        let pos = t.qpos.(k) in
+        v.(pos) <- z;
+        list.(!out) <- pos;
+        incr out
+      end
+    done;
+    (* eta file, oldest first, at nonzero pivot positions *)
+    next_gen t;
+    for q = 0 to !out - 1 do
+      ignore (mark t list.(q))
+    done;
+    for e = 0 to t.n_eta - 1 do
+      let r = t.e_pos.(e) in
+      let x = v.(r) in
+      if nonzero x then begin
+        let vr = x /. t.e_diag.(e) in
+        v.(r) <- vr;
+        if nonzero vr then
+          for c = t.e_start.(e) to t.e_start.(e + 1) - 1 do
+            let i = t.e_idx.(c) in
+            v.(i) <- v.(i) -. (t.e_val.(c) *. vr);
+            if mark t i then begin
+              list.(!out) <- i;
+              incr out
+            end
+          done
+      end
+    done;
+    emit t v pat !out
+
+  (* FTRAN: in place, input indexed by row, output indexed by basis
+     position: v := E_k^-1 ... E_1^-1 Q U^-1 L^-1 P v. *)
+  let[@lint.noalloc] ftran t v ~pat ~nnz =
+    if not t.factored then invalid_arg "Sparse.Basis.ftran: not factored";
+    let k =
+      if nnz >= t.dense_nnz || t.ftran_nnz >= t.dense_nnz then begin
+        ftran_full t v;
+        nonzeros v t.m pat
+      end
+      else ftran_sparse t v pat nnz
+    in
+    t.ftran_nnz <- k;
+    k
+
+  (* The full BTRAN sweep over every eta and step: y solves
+     y^T B = c^T, input indexed by basis position, output by row. *)
+  let[@lint.noalloc] btran_full t v =
     let m = t.m in
     (* eta file, newest first: c_r := (c_r - sum w_i c_i) / w_r *)
     for e = t.n_eta - 1 downto 0 do
@@ -526,22 +875,156 @@ module Basis = struct
     Array.fill v 0 m 0.;
     for k = m - 1 downto 0 do
       let s = ref sv.(k) in
+      sv.(k) <- 0.;
       for c = t.l_start.(k) to t.l_start.(k + 1) - 1 do
         s := !s -. (t.l_val.(c) *. v.(t.l_idx.(c)))
       done;
       v.(t.prow.(k)) <- !s
     done
 
+  (* Flag, for the running BTRAN, every eta older than [below] with an
+     entry at position [i].  A flagged eta holds its pivot position
+     flipped, [lnot r < 0], until the BTRAN reaches it (CSparse marks
+     nodes the same way on its column pointers). *)
+  let[@inline][@lint.noalloc] flag_readers t i ~below =
+    let c = ref t.e_head.(i) in
+    let first = t.e_start.(below) in
+    while !c >= 0 do
+      if !c < first then begin
+        (* the entry's eta: the last [e] with [e_start.(e) <= c] *)
+        let lo = ref 0 in
+        let hi = ref (below - 1) in
+        while !lo < !hi do
+          let mid = (!lo + !hi + 1) / 2 in
+          if t.e_start.(mid) <= !c then lo := mid else hi := mid - 1
+        done;
+        let r = t.e_pos.(!lo) in
+        if r >= 0 then t.e_pos.(!lo) <- lnot r
+      end;
+      c := t.e_next.(!c)
+    done
+
+  (* The hypersparse BTRAN: the full sweep's operations on the etas
+     and steps one of whose inputs is nonzero, in the same order.  Each
+     visited eta or step is summed exactly as in the full sweep; an
+     unvisited one would sum only products with an exact zero.  An eta
+     is visited when its pivot position is nonzero or an entry reads a
+     position that has been nonzero (flagged through the chains); a U
+     step when its position is nonzero or [ut] reaches it, an L step
+     when its U result is nonzero or [lt] reaches it. *)
+  let[@lint.noalloc] btran_sparse t v pat nnz =
+    let sv = t.step_vec and list = t.list in
+    (* eta file, newest first *)
+    next_gen t;
+    let cnt = ref 0 in
+    for p = 0 to nnz - 1 do
+      let i = pat.(p) in
+      if mark t i then begin
+        list.(!cnt) <- i;
+        incr cnt;
+        flag_readers t i ~below:t.n_eta
+      end
+    done;
+    for e = t.n_eta - 1 downto 0 do
+      let r0 = t.e_pos.(e) in
+      let r = if r0 < 0 then lnot r0 else r0 in
+      if r0 < 0 || nonzero v.(r) then begin
+        t.e_pos.(e) <- r;
+        let s = ref v.(r) in
+        for c = t.e_start.(e) to t.e_start.(e + 1) - 1 do
+          s := !s -. (t.e_val.(c) *. v.(t.e_idx.(c)))
+        done;
+        let x = !s /. t.e_diag.(e) in
+        v.(r) <- x;
+        if nonzero x && mark t r then begin
+          list.(!cnt) <- r;
+          incr cnt;
+          flag_readers t r ~below:e
+        end
+      end
+    done;
+    (* U^T forward in step space, ascending; [v] is left all zero *)
+    next_gen t;
+    for q = 0 to !cnt - 1 do
+      let k = t.step_of_pos.(list.(q)) in
+      ignore (mark t k);
+      heap_push t k
+    done;
+    let nst = ref 0 in
+    while t.heap_len > 0 do
+      let k = heap_pop t in
+      let pos = t.qpos.(k) in
+      let s = ref v.(pos) in
+      v.(pos) <- 0.;
+      for c = t.u_start.(k) to t.u_start.(k + 1) - 1 do
+        s := !s -. (t.u_val.(c) *. sv.(t.u_idx.(c)))
+      done;
+      let z = !s /. t.u_diag.(k) in
+      sv.(k) <- z;
+      if nonzero z then begin
+        list.(!nst) <- k;
+        incr nst;
+        for c = t.ut_start.(k) to t.ut_start.(k + 1) - 1 do
+          let k' = t.ut_idx.(c) in
+          if mark t k' then heap_push t k'
+        done
+      end
+    done;
+    (* L^T backward, writing the row-space result *)
+    next_gen t;
+    for q = 0 to !nst - 1 do
+      let k = list.(q) in
+      ignore (mark t k);
+      heap_push t (lnot k)
+    done;
+    let out = ref 0 in
+    while t.heap_len > 0 do
+      let k = lnot (heap_pop t) in
+      let s = ref sv.(k) in
+      sv.(k) <- 0.;
+      for c = t.l_start.(k) to t.l_start.(k + 1) - 1 do
+        s := !s -. (t.l_val.(c) *. v.(t.l_idx.(c)))
+      done;
+      let row = t.prow.(k) in
+      v.(row) <- !s;
+      if nonzero !s then begin
+        list.(!out) <- row;
+        incr out;
+        for c = t.lt_start.(k) to t.lt_start.(k + 1) - 1 do
+          let k' = t.lt_idx.(c) in
+          if mark t k' then heap_push t (lnot k')
+        done
+      end
+    done;
+    emit t v pat !out
+
+  (* BTRAN: in place, input indexed by basis position, output indexed
+     by row: y solves y^T B = c^T. *)
+  let[@lint.noalloc] btran t v ~pat ~nnz =
+    if not t.factored then invalid_arg "Sparse.Basis.btran: not factored";
+    let k =
+      if nnz >= t.dense_nnz || t.btran_nnz >= t.dense_nnz then begin
+        btran_full t v;
+        nonzeros v t.m pat
+      end
+      else btran_sparse t v pat nnz
+    in
+    t.btran_nnz <- k;
+    k
+
   (* rho := row r of B^-1 (the BTRAN of a basis-position unit vector);
-     fills the caller's dense workspace. *)
-  let[@lint.noalloc] btran_unit t r v =
-    Array.fill v 0 t.m 0.;
+     [v] holds a previous result whose pattern is [pat.(0 .. nnz-1)]. *)
+  let[@lint.noalloc] btran_unit t r v ~pat ~nnz =
+    for p = 0 to nnz - 1 do
+      v.(pat.(p)) <- 0.
+    done;
     v.(r) <- 1.;
-    btran t v
+    pat.(0) <- r;
+    btran t v ~pat ~nnz:1
 
   (* ---- product-form update ---- *)
 
-  let[@lint.noalloc] update t ~r ~w =
+  let[@lint.noalloc] update t ~r ~w ~pat ~nnz =
     if not t.factored then invalid_arg "Sparse.Basis.update: not factored";
     if Float.abs w.(r) < eta_pivot_tol then begin
       t.eta_rejections <- t.eta_rejections + 1;
@@ -552,19 +1035,23 @@ module Basis = struct
       t.e_pos <- grow_i t.e_pos (e + 1);
       t.e_diag <- grow_f t.e_diag (e + 1);
       t.e_start <- grow_i t.e_start (e + 2);
+      t.e_idx <- grow_i t.e_idx (t.e_len + nnz);
+      t.e_val <- grow_f t.e_val (t.e_len + nnz);
+      t.e_next <- grow_i t.e_next (t.e_len + nnz);
       t.e_pos.(e) <- r;
       t.e_diag.(e) <- w.(r);
       let wr = Float.abs w.(r) in
       let wmax = ref wr in
       let len = ref t.e_len in
-      for i = 0 to t.m - 1 do
+      for p = 0 to nnz - 1 do
+        let i = pat.(p) in
         if i <> r && nonzero w.(i) then begin
           let a = Float.abs w.(i) in
           if a > !wmax then wmax := a;
-          t.e_idx <- grow_i t.e_idx (!len + 1);
-          t.e_val <- grow_f t.e_val (!len + 1);
           t.e_idx.(!len) <- i;
           t.e_val.(!len) <- w.(i);
+          t.e_next.(!len) <- t.e_head.(i);
+          t.e_head.(i) <- !len;
           incr len
         end
       done;

@@ -9,6 +9,11 @@
 
     See DESIGN.md section 11 for the data layouts and invariants. *)
 
+val nonzeros : float array -> int -> int array -> int
+(** [nonzeros v m pat] writes the indices [i < m] with [v.(i)] nonzero
+    into [pat], ascending, and returns their count: the pattern of a
+    dense vector, for the solves of {!Basis}. *)
+
 module Svec : sig
   type t
   (** A sparse vector of fixed dimension backed by a dense value array,
@@ -43,19 +48,22 @@ module Svec : sig
   val scatter_rows :
     t ->
     float array ->
+    pat:int array ->
+    nnz:int ->
     row_start:int array ->
     row_col:int array ->
     row_val:float array ->
     unit1:int ->
     unit2:int ->
     unit
-  (** [scatter_rows t x ~row_start ~row_col ~row_val ~unit1 ~unit2]
-      accumulates [x^T [A | I | I]] into [t], where [A] is the CSR
-      matrix ([row_start] of length [Array.length x + 1]) and the two
-      identity blocks start at columns [unit1] and [unit2].  Rows with
-      [x.(i) = 0.] are skipped; the others are visited in ascending
-      order, each adding its [A] entries, then [unit1 + i], then
-      [unit2 + i], which fixes the pattern order. *)
+  (** [scatter_rows t x ~pat ~nnz ~row_start ~row_col ~row_val ~unit1
+      ~unit2] accumulates [x^T [A | I | I]] into [t], where [A] is the
+      CSR matrix ([row_start] of length [Array.length x + 1]) and the
+      two identity blocks start at columns [unit1] and [unit2].  [x] is
+      zero outside the ascending pattern [pat.(0 .. nnz-1)]; the rows of
+      the pattern with [x.(i) <> 0.] are visited in that order, each
+      adding its [A] entries, then [unit1 + i], then [unit2 + i], which
+      fixes the pattern order of [t]. *)
 
   val to_dense : t -> float array
 end
@@ -64,12 +72,27 @@ module Basis : sig
   type t
   (** An [m]x[m] simplex basis held as [P B Q = L U] plus an eta file of
       product-form updates.  All solves are in place over caller-owned
-      dense arrays of length [m]. *)
+      dense arrays of length [m], each paired with a caller-owned
+      pattern array of at least [m] slots.
+
+      A solve reads its input's pattern, [pat.(0 .. nnz-1)]: the
+      indices where the input may be nonzero, in any order, duplicates
+      allowed; the input must be zero everywhere else.  It overwrites
+      [pat] with the result's pattern, exactly the indices of its
+      nonzeros in ascending order, and returns their count; the result
+      is zero (of either sign) everywhere else.
+
+      Solves are hypersparse: they visit only the factor steps and etas
+      one of whose inputs is nonzero.  Every nonzero of the result is
+      bit-identical to the full sweep over all [m] steps, which a solve
+      takes instead when its input, or the previous result of the same
+      operation, is dense (DESIGN.md section 11). *)
 
   val create : ?eta_limit:int -> int -> t
-  (** [create m] allocates workspaces for an [m]-row basis.
-      [eta_limit] caps the eta file before [needs_refactor] trips
-      (default [max 64 (m/2)]). *)
+  (** [create m] allocates workspaces for an [m]-row basis, all of them
+      O(m) except the factor and eta arenas and the BTRAN indexes over
+      them, which grow with their arena.  [eta_limit] caps the eta file
+      before [needs_refactor] trips (default [max 64 (m/2)]). *)
 
   val dim : t -> int
 
@@ -101,27 +124,59 @@ module Basis : sig
 
   val is_factored : t -> bool
 
-  val ftran : t -> float array -> unit
-  (** [ftran t v] solves [B x = v] in place.  Input is indexed by row,
-      output by basis position. *)
+  val ftran : t -> float array -> pat:int array -> nnz:int -> int
+  (** [ftran t v ~pat ~nnz] solves [B x = v] in place and returns the
+      result's nonzero count, its pattern in [pat].  Input is indexed by
+      row, output by basis position. *)
 
-  val btran : t -> float array -> unit
-  (** [btran t v] solves [y^T B = v^T] in place.  Input is indexed by
-      basis position, output by row. *)
+  val btran : t -> float array -> pat:int array -> nnz:int -> int
+  (** [btran t v ~pat ~nnz] solves [y^T B = v^T] in place, like
+      [ftran].  Input is indexed by basis position, output by row. *)
 
-  val btran_unit : t -> int -> float array -> unit
-  (** [btran_unit t r v] fills [v] with row [r] of [B^-1] (the BTRAN of
-      the [r]-th position unit vector).  Overwrites all of [v]. *)
+  val btran_unit : t -> int -> float array -> pat:int array -> nnz:int -> int
+  (** [btran_unit t r v ~pat ~nnz] fills [v] with row [r] of [B^-1]
+      (the BTRAN of the [r]-th position unit vector), like [btran].  On
+      entry [v] is zero outside [pat.(0 .. nnz-1)], for example the
+      previous result; its values there are discarded. *)
 
-  val update : t -> r:int -> w:float array -> bool
-  (** [update t ~r ~w] appends a product-form eta replacing the basis
-      column at position [r] with the column whose FTRAN image is [w]
-      (dense, length [m]).  Returns [false] — leaving the factorization
-      unchanged — when [|w.(r)|] is below the stability threshold, in
-      which case the caller must refactorize. *)
+  val update : t -> r:int -> w:float array -> pat:int array -> nnz:int -> bool
+  (** [update t ~r ~w ~pat ~nnz] appends a product-form eta replacing
+      the basis column at position [r] with the column whose FTRAN image
+      is [w] (dense, length [m], zero outside the ascending pattern
+      [pat.(0 .. nnz-1)], as [ftran] returns it).  The eta's entries
+      keep the pattern's order.  Returns [false] — leaving the
+      factorization unchanged — when [|w.(r)|] is below the stability
+      threshold, in which case the caller must refactorize. *)
 
   val eta_count : t -> int
   val eta_nnz : t -> int
+
+  type factors = {
+    f_m : int;
+    f_prow : int array;  (** step -> pivot row *)
+    f_qpos : int array;  (** step -> basis position *)
+    f_active : int array;  (** steps with a nonempty L column, ascending *)
+    f_n_active : int;
+    f_l_start : int array;
+    f_l_idx : int array;
+    f_l_val : float array;
+    f_u_start : int array;
+    f_u_idx : int array;
+    f_u_val : float array;
+    f_u_diag : float array;
+    f_e_pos : int array;
+    f_e_diag : float array;
+    f_e_start : int array;
+    f_e_idx : int array;
+    f_e_val : float array;
+    f_n_eta : int;
+  }
+  (** The arrays of the factorization and the eta file, shared, not
+      copied; valid until the next [factor] or [update]. *)
+
+  val factors : t -> factors
+  (** For the reference sweeps of the kernel oracle tests, which solve
+      over all [m] steps; read-only. *)
 
   val lu_nnz : t -> int
   (** Nonzeros in [L] + [U] including the unit/diagonal entries. *)

@@ -93,6 +93,3 @@ let pairs g =
     done
   done;
   Array.of_list !acc
-
-let pp fmt g =
-  Format.fprintf fmt "%s: %d nodes, %d edges" g.name g.n (Array.length g.edges)

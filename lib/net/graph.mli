@@ -46,5 +46,3 @@ val split_links : t -> t
 
 val pairs : t -> (int * int) array
 (** All unordered node pairs (u < v), lexicographic. *)
-
-val pp : Format.formatter -> t -> unit

@@ -192,11 +192,6 @@ let connected_mass t f =
       else acc)
     0. t.scenarios
 
-let max_beta_single t =
-  Array.fold_left
-    (fun acc f -> if f.demand > 0. then Float.min acc (connected_mass t f) else acc)
-    1. t.flows
-
 type losses = float array array
 
 let alloc_losses t = Array.make_matrix (nflows t) (nscenarios t) 1.0

@@ -112,11 +112,6 @@ val connected_mass : t -> flow -> float
 (** Total probability of enumerated scenarios in which the flow is
     connected. *)
 
-val max_beta_single : t -> float
-(** The paper's single-class design target: the largest beta such that
-    every flow is connected in scenarios of total mass >= beta, i.e.
-    min over flows of {!connected_mass}. *)
-
 (** Post-analysis loss matrix: [losses.(fid).(sid)] is the loss
     fraction (in [0,1]) of a flow in a scenario. *)
 type losses = float array array

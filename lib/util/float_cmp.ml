@@ -1,7 +1,6 @@
 let default_eps = 1e-9
 
 let eq ?(eps = default_eps) a b = Float.abs (a -. b) <= eps
-let neq ?eps a b = not (eq ?eps a b)
 let zero ?(eps = default_eps) x = Float.abs x <= eps
 
 (* The one sanctioned home for exact IEEE equality: callers name the

@@ -14,9 +14,6 @@ val default_eps : float
 val eq : ?eps:float -> float -> float -> bool
 (** [eq a b] is [|a - b| <= eps].  False if either argument is NaN. *)
 
-val neq : ?eps:float -> float -> float -> bool
-(** [not (eq ?eps a b)]. *)
-
 val zero : ?eps:float -> float -> bool
 (** [zero x] is [|x| <= eps].  False for NaN. *)
 

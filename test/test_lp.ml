@@ -307,6 +307,20 @@ let test_mip_infeasible () =
   let r = Mip.solve ~binaries:[| a; b |] m in
   if r.Mip.status <> Mip.Infeasible then Alcotest.fail "expected infeasible"
 
+(* min -y s.t. y >= x, x binary: the relaxation is unbounded, so the
+   root node is dropped unbounded.  That is a limit with no incumbent
+   and no finite bound, not a proof of infeasibility. *)
+let test_mip_unbounded_relaxation () =
+  let m = Lp_model.create () in
+  let x = Lp_model.add_var m ~ub:1. () in
+  let y = Lp_model.add_var m ~obj:(-1.) () in
+  let _ = Lp_model.add_row m Lp_model.Ge 0. [ (y, 1.); (x, -1.) ] in
+  let r = Mip.solve ~binaries:[| x |] m in
+  Alcotest.(check bool) "limit, not infeasible" true (r.Mip.status = Mip.Limit);
+  Alcotest.(check int) "one node" 1 r.Mip.nodes;
+  Alcotest.(check bool) "the root's bound stays in the frontier" true
+    (r.Mip.bound = neg_infinity)
+
 let test_mip_mixed () =
   (* min y - x s.t. y >= 1.3 z, x <= 2 + z, x <= 3, z binary, y >= 0.
      z=1: obj >= 1.3 - 3 = -1.7 ; z=0: obj >= 0 - 2 = -2 -> optimum -2. *)
@@ -691,6 +705,7 @@ let () =
         [
           quick "knapsack" test_mip_knapsack;
           quick "infeasible" test_mip_infeasible;
+          quick "unbounded relaxation is a limit" test_mip_unbounded_relaxation;
           quick "mixed binary/continuous" test_mip_mixed;
           quick "heuristic incumbent" test_mip_heuristic_used;
           quick "stop counters" test_mip_stop_counters;

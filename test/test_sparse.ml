@@ -7,8 +7,8 @@
    fixtures and min-MLU models over catalog topologies; the checker
    itself must reject mutated answers.  The eta-update path is
    checked against the refactorize-every-pivot path (FLEXILE_ETA_LIMIT=1),
-   and the Sparse kernel itself is checked against a dense Gaussian
-   elimination. *)
+   the Sparse kernel itself against a dense Gaussian elimination, and
+   its hypersparse solves against the full sweeps, bit for bit. *)
 
 open Flexile_lp
 module Sp = Sparse
@@ -91,6 +91,12 @@ let factor_cols basis cols =
     ~values:(Array.of_list (List.map snd entries))
     ~cols:(Array.init (Array.length cols) Fun.id)
 
+(* A solve of a dense vector, its input pattern found by a scan. *)
+let solve kernel basis v =
+  let m = Array.length v in
+  let pat = Array.make m 0 in
+  ignore (kernel basis v ~pat ~nnz:(Sp.nonzeros v m pat))
+
 let cols_to_dense m cols =
   let d = Array.init m (fun _ -> Array.make m 0.) in
   Array.iteri
@@ -114,7 +120,7 @@ let test_kernel_vs_dense () =
     let b = Array.init m (fun _ -> Prng.uniform prng (-5.) 5.) in
     let x_ref = dense_solve dense b in
     let x = Array.copy b in
-    Sp.Basis.ftran basis x;
+    solve Sp.Basis.ftran basis x;
     for i = 0 to m - 1 do
       if Float.abs (x.(i) -. x_ref.(i)) > 1e-7 then
         Alcotest.failf "trial %d (m=%d): ftran row %d: %.12g vs %.12g" trial m
@@ -124,7 +130,7 @@ let test_kernel_vs_dense () =
     let dense_t = Array.init m (fun i -> Array.init m (fun j -> dense.(j).(i))) in
     let y_ref = dense_solve dense_t c in
     let y = Array.copy c in
-    Sp.Basis.btran basis y;
+    solve Sp.Basis.btran basis y;
     for i = 0 to m - 1 do
       if Float.abs (y.(i) -. y_ref.(i)) > 1e-7 then
         Alcotest.failf "trial %d (m=%d): btran row %d: %.12g vs %.12g" trial m
@@ -167,7 +173,7 @@ let test_singular_factor_patches () =
     let b = Array.init m (fun _ -> Prng.uniform prng (-5.) 5.) in
     let x_ref = dense_solve dense b in
     let x = Array.copy b in
-    Sp.Basis.ftran basis x;
+    solve Sp.Basis.ftran basis x;
     for i = 0 to m - 1 do
       if Float.abs (x.(i) -. x_ref.(i)) > 1e-6 then
         Alcotest.failf "trial %d (m=%d): patched ftran row %d: %.12g vs %.12g"
@@ -193,11 +199,12 @@ let test_eta_vs_fresh_factor () =
     let newcol = (r, 2. +. Prng.uniform prng 0. 2.) :: List.tl cols.(r) in
     let w = Array.make m 0. in
     List.iter (fun (i, v) -> w.(i) <- w.(i) +. v) newcol;
-    Sp.Basis.ftran basis w;
+    let wpat = Array.make m 0 in
+    let nnz = Sp.Basis.ftran basis w ~pat:wpat ~nnz:(Sp.nonzeros w m wpat) in
     Alcotest.(check bool)
       (Printf.sprintf "trial %d: eta pivot accepted" trial)
       true
-      (Sp.Basis.update basis ~r ~w);
+      (Sp.Basis.update basis ~r ~w ~pat:wpat ~nnz);
     let cols' = Array.copy cols in
     cols'.(r) <- newcol;
     let fresh = Sp.Basis.create m in
@@ -207,8 +214,8 @@ let test_eta_vs_fresh_factor () =
     Alcotest.(check int) "no patch after replacement" 0 (List.length patched');
     let b = Array.init m (fun _ -> Prng.uniform prng (-5.) 5.) in
     let x_eta = Array.copy b and x_fresh = Array.copy b in
-    Sp.Basis.ftran basis x_eta;
-    Sp.Basis.ftran fresh x_fresh;
+    solve Sp.Basis.ftran basis x_eta;
+    solve Sp.Basis.ftran fresh x_fresh;
     for i = 0 to m - 1 do
       if Float.abs (x_eta.(i) -. x_fresh.(i)) > 1e-7 then
         Alcotest.failf "trial %d (m=%d): eta ftran row %d: %.12g vs %.12g"
@@ -216,14 +223,209 @@ let test_eta_vs_fresh_factor () =
     done;
     let c = Array.init m (fun _ -> Prng.uniform prng (-5.) 5.) in
     let y_eta = Array.copy c and y_fresh = Array.copy c in
-    Sp.Basis.btran basis y_eta;
-    Sp.Basis.btran fresh y_fresh;
+    solve Sp.Basis.btran basis y_eta;
+    solve Sp.Basis.btran fresh y_fresh;
     for i = 0 to m - 1 do
       if Float.abs (y_eta.(i) -. y_fresh.(i)) > 1e-7 then
         Alcotest.failf "trial %d (m=%d): eta btran row %d: %.12g vs %.12g"
           trial m i y_eta.(i) y_fresh.(i)
     done
   done
+
+(* ---- hypersparse solves vs the full sweep ---- *)
+
+(* The dense FTRAN and BTRAN loops over all m steps and every eta, on
+   the factors' own arrays: the reference the hypersparse solves must
+   reproduce bit for bit. *)
+let ref_ftran (f : Sp.Basis.factors) v =
+  let m = f.Sp.Basis.f_m in
+  let open Sp.Basis in
+  for a = 0 to f.f_n_active - 1 do
+    let s = f.f_active.(a) in
+    let x = v.(f.f_prow.(s)) in
+    if not (Float.equal x 0.) then
+      for c = f.f_l_start.(s) to f.f_l_start.(s + 1) - 1 do
+        v.(f.f_l_idx.(c)) <- v.(f.f_l_idx.(c)) -. (f.f_l_val.(c) *. x)
+      done
+  done;
+  let sv = Array.make m 0. in
+  for k = 0 to m - 1 do
+    sv.(k) <- v.(f.f_prow.(k))
+  done;
+  for k = m - 1 downto 0 do
+    let z = sv.(k) /. f.f_u_diag.(k) in
+    sv.(k) <- z;
+    if not (Float.equal z 0.) then
+      for c = f.f_u_start.(k) to f.f_u_start.(k + 1) - 1 do
+        sv.(f.f_u_idx.(c)) <- sv.(f.f_u_idx.(c)) -. (f.f_u_val.(c) *. z)
+      done
+  done;
+  for k = 0 to m - 1 do
+    v.(f.f_qpos.(k)) <- sv.(k)
+  done;
+  for e = 0 to f.f_n_eta - 1 do
+    let r = f.f_e_pos.(e) in
+    let vr = v.(r) /. f.f_e_diag.(e) in
+    v.(r) <- vr;
+    if not (Float.equal vr 0.) then
+      for c = f.f_e_start.(e) to f.f_e_start.(e + 1) - 1 do
+        v.(f.f_e_idx.(c)) <- v.(f.f_e_idx.(c)) -. (f.f_e_val.(c) *. vr)
+      done
+  done
+
+let ref_btran (f : Sp.Basis.factors) v =
+  let m = f.Sp.Basis.f_m in
+  let open Sp.Basis in
+  for e = f.f_n_eta - 1 downto 0 do
+    let r = f.f_e_pos.(e) in
+    let s = ref v.(r) in
+    for c = f.f_e_start.(e) to f.f_e_start.(e + 1) - 1 do
+      s := !s -. (f.f_e_val.(c) *. v.(f.f_e_idx.(c)))
+    done;
+    v.(r) <- !s /. f.f_e_diag.(e)
+  done;
+  let sv = Array.make m 0. in
+  for k = 0 to m - 1 do
+    let s = ref v.(f.f_qpos.(k)) in
+    for c = f.f_u_start.(k) to f.f_u_start.(k + 1) - 1 do
+      s := !s -. (f.f_u_val.(c) *. sv.(f.f_u_idx.(c)))
+    done;
+    sv.(k) <- !s /. f.f_u_diag.(k)
+  done;
+  Array.fill v 0 m 0.;
+  for k = m - 1 downto 0 do
+    let s = ref sv.(k) in
+    for c = f.f_l_start.(k) to f.f_l_start.(k + 1) - 1 do
+      s := !s -. (f.f_l_val.(c) *. v.(f.f_l_idx.(c)))
+    done;
+    v.(f.f_prow.(k)) <- !s
+  done
+
+(* Every nonzero of [want] has [got]'s bits, every zero of [want] is a
+   zero of [got] (of either sign), and the returned pattern is exactly
+   [want]'s nonzeros, ascending. *)
+let check_solve name want got pat nnz =
+  let m = Array.length want in
+  let nz x = not (Float.equal x 0.) in
+  let expected = List.filter (fun i -> nz want.(i)) (List.init m Fun.id) in
+  let returned = Array.to_list (Array.sub pat 0 nnz) in
+  if returned <> expected then
+    Alcotest.failf "%s: pattern [%s], want [%s]" name
+      (String.concat ";" (List.map string_of_int returned))
+      (String.concat ";" (List.map string_of_int expected));
+  Array.iteri
+    (fun i x ->
+      if nz x then begin
+        if Int64.bits_of_float x <> Int64.bits_of_float got.(i) then
+          Alcotest.failf "%s: entry %d is %h, want %h" name i got.(i) x
+      end
+      else if nz got.(i) then
+        Alcotest.failf "%s: entry %d is %h, want 0" name i got.(i))
+    want
+
+(* Seeded random bases, among them m = 0 and m = 1, bases with an
+   empty structural column (patched by [factor]) and bases with unit
+   (slack) columns, each taken through eta updates up to its eta
+   limit.  Some updates enter a multiple of the column they replace,
+   so that etas with few or no off-pivot entries occur.  After the
+   factorization and after every update, FTRAN and BTRAN of unit,
+   sparse (shuffled, with a duplicate) and dense right-hand sides, and
+   [btran_unit] from the previous row, must equal the full sweep; so
+   must the FTRAN of each entering column, whose pattern then goes to
+   [update] as is.  The solves run back to back, so the density rule
+   sends some through the full sweep and some through the hypersparse
+   path. *)
+let test_kernel_oracle () =
+  let prng = Prng.of_string "sparse-kernel-oracle" in
+  let sizes =
+    [ 0; 1; 1; 2; 3 ] @ List.init 40 (fun _ -> 4 + Prng.int prng 90)
+  in
+  let at_limit = ref 0 in
+  List.iteri
+    (fun trial m ->
+      let name what = Printf.sprintf "trial %d (m=%d): %s" trial m what in
+      let cols = random_cols prng m in
+      Array.iteri
+        (fun j _ -> if Prng.bool prng 0.2 then cols.(j) <- [ (j, 1.) ])
+        cols;
+      if m > 0 && Prng.bool prng 0.3 then cols.(Prng.int prng m) <- [];
+      let eta_limit = 1 + Prng.int prng 12 in
+      let basis = Sp.Basis.create ~eta_limit m in
+      ignore (factor_cols basis cols);
+      (* a right-hand side with [k] random entries, and its pattern in
+         random order with one duplicate *)
+      let rhs k =
+        let v = Array.make m 0. in
+        let idx = List.init k (fun _ -> Prng.int prng m) in
+        List.iter (fun i -> v.(i) <- Prng.uniform prng (-3.) 3.) idx;
+        let idx = match idx with i :: _ -> i :: idx | [] -> [] in
+        let pat = Array.make (max m (List.length idx)) 0 in
+        List.iteri (fun p i -> pat.(p) <- i) idx;
+        (v, pat, List.length idx)
+      in
+      let check_kernel what kernel reference (v, pat, nnz) =
+        let want = Array.copy v in
+        reference (Sp.Basis.factors basis) want;
+        let got = kernel basis v ~pat ~nnz in
+        check_solve (name what) want v pat got
+      in
+      let rho = Array.make m 0. and rpat = Array.make m 0 and rnnz = ref 0 in
+      let check_all () =
+        if m > 0 then begin
+          List.iter
+            (fun (what, k) ->
+              check_kernel ("ftran " ^ what) Sp.Basis.ftran ref_ftran (rhs k);
+              check_kernel ("btran " ^ what) Sp.Basis.btran ref_btran (rhs k))
+            [ ("unit", 1); ("sparse", 1 + Prng.int prng 4); ("dense", 2 * m) ];
+          let r = Prng.int prng m in
+          let want = Array.make m 0. in
+          want.(r) <- 1.;
+          ref_btran (Sp.Basis.factors basis) want;
+          rnnz := Sp.Basis.btran_unit basis r rho ~pat:rpat ~nnz:!rnnz;
+          check_solve (name "btran_unit") want rho rpat !rnnz
+        end
+        else begin
+          let v = [||] and pat = [||] in
+          Alcotest.(check int) (name "ftran") 0
+            (Sp.Basis.ftran basis v ~pat ~nnz:0);
+          Alcotest.(check int) (name "btran") 0
+            (Sp.Basis.btran basis v ~pat ~nnz:0)
+        end
+      in
+      check_all ();
+      let tries = ref 0 in
+      while
+        m > 0 && (not (Sp.Basis.needs_refactor basis)) && !tries < 3 * eta_limit
+      do
+        incr tries;
+        let r = Prng.int prng m in
+        let col =
+          if Prng.bool prng 0.3 then
+            List.map (fun (i, x) -> (i, 2. *. x)) cols.(r)
+          else
+            (r, 2. +. Prng.uniform prng 0. 2.)
+            :: List.tl (random_cols prng m).(r)
+        in
+        let w = Array.make m 0. in
+        let wpat = Array.make (m + List.length col) 0 in
+        List.iteri
+          (fun p (i, x) ->
+            w.(i) <- w.(i) +. x;
+            wpat.(p) <- i)
+          col;
+        let want = Array.copy w in
+        ref_ftran (Sp.Basis.factors basis) want;
+        let nnz = Sp.Basis.ftran basis w ~pat:wpat ~nnz:(List.length col) in
+        check_solve (name "entering column") want w wpat nnz;
+        if Sp.Basis.update basis ~r ~w ~pat:wpat ~nnz then begin
+          cols.(r) <- col;
+          check_all ()
+        end
+      done;
+      if Sp.Basis.eta_count basis = eta_limit then incr at_limit)
+    sizes;
+  if !at_limit < 20 then
+    Alcotest.failf "%d eta files reached their limit, want >= 20" !at_limit
 
 (* ---- LP duality certificates ---- *)
 
@@ -764,6 +966,7 @@ let () =
           quick "singular factor patches dependent columns"
             test_singular_factor_patches;
           quick "eta update vs fresh factorization" test_eta_vs_fresh_factor;
+          quick "hypersparse solves vs full sweep" test_kernel_oracle;
         ] );
       ( "certificates",
         [
