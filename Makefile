@@ -1,4 +1,4 @@
-.PHONY: all build test bench lint lint-deep monitor-smoke explain-smoke doctor-smoke bench-runs bench-smoke work-counts verify clean
+.PHONY: all build test bench lint lint-deep determinism bench-runs bench-smoke work-counts verify clean
 
 all: build
 
@@ -39,69 +39,47 @@ lint-deep: | $(SMOKE_DIR)
 	  --deep --strict-suppressions \
 	  --json $(SMOKE_DIR)/lint-summary.json lib bin bench test
 
-# SLO monitor smoke (DESIGN.md section 10): replay a short seeded
-# failure stream twice and assert the Prometheus page and the JSONL
-# snapshot series are byte-identical — the deterministic-export
-# contract the monitor's artifacts rely on.
-monitor-smoke: | $(SMOKE_DIR)
-	dune build bin/flexile_cli.exe
-	dune exec --no-build bin/flexile_cli.exe -- monitor IBM --seed 7 \
-	  --draws 48 --scenarios 24 --max-pairs 40 --iterations 1 --jobs 2 \
-	  --snapshot-every 12 --prom $(SMOKE_DIR)/monitor-a.prom \
-	  --jsonl $(SMOKE_DIR)/monitor-a.jsonl
-	dune exec --no-build bin/flexile_cli.exe -- monitor IBM --seed 7 \
-	  --draws 48 --scenarios 24 --max-pairs 40 --iterations 1 --jobs 2 \
-	  --snapshot-every 12 --prom $(SMOKE_DIR)/monitor-b.prom \
-	  --jsonl $(SMOKE_DIR)/monitor-b.jsonl
-	cmp $(SMOKE_DIR)/monitor-a.prom $(SMOKE_DIR)/monitor-b.prom
-	cmp $(SMOKE_DIR)/monitor-a.jsonl $(SMOKE_DIR)/monitor-b.jsonl
+# Determinism smoke (DESIGN.md sections 10, 13 and 15): each row of
+# the table below runs one `flexile` command twice, as run A and run B
+# (a run tag and a --jobs value each), and compares the artifacts both
+# runs wrote byte for byte.  A % in the command or in an artifact name
+# stands for the run's tag.
+#   - monitor: a short seeded failure stream replayed twice; the
+#     Prometheus page and the JSONL snapshot series.
+#   - explain: the attribution report and the regime-conditioned
+#     attainment table across job counts (per-scenario solver state);
+#     the Prometheus page only across repeated runs at a fixed job
+#     count, since trace counters such as warm-start iteration totals
+#     legitimately differ across job counts.
+#   - doctor: the report over the seeded near-singular fixture across
+#     job counts, live (which also exercises the threshold-trip
+#     auto-dump) and replayed from that dump via --from-dump.
+# Both doctor answers must also carry a passing LP duality certificate
+# ("certified":true).
+FLEXILE = dune exec --no-build bin/flexile_cli.exe --
+MONITOR = $(FLEXILE) monitor IBM --seed 7 --draws 48 --scenarios 24 \
+  --max-pairs 40 --iterations 1 --snapshot-every 12
+EXPLAIN = $(FLEXILE) explain IBM --two-class --scenarios srlg,partial,drift \
+  --max-pairs 60 --iterations 1
+DOCTOR = FLEXILE_HEALTH_DUMP=$(SMOKE_DIR) $(FLEXILE) doctor --fixture near-singular
+REPLAY = $(FLEXILE) doctor --from-dump $(SMOKE_DIR)/health-dump-near-singular-fixture.json
 
-# Miss-attribution smoke (DESIGN.md section 13): the explain report and
-# the regime-conditioned attainment table must be byte-identical across
-# job counts (per-scenario solver state); the Prometheus page must be
-# byte-identical across repeated runs at a fixed job count (trace
-# counters such as warm-start iteration totals legitimately differ
-# across job counts, so the page is only repeat-stable).
-explain-smoke: | $(SMOKE_DIR)
-	dune build bin/flexile_cli.exe
-	dune exec --no-build bin/flexile_cli.exe -- explain IBM --two-class \
-	  --scenarios srlg,partial,drift --max-pairs 60 --iterations 1 --jobs 1 \
-	  --out $(SMOKE_DIR)/explain-a.json \
-	  --regimes $(SMOKE_DIR)/explain-a-regimes.json
-	dune exec --no-build bin/flexile_cli.exe -- explain IBM --two-class \
-	  --scenarios srlg,partial,drift --max-pairs 60 --iterations 1 --jobs 4 \
-	  --out $(SMOKE_DIR)/explain-b.json \
-	  --regimes $(SMOKE_DIR)/explain-b-regimes.json \
-	  --prom $(SMOKE_DIR)/explain-b.prom
-	dune exec --no-build bin/flexile_cli.exe -- explain IBM --two-class \
-	  --scenarios srlg,partial,drift --max-pairs 60 --iterations 1 --jobs 4 \
-	  --prom $(SMOKE_DIR)/explain-c.prom
-	cmp $(SMOKE_DIR)/explain-a.json $(SMOKE_DIR)/explain-b.json
-	cmp $(SMOKE_DIR)/explain-a-regimes.json $(SMOKE_DIR)/explain-b-regimes.json
-	cmp $(SMOKE_DIR)/explain-b.prom $(SMOKE_DIR)/explain-c.prom
+# $(call same,TAG-A JOBS-A,TAG-B JOBS-B,COMMAND,ARTIFACTS)
+run_as = $(subst %,$(word 1,$(1)),$(2)) --jobs $(word 2,$(1))
+same = $(call run_as,$(1),$(3)) && $(call run_as,$(2),$(3)) && \
+  $(foreach f,$(4),cmp $(SMOKE_DIR)/$(subst %,$(word 1,$(1)),$(f)) \
+    $(SMOKE_DIR)/$(subst %,$(word 1,$(2)),$(f)) &&) true
 
-# Solver-health doctor smoke (DESIGN.md section 15): the doctor report
-# over the seeded near-singular fixture must be byte-identical across
-# job counts (the replay is single-domain and carries no wall-clock
-# values), both live — which also exercises the threshold-trip
-# auto-dump — and replayed from that dump via --from-dump.  Both the
-# live and the replayed answer must carry a passing LP duality
-# certificate ("certified":true).
-doctor-smoke: | $(SMOKE_DIR)
+determinism: | $(SMOKE_DIR)
 	dune build bin/flexile_cli.exe
-	FLEXILE_HEALTH_DUMP=$(SMOKE_DIR) dune exec --no-build bin/flexile_cli.exe -- \
-	  doctor --fixture near-singular --jobs 1 --out $(SMOKE_DIR)/doctor-a.json
-	FLEXILE_HEALTH_DUMP=$(SMOKE_DIR) dune exec --no-build bin/flexile_cli.exe -- \
-	  doctor --fixture near-singular --jobs 4 --out $(SMOKE_DIR)/doctor-b.json
-	cmp $(SMOKE_DIR)/doctor-a.json $(SMOKE_DIR)/doctor-b.json
+	$(call same,a 2,b 2,$(MONITOR) --prom $(SMOKE_DIR)/monitor-%.prom \
+	  --jsonl $(SMOKE_DIR)/monitor-%.jsonl,monitor-%.prom monitor-%.jsonl)
+	$(call same,a 1,b 4,$(EXPLAIN) --out $(SMOKE_DIR)/explain-%.json \
+	  --regimes $(SMOKE_DIR)/explain-%-regimes.json,explain-%.json explain-%-regimes.json)
+	$(call same,b 4,c 4,$(EXPLAIN) --prom $(SMOKE_DIR)/explain-%.prom,explain-%.prom)
+	$(call same,a 1,b 4,$(DOCTOR) --out $(SMOKE_DIR)/doctor-%.json,doctor-%.json)
+	$(call same,c 1,d 4,$(REPLAY) --out $(SMOKE_DIR)/doctor-%.json,doctor-%.json)
 	grep -q '"certified":true' $(SMOKE_DIR)/doctor-a.json
-	dune exec --no-build bin/flexile_cli.exe -- doctor \
-	  --from-dump $(SMOKE_DIR)/health-dump-near-singular-fixture.json \
-	  --jobs 1 --out $(SMOKE_DIR)/doctor-c.json
-	dune exec --no-build bin/flexile_cli.exe -- doctor \
-	  --from-dump $(SMOKE_DIR)/health-dump-near-singular-fixture.json \
-	  --jobs 4 --out $(SMOKE_DIR)/doctor-d.json
-	cmp $(SMOKE_DIR)/doctor-c.json $(SMOKE_DIR)/doctor-d.json
 	grep -q '"certified":true' $(SMOKE_DIR)/doctor-c.json
 
 # End-to-end benchmark smoke: each BENCHMARK.json workload once, traced,
@@ -134,7 +112,7 @@ work-counts: bench-runs
 
 # Tier-1 verification: full build, both lint stages (syntactic
 # pre-build signal, then the deep typedtree stage over the fresh cmts),
-# the test suite, the monitor/explain/doctor determinism smokes, the
+# the test suite, the determinism smoke (monitor, explain, doctor), the
 # benchmark smoke (reference penalties, the CWIX plan digest and the
 # exact work counts), and a smoke run of the micro-benchmarks
 # (exercises the parallel sweep at jobs 1 and 4).
@@ -143,9 +121,7 @@ verify:
 	dune build
 	$(MAKE) lint-deep
 	dune runtest
-	$(MAKE) monitor-smoke
-	$(MAKE) explain-smoke
-	$(MAKE) doctor-smoke
+	$(MAKE) determinism
 	$(MAKE) bench-smoke
 	dune exec bench/main.exe -- --micro
 

@@ -19,6 +19,7 @@ open Flexile_core
 module Parallel = Flexile_util.Parallel
 module Trace = Flexile_util.Trace
 module Trace_export = Flexile_util.Trace_export
+module Json = Flexile_util.Json
 
 (* Bechamel kernels; returns [(name, ms_per_run)] for the JSON dump. *)
 let micro_benchmarks ~jobs () =
@@ -106,30 +107,25 @@ let micro_benchmarks ~jobs () =
 (* ---- machine-readable dump (--json FILE) ---- *)
 
 let write_json path ~profile_name ~jobs ~figures ~micro =
-  let oc = open_out path in
-  let item fmt = Printf.ksprintf (fun s -> output_string oc s) fmt in
-  let entries f xs =
-    List.iteri (fun i x -> if i > 0 then item ","; f x) xs
+  let rows key =
+    List.map (fun (name, x) ->
+        Json.Object [ ("name", Json.String name); (key, Json.Number x) ])
   in
-  item "{\"profile\":\"%s\",\"jobs\":%d,\"figures\":[" (Flexile_util.Json.escape profile_name)
-    jobs;
-  entries
-    (fun (name, seconds) ->
-      item "{\"name\":\"%s\",\"seconds\":%.6f}" (Flexile_util.Json.escape name) seconds)
-    figures;
-  item "],\"micro\":[";
-  entries
-    (fun (name, ms) ->
-      item "{\"name\":\"%s\",\"ms_per_run\":%.6f}" (Flexile_util.Json.escape name) ms)
-    micro;
-  (* the trace section is the full registry — every module's counters,
-     gauges, timers and span totals, plus the hierarchical span tree —
-     not just the offline solver's derived summary; histograms adds
-     the per-name quantile summaries with raw bucket lists *)
-  item "],\"trace\":%s,\"histograms\":%s}\n"
-    (Flexile_te.Flexile_offline.trace_json ())
-    (Flexile_obs.Metrics_export.histograms_json ());
-  close_out oc;
+  Json.write_file path
+    (Json.Object
+       [
+         ("profile", Json.String profile_name);
+         ("jobs", Json.int jobs);
+         ("figures", Json.Array (rows "seconds" figures));
+         ("micro", Json.Array (rows "ms_per_run" micro));
+         (* the trace section is the full registry — every module's
+            counters, gauges, timers and span totals, plus the
+            hierarchical span tree — not just the offline solver's
+            derived summary; histograms adds the per-name quantile
+            summaries with raw bucket lists *)
+         ("trace", Flexile_te.Flexile_offline.trace_json ());
+         ("histograms", Flexile_obs.Metrics_export.histograms_json ());
+       ]);
   Printf.printf "\nwrote timings to %s\n" path
 
 let () =
@@ -234,6 +230,6 @@ let () =
     write_json !json ~profile_name ~jobs ~figures:(List.rev !fig_timings)
       ~micro:!micro_rows;
   if !chrome <> "" then begin
-    Trace_export.write_file !chrome (Trace_export.chrome_json ());
+    Json.write_file !chrome (Trace_export.chrome_json ());
     Printf.printf "wrote Chrome trace to %s\n" !chrome
   end

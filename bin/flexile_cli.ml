@@ -6,6 +6,7 @@ open Cmdliner
 module Instance = Flexile_te.Instance
 module Metrics = Flexile_te.Metrics
 module Trace = Flexile_util.Trace
+module Json = Flexile_util.Json
 
 (* --trace OUT.json: enable the observability layer for this run and
    dump the merged report when the command finishes *)
@@ -36,14 +37,12 @@ let with_trace out chrome f =
   f ();
   Option.iter
     (fun path ->
-      Flexile_util.Trace_export.write_file path
-        (Flexile_te.Flexile_offline.trace_json ());
+      Json.write_file path (Flexile_te.Flexile_offline.trace_json ());
       Printf.printf "wrote trace to %s\n" path)
     out;
   Option.iter
     (fun path ->
-      Flexile_util.Trace_export.write_file path
-        (Flexile_util.Trace_export.chrome_json ());
+      Json.write_file path (Flexile_util.Trace_export.chrome_json ());
       Printf.printf "wrote Chrome trace to %s (load in Perfetto)\n" path)
     chrome
 
@@ -458,18 +457,26 @@ let monitor_cmd =
       if i mod snapshot_every = 0 || i = draws then begin
         let attr_field =
           match attribution with
-          | None -> ""
+          | None -> []
           | Some inp ->
               let rep =
                 Flexile_obs.Attribution.analyze inp
                   ~losses:(Flexile_obs.Slo.observed_losses slo)
               in
-              Printf.sprintf "\"attribution\":%s,"
-                (Flexile_obs.Attribution.snapshot_json rep)
+              [ ("attribution", Flexile_obs.Attribution.snapshot_json rep) ]
         in
-        Printf.bprintf jsonl_buf "{\"draw\":%d,\"slo\":%s,%s\"metrics\":%s}\n" i
-          (Flexile_obs.Slo.report_json slo) attr_field
-          (Flexile_obs.Metrics_export.snapshot_json ~deterministic:true ())
+        let line =
+          Json.Object
+            ([ ("draw", Json.int i); ("slo", Flexile_obs.Slo.report_json slo) ]
+            @ attr_field
+            @ [
+                ( "metrics",
+                  Flexile_obs.Metrics_export.snapshot_json ~deterministic:true ()
+                );
+              ])
+        in
+        Buffer.add_string jsonl_buf (Json.encode line);
+        Buffer.add_char jsonl_buf '\n'
       end
     done;
     Option.iter
@@ -481,10 +488,7 @@ let monitor_cmd =
               Flexile_obs.Attribution.analyze inp
                 ~losses:(Flexile_obs.Slo.observed_losses slo)
             in
-            let oc = open_out path in
-            output_string oc (Flexile_obs.Attribution.report_json rep);
-            output_char oc '\n';
-            close_out oc;
+            Json.write_file path (Flexile_obs.Attribution.report_json rep);
             Printf.printf "wrote attribution report to %s\n" path)
       explain;
     Option.iter
@@ -664,8 +668,12 @@ let explain_cmd =
       close_out oc;
       Printf.printf "wrote %s to %s\n" what path
     in
+    let write_json path v what =
+      Json.write_file path v;
+      Printf.printf "wrote %s to %s\n" what path
+    in
     Option.iter
-      (fun path -> write path (report_json rep ^ "\n") "attribution report")
+      (fun path -> write_json path (report_json rep) "attribution report")
       out;
     Option.iter
       (fun path ->
@@ -676,7 +684,7 @@ let explain_cmd =
       prom;
     Option.iter
       (fun path ->
-        write path (regimes_json rep ^ "\n") "regime-conditioned attainment")
+        write_json path (regimes_json rep) "regime-conditioned attainment")
       regimes
   in
   let term =
@@ -740,22 +748,17 @@ let doctor_cmd =
   in
   let run () topo fixture dump two scenarios mix max_pairs iterations jobs out
       chrome =
-    let deliver what contents =
+    let deliver what report =
       match out with
-      | None -> print_string contents
+      | None -> print_endline (Json.encode report)
       | Some path ->
-          Flexile_util.Trace_export.write_file path
-            (* write_file appends the newline *)
-            (String.sub contents 0
-               (let n = String.length contents in
-                if n > 0 && contents.[n - 1] = '\n' then n - 1 else n));
+          Json.write_file path report;
           Printf.printf "wrote %s to %s\n" what path
     in
     let write_chrome () =
       Option.iter
         (fun path ->
-          Flexile_util.Trace_export.write_file path
-            (Flexile_util.Trace_export.chrome_json ());
+          Json.write_file path (Flexile_util.Trace_export.chrome_json ());
           Printf.printf "wrote Chrome trace to %s (load in Perfetto)\n" path)
         chrome
     in
@@ -807,12 +810,17 @@ let doctor_cmd =
           (get "health.stalls")
           (get "health.dual_guard_trips")
           (get "health.dumps");
-        let b = Buffer.create 512 in
-        Printf.bprintf b
-          "{\"schema\":\"flexile-doctor\",\"version\":2,\"source\":{\"kind\":\"topology\",\"name\":\"%s\"},\"solver_health\":%s}\n"
-          (Flexile_util.Json.escape name)
-          (Flexile_util.Trace_export.solver_health_json ());
-        deliver "solver health" (Buffer.contents b);
+        deliver "solver health"
+          (Json.Object
+             [
+               ("schema", Json.String "flexile-doctor");
+               ("version", Json.int 2);
+               ( "source",
+                 Json.Object
+                   [ ("kind", Json.String "topology"); ("name", Json.String name) ]
+               );
+               ("solver_health", Flexile_util.Trace_export.solver_health_json ());
+             ]);
         write_chrome ()
     | _ ->
         prerr_endline

@@ -12,10 +12,12 @@
    model).
 
    Determinism contract: a fixture or dump diagnosis depends only on
-   the LP bits — the solve runs on the calling domain, every float in
-   the report is formatted with a fixed "%.9g", and no wall-clock or
-   job-count value appears — so the report is byte-identical at any
-   [--jobs], which `make doctor-smoke` asserts. *)
+   the LP bits — the solve runs on the calling domain, Json.encode
+   writes every number by one rule that depends only on its bits, and
+   no wall-clock or job-count value appears — so the report is
+   byte-identical at any [--jobs], which `make determinism` asserts. *)
+
+module Json = Flexile_util.Json
 
 (* ------------------------------------------------------------------ *)
 (* Seeded pathological fixtures                                        *)
@@ -121,69 +123,51 @@ let status_name = function
   | Simplex.Unbounded -> "unbounded"
   | Simplex.Iteration_limit -> "iteration_limit"
 
-let add_str b s =
-  Buffer.add_char b '"';
-  Buffer.add_string b (Flexile_util.Json.escape s);
-  Buffer.add_char b '"'
+let num x = Json.Number x
+let str x = Json.String x
+let strs l = Json.Array (List.map str l)
 
-(* Fixed-width decimal rendering: deterministic for identical bits, and
-   every value in a diagnosis comes from the single-domain replay, so
-   the whole report is byte-stable at any job count. *)
-let add_num b v =
-  match classify_float v with
-  | FP_nan -> Buffer.add_string b "\"nan\""
-  | FP_infinite -> Buffer.add_string b (if v > 0. then "\"inf\"" else "\"-inf\"")
-  | _ -> Buffer.add_string b (Printf.sprintf "%.9g" v)
-
-let add_list b xs f =
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i x ->
-      if i > 0 then Buffer.add_char b ',';
-      f x)
-    xs;
-  Buffer.add_char b ']'
-
-let add_sample b model (s : Health.sample) =
-  Buffer.add_string b "{\"kind\":";
-  add_str b (match s.Health.s_kind with Health.Refactor -> "refactor" | Health.Final -> "final");
-  Buffer.add_string b ",\"phase\":";
-  add_str b (phase_name s.Health.s_phase);
-  Buffer.add_string b (",\"iteration\":" ^ string_of_int s.Health.s_iteration);
-  Buffer.add_string b ",\"primal_residual\":";
-  add_num b s.Health.s_primal_res;
-  Buffer.add_string b ",\"dual_residual\":";
-  add_num b s.Health.s_dual_res;
-  Buffer.add_string b ",\"cond1\":";
-  add_num b s.Health.s_cond1;
-  Buffer.add_string b ",\"lu_growth\":";
-  add_num b s.Health.s_growth;
-  Buffer.add_string b ",\"udiag_min\":";
-  add_num b s.Health.s_udiag_min;
-  Buffer.add_string b ",\"udiag_max\":";
-  add_num b s.Health.s_udiag_max;
-  Buffer.add_string b
-    (",\"eta_len\":" ^ string_of_int s.Health.s_eta.Health.ee_len);
-  Buffer.add_string b
-    (",\"eta_rejections\":" ^ string_of_int s.Health.s_eta.Health.ee_rejections);
-  Buffer.add_string b ",\"eta_growth\":";
-  add_num b s.Health.s_eta.Health.ee_growth;
-  Buffer.add_string b ",\"near_singular\":";
-  add_list b s.Health.s_near_singular (fun (row, udiag) ->
-      Buffer.add_string b "{\"row\":";
-      Buffer.add_string b (string_of_int row);
-      Buffer.add_string b ",\"name\":";
-      add_str b (if row < Lp_model.nrows model then Lp_model.row_name model row else "");
-      Buffer.add_string b ",\"udiag\":";
-      add_num b udiag;
-      Buffer.add_char b '}');
-  Buffer.add_string b ",\"patched\":";
-  add_list b s.Health.s_patched (fun (pos, row) ->
-      Buffer.add_string b
-        ("[" ^ string_of_int pos ^ "," ^ string_of_int row ^ "]"));
-  Buffer.add_string b ",\"tripped\":";
-  add_list b s.Health.s_tripped (fun r -> add_str b r);
-  Buffer.add_char b '}'
+let sample_json model (s : Health.sample) =
+  Json.Object
+    [
+      ( "kind",
+        str
+          (match s.Health.s_kind with
+          | Health.Refactor -> "refactor"
+          | Health.Final -> "final") );
+      ("phase", str (phase_name s.Health.s_phase));
+      ("iteration", Json.int s.Health.s_iteration);
+      ("primal_residual", num s.Health.s_primal_res);
+      ("dual_residual", num s.Health.s_dual_res);
+      ("cond1", num s.Health.s_cond1);
+      ("lu_growth", num s.Health.s_growth);
+      ("udiag_min", num s.Health.s_udiag_min);
+      ("udiag_max", num s.Health.s_udiag_max);
+      ("eta_len", Json.int s.Health.s_eta.Health.ee_len);
+      ("eta_rejections", Json.int s.Health.s_eta.Health.ee_rejections);
+      ("eta_growth", num s.Health.s_eta.Health.ee_growth);
+      ( "near_singular",
+        Json.Array
+          (List.map
+             (fun (row, udiag) ->
+               Json.Object
+                 [
+                   ("row", Json.int row);
+                   ( "name",
+                     str
+                       (if row < Lp_model.nrows model then
+                          Lp_model.row_name model row
+                        else "") );
+                   ("udiag", num udiag);
+                 ])
+             s.Health.s_near_singular) );
+      ( "patched",
+        Json.Array
+          (List.map
+             (fun (pos, row) -> Json.Array [ Json.int pos; Json.int row ])
+             s.Health.s_patched) );
+      ("tripped", strs s.Health.s_tripped);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Diagnosis                                                           *)
@@ -313,7 +297,7 @@ type source =
   | Src_model
 
 type result = {
-  r_report : string; (* the diagnosis document, JSON *)
+  r_report : Json.t; (* the diagnosis document *)
   r_solution : Simplex.solution;
   r_health : Health.state;
   r_healthy : bool;
@@ -346,122 +330,114 @@ let render ~source ~model ~(sol : Simplex.solution) ~health
     | _ -> None
   in
   let dg = diagnose ~model ~samples ~stalls ~loops ~certificate_verdict in
-  let b = Buffer.create 8192 in
-  Buffer.add_string b "{\"schema\":\"flexile-doctor\",\"version\":2";
-  Buffer.add_string b ",\"source\":";
-  (match source with
-  | Src_fixture name ->
-      Buffer.add_string b "{\"kind\":\"fixture\",\"name\":";
-      add_str b name;
-      Buffer.add_char b '}'
-  | Src_dump (path, d) ->
-      Buffer.add_string b "{\"kind\":\"dump\",\"file\":";
-      add_str b (Filename.basename path);
-      Buffer.add_string b ",\"reasons\":";
-      add_list b d.Health.d_reasons (fun r -> add_str b r);
-      Buffer.add_string b ",\"phase\":";
-      add_str b (phase_name d.Health.d_phase);
-      Buffer.add_string b
-        (",\"iteration\":" ^ string_of_int d.Health.d_iteration);
-      Buffer.add_char b '}'
-  | Src_model -> Buffer.add_string b "{\"kind\":\"model\"}");
-  Buffer.add_string b ",\"model\":{\"name\":";
-  add_str b (Lp_model.name model);
-  Buffer.add_string b
-    (",\"vars\":" ^ string_of_int (Lp_model.nvars model)
-   ^ ",\"rows\":" ^ string_of_int (Lp_model.nrows model) ^ "}");
-  Buffer.add_string b ",\"status\":";
-  add_str b (status_name sol.Simplex.status);
-  Buffer.add_string b ",\"objective\":";
-  add_num b sol.Simplex.obj;
-  Buffer.add_string b (",\"iterations\":" ^ string_of_int sol.Simplex.iterations);
-  (* thresholds the run used *)
+  let source =
+    match source with
+    | Src_fixture name -> [ ("kind", str "fixture"); ("name", str name) ]
+    | Src_dump (path, d) ->
+        [
+          ("kind", str "dump");
+          ("file", str (Filename.basename path));
+          ("reasons", strs d.Health.d_reasons);
+          ("phase", str (phase_name d.Health.d_phase));
+          ("iteration", Json.int d.Health.d_iteration);
+        ]
+    | Src_model -> [ ("kind", str "model") ]
+  in
   let t = Health.thresholds health in
-  Buffer.add_string b ",\"thresholds\":{\"cond_limit\":";
-  add_num b t.Health.cond_limit;
-  Buffer.add_string b ",\"residual_limit\":";
-  add_num b t.Health.residual_limit;
-  Buffer.add_string b ",\"growth_limit\":";
-  add_num b t.Health.growth_limit;
-  Buffer.add_string b
-    (",\"stall_limit\":" ^ string_of_int t.Health.stall_limit);
-  Buffer.add_string b ",\"near_singular_rtol\":";
-  add_num b t.Health.near_singular_rtol;
-  Buffer.add_char b '}';
-  (* diagnosis *)
-  Buffer.add_string b ",\"diagnosis\":{\"healthy\":";
-  Buffer.add_string b (if dg.dg_healthy then "true" else "false");
-  Buffer.add_string b ",\"stalling_phase\":";
-  (match dg.dg_stalling_phase with
-  | None -> Buffer.add_string b "null"
-  | Some p -> add_str b p);
-  Buffer.add_string b ",\"near_singular_rows\":";
-  add_list b dg.dg_near_singular (fun (row, name, udiag) ->
-      Buffer.add_string b ("{\"row\":" ^ string_of_int row ^ ",\"name\":");
-      add_str b name;
-      Buffer.add_string b ",\"udiag\":";
-      add_num b udiag;
-      Buffer.add_char b '}');
-  Buffer.add_string b ",\"thresholds_tripped\":";
-  add_list b dg.dg_tripped (fun r -> add_str b r);
-  Buffer.add_string b ",\"max_cond1\":";
-  add_num b dg.dg_max_cond;
-  Buffer.add_string b ",\"max_primal_residual\":";
-  add_num b dg.dg_max_primal_res;
-  Buffer.add_string b ",\"max_dual_residual\":";
-  add_num b dg.dg_max_dual_res;
-  Buffer.add_string b ",\"max_lu_growth\":";
-  add_num b dg.dg_max_growth;
-  Buffer.add_string b ",\"verdicts\":";
-  add_list b dg.dg_verdicts (fun v -> add_str b v);
-  Buffer.add_char b '}';
-  (* stalls and loop notes *)
-  Buffer.add_string b ",\"stalls\":";
-  add_list b stalls (fun (st : Health.stall) ->
-      Buffer.add_string b "{\"phase\":";
-      add_str b (phase_name st.Health.st_phase);
-      Buffer.add_string b
-        (",\"iteration\":" ^ string_of_int st.Health.st_iteration
-       ^ ",\"run\":" ^ string_of_int st.Health.st_run ^ "}"));
-  Buffer.add_string b ",\"loops\":";
-  add_list b loops (fun (l : Health.loop_note) ->
-      Buffer.add_string b "{\"phase\":";
-      add_str b (phase_name l.Health.ln_phase);
-      Buffer.add_string b
-        (",\"iterations\":" ^ string_of_int l.Health.ln_iterations
-       ^ ",\"max_zero_run\":" ^ string_of_int l.Health.ln_max_run
-       ^ ",\"bland_iterations\":" ^ string_of_int l.Health.ln_bland ^ "}"));
-  (* the dumped basis measured in isolation, when replaying a dump *)
-  Buffer.add_string b ",\"dump_basis\":";
-  (match dump_state with
-  | None -> Buffer.add_string b "null"
-  | Some h -> (
-      match Health.samples h with
-      | s :: _ -> add_sample b model s
-      | [] -> Buffer.add_string b "null"));
-  (* per-refactorization timeline of the replay *)
-  Buffer.add_string b ",\"timeline\":";
-  add_list b (Health.samples health) (fun s -> add_sample b model s);
-  Buffer.add_string b ",\"certificate\":";
-  (match cert with
-  | None -> Buffer.add_string b "null"
-  | Some c ->
-      Buffer.add_string b "{\"primal_violation\":";
-      add_num b c.Certificate.primal_violation;
-      Buffer.add_string b ",\"dual_violation\":";
-      add_num b c.Certificate.dual_violation;
-      Buffer.add_string b ",\"gap\":";
-      add_num b c.Certificate.gap;
-      Buffer.add_string b
-        (",\"certified\":"
-        ^ if Certificate.certified c then "true}" else "false}"));
-  Buffer.add_string b "}\n";
-  {
-    r_report = Buffer.contents b;
-    r_solution = sol;
-    r_health = health;
-    r_healthy = dg.dg_healthy;
-  }
+  let report =
+    Json.Object
+      [
+        ("schema", str "flexile-doctor");
+        ("version", Json.int 2);
+        ("source", Json.Object source);
+        ( "model",
+          Json.Object
+            [
+              ("name", str (Lp_model.name model));
+              ("vars", Json.int (Lp_model.nvars model));
+              ("rows", Json.int (Lp_model.nrows model));
+            ] );
+        ("status", str (status_name sol.Simplex.status));
+        ("objective", num sol.Simplex.obj);
+        ("iterations", Json.int sol.Simplex.iterations);
+        (* thresholds the run used *)
+        ( "thresholds",
+          Json.Object
+            [
+              ("cond_limit", num t.Health.cond_limit);
+              ("residual_limit", num t.Health.residual_limit);
+              ("growth_limit", num t.Health.growth_limit);
+              ("stall_limit", Json.int t.Health.stall_limit);
+              ("near_singular_rtol", num t.Health.near_singular_rtol);
+            ] );
+        ( "diagnosis",
+          Json.Object
+            [
+              ("healthy", Json.Bool dg.dg_healthy);
+              ( "stalling_phase",
+                match dg.dg_stalling_phase with None -> Json.Null | Some p -> str p );
+              ( "near_singular_rows",
+                Json.Array
+                  (List.map
+                     (fun (row, name, udiag) ->
+                       Json.Object
+                         [
+                           ("row", Json.int row);
+                           ("name", str name);
+                           ("udiag", num udiag);
+                         ])
+                     dg.dg_near_singular) );
+              ("thresholds_tripped", strs dg.dg_tripped);
+              ("max_cond1", num dg.dg_max_cond);
+              ("max_primal_residual", num dg.dg_max_primal_res);
+              ("max_dual_residual", num dg.dg_max_dual_res);
+              ("max_lu_growth", num dg.dg_max_growth);
+              ("verdicts", strs dg.dg_verdicts);
+            ] );
+        ( "stalls",
+          Json.Array
+            (List.map
+               (fun (st : Health.stall) ->
+                 Json.Object
+                   [
+                     ("phase", str (phase_name st.Health.st_phase));
+                     ("iteration", Json.int st.Health.st_iteration);
+                     ("run", Json.int st.Health.st_run);
+                   ])
+               stalls) );
+        ( "loops",
+          Json.Array
+            (List.map
+               (fun (l : Health.loop_note) ->
+                 Json.Object
+                   [
+                     ("phase", str (phase_name l.Health.ln_phase));
+                     ("iterations", Json.int l.Health.ln_iterations);
+                     ("max_zero_run", Json.int l.Health.ln_max_run);
+                     ("bland_iterations", Json.int l.Health.ln_bland);
+                   ])
+               loops) );
+        (* the dumped basis measured in isolation, when replaying a dump *)
+        ( "dump_basis",
+          match Option.map Health.samples dump_state with
+          | Some (s :: _) -> sample_json model s
+          | _ -> Json.Null );
+        (* per-refactorization timeline of the replay *)
+        ("timeline", Json.Array (List.map (sample_json model) (Health.samples health)));
+        ( "certificate",
+          match cert with
+          | None -> Json.Null
+          | Some c ->
+              Json.Object
+                [
+                  ("primal_violation", num c.Certificate.primal_violation);
+                  ("dual_violation", num c.Certificate.dual_violation);
+                  ("gap", num c.Certificate.gap);
+                  ("certified", Json.Bool (Certificate.certified c));
+                ] );
+      ]
+  in
+  { r_report = report; r_solution = sol; r_health = health; r_healthy = dg.dg_healthy }
 
 let run_lp ?(source = Src_model) ?dump model =
   let thresholds = doctor_thresholds () in

@@ -5,7 +5,8 @@
     ([Certificate]).  See DESIGN.md section 15.
 
     Reports are deterministic: the replay runs on the calling domain,
-    floats are rendered with a fixed format, and nothing wall-clock- or
+    {!Flexile_util.Json.encode} writes each number from its bits alone
+    (non-finite ones as [null]), and nothing wall-clock- or
     job-count-dependent is included, so a fixture or dump diagnosis is
     byte-identical at any [--jobs]. *)
 
@@ -40,7 +41,7 @@ type source =
   | Src_model
 
 type result = {
-  r_report : string;  (** the diagnosis document (JSON, trailing newline) *)
+  r_report : Flexile_util.Json.t;  (** the diagnosis document *)
   r_solution : Simplex.solution;
   r_health : Health.state;  (** captured timeline of the replay *)
   r_healthy : bool;  (** no stalls, trips or near-singular rows *)

@@ -437,13 +437,6 @@ let hex_of_float x =
 
 let float_of_hex s = float_of_string_opt s
 
-let add_str b s =
-  Buffer.add_char b '"';
-  Buffer.add_string b (Json.escape s);
-  Buffer.add_char b '"'
-
-let add_hex b x = add_str b (hex_of_float x)
-
 let sense_to_string = function
   | Lp_model.Le -> "le"
   | Lp_model.Ge -> "ge"
@@ -455,56 +448,43 @@ let sense_of_string = function
   | "eq" -> Some Lp_model.Eq
   | _ -> None
 
-let model_to_buf b model =
-  Buffer.add_string b "{\"name\":";
-  add_str b (Lp_model.name model);
-  Buffer.add_string b ",\"vars\":[";
-  for j = 0 to Lp_model.nvars model - 1 do
-    if j > 0 then Buffer.add_char b ',';
-    Buffer.add_string b "{\"name\":";
-    add_str b (Lp_model.var_name model j);
-    Buffer.add_string b ",\"lb\":";
-    add_hex b (Lp_model.lb model j);
-    Buffer.add_string b ",\"ub\":";
-    add_hex b (Lp_model.ub model j);
-    Buffer.add_string b ",\"obj\":";
-    add_hex b (Lp_model.obj_coef model j);
-    Buffer.add_char b '}'
-  done;
-  Buffer.add_string b "],\"rows\":[";
-  for i = 0 to Lp_model.nrows model - 1 do
-    if i > 0 then Buffer.add_char b ',';
-    Buffer.add_string b "{\"name\":";
-    add_str b (Lp_model.row_name model i);
-    Buffer.add_string b ",\"sense\":";
-    add_str b (sense_to_string (Lp_model.row_sense model i));
-    Buffer.add_string b ",\"rhs\":";
-    add_hex b (Lp_model.rhs model i);
-    Buffer.add_string b ",\"coeffs\":[";
-    List.iteri
-      (fun k (j, v) ->
-        if k > 0 then Buffer.add_char b ',';
-        Buffer.add_string b "[";
-        Buffer.add_string b (string_of_int j);
-        Buffer.add_char b ',';
-        add_hex b v;
-        Buffer.add_char b ']')
-      (Lp_model.row_coeffs model i);
-    Buffer.add_string b "]}"
-  done;
-  Buffer.add_string b "]}"
-
-let model_to_json_string model =
-  let b = Buffer.create 1024 in
-  model_to_buf b model;
-  Buffer.contents b
+let model_to_json model =
+  let hex x = Json.String (hex_of_float x) in
+  Json.Object
+    [
+      ("name", Json.String (Lp_model.name model));
+      ( "vars",
+        Json.Array
+          (List.init (Lp_model.nvars model) (fun j ->
+               Json.Object
+                 [
+                   ("name", Json.String (Lp_model.var_name model j));
+                   ("lb", hex (Lp_model.lb model j));
+                   ("ub", hex (Lp_model.ub model j));
+                   ("obj", hex (Lp_model.obj_coef model j));
+                 ])) );
+      ( "rows",
+        Json.Array
+          (List.init (Lp_model.nrows model) (fun i ->
+               Json.Object
+                 [
+                   ("name", Json.String (Lp_model.row_name model i));
+                   ("sense", Json.String (sense_to_string (Lp_model.row_sense model i)));
+                   ("rhs", hex (Lp_model.rhs model i));
+                   ( "coeffs",
+                     Json.Array
+                       (List.map
+                          (fun (j, v) -> Json.Array [ Json.int j; hex v ])
+                          (Lp_model.row_coeffs model i)) );
+                 ])) );
+    ]
 
 let ( let* ) o f = match o with Some v -> f v | None -> None
 
 let json_hex j = let* s = Json.to_string j in float_of_hex s
 
 let model_of_json j =
-  let fail msg = Error ("health dump: bad model: " ^ msg) in
+  let fail msg = Error ("bad model: " ^ msg) in
   match
     let* name = let* n = Json.member "name" j in Json.to_string n in
     let* vars = let* v = Json.member "vars" j in Json.to_list v in
@@ -590,38 +570,21 @@ type dump = {
   d_vstat : int array;
 }
 
-let dump_to_string d =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":";
-  add_str b dump_schema;
-  Buffer.add_string b (",\"version\":" ^ string_of_int dump_version);
-  Buffer.add_string b ",\"reasons\":[";
-  List.iteri
-    (fun k r ->
-      if k > 0 then Buffer.add_char b ',';
-      add_str b r)
-    d.d_reasons;
-  Buffer.add_string b ("],\"phase\":" ^ string_of_int d.d_phase);
-  Buffer.add_string b (",\"iteration\":" ^ string_of_int d.d_iteration);
-  Buffer.add_string b ",\"eta_limit\":";
-  (match d.d_eta_limit with
-  | None -> Buffer.add_string b "null"
-  | Some l -> Buffer.add_string b (string_of_int l));
-  Buffer.add_string b ",\"model\":";
-  model_to_buf b d.d_model;
-  let ints name a =
-    Buffer.add_string b (",\"" ^ name ^ "\":[");
-    Array.iteri
-      (fun k v ->
-        if k > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (string_of_int v))
-      a;
-    Buffer.add_char b ']'
-  in
-  ints "basis" d.d_basis;
-  ints "vstat" d.d_vstat;
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+let dump_to_json d =
+  let ints a = Json.Array (Array.to_list (Array.map Json.int a)) in
+  Json.Object
+    [
+      ("schema", Json.String dump_schema);
+      ("version", Json.int dump_version);
+      ("reasons", Json.Array (List.map (fun r -> Json.String r) d.d_reasons));
+      ("phase", Json.int d.d_phase);
+      ("iteration", Json.int d.d_iteration);
+      ( "eta_limit",
+        match d.d_eta_limit with None -> Json.Null | Some l -> Json.int l );
+      ("model", model_to_json d.d_model);
+      ("basis", ints d.d_basis);
+      ("vstat", ints d.d_vstat);
+    ]
 
 (* Writes (or deterministically overwrites) the snapshot for [d]'s
    model in the FLEXILE_HEALTH_DUMP directory.  No-op returning [None]
@@ -634,81 +597,68 @@ let write_dump d =
       (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
        with Sys_error _ -> ());
       let path = dump_path ~dir ~model:d.d_model in
-      let oc = open_out path in
-      output_string oc (dump_to_string d);
-      close_out oc;
+      Json.write_file path (dump_to_json d);
       Trace.incr c_dumps;
       Some path
 
+(* A dumped basis indexes the simplex's column space: the model's
+   variables, then one slack and one artificial per row; a status is
+   at-lower, at-upper, basic or free (codes 0-3). *)
+let check_basis model ~basis ~vstat =
+  let m = Lp_model.nrows model in
+  let ncols = Lp_model.nvars model + (2 * m) in
+  let within hi a = Array.for_all (fun v -> v >= 0 && v < hi) a in
+  if Array.length basis <> m then
+    Error
+      (Printf.sprintf "basis has %d entries for %d rows" (Array.length basis) m)
+  else if Array.length vstat <> ncols then
+    Error
+      (Printf.sprintf "vstat has %d entries for %d columns"
+         (Array.length vstat) ncols)
+  else if not (within ncols basis) then Error "basis entry out of range"
+  else if not (within 4 vstat) then Error "vstat entry out of range"
+  else Ok ()
+
 let read_dump path =
-  match Json.parse_file path with
-  | Error e -> Error ("health dump: " ^ e)
-  | Ok j -> (
-      match
-        let* schema =
-          let* s = Json.member "schema" j in
-          Json.to_string s
-        in
-        if schema <> dump_schema then None
-        else
-          let* version =
-            let* v = Json.member "version" j in
-            Json.to_int v
-          in
-          if version > dump_version then None
-          else
-            let* reasons =
-              let* r = Json.member "reasons" j in
-              let* l = Json.to_list r in
-              List.fold_left
-                (fun acc r ->
-                  let* acc = acc in
-                  let* s = Json.to_string r in
-                  Some (s :: acc))
-                (Some []) l
-            in
-            let* phase = let* p = Json.member "phase" j in Json.to_int p in
-            let* iteration =
-              let* i = Json.member "iteration" j in
-              Json.to_int i
-            in
-            let eta_limit =
-              match Json.member "eta_limit" j with
-              | Some (Json.Number _ as n) -> Json.to_int n
-              | _ -> None
-            in
-            let* model_j = Json.member "model" j in
-            let* model =
-              match model_of_json model_j with
-              | Ok m -> Some m
-              | Error _ -> None
-            in
-            let ints name =
-              let* a = Json.member name j in
-              let* l = Json.to_list a in
-              let* l =
-                List.fold_left
-                  (fun acc v ->
-                    let* acc = acc in
-                    let* i = Json.to_int v in
-                    Some (i :: acc))
-                  (Some []) l
-              in
-              Some (Array.of_list (List.rev l))
-            in
-            let* basis = ints "basis" in
-            let* vstat = ints "vstat" in
-            Some
-              {
-                d_reasons = List.rev reasons;
-                d_phase = phase;
-                d_iteration = iteration;
-                d_eta_limit = eta_limit;
-                d_model = model;
-                d_basis = basis;
-                d_vstat = vstat;
-              }
-      with
-      | Some d -> Ok d
-      | None -> Error "health dump: missing field or schema mismatch"
-      | exception Invalid_argument msg -> Error ("health dump: " ^ msg))
+  let ( let* ) = Result.bind in
+  let field name conv j =
+    Option.to_result ~none:("missing or ill-typed field " ^ name)
+      (Option.bind (Json.member name j) conv)
+  in
+  let all conv l =
+    List.fold_right
+      (fun x acc -> Option.bind acc (fun acc -> Option.map (fun v -> v :: acc) (conv x)))
+      l (Some [])
+  in
+  let list conv j = Option.bind (Json.to_list j) (all conv) in
+  let ints name j = Result.map Array.of_list (field name (list Json.to_int) j) in
+  Result.map_error (fun e -> "health dump: " ^ e)
+    (let* j = Json.parse_file path in
+     let* schema = field "schema" Json.to_string j in
+     let* version = field "version" Json.to_int j in
+     let* () =
+       if schema = dump_schema && version <= dump_version then Ok ()
+       else Error "schema mismatch"
+     in
+     let* reasons = field "reasons" (list Json.to_string) j in
+     let* phase = field "phase" Json.to_int j in
+     let* iteration = field "iteration" Json.to_int j in
+     let* eta_limit =
+       field "eta_limit"
+         (function Json.Null -> Some None | v -> Option.map Option.some (Json.to_int v))
+         j
+     in
+     let* model = Result.bind (field "model" Option.some j) model_of_json in
+     let* basis = ints "basis" j in
+     let* vstat = ints "vstat" j in
+     let* () = check_basis model ~basis ~vstat in
+     Ok
+       {
+         d_reasons = reasons;
+         d_phase = phase;
+         d_iteration = iteration;
+         d_eta_limit = eta_limit;
+         d_model = model;
+         d_basis = basis;
+         d_vstat = vstat;
+       })

@@ -173,11 +173,15 @@ val write_dump : dump -> string option
     enabled.  Creates the directory if missing. *)
 
 val read_dump : string -> (dump, string) result
+(** [Error] — never an exception — for an unreadable file, malformed
+    JSON, a missing or ill-typed field, a schema mismatch, a model the
+    {!Lp_model} builders reject, and a basis that does not fit the
+    model: [d_basis] must hold one entry per row and [d_vstat] one per
+    column of the simplex's column space (the variables, then a slack
+    and an artificial per row), each in range. *)
 
-val dump_to_string : dump -> string
-(** The serialized form [write_dump] writes, for tests. *)
-
-val model_to_json_string : Lp_model.t -> string
+val dump_to_json : dump -> Flexile_util.Json.t
+(** The document [write_dump] writes (encoded, plus a newline). *)
 
 val hex_of_float : float -> string
 (** ["%h"] hexadecimal literal; ["inf"]/["-inf"]/["nan"] for the

@@ -1,9 +1,12 @@
 module Trace = Flexile_util.Trace
 
-(* Per search: node LPs solved, nodes left open, and why it stopped
-   (exactly one of the three stop counters). *)
+(* Per search: node LPs solved, nodes left open, nodes dropped with an
+   unbounded or cut-short LP, and why it stopped (exactly one of the
+   three stop counters).  A search that ran out of nodes to explore but
+   dropped some reads [stop_exhausted] with a nonzero [nodes_dropped]. *)
 let c_nodes = Trace.counter "mip.nodes"
 let c_open_at_stop = Trace.counter "mip.open_nodes_at_stop"
+let c_nodes_dropped = Trace.counter "mip.nodes_dropped"
 let c_stop_exhausted = Trace.counter "mip.stop_exhausted"
 let c_stop_node_limit = Trace.counter "mip.stop_node_limit"
 let c_stop_time_limit = Trace.counter "mip.stop_time_limit"
@@ -83,6 +86,7 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
   in
   let drop nd =
     hit_limit := true;
+    Trace.incr c_nodes_dropped;
     dropped_bound :=
       Some
         (Float.min nd.parent_bound

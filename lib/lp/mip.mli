@@ -11,7 +11,10 @@
     A node whose LP relaxation reads [Unbounded] or stops at its
     iteration limit is dropped unbounded: it counts as a limit, and its
     parent's bound stays in the frontier.  Such a search ends
-    [Feasible] or [Limit], never [Optimal] or [Infeasible]. *)
+    [Feasible] or [Limit], never [Optimal] or [Infeasible], and the
+    trace counter [mip.nodes_dropped] counts the dropped nodes, so a
+    search cut by a dropped node is told apart from one that exhausted
+    its tree (both stop with [mip.stop_exhausted]). *)
 
 type status =
   | Optimal  (** incumbent proven optimal (within [gap_tol]) *)

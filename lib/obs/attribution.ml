@@ -35,6 +35,7 @@
    conditioned on regime. *)
 
 module Trace = Flexile_util.Trace
+module Json = Flexile_util.Json
 module Stats = Flexile_util.Stats
 module Instance = Flexile_te.Instance
 module Metrics = Flexile_te.Metrics
@@ -373,118 +374,116 @@ let analyze ?(top = max_int) t ~losses =
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let jnum v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
+let num x = Json.Number x
 
-let bprint_bottleneck b bn =
-  Printf.bprintf b "{\"edge\":%d,\"u\":%d,\"v\":%d,\"dual\":%s}" bn.bedge bn.bu
-    bn.bv (jnum bn.bdual)
+let bottleneck_json bn =
+  Json.Object
+    [
+      ("edge", Json.int bn.bedge);
+      ("u", Json.int bn.bu);
+      ("v", Json.int bn.bv);
+      ("dual", num bn.bdual);
+    ]
 
-let bprint_class b (a : class_attr) =
-  Printf.bprintf b
-    "{\"cls\":%d,\"name\":\"%s\",\"beta\":%s,\"promised\":%s,\"observed\":%s,\
-     \"attained\":%b,\"binding_flow\":%d,\"good_mass\":%s,\"bad_mass\":%s,\
-     \"miss_mass\":%s,\"budget_burn\":%s,\"attributed\":%s,\"other_mass\":%s,\
-     \"unenumerated\":%s,\"regret\":{\"expected\":%s,\"max\":%s,\
-     \"promise_gap\":%s},\"scenarios\":["
-    a.acls (Flexile_util.Json.escape a.aname) (jnum a.abeta) (jnum a.apromised)
-    (jnum a.aobserved) a.aattained a.abinding_fid (jnum a.agood_mass)
-    (jnum a.abad_mass) (jnum a.amiss_mass) (jnum a.aburn)
-    (jnum (attributed_total a))
-    (jnum a.aother_mass) (jnum a.aunenumerated) (jnum a.aregret_expected)
-    (jnum a.aregret_max) (jnum a.apromise_gap);
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "{\"sid\":%d,\"regime\":\"%s\",\"prob\":%s,\"loss\":%s,\
-         \"attributed\":%s,\"regret\":%s,\"bottlenecks\":["
-        s.ssid (Flexile_util.Json.escape s.sregime) (jnum s.sprob) (jnum s.sloss)
-        (jnum s.sattr) (jnum s.sregret);
-      List.iteri
-        (fun j bn ->
-          if j > 0 then Buffer.add_char b ',';
-          bprint_bottleneck b bn)
-        s.sbottlenecks;
-      Buffer.add_string b "]}")
-    a.ascenarios;
-  Buffer.add_string b "],\"regimes\":[";
-  List.iteri
-    (fun i g ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "{\"regime\":\"%s\",\"mass\":%s,\"attributed\":%s,\"attainment\":%s,\
-         \"attained\":%b,\"regret\":%s}"
-        (Flexile_util.Json.escape g.gregime) (jnum g.gmass) (jnum g.gattr)
-        (jnum g.gattainment) g.gattained (jnum g.gregret))
-    a.aregimes;
-  Buffer.add_string b "],\"blame\":[";
-  List.iteri
-    (fun i bn ->
-      if i > 0 then Buffer.add_char b ',';
-      bprint_bottleneck b bn)
-    a.ablame;
-  Buffer.add_string b "]}"
+let regime_json g =
+  Json.Object
+    [
+      ("regime", Json.String g.gregime);
+      ("mass", num g.gmass);
+      ("attributed", num g.gattr);
+      ("attainment", num g.gattainment);
+      ("attained", Json.Bool g.gattained);
+      ("regret", num g.gregret);
+    ]
+
+let class_json (a : class_attr) =
+  Json.Object
+    [
+      ("cls", Json.int a.acls);
+      ("name", Json.String a.aname);
+      ("beta", num a.abeta);
+      ("promised", num a.apromised);
+      ("observed", num a.aobserved);
+      ("attained", Json.Bool a.aattained);
+      ("binding_flow", Json.int a.abinding_fid);
+      ("good_mass", num a.agood_mass);
+      ("bad_mass", num a.abad_mass);
+      ("miss_mass", num a.amiss_mass);
+      ("budget_burn", num a.aburn);
+      ("attributed", num (attributed_total a));
+      ("other_mass", num a.aother_mass);
+      ("unenumerated", num a.aunenumerated);
+      ( "regret",
+        Json.Object
+          [
+            ("expected", num a.aregret_expected);
+            ("max", num a.aregret_max);
+            ("promise_gap", num a.apromise_gap);
+          ] );
+      ( "scenarios",
+        Json.Array
+          (List.map
+             (fun s ->
+               Json.Object
+                 [
+                   ("sid", Json.int s.ssid);
+                   ("regime", Json.String s.sregime);
+                   ("prob", num s.sprob);
+                   ("loss", num s.sloss);
+                   ("attributed", num s.sattr);
+                   ("regret", num s.sregret);
+                   ("bottlenecks", Json.Array (List.map bottleneck_json s.sbottlenecks));
+                 ])
+             a.ascenarios) );
+      ("regimes", Json.Array (List.map regime_json a.aregimes));
+      ("blame", Json.Array (List.map bottleneck_json a.ablame));
+    ]
 
 let report_json r =
-  let b = Buffer.create 2048 in
-  Printf.bprintf b "{\"tol\":%s,\"classes\":[" (jnum r.rtol);
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char b ',';
-      bprint_class b a)
-    r.classes;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Json.Object
+    [ ("tol", num r.rtol); ("classes", Json.Array (List.map class_json r.classes)) ]
+
+let per_class_json f r =
+  Json.Object [ ("classes", Json.Array (List.map f r.classes)) ]
 
 (* compact per-snapshot form for JSONL lines: the reconciliation
    numbers and the regime split, without scenario/bottleneck detail *)
-let snapshot_json r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\"classes\":[";
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "{\"cls\":%d,\"attained\":%b,\"miss_mass\":%s,\"attributed\":%s,\
-         \"unenumerated\":%s,\"budget_burn\":%s,\"regret\":%s,\"regimes\":["
-        a.acls a.aattained (jnum a.amiss_mass)
-        (jnum (attributed_total a))
-        (jnum a.aunenumerated) (jnum a.aburn) (jnum a.aregret_expected);
-      List.iteri
-        (fun j g ->
-          if j > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "{\"regime\":\"%s\",\"attributed\":%s,\"attained\":%b}"
-            (Flexile_util.Json.escape g.gregime) (jnum g.gattr) g.gattained)
-        a.aregimes;
-      Buffer.add_string b "]}")
-    r.classes;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+let snapshot_json =
+  per_class_json (fun a ->
+      Json.Object
+        [
+          ("cls", Json.int a.acls);
+          ("attained", Json.Bool a.aattained);
+          ("miss_mass", num a.amiss_mass);
+          ("attributed", num (attributed_total a));
+          ("unenumerated", num a.aunenumerated);
+          ("budget_burn", num a.aburn);
+          ("regret", num a.aregret_expected);
+          ( "regimes",
+            Json.Array
+              (List.map
+                 (fun g ->
+                   Json.Object
+                     [
+                       ("regime", Json.String g.gregime);
+                       ("attributed", num g.gattr);
+                       ("attained", Json.Bool g.gattained);
+                     ])
+                 a.aregimes) );
+        ])
 
 (* regime-conditioned attainment on its own: which kind of failure is
    eating each class's budget *)
-let regimes_json r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\"classes\":[";
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "{\"cls\":%d,\"name\":\"%s\",\"promised\":%s,\"observed\":%s,\"regimes\":["
-        a.acls (Flexile_util.Json.escape a.aname) (jnum a.apromised) (jnum a.aobserved);
-      List.iteri
-        (fun j g ->
-          if j > 0 then Buffer.add_char b ',';
-          Printf.bprintf b
-            "{\"regime\":\"%s\",\"mass\":%s,\"attributed\":%s,\"attainment\":%s,\
-             \"attained\":%b,\"regret\":%s}"
-            (Flexile_util.Json.escape g.gregime) (jnum g.gmass) (jnum g.gattr)
-            (jnum g.gattainment) g.gattained (jnum g.gregret))
-        a.aregimes;
-      Buffer.add_string b "]}")
-    r.classes;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+let regimes_json =
+  per_class_json (fun a ->
+      Json.Object
+        [
+          ("cls", Json.int a.acls);
+          ("name", Json.String a.aname);
+          ("promised", num a.apromised);
+          ("observed", num a.aobserved);
+          ("regimes", Json.Array (List.map regime_json a.aregimes));
+        ])
 
 (* Labeled gauge families appended to the Prometheus page; class and
    regime names are catalog strings, hence the label escaping. *)

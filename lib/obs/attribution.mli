@@ -140,16 +140,16 @@ val analyze : ?top:int -> inputs -> losses:Flexile_te.Instance.losses -> report
     ({!Slo.observed_losses}).  [top] (default: all) caps the
     per-class scenario list; the rest is folded into [aother_mass]. *)
 
-val report_json : report -> string
-(** Full report as one-line JSON.  Deterministic; non-finite numbers
-    serialize as [null]. *)
+val report_json : report -> Flexile_util.Json.t
+(** The full report.  Deterministic; non-finite numbers encode as
+    [null]. *)
 
-val snapshot_json : report -> string
+val snapshot_json : report -> Flexile_util.Json.t
 (** Compact form for JSONL monitor lines: per class the
     reconciliation numbers, budget burn, expected regret and the
     regime split — no scenario or bottleneck detail. *)
 
-val regimes_json : report -> string
+val regimes_json : report -> Flexile_util.Json.t
 (** Just the regime-conditioned attainment: per class the promise,
     the observed percentile and the per-regime table — the "which kind
     of failure is eating the budget" artifact. *)

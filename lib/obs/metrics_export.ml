@@ -1,10 +1,11 @@
 (* Render the full Trace registry in wire formats monitoring stacks
    consume: Prometheus text exposition (one scrape page) and one-line
    JSON snapshots (a JSONL time series when written per monitoring
-   step).  Pure string builders over Trace's quiescent-point reads —
-   callers decide where the bytes go. *)
+   step).  Pure builders over Trace's quiescent-point reads — callers
+   decide where the bytes go. *)
 
 module Trace = Flexile_util.Trace
+module Json = Flexile_util.Json
 
 (* Prometheus metric names are [a-zA-Z_:][a-zA-Z0-9_:]*; the registry
    uses dotted names ("simplex.iterations_per_solve"), so map every
@@ -49,10 +50,6 @@ let fnum v =
   else if Float.is_nan v then "NaN"
   else if v > 0. then "+Inf"
   else "-Inf"
-
-(* JSON has no non-finite literals; empty-histogram min/max (nan)
-   serialize as null. *)
-let jnum v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
 
 (* Prometheus label VALUES have their own escaping rules (exposition
    format): backslash, double quote and line feed must be escaped;
@@ -159,75 +156,44 @@ let prometheus ?(deterministic = false) () =
 (* JSON snapshots                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let bprint_hist_summary b ?(buckets = false) (s : Trace.hist_snapshot) =
-  Printf.bprintf b "{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s"
-    s.Trace.hist_count (jnum s.Trace.hist_sum) (jnum s.Trace.hist_min)
-    (jnum s.Trace.hist_max);
-  List.iter
-    (fun (label, q) ->
-      Printf.bprintf b ",\"%s\":%s" label (jnum (Trace.hist_quantile_of s q)))
-    [ ("p50", 0.5); ("p90", 0.9); ("p95", 0.95); ("p99", 0.99) ];
-  if buckets then begin
-    Buffer.add_string b ",\"buckets\":[";
-    List.iteri
-      (fun i (ub, c) ->
-        if i > 0 then Buffer.add_char b ',';
-        Printf.bprintf b "[%s,%d]" (jnum ub) c)
-      s.Trace.hist_buckets;
-    Buffer.add_char b ']'
-  end;
-  Buffer.add_char b '}'
-
 let snapshot_json ?(deterministic = false) () =
   let metrics = select ~deterministic in
-  let b = Buffer.create 2048 in
-  let section title keep render =
-    Printf.bprintf b "\"%s\":{" title;
-    let first = ref true in
-    List.iter
-      (fun (name, kind) ->
-        if keep kind then begin
-          if !first then first := false else Buffer.add_char b ',';
-          Printf.bprintf b "\"%s\":" (Flexile_util.Json.escape name);
-          render name
-        end)
-      metrics;
-    Buffer.add_char b '}'
+  let section keep render =
+    Json.Object
+      (List.filter_map
+         (fun (name, kind) -> if keep kind then Some (name, render name) else None)
+         metrics)
   in
-  Buffer.add_char b '{';
-  section "counters"
-    (fun k -> k = Trace.Counter)
-    (fun n -> Printf.bprintf b "%d" (Trace.value_by_name n));
-  Buffer.add_char b ',';
-  section "gauges"
-    (fun k -> k = Trace.Gauge)
-    (fun n -> Printf.bprintf b "%d" (Trace.value_by_name n));
-  Buffer.add_char b ',';
-  section "timers"
-    (fun k -> k = Trace.Timer || k = Trace.Span)
-    (fun n ->
-      Printf.bprintf b "{\"seconds\":%s,\"count\":%d}"
-        (jnum (Trace.timer_seconds_by_name n))
-        (Trace.timer_count_by_name n));
-  Buffer.add_char b ',';
-  section "histograms"
-    (fun k -> k = Trace.Hist)
-    (fun n -> bprint_hist_summary b (Trace.hist_snapshot_by_name n));
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.Object
+    [
+      ( "counters",
+        section (fun k -> k = Trace.Counter) (fun n -> Json.int (Trace.value_by_name n)) );
+      ( "gauges",
+        section (fun k -> k = Trace.Gauge) (fun n -> Json.int (Trace.value_by_name n)) );
+      ( "timers",
+        section
+          (fun k -> k = Trace.Timer || k = Trace.Span)
+          (fun n ->
+            Json.Object
+              [
+                ("seconds", Json.Number (Trace.timer_seconds_by_name n));
+                ("count", Json.int (Trace.timer_count_by_name n));
+              ]) );
+      ( "histograms",
+        section
+          (fun k -> k = Trace.Hist)
+          (fun n -> Trace.hist_summary_json (Trace.hist_snapshot_by_name n)) );
+    ]
 
 let histograms_json () =
-  let b = Buffer.create 1024 in
-  Buffer.add_char b '{';
-  let first = ref true in
-  List.iter
-    (fun (name, kind) ->
-      match (kind : Trace.metric_kind) with
-      | Trace.Hist ->
-          if !first then first := false else Buffer.add_char b ',';
-          Printf.bprintf b "\"%s\":" (Flexile_util.Json.escape name);
-          bprint_hist_summary b ~buckets:true (Trace.hist_snapshot_by_name name)
-      | _ -> ())
-    (Trace.registry ());
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.Object
+    (List.filter_map
+       (fun (name, kind) ->
+         match (kind : Trace.metric_kind) with
+         | Trace.Hist ->
+             Some
+               ( name,
+                 Trace.hist_summary_json ~buckets:true
+                   (Trace.hist_snapshot_by_name name) )
+         | _ -> None)
+       (Trace.registry ()))

@@ -1,8 +1,8 @@
 (** Wire-format renderers over the full {!Flexile_util.Trace} registry:
-    Prometheus text exposition and one-line JSON snapshots (a JSONL
-    time series when written once per monitoring step).
+    Prometheus text exposition and JSON snapshots (a JSONL time series
+    when encoded once per monitoring step).
 
-    Pure string builders over quiescent-point reads — call only when
+    Pure builders over quiescent-point reads — call only when
     no instrumented work is in flight.
 
     With [deterministic] (default [false]) the output is restricted to
@@ -51,14 +51,13 @@ val prometheus : ?deterministic:bool -> unit -> string
     deterministic artifacts themselves are built over truncated
     rings. *)
 
-val snapshot_json : ?deterministic:bool -> unit -> string
-(** One-line JSON object
-    [{"counters":{..},"gauges":{..},"timers":{..},"histograms":{..}}]
-    (spans are folded into [timers]; histogram entries carry
-    count/sum/min/max and p50/p90/p95/p99).  Non-finite numbers
-    serialize as [null].  Suitable as one JSONL record. *)
+val snapshot_json : ?deterministic:bool -> unit -> Flexile_util.Json.t
+(** [{"counters":{..},"gauges":{..},"timers":{..},"histograms":{..}}]
+    (spans are folded into [timers]; histogram entries are
+    {!Flexile_util.Trace.hist_summary_json}).  Encoded, one JSONL
+    record. *)
 
-val histograms_json : unit -> string
-(** Just the histograms, unfiltered, with their raw (non-cumulative)
-    [(upper bound, count)] bucket lists included — the ["histograms"]
+val histograms_json : unit -> Flexile_util.Json.t
+(** Just the histograms, unfiltered, each
+    {!Flexile_util.Trace.hist_summary_json} with its raw bucket list — the ["histograms"]
     section embedded by [bench --json]. *)

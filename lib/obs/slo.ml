@@ -23,6 +23,7 @@
    mirror the paper's conservative treatment of unenumerated mass. *)
 
 module Trace = Flexile_util.Trace
+module Json = Flexile_util.Json
 module Instance = Flexile_te.Instance
 module Metrics = Flexile_te.Metrics
 
@@ -162,22 +163,29 @@ let unenumerated_draws t = t.unenumerated
 let scenarios_seen t =
   Array.fold_left (fun a s -> if s then a + 1 else a) 0 t.seen
 
-let jnum v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
-
 let report_json t =
-  let b = Buffer.create 512 in
-  Printf.bprintf b
-    "{\"draws\":%d,\"unenumerated\":%d,\"scenarios_seen\":%d,\"scenarios\":%d,\"classes\":["
-    t.total_draws t.unenumerated (scenarios_seen t)
-    (Instance.nscenarios t.inst);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "{\"cls\":%d,\"name\":\"%s\",\"beta\":%s,\"promised\":%s,\"observed\":%s,\"attained\":%b,\"bad_draws\":%d,\"window_bad\":%d,\"window_len\":%d,\"burn_rate\":%s}"
-        r.rcls (Flexile_util.Json.escape r.rname) (jnum r.rbeta) (jnum r.rpromised)
-        (jnum r.robserved) r.rattained r.rbad_draws r.rwindow_bad
-        r.rwindow_len (jnum r.rburn_rate))
-    (report t);
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Json.Object
+    [
+      ("draws", Json.int t.total_draws);
+      ("unenumerated", Json.int t.unenumerated);
+      ("scenarios_seen", Json.int (scenarios_seen t));
+      ("scenarios", Json.int (Instance.nscenarios t.inst));
+      ( "classes",
+        Json.Array
+          (List.map
+             (fun r ->
+               Json.Object
+                 [
+                   ("cls", Json.int r.rcls);
+                   ("name", Json.String r.rname);
+                   ("beta", Json.Number r.rbeta);
+                   ("promised", Json.Number r.rpromised);
+                   ("observed", Json.Number r.robserved);
+                   ("attained", Json.Bool r.rattained);
+                   ("bad_draws", Json.int r.rbad_draws);
+                   ("window_bad", Json.int r.rwindow_bad);
+                   ("window_len", Json.int r.rwindow_len);
+                   ("burn_rate", Json.Number r.rburn_rate);
+                 ])
+             (report t)) );
+    ]

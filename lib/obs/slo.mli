@@ -87,11 +87,11 @@ val draws : t -> int
 val unenumerated_draws : t -> int
 val scenarios_seen : t -> int
 
-val report_json : t -> string
-(** One-line JSON:
+val report_json : t -> Flexile_util.Json.t
+(** The report as JSON:
     [{"draws":..,"unenumerated":..,"scenarios_seen":..,"scenarios":..,
       "classes":[{"cls":..,"name":..,"beta":..,"promised":..,
       "observed":..,"attained":..,"bad_draws":..,"window_bad":..,
       "window_len":..,"burn_rate":..},..]}].
     Deterministic for a fixed observation sequence; non-finite numbers
-    serialize as [null]. *)
+    encode as [null]. *)

@@ -82,7 +82,7 @@ val trace_summary : unit -> (string * float) list
     rate, cuts generated/shared, scenarios pruned, subproblems solved,
     per-phase wall time.  All zero when tracing is disabled. *)
 
-val trace_json : unit -> string
-(** [{"derived": {..}, "report": <Trace.to_json ()>}] — the structured
-    trace section embedded by [bench --json] and written by
-    [flexile --trace OUT.json]. *)
+val trace_json : unit -> Flexile_util.Json.t
+(** {!Flexile_util.Trace_export.report_json} with {!trace_summary} as
+    its [derived] section — the structured trace section embedded by
+    [bench --json] and written by [flexile --trace OUT.json]. *)

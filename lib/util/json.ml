@@ -1,7 +1,8 @@
-(* Minimal JSON: just enough to parse back the documents this
-   repository itself emits (trace reports, Chrome traces, doctor
-   dumps) without adding a dependency.  Numbers are floats, objects
-   keep their textual field order. *)
+(* Minimal JSON: the one writer every report of this repository is
+   encoded with (trace reports, Chrome traces, monitor snapshots,
+   doctor reports and dumps, the lint summary), and a reader just
+   enough to parse them back, without adding a dependency.  Numbers
+   are floats, objects keep their textual field order. *)
 
 type t =
   | Null
@@ -187,26 +188,35 @@ let parse s =
   | exception Parse_error msg -> Error msg
 
 let parse_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  parse s
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> parse s
+  | exception Sys_error msg -> Error msg
 
 let member key = function
   | Object fields -> List.assoc_opt key fields
   | _ -> None
 
 let to_float = function Number f -> Some f | _ -> None
-let to_int = function Number f -> Some (int_of_float f) | _ -> None
+
+(* [int] spans [-2^62, 2^62) on 64-bit hosts; a float outside it or
+   with a fraction is not an int, rather than a truncated one *)
+let to_int = function
+  | Number f
+    when Float.is_integer f
+         && f >= Int.to_float min_int
+         && f < -.Int.to_float min_int ->
+      Some (Float.to_int f)
+  | _ -> None
+
 let to_string = function String s -> Some s | _ -> None
 let to_list = function Array l -> Some l | _ -> None
-let to_obj = function Object f -> Some f | _ -> None
 
 (* ---- writing ---- *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
+let int n = Number (Int.to_float n)
+
+let add_escaped b s =
+  Buffer.add_char b '"';
   String.iter
     (fun c ->
       match c with
@@ -217,4 +227,51 @@ let escape s =
           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s;
+  Buffer.add_char b '"'
+
+(* The one number rule: the text depends only on the bits, so equal
+   values encode to equal bytes, and it reads back to the same bits. *)
+let number_text x =
+  if not (Float.is_finite x) then "null"
+  else if Float.is_integer x && Float.abs x < 0x1p53 then
+    Printf.sprintf "%.0f" x
+  else
+    let reads_back s = Float_cmp.exactly_equal (float_of_string s) x in
+    let s15 = Printf.sprintf "%.15g" x in
+    if reads_back s15 then s15
+    else
+      let s16 = Printf.sprintf "%.16g" x in
+      if reads_back s16 then s16 else Printf.sprintf "%.17g" x
+
+let add_seq b lo hi f items =
+  Buffer.add_char b lo;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char b ',';
+      f x)
+    items;
+  Buffer.add_char b hi
+
+let rec add_value b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool x -> Buffer.add_string b (if x then "true" else "false")
+  | Number x -> Buffer.add_string b (number_text x)
+  | String s -> add_escaped b s
+  | Array items -> add_seq b '[' ']' (add_value b) items
+  | Object fields ->
+      add_seq b '{' '}'
+        (fun (k, v) ->
+          add_escaped b k;
+          Buffer.add_char b ':';
+          add_value b v)
+        fields
+
+let encode v =
+  let b = Buffer.create 1024 in
+  add_value b v;
   Buffer.contents b
+
+let write_file path v =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (encode v);
+      output_char oc '\n')

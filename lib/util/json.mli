@@ -1,8 +1,8 @@
-(** A minimal JSON reader, just enough to parse back the documents this
-    repository emits (trace reports, Chrome traces, bench baselines)
-    without pulling in a dependency, and the one string escaper those
-    documents are written with.  Numbers are floats; object fields keep
-    textual order. *)
+(** Minimal JSON without a dependency: the one writer every document
+    of this repository is encoded with (trace reports, Chrome traces,
+    monitor snapshots, attribution reports, doctor reports and health
+    dumps, the lint summary), and a reader that parses them back.
+    Numbers are floats; object fields keep their order. *)
 
 type t =
   | Null
@@ -16,19 +16,36 @@ val parse : string -> (t, string) result
 (** Whole-string parse; trailing non-whitespace is an error. *)
 
 val parse_file : string -> (t, string) result
+(** [Error] also when the file cannot be read. *)
 
 (** {1 Accessors} ([None] on shape mismatch) *)
 
 val member : string -> t -> t option
 val to_float : t -> float option
+
 val to_int : t -> int option
+(** [None] unless the number is integral and within [int]'s range. *)
+
 val to_string : t -> string option
 val to_list : t -> t list option
-val to_obj : t -> (string * t) list option
 
 (** {1 Writing} *)
 
-val escape : string -> string
-(** The body of a JSON string literal for [s], without the quotes:
-    double quote, backslash and newline are backslash-escaped, every
-    other control character (tab included) is written as [\u00XX]. *)
+val int : int -> t
+(** [Number] of an [int]. *)
+
+val encode : t -> string
+(** Compact JSON: no whitespace between tokens, fields in list order.
+    Strings escape double quote, backslash and newline with a
+    backslash and every other control character as [\u00XX]; other
+    bytes pass through.  One rule writes every number, so the text
+    depends only on the value's bits:
+    - a non-finite number is [null];
+    - an integer with [|x| < 2^53] is its digits ([-0.] is [-0]);
+    - any other number is the shortest of [%.15g], [%.16g] and
+      [%.17g] that reads back to the same bits.
+    So [parse (encode v) = Ok v] for every document without a
+    non-finite number. *)
+
+val write_file : string -> t -> unit
+(** [write_file path v] writes [encode v] and a newline to [path]. *)

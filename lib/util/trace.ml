@@ -740,6 +740,33 @@ let reset () =
         st.hists)
     (snapshot_states ())
 
+(* non-finite summary fields (empty histogram) encode as null *)
+let hist_summary_json ?(buckets = false) s =
+  let quantiles =
+    List.map
+      (fun (label, q) -> (label, Json.Number (hist_quantile_of s q)))
+      [ ("p50", 0.50); ("p90", 0.90); ("p95", 0.95); ("p99", 0.99) ]
+  in
+  let bucket_list =
+    if buckets then
+      [
+        ( "buckets",
+          Json.Array
+            (List.map
+               (fun (ub, c) -> Json.Array [ Json.Number ub; Json.int c ])
+               s.hist_buckets) );
+      ]
+    else []
+  in
+  Json.Object
+    ([
+       ("count", Json.int s.hist_count);
+       ("sum", Json.Number s.hist_sum);
+       ("min", Json.Number s.hist_min);
+       ("max", Json.Number s.hist_max);
+     ]
+    @ quantiles @ bucket_list)
+
 let to_json () =
   let ids =
     Mutex.lock reg_m;
@@ -748,47 +775,31 @@ let to_json () =
     Array.sort compare a;
     Array.to_list a
   in
-  let b = Buffer.create 512 in
-  let obj key kind fmt =
-    Printf.bprintf b "\"%s\":{" key;
-    let first = ref true in
-    List.iter
-      (fun (name, k, id) ->
-        if k = kind then begin
-          if not !first then Buffer.add_char b ',';
-          first := false;
-          Printf.bprintf b "\"%s\":" (Json.escape name);
-          fmt id
-        end)
-      ids;
-    Buffer.add_char b '}'
+  let section kind render =
+    Json.Object
+      (List.filter_map
+         (fun (name, k, id) -> if k = kind then Some (name, render id) else None)
+         ids)
   in
-  Printf.bprintf b "{\"enabled\":%b," (enabled ());
-  obj "counters" K_counter (fun id -> Printf.bprintf b "%d" (value id));
-  Buffer.add_char b ',';
-  obj "gauges" K_gauge (fun id -> Printf.bprintf b "%d" (gauge_value id));
-  Buffer.add_char b ',';
-  obj "timers" K_timer (fun id ->
-      Printf.bprintf b "{\"seconds\":%.6f,\"count\":%d}" (timer_seconds id)
-        (timer_count id));
-  Buffer.add_char b ',';
-  (* spans reuse the timer accumulators, so totals by name are free *)
-  obj "spans" K_span (fun id ->
-      Printf.bprintf b "{\"seconds\":%.6f,\"count\":%d}" (timer_seconds id)
-        (timer_count id));
-  Buffer.add_char b ',';
-  (* non-finite summary fields (empty histogram) serialize as null *)
-  let jnum v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null" in
-  obj "histograms" K_hist (fun id ->
-      let s = hist_snapshot id in
-      Printf.bprintf b
-        "{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p90\":%s,\"p95\":%s,\"p99\":%s}"
-        s.hist_count (jnum s.hist_sum) (jnum s.hist_min) (jnum s.hist_max)
-        (jnum (hist_quantile_of s 0.50))
-        (jnum (hist_quantile_of s 0.90))
-        (jnum (hist_quantile_of s 0.95))
-        (jnum (hist_quantile_of s 0.99)));
-  Printf.bprintf b
-    ",\"span_records\":{\"logged\":%d,\"dropped\":%d},\"events\":{\"logged\":%d,\"dropped\":%d}}"
-    (spans_logged ()) (spans_dropped ()) (events_logged ()) (events_dropped ());
-  Buffer.contents b
+  let totals id =
+    Json.Object
+      [
+        ("seconds", Json.Number (timer_seconds id));
+        ("count", Json.int (timer_count id));
+      ]
+  in
+  let logged_dropped logged dropped =
+    Json.Object [ ("logged", Json.int logged); ("dropped", Json.int dropped) ]
+  in
+  Json.Object
+    [
+      ("enabled", Json.Bool (enabled ()));
+      ("counters", section K_counter (fun id -> Json.int (value id)));
+      ("gauges", section K_gauge (fun id -> Json.int (gauge_value id)));
+      ("timers", section K_timer totals);
+      (* spans reuse the timer accumulators, so totals by name are free *)
+      ("spans", section K_span totals);
+      ("histograms", section K_hist (fun id -> hist_summary_json (hist_snapshot id)));
+      ("span_records", logged_dropped (spans_logged ()) (spans_dropped ()));
+      ("events", logged_dropped (events_logged ()) (events_dropped ()));
+    ]

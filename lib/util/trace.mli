@@ -268,15 +268,20 @@ val reset : unit -> unit
 (** Zero every counter, gauge, timer and event ring in every registered
     domain state.  Quiescent-point operation. *)
 
-val to_json : unit -> string
-(** One-line JSON object:
+val hist_summary_json : ?buckets:bool -> hist_snapshot -> Json.t
+(** [{"count":n,"sum":s,"min":m,"max":M,"p50":..,"p90":..,"p95":..,
+    "p99":..}], plus ["buckets":[[upper bound,count],..]] (raw, not
+    cumulative) when [buckets] (default [false]).  Non-finite fields
+    (empty recorder) encode as [null].  The one histogram summary every
+    report writes. *)
+
+val to_json : unit -> Json.t
+(** The registry as one JSON object:
     [{"enabled":bool,"counters":{..},"gauges":{..},
       "timers":{name:{"seconds":s,"count":n},..},
       "spans":{name:{"seconds":s,"count":n},..},
-      "histograms":{name:{"count":n,"sum":s,"min":m,"max":M,
-                          "p50":..,"p90":..,"p95":..,"p99":..},..},
+      "histograms":{name:<hist_summary_json>,..},
       "span_records":{"logged":n,"dropped":n},
       "events":{"logged":n,"dropped":n}}]
     with keys sorted by name — the {e full} metric registry, every
-    module's counters included.  Non-finite histogram summary fields
-    (empty recorder) serialize as [null]. *)
+    module's counters included. *)

@@ -136,8 +136,9 @@ let test_jobs_determinism () =
   let promised = promises inst off.Offline.best.Offline.losses in
   let report jobs =
     let inp = Attribution.prepare ~jobs inst ~offline:off ~promised () in
-    Attribution.report_json
-      (Attribution.analyze ~top:3 inp ~losses:(Attribution.online_losses inp))
+    Flexile_util.Json.encode
+    @@ Attribution.report_json
+         (Attribution.analyze ~top:3 inp ~losses:(Attribution.online_losses inp))
   in
   Alcotest.(check string) "report jobs 1 vs 4" (report 1) (report 4)
 

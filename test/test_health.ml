@@ -6,6 +6,7 @@
 open Flexile_lp
 module Prng = Flexile_util.Prng
 module Trace = Flexile_util.Trace
+module Json = Flexile_util.Json
 
 let prod_thresholds () = Health.default_thresholds ()
 
@@ -126,7 +127,7 @@ let test_near_singular_fixture () =
         (Health.stalls r.Doctor.r_health <> []);
       (* the rendered diagnosis names the phase and the rows *)
       let mem needle =
-        let h = r.Doctor.r_report in
+        let h = Json.encode r.Doctor.r_report in
         let n = String.length needle and l = String.length h in
         let rec go i =
           i + n <= l && (String.equal (String.sub h i n) needle || go (i + 1))
@@ -199,48 +200,106 @@ let test_hex_float_round_trip () =
       (* subnormal *) infinity; neg_infinity; Float.nan; 1. +. 1e-10;
     ]
 
-let test_dump_round_trip () =
+let fixture_dump () =
   let model = Doctor.near_singular_fixture () in
-  let n = 2 + Lp_model.nrows model + Lp_model.nvars model in
-  let dump =
-    {
-      Health.d_reasons = [ "cond"; "lu_growth" ];
-      d_phase = 2;
-      d_iteration = 17;
-      d_eta_limit = Some 3;
-      d_model = model;
-      d_basis = Array.init (Lp_model.nrows model) (fun i -> i);
-      d_vstat = Array.make n 0;
-    }
-  in
-  let s = Health.dump_to_string dump in
+  (* one status per column: the variables, a slack and an artificial
+     per row *)
+  let n = Lp_model.nvars model + (2 * Lp_model.nrows model) in
+  {
+    Health.d_reasons = [ "cond"; "lu_growth" ];
+    d_phase = 2;
+    d_iteration = 17;
+    d_eta_limit = Some 3;
+    d_model = model;
+    d_basis = Array.init (Lp_model.nrows model) (fun i -> i);
+    d_vstat = Array.make n 0;
+  }
+
+(* [f path] with [contents] written to a fresh temporary file *)
+let with_file contents f =
   let path = Filename.temp_file "flexile-health" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let oc = open_out path in
-      output_string oc s;
-      close_out oc;
-      match Health.read_dump path with
-      | Error e -> Alcotest.failf "read_dump: %s" e
-      | Ok d ->
-          Alcotest.(check (list string))
-            "reasons" dump.Health.d_reasons d.Health.d_reasons;
-          Alcotest.(check int) "phase" 2 d.Health.d_phase;
-          Alcotest.(check int) "iteration" 17 d.Health.d_iteration;
-          Alcotest.(check (option int)) "eta limit" (Some 3) d.Health.d_eta_limit;
-          Alcotest.(check (array int))
-            "basis" dump.Health.d_basis d.Health.d_basis;
-          Alcotest.(check (array int))
-            "vstat" dump.Health.d_vstat d.Health.d_vstat;
-          (* the model re-serializes to the identical bytes: every
-             float survives through the hex literals *)
-          Alcotest.(check string)
-            "model json byte-identical"
-            (Health.model_to_json_string model)
-            (Health.model_to_json_string d.Health.d_model);
-          Alcotest.(check string)
-            "dump re-serializes byte-identically" s (Health.dump_to_string d))
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      f path)
+
+let test_dump_round_trip () =
+  let dump = fixture_dump () in
+  let encode d = Json.encode (Health.dump_to_json d) in
+  let s = encode dump in
+  with_file s @@ fun path ->
+  match Health.read_dump path with
+  | Error e -> Alcotest.failf "read_dump: %s" e
+  | Ok d ->
+      Alcotest.(check (list string))
+        "reasons" dump.Health.d_reasons d.Health.d_reasons;
+      Alcotest.(check int) "phase" 2 d.Health.d_phase;
+      Alcotest.(check int) "iteration" 17 d.Health.d_iteration;
+      Alcotest.(check (option int)) "eta limit" (Some 3) d.Health.d_eta_limit;
+      Alcotest.(check (array int)) "basis" dump.Health.d_basis d.Health.d_basis;
+      Alcotest.(check (array int)) "vstat" dump.Health.d_vstat d.Health.d_vstat;
+      (* the dump, model included, re-serializes to the identical
+         bytes: every float survives through the hex literals *)
+      Alcotest.(check string) "dump re-serializes byte-identically" s (encode d)
+
+(* ---- doctor --from-dump: a bad dump is an Error, never an exception ---- *)
+
+(* the fixture dump with its "basis" member replaced by [basis] *)
+let dump_with_basis basis =
+  match Health.dump_to_json (fixture_dump ()) with
+  | Json.Object fields ->
+      Json.encode
+        (Json.Object
+           (List.map
+              (fun (k, v) -> if k = "basis" then (k, Json.Array basis) else (k, v))
+              fields))
+  | _ -> Alcotest.fail "dump is not an object"
+
+let expect_dump_error ~mentions path =
+  match Doctor.run_dump path with
+  | Ok _ -> Alcotest.fail "a bad dump was diagnosed"
+  | Error e ->
+      let contains s sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      if not (contains e mentions) then
+        Alcotest.failf "error %S does not mention %S" e mentions
+
+let fixture_rows () = Lp_model.nrows (Doctor.near_singular_fixture ())
+
+let test_dump_missing_file () =
+  let path = Filename.temp_file "flexile-health" ".json" in
+  Sys.remove path;
+  expect_dump_error ~mentions:"health dump: " path
+
+let test_dump_basis_out_of_range () =
+  with_file
+    (dump_with_basis (List.init (fixture_rows ()) (fun _ -> Json.int 99999)))
+  @@ expect_dump_error ~mentions:"basis entry out of range"
+
+let test_dump_basis_too_short () =
+  with_file (dump_with_basis [ Json.int 0 ])
+  @@ expect_dump_error ~mentions:"basis has 1 entries"
+
+let test_dump_basis_not_an_int () =
+  with_file
+    (dump_with_basis (List.init (fixture_rows ()) (fun _ -> Json.Number 1e300)))
+  @@ expect_dump_error ~mentions:"field basis"
+
+(* Seeded byte mutations of a valid dump: read_dump answers Ok or
+   Error, never an exception. *)
+let prop_mutated_dump_reads =
+  let s = Json.encode (Health.dump_to_json (fixture_dump ())) in
+  QCheck.Test.make ~name:"mutated dumps read as Ok or Error" ~count:300
+    (QCheck.make (Fuzz.mutation_gen s))
+    (fun bytes ->
+      with_file bytes (fun path ->
+          match Health.read_dump path with Ok _ | Error _ -> true))
 
 (* ---- threshold trip writes a dump; diagnose-basis measures it ---- *)
 
@@ -309,7 +368,7 @@ let test_doctor_deterministic () =
   let report name =
     match Doctor.run_fixture name with
     | Error e -> Alcotest.failf "fixture: %s" e
-    | Ok r -> r.Doctor.r_report
+    | Ok r -> Json.encode r.Doctor.r_report
   in
   List.iter
     (fun name ->
@@ -323,7 +382,7 @@ let test_doctor_deterministic () =
   let from_dump () =
     match Doctor.run_dump path with
     | Error e -> Alcotest.failf "run_dump: %s" e
-    | Ok r -> r.Doctor.r_report
+    | Ok r -> Json.encode r.Doctor.r_report
   in
   Alcotest.(check string) "dump replay byte-stable" (from_dump ()) (from_dump ())
 
@@ -336,7 +395,9 @@ let test_solver_health_json () =
   (match Doctor.run_fixture "near-singular" with
   | Error e -> Alcotest.failf "fixture: %s" e
   | Ok _ -> ());
-  let s = Flexile_util.Trace_export.solver_health_json () in
+  let s =
+    Flexile_util.Json.encode (Flexile_util.Trace_export.solver_health_json ())
+  in
   match Flexile_util.Json.parse s with
   | Error e -> Alcotest.failf "solver_health not JSON: %s" e
   | Ok j ->
@@ -387,6 +448,16 @@ let () =
             test_dump_round_trip;
           Alcotest.test_case "trip auto-dumps; patch path reported" `Quick
             test_auto_dump_and_patch_path;
+          Alcotest.test_case "missing dump file is an error" `Quick
+            test_dump_missing_file;
+          Alcotest.test_case "basis entry out of range is an error" `Quick
+            test_dump_basis_out_of_range;
+          Alcotest.test_case "short basis is an error" `Quick
+            test_dump_basis_too_short;
+          Alcotest.test_case "non-integral basis entry is an error" `Quick
+            test_dump_basis_not_an_int;
+          QCheck_alcotest.to_alcotest ~rand:(Fuzz.rand ())
+            prop_mutated_dump_reads;
         ] );
       ( "doctor",
         [

@@ -315,11 +315,21 @@ let test_mip_unbounded_relaxation () =
   let x = Lp_model.add_var m ~ub:1. () in
   let y = Lp_model.add_var m ~obj:(-1.) () in
   let _ = Lp_model.add_row m Lp_model.Ge 0. [ (y, 1.); (x, -1.) ] in
+  let module Trace = Flexile_util.Trace in
+  let was = Trace.enabled () in
+  Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Trace.set_enabled was) @@ fun () ->
+  let names = [ "mip.nodes_dropped"; "mip.stop_exhausted" ] in
+  let before = List.map Trace.value_by_name names in
   let r = Mip.solve ~binaries:[| x |] m in
   Alcotest.(check bool) "limit, not infeasible" true (r.Mip.status = Mip.Limit);
   Alcotest.(check int) "one node" 1 r.Mip.nodes;
   Alcotest.(check bool) "the root's bound stays in the frontier" true
-    (r.Mip.bound = neg_infinity)
+    (r.Mip.bound = neg_infinity);
+  (* the tree ran out of nodes, but only because its one node was
+     dropped: the counter tells the two apart *)
+  Alcotest.(check (list int)) "one node dropped, tree exhausted" [ 1; 1 ]
+    (List.map2 ( - ) (List.map Trace.value_by_name names) before)
 
 let test_mip_mixed () =
   (* min y - x s.t. y >= 1.3 z, x <= 2 + z, x <= 3, z binary, y >= 0.

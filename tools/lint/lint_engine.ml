@@ -634,86 +634,60 @@ let render_finding f =
   Printf.sprintf "%s:%d: [%s] %s%s" f.file f.line f.rule f.message
     (render_chain f.chain)
 
-(* JSON emission mirrors the conventions of Flexile_util.Trace_export:
-   hand-rolled Buffer writer, escaped strings, stable field order. *)
-let esc b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 let json_summary ?(stale = []) r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"schema\": \"flexile-lint-summary\",\n";
-  Buffer.add_string b "  \"version\": 2,\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"files_checked\": %d,\n" r.files_checked);
-  Buffer.add_string b
-    (Printf.sprintf "  \"total_findings\": %d,\n" (List.length r.findings));
-  Buffer.add_string b (Printf.sprintf "  \"suppressed\": %d,\n" r.suppressed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"config_suppressed\": %d,\n" r.config_suppressed);
-  Buffer.add_string b "  \"counts\": {";
-  List.iteri
-    (fun i (id, _) ->
-      if i > 0 then Buffer.add_string b ", ";
-      let n =
-        List.length (List.filter (fun f -> f.rule = id) r.findings)
-      in
-      esc b id;
-      Buffer.add_string b (Printf.sprintf ": %d" n))
-    rules;
-  Buffer.add_string b "},\n  \"findings\": [";
-  List.iteri
-    (fun i f ->
-      Buffer.add_string b (if i = 0 then "\n" else ",\n");
-      Buffer.add_string b "    {\"file\": ";
-      esc b f.file;
-      Buffer.add_string b (Printf.sprintf ", \"line\": %d, \"col\": %d, " f.line f.col);
-      Buffer.add_string b "\"rule\": ";
-      esc b f.rule;
-      Buffer.add_string b ", \"message\": ";
-      esc b f.message;
-      (match f.chain with
-      | [] -> ()
+  let module Json = Flexile_util.Json in
+  let str s = Json.String s in
+  let finding f =
+    Json.Object
+      ([
+         ("file", str f.file);
+         ("line", Json.int f.line);
+         ("col", Json.int f.col);
+         ("rule", str f.rule);
+         ("message", str f.message);
+       ]
+      @
+      match f.chain with
+      | [] -> []
       | chain ->
-          Buffer.add_string b ", \"chain\": [";
-          List.iteri
-            (fun j c ->
-              if j > 0 then Buffer.add_string b ", ";
-              Buffer.add_string b "{\"fn\": ";
-              esc b c.c_fn;
-              Buffer.add_string b ", \"file\": ";
-              esc b c.c_file;
-              Buffer.add_string b (Printf.sprintf ", \"line\": %d}" c.c_line))
-            chain;
-          Buffer.add_string b "]");
-      Buffer.add_string b "}")
-    r.findings;
-  if r.findings <> [] then Buffer.add_string b "\n  ";
-  Buffer.add_string b "],\n  \"stale_suppressions\": [";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string b (if i = 0 then "\n" else ",\n");
-      Buffer.add_string b "    {\"kind\": ";
-      esc b s.st_kind;
-      Buffer.add_string b ", \"file\": ";
-      esc b s.st_file;
-      Buffer.add_string b (Printf.sprintf ", \"line\": %d, \"id\": " s.st_line);
-      esc b s.st_id;
-      Buffer.add_string b ", \"detail\": ";
-      esc b s.st_detail;
-      Buffer.add_string b "}")
-    stale;
-  if stale <> [] then Buffer.add_string b "\n  ";
-  Buffer.add_string b "]\n}\n";
-  Buffer.contents b
+          [
+            ( "chain",
+              Json.Array
+                (List.map
+                   (fun c ->
+                     Json.Object
+                       [
+                         ("fn", str c.c_fn);
+                         ("file", str c.c_file);
+                         ("line", Json.int c.c_line);
+                       ])
+                   chain) );
+          ])
+  in
+  let stale_json s =
+    Json.Object
+      [
+        ("kind", str s.st_kind);
+        ("file", str s.st_file);
+        ("line", Json.int s.st_line);
+        ("id", str s.st_id);
+        ("detail", str s.st_detail);
+      ]
+  in
+  Json.Object
+    [
+      ("schema", str "flexile-lint-summary");
+      ("version", Json.int 2);
+      ("files_checked", Json.int r.files_checked);
+      ("total_findings", Json.int (List.length r.findings));
+      ("suppressed", Json.int r.suppressed);
+      ("config_suppressed", Json.int r.config_suppressed);
+      ( "counts",
+        Json.Object
+          (List.map
+             (fun (id, _) ->
+               (id, Json.int (List.length (List.filter (fun f -> f.rule = id) r.findings))))
+             rules) );
+      ("findings", Json.Array (List.map finding r.findings));
+      ("stale_suppressions", Json.Array (List.map stale_json stale));
+    ]

@@ -100,7 +100,7 @@ val render_finding : finding -> string
 (** ["file:line: [rule-id] message"], plus indented call-chain lines
     for deep findings. *)
 
-val json_summary : ?stale:stale list -> report -> string
+val json_summary : ?stale:stale list -> report -> Flexile_util.Json.t
 (** Machine-readable summary, schema [flexile-lint-summary] version 2:
     per-rule counts over the full vocabulary, findings with optional
     ["chain"] witnesses, suppression totals, and the

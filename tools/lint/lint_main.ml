@@ -137,9 +137,7 @@ let () =
   (match !json_out with
   | None -> ()
   | Some path ->
-      let oc = open_out path in
-      output_string oc (Lint_engine.json_summary ~stale report);
-      close_out oc);
+      Flexile_util.Json.write_file path (Lint_engine.json_summary ~stale report));
   let n = List.length report.Lint_engine.findings in
   if not !quiet then
     Printf.printf
