@@ -77,12 +77,55 @@ let micro_benchmarks ~jobs () =
     Test.make ~name:"simplex-60x40" (Staged.stage (fun () ->
         ignore (Flexile_lp.Simplex.solve model)))
   in
+  (* node LPs of a Benders master (M): a binary z per (flow, scenario),
+     a coverage row per flow and optimality cuts bounding the penalty
+     from below; one solver state cold-solved under a fixed sequence of
+     fixings, as Mip.solve does at each node *)
+  let master_nodes =
+    let module Lp_model = Flexile_lp.Lp_model in
+    let module Prng = Flexile_util.Prng in
+    let prng = Prng.of_string "micro-master" in
+    let nf = 12 and nq = 20 in
+    let model = Lp_model.create () in
+    let penalty = Lp_model.add_var model ~ub:2. ~obj:1. () in
+    let z =
+      Array.init nf (fun _ ->
+          Array.init nq (fun _ -> Lp_model.add_var model ~ub:1. ~obj:(-1e-7) ()))
+    in
+    Array.iter
+      (fun row ->
+        ignore
+          (Lp_model.add_row model Lp_model.Ge 0.9
+             (Array.to_list (Array.map (fun v -> (v, 1. /. float_of_int nq)) row))))
+      z;
+    for _ = 1 to 80 do
+      let q = Prng.int prng nq in
+      ignore
+        (Lp_model.add_row model Lp_model.Ge (Prng.uniform prng (-0.5) 0.5)
+           ((penalty, 1.)
+           :: List.init nf (fun f -> (z.(f).(q), -.Prng.uniform prng 0. 0.2))))
+    done;
+    let fixings =
+      Array.init 24 (fun node ->
+          List.init (1 + (node mod 8)) (fun _ ->
+              ( z.(Prng.int prng nf).(Prng.int prng nq),
+                if Prng.bool prng 0.5 then 1. else 0. )))
+    in
+    let st = Flexile_lp.Simplex.make model in
+    Test.make ~name:"master-node-lps" (Staged.stage (fun () ->
+        Array.iter
+          (fun fx ->
+            List.iter (fun (v, x) -> Lp_model.set_bounds model v ~lb:x ~ub:x) fx;
+            ignore (Flexile_lp.Simplex.solve_cold st);
+            List.iter (fun (v, _) -> Lp_model.set_bounds model v ~lb:0. ~ub:1.) fx)
+          fixings))
+  in
   let open Bechamel.Toolkit in
   let tests =
     Test.make_grouped ~name:"flexile"
       [
-        simplex_kernel; scenbest_scenario; subproblem_sweep; sweep_at 1;
-        sweep_at 4;
+        simplex_kernel; master_nodes; scenbest_scenario; subproblem_sweep;
+        sweep_at 1; sweep_at 4;
       ]
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 2.) () in

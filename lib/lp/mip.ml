@@ -11,6 +11,10 @@ let c_stop_exhausted = Trace.counter "mip.stop_exhausted"
 let c_stop_node_limit = Trace.counter "mip.stop_node_limit"
 let c_stop_time_limit = Trace.counter "mip.stop_time_limit"
 
+(* The rounding heuristic, per node: splits the search's own time into
+   heuristic and bookkeeping. *)
+let t_heuristic = Trace.timer "mip.heuristic"
+
 type status = Optimal | Feasible | Infeasible | Limit
 
 type result = {
@@ -67,6 +71,9 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
       (fun (j, lb, ub) -> Lp_model.set_bounds model j ~lb ~ub)
       saved_bounds
   in
+  (* one solver state for every node LP: each node cold-solves it under
+     its own fixings *)
+  let lp_state = Simplex.make model in
   let t0 = Trace.now_s () in
   let incumbent = ref None in
   let incumbent_obj = ref infinity in
@@ -102,7 +109,7 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
     match heuristic with
     | None -> ()
     | Some h -> (
-        match h lp_x with
+        match Trace.with_span t_heuristic (fun () -> h lp_x) with
         | None -> ()
         | Some cand ->
             if
@@ -136,7 +143,7 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
              List.iter
                (fun (j, v) -> Lp_model.set_bounds model j ~lb:v ~ub:v)
                nd.fixings;
-             let lp = Simplex.solve model in
+             let lp = Simplex.solve_cold lp_state in
              List.iter
                (fun (j, _) -> Lp_model.set_bounds model j ~lb:0. ~ub:1.)
                nd.fixings;

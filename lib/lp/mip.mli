@@ -14,7 +14,13 @@
     [Feasible] or [Limit], never [Optimal] or [Infeasible], and the
     trace counter [mip.nodes_dropped] counts the dropped nodes, so a
     search cut by a dropped node is told apart from one that exhausted
-    its tree (both stop with [mip.stop_exhausted]). *)
+    its tree (both stop with [mip.stop_exhausted]).
+
+    A search makes one [Simplex] state.  Each node re-reads the model's
+    bounds into it and solves it cold from slack
+    ([Simplex.solve_cold]): the node LP pivots and answers exactly as a
+    fresh [Simplex.solve] would, without building a state per node.
+    The trace timer [mip.heuristic] times the rounding heuristic. *)
 
 type status =
   | Optimal  (** incumbent proven optimal (within [gap_tol]) *)

@@ -17,9 +17,16 @@
    factors, and refactorization is triggered by the eta-file length or
    a too-small eta pivot.  Pricing is devex with partial pricing over
    static candidate sections, falling back to Bland's rule under
-   degeneracy.  [Certificate] checks optimal solutions from the outside
-   (primal feasibility, dual signs, duality gap); the tests and
-   [Doctor] run it. *)
+   degeneracy; a section is one scan of [dsc], the devex scores the
+   primal loop maintains wherever a column's reduced cost, weight or
+   status moves.  The dual simplex picks its leaving row from
+   [infeas], the rows that may violate a bound, listed afresh by
+   every [recompute_xb] and extended by each dual pivot.  Both choose
+   the pivot the full scans would.  [solve_cold] re-solves a state
+   from slack, which lets branch and bound keep one state per search.
+   [Certificate] checks optimal solutions from the outside (primal
+   feasibility, dual signs, duality gap); the tests and [Doctor] run
+   it. *)
 
 let feas_tol = 1e-7
 let opt_tol = 1e-7
@@ -142,6 +149,16 @@ type t = {
          dual pivots — lets a warm restart after bound and RHS changes
          skip the full rebuild *)
   gamma : float array; (* devex reference weights over ntot *)
+  dsc : float array;
+      (* pricing score over ntot, a pure function of the column's
+         [vstat], bounds, [d] and [gamma] ([refresh_score]): rebuilt with
+         [d], refreshed wherever the primal loop changes one of them *)
+  infeas : int array;
+      (* rows whose basic value may violate a bound, in no order: every
+         violated row is listed, a listed row may have become feasible.
+         Rebuilt by [recompute_xb], extended by the dual pivots *)
+  mutable n_infeas : int;
+  listed : bool array; (* row is in [infeas] *)
   sec_size : int; (* partial-pricing section length *)
   nsec : int;
   mutable psec : int; (* cyclic pricing cursor *)
@@ -222,10 +239,14 @@ let create ?eta_limit ?thresholds model =
     enter = -1;
     leave = -1;
     leave_up = false;
-    choice_f = Array.make 4 0.;
+    choice_f = Array.make 3 0.;
     d = Array.make ntot 0.;
     d_valid = false;
     gamma = Array.make ntot 1.;
+    dsc = Array.make ntot 0.;
+    infeas = Array.make m 0;
+    n_infeas = 0;
+    listed = Array.make m false;
     sec_size;
     nsec;
     psec = 0;
@@ -261,9 +282,8 @@ let create ?eta_limit ?thresholds model =
 
 (* Slots of [choice_f]. *)
 let ch_dir = 0 (* entering direction, 1. or -1. *)
-let ch_score = 1 (* best pricing score so far *)
-let ch_step = 2 (* primal step length, or dual ratio *)
-let ch_alpha = 3 (* dual pivot-row entry of the entering column *)
+let ch_step = 1 (* primal step length, or dual ratio *)
+let ch_alpha = 2 (* dual pivot-row entry of the entering column *)
 
 (* Row of the unit column of slack or artificial [j]. *)
 let[@inline] unit_row st j = if j < st.n + st.m then j - st.n else j - st.n - st.m
@@ -362,14 +382,37 @@ let[@lint.noalloc] nonbasic_residual st =
         bt.(i) <- bt.(i) -. (1.0 *. xj)
   done
 
+(* List row [i] in [infeas] if it is not listed yet and its basic
+   variable violates a bound by more than [feas_tol] (a row the dual
+   simplex can choose to leave); called wherever its basic value or
+   basic variable changes. *)
+let[@inline][@lint.noalloc] mark_row st i =
+  let q = st.bas.(i) in
+  if
+    (not st.listed.(i))
+    && (st.lo.(q) -. st.xb.(i) > feas_tol || st.xb.(i) -. st.up.(q) > feas_tol)
+  then begin
+    st.listed.(i) <- true;
+    st.infeas.(st.n_infeas) <- i;
+    st.n_infeas <- st.n_infeas + 1
+  end
+
 (* Recompute basic values from scratch:
-   xb = B^-1 (b - sum_{nonbasic j} A_j xn_j). *)
+   xb = B^-1 (b - sum_{nonbasic j} A_j xn_j), and list the violated
+   rows afresh. *)
 let recompute_xb st =
   nonbasic_residual st;
   ignore
     (Basis.ftran st.basis st.bt ~pat:st.dpat
        ~nnz:(Sparse.nonzeros st.bt st.m st.dpat));
-  Array.blit st.bt 0 st.xb 0 st.m
+  Array.blit st.bt 0 st.xb 0 st.m;
+  for p = 0 to st.n_infeas - 1 do
+    st.listed.(st.infeas.(p)) <- false
+  done;
+  st.n_infeas <- 0;
+  for i = 0 to st.m - 1 do
+    mark_row st i
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Health sampling (DESIGN.md section 15): per-refactorization plus    *)
@@ -464,48 +507,60 @@ let update_basis st r =
 
 type primal_result = P_optimal | P_unbounded | P_iter_limit
 
-(* Pricing over the columns [lo, hi]: devex (steepest reduced cost in
-   the reference frame), or the smallest improving index under
-   [~bland].  Improves the candidate held in [enter] and the ch_dir /
-   ch_score slots in place. *)
-let[@lint.noalloc] price st ~bland lo hi =
-  let d = st.d and gamma = st.gamma in
-  (* separate lets: deep lint sanctions only single-binding local refs *)
-  let enter = ref st.enter in
-  let dir = ref st.choice_f.(ch_dir) in
-  let best = ref st.choice_f.(ch_score) in
+(* Whether nonbasic [j] can enter: not fixed, and its reduced cost
+   improves the objective by more than [opt_tol] in a direction its
+   bound allows (up from a lower bound, down from an upper, either way
+   when free). *)
+let[@inline] can_enter st j =
+  let stt = st.vstat.(j) in
+  stt <> basic
+  && st.lo.(j) < st.up.(j)
+  &&
+  let dj = st.d.(j) in
+  (stt <> at_upper && -.dj > opt_tol) || (stt <> at_lower && dj > opt_tol)
+
+(* dsc.(j) := the devex score [d_j^2 / gamma_j] when [j] can enter,
+   0. otherwise.  Every eligible score is positive or zero, so the
+   pricing scan, which takes a column only when its score beats a best
+   that starts at 0., never takes an ineligible one. *)
+let[@inline][@lint.noalloc] refresh_score st j =
+  st.dsc.(j) <-
+    (if can_enter st j then
+       let dj = st.d.(j) in
+       dj *. dj /. st.gamma.(j)
+     else 0.)
+
+(* Entering direction of an eligible column: up unless it sits at its
+   upper bound, or is free with a positive reduced cost. *)
+let[@inline] set_direction st j =
+  let stt = st.vstat.(j) in
+  st.choice_f.(ch_dir) <-
+    (if stt = at_upper || (stt = free && st.d.(j) > 0.) then -1. else 1.)
+
+(* Devex pricing over the columns [lo, hi]: the first column whose
+   score is strictly the largest, into [enter] (-1 when none can
+   enter). *)
+let[@lint.noalloc] price st lo hi =
+  let dsc = st.dsc in
+  let enter = ref (-1) in
+  let best = ref 0. in
   for j = lo to hi do
-    let stt = st.vstat.(j) in
-    if stt <> basic && st.lo.(j) < st.up.(j) then begin
-      let dj = d.(j) in
-      (* move 0 increases x_j (score -d_j), move 1 decreases it; a
-         free column tries both *)
-      let first = if stt = at_upper then 1 else 0 in
-      let last = if stt = at_lower then 0 else 1 in
-      for move = first to last do
-        let score = if move = 0 then -.dj else dj in
-        if score > opt_tol then
-          if bland then begin
-            if !enter = -1 || j < !enter then begin
-              enter := j;
-              dir := (if move = 0 then 1. else -1.);
-              best := score
-            end
-          end
-          else begin
-            let dscore = score *. score /. gamma.(j) in
-            if dscore > !best then begin
-              enter := j;
-              dir := (if move = 0 then 1. else -1.);
-              best := dscore
-            end
-          end
-      done
+    let sj = dsc.(j) in
+    if sj > !best then begin
+      enter := j;
+      best := sj
     end
   done;
-  st.enter <- !enter;
-  st.choice_f.(ch_dir) <- !dir;
-  st.choice_f.(ch_score) <- !best
+  st.enter <- !enter
+
+(* Bland's entering rule: the smallest index that can enter. *)
+let[@lint.noalloc] price_bland st =
+  let j = ref 0 in
+  st.enter <- -1;
+  while st.enter = -1 && !j < st.ntot do
+    if can_enter st !j then st.enter <- !j;
+    incr j
+  done
 
 (* Primal ratio test along [w] for the entering direction in ch_dir,
    over [w]'s ascending pattern (a zero entry never blocks).  Basic
@@ -565,7 +620,8 @@ let primal_loop st costs ~iter_limit iter_count =
     for j = 0 to st.ntot - 1 do
       if st.vstat.(j) <> basic then d.(j) <- costs.(j) -. col_dot st y j
       else d.(j) <- 0.;
-      gamma.(j) <- 1.
+      gamma.(j) <- 1.;
+      refresh_score st j
     done
   in
   st.d_valid <- false;
@@ -590,9 +646,7 @@ let primal_loop st costs ~iter_limit iter_count =
       if bland then incr bland_iters;
       (* --- pricing: choose entering variable --- *)
       st.enter <- -1;
-      st.choice_f.(ch_dir) <- 1.;
-      st.choice_f.(ch_score) <- 0.;
-      if bland then price st ~bland 0 (st.ntot - 1)
+      if bland then price_bland st
       else begin
         (* partial pricing: cyclic scan of static sections, stopping at
            the first section that yields a candidate *)
@@ -600,7 +654,7 @@ let primal_loop st costs ~iter_limit iter_count =
         while st.enter = -1 && !scanned < st.nsec do
           let s0 = (st.psec + !scanned) mod st.nsec in
           let jhi = min st.ntot ((s0 + 1) * st.sec_size) - 1 in
-          price st ~bland (s0 * st.sec_size) jhi;
+          price st (s0 * st.sec_size) jhi;
           (* advance the cursor past the section that produced the
              candidate: sticking to a section while it keeps yielding
              (degenerate) candidates starves the rest of the matrix and
@@ -628,6 +682,7 @@ let primal_loop st costs ~iter_limit iter_count =
         if !confirm = -1 then result := Some P_optimal
       end
       else begin
+        set_direction st enter;
         let j = enter and s = st.choice_f.(ch_dir) in
         ftran st j;
         primal_ratio st ~bland;
@@ -649,6 +704,7 @@ let primal_loop st costs ~iter_limit iter_count =
             st.vstat.(j) <- at_lower;
             st.xn.(j) <- st.lo.(j)
           end;
+          refresh_score st j;
           degen := 0
         end
         else if leave = -1 then result := Some P_unbounded
@@ -694,12 +750,15 @@ let primal_loop st costs ~iter_limit iter_count =
               if st.vstat.(k) <> basic && k <> q && nonzero alpha_k then begin
                 if nonzero theta then d.(k) <- d.(k) -. (theta *. alpha_k);
                 let cand = alpha_k *. alpha_k *. gscale in
-                if cand > gamma.(k) then gamma.(k) <- cand
+                if cand > gamma.(k) then gamma.(k) <- cand;
+                refresh_score st k
               end
             done;
             d.(q) <- -.theta;
             gamma.(q) <- Float.max gscale 1.;
-            d.(j) <- 0.
+            d.(j) <- 0.;
+            refresh_score st q;
+            refresh_score st j
           end
         end
       end
@@ -986,8 +1045,46 @@ let[@lint.noalloc] dual_ratio st ~bland ~above =
   st.choice_f.(ch_step) <- !best_ratio;
   st.choice_f.(ch_alpha) <- !best_alpha
 
+(* Leaving row of the dual simplex: the basic variable that violates a
+   bound by the most, into [leave] (-1 when none by more than
+   [feas_tol]) and [leave_up].  It is the choice of an ascending scan
+   of all rows, below before above within a row, that takes only a
+   strictly larger violation: over the listed rows, in any order, an
+   equal violation wins only from a lower row.  Rows found feasible
+   leave the list. *)
+let[@lint.noalloc] dual_leaving st =
+  let r = ref (-1) in
+  let viol = ref feas_tol in
+  let above = ref false in
+  let p = ref 0 in
+  while !p < st.n_infeas do
+    let i = st.infeas.(!p) in
+    let q = st.bas.(i) in
+    let below_v = st.lo.(q) -. st.xb.(i) in
+    let above_v = st.xb.(i) -. st.up.(q) in
+    if below_v > feas_tol || above_v > feas_tol then begin
+      if below_v > !viol || (Float.equal below_v !viol && i < !r) then begin
+        viol := below_v;
+        r := i;
+        above := false
+      end;
+      if above_v > !viol || (Float.equal above_v !viol && i < !r) then begin
+        viol := above_v;
+        r := i;
+        above := true
+      end;
+      incr p
+    end
+    else begin
+      st.listed.(i) <- false;
+      st.n_infeas <- st.n_infeas - 1;
+      st.infeas.(!p) <- st.infeas.(st.n_infeas)
+    end
+  done;
+  st.leave <- !r;
+  st.leave_up <- !above
+
 let dual_loop st ~iter_limit iters =
-  let m = st.m in
   let w = st.w and wpat = st.w_pat in
   let d = st.d in
   let recompute_duals () = exact_duals st in
@@ -1009,25 +1106,10 @@ let dual_loop st ~iter_limit iters =
         recompute_duals ()
       end;
       (* --- leaving: most violated basic variable --- *)
-      let r = ref (-1) and viol = ref feas_tol and above = ref false in
-      for i = 0 to m - 1 do
-        let q = st.bas.(i) in
-        let below_v = st.lo.(q) -. st.xb.(i) in
-        let above_v = st.xb.(i) -. st.up.(q) in
-        if below_v > !viol then begin
-          viol := below_v;
-          r := i;
-          above := false
-        end;
-        if above_v > !viol then begin
-          viol := above_v;
-          r := i;
-          above := true
-        end
-      done;
-      if !r = -1 then result := Some D_optimal
+      dual_leaving st;
+      if st.leave = -1 then result := Some D_optimal
       else begin
-        let r = !r in
+        let r = st.leave and above = st.leave_up in
         btran_row st r;
         (* pivot-row entries alpha_k = rho . A_k; only columns in the
            scatter pattern can pass the pivot tolerance, so the ratio
@@ -1036,7 +1118,7 @@ let dual_loop st ~iter_limit iters =
         let bland = !zero_steps > degen_threshold in
         if bland then incr bland_iters;
         (* --- entering: dual ratio test --- *)
-        dual_ratio st ~bland ~above:!above;
+        dual_ratio st ~bland ~above;
         let j = st.enter in
         if j = -1 then result := Some D_infeasible
         else begin
@@ -1050,17 +1132,21 @@ let dual_loop st ~iter_limit iters =
           else zero_steps := 0;
           let alpha_j = st.choice_f.(ch_alpha) in
           let q = st.bas.(r) in
-          let target = if !above then st.up.(q) else st.lo.(q) in
+          let target = if above then st.up.(q) else st.lo.(q) in
           let delta = (st.xb.(r) -. target) /. alpha_j in
           ftran st j;
           for p = 0 to st.w_nnz - 1 do
             let i = wpat.(p) in
-            if i <> r then st.xb.(i) <- st.xb.(i) -. (w.(i) *. delta)
+            if i <> r then begin
+              st.xb.(i) <- st.xb.(i) -. (w.(i) *. delta);
+              mark_row st i
+            end
           done;
-          st.vstat.(q) <- (if !above then at_upper else at_lower);
+          st.vstat.(q) <- (if above then at_upper else at_lower);
           st.xn.(q) <- target;
           st.bas.(r) <- j;
           st.vstat.(j) <- basic;
+          (* row r stays listed: the leaving choice took it from [infeas] *)
           st.xb.(r) <- st.xn.(j) +. delta;
           let theta = d.(j) /. alpha_j in
           let repaired = update_basis st r in
@@ -1326,14 +1412,25 @@ let diagnose_basis ?eta_limit ?thresholds ?(phase = 0) ?(iteration = 0) model
   ignore (refactorize st);
   st.health
 
-let solve ?iter_limit model =
-  Trace.in_span sp_solve @@ fun () ->
-  let st = create model in
+let checked_cold_solve ?iter_limit st =
   let sol = cold_solve ?iter_limit st in
   (if sol.status = Optimal then
-     let viol = Lp_model.max_violation model sol.x in
+     let viol = Lp_model.max_violation st.model sol.x in
      if viol > 1e-5 then
        Log.warn (fun m ->
-           m "solution of %s violates constraints by %g" (Lp_model.name model)
-             viol));
+           m "solution of %s violates constraints by %g"
+             (Lp_model.name st.model) viol));
   sol
+
+let solve ?iter_limit model =
+  Trace.in_span sp_solve @@ fun () -> checked_cold_solve ?iter_limit (create model)
+
+(* What a cold solve reads of an old state is re-read ([sync_model]),
+   reset ([setup_cold], [primal_loop]'s [recompute_d]) or forgotten
+   here, so the answer is the one of a fresh state. *)
+let solve_cold ?iter_limit st =
+  Trace.in_span sp_solve @@ fun () ->
+  sync_model st;
+  Basis.forget_density st.basis;
+  Health.clear st.health;
+  checked_cold_solve ?iter_limit st

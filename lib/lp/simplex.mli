@@ -90,6 +90,13 @@ val solve_warm : ?iter_limit:int -> t -> solution
     above; the first solve is cold unless [make] was given a basis.
     Runs in the [simplex.solve] span, like {!solve}. *)
 
+val solve_cold : ?iter_limit:int -> t -> solution
+(** Re-read the model's bounds, RHS and objective like {!solve_warm},
+    then solve from the slack basis as {!solve} does, ignoring the
+    state's previous basis: the same pivots and the same answer, bit
+    for bit, as [solve] of the model, without building a new state.
+    [Mip] solves every node LP of a search on one state this way. *)
+
 val extend : t -> Lp_model.t -> t
 (** [extend t model] builds a new solver state for [model], which must
     be the same model [t] was created from with extra rows appended

@@ -1022,6 +1022,10 @@ module Basis = struct
     pat.(0) <- r;
     btran t v ~pat ~nnz:1
 
+  let forget_density t =
+    t.ftran_nnz <- 0;
+    t.btran_nnz <- 0
+
   (* ---- product-form update ---- *)
 
   let[@lint.noalloc] update t ~r ~w ~pat ~nnz =

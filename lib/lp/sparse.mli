@@ -139,6 +139,11 @@ module Basis : sig
       entry [v] is zero outside [pat.(0 .. nnz-1)], for example the
       previous result; its values there are discarded. *)
 
+  val forget_density : t -> unit
+  (** Forget the nonzero counts of the previous [ftran] and [btran]
+      results, which choose between the hypersparse solve and the full
+      sweep: the next solves choose as on a fresh basis. *)
+
   val update : t -> r:int -> w:float array -> pat:int array -> nnz:int -> bool
   (** [update t ~r ~w ~pat ~nnz] appends a product-form eta replacing
       the basis column at position [r] with the column whose FTRAN image

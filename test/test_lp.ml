@@ -687,6 +687,286 @@ let qcheck_mip_vs_enum =
       | Mip.Infeasible -> !best = infinity
       | _ -> false)
 
+(* ---------------- pivot pin ----------------
+
+   Exact iteration counts and objective bits, recorded before the
+   pricing scores, the dual leaving-row list and the per-search solver
+   state went in: every one of those is meant to choose the same pivot
+   as the full scans it replaced, so a stale score or a missed row
+   shows here as a changed count or a moved bit. *)
+
+module Prng = Flexile_util.Prng
+
+let pin_line (sol : Simplex.solution) =
+  Printf.sprintf "%s %d %Lx" (solve_status sol.Simplex.status)
+    sol.Simplex.iterations (Int64.bits_of_float sol.Simplex.obj)
+
+let check_pin name expected actual =
+  if actual <> expected then
+    Alcotest.failf "%s moved; now:\n%s" name
+      (String.concat "\n" (List.map (Printf.sprintf "%S;") actual))
+
+(* Sparse random LP with mixed bounds and senses; [nv + 2 nr] above
+   256 columns spreads partial pricing over several sections. *)
+let pin_lp prng ~nv ~nr =
+  let m = Lp_model.create () in
+  let vars =
+    Array.init nv (fun _ ->
+        let lb, ub =
+          match Prng.int prng 5 with
+          | 0 -> (0., infinity)
+          | 1 -> (-1., 3.)
+          | 2 when Prng.bool prng 0.2 -> (neg_infinity, infinity)
+          | _ -> (0., float_of_int (1 + Prng.int prng 6))
+        in
+        Lp_model.add_var m ~lb ~ub ~obj:(Prng.uniform prng (-2.) 2.) ())
+  in
+  for _ = 1 to nr do
+    let coeffs =
+      Array.fold_left
+        (fun acc v ->
+          if Prng.bool prng 0.25 then
+            (v, float_of_int (Prng.int prng 3 + 1) *. if Prng.bool prng 0.5 then 1. else -1.)
+            :: acc
+          else acc)
+        [] vars
+    in
+    let sense =
+      if Prng.bool prng 0.6 then Lp_model.Le
+      else if Prng.bool prng 0.6 then Lp_model.Ge
+      else Lp_model.Eq
+    in
+    ignore (Lp_model.add_row m sense (Prng.uniform prng (-2.) 8.) coeffs)
+  done;
+  m
+
+(* Min-MLU over a catalog topology: one Eq row per demand over its
+   three tunnels, one Le row per used edge. *)
+let mlu_lp name npairs =
+  let module Graph = Flexile_net.Graph in
+  let g = Flexile_net.Catalog.by_name name in
+  let seed = Prng.of_string ("pivot-pin-" ^ name) in
+  let pairs = Graph.pairs g in
+  Prng.shuffle seed pairs;
+  let pairs = Array.sub pairs 0 (min npairs (Array.length pairs)) in
+  Array.sort compare pairs;
+  let demands = Flexile_traffic.Gravity.matrix ~seed ~graph:g ~pairs in
+  let model = Lp_model.create () in
+  let mu = Lp_model.add_var model ~obj:1. () in
+  let per_edge = Array.make (Graph.nedges g) [] in
+  Array.iteri
+    (fun i pair ->
+      if demands.(i) > 0. then
+        let ts = Flexile_net.Tunnels.select_single_class g ~pair ~count:3 in
+        let vars =
+          List.map
+            (fun (t : Flexile_net.Tunnels.t) ->
+              let v = Lp_model.add_var model () in
+              Array.iter (fun e -> per_edge.(e) <- (v, 1.) :: per_edge.(e)) t.path;
+              (v, 1.))
+            ts
+        in
+        ignore (Lp_model.add_row model Lp_model.Eq demands.(i) vars))
+    pairs;
+  Array.iteri
+    (fun e coeffs ->
+      if coeffs <> [] then
+        let cap = g.Graph.edges.(e).Graph.capacity in
+        ignore (Lp_model.add_row model Lp_model.Le 0. ((mu, -.cap) :: coeffs)))
+    per_edge;
+  model
+
+(* Run [f] traced; the deltas of the solver's work counters ride along
+   as the last pin line, so a pin also shows that the Bland fallback,
+   the dual simplex and refactorizations ran. *)
+let with_counts f =
+  let module Trace = Flexile_util.Trace in
+  let names =
+    [ "simplex.iterations"; "simplex.refactorizations"; "simplex.cold_solves";
+      "simplex.warm_hits"; "health.bland_pivots" ]
+  in
+  let was = Trace.enabled () in
+  Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Trace.set_enabled was) @@ fun () ->
+  let before = List.map Trace.value_by_name names in
+  let lines = f () in
+  let deltas = List.map2 ( - ) (List.map Trace.value_by_name names) before in
+  lines
+  @ [ String.concat " " (List.map2 (Printf.sprintf "%s=%d") names deltas) ]
+
+(* Many rows through the origin with mixed signs: the start is a
+   massively degenerate vertex, which drives primal pricing into the
+   Bland fallback. *)
+let degenerate_lp prng ~nv ~nr =
+  let m = Lp_model.create () in
+  let vars =
+    Array.init nv (fun _ ->
+        Lp_model.add_var m ~ub:1. ~obj:(Prng.uniform prng (-1.) 0.2) ())
+  in
+  for _ = 1 to nr do
+    let coeffs =
+      Array.fold_left
+        (fun acc v ->
+          if Prng.bool prng 0.2 then
+            (v, float_of_int (Prng.int prng 5 - 2)) :: acc
+          else acc)
+        [] vars
+    in
+    ignore (Lp_model.add_row m Lp_model.Le 0. coeffs)
+  done;
+  m
+
+let test_pin_cold () =
+  let prng = Prng.of_string "pivot-pin-cold" in
+  check_pin "cold solves"
+      [
+        "infeasible 3 bfd424683d574de0";
+        "optimal 32 c0433877dad5d4f0";
+        "optimal 61 c048b0d56cbfc0b5";
+        "optimal 210 c050fdbdbc8fcebe";
+        "optimal 416 c06cef38ced4367f";
+        "optimal 1020 c074ff52e0c55a5d";
+        "optimal 97 c02814ee71c96e41";
+        "optimal 168 c0296099ea286ec7";
+        "optimal 129 c02c7206499963e2";
+        "optimal 2198 c027397ce5c7a5fc";
+        "optimal 57 401b8c73423a63e7";
+        "optimal 79 404031d8be2c5497";
+        "optimal 122 4038aef27429219f";
+        "simplex.iterations=4592 simplex.refactorizations=109 simplex.cold_solves=13 simplex.warm_hits=0 health.bland_pivots=2029";
+      ]
+    (with_counts @@ fun () ->
+     let random =
+       List.map
+         (fun (nv, nr) -> pin_line (Simplex.solve (pin_lp prng ~nv ~nr)))
+         [ (8, 5); (20, 12); (40, 25); (90, 60); (160, 70); (240, 120) ]
+     in
+     let degenerate =
+       List.map
+         (fun (nv, nr) -> pin_line (Simplex.solve (degenerate_lp prng ~nv ~nr)))
+         [ (60, 50); (80, 60); (100, 80); (120, 100) ]
+     in
+     random @ degenerate
+     @ List.map
+         (fun (name, npairs) -> pin_line (Simplex.solve (mlu_lp name npairs)))
+         [ ("IBM", 40); ("GEANT", 60); ("Tinet", 60) ])
+
+(* Warm restarts after RHS moves and bound moves: the dual simplex.  The
+   LPs stay feasible (x = 0 satisfies every row) and bounded, so each
+   restart is a dual simplex hit. *)
+let warm_lp prng ~nv ~nr =
+  let m = Lp_model.create () in
+  let vars =
+    Array.init nv (fun _ ->
+        Lp_model.add_var m ~ub:(float_of_int (1 + Prng.int prng 6))
+          ~obj:(Prng.uniform prng (-2.) 1.) ())
+  in
+  for _ = 1 to nr do
+    let coeffs =
+      Array.fold_left
+        (fun acc v ->
+          if Prng.bool prng 0.3 then (v, float_of_int (1 + Prng.int prng 4)) :: acc
+          else acc)
+        [] vars
+    in
+    if Prng.bool prng 0.7 then
+      ignore (Lp_model.add_row m Lp_model.Le (Prng.uniform prng 1. 8.) coeffs)
+    else
+      ignore
+        (Lp_model.add_row m Lp_model.Ge (Prng.uniform prng (-8.) (-1.))
+           (List.map (fun (v, c) -> (v, -.c)) coeffs))
+  done;
+  m
+
+let test_pin_warm () =
+  let prng = Prng.of_string "pivot-pin-warm" in
+  check_pin "warm restarts"
+      [
+        "optimal 8 c025985d23ea287c";
+        "optimal 2 c0256125a8d598a2";
+        "optimal 1 c024678929b1e6a8";
+        "optimal 1 c02441d89b9becb0";
+        "optimal 1 c0222abc9dc35f6e";
+        "optimal 5 c01d43e55d68428e";
+        "optimal 2 c020f454865ff1dc";
+        "optimal 23 c0127c5607d914d7";
+        "optimal 22 c00d016c505da5c3";
+        "optimal 7 c00b35b7775b579d";
+        "optimal 9 c006cebaee7fbefc";
+        "optimal 5 c004ef187f009473";
+        "optimal 5 c003eeee0d9facce";
+        "optimal 27 c000049e0153f789";
+        "optimal 54 c016e6a758cf2edd";
+        "optimal 41 c011dfd063197c71";
+        "optimal 53 c00b1ecf4a06e6b1";
+        "optimal 29 c007193a15da3d02";
+        "optimal 21 c0047d9e252c3bb9";
+        "optimal 7 c003fd0e121ac1c4";
+        "optimal 15 c00251f31202c3d9";
+        "simplex.iterations=338 simplex.refactorizations=16 simplex.cold_solves=3 simplex.warm_hits=18 health.bland_pivots=0";
+      ]
+    (with_counts @@ fun () ->
+     List.concat_map
+       (fun (nv, nr) ->
+         let m = warm_lp prng ~nv ~nr in
+         let st = Simplex.make m in
+         let first = pin_line (Simplex.solve_warm st) in
+         first
+         :: List.init 6 (fun round ->
+                for _ = 1 to 1 + (nr / 4) do
+                  let r = Prng.int prng nr in
+                  let v = Lp_model.rhs m r in
+                  Lp_model.set_rhs m r (v *. Prng.uniform prng 0.3 1.2)
+                done;
+                if round mod 2 = 1 then
+                  for _ = 1 to 1 + (nv / 8) do
+                    let v = Prng.int prng nv in
+                    Lp_model.set_bounds m v ~lb:0.
+                      ~ub:(float_of_int (Prng.int prng 4))
+                  done;
+                pin_line (Simplex.solve_warm st)))
+       [ (12, 8); (60, 40); (150, 90) ])
+
+(* A seeded binary MIP: nodes, status, bound and incumbent bits, and
+   the pivots of every node LP. *)
+let test_pin_mip () =
+  let prng = Prng.of_string "pivot-pin-mip" in
+  let m = Lp_model.create () in
+  let bins =
+    Array.init 22 (fun _ ->
+        Lp_model.add_var m ~ub:1. ~obj:(Prng.uniform prng (-3.) 0.5) ())
+  in
+  let conts =
+    Array.init 4 (fun _ ->
+        Lp_model.add_var m ~ub:5. ~obj:(Prng.uniform prng 0. 1.) ())
+  in
+  for _ = 1 to 6 do
+    let coeffs =
+      Array.to_list
+        (Array.map (fun v -> (v, float_of_int (1 + Prng.int prng 9))) bins)
+      @ Array.to_list (Array.map (fun v -> (v, -.Prng.uniform prng 0. 2.)) conts)
+    in
+    ignore (Lp_model.add_row m Lp_model.Le (Prng.uniform prng 15. 30.) coeffs)
+  done;
+  check_pin "mip"
+      [
+        "optimal 39 c027ce2ae9569ec3 c027ce2ae9569ec3";
+        "simplex.iterations=416 simplex.refactorizations=75 simplex.cold_solves=39 simplex.warm_hits=0 health.bland_pivots=0";
+      ]
+    (with_counts @@ fun () ->
+     let r = Mip.solve ~binaries:bins m in
+     let status =
+       match r.Mip.status with
+       | Mip.Optimal -> "optimal"
+       | Mip.Feasible -> "feasible"
+       | Mip.Infeasible -> "infeasible"
+       | Mip.Limit -> "limit"
+     in
+     [
+       Printf.sprintf "%s %d %Lx %Lx" status r.Mip.nodes
+         (Int64.bits_of_float r.Mip.bound) (Int64.bits_of_float r.Mip.obj);
+     ])
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "flexile_lp"
@@ -719,6 +999,12 @@ let () =
           quick "mixed binary/continuous" test_mip_mixed;
           quick "heuristic incumbent" test_mip_heuristic_used;
           quick "stop counters" test_mip_stop_counters;
+        ] );
+      ( "pivot pin",
+        [
+          quick "cold solves" test_pin_cold;
+          quick "warm restarts" test_pin_warm;
+          quick "mip" test_pin_mip;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -110,6 +110,43 @@ let qcheck_warm_walk_differential =
       done;
       !ok)
 
+(* ---- one reused state vs fresh states ---- *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_answer (a : Simplex.solution) (b : Simplex.solution) =
+  a.Simplex.status = b.Simplex.status
+  && a.Simplex.iterations = b.Simplex.iterations
+  && same_bits a.Simplex.obj b.Simplex.obj
+  && same_bits a.Simplex.bound_term b.Simplex.bound_term
+  && Array.for_all2 same_bits a.Simplex.x b.Simplex.x
+  && Array.for_all2 same_bits a.Simplex.row_duals b.Simplex.row_duals
+  && Array.for_all2 same_bits a.Simplex.reduced_costs b.Simplex.reduced_costs
+
+(* The branch-and-bound contract: one solver state, re-solved cold
+   under each node's fixings, answers bit for bit as a fresh
+   [Simplex.solve], even when warm restarts moved the state between
+   the cold solves. *)
+let qcheck_reused_state_cold =
+  let gen = QCheck.Gen.(triple (int_range 2 40) (int_range 1 25) (int_range 0 999)) in
+  QCheck.Test.make ~name:"reused state re-solved cold = fresh solve, bit for bit"
+    ~count:80 (QCheck.make gen) (fun (nv, nr, walk) ->
+      let prng = Prng.of_string (Printf.sprintf "qc-reuse-%d-%d-%d" nv nr walk) in
+      let m = random_lp prng ~nv ~nr in
+      let st = Simplex.make m in
+      List.for_all
+        (fun _ ->
+          for _ = 1 to 1 + Prng.int prng 3 do
+            let v = Prng.int prng nv in
+            if Prng.bool prng 0.3 then Lp_model.set_bounds m v ~lb:0. ~ub:4.
+            else
+              let x = float_of_int (Prng.int prng 3) in
+              Lp_model.set_bounds m v ~lb:x ~ub:x
+          done;
+          if Prng.bool prng 0.3 then ignore (Simplex.solve_warm st);
+          same_answer (Simplex.solve_cold st) (Simplex.solve m))
+        (List.init 8 Fun.id))
+
 (* The same walk under FLEXILE_ETA_LIMIT=2: every second pivot rebuilds
    the LU factorization, so the walk repeatedly crosses the
    refactorization path (including mid-dual-simplex rebuilds) instead
@@ -362,6 +399,10 @@ let () =
             qcheck_warm_walk_differential;
             qcheck_warm_walk_tight_refactor;
             qcheck_bound_walk_differential;
+          ]
+        @ [
+            QCheck_alcotest.to_alcotest ~rand:(Fuzz.rand ())
+              qcheck_reused_state_cold;
           ]
         @ [ quick "duplicate rows recovery" test_duplicate_rows_recovery ] );
       ( "trace-counters",
