@@ -63,6 +63,32 @@ let two_class_arg =
   let doc = "Use the two-traffic-class setup (high + low priority)." in
   Arg.(value & flag & info [ "two-class" ] ~doc)
 
+(* A scenario mix is checked where the option is parsed, so a bad
+   regime is a usage error naming the token instead of an exception
+   after the command has started. *)
+let parse_mix spec =
+  match Flexile_core.Builder.parse_mix spec with
+  | Ok _ -> Ok spec
+  | Error e -> Error (`Msg e)
+
+let mix_conv = Arg.conv (parse_mix, Format.pp_print_string)
+
+(* --scenarios: an enumeration cap, or a mix enumerated with the
+   default cap of 150 *)
+let scenarios_conv =
+  let parse spec =
+    match int_of_string_opt (String.trim spec) with
+    | Some n when n > 0 -> Ok (n, None)
+    | Some n -> Error (`Msg (Printf.sprintf "scenario count %d must be positive" n))
+    | None -> Result.map (fun mix -> (150, Some mix)) (parse_mix spec)
+  in
+  let print ppf (n, mix) =
+    match mix with
+    | Some m -> Format.pp_print_string ppf m
+    | None -> Format.pp_print_int ppf n
+  in
+  Arg.conv (parse, print)
+
 let scenarios_arg =
   let doc =
     "Maximum number of failure scenarios to enumerate ($(docv) = count), or \
@@ -70,7 +96,7 @@ let scenarios_arg =
      with the default cap.  Regimes: independent, srlg, partial, drift, \
      diurnal, maintenance."
   in
-  Arg.(value & opt string "150" & info [ "scenarios" ] ~docv:"N|MIX" ~doc)
+  Arg.(value & opt scenarios_conv (150, None) & info [ "scenarios" ] ~docv:"N|MIX" ~doc)
 
 let mix_arg =
   let doc =
@@ -78,7 +104,7 @@ let mix_arg =
      independent Weibull link failures).  Equivalent to passing the mix \
      directly to --scenarios, but keeps the count configurable."
   in
-  Arg.(value & opt (some string) None & info [ "mix" ] ~docv:"MIX" ~doc)
+  Arg.(value & opt (some mix_conv) None & info [ "mix" ] ~docv:"MIX" ~doc)
 
 let pairs_arg =
   let doc = "Maximum number of site pairs (sampled deterministically)." in
@@ -91,25 +117,15 @@ let jobs_arg =
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-(* --scenarios accepts either an enumeration cap or a mix spec; an
-   explicit --mix wins over a mix passed via --scenarios. *)
-let parse_scenarios_arg spec =
-  match int_of_string_opt (String.trim spec) with
-  | Some n ->
-      if n <= 0 then failwith "--scenarios: count must be positive";
-      (n, None)
-  | None -> (150, Some spec)
-
-let build_instance ?(two = false) ?(scenarios = "150") ?mix
+(* an explicit --mix wins over a mix passed via --scenarios *)
+let build_instance ?(two = false) ?(scenarios = (150, None)) ?mix
     ?(cap_scenarios = max_int) ?(max_pairs = 240) name =
-  let count, spec_mix = parse_scenarios_arg scenarios in
+  let count, spec_mix = scenarios in
   let scenario_mix =
-    match mix with
-    | Some m -> m
-    | None -> Option.value spec_mix ~default:"independent"
+    match (mix, spec_mix) with
+    | Some m, _ | None, Some m -> m
+    | None, None -> "independent"
   in
-  (* validate early for a friendly CLI error *)
-  ignore (Flexile_core.Builder.parse_mix scenario_mix);
   let options =
     {
       Flexile_core.Builder.default_options with

@@ -2,7 +2,6 @@ module Prng = Flexile_util.Prng
 module Graph = Flexile_net.Graph
 module Tunnels = Flexile_net.Tunnels
 module Failure_model = Flexile_failure.Failure_model
-module Scenario_gen = Flexile_failure.Scenario_gen
 module Gravity = Flexile_traffic.Gravity
 module Instance = Flexile_te.Instance
 module Mlu = Flexile_te.Mlu
@@ -49,24 +48,15 @@ let parse_mix spec =
       (fun s -> s <> "")
       (String.split_on_char ',' (String.lowercase_ascii (String.trim spec)))
   in
-  if tokens = [] then invalid_arg "Builder: empty scenario mix";
-  List.iter
-    (fun t ->
-      if not (List.mem t known_regimes) then
-        invalid_arg
-          (Printf.sprintf
-             "Builder: unknown scenario regime %S (known: %s)" t
-             (String.concat ", " known_regimes)))
-    tokens;
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun t ->
-      if Hashtbl.mem seen t then false
-      else begin
-        Hashtbl.add seen t ();
-        true
-      end)
-    tokens
+  if tokens = [] then Error "empty scenario mix"
+  else
+    match List.find_opt (fun t -> not (List.mem t known_regimes)) tokens with
+    | Some t ->
+        Error
+          (Printf.sprintf "unknown scenario regime %S (known: %s)" t
+             (String.concat ", " known_regimes))
+    | None ->
+        Ok (List.rev (List.fold_left (fun acc t -> if List.mem t acc then acc else t :: acc) [] tokens))
 
 let sample_pairs ~seed ~max_pairs graph =
   let all = Graph.pairs graph in
@@ -79,14 +69,6 @@ let sample_pairs ~seed ~max_pairs graph =
     chosen
   end
 
-let scenarios_for ~options ~seed graph =
-  let fm =
-    Failure_model.independent_links ~median:options.median_failure_prob ~graph
-      ~seed ()
-  in
-  Failure_model.enumerate ~cutoff:options.scenario_cutoff
-    ~max_scenarios:options.max_scenarios fm
-
 (* A deterministic weekly maintenance schedule for mixed-regime sets:
    the two lowest-id links each get a 4-hour window out of a 168-hour
    horizon, disjoint in time.  Purely a function of the topology. *)
@@ -96,73 +78,59 @@ let default_maintenance graph =
     if ne >= 2 then
       [
         {
-          Scenario_gen.wname = "mw-0";
+          Failure_model.wname = "mw-0";
           wedges = [| 0 |];
           wstart = 10.;
           wduration = 4.;
         };
-        { Scenario_gen.wname = "mw-1"; wedges = [| 1 |]; wstart = 60.; wduration = 4. };
+        { Failure_model.wname = "mw-1"; wedges = [| 1 |]; wstart = 60.; wduration = 4. };
       ]
     else
-      [ { Scenario_gen.wname = "mw-0"; wedges = [| 0 |]; wstart = 10.; wduration = 4. } ]
+      [ { Failure_model.wname = "mw-0"; wedges = [| 0 |]; wstart = 10.; wduration = 4. } ]
   in
-  Scenario_gen.maintenance ~nedges:ne ~horizon:168. windows
+  Failure_model.maintenance ~nedges:ne ~horizon:168. windows
 
-(* Enumerated scenario set for the configured mix.  The default
-   "independent" mix takes the legacy Failure_model path unchanged —
-   same PRNG draws, same enumeration — so every existing figure,
-   monitor artifact, and baseline stays byte-identical.  Mixed regimes
-   compose Scenario_gen generators, each drawing from its own
-   name-split seed. *)
+(* Enumerated scenario set for the configured mix, with per-pair
+   demand factors when the mix includes a demand regime.  Every regime
+   of a mix draws from its own split of [seed], split in mix order (a
+   split advances its parent, so a regime's stream depends on its
+   position in the mix); the mix that is just "independent" — the
+   paper's model — draws from [seed] itself. *)
 let scenario_set ~options ~seed ~graph ~npairs =
-  if String.equal options.scenario_mix "independent" then
-    (* legacy tags are derived by Instance.regime; returning None here
-       keeps the instance record — and everything downstream —
-       byte-identical to the pre-mix builds *)
-    (scenarios_for ~options ~seed graph, None, None)
-  else begin
-    let tokens = parse_mix options.scenario_mix in
-    let ne = Graph.nedges graph in
-    let gen_of = function
-      | "independent" ->
-          Scenario_gen.independent_links ~median:options.median_failure_prob
-            ~graph
-            ~seed:(Prng.split seed "independent")
-            ()
-      | "srlg" ->
-          Scenario_gen.srlg ~median:options.median_failure_prob ~nedges:ne
-            ~groups:(Flexile_net.Catalog.srlgs graph)
-            ~seed:(Prng.split seed "srlg")
-            ()
-      | "partial" ->
-          Scenario_gen.partial ~median:options.median_failure_prob ~graph
-            ~seed:(Prng.split seed "partial")
-            ()
-      | "drift" ->
-          let states =
-            Gravity.drift_states
-              ~seed:(Prng.split seed "drift")
-              ~npairs ()
-          in
-          Scenario_gen.demand_states ~nedges:ne ~name:"drift"
-            (Array.map
-               (fun (p, fs) -> (p, Scenario_gen.Per_pair fs))
-               states)
-      | "diurnal" ->
-          Scenario_gen.diurnal ~nedges:ne
-            ~levels:(Gravity.diurnal_levels ()) ()
-      | "maintenance" -> default_maintenance graph
-      | t -> invalid_arg ("Builder: unknown scenario regime " ^ t)
-    in
-    let gen = Scenario_gen.compose (List.map gen_of tokens) in
-    let set =
-      Scenario_gen.enumerate ~cutoff:options.scenario_cutoff
-        ~max_scenarios:options.max_scenarios ~npairs gen
-    in
-    ( set.Scenario_gen.scenarios,
-      set.Scenario_gen.pair_factors,
-      Some set.Scenario_gen.regimes )
-  end
+  let tokens =
+    match parse_mix options.scenario_mix with
+    | Ok tokens -> tokens
+    | Error msg -> invalid_arg ("Builder: " ^ msg)
+  in
+  let seed_of name =
+    match tokens with [ "independent" ] -> seed | _ -> Prng.split seed name
+  in
+  let ne = Graph.nedges graph in
+  let median = options.median_failure_prob in
+  let gen_of = function
+    | "independent" ->
+        Failure_model.independent_links ~median ~graph ~seed:(seed_of "independent") ()
+    | "srlg" ->
+        Failure_model.srlg ~median ~nedges:ne
+          ~groups:(Flexile_net.Catalog.srlgs graph)
+          ~seed:(seed_of "srlg") ()
+    | "partial" -> Failure_model.partial ~median ~graph ~seed:(seed_of "partial") ()
+    | "drift" ->
+        Failure_model.demand_states ~nedges:ne ~name:"drift"
+          (Array.map
+             (fun (p, fs) -> (p, Failure_model.Per_pair fs))
+             (Gravity.drift_states ~seed:(seed_of "drift") ~npairs ()))
+    | "diurnal" ->
+        Failure_model.diurnal ~nedges:ne ~levels:(Gravity.diurnal_levels ()) ()
+    | "maintenance" -> default_maintenance graph
+    | t -> invalid_arg ("Builder: unknown scenario regime " ^ t)
+  in
+  let model = Failure_model.compose (List.map gen_of tokens) in
+  let scenarios =
+    Failure_model.enumerate ~cutoff:options.scenario_cutoff
+      ~max_scenarios:options.max_scenarios model
+  in
+  (scenarios, Failure_model.pair_factors ~npairs model scenarios)
 
 (* Instance.make wants demand factors per (sid, fid) with
    fid = class * npairs + pair; scenario generators perturb demand per
@@ -225,7 +193,7 @@ let single_class ?(options = default_options) ~graph () =
     scaled_gravity ~options ~seed:(Prng.split seed "traffic") graph pairs
       tunnels_single
   in
-  let scenarios, pair_factors, regimes =
+  let scenarios, pair_factors =
     scenario_set ~options
       ~seed:(Prng.split seed "failures")
       ~graph ~npairs:(Array.length pairs)
@@ -237,7 +205,7 @@ let single_class ?(options = default_options) ~graph () =
     Instance.make ~graph
       ~classes:[| { Instance.cname = "all"; beta = Float.nan; weight = 1. } |]
       ~pairs ~tunnels:[| tunnels_single |] ~demands:[| demands |]
-      ?demand_factors ?regimes ~scenarios ()
+      ?demand_factors ~scenarios ()
   in
   finalize_betas inst
 
@@ -269,7 +237,7 @@ let two_class ?(options = default_options) ~graph () =
     Gravity.split_two_class ~seed:(Prng.split seed "split")
       ~low_scale:options.low_scale base
   in
-  let scenarios, pair_factors, regimes =
+  let scenarios, pair_factors =
     scenario_set ~options
       ~seed:(Prng.split seed "failures")
       ~graph ~npairs:(Array.length pairs)
@@ -286,7 +254,7 @@ let two_class ?(options = default_options) ~graph () =
         |]
       ~pairs
       ~tunnels:[| tunnels_high; tunnels_low |]
-      ~demands:[| high; low |] ?demand_factors ?regimes ~scenarios ()
+      ~demands:[| high; low |] ?demand_factors ~scenarios ()
   in
   finalize_betas inst
 
@@ -296,6 +264,11 @@ let of_name ?options ?(two_classes = false) name =
   else single_class ?options ~graph ()
 
 (* ---------- toy instances from the paper ---------- *)
+
+(* every link of the triangle fails independently with probability 0.01 *)
+let toy_scenarios () =
+  Failure_model.enumerate ~cutoff:1e-7 ~max_scenarios:8
+    (Failure_model.binary ~nedges:3 [| 0.01; 0.01; 0.01 |])
 
 let path_tunnel graph ~pair edges = Tunnels.make graph ~pair (Array.of_list edges)
 
@@ -313,11 +286,9 @@ let fig1 () =
       |];
     |]
   in
-  let fm = Failure_model.of_probs ~nedges:3 [| 0.01; 0.01; 0.01 |] in
-  let scenarios = Failure_model.enumerate ~cutoff:1e-7 ~max_scenarios:8 fm in
   Instance.make ~graph
     ~classes:[| { Instance.cname = "all"; beta = 0.99; weight = 1. } |]
-    ~pairs ~tunnels ~demands:[| [| 1.; 1. |] |] ~scenarios ()
+    ~pairs ~tunnels ~demands:[| [| 1.; 1. |] |] ~scenarios:(toy_scenarios ()) ()
 
 let fig17 () =
   let graph = Flexile_net.Catalog.triangle () in
@@ -332,8 +303,6 @@ let fig17 () =
       |];
     |]
   in
-  let fm = Failure_model.of_probs ~nedges:3 [| 0.01; 0.01; 0.01 |] in
-  let scenarios = Failure_model.enumerate ~cutoff:1e-7 ~max_scenarios:8 fm in
   Instance.make ~graph
     ~classes:[| { Instance.cname = "all"; beta = 0.99; weight = 1. } |]
-    ~pairs ~tunnels ~demands:[| [| 1.; 1. |] |] ~scenarios ()
+    ~pairs ~tunnels ~demands:[| [| 1.; 1. |] |] ~scenarios:(toy_scenarios ()) ()

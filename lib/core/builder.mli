@@ -16,11 +16,11 @@ type options = {
   scenario_mix : string;
       (** comma-separated scenario regimes to compose:
           ["independent"], ["srlg"], ["partial"], ["drift"],
-          ["diurnal"], ["maintenance"].  The default ["independent"]
-          takes the legacy {!Flexile_failure.Failure_model} path
-          bit-identically; anything else composes
-          {!Flexile_failure.Scenario_gen} generators (each on its own
-          name-split seed) and may attach per-scenario demand
+          ["diurnal"], ["maintenance"] (see {!parse_mix}).  Each regime
+          is a {!Flexile_failure.Failure_model} family drawing from its
+          own split of the instance's failure seed, split in mix order;
+          the default ["independent"] alone draws from that seed
+          itself.  Demand regimes attach per-scenario demand
           factors. *)
   mlu_lo : float;  (** target MLU window, default [0.5, 0.7] *)
   mlu_hi : float;
@@ -41,26 +41,10 @@ val known_regimes : string list
 (** Scenario regimes accepted by [scenario_mix], for CLI help and
     validation. *)
 
-val parse_mix : string -> string list
+val parse_mix : string -> (string list, string) result
 (** Parse and validate a comma-separated mix spec (case-insensitive,
-    duplicates dropped).  Raises [Invalid_argument] on unknown
-    regimes or an empty spec. *)
-
-val scenario_set :
-  options:options ->
-  seed:Flexile_util.Prng.t ->
-  graph:Flexile_net.Graph.t ->
-  npairs:int ->
-  Flexile_failure.Failure_model.scenario array
-  * float array array option
-  * string array option
-(** Enumerated scenario set for the configured mix, plus optional
-    per-(scenario, pair) demand factors (present only when the mix
-    includes a demand regime) and optional per-scenario regime tags.
-    With [scenario_mix = "independent"] this is exactly the legacy
-    enumeration — same PRNG draws, same scenarios, no factors, no tags
-    (consumers read tags through {!Flexile_te.Instance.regime}, which
-    derives the legacy defaults). *)
+    duplicates dropped).  [Error] names the first unknown regime, or
+    says the spec is empty. *)
 
 val single_class :
   ?options:options -> graph:Flexile_net.Graph.t -> unit -> Flexile_te.Instance.t

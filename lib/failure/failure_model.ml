@@ -1,115 +1,235 @@
-type state = { sprob : float; sfrac : float; sedges : int array }
+module Prng = Flexile_util.Prng
 
-type t = {
-  nedges : int;
-  unit_probs : float array;
-  unit_edges : int array array;
-  unit_states : state array array;
+type demand_effect =
+  | No_change
+  | Scale of float
+  | Per_pair of float array
+
+type state = {
+  prob : float;
+  frac : float;
+  demand : demand_effect;
+  sedges : int array option;
 }
 
-let clamp lo hi x = Float.max lo (Float.min hi x)
+type failure_unit = {
+  uname : string;
+  regime : string;
+  edges : int array;
+  states : state array;
+}
 
-(* A binary unit: one non-nominal state, a hard cut of every member
-   edge.  All the legacy constructors build these. *)
-let binary_states p edges = [| { sprob = p; sfrac = 0.; sedges = edges } |]
+type t = { nedges : int; units : failure_unit array }
 
-let independent_links ?(median = 0.001) ?(shape = 0.8) ~graph ~seed () =
-  let nedges = Flexile_net.Graph.nedges graph in
-  (* Weibull median is scale * (ln 2)^(1/shape). *)
-  let scale = median /. Float.pow (Float.log 2.) (1. /. shape) in
-  let unit_probs =
-    Array.init nedges (fun _ ->
-        clamp 1e-5 0.3 (Flexile_util.Prng.weibull seed ~shape ~scale))
+let mk_state ?(demand = No_change) ?sedges ~prob ~frac () =
+  { prob; frac; demand; sedges }
+
+let state_edges u s = match s.sedges with Some e -> e | None -> u.edges
+
+(* A unit's total non-nominal mass: its states are disjoint events of
+   one cause, so their probabilities ADD (summed from 0. in state
+   order).  Modelling each state as an independent binary unit would
+   multiply complements instead and double-count mass as soon as a
+   partial-capacity state joins the hard cut of the same link. *)
+let unit_mass u = Array.fold_left (fun acc s -> acc +. s.prob) 0. u.states
+
+let validate_unit ~nedges u =
+  let fail fmt =
+    Printf.ksprintf
+      (fun m -> invalid_arg (Printf.sprintf "Failure_model: unit %s %s" u.uname m))
+      fmt
   in
-  {
-    nedges;
-    unit_probs;
-    unit_edges = Array.init nedges (fun i -> [| i |]);
-    unit_states =
-      Array.mapi (fun i p -> binary_states p [| i |]) unit_probs;
-  }
-
-let of_probs ~nedges probs =
-  if Array.length probs <> nedges then invalid_arg "Failure_model.of_probs";
+  let check_edges edges =
+    Array.iter
+      (fun e -> if e < 0 || e >= nedges then fail "references edge %d out of range" e)
+      edges
+  in
+  check_edges u.edges;
+  if Array.length u.states = 0 then fail "has no states";
+  let nonneg f = f >= 0. && not (Float.is_nan f) in
   Array.iter
-    (fun p ->
-      if p < 0. || p >= 1. then
-        invalid_arg "Failure_model.of_probs: probability out of [0,1)")
-    probs;
-  {
-    nedges;
-    unit_probs = Array.copy probs;
-    unit_edges = Array.init nedges (fun i -> [| i |]);
-    unit_states = Array.mapi (fun i p -> binary_states p [| i |]) probs;
-  }
+    (fun s ->
+      if s.prob <= 0. || s.prob >= 1. then fail "state probability out of (0,1)";
+      if s.frac < 0. || s.frac >= 1. then fail "capacity fraction out of [0,1)";
+      Option.iter check_edges s.sedges;
+      match s.demand with
+      | No_change -> ()
+      | Scale f -> if not (nonneg f) then fail "negative demand scale"
+      | Per_pair fs ->
+          if not (Array.for_all nonneg fs) then fail "negative per-pair demand factor")
+    u.states;
+  let total = unit_mass u in
+  if total >= 0.5 then
+    fail "total state mass %.3f >= 0.5 breaks best-first enumeration" total
 
-let grouped ~groups ~probs ~nedges =
-  if Array.length groups <> Array.length probs then
-    invalid_arg "Failure_model.grouped";
-  {
-    nedges;
-    unit_probs = Array.copy probs;
-    unit_edges = Array.map Array.copy groups;
-    unit_states =
-      Array.mapi (fun i p -> binary_states p (Array.copy groups.(i))) probs;
-  }
-
-(* Multi-state units: each unit is a set of mutually exclusive
-   non-nominal states.  The unit's total non-nominal mass is the SUM
-   of its state probabilities (the states are disjoint events of one
-   underlying cause), not the product complement that modelling each
-   state as an independent binary unit would give — that was the
-   binary up/down assumption baked into the old accounting, and it
-   double-counts mass as soon as a partial-capacity state joins the
-   enumeration alongside the hard-down state of the same link. *)
-let multi_state_full ~nedges units =
-  let n = Array.length units in
-  let unit_edges = Array.make n [||] in
-  let unit_states = Array.make n [||] in
-  let unit_probs = Array.make n 0. in
-  Array.iteri
-    (fun u states ->
-      if Array.length states = 0 then
-        invalid_arg "Failure_model.multi_state: unit with no states";
-      let total = ref 0. in
-      Array.iter
-        (fun (p, f, edges) ->
-          Array.iter
-            (fun e ->
-              if e < 0 || e >= nedges then
-                invalid_arg "Failure_model.multi_state: edge id out of range")
-            edges;
-          if p <= 0. || p >= 1. then
-            invalid_arg
-              "Failure_model.multi_state: state probability out of (0,1)";
-          if f < 0. || f >= 1. then
-            invalid_arg
-              "Failure_model.multi_state: capacity fraction out of [0,1)";
-          total := !total +. p)
-        states;
-      if !total >= 1. then
-        invalid_arg "Failure_model.multi_state: unit mass >= 1";
-      unit_edges.(u) <-
-        Array.of_list
-          (List.sort_uniq compare
-             (Array.fold_left
-                (fun acc (_, _, edges) -> Array.to_list edges @ acc)
-                [] states));
-      unit_states.(u) <-
-        Array.map
-          (fun (p, f, edges) ->
-            { sprob = p; sfrac = f; sedges = Array.copy edges })
-          states;
-      unit_probs.(u) <- !total)
+let create ~nedges units =
+  let units = Array.of_list units in
+  Array.iter (validate_unit ~nedges) units;
+  let seen = Hashtbl.create 16 in
+  Array.iter
+    (fun u ->
+      if Hashtbl.mem seen u.uname then
+        invalid_arg (Printf.sprintf "Failure_model: duplicate unit name %s" u.uname);
+      Hashtbl.add seen u.uname ())
     units;
-  { nedges; unit_probs; unit_edges; unit_states }
+  { nedges; units }
 
-let multi_state ~nedges units =
-  multi_state_full ~nedges
-    (Array.map
-       (fun (edges, states) ->
-         Array.map (fun (p, f) -> (p, f, edges)) states)
-       units)
+let compose gens =
+  match gens with
+  | [] -> invalid_arg "Failure_model.compose: empty"
+  | g0 :: rest ->
+      List.iter
+        (fun g ->
+          if g.nedges <> g0.nedges then
+            invalid_arg "Failure_model.compose: edge-count mismatch")
+        rest;
+      create ~nedges:g0.nedges (List.concat_map (fun g -> Array.to_list g.units) gens)
+
+(* ------------------------------------------------------------------ *)
+(* Generator families                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A binary unit: one non-nominal state, a hard cut of its edges. *)
+let binary_unit ~uname ~regime edges p =
+  { uname; regime; edges; states = [| mk_state ~prob:p ~frac:0. () |] }
+
+let binary ?groups ~nedges probs =
+  let groups =
+    match groups with
+    | Some g ->
+        if Array.length g <> Array.length probs then
+          invalid_arg "Failure_model.binary: groups and probs differ in length";
+        g
+    | None ->
+        if Array.length probs <> nedges then
+          invalid_arg "Failure_model.binary: one probability per edge";
+        Array.init nedges (fun e -> [| e |])
+  in
+  create ~nedges
+    (List.init (Array.length probs) (fun i ->
+         binary_unit ~uname:(Printf.sprintf "unit-%d" i) ~regime:"independent"
+           (Array.copy groups.(i)) probs.(i)))
+
+(* The paper's §6 draw: Weibull with the given median (the median is
+   scale * (ln 2)^(1/shape)), clamped to [1e-5, 0.3]. *)
+let weibull_prob ?(median = 0.001) ?(shape = 0.8) seed =
+  let scale = median /. Float.pow (Float.log 2.) (1. /. shape) in
+  Float.max 1e-5 (Float.min 0.3 (Prng.weibull seed ~shape ~scale))
+
+let independent_links ?median ?shape ~graph ~seed () =
+  let nedges = Flexile_net.Graph.nedges graph in
+  create ~nedges
+    (List.init nedges (fun e ->
+         binary_unit ~uname:(Printf.sprintf "link-%d" e) ~regime:"independent"
+           [| e |] (weibull_prob ?median ?shape seed)))
+
+let srlg ?median ?shape ~nedges ~groups ~seed () =
+  create ~nedges
+    (List.init (Array.length groups) (fun gi ->
+         binary_unit ~uname:(Printf.sprintf "srlg-%d" gi) ~regime:"srlg"
+           (Array.copy groups.(gi)) (weibull_prob ?median ?shape seed)))
+
+let default_levels = [| (0., 0.5); (0.3, 0.3); (0.7, 0.2) |]
+
+let partial ?median ?shape ?(levels = default_levels) ~graph ~seed () =
+  let nedges = Flexile_net.Graph.nedges graph in
+  if Array.length levels = 0 then
+    invalid_arg "Failure_model.partial: no degradation levels";
+  let wtotal =
+    Array.fold_left
+      (fun a (_, w) ->
+        if w <= 0. then
+          invalid_arg "Failure_model.partial: level weights must be positive";
+        a +. w)
+      0. levels
+  in
+  create ~nedges
+    (List.init nedges (fun e ->
+         let p = weibull_prob ?median ?shape seed in
+         {
+           uname = Printf.sprintf "partial-%d" e;
+           regime = "partial";
+           edges = [| e |];
+           states =
+             Array.map (fun (frac, w) -> mk_state ~prob:(p *. w /. wtotal) ~frac ()) levels;
+         }))
+
+type window = {
+  wname : string;
+  wedges : int array;
+  wstart : float;
+  wduration : float;
+}
+
+(* Planned maintenance: a schedule of non-overlapping windows over an
+   abstract planning horizon.  A uniformly drawn instant lands inside
+   window w with probability wduration / horizon, and in at most one
+   window — so the schedule is exactly ONE multi-state unit whose
+   states are the windows, each removing its own links.  Purely a
+   function of the schedule: no clock, no seed. *)
+let maintenance ~nedges ~horizon windows =
+  if horizon <= 0. then invalid_arg "Failure_model.maintenance: horizon <= 0";
+  if windows = [] then invalid_arg "Failure_model.maintenance: no windows";
+  List.iter
+    (fun w ->
+      if w.wduration <= 0. then
+        invalid_arg
+          (Printf.sprintf "Failure_model.maintenance: window %s duration <= 0" w.wname);
+      if w.wstart < 0. || w.wstart +. w.wduration > horizon then
+        invalid_arg
+          (Printf.sprintf "Failure_model.maintenance: window %s outside the horizon"
+             w.wname))
+    windows;
+  let sorted = List.sort (fun a b -> Float.compare a.wstart b.wstart) windows in
+  let rec check_overlap = function
+    | a :: (b :: _ as rest) ->
+        if a.wstart +. a.wduration > b.wstart then
+          invalid_arg
+            (Printf.sprintf "Failure_model.maintenance: windows %s and %s overlap"
+               a.wname b.wname);
+        check_overlap rest
+    | _ -> ()
+  in
+  check_overlap sorted;
+  let union =
+    Array.of_list
+      (List.sort_uniq compare (List.concat_map (fun w -> Array.to_list w.wedges) sorted))
+  in
+  create ~nedges
+    [
+      {
+        uname = "maintenance";
+        regime = "maintenance";
+        edges = union;
+        states =
+          Array.of_list
+            (List.map
+               (fun w ->
+                 mk_state ~prob:(w.wduration /. horizon) ~frac:0.
+                   ~sedges:(Array.copy w.wedges) ())
+               sorted);
+      };
+    ]
+
+let demand_states ?regime ~nedges ~name states =
+  if Array.length states = 0 then invalid_arg "Failure_model.demand_states: no states";
+  create ~nedges
+    [
+      {
+        uname = name;
+        regime = Option.value regime ~default:name;
+        edges = [||];
+        states = Array.map (fun (p, d) -> mk_state ~prob:p ~frac:0. ~demand:d ()) states;
+      };
+    ]
+
+let diurnal ~nedges ?(levels = [| (1.25, 0.2); (0.75, 0.2) |]) () =
+  demand_states ~nedges ~name:"diurnal"
+    (Array.map (fun (scale, p) -> (p, Scale scale)) levels)
+
+(* ------------------------------------------------------------------ *)
+(* Enumeration                                                         *)
+(* ------------------------------------------------------------------ *)
 
 type scenario = {
   sid : int;
@@ -118,66 +238,35 @@ type scenario = {
   prob : float;
   edge_alive : bool array;
   cap_frac : float array;
+  regime : string;
 }
 
 (* Per-edge capacity fraction of a scenario: product over the failed
    units whose active state touches the edge (composition of
-   independent causes is multiplicative on capacity; for binary units
-   the product is 0).  The edge set is the STATE's, not the unit's:
-   states of a maintenance-calendar unit remove different links. *)
+   independent causes is multiplicative on capacity; for hard cuts
+   the product is 0).  The edge set is the STATE's: states of a
+   maintenance-calendar unit remove different links. *)
 let fracs_of_failed t failed states =
   let frac = Array.make t.nedges 1. in
   Array.iteri
     (fun i u ->
-      let s = t.unit_states.(u).(states.(i)) in
-      Array.iter (fun e -> frac.(e) <- frac.(e) *. s.sfrac) s.sedges)
+      let unit = t.units.(u) in
+      let s = unit.states.(states.(i)) in
+      Array.iter (fun e -> frac.(e) <- frac.(e) *. s.frac) (state_edges unit s))
     failed;
   frac
 
-let alive_of_fracs frac = Array.map (fun f -> f > 0.) frac
-
-(* Probability that every unit sits in its nominal state.  Correct for
-   multi-state units because [unit_probs] is the unit's total
-   non-nominal mass. *)
-let base_prob t =
-  Array.fold_left (fun acc p -> acc *. (1. -. p)) 1. t.unit_probs
-
-let scenario_prob t failed states =
-  let odds i =
-    let u = failed.(i) in
-    t.unit_states.(u).(states.(i)).sprob /. (1. -. t.unit_probs.(u))
-  in
-  let acc = ref (base_prob t) in
-  Array.iteri (fun i _ -> acc := !acc *. odds i) failed;
-  !acc
-
-let no_failure t =
-  {
-    sid = 0;
-    failed_units = [||];
-    failed_states = [||];
-    prob = base_prob t;
-    edge_alive = Array.make t.nedges true;
-    cap_frac = Array.make t.nedges 1.;
-  }
-
-let scenario_of_states t ~sid pairs =
-  let pairs = Array.copy pairs in
-  Array.sort compare pairs;
-  let failed = Array.map fst pairs in
-  let states = Array.map snd pairs in
-  let cap_frac = fracs_of_failed t failed states in
-  {
-    sid;
-    failed_units = failed;
-    failed_states = states;
-    prob = scenario_prob t failed states;
-    edge_alive = alive_of_fracs cap_frac;
-    cap_frac;
-  }
-
-let scenario_of_units t ~sid failed =
-  scenario_of_states t ~sid (Array.map (fun u -> (u, 0)) failed)
+(* A scenario is tagged with the regime of the units it degrades:
+   "nominal" for the all-up scenario, the common regime when every
+   failed unit agrees, "mixed" when regimes co-occur.  The tag is what
+   lets attainment be reported conditioned on failure regime. *)
+let regime_of_failed t failed =
+  if Array.length failed = 0 then "nominal"
+  else begin
+    let r0 = t.units.(failed.(0)).regime in
+    if Array.for_all (fun u -> String.equal t.units.(u).regime r0) failed then r0
+    else "mixed"
+  end
 
 (* Best-first subset enumeration.  Each heap entry is a scenario whose
    children extend the failed set with a state of a strictly larger
@@ -238,26 +327,21 @@ module Heap = struct
 end
 
 let enumerate ?(cutoff = 1e-6) ?(max_scenarios = 400) t =
-  Array.iter
-    (fun p ->
-      if p >= 0.5 then
-        invalid_arg
-          "Failure_model.enumerate: unit failure probability >= 0.5 breaks \
-           best-first ordering")
-    t.unit_probs;
-  let nunits = Array.length t.unit_probs in
+  let mass = Array.map unit_mass t.units in
+  let nunits = Array.length t.units in
   (* odds of unit u entering state s instead of staying nominal; the
      denominator is the unit's NOMINAL mass 1 - sum(states), which is
      what makes the enumerated probabilities of a multi-state unit sum
      with its unenumerated tail to exactly 1 *)
   let odds =
     Array.mapi
-      (fun u states ->
-        Array.map (fun s -> s.sprob /. (1. -. t.unit_probs.(u))) states)
-      t.unit_states
+      (fun u unit -> Array.map (fun (s : state) -> s.prob /. (1. -. mass.(u))) unit.states)
+      t.units
   in
+  (* probability that every unit sits in its nominal state *)
+  let base_prob = Array.fold_left (fun acc p -> acc *. (1. -. p)) 1. mass in
   let heap = Heap.create () in
-  Heap.push heap { Heap.p = base_prob t; last = -1; failed = [] };
+  Heap.push heap { Heap.p = base_prob; last = -1; failed = [] };
   let out = ref [] in
   let count = ref 0 in
   let continue = ref true in
@@ -268,17 +352,18 @@ let enumerate ?(cutoff = 1e-6) ?(max_scenarios = 400) t =
         if p < cutoff then continue := false
         else begin
           let pairs = Array.of_list (List.rev failed) in
-          let failed_arr = Array.map fst pairs in
-          let states_arr = Array.map snd pairs in
-          let cap_frac = fracs_of_failed t failed_arr states_arr in
+          let failed_units = Array.map fst pairs in
+          let failed_states = Array.map snd pairs in
+          let cap_frac = fracs_of_failed t failed_units failed_states in
           out :=
             {
               sid = !count;
-              failed_units = failed_arr;
-              failed_states = states_arr;
+              failed_units;
+              failed_states;
               prob = p;
-              edge_alive = alive_of_fracs cap_frac;
+              edge_alive = Array.map (fun f -> f > 0.) cap_frac;
               cap_frac;
+              regime = regime_of_failed t failed_units;
             }
             :: !out;
           incr count;
@@ -287,13 +372,95 @@ let enumerate ?(cutoff = 1e-6) ?(max_scenarios = 400) t =
               (fun s o ->
                 let child_p = p *. o in
                 if child_p >= cutoff then
-                  Heap.push heap
-                    { Heap.p = child_p; last = j; failed = (j, s) :: failed })
+                  Heap.push heap { Heap.p = child_p; last = j; failed = (j, s) :: failed })
               odds.(j)
           done
         end
   done;
   Array.of_list (List.rev !out)
 
-let coverage scenarios =
-  Array.fold_left (fun acc s -> acc +. s.prob) 0. scenarios
+let coverage scenarios = Array.fold_left (fun acc s -> acc +. s.prob) 0. scenarios
+
+let has_demand t =
+  Array.exists
+    (fun u -> Array.exists (fun s -> match s.demand with No_change -> false | _ -> true) u.states)
+    t.units
+
+let inferred_npairs t =
+  Array.fold_left
+    (fun acc u ->
+      Array.fold_left
+        (fun acc s ->
+          match (s.demand, acc) with
+          | Per_pair fs, Some m when m <> Array.length fs ->
+              invalid_arg "Failure_model: inconsistent per-pair factor lengths"
+          | Per_pair fs, None -> Some (Array.length fs)
+          | _ -> acc)
+        acc u.states)
+    None t.units
+
+let pair_factors_of_scenario t ~npairs s =
+  let factors = Array.make npairs 1. in
+  Array.iteri
+    (fun i u ->
+      match t.units.(u).states.(s.failed_states.(i)).demand with
+      | No_change -> ()
+      | Scale f ->
+          for p = 0 to npairs - 1 do
+            factors.(p) <- factors.(p) *. f
+          done
+      | Per_pair fs ->
+          for p = 0 to npairs - 1 do
+            factors.(p) <- factors.(p) *. fs.(p)
+          done)
+    s.failed_units;
+  factors
+
+let pair_factors ?npairs t scenarios =
+  if not (has_demand t) then None
+  else begin
+    let npairs =
+      match (npairs, inferred_npairs t) with
+      | Some n, Some m ->
+          if n <> m then invalid_arg "Failure_model.pair_factors: npairs mismatch";
+          n
+      | Some n, None | None, Some n -> n
+      | None, None ->
+          invalid_arg "Failure_model.pair_factors: npairs required for uniform demand states"
+    in
+    Some (Array.map (pair_factors_of_scenario t ~npairs) scenarios)
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Monte-Carlo draws                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let sample t rng =
+  Array.map
+    (fun u ->
+      let x = Prng.float rng in
+      let acc = ref 0. and hit = ref (-1) in
+      Array.iteri
+        (fun s (st : state) ->
+          if !hit < 0 then begin
+            acc := !acc +. st.prob;
+            if x < !acc then hit := s
+          end)
+        u.states;
+      !hit)
+    t.units
+
+let edge_down_prob t e =
+  (* an edge is hard-down iff at least one unit sits in a frac-0 state
+     whose edge set contains it; units are independent *)
+  let up = ref 1. in
+  Array.iter
+    (fun u ->
+      let down = ref 0. in
+      Array.iter
+        (fun (s : state) ->
+          if s.frac <= 0. && Array.mem e (state_edges u s) then down := !down +. s.prob)
+        u.states;
+      up := !up *. (1. -. !down))
+    t.units;
+  1. -. !up

@@ -1,48 +1,80 @@
-(** Stochastic failure model: shared-risk link groups (SRLGs) with
-    independent failure probabilities, multi-state partial-capacity
-    units, and best-first enumeration of the most probable disjoint
-    failure scenarios.
+(** Stochastic failure model: independent failure {e units}, their
+    generator families, and best-first enumeration of the most probable
+    disjoint scenarios.
 
-    In the default model every link is its own SRLG with a
-    Weibull-distributed failure probability whose median is ~0.001,
-    matching the paper's §6 methodology and the WAN measurement
-    studies it cites.
+    The paper's §6 model is {!independent_links}: every link is its own
+    shared-risk link group (SRLG) with a Weibull-distributed failure
+    probability whose median is ~0.001.  §4.4 generalises the same
+    enumerated set to SRLGs, partial capacity and per-scenario demand;
+    those are the other families below, and every consumer
+    ({!Flexile_te.Scenario_engine}, the offline MIP, the schemes, the
+    monitor) takes any of them, or a {!compose}d mix, without
+    per-scheme changes.
 
-    A {e unit} is an independent cause of degradation (a link, a
-    fiber conduit, a maintenance calendar).  Each unit has one or more
-    mutually exclusive non-nominal {e states}; a state carries the
-    capacity fraction its member edges retain (0 = hard cut, 0.3 = the
-    link limps at 30%).  The unit's nominal ("all good") mass is
-    [1 - sum of state probabilities]: the states are disjoint events
-    of one cause, so their masses ADD.  (Modelling each state as an
-    independent binary unit — the old binary up/down accounting —
-    multiplies complements instead and double-counts mass the moment a
-    partial-capacity state enters the enumeration next to the hard cut
-    of the same link; {!multi_state} is the corrected accounting, and
-    the binary constructors are the one-state special case for which
-    both accountings coincide.) *)
+    A unit is one independent cause of degradation (a link, a fiber
+    conduit, a maintenance calendar, a demand shift).  Each unit has
+    one or more mutually exclusive non-nominal {e states}; a state
+    carries the capacity fraction its edges retain (0 = hard cut, 0.3 =
+    the link limps at 30%) and an effect on the traffic matrix.  The
+    unit's nominal ("all good") mass is [1 - sum of state
+    probabilities]: the states are disjoint events of one cause, so
+    their masses ADD.
+
+    Seeding discipline: every stochastic constructor takes an explicit
+    {!Flexile_util.Prng.t} and draws from it in unit order, so a model
+    is a pure function of [(topology, seed, parameters)].  Nothing here
+    reads a clock.  This library cannot depend on [lib/traffic]: the
+    demand-drift vectors come from {!Flexile_traffic.Gravity} through
+    {!demand_states} / {!diurnal}, passed in by the builder. *)
+
+(** Demand-side effect of a state on the traffic matrix. *)
+type demand_effect =
+  | No_change
+  | Scale of float  (** uniform scaling of every pair's demand *)
+  | Per_pair of float array  (** per-pair multiplicative factors *)
 
 (** One non-nominal state of a unit. *)
 type state = {
-  sprob : float;  (** probability of this state *)
-  sfrac : float;
-      (** capacity fraction retained by this state's edges, in [0, 1):
-          0 is a hard cut *)
-  sedges : int array;
-      (** edges degraded by this state.  For binary units and
-          {!multi_state} this is the unit's edge set; states of a
-          maintenance-calendar unit remove different links. *)
+  prob : float;  (** probability, in (0, 1) *)
+  frac : float;  (** capacity fraction retained, in [0, 1): 0 is a hard cut *)
+  demand : demand_effect;
+  sedges : int array option;
+      (** per-state edge set ([None] = the unit's edges); used by
+          maintenance windows, whose states remove different links *)
 }
 
-type t = {
-  nedges : int;
-  unit_probs : float array;
-      (** total non-nominal probability of each unit (sum over its
-          states) *)
-  unit_edges : int array array;
-      (** unit -> union of the edge ids its states degrade *)
-  unit_states : state array array;  (** unit -> mutually exclusive states *)
+type failure_unit = {
+  uname : string;  (** unique within a model; survives composition *)
+  regime : string;
+      (** failure-regime tag carried into enumerated scenarios
+          (["independent"], ["srlg"], ["partial"], ["drift"],
+          ["diurnal"], ["maintenance"], ...) *)
+  edges : int array;
+  states : state array;
 }
+
+type t = { nedges : int; units : failure_unit array }
+
+val create : nedges:int -> failure_unit list -> t
+(** The one validating constructor.  Checks edge ranges, state
+    probabilities (each in (0,1), total < 0.5 per unit — the
+    best-first enumeration bound), capacity fractions in [0,1),
+    nonnegative demand factors and unit-name uniqueness.  Raises
+    [Invalid_argument] with a message naming the unit otherwise. *)
+
+val compose : t list -> t
+(** Concatenate the unit lists of models over the same edge count.
+    Unit names must remain unique across the composition.  Scenario
+    probabilities multiply because units are independent. *)
+
+(** {1 Generator families} *)
+
+val binary : ?groups:int array array -> nedges:int -> float array -> t
+(** Explicit probabilities: unit [i] is a hard cut of [groups.(i)]
+    (default: edge [i] alone, so there is one probability per edge)
+    with probability [probs.(i)], regime ["independent"].  For the
+    paper's toy examples, where every link fails with 0.01, and for
+    tests. *)
 
 val independent_links :
   ?median:float ->
@@ -51,36 +83,74 @@ val independent_links :
   seed:Flexile_util.Prng.t ->
   unit ->
   t
-(** One binary SRLG per link; probabilities sampled from a Weibull
-    whose median is [median] (default 0.001), shape default 0.8,
-    clamped to [1e-5, 0.3]. *)
+(** The paper's model: one hard-cut unit per link (regime
+    ["independent"]), its probability drawn from a Weibull whose median
+    is [median] (default 0.001), shape default 0.8, clamped to
+    [1e-5, 0.3], in edge order. *)
 
-val of_probs : nedges:int -> float array -> t
-(** One binary SRLG per link with the given probabilities (testing and
-    the paper's toy examples where every link fails with 0.01). *)
+val srlg :
+  ?median:float ->
+  ?shape:float ->
+  nedges:int ->
+  groups:int array array ->
+  seed:Flexile_util.Prng.t ->
+  unit ->
+  t
+(** Shared-risk link groups: [groups.(i)] lists edges cut atomically
+    (a fiber conduit), with one hazard per group drawn in group order
+    as in {!independent_links}.  With singleton groups the
+    probabilities and scenarios are those of {!independent_links} for
+    the same seed; only the regime tag differs. *)
 
-val grouped :
-  groups:int array array -> probs:float array -> nedges:int -> t
-(** Explicit binary SRLGs: [groups.(i)] lists the edges failing
-    together with probability [probs.(i)]. *)
+val default_levels : (float * float) array
+(** Default partial-degradation levels [(fraction, weight)]:
+    hard cut (frac 0, weight 0.5), 30% (weight 0.3), 70% (weight
+    0.2). *)
 
-val multi_state : nedges:int -> (int array * (float * float) array) array -> t
-(** [multi_state ~nedges units] builds a general model.  Each unit is
-    [(edges, states)] where every state is [(probability, capacity
-    fraction)].  States of one unit are mutually exclusive; the unit is
-    nominal with probability [1 - sum of state probabilities].  Raises
-    [Invalid_argument] on out-of-range edges, probabilities outside
-    (0,1), fractions outside [0,1), or unit mass >= 1.  A unit may have
-    an empty edge set (callers such as {!Scenario_gen} use edge-free
-    units for demand perturbation states). *)
+val partial :
+  ?median:float ->
+  ?shape:float ->
+  ?levels:(float * float) array ->
+  graph:Flexile_net.Graph.t ->
+  seed:Flexile_util.Prng.t ->
+  unit ->
+  t
+(** Partial-capacity degradation: per link, a Weibull-drawn total
+    degradation probability split across [levels] by weight, so a
+    degraded link may survive at a fraction of capacity instead of
+    binary down.  Level fractions must be in [0, 1) and weights
+    positive. *)
 
-val multi_state_full :
-  nedges:int -> (float * float * int array) array array -> t
-(** Like {!multi_state} but each state carries its own edge set:
-    [(probability, capacity fraction, edges)].  The unit's [unit_edges]
-    entry becomes the sorted union.  This is the exact encoding of a
-    maintenance calendar: non-overlapping windows are mutually
-    exclusive states of one unit, each removing its own links. *)
+type window = {
+  wname : string;
+  wedges : int array;  (** links removed while the window is active *)
+  wstart : float;  (** offset into the planning horizon *)
+  wduration : float;
+}
+
+val maintenance : nedges:int -> horizon:float -> window list -> t
+(** Planned maintenance: deterministic link removal over a schedule.
+    A uniformly drawn instant lands inside window [w] with probability
+    [w.wduration /. horizon] and in at most one window, so the
+    schedule is exactly one multi-state unit whose states are the
+    windows (each removing its own [wedges]).  Seedless: the same
+    schedule always yields the same model.  Raises [Invalid_argument]
+    on overlapping windows, windows outside the horizon, nonpositive
+    durations, or total maintenance mass >= 0.5. *)
+
+val demand_states :
+  ?regime:string -> nedges:int -> name:string -> (float * demand_effect) array -> t
+(** An edge-free unit whose states perturb the traffic matrix:
+    [(probability, effect)] per state.  The builder feeds
+    gravity-perturbation vectors from {!Flexile_traffic.Gravity} in
+    here.  [regime] defaults to [name]. *)
+
+val diurnal : nedges:int -> ?levels:(float * float) array -> unit -> t
+(** Diurnal demand scaling as an edge-free unit: [levels] is
+    [(scale, probability)] per level (default peak 1.25 and trough
+    0.75 at probability 0.2 each, nominal mass 0.6). *)
+
+(** {1 Enumeration} *)
 
 (** A failure scenario: a subset of units in a non-nominal state, all
     others nominal.  Scenarios are disjoint events; probabilities of an
@@ -88,38 +158,45 @@ val multi_state_full :
 type scenario = {
   sid : int;  (** dense index within the enumeration *)
   failed_units : int array;  (** ascending unit ids *)
-  failed_states : int array;
-      (** state index per failed unit, aligned with [failed_units]
-          (always 0 for binary units) *)
+  failed_states : int array;  (** state index per failed unit *)
   prob : float;
   edge_alive : bool array;
       (** length [nedges]; an edge is alive iff its capacity fraction
           is positive (a degraded link still carries traffic) *)
   cap_frac : float array;
       (** length [nedges]; remaining capacity fraction per edge, the
-          product over failed units touching it ([1.] nominal, [0.]
-          cut) *)
+          product over the failed units' states touching it ([1.]
+          nominal, [0.] cut) *)
+  regime : string;
+      (** ["nominal"] for the all-up scenario, the common
+          {!failure_unit.regime} when every failed unit agrees,
+          ["mixed"] otherwise *)
 }
 
-val no_failure : t -> scenario
-
-val enumerate :
-  ?cutoff:float -> ?max_scenarios:int -> t -> scenario array
+val enumerate : ?cutoff:float -> ?max_scenarios:int -> t -> scenario array
 (** Scenarios in non-increasing probability order, stopping below
     probability [cutoff] (default 1e-6, the paper's threshold) or at
-    [max_scenarios] (default 400).  The no-failure scenario is first.
-    Raises [Invalid_argument] if any unit's total state mass is
-    >= 0.5 (best-first ordering needs every state less likely than the
-    nominal state). *)
+    [max_scenarios] (default 400).  The no-failure scenario is first. *)
+
+val pair_factors : ?npairs:int -> t -> scenario array -> float array array option
+(** [pair_factors.(sid).(pair)] multiplies the nominal demand of
+    [pair] in scenario [sid]: the product of the failed units' demand
+    effects.  [None] when no unit carries a demand effect.  [npairs]
+    is required when the effects are all uniform {!Scale}s; with
+    {!Per_pair} effects it is inferred (and checked for
+    consistency). *)
 
 val coverage : scenario array -> float
 (** Total probability mass of the enumerated scenarios.  The
     unenumerated tail [1 - coverage] is well defined for multi-state
     units because each unit's nominal mass is [1 - sum of states]. *)
 
-val scenario_of_units : t -> sid:int -> int array -> scenario
-(** Build a specific scenario from failed unit ids, each in its first
-    state (testing; probability computed from the model). *)
+(** {1 Monte-Carlo draws (statistical tests)} *)
 
-val scenario_of_states : t -> sid:int -> (int * int) array -> scenario
-(** Build a specific scenario from (unit, state index) pairs. *)
+val sample : t -> Flexile_util.Prng.t -> int array
+(** Draw one joint state: per unit, the index of its active state or
+    [-1] for nominal.  One uniform draw per unit, in unit order. *)
+
+val edge_down_prob : t -> int -> float
+(** Analytic probability that an edge is hard-down (some unit in a
+    frac-0 state containing it), under unit independence. *)

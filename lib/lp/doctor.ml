@@ -94,17 +94,11 @@ let fixture = function
   | "degenerate" -> Some (degenerate_fixture ())
   | _ -> None
 
-(* Elevated instrumentation: unless the operator pinned a stall limit
-   through the environment, the doctor drops it from the production 120
-   (the Bland threshold) to 8 so short degenerate episodes — invisible
-   in normal operation by design — show up in a diagnosis run. *)
-let doctor_stall_limit = 8
-
-let doctor_thresholds () =
-  let t = Health.default_thresholds () in
-  match Sys.getenv_opt "FLEXILE_HEALTH_STALL" with
-  | Some s when not (String.equal s "") -> t
-  | _ -> { t with Health.stall_limit = doctor_stall_limit }
+(* Elevated instrumentation: the doctor drops the stall limit from the
+   production 120 (the Bland threshold) to 8 so short degenerate
+   episodes — invisible in normal operation by design — show up in a
+   diagnosis run. *)
+let doctor_thresholds = { Health.default_thresholds with Health.stall_limit = 8 }
 
 (* ------------------------------------------------------------------ *)
 (* Report rendering                                                    *)
@@ -294,7 +288,6 @@ let diagnose ~model ~(samples : Health.sample list)
 type source =
   | Src_fixture of string
   | Src_dump of string * Health.dump
-  | Src_model
 
 type result = {
   r_report : Json.t; (* the diagnosis document *)
@@ -341,7 +334,6 @@ let render ~source ~model ~(sol : Simplex.solution) ~health
           ("phase", str (phase_name d.Health.d_phase));
           ("iteration", Json.int d.Health.d_iteration);
         ]
-    | Src_model -> [ ("kind", str "model") ]
   in
   let t = Health.thresholds health in
   let report =
@@ -439,8 +431,8 @@ let render ~source ~model ~(sol : Simplex.solution) ~health
   in
   { r_report = report; r_solution = sol; r_health = health; r_healthy = dg.dg_healthy }
 
-let run_lp ?(source = Src_model) ?dump model =
-  let thresholds = doctor_thresholds () in
+let run_lp ~source ?dump model =
+  let thresholds = doctor_thresholds in
   let eta_limit =
     match dump with
     | Some d -> d.Health.d_eta_limit

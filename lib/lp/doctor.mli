@@ -19,26 +19,15 @@ val near_singular_fixture : unit -> Lp_model.t
     forces consecutive zero-step pivots.  Model name
     ["near-singular-fixture"]. *)
 
-val degenerate_fixture : unit -> Lp_model.t
-(** The degenerate chain alone (["degenerate-chain-fixture"]): stalls
-    under the doctor's lowered stall limit but is numerically sound. *)
-
 val fixture_names : string list
-(** CLI names: [["near-singular"; "degenerate"]]. *)
+(** CLI names: [["near-singular"; "degenerate"]].  The degenerate
+    fixture is the chain alone (["degenerate-chain-fixture"]): it
+    stalls under the doctor's stall limit of 8 (production: 120) but
+    is numerically sound. *)
 
 val fixture : string -> Lp_model.t option
 
-val doctor_thresholds : unit -> Health.thresholds
-(** [Health.default_thresholds] with the stall limit lowered to 8
-    (unless pinned via [FLEXILE_HEALTH_STALL]) — the doctor's elevated
-    instrumentation. *)
-
 (** {1 Running a diagnosis} *)
-
-type source =
-  | Src_fixture of string
-  | Src_dump of string * Health.dump  (** path and parsed snapshot *)
-  | Src_model
 
 type result = {
   r_report : Flexile_util.Json.t;  (** the diagnosis document *)
@@ -47,17 +36,15 @@ type result = {
   r_healthy : bool;  (** no stalls, trips or near-singular rows *)
 }
 
-val run_lp : ?source:source -> ?dump:Health.dump -> Lp_model.t -> result
-(** Replay [model] under [Simplex.solve_doctor] with
-    [doctor_thresholds] and render the report.  An optimal answer's
-    [Certificate] is in the report's ["certificate"] object (null for
-    any other status); a failed one adds a verdict.  When [dump] is
-    given, its basis is additionally measured in isolation
-    ([Simplex.diagnose_basis]) and its recorded eta limit governs the
-    replay's refactorization cadence. *)
-
 val run_fixture : string -> (result, string) Stdlib.result
+(** Replay a seeded fixture under [Simplex.solve_doctor] with the
+    production thresholds, the stall limit lowered to 8, and render
+    the report.  An optimal answer's [Certificate] is in the report's
+    ["certificate"] object (null for any other status); a failed one
+    adds a verdict. *)
 
 val run_dump : string -> (result, string) Stdlib.result
 (** Read a [Health.write_dump] snapshot and diagnose it: the dumped
-    basis measured as captured, plus a full replay of the dumped model. *)
+    basis measured as captured ([Simplex.diagnose_basis]), plus a
+    replay of the dumped model as {!run_fixture} does, under the
+    dump's recorded eta limit. *)

@@ -46,22 +46,7 @@ type thresholds = {
   near_singular_rtol : float;
 }
 
-let getenv_pos_float name default =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some s -> ( match float_of_string_opt s with
-      | Some v when v > 0. -> v
-      | _ -> default)
-
-let getenv_pos_int name default =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some s -> ( match int_of_string_opt s with
-      | Some v when v > 0 -> v
-      | _ -> default)
-
-(* Defaults, with env overrides for tests and incident debugging.
-   Rationale (DESIGN.md section 15): cond_limit 1e10 leaves ~6 digits
+(* Rationale (DESIGN.md section 15): cond_limit 1e10 leaves ~6 digits
    of the double mantissa trustworthy; residual_limit 1e-6 sits two
    decades above the solver's 1e-7 feasibility tolerance so a trip
    means the *factorization* is lying, not the ratio test; growth_limit
@@ -69,13 +54,13 @@ let getenv_pos_int name default =
    healthy bases; stall_limit matches the simplex Bland fallback
    threshold so a "stall" is exactly the event that forced the
    anti-cycling pivot rule. *)
-let default_thresholds () =
+let default_thresholds =
   {
-    cond_limit = getenv_pos_float "FLEXILE_HEALTH_COND" 1e10;
-    residual_limit = getenv_pos_float "FLEXILE_HEALTH_RESIDUAL" 1e-6;
-    growth_limit = getenv_pos_float "FLEXILE_HEALTH_GROWTH" 1e8;
-    stall_limit = getenv_pos_int "FLEXILE_HEALTH_STALL" 120;
-    near_singular_rtol = getenv_pos_float "FLEXILE_HEALTH_RTOL" 1e-7;
+    cond_limit = 1e10;
+    residual_limit = 1e-6;
+    growth_limit = 1e8;
+    stall_limit = 120;
+    near_singular_rtol = 1e-7;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -162,7 +147,7 @@ type state = {
 
 let make ?(capture = false) ?thresholds m =
   let thresholds =
-    match thresholds with Some t -> t | None -> default_thresholds ()
+    Option.value thresholds ~default:default_thresholds
   in
   {
     m;
@@ -205,9 +190,8 @@ let clear state =
    and Metrics_export excludes the health.* families from its
    deterministic Prometheus subset accordingly.  The deterministic
    health story is capture (doctor) mode, which bypasses the stride
-   and samples everything; FLEXILE_HEALTH_STRIDE=1 restores
-   exhaustive sampling in production too. *)
-let sample_stride = getenv_pos_int "FLEXILE_HEALTH_STRIDE" 16
+   and samples everything. *)
+let sample_stride = 16
 
 (* per-domain counter with no cross-domain communication: DLS is the
    sanctioned per-worker-state pattern (lint i2 exempts it) *)

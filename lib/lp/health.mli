@@ -21,11 +21,9 @@ type thresholds = {
   near_singular_rtol : float;  (** [Sparse.Basis.near_singular_rows] rtol *)
 }
 
-val default_thresholds : unit -> thresholds
-(** Defaults (1e10, 1e-6, 1e8, 120, 1e-7), overridable via the
-    [FLEXILE_HEALTH_COND] / [_RESIDUAL] / [_GROWTH] / [_STALL] /
-    [_RTOL] environment variables.  See DESIGN.md section 15 for the
-    rationale behind each default. *)
+val default_thresholds : thresholds
+(** The production thresholds (1e10, 1e-6, 1e8, 120, 1e-7).  See
+    DESIGN.md section 15 for the rationale behind each. *)
 
 (** {1 Samples} *)
 
@@ -100,13 +98,13 @@ val clear : state -> unit
 val sample_due : state -> bool
 (** Sampling-policy gate the solver consults at each opportunity
     (refactorization or extraction).  Always true in capture (doctor)
-    mode; in production, true once every [FLEXILE_HEALTH_STRIDE]
-    (default 16) opportunities per domain — a full sample costs a
-    dozen basis solves, and the stride is what keeps the observatory
-    inside its 2% overhead budget (DESIGN.md section 15).  The
-    per-domain counter makes the sampled subset schedule-dependent,
-    which is why the health.* families sit outside the deterministic
-    Prometheus subset.  Calling it advances the stride counter. *)
+    mode; in production, true once every 16 opportunities per
+    domain — a full sample costs a dozen basis solves, and the stride
+    is what keeps the observatory inside its 2% overhead budget
+    (DESIGN.md section 15).  The per-domain counter makes the sampled
+    subset schedule-dependent, which is why the health.* families sit
+    outside the deterministic Prometheus subset.  Calling it advances
+    the stride counter. *)
 
 val sample :
   state ->

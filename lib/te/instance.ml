@@ -24,12 +24,11 @@ type t = {
   scenarios : Failure_model.scenario array;
   alive_tunnels : int array array array array;
   demand_factors : float array array option;
-  regimes : string array option;
   memo : memo Flexile_util.Parallel.once;
 }
 
-let make ~graph ~classes ~pairs ~tunnels ~demands ?demand_factors ?regimes
-    ~scenarios () =
+let make ~graph ~classes ~pairs ~tunnels ~demands ?demand_factors ~scenarios
+    () =
   let nk = Array.length classes and np = Array.length pairs in
   if Array.length tunnels <> nk || Array.length demands <> nk then
     invalid_arg "Instance.make: class dimension mismatch";
@@ -97,11 +96,6 @@ let make ~graph ~classes ~pairs ~tunnels ~demands ?demand_factors ?regimes
                invalid_arg "Instance.make: negative demand factor"))
         df
   | None -> ());
-  (match regimes with
-  | Some r ->
-      if Array.length r <> Array.length scenarios then
-        invalid_arg "Instance.make: regimes dimension mismatch"
-  | None -> ());
   {
     graph;
     classes;
@@ -111,7 +105,6 @@ let make ~graph ~classes ~pairs ~tunnels ~demands ?demand_factors ?regimes
     scenarios;
     alive_tunnels;
     demand_factors;
-    regimes;
     memo = Flexile_util.Parallel.once ();
   }
 
@@ -124,15 +117,7 @@ let edge_capacity t ~sid e =
   t.graph.Graph.edges.(e).Graph.capacity
   *. t.scenarios.(sid).Failure_model.cap_frac.(e)
 
-let regime t ~sid =
-  match t.regimes with
-  | Some r -> r.(sid)
-  | None ->
-      (* legacy sets carry no tags: everything is either the all-up
-         scenario or an independent link failure *)
-      if Array.length t.scenarios.(sid).Failure_model.failed_units = 0 then
-        "nominal"
-      else "independent"
+let regime t ~sid = t.scenarios.(sid).Failure_model.regime
 
 let regime_names t =
   let names = ref [] in

@@ -41,11 +41,6 @@ type t = {
       (** §4.4 "more general scenarios": optional per-scenario demand
           multipliers, [factors.(sid).(fid)]; [None] means every
           scenario carries the base traffic matrix *)
-  regimes : string array option;
-      (** per-scenario failure-regime tags from
-          {!Flexile_failure.Scenario_gen.set.regimes}; [None] for
-          legacy sets (read through {!regime}, which derives
-          ["nominal"] / ["independent"] defaults) *)
   memo : memo Flexile_util.Parallel.once;
       (** empty when made; computed once, by whichever domain needs
           it first, while any other domain needing it waits *)
@@ -58,14 +53,12 @@ val make :
   tunnels:Flexile_net.Tunnels.t array array array ->
   demands:float array array ->
   ?demand_factors:float array array ->
-  ?regimes:string array ->
   scenarios:Flexile_failure.Failure_model.scenario array ->
   unit ->
   t
 (** [demands.(k).(i)] is the demand of class [k] on pair [i].
     Validates dimensions and tunnel endpoints.  [demand_factors]
-    optionally scales each flow's demand per scenario (sid x fid);
-    [regimes] optionally tags each scenario with its failure regime. *)
+    optionally scales each flow's demand per scenario (sid x fid). *)
 
 val demand_in : t -> flow -> int -> float
 (** Effective demand of a flow in a scenario (base demand times the
@@ -77,9 +70,8 @@ val edge_capacity : t -> sid:int -> int -> float
     0 when cut, in between for partial degradation). *)
 
 val regime : t -> sid:int -> string
-(** Failure-regime tag of a scenario.  [regimes] when present;
-    otherwise ["nominal"] for the all-up scenario and ["independent"]
-    for every other (the only regimes a legacy set can contain). *)
+(** Failure-regime tag of a scenario
+    ({!Flexile_failure.Failure_model.scenario.regime}). *)
 
 val regime_names : t -> string list
 (** Sorted distinct regime tags across the instance's scenarios. *)

@@ -4,10 +4,6 @@
     no-failure maximum link utilization lands in the paper's [0.5,0.7]
     window (see {!scale_to_mlu}). *)
 
-val node_masses : seed:Flexile_util.Prng.t -> n:int -> float array
-(** Exponentially distributed masses, mean 1 (heavy-tailed enough to
-    make some pairs much hotter than others). *)
-
 val matrix :
   seed:Flexile_util.Prng.t ->
   graph:Flexile_net.Graph.t ->
@@ -45,11 +41,11 @@ val drift_states :
     2) perturbation vectors of per-pair factors around 1 (sigma
     default 0.1), each carrying probability [total_prob / nstates]
     (total default 0.2, must stay below the 0.5 enumeration bound).
-    Feed to [Scenario_gen.demand_states] via the builder. *)
+    Feed to [Failure_model.demand_states] via the builder. *)
 
 val diurnal_levels : ?amplitude:float -> unit -> (float * float) array
 (** Diurnal scaling levels [(scale, probability)] for
-    [Scenario_gen.diurnal]: peak [1 + amplitude] and trough
+    [Failure_model.diurnal]: peak [1 + amplitude] and trough
     [1 - amplitude] (default amplitude 0.25) at probability 0.2
     each. *)
 

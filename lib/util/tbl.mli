@@ -10,9 +10,6 @@
     (replace semantics — shadowed [Hashtbl.add] duplicates are not
     visited twice). *)
 
-val sorted_keys : ('a, 'b) Hashtbl.t -> 'a list
-(** Distinct keys in ascending order. *)
-
 val sorted_bindings : ('a, 'b) Hashtbl.t -> ('a * 'b) list
 (** [(key, current binding)] pairs in ascending key order. *)
 

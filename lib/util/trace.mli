@@ -83,7 +83,6 @@ val now_s : unit -> float
     [Unix.gettimeofday] / [Sys.time] there): elapsed-time results stay
     comparable and immune to system clock steps. *)
 
-val timer_ns : timer -> int64
 val timer_seconds : timer -> float
 val timer_count : timer -> int
 
@@ -195,13 +194,6 @@ val in_span : ?arg:int -> span -> (unit -> 'a) -> 'a
     innermost open span).  Records on exit, exceptions included; a
     single branch when disabled.  [arg] tags the record (iteration
     number, scenario id, worker slot, ...). *)
-
-val span_begin : ?arg:int -> span -> unit
-val span_end : span -> unit
-(** Explicit bracket for call sites that cannot wrap a closure.
-    [span_end] closes the calling domain's {e innermost} open span —
-    begin/end pairs must nest properly, which the profiler tests
-    assert. *)
 
 type span_record = {
   span_name : string;

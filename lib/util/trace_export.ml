@@ -44,9 +44,6 @@ let span_tree_json () =
    cadence).  Emitted as its own section in `--trace` reports and in
    the `flexile doctor TOPOLOGY` report, so dashboards can read solver
    health without parsing the full registry. *)
-let solver_health_schema = "flexile-solver-health"
-let solver_health_version = 1
-
 let solver_health_json () =
   let registry = Trace.registry () in
   let section kind prefixes render =
@@ -64,8 +61,8 @@ let solver_health_json () =
   in
   Json.Object
     [
-      ("schema", Json.String solver_health_schema);
-      ("version", Json.int solver_health_version);
+      ("schema", Json.String "flexile-solver-health");
+      ("version", Json.int 1);
       ( "counters",
         section Trace.Counter [ "health."; "simplex." ] (fun name ->
             Json.int (Trace.value_by_name name)) );

@@ -17,12 +17,6 @@ val report_json : ?derived:(string * float) list -> unit -> Json.t
     truncated span tree or event stream is visible rather than
     silent. *)
 
-val span_tree_json : unit -> Json.t
-(** Just the [span_tree] array. *)
-
-val solver_health_schema : string
-val solver_health_version : int
-
 val solver_health_json : unit -> Json.t
 (** The numerical-health section: a schema'd
     ([{"schema":"flexile-solver-health","version":1,...}]) projection

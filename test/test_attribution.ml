@@ -168,8 +168,8 @@ let test_regime_tags () =
     Alcotest.failf "mixed set carries %d non-nominal regimes"
       (List.length non_nominal)
 
-(* the legacy independent path carries no regime array but still tags
-   scenarios through the fallback *)
+(* the paper's independent mix tags every scenario "nominal" or
+   "independent" *)
 let test_regime_fallback () =
   let inst, _ = setup "independent" in
   Alcotest.(check string)

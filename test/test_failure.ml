@@ -10,7 +10,8 @@ let test_weibull_median () =
   let graph = Flexile_net.Catalog.by_name "Tinet" in
   let seed = Prng.of_string "weibull-test" in
   let m = FM.independent_links ~graph ~seed () in
-  let probs = Array.copy m.FM.unit_probs in
+  let unit_probs = Array.map (fun u -> u.FM.states.(0).FM.prob) m.FM.units in
+  let probs = Array.copy unit_probs in
   Array.sort compare probs;
   let median = probs.(Array.length probs / 2) in
   (* sampling noise allows a loose band around the target 0.001 *)
@@ -20,10 +21,10 @@ let test_weibull_median () =
     (fun p ->
       if p < 1e-5 -. 1e-12 || p > 0.3 +. 1e-12 then
         Alcotest.failf "probability %f outside clamp" p)
-    m.FM.unit_probs
+    unit_probs
 
 let test_enumeration_order_and_probs () =
-  let m = FM.of_probs ~nedges:3 [| 0.1; 0.2; 0.3 |] in
+  let m = FM.binary ~nedges:3 [| 0.1; 0.2; 0.3 |] in
   let scenarios = FM.enumerate ~cutoff:0. ~max_scenarios:100 m in
   Alcotest.(check int) "all 8 subsets" 8 (Array.length scenarios);
   (* non-increasing probability *)
@@ -41,7 +42,7 @@ let test_enumeration_order_and_probs () =
     (Array.length scenarios.(0).FM.failed_units)
 
 let test_enumeration_cutoff () =
-  let m = FM.of_probs ~nedges:4 [| 0.01; 0.01; 0.01; 0.01 |] in
+  let m = FM.binary ~nedges:4 [| 0.01; 0.01; 0.01; 0.01 |] in
   let scenarios = FM.enumerate ~cutoff:1e-4 ~max_scenarios:1000 m in
   (* no-failure (0.96), 4 singles (~0.0097), doubles ~9.8e-5 < cutoff *)
   Alcotest.(check int) "singles only" 5 (Array.length scenarios);
@@ -50,31 +51,34 @@ let test_enumeration_cutoff () =
       if s.FM.prob < 1e-4 then Alcotest.fail "scenario below cutoff included")
     scenarios
 
+(* the enumerated scenario in which exactly [failed] are down *)
+let scenario_with m failed =
+  Array.to_list (FM.enumerate ~cutoff:0. ~max_scenarios:100 m)
+  |> List.find (fun (s : FM.scenario) -> s.FM.failed_units = failed)
+
 let test_scenario_alive_mask () =
-  let m = FM.of_probs ~nedges:3 [| 0.1; 0.1; 0.1 |] in
-  let s = FM.scenario_of_units m ~sid:0 [| 1 |] in
+  let m = FM.binary ~nedges:3 [| 0.1; 0.1; 0.1 |] in
+  let s = scenario_with m [| 1 |] in
   Alcotest.(check bool) "edge 0 alive" true s.FM.edge_alive.(0);
   Alcotest.(check bool) "edge 1 dead" false s.FM.edge_alive.(1);
   Alcotest.(check (float 1e-12)) "probability" (0.9 *. 0.1 *. 0.9) s.FM.prob
 
 let test_srlg_groups () =
   (* two SRLGs over 4 edges: {0,1} and {2,3} *)
-  let m =
-    FM.grouped ~groups:[| [| 0; 1 |]; [| 2; 3 |] |] ~probs:[| 0.2; 0.1 |]
-      ~nedges:4
-  in
-  let s = FM.scenario_of_units m ~sid:0 [| 0 |] in
+  let m = FM.binary ~groups:[| [| 0; 1 |]; [| 2; 3 |] |] ~nedges:4 [| 0.2; 0.1 |] in
+  let s = scenario_with m [| 0 |] in
   Alcotest.(check bool) "edge 0 dead" false s.FM.edge_alive.(0);
   Alcotest.(check bool) "edge 1 dead" false s.FM.edge_alive.(1);
   Alcotest.(check bool) "edge 2 alive" true s.FM.edge_alive.(2);
   Alcotest.(check (float 1e-12)) "prob" (0.2 *. 0.9) s.FM.prob
 
+(* best-first enumeration needs every state less likely than the
+   nominal one: the constructor rejects a unit of mass >= 0.5 *)
 let test_high_prob_guard () =
-  let m = FM.of_probs ~nedges:1 [| 0.6 |] in
   Alcotest.check_raises "p >= 0.5 rejected"
     (Invalid_argument
-       "Failure_model.enumerate: unit failure probability >= 0.5 breaks \
-        best-first ordering") (fun () -> ignore (FM.enumerate m))
+       "Failure_model: unit unit-0 total state mass 0.600 >= 0.5 breaks \
+        best-first enumeration") (fun () -> ignore (FM.binary ~nedges:1 [| 0.6 |]))
 
 let qcheck_enumeration_is_top_k =
   (* enumeration with a count cap must return the k most probable
@@ -88,7 +92,7 @@ let qcheck_enumeration_is_top_k =
     (QCheck.make gen) (fun (k, probs) ->
       let probs = Array.of_list probs in
       let n = Array.length probs in
-      let m = FM.of_probs ~nedges:n probs in
+      let m = FM.binary ~nedges:n probs in
       let top = FM.enumerate ~cutoff:0. ~max_scenarios:k m in
       (* exhaustive *)
       let all = ref [] in

@@ -8,8 +8,6 @@ module Prng = Flexile_util.Prng
 module Trace = Flexile_util.Trace
 module Json = Flexile_util.Json
 
-let prod_thresholds () = Health.default_thresholds ()
-
 (* Random bounded LP (never unbounded): the healthy workload. *)
 let random_lp prng ~nv ~nr =
   let m = Lp_model.create () in
@@ -37,7 +35,7 @@ let test_eta_limit_walk () =
   for trial = 1 to 10 do
     let m = random_lp prng ~nv:12 ~nr:10 in
     let sol, h =
-      Simplex.solve_doctor ~eta_limit:1 ~thresholds:(prod_thresholds ()) m
+      Simplex.solve_doctor ~eta_limit:1 ~thresholds:Health.default_thresholds m
     in
     let samples = Health.samples h in
     (match sol.Simplex.status with
@@ -167,7 +165,7 @@ let test_healthy_suite_silent () =
   let prng = Prng.of_string "health-silent" in
   for trial = 1 to 25 do
     let m = random_lp prng ~nv:(4 + Prng.int prng 10) ~nr:(3 + Prng.int prng 8) in
-    let _, h = Simplex.solve_doctor ~thresholds:(prod_thresholds ()) m in
+    let _, h = Simplex.solve_doctor ~thresholds:Health.default_thresholds m in
     List.iter
       (fun (s : Health.sample) ->
         if s.Health.s_tripped <> [] then

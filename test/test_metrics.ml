@@ -18,7 +18,7 @@ let check_float ~msg expected actual =
 let make_inst ?(max_scenarios = 8) () =
   let graph = Flexile_net.Catalog.triangle () in
   let mk pair edges = Flexile_net.Tunnels.make graph ~pair (Array.of_list edges) in
-  let fm = FM.of_probs ~nedges:3 [| 0.1; 0.1; 0.1 |] in
+  let fm = FM.binary ~nedges:3 [| 0.1; 0.1; 0.1 |] in
   let scenarios = FM.enumerate ~cutoff:0. ~max_scenarios fm in
   let inst =
     Instance.make ~graph

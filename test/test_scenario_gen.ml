@@ -1,13 +1,12 @@
-(* Tests for the scenario-generator subsystem: per-family property
-   tests (mass accounting, capacity bounds, SRLG atomicity,
+(* Tests for the failure model's generator families: per-family
+   property tests (mass accounting, capacity bounds, SRLG atomicity,
    maintenance determinism), statistical tests against analytic
    probabilities (3-sigma binomial bounds on a large seeded sample),
-   differential tests (singleton-SRLG vs the legacy independent model,
-   bit-for-bit; mixed-regime sweeps at --jobs 1 vs 4), and the
-   regression pinning the multi-state mass-accounting fix. *)
+   differential tests (mixed-regime sweeps at --jobs 1 vs 4, and the
+   scenario-set pin of every builder mix), and the regression pinning
+   the multi-state mass-accounting fix. *)
 
 module FM = Flexile_failure.Failure_model
-module SG = Flexile_failure.Scenario_gen
 module Prng = Flexile_util.Prng
 module Fc = Flexile_util.Float_cmp
 module Instance = Flexile_te.Instance
@@ -17,7 +16,7 @@ let quick name f = Alcotest.test_case name `Quick f
 let ibm () = Flexile_net.Catalog.by_name "IBM"
 
 (* exhaustive enumeration: no cutoff, cap far above any test model *)
-let exhaustive gen = SG.enumerate ~cutoff:0. ~max_scenarios:100_000 gen
+let exhaustive gen = FM.enumerate ~cutoff:0. ~max_scenarios:100_000 gen
 
 (* ---------- property tests ---------- *)
 
@@ -28,34 +27,32 @@ let test_mass_sums_to_one () =
   let seed name = Prng.of_string ("sg-mass-" ^ name) in
   let gens =
     [
-      ("independent", SG.independent_links ~graph ~seed:(seed "ind") ());
+      ("independent", FM.independent_links ~graph ~seed:(seed "ind") ());
       ( "srlg",
-        SG.srlg ~nedges:3
+        FM.srlg ~nedges:3
           ~groups:[| [| 0; 1 |]; [| 2 |] |]
           ~seed:(seed "srlg") () );
-      ("partial", SG.partial ~graph ~seed:(seed "partial") ());
+      ("partial", FM.partial ~graph ~seed:(seed "partial") ());
       ( "maintenance",
-        SG.maintenance ~nedges:3 ~horizon:100.
+        FM.maintenance ~nedges:3 ~horizon:100.
           [
-            { SG.wname = "a"; wedges = [| 0 |]; wstart = 0.; wduration = 5. };
-            { SG.wname = "b"; wedges = [| 1; 2 |]; wstart = 10.; wduration = 3. };
+            { FM.wname = "a"; wedges = [| 0 |]; wstart = 0.; wduration = 5. };
+            { FM.wname = "b"; wedges = [| 1; 2 |]; wstart = 10.; wduration = 3. };
           ] );
-      ("diurnal", SG.diurnal ~nedges:3 ());
+      ("diurnal", FM.diurnal ~nedges:3 ());
     ]
   in
   List.iter
     (fun (name, gen) ->
-      let set = SG.enumerate ~cutoff:0. ~max_scenarios:100_000 ~npairs:2 gen in
-      let mass = FM.coverage set.SG.scenarios in
+      let mass = FM.coverage (exhaustive gen) in
       if not (Fc.eq mass 1.) then
         Alcotest.failf "%s: total mass %.12f, expected 1" name mass)
     gens;
   (* composition of all capacity families *)
   let composed =
-    SG.compose (List.map snd (List.filteri (fun i _ -> i < 4) gens))
+    FM.compose (List.map snd (List.filteri (fun i _ -> i < 4) gens))
   in
-  let set = exhaustive composed in
-  let mass = FM.coverage set.SG.scenarios in
+  let mass = FM.coverage (exhaustive composed) in
   if not (Fc.eq mass 1.) then
     Alcotest.failf "composed: total mass %.12f, expected 1" mass
 
@@ -65,20 +62,20 @@ let test_mass_sums_to_one () =
 let test_truncated_coverage () =
   let graph = ibm () in
   let gen =
-    SG.compose
+    FM.compose
       [
-        SG.partial ~graph ~seed:(Prng.of_string "sg-cov") ();
-        SG.srlg
+        FM.partial ~graph ~seed:(Prng.of_string "sg-cov") ();
+        FM.srlg
           ~nedges:(Flexile_net.Graph.nedges graph)
           ~groups:(Flexile_net.Catalog.srlgs graph)
           ~seed:(Prng.of_string "sg-cov-srlg") ();
       ]
   in
   let c40 =
-    FM.coverage (SG.enumerate ~max_scenarios:40 gen).SG.scenarios
+    FM.coverage (FM.enumerate ~max_scenarios:40 gen)
   in
   let c150 =
-    FM.coverage (SG.enumerate ~max_scenarios:150 gen).SG.scenarios
+    FM.coverage (FM.enumerate ~max_scenarios:150 gen)
   in
   if c40 > 1. +. 1e-9 || c150 > 1. +. 1e-9 then
     Alcotest.fail "coverage exceeds 1";
@@ -90,8 +87,8 @@ let test_truncated_coverage () =
 let test_partial_fraction_bounds () =
   let graph = ibm () in
   let levels = [| (0., 0.4); (0.25, 0.4); (0.6, 0.2) |] in
-  let gen = SG.partial ~levels ~graph ~seed:(Prng.of_string "sg-frac") () in
-  let set = SG.enumerate ~max_scenarios:200 gen in
+  let gen = FM.partial ~levels ~graph ~seed:(Prng.of_string "sg-frac") () in
+  let scenarios = FM.enumerate ~max_scenarios:200 gen in
   let allowed = 1. :: Array.to_list (Array.map fst levels) in
   Array.iter
     (fun (s : FM.scenario) ->
@@ -107,7 +104,7 @@ let test_partial_fraction_bounds () =
           if alive <> (s.FM.cap_frac.(e) > 0.) then
             Alcotest.fail "edge_alive inconsistent with cap_frac")
         s.FM.edge_alive)
-    set.SG.scenarios
+    scenarios
 
 (* Effective capacities stay within [0, nominal] through the Instance
    layer. *)
@@ -139,11 +136,11 @@ let test_srlg_atomicity () =
   let graph = ibm () in
   let groups = Flexile_net.Catalog.srlgs graph in
   let gen =
-    SG.srlg
+    FM.srlg
       ~nedges:(Flexile_net.Graph.nedges graph)
       ~groups ~seed:(Prng.of_string "sg-atomic") ()
   in
-  let set = SG.enumerate ~max_scenarios:300 gen in
+  let scenarios = FM.enumerate ~max_scenarios:300 gen in
   Array.iter
     (fun (s : FM.scenario) ->
       Array.iter
@@ -157,7 +154,7 @@ let test_srlg_atomicity () =
             Alcotest.failf "scenario %d: group partially failed (%d/%d)"
               s.FM.sid dead (Array.length group))
         groups)
-    set.SG.scenarios;
+    scenarios;
   (* every edge is covered by exactly one group *)
   let ne = Flexile_net.Graph.nedges graph in
   let count = Array.make ne 0 in
@@ -172,13 +169,13 @@ let test_srlg_atomicity () =
 let test_maintenance () =
   let windows =
     [
-      { SG.wname = "w0"; wedges = [| 0 |]; wstart = 0.; wduration = 10. };
-      { SG.wname = "w1"; wedges = [| 1; 2 |]; wstart = 20.; wduration = 5. };
+      { FM.wname = "w0"; wedges = [| 0 |]; wstart = 0.; wduration = 10. };
+      { FM.wname = "w1"; wedges = [| 1; 2 |]; wstart = 20.; wduration = 5. };
     ]
   in
-  let gen () = SG.maintenance ~nedges:4 ~horizon:168. windows in
-  let s1 = (exhaustive (gen ())).SG.scenarios in
-  let s2 = (exhaustive (gen ())).SG.scenarios in
+  let gen () = FM.maintenance ~nedges:4 ~horizon:168. windows in
+  let s1 = exhaustive (gen ()) in
+  let s2 = exhaustive (gen ()) in
   (* same schedule -> identical sets, bit for bit, on repeated calls
      (nothing reads a clock or a global RNG) *)
   Alcotest.(check int) "same count" (Array.length s1) (Array.length s2);
@@ -215,18 +212,18 @@ let test_maintenance () =
   (* overlapping windows are rejected *)
   (try
      ignore
-       (SG.maintenance ~nedges:4 ~horizon:168.
+       (FM.maintenance ~nedges:4 ~horizon:168.
           [
-            { SG.wname = "a"; wedges = [| 0 |]; wstart = 0.; wduration = 10. };
-            { SG.wname = "b"; wedges = [| 1 |]; wstart = 5.; wduration = 10. };
+            { FM.wname = "a"; wedges = [| 0 |]; wstart = 0.; wduration = 10. };
+            { FM.wname = "b"; wedges = [| 1 |]; wstart = 5.; wduration = 10. };
           ]);
      Alcotest.fail "overlap not rejected"
    with Invalid_argument _ -> ());
   (* windows outside the horizon are rejected *)
   try
     ignore
-      (SG.maintenance ~nedges:4 ~horizon:24.
-         [ { SG.wname = "a"; wedges = [| 0 |]; wstart = 20.; wduration = 10. } ]);
+      (FM.maintenance ~nedges:4 ~horizon:24.
+         [ { FM.wname = "a"; wedges = [| 0 |]; wstart = 20.; wduration = 10. } ]);
     Alcotest.fail "out-of-horizon window not rejected"
   with Invalid_argument _ -> ()
 
@@ -234,10 +231,10 @@ let test_maintenance () =
    Weibull draws differ. *)
 let test_seed_determinism () =
   let graph = ibm () in
-  let build s = SG.partial ~graph ~seed:(Prng.of_string s) () in
-  let a = (SG.enumerate ~max_scenarios:80 (build "seed-A")).SG.scenarios in
-  let b = (SG.enumerate ~max_scenarios:80 (build "seed-A")).SG.scenarios in
-  let c = (SG.enumerate ~max_scenarios:80 (build "seed-B")).SG.scenarios in
+  let build s = FM.partial ~graph ~seed:(Prng.of_string s) () in
+  let a = FM.enumerate ~max_scenarios:80 (build "seed-A") in
+  let b = FM.enumerate ~max_scenarios:80 (build "seed-A") in
+  let c = FM.enumerate ~max_scenarios:80 (build "seed-B") in
   Array.iteri
     (fun i (s : FM.scenario) ->
       if not (Fc.exactly_equal s.FM.prob b.(i).FM.prob) then
@@ -255,12 +252,13 @@ let test_seed_determinism () =
    over the failed units' states. *)
 let test_demand_factors () =
   let drift =
-    SG.demand_states ~nedges:2 ~name:"drift"
-      [| (0.1, SG.Per_pair [| 2.; 0.5 |]) |]
+    FM.demand_states ~nedges:2 ~name:"drift"
+      [| (0.1, FM.Per_pair [| 2.; 0.5 |]) |]
   in
-  let diurnal = SG.diurnal ~nedges:2 ~levels:[| (1.5, 0.2) |] () in
-  let set = exhaustive (SG.compose [ drift; diurnal ]) in
-  (match set.SG.pair_factors with
+  let diurnal = FM.diurnal ~nedges:2 ~levels:[| (1.5, 0.2) |] () in
+  let gen = FM.compose [ drift; diurnal ] in
+  let scenarios = exhaustive gen in
+  (match FM.pair_factors gen scenarios with
   | None -> Alcotest.fail "expected pair factors"
   | Some pf ->
       Alcotest.(check int) "4 scenarios" 4 (Array.length pf);
@@ -284,12 +282,10 @@ let test_demand_factors () =
                 Alcotest.failf "scenario %d pair %d factor %f /= %f" sid p f
                   expected.(p))
             pf.(sid))
-        set.SG.scenarios);
+        scenarios);
   (* a capacity-only generator attaches no factors *)
-  let cap_only =
-    exhaustive (SG.srlg ~nedges:2 ~groups:[| [| 0 |] |] ~seed:(Prng.of_string "x") ())
-  in
-  if cap_only.SG.pair_factors <> None then
+  let cap_only = FM.srlg ~nedges:2 ~groups:[| [| 0 |] |] ~seed:(Prng.of_string "x") () in
+  if FM.pair_factors cap_only (exhaustive cap_only) <> None then
     Alcotest.fail "capacity-only generator produced demand factors"
 
 (* ---------- statistical tests ---------- *)
@@ -302,23 +298,23 @@ let test_sampling_statistics () =
   let graph = ibm () in
   let groups = Flexile_net.Catalog.srlgs graph in
   let gen =
-    SG.compose
+    FM.compose
       [
-        SG.srlg
+        FM.srlg
           ~nedges:(Flexile_net.Graph.nedges graph)
           ~groups ~seed:(Prng.of_string "sg-stat-groups") ();
       ]
   in
-  let nunits = SG.nunits gen in
+  let nunits = Array.length gen.FM.units in
   let hits = Array.make nunits 0 in
   let rng = Prng.of_string "sg-stat-draws" in
   for _ = 1 to n do
-    let states = SG.sample gen rng in
+    let states = FM.sample gen rng in
     Array.iteri (fun u s -> if s >= 0 then hits.(u) <- hits.(u) + 1) states
   done;
   Array.iteri
     (fun u hit ->
-      let p = gen.SG.units.(u).SG.states.(0).SG.prob in
+      let p = gen.FM.units.(u).FM.states.(0).FM.prob in
       let freq = float_of_int hit /. float_of_int n in
       let sigma = sqrt (p *. (1. -. p) /. float_of_int n) in
       (* 3 sigma, plus a tiny absolute floor for very small p where
@@ -326,7 +322,7 @@ let test_sampling_statistics () =
       let bound = (3. *. sigma) +. (1.5 /. float_of_int n) in
       if Float.abs (freq -. p) > bound then
         Alcotest.failf "unit %d (%s): freq %.5f vs p %.5f (bound %.5f)" u
-          gen.SG.units.(u).SG.uname freq p bound)
+          gen.FM.units.(u).FM.uname freq p bound)
     hits
 
 (* Per-edge hard-down frequency matches the analytic edge_down_prob
@@ -335,28 +331,28 @@ let test_edge_down_statistics () =
   let n = 20000 in
   let graph = Flexile_net.Catalog.triangle () in
   let gen =
-    SG.compose
+    FM.compose
       [
-        SG.srlg ~nedges:3
+        FM.srlg ~nedges:3
           ~groups:[| [| 0; 1 |] |]
           ~seed:(Prng.of_string "sg-stat2-srlg") ();
-        SG.partial ~graph ~seed:(Prng.of_string "sg-stat2-partial") ();
+        FM.partial ~graph ~seed:(Prng.of_string "sg-stat2-partial") ();
       ]
   in
   let down = Array.make 3 0 in
   let rng = Prng.of_string "sg-stat2-draws" in
   for _ = 1 to n do
-    let states = SG.sample gen rng in
+    let states = FM.sample gen rng in
     let frac = Array.make 3 1. in
     Array.iteri
       (fun u s ->
         if s >= 0 then begin
-          let unit = gen.SG.units.(u) in
-          let st = unit.SG.states.(s) in
+          let unit = gen.FM.units.(u) in
+          let st = unit.FM.states.(s) in
           let edges =
-            match st.SG.sedges with Some e -> e | None -> unit.SG.edges
+            match st.FM.sedges with Some e -> e | None -> unit.FM.edges
           in
-          Array.iter (fun e -> frac.(e) <- frac.(e) *. st.SG.frac) edges
+          Array.iter (fun e -> frac.(e) <- frac.(e) *. st.FM.frac) edges
         end)
       states;
     for e = 0 to 2 do
@@ -364,7 +360,7 @@ let test_edge_down_statistics () =
     done
   done;
   for e = 0 to 2 do
-    let p = SG.edge_down_prob gen e in
+    let p = FM.edge_down_prob gen e in
     let freq = float_of_int down.(e) /. float_of_int n in
     let sigma = sqrt (p *. (1. -. p) /. float_of_int n) in
     let bound = (3. *. sigma) +. (1.5 /. float_of_int n) in
@@ -375,87 +371,142 @@ let test_edge_down_statistics () =
 
 (* ---------- differential tests ---------- *)
 
-let check_scenarios_bit_identical name (a : FM.scenario array)
-    (b : FM.scenario array) =
-  if Array.length a <> Array.length b then
-    Alcotest.failf "%s: %d vs %d scenarios" name (Array.length a)
-      (Array.length b);
-  Array.iteri
-    (fun i (x : FM.scenario) ->
-      let y = b.(i) in
-      if
-        not
-          (Int64.equal
-             (Int64.bits_of_float x.FM.prob)
-             (Int64.bits_of_float y.FM.prob))
-      then
-        Alcotest.failf "%s: scenario %d prob bits differ (%.17g vs %.17g)" name
-          i x.FM.prob y.FM.prob;
-      if x.FM.failed_units <> y.FM.failed_units then
-        Alcotest.failf "%s: scenario %d failed sets differ" name i;
-      if x.FM.edge_alive <> y.FM.edge_alive then
-        Alcotest.failf "%s: scenario %d alive masks differ" name i;
-      Array.iteri
-        (fun e f ->
-          if
-            not
-              (Int64.equal (Int64.bits_of_float f)
-                 (Int64.bits_of_float y.FM.cap_frac.(e)))
-          then Alcotest.failf "%s: scenario %d cap_frac bits differ" name i)
-        x.FM.cap_frac)
-    a
-
-(* The singleton-group binary SRLG generator reproduces the legacy
-   independent model bit-identically: same Weibull draws, same
-   enumeration, same floats. *)
+(* Singleton SRLGs draw exactly as the per-link model does: the same
+   Weibull draws in edge order give bit-identical probabilities,
+   capacity fractions and failed sets; only the regime tag differs. *)
 let test_differential_singleton_srlg () =
   let graph = ibm () in
   let ne = Flexile_net.Graph.nedges graph in
-  let legacy =
+  let links =
     FM.enumerate ~max_scenarios:150
       (FM.independent_links ~graph ~seed:(Prng.of_string "sg-diff") ())
   in
-  let singles = Array.init ne (fun e -> [| e |]) in
-  let via_srlg =
-    (SG.enumerate ~max_scenarios:150
-       (SG.srlg ~nedges:ne ~groups:singles ~seed:(Prng.of_string "sg-diff") ()))
-      .SG.scenarios
+  let srlgs =
+    FM.enumerate ~max_scenarios:150
+      (FM.srlg ~nedges:ne
+         ~groups:(Array.init ne (fun e -> [| e |]))
+         ~seed:(Prng.of_string "sg-diff") ())
   in
-  check_scenarios_bit_identical "srlg-singleton" legacy via_srlg;
-  (* and the wrapper delegation path *)
-  let via_wrapper =
-    (SG.enumerate ~max_scenarios:150
-       (SG.independent_links ~graph ~seed:(Prng.of_string "sg-diff") ()))
-      .SG.scenarios
-  in
-  check_scenarios_bit_identical "wrapper" legacy via_wrapper
+  let bits = Array.map Int64.bits_of_float in
+  Alcotest.(check int) "same count" (Array.length links) (Array.length srlgs);
+  Array.iteri
+    (fun i (x : FM.scenario) ->
+      let y = srlgs.(i) in
+      if
+        Int64.bits_of_float x.FM.prob <> Int64.bits_of_float y.FM.prob
+        || x.FM.failed_units <> y.FM.failed_units
+        || bits x.FM.cap_frac <> bits y.FM.cap_frac
+      then Alcotest.failf "scenario %d differs" i;
+      let tag = if i = 0 then "nominal" else "srlg" in
+      Alcotest.(check string) "srlg tag" tag y.FM.regime)
+    links
 
-(* The Builder's default mix is the legacy path: byte-identical
-   scenario sets and no demand factors. *)
-let test_differential_builder_default () =
-  let inst =
-    Flexile_core.Builder.of_name
-      ~options:
-        {
-          Flexile_core.Builder.default_options with
-          Flexile_core.Builder.max_pairs = 30;
-        }
-      "Sprint"
+(* The scenario-set pin: a digest of everything [Builder.of_name]
+   hands the schemes about its scenarios — the bits of each
+   probability and capacity fraction, the failed units and their
+   states, the order, the regime tag (as [Instance.regime]) and the
+   demand factors — for every Table-2 topology, single- and
+   two-class, under each regime alone and three compositions, plus
+   the paper's toy instances.  Recorded before the failure model was
+   folded into one unit type; any refactor of scenario construction
+   must leave it unchanged.  [max_pairs] is small because the
+   scenario set does not depend on which pairs are sampled, only the
+   length of the drift factor vectors does. *)
+let pin_mixes =
+  [
+    "independent"; "srlg"; "partial"; "drift"; "diurnal"; "maintenance";
+    "srlg,partial"; "independent,drift"; "srlg,partial,drift";
+  ]
+
+let digest_scenarios buf inst =
+  let bits f = Printf.bprintf buf "%Lx;" (Int64.bits_of_float f) in
+  let ints a =
+    Array.iter (Printf.bprintf buf "%d,") a;
+    Buffer.add_char buf '|'
   in
-  let inst2 =
-    Flexile_core.Builder.of_name
-      ~options:
-        {
-          Flexile_core.Builder.default_options with
-          Flexile_core.Builder.max_pairs = 30;
-          scenario_mix = "independent";
-        }
-      "Sprint"
+  Array.iteri
+    (fun sid (s : FM.scenario) ->
+      bits s.FM.prob;
+      ints s.FM.failed_units;
+      ints s.FM.failed_states;
+      Array.iter bits s.FM.cap_frac;
+      Printf.bprintf buf "%s\n" (Instance.regime inst ~sid))
+    inst.Instance.scenarios;
+  match inst.Instance.demand_factors with
+  | None -> Buffer.add_string buf "no factors\n"
+  | Some df -> Array.iter (fun row -> Array.iter bits row; Buffer.add_char buf '\n') df
+
+let pin_digest name =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun two_classes ->
+      List.iter
+        (fun mix ->
+          let options =
+            {
+              Flexile_core.Builder.default_options with
+              Flexile_core.Builder.scenario_mix = mix;
+              max_pairs = 12;
+            }
+          in
+          Printf.bprintf buf "%s %b\n" mix two_classes;
+          digest_scenarios buf
+            (Flexile_core.Builder.of_name ~options ~two_classes name))
+        pin_mixes)
+    [ false; true ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pinned_digests =
+  [
+    ("fig1", "e9f6b868785f7a7962e6dd2ad2bd102c");
+    ("fig17", "e9f6b868785f7a7962e6dd2ad2bd102c");
+    ("Sprint", "aff748e9de9d6f2c1886fca56ec418dc");
+    ("B4", "3338debca41312cff3287b29cfad8feb");
+    ("IBM", "e0278676059ab6a79e00f599b99a9cb6");
+    ("CWIX", "d4d89cd09e47ada0f651fe6e5f2f3d7d");
+    ("Highwinds", "99287403ce2f169e7cef993490f03b85");
+    ("Quest", "d0392221a40fba3708afde7fb3f77320");
+    ("Darkstrand", "2edcdd9172b12bdaf8c5e10869ae712e");
+    ("Integra", "f506830f918de7fc200ae33b27798f03");
+    ("Xeex", "27954e3b02a0461f40b8f39fe48ba9a1");
+    ("InternetMCI", "85ea0aac0699596e2e89ec4ee69e8c53");
+    ("Digex", "d5735ed33a2786398eceb790e82e319c");
+    ("CRLNetwork", "66573f8fa57768fa55febcba11e05e87");
+    ("JanetBackbone", "502ac507a60d1dc1ad3fcbca691458c9");
+    ("Xspedius", "baaa698ca0665290bb66fba7cf2501cc");
+    ("GEANT", "9371852d2816660764eaf25949522488");
+    ("IIJ", "b0b60eff334a65fc51ed59afe6415471");
+    ("ATT", "7d9a00b4617aa8a8db39ef3f6f07c84e");
+    ("BTNorthAmerica", "27a1d80ede69e4a0c9b1cc1856f3940c");
+    ("Tinet", "87c115253fb10b8f7adb6c11566b9e98");
+    ("Deltacom", "5962b1f4a10f4e4bea06ae016695dbc6");
+  ]
+
+let test_scenario_set_pin () =
+  let toy name inst =
+    let buf = Buffer.create 256 in
+    digest_scenarios buf inst;
+    (name, Digest.to_hex (Digest.string (Buffer.contents buf)))
   in
-  if inst.Instance.demand_factors <> None then
-    Alcotest.fail "default mix attached demand factors";
-  check_scenarios_bit_identical "builder-default" inst.Instance.scenarios
-    inst2.Instance.scenarios
+  let got =
+    toy "fig1" (Flexile_core.Builder.fig1 ())
+    :: toy "fig17" (Flexile_core.Builder.fig17 ())
+    :: List.map
+         (fun (name, _, _) -> (name, pin_digest name))
+         Flexile_net.Catalog.table2
+  in
+  let wrong =
+    List.filter
+      (fun (name, d) ->
+        match List.assoc_opt name pinned_digests with
+        | Some pinned -> not (String.equal pinned d)
+        | None -> true)
+      got
+  in
+  if wrong <> [] then
+    Alcotest.failf "scenario sets moved:\n%s"
+      (String.concat "\n"
+         (List.map (fun (name, d) -> Printf.sprintf "    (%S, %S);" name d) wrong))
 
 (* A mixed-regime sweep is identical at --jobs 1 and --jobs 4. *)
 let test_differential_jobs () =
@@ -487,11 +538,10 @@ let test_differential_jobs () =
    is the product of per-unit complements.  Pinned so the corrected
    multi-state accounting cannot drift the binary path. *)
 let test_regression_binary_accounting () =
-  let m = FM.of_probs ~nedges:3 [| 0.1; 0.2; 0.3 |] in
-  let s = FM.no_failure m in
-  Alcotest.(check (float 0.)) "binary nominal = product of complements"
-    (0.9 *. 0.8 *. 0.7) s.FM.prob;
+  let m = FM.binary ~nedges:3 [| 0.1; 0.2; 0.3 |] in
   let all = FM.enumerate ~cutoff:0. ~max_scenarios:100 m in
+  Alcotest.(check (float 0.)) "binary nominal = product of complements"
+    (0.9 *. 0.8 *. 0.7) all.(0).FM.prob;
   Alcotest.(check int) "8 binary subsets" 8 (Array.length all);
   Alcotest.(check (float 1e-12)) "binary mass" 1.0 (FM.coverage all)
 
@@ -501,10 +551,22 @@ let test_regression_binary_accounting () =
    state (p=0.1) and a partial state (p=0.2, 30% capacity) on one
    link: correct nominal 0.7; the naive accounting would say
    0.9 * 0.8 = 0.72 and the enumeration would overcount to 1.02. *)
+let link_states states =
+  FM.create ~nedges:1
+    [
+      {
+        FM.uname = "link";
+        regime = "partial";
+        edges = [| 0 |];
+        states =
+          Array.map
+            (fun (prob, frac) -> { FM.prob; frac; demand = FM.No_change; sedges = None })
+            states;
+      };
+    ]
+
 let test_regression_multistate_accounting () =
-  let m =
-    FM.multi_state ~nedges:1 [| ([| 0 |], [| (0.1, 0.); (0.2, 0.3) |]) |]
-  in
+  let m = link_states [| (0.1, 0.); (0.2, 0.3) |] in
   let all = FM.enumerate ~cutoff:0. ~max_scenarios:100 m in
   Alcotest.(check int) "nominal + 2 states" 3 (Array.length all);
   Alcotest.(check (float 1e-12)) "nominal is 1 - sum, not product" 0.7
@@ -521,11 +583,43 @@ let test_regression_multistate_accounting () =
            Array.length s.FM.failed_units > 0 && s.FM.edge_alive.(0))
   in
   Alcotest.(check (float 0.)) "partial cap_frac" 0.3 partial.FM.cap_frac.(0);
-  (* unit mass >= 1 is rejected *)
+  (* a unit whose states together reach mass 0.5 is rejected *)
   try
-    ignore (FM.multi_state ~nedges:1 [| ([| 0 |], [| (0.6, 0.); (0.5, 0.5) |]) |]);
-    Alcotest.fail "unit mass >= 1 not rejected"
+    ignore (link_states [| (0.3, 0.); (0.25, 0.5) |]);
+    Alcotest.fail "unit mass >= 0.5 not rejected"
   with Invalid_argument _ -> ()
+
+(* ---------- mix parsing ---------- *)
+
+(* Seeded byte mutations of a mix spec: [Builder.parse_mix] answers Ok
+   with known, distinct regimes, or Error — never an exception. *)
+let prop_mutated_mix_parses =
+  let spec = "srlg,partial,drift,Diurnal,maintenance,independent" in
+  let known = Flexile_core.Builder.known_regimes in
+  QCheck.Test.make ~name:"mutated mixes parse as Ok or Error" ~count:500
+    (QCheck.make ~print:(Printf.sprintf "%S") (Fuzz.mutation_gen spec))
+    (fun s ->
+      match Flexile_core.Builder.parse_mix s with
+      | Error _ -> true
+      | Ok tokens ->
+          tokens <> []
+          && List.for_all (fun t -> List.mem t known) tokens
+          && List.length (List.sort_uniq String.compare tokens) = List.length tokens)
+
+let test_parse_mix_errors () =
+  let parse = Flexile_core.Builder.parse_mix in
+  Alcotest.(check (result (list string) string))
+    "case-insensitive, duplicates dropped"
+    (Ok [ "srlg"; "partial" ])
+    (parse " SRLG,partial,srlg,");
+  Alcotest.(check (result (list string) string))
+    "the unknown regime is named"
+    (Error
+       "unknown scenario regime \"bogus\" (known: independent, srlg, partial, \
+        drift, diurnal, maintenance)")
+    (parse "srlg,bogus");
+  Alcotest.(check (result (list string) string))
+    "empty mix" (Error "empty scenario mix") (parse " , ")
 
 let () =
   Alcotest.run "flexile_scenario_gen"
@@ -548,9 +642,14 @@ let () =
         ] );
       ( "differential",
         [
-          quick "singleton srlg vs legacy" test_differential_singleton_srlg;
-          quick "builder default is legacy" test_differential_builder_default;
+          quick "scenario-set pin" test_scenario_set_pin;
+          quick "singleton srlg vs independent" test_differential_singleton_srlg;
           quick "mixed sweep jobs 1 vs 4" test_differential_jobs;
+        ] );
+      ( "mix parsing",
+        [
+          quick "errors name the token" test_parse_mix_errors;
+          QCheck_alcotest.to_alcotest ~rand:(Fuzz.rand ()) prop_mutated_mix_parses;
         ] );
       ( "regression",
         [

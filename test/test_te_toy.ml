@@ -74,7 +74,7 @@ let test_fig16_scenbest_ok () =
   let mk pair edges =
     Flexile_net.Tunnels.make graph ~pair (Array.of_list edges)
   in
-  let fm = Flexile_failure.Failure_model.of_probs ~nedges:2 [| 0.01; 0.01 |] in
+  let fm = Flexile_failure.Failure_model.binary ~nedges:2 [| 0.01; 0.01 |] in
   let scenarios =
     Flexile_failure.Failure_model.enumerate ~cutoff:1e-7 ~max_scenarios:4 fm
   in
@@ -179,7 +179,7 @@ let test_demand_scenarios () =
       |];
     |]
   in
-  let fm = Flexile_failure.Failure_model.of_probs ~nedges:3 [| 0.01; 0.01; 0.01 |] in
+  let fm = Flexile_failure.Failure_model.binary ~nedges:3 [| 0.01; 0.01; 0.01 |] in
   let scenarios =
     Flexile_failure.Failure_model.enumerate ~cutoff:1e-7 ~max_scenarios:8 fm
   in
@@ -228,7 +228,7 @@ let test_abc_throughput_starves () =
     Flexile_net.Graph.create ~name:"path" ~n:3 [| (0, 1, 1.); (1, 2, 1.) |]
   in
   let mk pair edges = Flexile_net.Tunnels.make graph ~pair (Array.of_list edges) in
-  let fm = Flexile_failure.Failure_model.of_probs ~nedges:2 [| 0.01; 0.01 |] in
+  let fm = Flexile_failure.Failure_model.binary ~nedges:2 [| 0.01; 0.01 |] in
   let scenarios =
     Flexile_failure.Failure_model.enumerate ~cutoff:0.5 ~max_scenarios:1 fm
   in
@@ -295,9 +295,9 @@ let test_srlg_scenarios () =
   let graph = Flexile_net.Catalog.triangle () in
   let mk pair edges = Flexile_net.Tunnels.make graph ~pair (Array.of_list edges) in
   let fm =
-    Flexile_failure.Failure_model.grouped
+    Flexile_failure.Failure_model.binary
       ~groups:[| [| 0; 1 |]; [| 2 |] |]
-      ~probs:[| 0.01; 0.01 |] ~nedges:3
+      ~nedges:3 [| 0.01; 0.01 |]
   in
   let scenarios =
     Flexile_failure.Failure_model.enumerate ~cutoff:0. ~max_scenarios:4 fm
@@ -348,7 +348,7 @@ let test_imperfect_probabilities () =
     |]
   in
   let build probs beta =
-    let fm = Flexile_failure.Failure_model.of_probs ~nedges:3 probs in
+    let fm = Flexile_failure.Failure_model.binary ~nedges:3 probs in
     let scenarios =
       Flexile_failure.Failure_model.enumerate ~cutoff:0. ~max_scenarios:8 fm
     in
