@@ -32,8 +32,14 @@ graph [
 
 let () =
   let graph =
-    if Array.length Sys.argv > 1 then Flexile_net.Gml.load Sys.argv.(1)
-    else Flexile_net.Gml.parse ~name:"demo-wan" inline_gml
+    match
+      if Array.length Sys.argv > 1 then Flexile_net.Gml.load Sys.argv.(1)
+      else Flexile_net.Gml.parse ~name:"demo-wan" inline_gml
+    with
+    | Ok g -> g
+    | Error msg ->
+        prerr_endline msg;
+        exit 2
   in
   Printf.printf "topology %s: %d nodes, %d links\n"
     graph.Flexile_net.Graph.name graph.Flexile_net.Graph.n

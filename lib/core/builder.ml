@@ -289,20 +289,3 @@ let fig1 () =
   Instance.make ~graph
     ~classes:[| { Instance.cname = "all"; beta = 0.99; weight = 1. } |]
     ~pairs ~tunnels ~demands:[| [| 1.; 1. |] |] ~scenarios:(toy_scenarios ()) ()
-
-let fig17 () =
-  let graph = Flexile_net.Catalog.triangle () in
-  let pairs = [| (0, 1); (0, 2) |] in
-  let tunnels =
-    [|
-      [|
-        (* A-B restricted to the direct link (directed topology) *)
-        [| path_tunnel graph ~pair:(0, 1) [ 0 ] |];
-        (* A-C: direct and via B *)
-        [| path_tunnel graph ~pair:(0, 2) [ 1 ]; path_tunnel graph ~pair:(0, 2) [ 0; 2 ] |];
-      |];
-    |]
-  in
-  Instance.make ~graph
-    ~classes:[| { Instance.cname = "all"; beta = 0.99; weight = 1. } |]
-    ~pairs ~tunnels ~demands:[| [| 1.; 1. |] |] ~scenarios:(toy_scenarios ()) ()

@@ -37,14 +37,12 @@ type options = {
 
 val default_options : options
 
-val known_regimes : string list
-(** Scenario regimes accepted by [scenario_mix], for CLI help and
-    validation. *)
-
 val parse_mix : string -> (string list, string) result
 (** Parse and validate a comma-separated mix spec (case-insensitive,
-    duplicates dropped).  [Error] names the first unknown regime, or
-    says the spec is empty. *)
+    duplicates dropped) over the regimes [independent], [srlg],
+    [partial], [drift], [diurnal] and [maintenance].  [Error] names the
+    first unknown regime and lists the known ones, or says the spec is
+    empty. *)
 
 val single_class :
   ?options:options -> graph:Flexile_net.Graph.t -> unit -> Flexile_te.Instance.t
@@ -66,7 +64,3 @@ val fig1 : unit -> Flexile_te.Instance.t
     A-B and A-C, every link failing with probability 0.01, target 0.99.
     Uses single-link tunnels plus the two-hop alternates, exactly the
     routing choices discussed in §3. *)
-
-val fig17 : unit -> Flexile_te.Instance.t
-(** The appendix's directed-triangle unfairness example: flow A-B may
-    only use the direct link, flow A-C may use both paths. *)

@@ -594,19 +594,3 @@ let ablation p =
     Printf.printf "  (on %s, two classes; all variants converge to the same penalty)\n" topo
   else
     Printf.printf "  (on %s, two classes; penalties range from %.4f to %.4f)\n" topo lo hi
-
-let all p =
-  motivation ();
-  table2 ();
-  fig5 p;
-  fig6 p;
-  fig9 p;
-  fig10 p;
-  fig11 p;
-  fig12 p;
-  fig13 p;
-  fig14 p;
-  fig15 p;
-  fig18 p;
-  scenloss p;
-  ablation p

@@ -71,6 +71,3 @@ val ablation : profile -> unit
 (** Ablation of the §4.2 accelerations (warm starts, pruning, cut
     sharing, Hamming stabilization): wall time, subproblem count and
     achieved penalty. *)
-
-val all : profile -> unit
-(** Every harness in paper order. *)

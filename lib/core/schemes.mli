@@ -17,7 +17,6 @@ type t =
 
 val name : t -> string
 val of_string : string -> t option
-val all : t list
 
 exception Timeout of t
 (** Raised when a scheme exceeds its size guard (the paper reports the

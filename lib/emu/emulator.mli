@@ -24,11 +24,15 @@ type run = {
       (** CDF of (emulated - model) loss over flows x scenarios *)
 }
 
+(* test oracle: the tests check this LP's allocation for feasibility
+   and pin it bit for bit, apart from the seeded packet draws that
+   [emulate] adds on top *)
 val reconstruct_allocation :
   Flexile_te.Instance.t ->
   sid:int ->
   model_losses:Flexile_te.Instance.losses ->
   float array array array
+  [@@lint.allow "u1-unused-export"]
 (** Recover a concrete tunnel allocation (class -> pair -> tunnel)
     realizing the scheme's model losses in a scenario: the LP the
     controller would solve to install forwarding weights. *)

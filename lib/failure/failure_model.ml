@@ -430,37 +430,3 @@ let pair_factors ?npairs t scenarios =
     in
     Some (Array.map (pair_factors_of_scenario t ~npairs) scenarios)
   end
-
-(* ------------------------------------------------------------------ *)
-(* Monte-Carlo draws                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let sample t rng =
-  Array.map
-    (fun u ->
-      let x = Prng.float rng in
-      let acc = ref 0. and hit = ref (-1) in
-      Array.iteri
-        (fun s (st : state) ->
-          if !hit < 0 then begin
-            acc := !acc +. st.prob;
-            if x < !acc then hit := s
-          end)
-        u.states;
-      !hit)
-    t.units
-
-let edge_down_prob t e =
-  (* an edge is hard-down iff at least one unit sits in a frac-0 state
-     whose edge set contains it; units are independent *)
-  let up = ref 1. in
-  Array.iter
-    (fun u ->
-      let down = ref 0. in
-      Array.iter
-        (fun (s : state) ->
-          if s.frac <= 0. && Array.mem e (state_edges u s) then down := !down +. s.prob)
-        u.states;
-      up := !up *. (1. -. !down))
-    t.units;
-  1. -. !up

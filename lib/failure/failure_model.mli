@@ -55,12 +55,11 @@ type failure_unit = {
 
 type t = { nedges : int; units : failure_unit array }
 
-val create : nedges:int -> failure_unit list -> t
-(** The one validating constructor.  Checks edge ranges, state
-    probabilities (each in (0,1), total < 0.5 per unit — the
-    best-first enumeration bound), capacity fractions in [0,1),
-    nonnegative demand factors and unit-name uniqueness.  Raises
-    [Invalid_argument] with a message naming the unit otherwise. *)
+(** Every generator below validates what it builds: edge ranges, state
+    probabilities (each in (0,1), total < 0.5 per unit — the best-first
+    enumeration bound), capacity fractions in [0,1), nonnegative demand
+    factors and unit-name uniqueness.  It raises [Invalid_argument] with
+    a message naming the unit otherwise. *)
 
 val compose : t list -> t
 (** Concatenate the unit lists of models over the same edge count.
@@ -102,11 +101,6 @@ val srlg :
     probabilities and scenarios are those of {!independent_links} for
     the same seed; only the regime tag differs. *)
 
-val default_levels : (float * float) array
-(** Default partial-degradation levels [(fraction, weight)]:
-    hard cut (frac 0, weight 0.5), 30% (weight 0.3), 70% (weight
-    0.2). *)
-
 val partial :
   ?median:float ->
   ?shape:float ->
@@ -119,7 +113,8 @@ val partial :
     degradation probability split across [levels] by weight, so a
     degraded link may survive at a fraction of capacity instead of
     binary down.  Level fractions must be in [0, 1) and weights
-    positive. *)
+    positive; the default [levels] [(fraction, weight)] are a hard cut
+    (frac 0, weight 0.5), 30% (weight 0.3) and 70% (weight 0.2). *)
 
 type window = {
   wname : string;
@@ -190,13 +185,3 @@ val coverage : scenario array -> float
 (** Total probability mass of the enumerated scenarios.  The
     unenumerated tail [1 - coverage] is well defined for multi-state
     units because each unit's nominal mass is [1 - sum of states]. *)
-
-(** {1 Monte-Carlo draws (statistical tests)} *)
-
-val sample : t -> Flexile_util.Prng.t -> int array
-(** Draw one joint state: per unit, the index of its active state or
-    [-1] for nominal.  One uniform draw per unit, in unit order. *)
-
-val edge_down_prob : t -> int -> float
-(** Analytic probability that an edge is hard-down (some unit in a
-    frac-0 state containing it), under unit independence. *)

@@ -12,20 +12,20 @@
 
 (** {1 Seeded pathological fixtures} *)
 
-val near_singular_fixture : unit -> Lp_model.t
-(** An LP whose optimal basis contains the 2x2 block
-    [[1,1],[1,1+eps]] with [eps = 1e-10] — condition [~4e10], tripping
-    the default [cond_limit] — plus a 16-step degenerate chain that
-    forces consecutive zero-step pivots.  Model name
-    ["near-singular-fixture"]. *)
-
-val fixture_names : string list
-(** CLI names: [["near-singular"; "degenerate"]].  The degenerate
-    fixture is the chain alone (["degenerate-chain-fixture"]): it
-    stalls under the doctor's stall limit of 8 (production: 120) but
-    is numerically sound. *)
-
+(* test input: the certificate and health-dump tests solve and dump
+   the fixture models themselves; the CLI reaches them through
+   [run_fixture] *)
 val fixture : string -> Lp_model.t option
+  [@@lint.allow "u1-unused-export"]
+(** The fixture of a CLI name, [None] for any other name:
+    - ["near-singular"]: an LP whose optimal basis contains the 2x2
+      block [[1,1],[1,1+eps]] with [eps = 1e-10] — condition [~4e10],
+      tripping the default [cond_limit] — plus a 16-step degenerate
+      chain that forces consecutive zero-step pivots.  Model name
+      ["near-singular-fixture"].
+    - ["degenerate"]: the chain alone (["degenerate-chain-fixture"]):
+      it stalls under the doctor's stall limit of 8 (production: 120)
+      but is numerically sound. *)
 
 (** {1 Running a diagnosis} *)
 

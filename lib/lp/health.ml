@@ -617,7 +617,11 @@ let read_dump path =
   let list conv j = Option.bind (Json.to_list j) (all conv) in
   let ints name j = Result.map Array.of_list (field name (list Json.to_int) j) in
   Result.map_error (fun e -> "health dump: " ^ e)
-    (let* j = Json.parse_file path in
+    (let* text =
+       try Ok (In_channel.with_open_bin path In_channel.input_all)
+       with Sys_error msg -> Error msg
+     in
+     let* j = Json.parse text in
      let* schema = field "schema" Json.to_string j in
      let* version = field "version" Json.to_int j in
      let* () =

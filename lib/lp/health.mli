@@ -163,11 +163,12 @@ type dump = {
 val dump_dir : unit -> string option
 (** The [FLEXILE_HEALTH_DUMP] directory, if set and nonempty. *)
 
-val dump_path : dir:string -> model:Lp_model.t -> string
-(** The deterministic snapshot path for [model] under [dir]. *)
-
 val write_dump : dump -> string option
-(** Write (or overwrite) the snapshot; [None] when dumping is not
+(** Write (or overwrite) the snapshot, one JSON document in which every
+    float of the model is a hexadecimal literal (["%h"], or
+    ["inf"]/["-inf"]/["nan"]) that reads back to the same bits, at the
+    deterministic path [health-dump-<model name>.json] under
+    {!dump_dir}, and return that path; [None] when dumping is not
     enabled.  Creates the directory if missing. *)
 
 val read_dump : string -> (dump, string) result
@@ -177,12 +178,3 @@ val read_dump : string -> (dump, string) result
     model: [d_basis] must hold one entry per row and [d_vstat] one per
     column of the simplex's column space (the variables, then a slack
     and an artificial per row), each in range. *)
-
-val dump_to_json : dump -> Flexile_util.Json.t
-(** The document [write_dump] writes (encoded, plus a newline). *)
-
-val hex_of_float : float -> string
-(** ["%h"] hexadecimal literal; ["inf"]/["-inf"]/["nan"] for the
-    non-finite values.  [float_of_hex] inverts it exactly. *)
-
-val float_of_hex : string -> float option

@@ -84,7 +84,5 @@ val csr : t -> csr
 val objective_value : t -> float array -> float
 (** Objective of a full primal assignment (length [nvars]). *)
 
-val row_activity : t -> row -> float array -> float
-
 val max_violation : t -> float array -> float
 (** Largest bound or row violation of an assignment; 0. if feasible. *)

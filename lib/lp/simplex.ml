@@ -174,11 +174,6 @@ let slack_bounds sense =
   | Lp_model.Ge -> (neg_infinity, 0.)
   | Lp_model.Eq -> (0., 0.)
 
-let eta_limit_env () =
-  match Sys.getenv_opt "FLEXILE_ETA_LIMIT" with
-  | Some s -> int_of_string_opt s
-  | None -> None
-
 let create ?eta_limit ?thresholds model =
   let n = Lp_model.nvars model and m = Lp_model.nrows model in
   let ntot = n + (2 * m) in
@@ -202,9 +197,6 @@ let create ?eta_limit ?thresholds model =
   let sec_size = max 256 ((ntot + 7) / 8) in
   let nsec = max 1 ((ntot + sec_size - 1) / sec_size) in
   let csr = Lp_model.csr model in
-  let eta_limit =
-    match eta_limit with Some _ as l -> l | None -> eta_limit_env ()
-  in
   let fcols = Array.make m 0 and y = Array.make m 0. in
   {
     n;
@@ -258,8 +250,9 @@ let create ?eta_limit ?thresholds model =
 (* Threshold trip -> reproducible snapshot (model + basis + variable
    statuses + trip metadata), so the failing LP can be replayed by
    [flexile doctor --from-dump].  Gated on FLEXILE_HEALTH_DUMP inside
-   [Health.write_dump]; the copies happen only on a trip. *)
-let dump_on_trip st reasons =
+   [Health.write_dump]; the copies happen only on a trip.  [eta_limit]
+   is the state's own ([None]: the default). *)
+let dump_on_trip ?eta_limit st reasons =
   match Health.dump_dir () with
   | None -> ()
   | Some _ ->
@@ -269,7 +262,7 @@ let dump_on_trip st reasons =
              Health.d_reasons = reasons;
              d_phase = st.hphase;
              d_iteration = st.hiter;
-             d_eta_limit = eta_limit_env ();
+             d_eta_limit = eta_limit;
              d_model = st.model;
              d_basis = Array.copy st.bas;
              d_vstat = Array.copy st.vstat;
@@ -277,7 +270,7 @@ let dump_on_trip st reasons =
 
 let create ?eta_limit ?thresholds model =
   let st = create ?eta_limit ?thresholds model in
-  Health.set_on_trip st.health (dump_on_trip st);
+  Health.set_on_trip st.health (dump_on_trip ?eta_limit st);
   st
 
 (* Slots of [choice_f]. *)
@@ -1371,8 +1364,8 @@ let extend st model =
       st2)
   | _ -> st2
 
-let make ?basis model =
-  let st = create model in
+let make ?basis ?eta_limit model =
+  let st = create ?eta_limit model in
   Option.iter (seed_basis st) basis;
   st
 

@@ -75,11 +75,13 @@ type basis
     basic in each position and the bound side of every nonbasic one.
     Immutable; one basis may seed any number of solver states. *)
 
-val make : ?basis:basis -> Lp_model.t -> t
+val make : ?basis:basis -> ?eta_limit:int -> Lp_model.t -> t
 (** A solver state for the model.  With [basis] (taken from a model of
     the same dimensions, for example the same template under other
     bounds, RHS or coefficients) the first solve restarts from it
-    instead of solving cold. *)
+    instead of solving cold.  [eta_limit] caps the eta file before a
+    refactorization (default [max 64 (m/2)], see
+    {!Sparse.Basis.create}). *)
 
 val basis : t -> basis option
 (** The basis of the last solve, if it ended optimal. *)
@@ -120,8 +122,8 @@ val solve_doctor :
 (** Cold-solve [model] with the health timeline captured in memory
     (every refactorization, stall and loop sampled) — the elevated
     instrumentation [flexile doctor] replays under.  [eta_limit]
-    overrides the FLEXILE_ETA_LIMIT/default eta-file cap, letting a
-    dump replay reproduce the original refactorization cadence. *)
+    overrides the default eta-file cap, letting a dump replay reproduce
+    the original refactorization cadence. *)
 
 val diagnose_basis :
   ?eta_limit:int ->

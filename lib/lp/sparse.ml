@@ -20,7 +20,6 @@ let[@inline] nonzero x = not (Float.equal x 0.)
 
 module Svec = struct
   type t = {
-    dim : int;
     vals : float array; (* dense values; exactly 0. outside the pattern *)
     idx : int array; (* first [nnz] entries: the pattern, insertion order *)
     mark : bool array; (* pattern membership *)
@@ -29,14 +28,12 @@ module Svec = struct
 
   let create dim =
     {
-      dim;
       vals = Array.make dim 0.;
       idx = Array.make dim 0;
       mark = Array.make dim false;
       nnz = 0;
     }
 
-  let dim t = t.dim
   let nnz t = t.nnz
 
   let[@lint.noalloc] clear t =
@@ -55,8 +52,6 @@ module Svec = struct
     end;
     t.vals.(i) <- t.vals.(i) +. v
 
-  let[@inline][@lint.noalloc] get t i = t.vals.(i)
-  let[@inline][@lint.noalloc] mem t i = t.mark.(i)
   let values t = t.vals
   let pattern t = t.idx
 
@@ -77,7 +72,6 @@ module Svec = struct
       end
     done
 
-  let to_dense t = Array.copy t.vals
 end
 
 (* ------------------------------------------------------------------ *)
@@ -295,11 +289,8 @@ module Basis = struct
       eta_rejections = 0;
     }
 
-  let dim t = t.m
-  let is_factored t = t.factored
   let eta_count t = t.n_eta
   let eta_nnz t = t.e_len
-  let lu_nnz t = t.l_len + t.u_len + t.m
 
   type factors = {
     f_m : int;

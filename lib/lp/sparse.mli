@@ -22,18 +22,10 @@ module Svec : sig
   val create : int -> t
   (** [create dim] allocates a cleared workspace of dimension [dim]. *)
 
-  val dim : t -> int
   val nnz : t -> int
 
   val clear : t -> unit
   (** O(nnz): resets only the touched entries. *)
-
-  val add : t -> int -> float -> unit
-  (** [add t i v] accumulates [v] into entry [i], extending the pattern
-      if [i] was untouched (even when the sum is numerically zero). *)
-
-  val get : t -> int -> float
-  val mem : t -> int -> bool
 
   val values : t -> float array
   (** The dense value array, indexed by entry.  Read-only: writes
@@ -63,9 +55,8 @@ module Svec : sig
       zero outside the ascending pattern [pat.(0 .. nnz-1)]; the rows of
       the pattern with [x.(i) <> 0.] are visited in that order, each
       adding its [A] entries, then [unit1 + i], then [unit2 + i], which
-      fixes the pattern order of [t]. *)
-
-  val to_dense : t -> float array
+      fixes the pattern order of [t].  An entry joins the pattern on its
+      first touch, even when its sum is numerically zero. *)
 end
 
 module Basis : sig
@@ -94,8 +85,6 @@ module Basis : sig
       them, which grow with their arena.  [eta_limit] caps the eta file
       before [needs_refactor] trips (default [max 64 (m/2)]). *)
 
-  val dim : t -> int
-
   val unit_col : int -> int
   (** [unit_col row] is the [cols] entry that denotes the unit column
       of [row] in [factor]. *)
@@ -121,8 +110,6 @@ module Basis : sig
       pairs that were patched — the caller must replace the basic
       variable at [position] with the slack of [row] to make the
       recorded basis match the factorization.  Empty on success. *)
-
-  val is_factored : t -> bool
 
   val ftran : t -> float array -> pat:int array -> nnz:int -> int
   (** [ftran t v ~pat ~nnz] solves [B x = v] in place and returns the
@@ -179,12 +166,12 @@ module Basis : sig
   (** The arrays of the factorization and the eta file, shared, not
       copied; valid until the next [factor] or [update]. *)
 
+  (* test-only oracle: the kernel tests' reference sweeps solve over
+     all [m] steps of these arrays, which no production caller reads *)
   val factors : t -> factors
+    [@@lint.allow "u1-unused-export"]
   (** For the reference sweeps of the kernel oracle tests, which solve
       over all [m] steps; read-only. *)
-
-  val lu_nnz : t -> int
-  (** Nonzeros in [L] + [U] including the unit/diagonal entries. *)
 
   val needs_refactor : t -> bool
   (** True once the eta file is long ([eta_limit]) or has grown dense

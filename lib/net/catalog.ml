@@ -40,8 +40,8 @@ let build (name, n, m) =
   Gen.random_graph ~name ~n ~m ~seed
 
 (* Continental-scale synthetic WAN, far beyond Table 2 (whose largest
-   entry is Deltacom at 103 nodes).  Deliberately not part of [table2]
-   / [all]: full-catalog sweeps stay at reproduction scale, and the
+   entry is Deltacom at 103 nodes).  Deliberately not part of
+   [table2]: full-catalog sweeps stay at reproduction scale, and the
    continental instance is reached only through [by_name], from the
    sparse-core certificate tests.  It exists to exercise the
    LU-factorized simplex at scale. *)
@@ -58,8 +58,6 @@ let by_name name =
   | None ->
       if lower = "continental" then build continental_entry
       else raise Not_found
-
-let all () = List.map (fun ((name, _, _) as e) -> (name, build e)) table2
 
 (* Shared-risk link groups for a catalog topology, derived
    deterministically from the topology name: conduits leaving a site
@@ -101,6 +99,3 @@ let srlgs (g : Graph.t) =
 
 let triangle () =
   Graph.create ~name:"triangle" ~n:3 [| (0, 1, 1.); (0, 2, 1.); (1, 2, 1.) |]
-
-let two_link () =
-  Graph.create ~name:"two-link" ~n:3 [| (0, 1, 1.); (0, 2, 1.) |]

@@ -12,10 +12,6 @@ val by_name : string -> Graph.t
     scheme and sized to exercise the sparse LU simplex at scale.
     Raises [Not_found]. *)
 
-val all : unit -> (string * Graph.t) list
-(** All 20 evaluation topologies, smallest edge count first.  Does not
-    include the continental WAN, which is opt-in by name. *)
-
 val srlgs : Graph.t -> int array array
 (** Shared-risk link-group annotation for a catalog topology, derived
     deterministically from the topology name (seeded, no global
@@ -26,6 +22,3 @@ val srlgs : Graph.t -> int array array
 
 val triangle : unit -> Graph.t
 (** Fig. 1: nodes A=0, B=1, C=2, three unit-capacity links. *)
-
-val two_link : unit -> Graph.t
-(** Fig. 16: the triangle without the B-C link. *)

@@ -1,11 +1,17 @@
 (* A tiny recursive-descent parser for the GML subset used by the
    Internet Topology Zoo: a stream of [key value] pairs where a value
-   is a number, a quoted string, or a bracketed list of pairs. *)
+   is a number, a quoted string, or a bracketed list of pairs.  Every
+   malformed input raises [Malformed] internally, which [parse] turns
+   into an [Error]. *)
 
 type value =
   | Num of float
   | Str of string
   | Record of (string * value) list
+
+exception Malformed of string
+
+let malformed msg = raise (Malformed ("Gml.parse: " ^ msg))
 
 let tokenize text =
   let tokens = ref [] in
@@ -23,7 +29,7 @@ let tokenize text =
       while !j < n && text.[!j] <> '"' do
         incr j
       done;
-      if !j >= n then failwith "Gml.parse: unterminated string";
+      if !j >= n then malformed "unterminated string";
       tokens := ("\"" ^ String.sub text (!i + 1) (!j - !i - 1)) :: !tokens;
       i := !j + 1
     end
@@ -49,13 +55,16 @@ let tokenize text =
   done;
   List.rev !tokens
 
-let rec parse_pairs tokens =
+(* [depth] counts the records open around [tokens]: a [']'] closes
+   one, and the tokens may end only at depth 0. *)
+let rec parse_pairs ~depth tokens =
   match tokens with
-  | [] -> ([], [])
-  | "]" :: rest -> ([], rest)
+  | [] -> if depth > 0 then malformed "unterminated record" else ([], [])
+  | "]" :: rest ->
+      if depth = 0 then malformed "unbalanced ]" else ([], rest)
   | key :: "[" :: rest ->
-      let fields, rest = parse_pairs rest in
-      let siblings, rest = parse_pairs rest in
+      let fields, rest = parse_pairs ~depth:(depth + 1) rest in
+      let siblings, rest = parse_pairs ~depth rest in
       ((String.lowercase_ascii key, Record fields) :: siblings, rest)
   | key :: v :: rest ->
       let value =
@@ -66,9 +75,9 @@ let rec parse_pairs tokens =
           | Some f -> Num f
           | None -> Str v
       in
-      let siblings, rest = parse_pairs rest in
+      let siblings, rest = parse_pairs ~depth rest in
       ((String.lowercase_ascii key, value) :: siblings, rest)
-  | [ key ] -> failwith ("Gml.parse: dangling key " ^ key)
+  | [ key ] -> malformed ("dangling key " ^ key)
 
 let find_num fields names =
   List.fold_left
@@ -121,13 +130,12 @@ let prune_and_reindex ~name n links =
   in
   Graph.create ~name ~n:!next (Array.of_list links)
 
-let parse ?(name = "gml") ?(prune = true) text =
-  let fields, rest = parse_pairs (tokenize text) in
-  if rest <> [] then failwith "Gml.parse: trailing tokens";
+let graph_of_text ~name ~prune text =
+  let fields, _ = parse_pairs ~depth:0 (tokenize text) in
   let graph_fields =
     match List.assoc_opt "graph" fields with
     | Some (Record f) -> f
-    | _ -> failwith "Gml.parse: no graph record"
+    | _ -> malformed "no graph record"
   in
   (* collect nodes in order of appearance, mapping GML ids densely *)
   let ids = Hashtbl.create 64 in
@@ -142,7 +150,7 @@ let parse ?(name = "gml") ?(prune = true) text =
                 Hashtbl.replace ids id !count;
                 incr count
               end
-          | None -> failwith "Gml.parse: node without id")
+          | None -> malformed "node without id")
       | _ -> ())
     graph_fields;
   let seen_links = Hashtbl.create 64 in
@@ -164,40 +172,30 @@ let parse ?(name = "gml") ?(prune = true) text =
                       match
                         find_num ef [ "linkspeed"; "bandwidth"; "capacity" ]
                       with
+                      | Some c when not (Float.is_finite c) ->
+                          malformed (Printf.sprintf "capacity %g is not finite" c)
                       | Some c when c > 0. -> c
                       | _ -> 1.0
                     in
                     links := (u, v, cap) :: !links
                   end
               | Some _, Some _ -> () (* self loop: drop *)
-              | _ -> failwith "Gml.parse: edge endpoint not declared")
-          | _ -> failwith "Gml.parse: edge without source/target")
+              | _ -> malformed "edge endpoint not declared")
+          | _ -> malformed "edge without source/target")
       | _ -> ())
     graph_fields;
   let links = List.rev !links in
   if prune then prune_and_reindex ~name !count links
   else Graph.create ~name ~n:!count (Array.of_list links)
 
-let load ?prune path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  let name = Filename.remove_extension (Filename.basename path) in
-  parse ~name ?prune text
+let parse ?(name = "gml") ?(prune = true) text =
+  match graph_of_text ~name ~prune text with
+  | g -> Ok g
+  | exception Malformed msg -> Error msg
 
-let to_gml g =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "graph [\n";
-  for v = 0 to g.Graph.n - 1 do
-    Buffer.add_string buf (Printf.sprintf "  node [\n    id %d\n  ]\n" v)
-  done;
-  Array.iter
-    (fun (e : Graph.edge) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  edge [\n    source %d\n    target %d\n    capacity %g\n  ]\n"
-           e.Graph.u e.Graph.v e.Graph.capacity))
-    g.Graph.edges;
-  Buffer.add_string buf "]\n";
-  Buffer.contents buf
+let load ?prune path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text ->
+      let name = Filename.remove_extension (Filename.basename path) in
+      parse ~name ?prune text
+  | exception Sys_error msg -> Error msg

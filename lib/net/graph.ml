@@ -54,15 +54,6 @@ let bfs g alive start =
 let connected g ?(alive = fun _ -> true) u v =
   if u = v then true else (bfs g alive u).(v)
 
-let is_connected_graph g ?(alive = fun _ -> true) () =
-  if g.n = 0 then true
-  else begin
-    let seen = bfs g alive 0 in
-    Array.for_all (fun b -> b) seen
-  end
-
-let degree g x = List.length g.adj.(x)
-
 let split_links g =
   let links = Array.length g.edges in
   let edges =

@@ -35,10 +35,6 @@ val connected : t -> ?alive:(int -> bool) -> int -> int -> bool
 (** [connected g ~alive u v]: is there a path from [u] to [v] using only
     edges for which [alive id] holds (default: all alive)? *)
 
-val is_connected_graph : t -> ?alive:(int -> bool) -> unit -> bool
-
-val degree : t -> int -> int
-
 val split_links : t -> t
 (** The richly-connected transform of §6.2: each link becomes two
     parallel sub-links of half capacity that fail independently but

@@ -114,17 +114,9 @@ let shortest g ?(weight = fun _ -> 1.) ?(edge_ok = fun _ -> true)
     Some (Array.of_list !rev)
   end
 
-let edge_set p =
+let overlap p q =
   let h = Hashtbl.create (Array.length p) in
   Array.iter (fun e -> Hashtbl.replace h e ()) p;
-  h
-
-let shares_edge p q =
-  let h = edge_set p in
-  Array.exists (fun e -> Hashtbl.mem h e) q
-
-let overlap p q =
-  let h = edge_set p in
   Array.fold_left (fun acc e -> if Hashtbl.mem h e then acc + 1 else acc) 0 q
 
 let path_equal (p : path) q = p = q

@@ -11,24 +11,9 @@ val nodes : Graph.t -> src:int -> path -> int array
 (** Node sequence visited by a path starting at [src]
     (length = path length + 1). *)
 
-val length : ?weight:(int -> float) -> path -> float
-
-val shortest :
-  Graph.t ->
-  ?weight:(int -> float) ->
-  ?edge_ok:(int -> bool) ->
-  ?node_ok:(int -> bool) ->
-  src:int ->
-  dst:int ->
-  unit ->
-  path option
-(** Dijkstra.  [edge_ok]/[node_ok] mask out failed or forbidden
-    elements ([node_ok] is not consulted for [src] and [dst]). *)
-
 val k_shortest : Graph.t -> ?weight:(int -> float) -> k:int -> src:int -> dst:int -> unit -> path list
-(** Yen's algorithm: up to [k] loopless paths by nondecreasing weight. *)
+(** Yen's algorithm over Dijkstra: up to [k] loopless paths by
+    nondecreasing weight. *)
 
-val edge_set : path -> (int, unit) Hashtbl.t
-val shares_edge : path -> path -> bool
 val overlap : path -> path -> int
 (** Number of shared edge ids. *)

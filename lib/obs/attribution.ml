@@ -61,7 +61,6 @@ type inputs = {
 
 let online_losses t = t.online
 let regret t = t.regret
-let duals t = t.duals
 
 let prepare ?jobs ?(tol = 1e-6) inst ~offline ~promised () =
   let nk = Array.length inst.Instance.classes in

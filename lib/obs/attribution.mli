@@ -67,14 +67,13 @@ val online_losses : inputs -> Flexile_te.Instance.losses
     the solver's own attainment, or a monitor's observed matrix for
     live attribution. *)
 
+(* test oracle: the tests check the unclamped matrix, which every
+   report clamps at 0 *)
 val regret : inputs -> float array array
+  [@@lint.allow "u1-unused-export"]
 (** [regret i] is the raw (unclamped) regret matrix, [cls] x [sid]:
     online class max loss minus the clairvoyant class optimum.  May
     dip below zero only by LP tolerance. *)
-
-val duals : inputs -> (int * float) list array
-(** Per-scenario binding capacity edges with dual magnitudes, ascending
-    edge order, as captured from the first online LP solve. *)
 
 (** One binding/blamed capacity edge. *)
 type bottleneck = {
@@ -159,5 +158,5 @@ val prometheus_families : report -> string
     {!Metrics_export.prometheus} page: [flexile_slo_miss_mass] and
     [flexile_slo_budget_burn] by [class]; [flexile_slo_attainment] and
     [flexile_regret] by [class] and [regime] (including
-    [regime="overall"]).  Label values go through
-    {!Metrics_export.label_escape}. *)
+    [regime="overall"]), rendered by
+    {!Metrics_export.labeled_gauge}. *)

@@ -15,26 +15,16 @@
     makes [flexile monitor] artifacts byte-identical across
     invocations. *)
 
-val deterministic_metric : string * Flexile_util.Trace.metric_kind -> bool
-(** The filter described above, exposed for tests. *)
-
-val prom_name : string -> string
-(** Registry name to Prometheus metric name: [flexile_] prefix, every
-    character outside [[a-zA-Z0-9_:]] mapped to [_]. *)
-
-val label_escape : string -> string
-(** Escape a Prometheus label {e value} per the text exposition
-    format: backslash, double quote and line feed become
-    backslash-escaped; all other bytes pass through verbatim.  Required once labels carry arbitrary catalog names
-    (class/regime tags). *)
-
 val labeled_gauge :
   name:string -> ((string * string) list * float) list -> string
 (** Render one labeled gauge family: [# TYPE] line plus one sample per
-    [(labels, value)] in the given order.  The family name goes
-    through {!prom_name}, label names through the same character
-    class, label values through {!label_escape}.  Append the result to
-    a {!prometheus} page. *)
+    [(labels, value)] in the given order.  The family name gets the
+    [flexile_] prefix, and in it and in label names every character
+    outside [[a-zA-Z0-9_:]] becomes [_].  Label values, which carry
+    arbitrary catalog names (class/regime tags), are escaped per the
+    text exposition format: backslash, double quote and line feed
+    become backslash-escaped, all other bytes pass through verbatim.
+    Append the result to a {!prometheus} page. *)
 
 val prometheus : ?deterministic:bool -> unit -> string
 (** The registry as Prometheus text exposition format: counters as

@@ -111,8 +111,6 @@ let observe_unenumerated t =
 
 let observed_attainment t ~cls = Metrics.perc_loss t.inst t.observed ~cls ()
 let observed_losses t = t.observed
-let tolerance t = t.tol
-let promised t ~cls = t.promised.(cls)
 
 let burn_rate t ~cls =
   if t.win_len = 0 then 0.

@@ -47,41 +47,32 @@ val observe_unenumerated : t -> unit
     class (the observed matrix is untouched — unenumerated mass is
     already charged at loss 1.0 by the percentile machinery). *)
 
-val observed_attainment : t -> cls:int -> float
-(** [Metrics.perc_loss] of the observed matrix at the class target. *)
-
 val observed_losses : t -> Flexile_te.Instance.losses
 (** The live observed loss matrix (unseen scenarios still at 1.0).
     Read-only view shared with the tracker — do not mutate; analyzing
     it with {!Attribution.analyze} reconciles with this tracker's
     attainment by construction (same matrix, same machinery). *)
 
-val tolerance : t -> float
-(** The promise-comparison slack [tol] the tracker was created with. *)
-
-val promised : t -> cls:int -> float
-(** The per-class promise the tracker was created with. *)
-
-val burn_rate : t -> cls:int -> float
-(** [(window violations / window length) / (1 - beta)]; [0.] before
-    the first draw; [infinity] when [beta >= 1] and the window holds a
-    violation. *)
-
 type class_report = {
   rcls : int;
   rname : string;
   rbeta : float;
   rpromised : float;
-  robserved : float;  (** {!observed_attainment} *)
+  robserved : float;
+      (** [Metrics.perc_loss] of the observed matrix at the class
+          target *)
   rattained : bool;  (** [robserved <= rpromised + tol] *)
   rbad_draws : int;  (** violating draws since creation *)
   rwindow_bad : int;
   rwindow_len : int;
   rburn_rate : float;
+      (** [(window violations / window length) / (1 - beta)]; [0.]
+          before the first draw; [infinity] when [beta >= 1] and the
+          window holds a violation *)
 }
 
-val class_report : t -> cls:int -> class_report
 val report : t -> class_report list
+(** One report per class, in class order. *)
 
 val draws : t -> int
 val unenumerated_draws : t -> int

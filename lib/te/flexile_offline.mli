@@ -76,13 +76,11 @@ type result = {
 
 val solve : ?config:config -> Instance.t -> result
 
-val trace_summary : unit -> (string * float) list
-(** Derived observability metrics of the most recent run(s), read from
-    the {!Flexile_util.Trace} registry: warm-start attempts and hit
-    rate, cuts generated/shared, scenarios pruned, subproblems solved,
-    per-phase wall time.  All zero when tracing is disabled. *)
-
 val trace_json : unit -> Flexile_util.Json.t
-(** {!Flexile_util.Trace_export.report_json} with {!trace_summary} as
-    its [derived] section — the structured trace section embedded by
-    [bench --json] and written by [flexile --trace OUT.json]. *)
+(** {!Flexile_util.Trace_export.report_json} whose [derived] section
+    holds the derived observability metrics of the most recent run(s),
+    read from the {!Flexile_util.Trace} registry: warm-start attempts
+    and hit rate, cuts generated/shared, scenarios pruned, subproblems
+    solved, per-phase wall time (all zero when tracing is disabled).
+    The structured trace section embedded by [bench --json] and
+    written by [flexile --trace OUT.json]. *)

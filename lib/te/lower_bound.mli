@@ -8,7 +8,10 @@
     scheme achieves this bound (Flexile frequently achieves 0), it is
     provably optimal without solving the IP. *)
 
+(* test oracle: the golden pins digest the whole matrix, which
+   [perc_loss_lower_bound] reduces to one number per class *)
 val isolated_losses : Instance.t -> Instance.losses
+  [@@lint.allow "u1-unused-export"]
 (** [isolated_losses inst].(fid).(sid): minimum loss of the flow when
     routed alone over its alive tunnels in the scenario. *)
 

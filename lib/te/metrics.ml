@@ -10,9 +10,6 @@ let weighted_losses inst losses (f : Instance.flow) =
 let flow_loss_var inst losses f ~beta =
   Stats.weighted_var (weighted_losses inst losses f) ~beta
 
-let flow_cvar inst losses f ~beta =
-  Stats.weighted_cvar (weighted_losses inst losses f) ~beta
-
 let perc_loss inst losses ~cls ?beta () =
   let beta =
     match beta with Some b -> b | None -> inst.Instance.classes.(cls).Instance.beta

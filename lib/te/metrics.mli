@@ -19,9 +19,6 @@ val scen_loss : Instance.t -> Instance.losses -> sid:int -> ?connected_only:bool
     [connected_only] (default true) disconnected flows are excluded,
     as in the paper's §6.3 comparison. *)
 
-val flow_cvar : Instance.t -> Instance.losses -> Instance.flow -> beta:float -> float
-(** CVaR(f, beta): expected loss of the worst (1-beta) tail. *)
-
 val flow_var_cdf :
   Instance.t -> Instance.losses -> cls:int -> beta:float -> (float * float) list
 (** CDF across the class's flows of FlowLoss(f, beta): sorted

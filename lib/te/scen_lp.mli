@@ -96,6 +96,8 @@ val maxmin_losses :
     result depends on nothing but the instance, the scenario and the
     arguments: not on call order, earlier calls or the domain. *)
 
+(* test oracle: the warm restarts of [maxmin_losses] are checked
+   against it *)
 val maxmin_losses_cold :
   Instance.t ->
   sid:int ->
@@ -107,6 +109,7 @@ val maxmin_losses_cold :
   ?duals:((int * float) list -> unit) ->
   unit ->
   (int * float) list
+  [@@lint.allow "u1-unused-export"]
 (** {!maxmin_losses} with every LP solved cold, from the slack basis,
     on the same configured template: the reference the warm restarts
     are tested against.  No scheme uses it. *)

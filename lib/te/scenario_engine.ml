@@ -1,7 +1,6 @@
 module Parallel = Flexile_util.Parallel
 module Trace = Flexile_util.Trace
 
-let default_jobs = Parallel.default_jobs
 let c_sweeps = Trace.counter "engine.sweeps"
 let c_scenarios = Trace.counter "engine.scenarios"
 let c_kept = Trace.counter "engine.scenarios_kept"

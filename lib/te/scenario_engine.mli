@@ -20,9 +20,6 @@
     omitted argument) means "auto" — the [FLEXILE_JOBS] environment
     variable if set, otherwise one worker per available core. *)
 
-val default_jobs : unit -> int
-(** See {!Flexile_util.Parallel.default_jobs}. *)
-
 val sweep :
   ?jobs:int ->
   Instance.t ->

@@ -21,14 +21,6 @@ val scale_to_mlu :
     optimal-routing MLU is).  Raises [Invalid_argument] if the MLU of
     the input is not positive. *)
 
-val perturb :
-  seed:Flexile_util.Prng.t -> sigma:float -> float array -> float array
-(** Multiplicative drift: each pair's demand times
-    [exp (sigma * z)] with [z] approximately standard normal
-    (Irwin-Hall sum of 12 uniforms; exactly 12 draws per pair, so the
-    PRNG stream position is a pure function of the pair count).
-    [sigma = 0] is the identity. *)
-
 val drift_states :
   seed:Flexile_util.Prng.t ->
   npairs:int ->
@@ -38,8 +30,10 @@ val drift_states :
   unit ->
   (float * float array) array
 (** Demand-drift states for a scenario generator: [nstates] (default
-    2) perturbation vectors of per-pair factors around 1 (sigma
-    default 0.1), each carrying probability [total_prob / nstates]
+    2) perturbation vectors of per-pair factors [exp (sigma * z)] with
+    [z] approximately standard normal (Irwin-Hall sum of 12 uniforms,
+    exactly 12 draws per pair; sigma default 0.1), each carrying
+    probability [total_prob / nstates]
     (total default 0.2, must stay below the 0.5 enumeration bound).
     Feed to [Failure_model.demand_states] via the builder. *)
 

@@ -8,21 +8,14 @@
     intent — tolerance or deliberate exact IEEE equality — explicit at
     the call site. *)
 
-val default_eps : float
-(** [1e-9]; absolute tolerance used when [?eps] is omitted. *)
-
 val eq : ?eps:float -> float -> float -> bool
-(** [eq a b] is [|a - b| <= eps].  False if either argument is NaN. *)
-
-val zero : ?eps:float -> float -> bool
-(** [zero x] is [|x| <= eps].  False for NaN. *)
-
-val exactly_zero : float -> bool
-(** Exact IEEE [x = 0.] (true for [-0.]).  For sparsity tests where a
-    value is zero only if it was never touched — not a tolerance. *)
+(** [eq a b] is [|a - b| <= eps] ([eps] defaults to [1e-9]).  False if
+    either argument is NaN. *)
 
 val nonzero : float -> bool
-(** [not (exactly_zero x)].  Note: true for NaN, like [x <> 0.]. *)
+(** Exact IEEE [x <> 0.] ([-0.] is zero, NaN is nonzero).  For sparsity
+    tests where a value is zero only if it was never touched — not a
+    tolerance. *)
 
 val exactly_equal : float -> float -> bool
 (** Exact IEEE [a = b] ([nan] equals nothing, [0. = -0.]).  For

@@ -187,16 +187,9 @@ let parse s =
       else Ok v
   | exception Parse_error msg -> Error msg
 
-let parse_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | s -> parse s
-  | exception Sys_error msg -> Error msg
-
 let member key = function
   | Object fields -> List.assoc_opt key fields
   | _ -> None
-
-let to_float = function Number f -> Some f | _ -> None
 
 (* [int] spans [-2^62, 2^62) on 64-bit hosts; a float outside it or
    with a fraction is not an int, rather than a truncated one *)

@@ -15,13 +15,9 @@ type t =
 val parse : string -> (t, string) result
 (** Whole-string parse; trailing non-whitespace is an error. *)
 
-val parse_file : string -> (t, string) result
-(** [Error] also when the file cannot be read. *)
-
 (** {1 Accessors} ([None] on shape mismatch) *)
 
 val member : string -> t -> t option
-val to_float : t -> float option
 
 val to_int : t -> int option
 (** [None] unless the number is integral and within [int]'s range. *)

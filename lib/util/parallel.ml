@@ -28,10 +28,11 @@ let resolve_jobs = function
   | None | Some 0 -> default_jobs ()
   | Some j -> max 1 (min max_jobs j)
 
-(* A pool broadcasts one task closure per [map] call; worker [w] runs
-   [task w].  The mutex protocol around [pending] establishes the
-   happens-before edges that make the per-slot result writes of the
-   workers visible to the caller. *)
+(* A fixed set of worker domains, reused across [map] calls: it
+   broadcasts one task closure per call; worker [w] runs [task w].  The
+   mutex protocol around [pending] establishes the happens-before edges
+   that make the per-slot result writes of the workers visible to the
+   caller. *)
 type pool = {
   njobs : int;
   mutable workers : unit Domain.t list;  (* njobs - 1 domains *)
@@ -44,8 +45,6 @@ type pool = {
   mutable completed : int;  (* workers done with the current task *)
   mutable stop : bool;
 }
-
-let jobs p = p.njobs
 
 let worker_loop pool =
   let gen = ref 0 and live = ref true in
@@ -133,8 +132,8 @@ let run_tasks pool task =
     Mutex.unlock pool.m
   end
 
-(* Process-global pool for the [?pool]-less entry points, recreated
-   when a different job count is requested. *)
+(* The process-global pool, recreated when a different job count is
+   requested. *)
 let global_m = Mutex.create ()
 let global : pool option ref = ref None
 let cleanup_registered = ref false
@@ -172,14 +171,9 @@ let global_pool j =
 
 let sequential_map ~n ~init ~f =
   if n = 0 then [||]
-  else begin
+  else
     let st = init 0 in
-    let out = Array.make n None in
-    for i = 0 to n - 1 do
-      out.(i) <- Some (f st i)
-    done;
-    Array.map Option.get out
-  end
+    Array.init n (f st)
 
 let parallel_map pool ~n ~init ~f =
   let j = pool.njobs in
@@ -233,15 +227,10 @@ let parallel_map pool ~n ~init ~f =
   (match Atomic.get err with Some e -> raise e | None -> ());
   Array.map (function Some v -> v | None -> assert false) out
 
-let map ?pool ?jobs ~n ~init ~f () =
-  let j = match pool with Some p -> p.njobs | None -> resolve_jobs jobs in
+let map ?jobs ~n ~init ~f () =
+  let j = resolve_jobs jobs in
   if j <= 1 || n <= 1 then sequential_map ~n ~init ~f
-  else
-    let pool = match pool with Some p -> p | None -> global_pool j in
-    parallel_map pool ~n ~init ~f
-
-let map_reduce ?pool ?jobs ~n ~init ~f ~fold acc0 =
-  Array.fold_left fold acc0 (map ?pool ?jobs ~n ~init ~f ())
+  else parallel_map (global_pool j) ~n ~init ~f
 
 (* The value is published through an atomic so that readers after the
    first pay no lock; the mutex makes the first computation exclusive,

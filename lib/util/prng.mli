@@ -15,7 +15,6 @@ val of_string : string -> t
 val split : t -> string -> t
 (** Independent child stream identified by a label. *)
 
-val next : t -> int64
 val float : t -> float
 (** Uniform in [0, 1). *)
 

@@ -82,9 +82,3 @@ let pearson xs ys =
     syy := !syy +. (dy *. dy)
   done;
   !sxy /. Float.sqrt (!sxx *. !syy)
-
-let fraction_leq xs v =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.fraction_leq: empty";
-  let c = Array.fold_left (fun a x -> if x <= v then a + 1 else a) 0 xs in
-  float_of_int c /. float_of_int n

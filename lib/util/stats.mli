@@ -20,7 +20,10 @@ val weighted_var : (float * float) array -> beta:float -> float
     matches the paper's conservative treatment of unsampled failure
     states. *)
 
+(* test oracle: the reference CVaR of the paper's §3 comparison, which
+   the tests hold VaR against (CVaR >= VaR: TeaVar's overestimate) *)
 val weighted_cvar : (float * float) array -> beta:float -> float
+  [@@lint.allow "u1-unused-export"]
 (** Conditional Value-at-Risk: expected value of the worst [1 - beta]
     probability mass (missing mass charged at loss 1.0). *)
 
@@ -30,8 +33,3 @@ val weighted_cdf : (float * float) array -> (float * float) list
 
 val pearson : float array -> float array -> float
 (** Pearson correlation coefficient; nan on degenerate input. *)
-
-val mean : float array -> float
-
-val fraction_leq : float array -> float -> float
-(** Fraction of samples <= threshold. *)

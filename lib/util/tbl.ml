@@ -7,8 +7,3 @@ let sorted_keys tbl =
 
 let sorted_bindings tbl =
   List.map (fun k -> (k, Hashtbl.find tbl k)) (sorted_keys tbl)
-
-let sorted_iter f tbl = List.iter (fun (k, v) -> f k v) (sorted_bindings tbl)
-
-let sorted_fold f tbl init =
-  List.fold_left (fun acc (k, v) -> f k v acc) init (sorted_bindings tbl)

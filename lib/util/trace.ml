@@ -479,9 +479,6 @@ let hist_quantile_of s q =
     walk 0 s.hist_buckets
   end
 
-let hist_quantile h q = hist_quantile_of (hist_snapshot h) q
-let hist_count h = (hist_snapshot h).hist_count
-
 (* ------------------------------------------------------------------ *)
 (* Hierarchical spans                                                  *)
 (* ------------------------------------------------------------------ *)

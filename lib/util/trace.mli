@@ -47,18 +47,12 @@ val counter : string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 
-val value : counter -> int
-(** Sum over all domains.  Quiescent-point read. *)
-
 type gauge
 
 val gauge : string -> gauge
 
 val gauge_max : gauge -> int -> unit
 (** Record an observation; the gauge keeps the maximum. *)
-
-val gauge_value : gauge -> int
-(** Max over all domains (0 if never set). *)
 
 type timer
 
@@ -82,9 +76,6 @@ val now_s : unit -> float
     source in [lib/] ([flexile-lint] rule [d1-nondet] bans
     [Unix.gettimeofday] / [Sys.time] there): elapsed-time results stay
     comparable and immune to system clock steps. *)
-
-val timer_seconds : timer -> float
-val timer_count : timer -> int
 
 (** {1 Events}
 
@@ -155,18 +146,12 @@ type hist_snapshot = {
           bound 0. *)
 }
 
-val hist_snapshot : hist -> hist_snapshot
-(** Merged over all domains.  Quiescent-point read. *)
-
 val hist_quantile_of : hist_snapshot -> float -> float
 (** [hist_quantile_of s q] with [q] in [0,1]: the upper bound of the
     smallest bucket holding at least a fraction [q] of the
     observations (clamped to the exact maximum, so [q >= 1] and
     single-valued histograms are exact).  [nan] when empty;
     nondecreasing in [q]. *)
-
-val hist_quantile : hist -> float -> float
-val hist_count : hist -> int
 
 (** {1 Hierarchical spans}
 
@@ -244,10 +229,12 @@ val registry : unit -> (string * metric_kind) list
     [Flexile_obs.Metrics_export]) render. *)
 
 val value_by_name : string -> int
-(** Counter or gauge value by registered name; [0] for unknown names. *)
+(** Counter value (sum over all domains) or gauge value (max over all
+    domains, [0] if never set) by registered name; [0] for unknown
+    names.  Quiescent-point read, as are the three below. *)
 
 val hist_snapshot_by_name : string -> hist_snapshot
-(** Empty snapshot for unknown names. *)
+(** Merged over all domains; empty for unknown names. *)
 
 val timer_seconds_by_name : string -> float
 (** [0.] for unknown names. *)

@@ -185,11 +185,17 @@ let test_regime_fallback () =
 (* ---- Prometheus label escaping (satellite) ---- *)
 
 let test_label_escape () =
-  Alcotest.(check string) "backslash" "a\\\\b" (Export.label_escape "a\\b");
-  Alcotest.(check string) "quote" "a\\\"b" (Export.label_escape "a\"b");
-  Alcotest.(check string) "newline" "a\\nb" (Export.label_escape "a\nb");
-  Alcotest.(check string) "plain" "high-priority"
-    (Export.label_escape "high-priority");
+  let escaped value =
+    let page = Export.labeled_gauge ~name:"x" [ ([ ("l", value) ], 1.5) ] in
+    let prefix = "# TYPE flexile_x gauge\nflexile_x{l=\""
+    and suffix = "\"} 1.5\n" in
+    let n = String.length page - String.length prefix - String.length suffix in
+    String.sub page (String.length prefix) n
+  in
+  Alcotest.(check string) "backslash" "a\\\\b" (escaped "a\\b");
+  Alcotest.(check string) "quote" "a\\\"b" (escaped "a\"b");
+  Alcotest.(check string) "newline" "a\\nb" (escaped "a\nb");
+  Alcotest.(check string) "plain" "high-priority" (escaped "high-priority");
   let page =
     Export.labeled_gauge ~name:"slo.test"
       [ ([ ("class", "we\"ird\\cls\n") ], 1.5) ]

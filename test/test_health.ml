@@ -25,7 +25,7 @@ let random_lp prng ~nv ~nr =
   done;
   m
 
-(* ---- FLEXILE_ETA_LIMIT=1 walk: a sample per pivot epoch ---- *)
+(* ---- eta limit 1 walk: a sample per pivot epoch ---- *)
 
 (* With the eta file capped at one update, every pivot forces a
    refactorization, so the capture timeline densely samples the solve;
@@ -180,26 +180,77 @@ let test_healthy_suite_silent () =
 
 (* ---- dump round trip: bit-exact floats, byte-stable serialization ---- *)
 
+(* [f path] with [contents] written to a fresh temporary file *)
+let with_file contents f =
+  let path = Filename.temp_file "flexile-health" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      f path)
+
+let with_dump_dir f =
+  let dir = Filename.temp_file "flexile-dumps" "" in
+  Sys.remove dir;
+  Unix.putenv "FLEXILE_HEALTH_DUMP" dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "FLEXILE_HEALTH_DUMP" "";
+      if Sys.file_exists dir then begin
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () -> f dir)
+
+(* [d] as [Health.write_dump] writes it *)
+let dump_text d =
+  with_dump_dir @@ fun _ ->
+  match Health.write_dump d with
+  | Some path -> In_channel.with_open_bin path In_channel.input_all
+  | None -> Alcotest.fail "dumping is not enabled"
+
+(* every float of a dumped model survives as a hex literal: here the
+   objective coefficients of a row-free model *)
 let test_hex_float_round_trip () =
   let bits = Int64.bits_of_float in
-  List.iter
-    (fun v ->
-      match Health.float_of_hex (Health.hex_of_float v) with
-      | None -> Alcotest.failf "no parse for %h" v
-      | Some v' ->
+  let values =
+    [
+      0.; -0.; 1.; -1.5; 0.1; 1. /. 3.; 1e-300; -1.7e308; 4.5e-320;
+      (* subnormal *) infinity; neg_infinity; Float.nan; 1. +. 1e-10;
+    ]
+  in
+  let model = Lp_model.create ~name:"hex-round-trip" () in
+  List.iter (fun obj -> ignore (Lp_model.add_var model ~obj ())) values;
+  let dump =
+    {
+      Health.d_reasons = [];
+      d_phase = 1;
+      d_iteration = 0;
+      d_eta_limit = None;
+      d_model = model;
+      d_basis = [||];
+      d_vstat = Array.make (List.length values) 0;
+    }
+  in
+  with_file (dump_text dump) @@ fun path ->
+  match Health.read_dump path with
+  | Error e -> Alcotest.failf "read_dump: %s" e
+  | Ok d ->
+      List.iteri
+        (fun j v ->
+          let v' = Lp_model.obj_coef d.Health.d_model j in
           if Float.is_nan v then
             Alcotest.(check bool) "nan round trip" true (Float.is_nan v')
           else
             Alcotest.(check int64)
               (Printf.sprintf "bits of %h" v)
               (bits v) (bits v'))
-    [
-      0.; -0.; 1.; -1.5; 0.1; 1. /. 3.; 1e-300; -1.7e308; 4.5e-320;
-      (* subnormal *) infinity; neg_infinity; Float.nan; 1. +. 1e-10;
-    ]
+        values
 
 let fixture_dump () =
-  let model = Doctor.near_singular_fixture () in
+  let model = Option.get (Doctor.fixture "near-singular") in
   (* one status per column: the variables, a slack and an artificial
      per row *)
   let n = Lp_model.nvars model + (2 * Lp_model.nrows model) in
@@ -213,19 +264,9 @@ let fixture_dump () =
     d_vstat = Array.make n 0;
   }
 
-(* [f path] with [contents] written to a fresh temporary file *)
-let with_file contents f =
-  let path = Filename.temp_file "flexile-health" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
-      f path)
-
 let test_dump_round_trip () =
   let dump = fixture_dump () in
-  let encode d = Json.encode (Health.dump_to_json d) in
-  let s = encode dump in
+  let s = dump_text dump in
   with_file s @@ fun path ->
   match Health.read_dump path with
   | Error e -> Alcotest.failf "read_dump: %s" e
@@ -239,14 +280,15 @@ let test_dump_round_trip () =
       Alcotest.(check (array int)) "vstat" dump.Health.d_vstat d.Health.d_vstat;
       (* the dump, model included, re-serializes to the identical
          bytes: every float survives through the hex literals *)
-      Alcotest.(check string) "dump re-serializes byte-identically" s (encode d)
+      Alcotest.(check string) "dump re-serializes byte-identically" s
+        (dump_text d)
 
 (* ---- doctor --from-dump: a bad dump is an Error, never an exception ---- *)
 
 (* the fixture dump with its "basis" member replaced by [basis] *)
 let dump_with_basis basis =
-  match Health.dump_to_json (fixture_dump ()) with
-  | Json.Object fields ->
+  match Json.parse (dump_text (fixture_dump ())) with
+  | Ok (Json.Object fields) ->
       Json.encode
         (Json.Object
            (List.map
@@ -268,7 +310,8 @@ let expect_dump_error ~mentions path =
       if not (contains e mentions) then
         Alcotest.failf "error %S does not mention %S" e mentions
 
-let fixture_rows () = Lp_model.nrows (Doctor.near_singular_fixture ())
+let fixture_rows () =
+  Lp_model.nrows (Option.get (Doctor.fixture "near-singular"))
 
 let test_dump_missing_file () =
   let path = Filename.temp_file "flexile-health" ".json" in
@@ -292,7 +335,7 @@ let test_dump_basis_not_an_int () =
 (* Seeded byte mutations of a valid dump: read_dump answers Ok or
    Error, never an exception. *)
 let prop_mutated_dump_reads =
-  let s = Json.encode (Health.dump_to_json (fixture_dump ())) in
+  let s = dump_text (fixture_dump ()) in
   QCheck.Test.make ~name:"mutated dumps read as Ok or Error" ~count:300
     (QCheck.make (Fuzz.mutation_gen s))
     (fun bytes ->
@@ -301,20 +344,21 @@ let prop_mutated_dump_reads =
 
 (* ---- threshold trip writes a dump; diagnose-basis measures it ---- *)
 
-let with_dump_dir f =
-  let dir = Filename.temp_file "flexile-dumps" "" in
-  Sys.remove dir;
-  Unix.putenv "FLEXILE_HEALTH_DUMP" dir;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "FLEXILE_HEALTH_DUMP" "";
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun f -> Sys.remove (Filename.concat dir f))
-          (Sys.readdir dir);
-        Sys.rmdir dir
-      end)
-    (fun () -> f dir)
+(* the auto-dump of a trip records the eta limit of the state that
+   tripped, so a replay keeps its refactorization cadence *)
+let test_auto_dump_eta_limit () =
+  with_dump_dir @@ fun dir ->
+  let model = Option.get (Doctor.fixture "near-singular") in
+  ignore
+    (Simplex.solve_doctor ~eta_limit:1 ~thresholds:Health.default_thresholds
+       model);
+  match
+    Health.read_dump
+      (Filename.concat dir "health-dump-near-singular-fixture.json")
+  with
+  | Error e -> Alcotest.failf "read_dump: %s" e
+  | Ok d ->
+      Alcotest.(check (option int)) "eta limit" (Some 1) d.Health.d_eta_limit
 
 let test_auto_dump_and_patch_path () =
   with_dump_dir @@ fun dir ->
@@ -373,7 +417,7 @@ let test_doctor_deterministic () =
       Alcotest.(check string)
         (name ^ " report byte-stable")
         (report name) (report name))
-    Doctor.fixture_names;
+    [ "near-singular"; "degenerate" ];
   with_dump_dir @@ fun dir ->
   ignore (report "near-singular");
   let path = Filename.concat dir "health-dump-near-singular-fixture.json" in
@@ -444,6 +488,8 @@ let () =
             test_hex_float_round_trip;
           Alcotest.test_case "dump serialization round trip" `Quick
             test_dump_round_trip;
+          Alcotest.test_case "trip dump records the eta limit" `Quick
+            test_auto_dump_eta_limit;
           Alcotest.test_case "trip auto-dumps; patch path reported" `Quick
             test_auto_dump_and_patch_path;
           Alcotest.test_case "missing dump file is an error" `Quick

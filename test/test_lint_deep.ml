@@ -204,10 +204,84 @@ let i3_alloc_ok_used () =
        (fun s -> s.L.a_id = "alloc-ok" && has_suffix s.L.a_file "fx_kernel.ml")
        r.L.used_allows)
 
+(* ---- u1 ---- *)
+
+(* the test zone's call: a real caller that u1 must not count *)
+let _ = Flexile_lintfx.Fx_export.test_only 0
+
+let u1_flagged name =
+  List.exists
+    (fun f ->
+      has_suffix f.L.file "lintfx/fx_export.mli"
+      && contains f.L.message ("Flexile_lintfx.Fx_export." ^ name ^ " "))
+    (findings "u1-unused-export")
+
+let u1_positives () =
+  Alcotest.(check int) "u1 count" 2 (List.length (findings "u1-unused-export"));
+  Alcotest.(check bool) "uncalled val flagged" true (u1_flagged "uncalled");
+  Alcotest.(check bool) "val called only from test/ flagged" true
+    (u1_flagged "test_only")
+
+let u1_negatives () =
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " stays clean") false (u1_flagged name))
+    [ "table"; "oracle"; "called_allowed" ]
+
+(* The fixture interface judged as lib/ code, where u1 is active: the
+   allow on the uncalled oracle is used, the one on the called val is
+   stale, which --strict-suppressions makes a finding. *)
+let u1_suppression_and_staleness () =
+  let mli = "test/lintfx/fx_export.mli" in
+  let path =
+    match List.find_opt Sys.file_exists [ "lintfx/fx_export.mli"; mli ] with
+    | Some p -> p
+    | None -> Alcotest.fail "fixture source fx_export.mli not found"
+  in
+  let syntactic =
+    L.check_source ~file:mli (In_channel.with_open_bin path In_channel.input_all)
+  in
+  let into_lib s = { s with L.a_file = "lib/" ^ s.L.a_file } in
+  let r = L.merge [ syntactic; Lazy.force report ] in
+  let r =
+    {
+      r with
+      L.declared_allows = List.map into_lib r.L.declared_allows;
+      used_allows = List.map into_lib r.L.used_allows;
+    }
+  in
+  let u1_sites l =
+    List.filter_map
+      (fun s ->
+        if s.L.a_id = "u1-unused-export" && has_suffix s.L.a_file "fx_export.mli"
+        then Some s.L.a_line
+        else None)
+      l
+  in
+  match (u1_sites r.L.declared_allows, u1_sites r.L.used_allows) with
+  | [ oracle; called ], [ used ] ->
+      Alcotest.(check int) "the oracle's allow is used" oracle used;
+      let stale =
+        List.filter
+          (fun st ->
+            st.L.st_kind = "allow-attribute" && st.L.st_id = "u1-unused-export")
+          (L.stale_suppressions ~deep:true r)
+      in
+      Alcotest.(check (list int)) "the called val's allow is stale" [ called ]
+        (List.map (fun st -> st.L.st_line) stale);
+      List.iter
+        (fun st ->
+          Alcotest.(check string) "strict mode finding" "s1-stale-suppress"
+            (L.finding_of_stale st).L.rule)
+        stale
+  | d, u ->
+      Alcotest.failf "expected 2 declared and 1 used u1 allows, got %d and %d"
+        (List.length d) (List.length u)
+
 (* ---- plumbing ---- *)
 
 let total_findings () =
-  Alcotest.(check int) "exactly the seeded findings" 9
+  Alcotest.(check int) "exactly the seeded findings" 11
     (List.length (Lazy.force report).L.findings)
 
 let cmt_error () =
@@ -238,6 +312,13 @@ let () =
           Alcotest.test_case "cross-unit float" `Quick i3_cross_unit_float;
           Alcotest.test_case "negatives" `Quick i3_negatives;
           Alcotest.test_case "alloc_ok used" `Quick i3_alloc_ok_used;
+        ] );
+      ( "u1",
+        [
+          Alcotest.test_case "positives" `Quick u1_positives;
+          Alcotest.test_case "negatives" `Quick u1_negatives;
+          Alcotest.test_case "suppression and staleness" `Quick
+            u1_suppression_and_staleness;
         ] );
       ( "plumbing",
         [

@@ -147,7 +147,7 @@ let qcheck_reused_state_cold =
           same_answer (Simplex.solve_cold st) (Simplex.solve m))
         (List.init 8 Fun.id))
 
-(* The same walk under FLEXILE_ETA_LIMIT=2: every second pivot rebuilds
+(* The same walk under an eta limit of 2: every second pivot rebuilds
    the LU factorization, so the walk repeatedly crosses the
    refactorization path (including mid-dual-simplex rebuilds) instead
    of riding the eta file.  Results must still match cold solves. *)
@@ -155,33 +155,29 @@ let qcheck_warm_walk_tight_refactor =
   let gen = QCheck.Gen.(pair (int_range 2 7) (int_range 1 6)) in
   QCheck.Test.make ~name:"warm rhs walk under eta limit 2 matches cold"
     ~count:60 (QCheck.make gen) (fun (nv, nr) ->
-      Unix.putenv "FLEXILE_ETA_LIMIT" "2";
-      Fun.protect
-        ~finally:(fun () -> Unix.putenv "FLEXILE_ETA_LIMIT" "")
-        (fun () ->
-          let prng = Prng.of_string (Printf.sprintf "qc-refac-%d-%d" nv nr) in
-          let m = random_lp prng ~nv ~nr in
-          let st = Simplex.make m in
-          let _ = Simplex.solve_warm st in
-          let ok = ref true in
-          for _ = 1 to 6 do
-            if !ok then begin
-              let rhs =
-                Array.init (Lp_model.nrows m) (fun _ ->
-                    Prng.uniform prng (-3.) 8.)
-              in
-              let warm = warm_with_rhs st m rhs in
-              let cold = cold_with_rhs m rhs in
-              ok :=
-                (match (warm.Simplex.status, cold.Simplex.status) with
-                | Simplex.Optimal, Simplex.Optimal ->
-                    Float.abs (warm.Simplex.obj -. cold.Simplex.obj)
-                    <= 1e-6 *. (1. +. Float.abs cold.Simplex.obj)
-                    && Lp_model.max_violation m warm.Simplex.x <= 1e-6
-                | a, b -> a = b)
-            end
-          done;
-          !ok))
+      let prng = Prng.of_string (Printf.sprintf "qc-refac-%d-%d" nv nr) in
+      let m = random_lp prng ~nv ~nr in
+      let st = Simplex.make ~eta_limit:2 m in
+      let _ = Simplex.solve_warm st in
+      let ok = ref true in
+      for _ = 1 to 6 do
+        if !ok then begin
+          let rhs =
+            Array.init (Lp_model.nrows m) (fun _ ->
+                Prng.uniform prng (-3.) 8.)
+          in
+          let warm = warm_with_rhs st m rhs in
+          let cold = cold_with_rhs m rhs in
+          ok :=
+            (match (warm.Simplex.status, cold.Simplex.status) with
+            | Simplex.Optimal, Simplex.Optimal ->
+                Float.abs (warm.Simplex.obj -. cold.Simplex.obj)
+                <= 1e-6 *. (1. +. Float.abs cold.Simplex.obj)
+                && Lp_model.max_violation m warm.Simplex.x <= 1e-6
+            | a, b -> a = b)
+        end
+      done;
+      !ok)
 
 (* ---- degenerate-basis recovery: duplicated constraint rows ----
 

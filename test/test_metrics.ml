@@ -53,7 +53,13 @@ let test_flow_var () =
   check_float ~msg:"VaR at 0.95 catches it" 0.4
     (Metrics.flow_loss_var inst losses f0 ~beta:0.95);
   (* CVaR at 0.9: the worst 0.1 mass all at 0.4 *)
-  check_float ~msg:"CVaR at 0.9" 0.4 (Metrics.flow_cvar inst losses f0 ~beta:0.9)
+  let samples =
+    Array.map
+      (fun (s : FM.scenario) -> (losses.(0).(s.FM.sid), s.FM.prob))
+      inst.Instance.scenarios
+  in
+  check_float ~msg:"CVaR at 0.9" 0.4
+    (Flexile_util.Stats.weighted_cvar samples ~beta:0.9)
 
 let test_perc_loss_max_over_flows () =
   let inst = make_inst () in

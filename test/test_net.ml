@@ -15,12 +15,17 @@ let square_ear () =
       (3, 4, 1.); (4, 5, 1.); (5, 3, 1.);
     |]
 
+let degree g v = List.length g.Graph.adj.(v)
+
+let is_connected_graph g =
+  List.for_all (Graph.connected g 0) (List.init g.Graph.n Fun.id)
+
 let test_graph_basics () =
   let g = square_ear () in
   Alcotest.(check int) "edges" 8 (Graph.nedges g);
-  Alcotest.(check int) "degree 0" 3 (Graph.degree g 0);
-  Alcotest.(check int) "degree 4" 2 (Graph.degree g 4);
-  Alcotest.(check bool) "connected" true (Graph.is_connected_graph g ());
+  Alcotest.(check int) "degree 0" 3 (degree g 0);
+  Alcotest.(check int) "degree 4" 2 (degree g 4);
+  Alcotest.(check bool) "connected" true (is_connected_graph g);
   Alcotest.(check int) "pairs" 15 (Array.length (Graph.pairs g))
 
 let test_graph_validation () =
@@ -42,16 +47,15 @@ let test_connectivity_mask () =
 
 let test_dijkstra () =
   let g = square_ear () in
-  (match Paths.shortest g ~src:0 ~dst:4 () with
-  | None -> Alcotest.fail "no path 0-4"
-  | Some p ->
+  match Paths.k_shortest g ~k:2 ~src:0 ~dst:4 () with
+  | [ p; q ] ->
       Alcotest.(check int) "hops 0-4" 2 (Array.length p);
       let ns = Paths.nodes g ~src:0 p in
-      Alcotest.(check int) "ends at 4" 4 ns.(Array.length ns - 1));
-  (* with edge 3-0 dead, 0->4 must go the long way (3 hops) *)
-  match Paths.shortest g ~edge_ok:(fun id -> id <> 3) ~src:0 ~dst:4 () with
-  | None -> Alcotest.fail "no masked path 0-4"
-  | Some p -> Alcotest.(check int) "masked hops" 3 (Array.length p)
+      Alcotest.(check int) "ends at 4" 4 ns.(Array.length ns - 1);
+      (* the second path's spur search masks edge 3-0, so 0->4 must go
+         the long way (3 hops) *)
+      Alcotest.(check int) "masked hops" 3 (Array.length q)
+  | ps -> Alcotest.failf "expected 2 paths 0-4, got %d" (List.length ps)
 
 let test_yen () =
   let g = square_ear () in
@@ -73,8 +77,8 @@ let test_yen_disjointness_preference () =
   (* first two tunnels should be edge-disjoint here *)
   match ts with
   | a :: b :: _ ->
-      Alcotest.(check bool) "disjoint" false
-        (Paths.shares_edge a.Tunnels.path b.Tunnels.path)
+      Alcotest.(check int) "disjoint" 0
+        (Paths.overlap a.Tunnels.path b.Tunnels.path)
   | _ -> Alcotest.fail "missing tunnels"
 
 let test_high_priority_spof () =
@@ -120,10 +124,10 @@ let test_catalog_sizes () =
       Alcotest.(check int) (name ^ " nodes") n g.Graph.n;
       Alcotest.(check int) (name ^ " edges") m (Graph.nedges g);
       Alcotest.(check bool) (name ^ " connected") true
-        (Graph.is_connected_graph g ());
+        (is_connected_graph g);
       (* the paper prunes 1-degree nodes: min degree must be >= 2 *)
       for v = 0 to g.Graph.n - 1 do
-        if Graph.degree g v < 2 then
+        if degree g v < 2 then
           Alcotest.failf "%s: node %d has degree < 2" name v
       done)
     Catalog.table2
@@ -164,12 +168,17 @@ graph [
 ]
 |}
 
+let parse_ok ?name ?prune text =
+  match Gml.parse ?name ?prune text with
+  | Ok g -> g
+  | Error e -> Alcotest.failf "parse: %s" e
+
 let test_gml_parse () =
-  let g = Gml.parse ~name:"sample" sample_gml in
+  let g = parse_ok ~name:"sample" sample_gml in
   (* the stub node (degree 1) is pruned; the duplicate edge dropped *)
   Alcotest.(check int) "nodes after pruning" 3 g.Graph.n;
   Alcotest.(check int) "edges" 3 (Graph.nedges g);
-  Alcotest.(check bool) "connected" true (Graph.is_connected_graph g ());
+  Alcotest.(check bool) "connected" true (is_connected_graph g);
   (* capacity attribute honored *)
   let caps =
     Array.to_list (Array.map (fun (e : Graph.edge) -> e.Graph.capacity) g.Graph.edges)
@@ -178,13 +187,25 @@ let test_gml_parse () =
   Alcotest.(check (list (float 1e-9))) "capacities" [ 1.; 1.; 2.5 ] caps
 
 let test_gml_no_prune () =
-  let g = Gml.parse ~prune:false sample_gml in
+  let g = parse_ok ~prune:false sample_gml in
   Alcotest.(check int) "nodes kept" 4 g.Graph.n;
   Alcotest.(check int) "edges kept" 4 (Graph.nedges g)
 
+(* [g] as a topology-zoo style GML document *)
+let to_gml g =
+  let node v = Printf.sprintf "  node [ id %d ]\n" v in
+  let edge (e : Graph.edge) =
+    Printf.sprintf "  edge [ source %d target %d capacity %h ]\n" e.Graph.u
+      e.Graph.v e.Graph.capacity
+  in
+  String.concat ""
+    (("graph [\n" :: List.init g.Graph.n node)
+    @ List.map edge (Array.to_list g.Graph.edges)
+    @ [ "]\n" ])
+
 let test_gml_roundtrip () =
   let g = Catalog.by_name "Sprint" in
-  let g2 = Gml.parse ~name:"Sprint" (Gml.to_gml g) in
+  let g2 = parse_ok ~name:"Sprint" (to_gml g) in
   Alcotest.(check int) "nodes" g.Graph.n g2.Graph.n;
   Alcotest.(check int) "edges" (Graph.nedges g) (Graph.nedges g2);
   let sig_of g =
@@ -196,12 +217,55 @@ let test_gml_roundtrip () =
   Alcotest.(check bool) "same links" true (sig_of g = sig_of g2)
 
 let test_gml_errors () =
-  (match Gml.parse "graph [ node [ label \"x\" ] ]" with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "node without id accepted");
-  match Gml.parse "graph [ edge [ source 1 target 2 ] ]" with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "edge with undeclared endpoints accepted"
+  List.iter
+    (fun (what, text) ->
+      match Gml.parse text with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" what)
+    [
+      ("node without id", {|graph [ node [ label "x" ] ]|});
+      ("edge with undeclared endpoints", "graph [ edge [ source 1 target 2 ] ]");
+      ("unterminated record", "graph [ node [ id 0 ]");
+      ("unbalanced ]", "graph [ ] ]");
+      ("unterminated string", {|graph [ node [ id 0 label "x ] ]|});
+      ("dangling key", "graph [ ] directed");
+      ("no graph record", "node [ id 0 ]");
+    ];
+  (* an infinite capacity is an error, not an infinitely wide link *)
+  List.iter
+    (fun cap ->
+      let text =
+        Printf.sprintf
+          "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 \
+           capacity %s ] ]"
+          cap
+      in
+      match Gml.parse ~prune:false text with
+      | Error e ->
+          let has sub =
+            let n = String.length sub in
+            let rec go i =
+              i + n <= String.length e && (String.sub e i n = sub || go (i + 1))
+            in
+            go 0
+          in
+          Alcotest.(check bool) (cap ^ ": says not finite") true
+            (has "not finite")
+      | Ok _ -> Alcotest.failf "capacity %s accepted" cap)
+    [ "inf"; "1e400"; "nan"; {|"inf"|} ];
+  let missing = Filename.temp_file "flexile-gml" ".gml" in
+  Sys.remove missing;
+  match Gml.load missing with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a missing file loaded"
+
+(* Seeded byte mutations of the sample: Ok or Error, never an
+   exception. *)
+let prop_mutated_gml_parses =
+  QCheck.Test.make ~name:"mutated GML parses as Ok or Error" ~count:500
+    (QCheck.make (Fuzz.mutation_gen sample_gml))
+    (fun text ->
+      match Gml.parse text with Ok _ | Error _ -> true)
 
 let qcheck_generator_invariants =
   let gen = QCheck.Gen.(pair (int_range 6 40) (int_range 0 30)) in
@@ -211,10 +275,8 @@ let qcheck_generator_invariants =
       let seed = Flexile_util.Prng.of_string (Printf.sprintf "gen-%d-%d" n m) in
       let g = Gen.random_graph ~name:"t" ~n ~m ~seed in
       Graph.nedges g = m
-      && Graph.is_connected_graph g ()
-      && Array.for_all
-           (fun v -> v >= 2)
-           (Array.init n (fun v -> Graph.degree g v)))
+      && is_connected_graph g
+      && Array.for_all (fun v -> v >= 2) (Array.init n (degree g)))
 
 let () =
   Alcotest.run "flexile_net"
@@ -245,6 +307,8 @@ let () =
           quick "parse without pruning" test_gml_no_prune;
           quick "roundtrip" test_gml_roundtrip;
           quick "malformed input" test_gml_errors;
+          QCheck_alcotest.to_alcotest ~rand:(Fuzz.rand ())
+            prop_mutated_gml_parses;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest qcheck_generator_invariants ] );

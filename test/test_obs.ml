@@ -11,6 +11,9 @@ module Metrics = Flexile_te.Metrics
 module Offline = Flexile_te.Flexile_offline
 module Online = Flexile_te.Flexile_online
 
+let class_report slo ~cls = List.nth (Slo.report slo) cls
+let observed_attainment slo ~cls = (class_report slo ~cls).Slo.robserved
+
 let with_tracing enabled f =
   let was = Trace.enabled () in
   Trace.set_enabled enabled;
@@ -41,7 +44,7 @@ let test_slo_reconciles () =
   Array.iteri
     (fun k _ ->
       let direct = Metrics.perc_loss inst online ~cls:k () in
-      let tracked = Slo.observed_attainment slo ~cls:k in
+      let tracked = observed_attainment slo ~cls:k in
       if Float.abs (direct -. tracked) > 1e-9 then
         Alcotest.failf "class %d: Slo %.12f vs Metrics %.12f" k tracked direct)
     inst.Instance.classes
@@ -59,7 +62,7 @@ let test_slo_partial_is_conservative () =
   Array.iteri
     (fun k _ ->
       let direct = Metrics.perc_loss inst online ~cls:k () in
-      if Slo.observed_attainment slo ~cls:k < direct -. 1e-12 then
+      if observed_attainment slo ~cls:k < direct -. 1e-12 then
         Alcotest.failf "class %d: partial coverage under-reported" k)
     inst.Instance.classes
 
@@ -74,7 +77,7 @@ let test_burn_rate_window () =
   for _ = 1 to 6 do
     Slo.observe slo ~sid:0 ~losses:zeros
   done;
-  let r = Slo.class_report slo ~cls:0 in
+  let r = class_report slo ~cls:0 in
   Alcotest.(check int) "window saturates" 4 r.Slo.rwindow_len;
   Alcotest.(check int) "all window draws bad" 4 r.Slo.rwindow_bad;
   Alcotest.(check int) "all draws bad" 6 r.Slo.rbad_draws;
@@ -89,10 +92,10 @@ let test_burn_rate_window () =
     Slo.observe ok ~sid:0 ~losses:zeros
   done;
   Alcotest.(check (float 0.)) "no violations, no burn" 0.
-    (Slo.class_report ok ~cls:0).Slo.rburn_rate;
+    (class_report ok ~cls:0).Slo.rburn_rate;
   (* a draw outside the enumerated set burns every class *)
   Slo.observe_unenumerated ok;
-  let r = Slo.class_report ok ~cls:0 in
+  let r = class_report ok ~cls:0 in
   Alcotest.(check int) "unenumerated draw counted" 4 r.Slo.rwindow_len;
   Alcotest.(check int) "unenumerated draw is bad" 1 r.Slo.rwindow_bad;
   Alcotest.(check int) "tracked separately" 1 (Slo.unenumerated_draws ok)
@@ -195,31 +198,46 @@ let test_prometheus_shape () =
 
 let test_prom_name () =
   Alcotest.(check string)
-    "dots map to underscores" "flexile_simplex_iterations_per_solve"
-    (Export.prom_name "simplex.iterations_per_solve")
+    "dots map to underscores"
+    "# TYPE flexile_simplex_iterations_per_solve gauge\n"
+    (Export.labeled_gauge ~name:"simplex.iterations_per_solve" [])
 
 (* ---- deterministic filter ---- *)
 
 let test_deterministic_filter () =
-  let keep = Export.deterministic_metric in
-  if not (keep ("simplex.iterations", Trace.Counter)) then
+  with_tracing true @@ fun () ->
+  ignore (Trace.counter "test.det_counter");
+  ignore (Trace.counter "gc.test_det_words");
+  ignore (Trace.hist "test.det_loss");
+  ignore (Trace.hist "test.det_seconds");
+  ignore (Trace.counter "health.test_det_samples");
+  ignore (Trace.hist "health.test_det_cond");
+  ignore (Trace.gauge "test.det_gauge");
+  ignore (Trace.timer "test.det_timer");
+  ignore (Trace.span "test.det_span");
+  ignore (Trace.probe "test.det_probe");
+  let page = Export.prometheus ~deterministic:true () in
+  let kept family =
+    List.exists
+      (String.starts_with ~prefix:("# TYPE flexile_" ^ family ^ " "))
+      (String.split_on_char '\n' page)
+  in
+  if not (kept "test_det_counter_total") then
     Alcotest.fail "plain counters are deterministic";
-  if keep ("gc.minor_words", Trace.Counter) then
+  if kept "gc_test_det_words_total" then
     Alcotest.fail "gc counters are not deterministic";
-  if not (keep ("engine.flow_loss", Trace.Hist)) then
+  if not (kept "test_det_loss") then
     Alcotest.fail "value histograms are deterministic";
-  if keep ("online.scenario_seconds", Trace.Hist) then
+  if kept "test_det_seconds" then
     Alcotest.fail "duration histograms are wall-clock";
-  if keep ("health.samples", Trace.Counter) || keep ("health.cond1_log10", Trace.Hist)
-  then
+  if kept "health_test_det_samples_total" || kept "health_test_det_cond" then
     Alcotest.fail
       "health metrics are stride-sampled per domain, not deterministic";
   List.iter
-    (fun k ->
-      if keep ("anything", k) then
+    (fun family ->
+      if kept family then
         Alcotest.fail "gauges/timers/spans/probes are wall-clock")
-    [ Trace.Gauge; Trace.Timer; Trace.Span; Trace.Probe ];
-  with_tracing true @@ fun () ->
+    [ "test_det_gauge"; "test_det_timer_seconds"; "test_det_span_seconds" ];
   let _ = Trace.hist "test.filter_seconds" in
   let page = Export.prometheus ~deterministic:true () in
   let contains needle hay =

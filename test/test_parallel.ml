@@ -79,32 +79,6 @@ let test_exception_propagation () =
            ~f:(fun () i -> if i = 3 then raise (Boom i) else i)
            ()))
 
-let test_map_reduce_order () =
-  let reduce jobs =
-    Parallel.map_reduce ~jobs ~n:17
-      ~init:(fun _ -> ())
-      ~f:(fun () i -> i)
-      ~fold:(fun acc i -> (2 * acc) + i)
-      0
-  in
-  Alcotest.(check int) "fold order is index order" (reduce 1) (reduce 4)
-
-let test_explicit_pool () =
-  let pool = Parallel.create ~jobs:3 in
-  Alcotest.(check int) "pool size" 3 (Parallel.jobs pool);
-  (* a pool is reusable across calls *)
-  for round = 1 to 3 do
-    let out =
-      Parallel.map ~pool ~n:10 ~init:(fun _ -> round) ~f:(fun r i -> r * i) ()
-    in
-    Alcotest.(check (array int))
-      (Printf.sprintf "round %d" round)
-      (Array.init 10 (fun i -> round * i))
-      out
-  done;
-  Parallel.shutdown pool;
-  Parallel.shutdown pool (* idempotent *)
-
 let test_resolve_jobs () =
   Alcotest.(check int) "explicit" 5 (Parallel.resolve_jobs (Some 5));
   Alcotest.(check int) "clamped" 64 (Parallel.resolve_jobs (Some 1000));
@@ -180,8 +154,6 @@ let () =
           quick "jobs1-fallback" test_jobs1_fallback_equivalence;
           quick "static-sharding" test_static_sharding_contract;
           quick "exception-propagation" test_exception_propagation;
-          quick "map-reduce-order" test_map_reduce_order;
-          quick "explicit-pool" test_explicit_pool;
           quick "resolve-jobs" test_resolve_jobs;
         ] );
       ( "engine",

@@ -183,7 +183,11 @@ let test_chrome_well_formed () =
           List.iter
             (fun e ->
               let str k = Option.bind (Json.member k e) Json.to_string in
-              let num k = Option.bind (Json.member k e) Json.to_float in
+              let num k =
+                match Json.member k e with
+                | Some (Json.Number x) -> Some x
+                | _ -> None
+              in
               let ph =
                 match str "ph" with
                 | Some p -> p

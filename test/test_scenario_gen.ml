@@ -290,6 +290,43 @@ let test_demand_factors () =
 
 (* ---------- statistical tests ---------- *)
 
+(* One Monte-Carlo draw of a joint state: per unit, the index of its
+   active state or [-1] for nominal, one uniform draw per unit in unit
+   order. *)
+let sample (t : FM.t) rng =
+  Array.map
+    (fun (u : FM.failure_unit) ->
+      let x = Prng.float rng in
+      let acc = ref 0. and hit = ref (-1) in
+      Array.iteri
+        (fun s (st : FM.state) ->
+          if !hit < 0 then begin
+            acc := !acc +. st.FM.prob;
+            if x < !acc then hit := s
+          end)
+        u.FM.states;
+      !hit)
+    t.FM.units
+
+let state_edges (u : FM.failure_unit) (st : FM.state) =
+  match st.FM.sedges with Some e -> e | None -> u.FM.edges
+
+(* The analytic probability that edge [e] is hard-down: some unit sits
+   in a frac-0 state containing it, units independent. *)
+let edge_down_prob (t : FM.t) e =
+  let up = ref 1. in
+  Array.iter
+    (fun (u : FM.failure_unit) ->
+      let down = ref 0. in
+      Array.iter
+        (fun (s : FM.state) ->
+          if s.FM.frac <= 0. && Array.mem e (state_edges u s) then
+            down := !down +. s.FM.prob)
+        u.FM.states;
+      up := !up *. (1. -. !down))
+    t.FM.units;
+  1. -. !up
+
 (* Empirical state frequencies over a large seeded sample match the
    analytic probabilities within a 3-sigma binomial bound.  The seed
    is fixed: this either always passes or always fails. *)
@@ -309,7 +346,7 @@ let test_sampling_statistics () =
   let hits = Array.make nunits 0 in
   let rng = Prng.of_string "sg-stat-draws" in
   for _ = 1 to n do
-    let states = FM.sample gen rng in
+    let states = sample gen rng in
     Array.iteri (fun u s -> if s >= 0 then hits.(u) <- hits.(u) + 1) states
   done;
   Array.iteri
@@ -342,16 +379,14 @@ let test_edge_down_statistics () =
   let down = Array.make 3 0 in
   let rng = Prng.of_string "sg-stat2-draws" in
   for _ = 1 to n do
-    let states = FM.sample gen rng in
+    let states = sample gen rng in
     let frac = Array.make 3 1. in
     Array.iteri
       (fun u s ->
         if s >= 0 then begin
           let unit = gen.FM.units.(u) in
           let st = unit.FM.states.(s) in
-          let edges =
-            match st.FM.sedges with Some e -> e | None -> unit.FM.edges
-          in
+          let edges = state_edges unit st in
           Array.iter (fun e -> frac.(e) <- frac.(e) *. st.FM.frac) edges
         end)
       states;
@@ -360,7 +395,7 @@ let test_edge_down_statistics () =
     done
   done;
   for e = 0 to 2 do
-    let p = FM.edge_down_prob gen e in
+    let p = edge_down_prob gen e in
     let freq = float_of_int down.(e) /. float_of_int n in
     let sigma = sqrt (p *. (1. -. p) /. float_of_int n) in
     let bound = (3. *. sigma) +. (1.5 /. float_of_int n) in
@@ -490,7 +525,7 @@ let test_scenario_set_pin () =
   in
   let got =
     toy "fig1" (Flexile_core.Builder.fig1 ())
-    :: toy "fig17" (Flexile_core.Builder.fig17 ())
+    :: toy "fig17" (Toys.fig17 ())
     :: List.map
          (fun (name, _, _) -> (name, pin_digest name))
          Flexile_net.Catalog.table2
@@ -545,25 +580,30 @@ let test_regression_binary_accounting () =
   Alcotest.(check int) "8 binary subsets" 8 (Array.length all);
   Alcotest.(check (float 1e-12)) "binary mass" 1.0 (FM.coverage all)
 
-(* The fix itself: states of one unit are disjoint events, so the
+(* The fix itself (the model built as a record, past the generators'
+   validation): states of one unit are disjoint events, so the
    nominal mass is 1 - sum(states) — NOT the product of complements
    the old binary up/down assumption would give.  With a hard-down
    state (p=0.1) and a partial state (p=0.2, 30% capacity) on one
    link: correct nominal 0.7; the naive accounting would say
    0.9 * 0.8 = 0.72 and the enumeration would overcount to 1.02. *)
 let link_states states =
-  FM.create ~nedges:1
-    [
-      {
-        FM.uname = "link";
-        regime = "partial";
-        edges = [| 0 |];
-        states =
-          Array.map
-            (fun (prob, frac) -> { FM.prob; frac; demand = FM.No_change; sedges = None })
-            states;
-      };
-    ]
+  {
+    FM.nedges = 1;
+    units =
+      [|
+        {
+          FM.uname = "link";
+          regime = "partial";
+          edges = [| 0 |];
+          states =
+            Array.map
+              (fun (prob, frac) ->
+                { FM.prob; frac; demand = FM.No_change; sedges = None })
+              states;
+        };
+      |];
+  }
 
 let test_regression_multistate_accounting () =
   let m = link_states [| (0.1, 0.); (0.2, 0.3) |] in
@@ -585,7 +625,9 @@ let test_regression_multistate_accounting () =
   Alcotest.(check (float 0.)) "partial cap_frac" 0.3 partial.FM.cap_frac.(0);
   (* a unit whose states together reach mass 0.5 is rejected *)
   try
-    ignore (link_states [| (0.3, 0.); (0.25, 0.5) |]);
+    ignore
+      (FM.demand_states ~nedges:1 ~name:"link"
+         [| (0.3, FM.No_change); (0.25, FM.Scale 0.5) |]);
     Alcotest.fail "unit mass >= 0.5 not rejected"
   with Invalid_argument _ -> ()
 
@@ -595,7 +637,9 @@ let test_regression_multistate_accounting () =
    with known, distinct regimes, or Error — never an exception. *)
 let prop_mutated_mix_parses =
   let spec = "srlg,partial,drift,Diurnal,maintenance,independent" in
-  let known = Flexile_core.Builder.known_regimes in
+  let known =
+    [ "independent"; "srlg"; "partial"; "drift"; "diurnal"; "maintenance" ]
+  in
   QCheck.Test.make ~name:"mutated mixes parse as Ok or Error" ~count:500
     (QCheck.make ~print:(Printf.sprintf "%S") (Fuzz.mutation_gen spec))
     (fun s ->

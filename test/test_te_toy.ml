@@ -70,7 +70,10 @@ let test_fig1_lower_bound () =
    has only its direct link, so scenario-optimal routing serves it
    fully whenever it is alive). *)
 let test_fig16_scenbest_ok () =
-  let graph = Flexile_net.Catalog.two_link () in
+  (* the triangle without the B-C link *)
+  let graph =
+    Flexile_net.Graph.create ~name:"two-link" ~n:3 [| (0, 1, 1.); (0, 2, 1.) |]
+  in
   let mk pair edges =
     Flexile_net.Tunnels.make graph ~pair (Array.of_list edges)
   in
@@ -97,7 +100,7 @@ let test_fig16_scenbest_ok () =
 (* Fig 17: max-min in each scenario starves f1 across scenarios, while
    Flexile meets both flows' targets. *)
 let test_fig17 () =
-  let inst = Flexile_core.Builder.fig17 () in
+  let inst = Toys.fig17 () in
   (* per-scenario max-min (= ScenBest with refinement) *)
   let maxmin = Scenbest.run inst in
   let f1 = inst.Instance.flows.(0) and f2 = inst.Instance.flows.(1) in

@@ -17,7 +17,7 @@ let with_tracing enabled f =
 let test_counter_sums_across_domains () =
   with_tracing true @@ fun () ->
   let c = Trace.counter "test.cross_domain" in
-  let base = Trace.value c in
+  let base = Trace.value_by_name "test.cross_domain" in
   let n = 103 in
   let _ =
     Parallel.map ~jobs:4 ~n
@@ -27,13 +27,14 @@ let test_counter_sums_across_domains () =
         i)
       ()
   in
-  Alcotest.(check int) "n increments over 4 domains" (base + n) (Trace.value c)
+  Alcotest.(check int) "n increments over 4 domains" (base + n)
+    (Trace.value_by_name "test.cross_domain")
 
 let test_timer_and_gauge_merge () =
   with_tracing true @@ fun () ->
   let t = Trace.timer "test.span" in
   let g = Trace.gauge "test.gauge" in
-  let n0 = Trace.timer_count t in
+  let n0 = Trace.timer_count_by_name "test.span" in
   let _ =
     Parallel.map ~jobs:2 ~n:8
       ~init:(fun _ -> ())
@@ -42,9 +43,12 @@ let test_timer_and_gauge_merge () =
         i)
       ()
   in
-  Alcotest.(check int) "span count sums" (n0 + 8) (Trace.timer_count t);
-  Alcotest.(check int) "gauge keeps the max" 7 (Trace.gauge_value g);
-  if Trace.timer_seconds t < 0. then Alcotest.fail "negative span time"
+  Alcotest.(check int) "span count sums" (n0 + 8)
+    (Trace.timer_count_by_name "test.span");
+  Alcotest.(check int) "gauge keeps the max" 7
+    (Trace.value_by_name "test.gauge");
+  if Trace.timer_seconds_by_name "test.span" < 0. then
+    Alcotest.fail "negative span time"
 
 let test_events_ordered () =
   with_tracing true @@ fun () ->
@@ -68,15 +72,17 @@ let test_disabled_records_nothing () =
   let c = Trace.counter "test.disabled_counter" in
   let t = Trace.timer "test.disabled_timer" in
   let p = Trace.probe "test.disabled_event" in
-  let c0 = Trace.value c
-  and n0 = Trace.timer_count t
+  let c0 = Trace.value_by_name "test.disabled_counter"
+  and n0 = Trace.timer_count_by_name "test.disabled_timer"
   and e0 = Trace.events_logged () in
   Trace.incr c;
   Trace.add c 41;
   Trace.with_span t (fun () -> ());
   Trace.event p 7;
-  Alcotest.(check int) "counter untouched" c0 (Trace.value c);
-  Alcotest.(check int) "timer untouched" n0 (Trace.timer_count t);
+  Alcotest.(check int) "counter untouched" c0
+    (Trace.value_by_name "test.disabled_counter");
+  Alcotest.(check int) "timer untouched" n0
+    (Trace.timer_count_by_name "test.disabled_timer");
   Alcotest.(check int) "no events logged" e0 (Trace.events_logged ())
 
 (* ---- solver counters are exact ---- *)
@@ -93,8 +99,12 @@ let test_flexile_counters_exact () =
     "iteration counter = iterate count"
     (List.length r.Offline.iterates)
     (Trace.value_by_name "flexile.iterations");
-  let summary = Offline.trace_summary () in
-  let get k = List.assoc k summary in
+  let derived = Flexile_util.Json.member "derived" (Offline.trace_json ()) in
+  let get k =
+    match Option.bind derived (Flexile_util.Json.member k) with
+    | Some (Flexile_util.Json.Number v) -> v
+    | _ -> Alcotest.failf "derived %s missing" k
+  in
   if get "subproblems_solved" <> float_of_int r.Offline.subproblems_solved then
     Alcotest.fail "trace_summary disagrees with counter";
   if get "subproblem_sweep_seconds" <= 0. then
@@ -229,7 +239,7 @@ let test_hist_edge_cases () =
   Trace.observe h (-3.);
   Trace.observe h Float.nan;
   Trace.observe h 1.0;
-  let s = Trace.hist_snapshot h in
+  let s = Trace.hist_snapshot_by_name "test.hist_edges" in
   Alcotest.(check int) "count includes nan" 4 s.Trace.hist_count;
   (match s.Trace.hist_buckets with
   | (ub0, c0) :: _ ->
@@ -246,9 +256,9 @@ let test_hist_bucket_bounds () =
      upper bound is above it by at most the 1/16-octave width *)
   List.iteri
     (fun i v ->
-      let h = Trace.hist (Printf.sprintf "test.hist_bound_%d" i) in
-      Trace.observe h v;
-      match (Trace.hist_snapshot h).Trace.hist_buckets with
+      let name = Printf.sprintf "test.hist_bound_%d" i in
+      Trace.observe (Trace.hist name) v;
+      match (Trace.hist_snapshot_by_name name).Trace.hist_buckets with
       | [ (ub, 1) ] ->
           if not (v < ub) then
             Alcotest.failf "%g not below its bucket bound %g" v ub;
@@ -259,7 +269,7 @@ let test_hist_bucket_bounds () =
   (* below-range values clamp into the lowest positive bucket *)
   let h = Trace.hist "test.hist_below" in
   Trace.observe h (Float.ldexp 1. (-40));
-  (match (Trace.hist_snapshot h).Trace.hist_buckets with
+  (match (Trace.hist_snapshot_by_name "test.hist_below").Trace.hist_buckets with
   | [ (ub, 1) ] -> if not (ub > 0.) then Alcotest.fail "clamped-low bound"
   | _ -> Alcotest.fail "clamped-low bucket count");
   (* above-range values clamp into the top bucket; the exact maximum
@@ -267,7 +277,7 @@ let test_hist_bucket_bounds () =
   let h = Trace.hist "test.hist_above" in
   Trace.observe h 1e12;
   Alcotest.(check (float 0.)) "q=1 reads the exact max" 1e12
-    (Trace.hist_quantile h 1.0)
+    (Trace.hist_quantile_of (Trace.hist_snapshot_by_name "test.hist_above") 1.0)
 
 let test_hist_merge_deterministic () =
   with_tracing true @@ fun () ->
@@ -286,7 +296,8 @@ let test_hist_merge_deterministic () =
   for i = 0 to n - 1 do
     Trace.observe hs (value i)
   done;
-  let sp = Trace.hist_snapshot hp and ss = Trace.hist_snapshot hs in
+  let sp = Trace.hist_snapshot_by_name "test.hist_par"
+  and ss = Trace.hist_snapshot_by_name "test.hist_seq" in
   Alcotest.(check int) "counts agree" ss.Trace.hist_count sp.Trace.hist_count;
   Alcotest.(check (float 1e-9)) "sums agree" ss.Trace.hist_sum
     sp.Trace.hist_sum;
@@ -313,7 +324,7 @@ let test_hist_quantile_monotone () =
   for i = 1 to 1000 do
     Trace.observe h (Float.of_int (i * i) /. 1e4)
   done;
-  let s = Trace.hist_snapshot h in
+  let s = Trace.hist_snapshot_by_name "test.hist_quantiles" in
   let prev = ref Float.neg_infinity in
   for i = 0 to 100 do
     let q = Float.of_int i /. 100. in
@@ -324,8 +335,9 @@ let test_hist_quantile_monotone () =
   if Trace.hist_quantile_of s 1.0 > s.Trace.hist_max +. 1e-12 then
     Alcotest.fail "quantile exceeds the tracked max";
   (* empty histograms read as nan *)
-  let e = Trace.hist "test.hist_empty" in
-  if not (Float.is_nan (Trace.hist_quantile e 0.5)) then
+  ignore (Trace.hist "test.hist_empty");
+  let e = Trace.hist_snapshot_by_name "test.hist_empty" in
+  if not (Float.is_nan (Trace.hist_quantile_of e 0.5)) then
     Alcotest.fail "empty quantile should be nan"
 
 let test_hist_disabled () =
@@ -334,7 +346,8 @@ let test_hist_disabled () =
   Trace.observe h 1.0;
   let r = Trace.observe_duration h (fun () -> 41 + 1) in
   Alcotest.(check int) "thunk result passes through" 42 r;
-  Alcotest.(check int) "disabled records nothing" 0 (Trace.hist_count h)
+  Alcotest.(check int) "disabled records nothing" 0
+    (Trace.hist_snapshot_by_name "test.hist_disabled").Trace.hist_count
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in

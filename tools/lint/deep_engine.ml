@@ -1,11 +1,12 @@
 (* Typedtree-based deep analysis stage: read .cmt artifacts, summarise
    every top-level function (calls, nondeterministic primitive uses,
-   allocation sites, shard-closure captures, lint attributes), then run
-   the three interprocedural analyses over the summaries:
+   allocation sites, shard-closure captures, lint attributes) and every
+   value reference, then run the four analyses over the summaries:
 
      i1-trans-nondet  taint reachability from sweep entry points
      i2-shard-capture mutable captures written inside shard closures
      i3-noalloc       transitive allocation freedom of pivot kernels
+     u1-unused-export interface vals no other unit references
 
    Soundness boundaries (documented in DESIGN.md section 14): i2 flags
    direct writes to captured state only (aliasing a captured ref into a
@@ -24,7 +25,6 @@ let default_roots = [ "Flexile_te.Scenario_engine"; "Flexile_util.Parallel" ]
 let shard_apis =
   [
     "Flexile_util.Parallel.map";
-    "Flexile_util.Parallel.map_reduce";
     "Flexile_te.Scenario_engine.sweep";
     "Flexile_te.Scenario_engine.sweep_some";
     "Flexile_te.Scenario_engine.sweep_losses";
@@ -47,7 +47,10 @@ let split_on_string ~sep s =
   in
   go 0 0 []
 
-let canon_component c = String.concat "." (split_on_string ~sep:"__" c)
+(* "Flexile_util__Parallel" -> "Flexile_util.Parallel"; the empty tail
+   of dune's "Flexile_util__" alias module is dropped. *)
+let canon_component c =
+  split_on_string ~sep:"__" c |> List.filter (( <> ) "") |> String.concat "."
 
 let strip_stdlib n =
   if String.length n > 7 && String.sub n 0 7 = "Stdlib." then
@@ -180,6 +183,15 @@ type fn_info = {
   allows : (string * int) list;  (* allow id, attribute line *)
 }
 
+(* A [val] of an analysed unit's interface, for u1. *)
+type export = {
+  x_key : string;  (* canonical dotted name, e.g. Flexile_util.Tbl.find *)
+  x_unit : string;  (* canonical name of the exporting unit *)
+  x_file : string;
+  x_line : int;
+  x_allows : (string * int) list;
+}
+
 type global = {
   fns : (string, fn_info) Hashtbl.t;
   mutable fn_order : string list;  (* reverse definition order *)
@@ -189,6 +201,9 @@ type global = {
   mutable n_config : int;
   mutable used_allows : L.allow_site list;
   mutable used_config : (string * string) list;
+  mutable exports : export list;  (* reverse read order *)
+  refs : (string, string list) Hashtbl.t;
+      (* canonical value name -> units that mention it *)
 }
 
 let has_attr name attrs =
@@ -196,26 +211,27 @@ let has_attr name attrs =
 
 let line_of (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
 
-(* Suppression for a deep finding attributed to [fn]: a matching
-   [@lint.allow] on the function's binding, else a Lint_config entry
-   for the function's file. *)
-let emit g fn rule ~line ~chain message =
-  match List.find_opt (fun (id, _) -> id = rule) fn.allows with
+(* Suppression for a deep finding in [file]: a matching [@lint.allow]
+   among [allows] (the attributes on the function's binding, or on an
+   exported [val]), else a Lint_config entry for the file. *)
+let emit_at g ~file ~allows rule ~line ~chain message =
+  match List.find_opt (fun (id, _) -> id = rule) allows with
   | Some (id, aline) ->
       g.n_suppressed <- g.n_suppressed + 1;
-      let s = { L.a_file = fn.fi_file; a_line = aline; a_id = id } in
+      let s = { L.a_file = file; a_line = aline; a_id = id } in
       if not (List.mem s g.used_allows) then
         g.used_allows <- s :: g.used_allows
   | None -> (
-      match Lint_config.find_with_suffix ~rule ~file:fn.fi_file with
+      match Lint_config.find_with_suffix ~rule ~file with
       | Some (_, suffix) ->
           g.n_config <- g.n_config + 1;
           if not (List.mem (rule, suffix) g.used_config) then
             g.used_config <- (rule, suffix) :: g.used_config
       | None ->
           g.findings <-
-            { L.file = fn.fi_file; line; col = 0; rule; message; chain }
-            :: g.findings)
+            { L.file; line; col = 0; rule; message; chain } :: g.findings)
+
+let emit g fn = emit_at g ~file:fn.fi_file ~allows:fn.allows
 
 let mark_alloc_ok_used g fn =
   match List.find_opt (fun (id, _) -> id = "alloc-ok") fn.allows with
@@ -704,18 +720,84 @@ and walk_module g aliases ~file ~modpath mb =
 
 let canon_mod modname = canon_component modname
 
-let load_cmt g path =
+(* ---- u1 inputs: what a unit mentions, what an interface exports --- *)
+
+(* Every value path [str] mentions, function or not, applied or not,
+   with module aliases ([module P = ...] and [let module]) resolved. *)
+let add_refs g ~unit str =
+  let aliases = Hashtbl.create 8 in
+  let alias name me =
+    match module_alias_target me with
+    | Some target ->
+        Hashtbl.replace aliases name (canon_name aliases (canon_component target))
+    | None -> ()
+  in
+  let default = Tast_iterator.default_iterator in
+  let expr self e =
+    (match e.exp_desc with
+    | Texp_ident (p, _, _) ->
+        let n = canon_name aliases (Path.name p) in
+        let units = Option.value ~default:[] (Hashtbl.find_opt g.refs n) in
+        if not (List.mem unit units) then Hashtbl.replace g.refs n (unit :: units)
+    | Texp_letmodule (_, { txt = Some name; _ }, _, me, _) -> alias name me
+    | _ -> ());
+    default.expr self e
+  in
+  let module_binding self mb =
+    Option.iter (fun name -> alias name mb.mb_expr) mb.mb_name.txt;
+    default.module_binding self mb
+  in
+  let it = { default with expr; module_binding } in
+  it.structure it str
+
+let rec add_exports g ~unit ~file ~modpath sg =
+  List.iter
+    (fun item ->
+      match item.sig_desc with
+      | Tsig_value vd ->
+          g.exports <-
+            {
+              x_key = modpath ^ "." ^ Ident.name vd.val_id;
+              x_unit = unit;
+              x_file = file;
+              x_line = line_of vd.val_loc;
+              x_allows = L.allow_sites_of_attrs vd.val_attributes;
+            }
+            :: g.exports
+      | Tsig_module
+          {
+            md_name = { txt = Some name; _ };
+            md_type = { mty_desc = Tmty_signature sg; _ };
+            _;
+          } ->
+          add_exports g ~unit ~file ~modpath:(modpath ^ "." ^ name) sg
+      | _ -> ())
+    sg.sig_items
+
+let sourcefile cmt path =
+  match cmt.Cmt_format.cmt_sourcefile with Some f -> f | None -> path
+
+(* An analysed unit is walked for the i-rules and its [.cmti] (next to
+   the [.cmt]) read for exports; a caller unit only adds references. *)
+let load_cmt g ~analysed path =
   try
     let cmt = Cmt_format.read_cmt path in
     (match cmt.Cmt_format.cmt_annots with
     | Cmt_format.Implementation str ->
-        let file =
-          match cmt.Cmt_format.cmt_sourcefile with Some f -> f | None -> path
-        in
-        let aliases = Hashtbl.create 8 in
-        walk_structure g aliases ~file
-          ~modpath:(canon_mod cmt.Cmt_format.cmt_modname)
-          str
+        let unit = canon_mod cmt.Cmt_format.cmt_modname in
+        add_refs g ~unit str;
+        if analysed then begin
+          walk_structure g (Hashtbl.create 8) ~file:(sourcefile cmt path)
+            ~modpath:unit str;
+          let cmti = Filename.remove_extension path ^ ".cmti" in
+          if Sys.file_exists cmti then
+            let intf = Cmt_format.read_cmt cmti in
+            match intf.Cmt_format.cmt_annots with
+            | Cmt_format.Interface sg ->
+                add_exports g ~unit ~file:(sourcefile intf cmti) ~modpath:unit
+                  sg
+            | _ -> ()
+        end
     | _ -> ());
     true
   with exn ->
@@ -876,10 +958,28 @@ let run_noalloc g =
     (List.rev g.fn_order)
 
 (* ------------------------------------------------------------------ *)
+(* u1: every export is used outside its own unit                       *)
+(* ------------------------------------------------------------------ *)
+
+let run_unused g =
+  List.iter
+    (fun x ->
+      let units = Option.value ~default:[] (Hashtbl.find_opt g.refs x.x_key) in
+      if not (List.exists (( <> ) x.x_unit) units) then
+        emit_at g ~file:x.x_file ~allows:x.x_allows "u1-unused-export"
+          ~line:x.x_line ~chain:[]
+          (Printf.sprintf
+             "%s is exported but no other unit uses it; delete it, drop it \
+              from the interface, or keep a test-only oracle with \
+              [@@lint.allow \"u1-unused-export\"] and a comment saying why"
+             x.x_key))
+    (List.rev g.exports)
+
+(* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let analyze ?(roots = default_roots) cmt_paths =
+let analyze ?(roots = default_roots) ?(callers = []) cmt_paths =
   let g =
     {
       fns = Hashtbl.create 256;
@@ -890,12 +990,17 @@ let analyze ?(roots = default_roots) cmt_paths =
       n_config = 0;
       used_allows = [];
       used_config = [];
+      exports = [];
+      refs = Hashtbl.create 1024;
     }
   in
-  let n = List.fold_left (fun n p -> if load_cmt g p then n + 1 else n) 0 cmt_paths in
+  let load analysed n p = if load_cmt g ~analysed p then n + 1 else n in
+  let n = List.fold_left (load true) 0 cmt_paths in
+  let n = List.fold_left (load false) n callers in
   (* i2 findings were emitted during the walk *)
   run_taint g roots;
   run_noalloc g;
+  run_unused g;
   let by_pos a b =
     match compare a.L.file b.L.file with
     | 0 -> compare a.L.line b.L.line

@@ -1,8 +1,8 @@
 (** Typedtree-level interprocedural analysis stage for flexile-lint
     (DESIGN.md section 14).
 
-    Consumes the [.cmt] artifacts dune produces and enforces three rule
-    families the syntactic stage cannot see:
+    Consumes the [.cmt] / [.cmti] artifacts dune produces and enforces
+    four rule families the syntactic stage cannot see:
 
     - [i1-trans-nondet]: forward taint from the [Scenario_engine] /
       [Parallel] entry points (and from every function that hands a
@@ -14,9 +14,12 @@
     - [i3-noalloc]: the body of a [[\@lint.noalloc]] function and its
       transitive callees must not heap-allocate outside the
       [[\@lint.alloc_ok]] whitelist.
+    - [u1-unused-export]: every [val] of an analysed unit's interface
+      is referenced by some other unit, analysed or caller.
 
     The engine does not zone-gate: it analyses exactly the cmts it is
-    given (the driver feeds it [lib/] only; the fixture tests feed it
+    given (the driver feeds it [lib/], with [bin/], [bench/],
+    [flexbench/] and [examples/] as callers; the fixture tests feed it
     seeded-violation modules under [test/]). *)
 
 val default_roots : string list
@@ -27,11 +30,15 @@ val shard_apis : string list
 (** Canonical names of the shard entry points whose [~init] / [~f]
     closures are subject to [i2-shard-capture]. *)
 
-val analyze : ?roots:string list -> string list -> Lint_engine.report
+val analyze :
+  ?roots:string list -> ?callers:string list -> string list ->
+  Lint_engine.report
 (** [analyze cmt_paths] reads each [.cmt], extracts a per-function
     summary (calls, primitive uses, allocation sites, attributes),
-    builds the cross-module call graph and runs the three analyses.
-    [roots] overrides {!default_roots}.  Unreadable cmts yield a
+    builds the cross-module call graph and runs the four analyses; the
+    exports u1 checks come from the [.cmti] next to each [.cmt].  The
+    [callers] cmts are read for the references they make, nothing
+    else.  [roots] overrides {!default_roots}.  Unreadable cmts yield a
     [cmt-error] finding rather than an exception.  [files_checked]
     counts cmts; [used_allows] / [used_config] feed the driver's
     staleness pass (declaration of suppression sites is the syntactic

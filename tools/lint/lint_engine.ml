@@ -94,6 +94,10 @@ let deep_rules =
        [@lint.alloc_ok] whitelist (amortized arena growth, error paths), \
        nor pass or return a float in a call into another compilation \
        unit (boxed under -opaque)" );
+    ( "u1-unused-export",
+      "every val in a lib/ interface is used by another compilation unit \
+       of lib/, bin/, bench/, flexbench/ or examples/ (test/ does not \
+       count); a test-only oracle carries [@@lint.allow] and a reason" );
   ]
 
 let driver_rules =
@@ -332,8 +336,8 @@ let check_ident ctx loc n =
   if n = "Hashtbl.iter" || n = "Hashtbl.fold" then
     hit ctx "d3-tbl-order" loc
       (n
-     ^ " visits bindings in bucket order; use Flexile_util.Tbl.sorted_iter/\
-        sorted_fold so the order cannot leak into results");
+     ^ " visits bindings in bucket order; use Flexile_util.Tbl.sorted_bindings \
+        so the order cannot leak into results");
   if c1_ident n then
     hit ctx "c1-concurrency" loc
       (n
@@ -442,7 +446,13 @@ let make_iterator ctx =
     let sites = allow_sites_of_attrs vb.pvb_attributes in
     with_allow ctx sites (fun () -> default.value_binding self vb)
   in
-  { default with expr; structure_item; value_binding }
+  (* an interface [val]'s allow serves the deep stage's u1; declaring
+     it here lets the staleness pass judge it *)
+  let value_description self vd =
+    let sites = allow_sites_of_attrs vd.pval_attributes in
+    with_allow ctx sites (fun () -> default.value_description self vd)
+  in
+  { default with expr; structure_item; value_binding; value_description }
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)

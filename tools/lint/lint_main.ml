@@ -3,9 +3,11 @@
    diagnostic per finding and optionally a JSON summary (schema v2),
    exit non-zero on any unsuppressed hit.
 
-   --deep additionally runs the typedtree stage over the .cmt artifacts
-   dune left under _build/default for every lib/-zone root (so run it
-   after `dune build`); --strict-suppressions turns stale allowlist
+   --deep additionally runs the typedtree stage over the .cmt/.cmti
+   artifacts dune left under _build/default for every lib/-zone root,
+   and reads the .cmt of every caller directory (bin, bench, flexbench,
+   examples) for the references u1 counts (so run it after
+   `dune build @check`); --strict-suppressions turns stale allowlist
    entries and [@lint.allow] attributes into s1 findings. *)
 
 module Lint_engine = Flexile_lint.Lint_engine
@@ -29,6 +31,10 @@ let rec collect ~suffixes acc path =
          acc
   else if List.exists (has_suffix path) suffixes then path :: acc
   else acc
+
+(* Directories whose code counts as a caller of lib/ for u1.  test/ is
+   not one: an export only a test calls has not earned its place. *)
+let caller_roots = [ "bin"; "bench"; "flexbench"; "examples" ]
 
 (* cmts for root "lib" live under _build/default/lib/**/.<lib>.objs/byte/ *)
 let cmts_for_root root =
@@ -98,13 +104,14 @@ let () =
       if cmts = [] then
         Printf.eprintf
           "flexile-lint: --deep found no .cmt artifacts under \
-           _build/default (run `dune build` first)\n";
+           _build/default (run `dune build @check` first)\n";
       let dr =
         match List.rev !deep_roots with
         | [] -> Deep_engine.default_roots
         | rs -> rs
       in
-      Some (Deep_engine.analyze ~roots:dr cmts)
+      let callers = List.concat_map cmts_for_root caller_roots in
+      Some (Deep_engine.analyze ~roots:dr ~callers cmts)
     end
   in
   let report =
