@@ -31,10 +31,10 @@ lint: | $(SMOKE_DIR)
 # flexile-lint, deep typedtree stage (DESIGN.md section 14): needs the
 # .cmt/.cmti artifacts of @check (a plain build writes none for the
 # executables, whose references u1 counts), then adds interprocedural
-# taint (i1), shard-capture race (i2), noalloc-kernel (i3) and
-# unused-export (u1) analysis on top of the syntactic rules, with stale
-# suppressions made fatal — this is the authoritative lint verdict CI
-# enforces.
+# taint (i1), shard-capture race (i2), noalloc-kernel (i3),
+# unused-export (u1) and single-value-knob (u2) analysis on top of the
+# syntactic rules, with stale suppressions made fatal — this is the
+# authoritative lint verdict CI enforces.
 lint-deep: | $(SMOKE_DIR)
 	dune build @check tools/lint/lint_main.exe
 	dune exec --no-build tools/lint/lint_main.exe -- \

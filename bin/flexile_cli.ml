@@ -155,7 +155,7 @@ let report inst name losses =
     (fun k (c : Instance.cls) ->
       Printf.printf "%-16s class %-5s PercLoss(beta=%.4f) = %6.2f%%\n" name
         c.Instance.cname c.Instance.beta
-        (100. *. Metrics.perc_loss inst losses ~cls:k ()))
+        (100. *. Metrics.perc_loss inst losses ~cls:k))
     inst.Instance.classes
 
 (* ---- solve ---- *)
@@ -301,8 +301,7 @@ let emulate_cmd =
             (fun k (_ : Instance.cls) ->
               Printf.printf "  PercLoss[%d]=%.2f%%" k
                 (100.
-                *. Metrics.perc_loss inst r.Flexile_emu.Emulator.emulated ~cls:k
-                     ()))
+                *. Metrics.perc_loss inst r.Flexile_emu.Emulator.emulated ~cls:k))
             inst.Instance.classes;
           print_newline ()
         done
@@ -399,8 +398,7 @@ let monitor_cmd =
     let best = off.Flexile_te.Flexile_offline.best in
     let promised =
       Array.init (Array.length inst.Instance.classes) (fun k ->
-          Metrics.perc_loss inst best.Flexile_te.Flexile_offline.losses ~cls:k
-            ())
+          Metrics.perc_loss inst best.Flexile_te.Flexile_offline.losses ~cls:k)
     in
     Array.iteri
       (fun k p ->
@@ -616,8 +614,7 @@ let explain_cmd =
     let best = off.Flexile_te.Flexile_offline.best in
     let promised =
       Array.init (Array.length inst.Instance.classes) (fun k ->
-          Metrics.perc_loss inst best.Flexile_te.Flexile_offline.losses ~cls:k
-            ())
+          Metrics.perc_loss inst best.Flexile_te.Flexile_offline.losses ~cls:k)
     in
     let inp =
       Flexile_obs.Attribution.prepare ~jobs ~tol inst ~offline:off ~promised ()
@@ -877,12 +874,16 @@ let augment_cmd =
       Array.map (fun (_ : Instance.cls) -> limit) inst.Instance.classes
     in
     let r = Flexile_te.Augment.min_cost ~mode ~perc_limit inst in
-    if r.Flexile_te.Augment.cost = infinity then
-      print_endline "augmentation infeasible"
-    else begin
+    match r.Flexile_te.Augment.status with
+    | Flexile_lp.Mip.Infeasible -> print_endline "augmentation infeasible"
+    | Flexile_lp.Mip.Limit ->
+        Printf.printf "augmentation: no plan within %d nodes\n"
+          r.Flexile_te.Augment.nodes
+    | Flexile_lp.Mip.Optimal | Flexile_lp.Mip.Feasible ->
       Printf.printf "minimum augmentation cost: %.3f%s\n"
         r.Flexile_te.Augment.cost
-        (if r.Flexile_te.Augment.optimal then "" else " (not proven optimal)");
+        (if r.Flexile_te.Augment.status = Flexile_lp.Mip.Optimal then ""
+         else " (not proven optimal)");
       Array.iteri
         (fun e add ->
           if add > 1e-6 then
@@ -890,7 +891,6 @@ let augment_cmd =
             Printf.printf "  link %d-%d: +%.3f\n" edge.Flexile_net.Graph.u
               edge.Flexile_net.Graph.v add)
         r.Flexile_te.Augment.added
-    end
   in
   let term =
     Term.(const run $ verbose_term $ topology_arg $ two_class_arg

@@ -14,9 +14,11 @@
 open Flexile_te
 
 let show name (r : Augment.result) inst =
-  if r.Augment.cost = infinity then
-    Printf.printf "%-24s infeasible\n" name
-  else begin
+  match r.Augment.status with
+  | Flexile_lp.Mip.Infeasible -> Printf.printf "%-24s infeasible\n" name
+  | Flexile_lp.Mip.Limit ->
+      Printf.printf "%-24s no plan within %d nodes\n" name r.Augment.nodes
+  | Flexile_lp.Mip.Optimal | Flexile_lp.Mip.Feasible ->
     Printf.printf "%-24s total cost %.2f" name r.Augment.cost;
     Array.iteri
       (fun e add ->
@@ -26,7 +28,6 @@ let show name (r : Augment.result) inst =
             edge.Flexile_net.Graph.v)
       r.Augment.added;
     print_newline ()
-  end
 
 let () =
   let inst = Flexile_core.Builder.fig1 () in

@@ -59,7 +59,7 @@ let () =
     (Instance.nscenarios inst);
   let report name losses =
     Printf.printf "%-8s PercLoss = %6.2f%%\n" name
-      (100. *. Metrics.perc_loss inst losses ~cls:0 ())
+      (100. *. Metrics.perc_loss inst losses ~cls:0)
   in
   (* on this small, well-connected demo the probabilistic schemes all
      meet the SLO; FFC's deterministic 1-failure planning pays its toll

@@ -20,17 +20,17 @@ let () =
   (* 1. ScenBest / SMORE: optimal per scenario, blind across scenarios *)
   let smore = Scenbest.run inst in
   Printf.printf "SMORE/ScenBest  PercLoss at 99%% = %.1f%%\n"
-    (pct (Metrics.perc_loss inst smore ~cls:0 ()));
+    (pct (Metrics.perc_loss inst smore ~cls:0));
 
   (* 2. TeaVar: CVaR approximation + static routing *)
   let tv = Teavar.run inst in
   Printf.printf "TeaVar          PercLoss at 99%% = %.1f%%\n"
-    (pct (Metrics.perc_loss inst tv.Teavar.losses ~cls:0 ()));
+    (pct (Metrics.perc_loss inst tv.Teavar.losses ~cls:0));
 
   (* 3. Flexile: offline critical scenarios + online allocation *)
   let fx = Flexile_scheme.run inst in
   Printf.printf "Flexile         PercLoss at 99%% = %.1f%%\n\n"
-    (pct (Metrics.perc_loss inst fx.Flexile_scheme.losses ~cls:0 ()));
+    (pct (Metrics.perc_loss inst fx.Flexile_scheme.losses ~cls:0));
 
   (* show the critical scenarios Flexile chose (cf. Fig 4) *)
   let best = fx.Flexile_scheme.offline.Flexile_offline.best in

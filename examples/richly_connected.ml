@@ -23,7 +23,7 @@ let () =
 
   let report name losses =
     Printf.printf "%-10s PercLoss = %5.2f%%\n" name
-      (pct (Metrics.perc_loss inst losses ~cls:0 ()))
+      (pct (Metrics.perc_loss inst losses ~cls:0))
   in
   report "SMORE" (Scenbest.run inst);
   let fx = Flexile_scheme.run inst in

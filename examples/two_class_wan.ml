@@ -23,8 +23,8 @@ let () =
 
   let report name losses =
     Printf.printf "%-16s high PercLoss = %5.1f%%   low PercLoss = %5.1f%%\n" name
-      (pct (Metrics.perc_loss inst losses ~cls:0 ()))
-      (pct (Metrics.perc_loss inst losses ~cls:1 ()))
+      (pct (Metrics.perc_loss inst losses ~cls:0))
+      (pct (Metrics.perc_loss inst losses ~cls:1))
   in
   let fx = Flexile_scheme.run inst in
   report "Flexile" fx.Flexile_scheme.losses;
@@ -44,6 +44,6 @@ let () =
       "  run %d: PCC=%.6f  max |emulated - model| = %.2f%%  high=%.2f%% low=%.2f%%\n"
       i r.Flexile_emu.Emulator.pcc
       (pct r.Flexile_emu.Emulator.max_abs_diff)
-      (pct (Metrics.perc_loss inst r.Flexile_emu.Emulator.emulated ~cls:0 ()))
-      (pct (Metrics.perc_loss inst r.Flexile_emu.Emulator.emulated ~cls:1 ()))
+      (pct (Metrics.perc_loss inst r.Flexile_emu.Emulator.emulated ~cls:0))
+      (pct (Metrics.perc_loss inst r.Flexile_emu.Emulator.emulated ~cls:1))
   done

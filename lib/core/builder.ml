@@ -9,16 +9,8 @@ module Mlu = Flexile_te.Mlu
 type options = {
   max_pairs : int;
   max_scenarios : int;
-  scenario_cutoff : float;
   scenario_mix : string;
-  mlu_lo : float;
-  mlu_hi : float;
-  tunnels_per_pair : int;
-  low_extra_tunnels : int;
   low_scale : float;
-  low_beta : float;
-  high_weight : float;
-  median_failure_prob : float;
   jobs : int;
 }
 
@@ -26,18 +18,26 @@ let default_options =
   {
     max_pairs = 240;
     max_scenarios = 150;
-    scenario_cutoff = 1e-6;
     scenario_mix = "independent";
-    mlu_lo = 0.5;
-    mlu_hi = 0.7;
-    tunnels_per_pair = 3;
-    low_extra_tunnels = 3;
     low_scale = 2.0;
-    low_beta = 0.99;
-    high_weight = 100.;
-    median_failure_prob = 0.001;
     jobs = 0;
   }
+
+(* The rest of §6's methodology, fixed for every instance: scenarios
+   less likely than [scenario_cutoff] are not enumerated; the
+   no-failure min-MLU lands in [mlu_lo, mlu_hi]; each pair gets
+   [tunnels_per_pair] tunnels, and a low-priority pair
+   [low_extra_tunnels] more; the low class's target is [low_beta] and
+   the high class weighs [high_weight] in the penalty.  The Weibull
+   median of link failure probabilities (0.001) is
+   {!Flexile_failure.Failure_model}'s. *)
+let scenario_cutoff = 1e-6
+let mlu_lo = 0.5
+let mlu_hi = 0.7
+let tunnels_per_pair = 3
+let low_extra_tunnels = 3
+let low_beta = 0.99
+let high_weight = 100.
 
 let known_regimes =
   [ "independent"; "srlg"; "partial"; "drift"; "diurnal"; "maintenance" ]
@@ -106,28 +106,27 @@ let scenario_set ~options ~seed ~graph ~npairs =
     match tokens with [ "independent" ] -> seed | _ -> Prng.split seed name
   in
   let ne = Graph.nedges graph in
-  let median = options.median_failure_prob in
   let gen_of = function
     | "independent" ->
-        Failure_model.independent_links ~median ~graph ~seed:(seed_of "independent") ()
+        Failure_model.independent_links ~graph ~seed:(seed_of "independent") ()
     | "srlg" ->
-        Failure_model.srlg ~median ~nedges:ne
+        Failure_model.srlg ~nedges:ne
           ~groups:(Flexile_net.Catalog.srlgs graph)
           ~seed:(seed_of "srlg") ()
-    | "partial" -> Failure_model.partial ~median ~graph ~seed:(seed_of "partial") ()
+    | "partial" -> Failure_model.partial ~graph ~seed:(seed_of "partial") ()
     | "drift" ->
         Failure_model.demand_states ~nedges:ne ~name:"drift"
           (Array.map
              (fun (p, fs) -> (p, Failure_model.Per_pair fs))
              (Gravity.drift_states ~seed:(seed_of "drift") ~npairs ()))
     | "diurnal" ->
-        Failure_model.diurnal ~nedges:ne ~levels:(Gravity.diurnal_levels ()) ()
+        Failure_model.diurnal ~nedges:ne
     | "maintenance" -> default_maintenance graph
     | t -> invalid_arg ("Builder: unknown scenario regime " ^ t)
   in
   let model = Failure_model.compose (List.map gen_of tokens) in
   let scenarios =
-    Failure_model.enumerate ~cutoff:options.scenario_cutoff
+    Failure_model.enumerate ~cutoff:scenario_cutoff
       ~max_scenarios:options.max_scenarios model
   in
   (scenarios, Failure_model.pair_factors ~npairs model scenarios)
@@ -147,9 +146,9 @@ let expand_pair_factors ~nclasses ~npairs pair_factors =
 
 (* Scale a gravity matrix so the no-failure min-MLU lands at a
    deterministic point of the paper's [0.5, 0.7] window. *)
-let scaled_gravity ~options ~seed graph pairs tunnels =
+let scaled_gravity ~seed graph pairs tunnels =
   let demands = Gravity.matrix ~seed ~graph ~pairs in
-  let target = Prng.uniform seed options.mlu_lo options.mlu_hi in
+  let target = Prng.uniform seed mlu_lo mlu_hi in
   let mlu d = Mlu.min_mlu ~graph ~tunnels ~demands:d in
   Gravity.scale_to_mlu ~mlu ~target demands
 
@@ -186,11 +185,11 @@ let single_class ?(options = default_options) ~graph () =
       (fun (u, v) ->
         Array.of_list
           (Tunnels.select_single_class graph ~pair:(u, v)
-             ~count:options.tunnels_per_pair))
+             ~count:tunnels_per_pair))
       pairs
   in
   let demands =
-    scaled_gravity ~options ~seed:(Prng.split seed "traffic") graph pairs
+    scaled_gravity ~seed:(Prng.split seed "traffic") graph pairs
       tunnels_single
   in
   let scenarios, pair_factors =
@@ -217,7 +216,7 @@ let two_class ?(options = default_options) ~graph () =
       (fun (u, v) ->
         Array.of_list
           (Tunnels.select_high_priority graph ~pair:(u, v)
-             ~count:options.tunnels_per_pair))
+             ~count:tunnels_per_pair))
       pairs
   in
   let tunnels_low =
@@ -226,11 +225,11 @@ let two_class ?(options = default_options) ~graph () =
         Array.of_list
           (Tunnels.select_low_priority graph ~pair:(u, v)
              ~high:(Array.to_list tunnels_high.(i))
-             ~extra:options.low_extra_tunnels))
+             ~extra:low_extra_tunnels))
       pairs
   in
   let base =
-    scaled_gravity ~options ~seed:(Prng.split seed "traffic") graph pairs
+    scaled_gravity ~seed:(Prng.split seed "traffic") graph pairs
       tunnels_high
   in
   let high, low =
@@ -249,8 +248,8 @@ let two_class ?(options = default_options) ~graph () =
     Instance.make ~graph
       ~classes:
         [|
-          { Instance.cname = "high"; beta = Float.nan; weight = options.high_weight };
-          { Instance.cname = "low"; beta = options.low_beta; weight = 1. };
+          { Instance.cname = "high"; beta = Float.nan; weight = high_weight };
+          { Instance.cname = "low"; beta = low_beta; weight = 1. };
         |]
       ~pairs
       ~tunnels:[| tunnels_high; tunnels_low |]

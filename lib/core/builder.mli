@@ -5,14 +5,20 @@
     class, and the design-target betas.
 
     Everything is seeded from the topology name, so instances are
-    reproducible bit-for-bit. *)
+    reproducible bit-for-bit.
+
+    The rest of the methodology is fixed: scenarios less likely than
+    1e-6 are not enumerated; gravity traffic is scaled so the
+    no-failure min-MLU lands in [0.5, 0.7]; each pair gets 3 tunnels
+    and each low-priority pair 3 more; the low class's design target is
+    0.99 and the high class weighs 100 in the penalty; link failure
+    probabilities are Weibull with median 0.001. *)
 
 type options = {
   max_pairs : int;
       (** deterministic pair sampling cap for the largest topologies
           (keeps LPs laptop-scale; see DESIGN.md). Default 240. *)
   max_scenarios : int;  (** scenario enumeration cap. Default 150 *)
-  scenario_cutoff : float;  (** probability cutoff. Default 1e-6 *)
   scenario_mix : string;
       (** comma-separated scenario regimes to compose:
           ["independent"], ["srlg"], ["partial"], ["drift"],
@@ -22,14 +28,7 @@ type options = {
           the default ["independent"] alone draws from that seed
           itself.  Demand regimes attach per-scenario demand
           factors. *)
-  mlu_lo : float;  (** target MLU window, default [0.5, 0.7] *)
-  mlu_hi : float;
-  tunnels_per_pair : int;  (** default 3 *)
-  low_extra_tunnels : int;  (** extra tunnels for the low class, default 3 *)
   low_scale : float;  (** low-priority demand scaling, default 2.0 *)
-  low_beta : float;  (** low-priority design target, default 0.99 *)
-  high_weight : float;  (** class weight of high-priority traffic, default 100. *)
-  median_failure_prob : float;  (** Weibull median, default 0.001 *)
   jobs : int;
       (** worker domains for scheme sweeps run on the built instance
           (0 = auto, see {!Flexile_te.Scenario_engine}). Default 0 *)
@@ -53,8 +52,8 @@ val single_class :
 val two_class :
   ?options:options -> graph:Flexile_net.Graph.t -> unit -> Flexile_te.Instance.t
 (** Class 0 = high priority (latency-sensitive, SPOF-avoiding tunnels,
-    beta as high as possible), class 1 = low priority (extra tunnels,
-    beta = [low_beta], demand scaled by [low_scale]). *)
+    beta as high as possible, weight 100), class 1 = low priority
+    (extra tunnels, beta 0.99, demand scaled by [low_scale]). *)
 
 val of_name : ?options:options -> ?two_classes:bool -> string -> Flexile_te.Instance.t
 (** Build from a Table-2 topology name. *)

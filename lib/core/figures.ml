@@ -10,7 +10,7 @@ type profile = {
   max_pairs : int;
   emu_runs : int;
   cvar_scenarios : int;
-  ip_time_limit : float;
+  ip_node_limit : int;
   jobs : int;
 }
 
@@ -23,7 +23,7 @@ let quick =
     max_pairs = 120;
     emu_runs = 3;
     cvar_scenarios = 30;
-    ip_time_limit = 60.;
+    ip_node_limit = 200;
     jobs = 0;
   }
 
@@ -35,7 +35,7 @@ let full =
     ip_topos = [ "Sprint"; "B4"; "IBM" ];
     max_scenarios = 150;
     max_pairs = 240;
-    ip_time_limit = 600.;
+    ip_node_limit = 2000;
   }
 
 let pct x = 100. *. x
@@ -102,7 +102,7 @@ let run_scheme ?(jobs = 0) scheme inst =
           Hashtbl.replace loss_cache key l;
           l)
 
-let perc inst losses k = Metrics.perc_loss inst losses ~cls:k ()
+let perc inst losses k = Metrics.perc_loss inst losses ~cls:k
 
 (* quantile of a weighted CDF given as sorted (value, cumulative)
    points: the smallest value whose cumulative mass reaches [mass]
@@ -396,16 +396,7 @@ let fig14 p =
          proves optimality never depends on the machine's speed *)
       let optimal =
         try
-          let ip =
-            Ip_direct.solve
-              ~options:
-                {
-                  Flexile_lp.Mip.default_options with
-                  Flexile_lp.Mip.node_limit = 2000;
-                  time_limit = infinity;
-                }
-              inst
-          in
+          let ip = Ip_direct.solve inst in
           if ip.Ip_direct.optimal then Some (pct (perc inst ip.Ip_direct.losses 1))
           else None
         with _ -> None
@@ -427,7 +418,7 @@ let fig14 p =
 
 let fig15 p =
   section "Fig 15: offline solving time vs topology size";
-  Printf.printf "  %-16s %6s %12s %12s\n" "topology" "links" "Flexile(s)" "IP(s)";
+  Printf.printf "  %-16s %6s %12s %18s\n" "topology" "links" "Flexile(s)" "IP(s)";
   List.iter
     (fun name ->
       let inst = build_two p ~max_scenarios:30 name in
@@ -438,27 +429,21 @@ let fig15 p =
             { Flexile_offline.default_config with Flexile_offline.jobs = p.jobs }
           inst
       in
+      (* the IP stops on its node budget, never on this clock: the
+         column reports the time, it does not decide the search *)
       let ip_time =
         if List.mem name p.ip_topos then begin
           let t0 = Flexile_util.Trace.now_s () in
-          (try
-             ignore
-               (Ip_direct.solve
-                  ~options:
-                    {
-                      Flexile_lp.Mip.default_options with
-                      Flexile_lp.Mip.node_limit = 2000;
-                      time_limit = p.ip_time_limit;
-                    }
-                  inst)
-           with _ -> ());
+          let optimal =
+            try (Ip_direct.solve ~node_limit:p.ip_node_limit inst).Ip_direct.optimal
+            with _ -> false
+          in
           let t = Flexile_util.Trace.now_s () -. t0 in
-          if t >= p.ip_time_limit then Printf.sprintf ">%.0f (TLE)" t
-          else Printf.sprintf "%.1f" t
+          Printf.sprintf "%.1f%s" t (if optimal then "" else " (node limit)")
         end
         else "TLE"
       in
-      Printf.printf "  %-16s %6d %12.1f %12s\n" name links
+      Printf.printf "  %-16s %6d %12.1f %18s\n" name links
         off.Flexile_offline.wall_time ip_time)
     p.topos;
   Printf.printf "  paper shape: Flexile seconds-scale; IP explodes with size\n"
@@ -502,7 +487,7 @@ let scenloss p =
           Array.map
             (fun (s : Flexile_failure.Failure_model.scenario) ->
               ( Metrics.scen_loss inst losses
-                  ~sid:s.Flexile_failure.Failure_model.sid (),
+                  ~sid:s.Flexile_failure.Failure_model.sid,
                 s.Flexile_failure.Failure_model.prob ))
             inst.Instance.scenarios
         in

@@ -13,9 +13,9 @@ type profile = {
   max_pairs : int;
   emu_runs : int;
   cvar_scenarios : int;  (** scenario cap for the CVaR family *)
-  ip_time_limit : float;
-      (** wall-clock limit of Fig 15's IP, whose solve time is what that
-          figure reports; Fig 14's reference IP has a node budget only *)
+  ip_node_limit : int;
+      (** node budget of the exact IP timed in Fig 15 (Fig 14's IP
+          always gets {!Flexile_te.Ip_direct.solve}'s default 2000) *)
   jobs : int;
       (** worker domains for every scheme's scenario sweep (0 = auto,
           see {!Flexile_te.Scenario_engine}) *)

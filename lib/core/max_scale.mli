@@ -6,13 +6,11 @@
 
 val search :
   ?options:Builder.options ->
-  ?lo:float ->
-  ?hi:float ->
   ?steps:int ->
   scheme:Schemes.t ->
   graph:Flexile_net.Graph.t ->
   unit ->
   float
-(** Binary search over the low-priority scale factor in [lo, hi]
-    (defaults [0.25, 4.0], 6 steps); returns the largest factor for
+(** Binary search over the low-priority scale factor in [0.25, 4.0]
+    ([steps] default 6); returns the largest factor for
     which the scheme's low-priority PercLoss at beta 0.99 is ~0. *)

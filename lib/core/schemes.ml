@@ -100,34 +100,31 @@ let with_gc_accounting f =
    registration is idempotent so looking the handle up per run is fine
    (run is called a handful of times per figure, never in an inner
    loop) *)
-let run ?flexile_config ?(size_guard = true) ?(jobs = 0) scheme inst =
+let run ?(jobs = 0) scheme inst =
   with_gc_accounting @@ fun () ->
   Trace.in_span
     (Trace.span ("scheme." ^ name scheme))
     (fun () ->
       match scheme with
       | Flexile ->
-          (Flexile_scheme.run ?config:flexile_config ~jobs inst)
-            .Flexile_scheme.losses
+          (Flexile_scheme.run ~jobs inst).Flexile_scheme.losses
       | Smore -> Scenbest.run ~jobs inst
       | Scenbest_multi -> Scenbest.run_multi ~jobs inst
       | Teavar ->
-          if size_guard && cvar_ad_rows inst > 400_000 then
+          if cvar_ad_rows inst > 400_000 then
             raise (Timeout scheme);
           (Teavar.run ~jobs inst).Teavar.losses
       | Cvar_flow_st ->
-          if
-            size_guard
-            && Instance.nflows inst * Instance.nscenarios inst > 60_000
-          then raise (Timeout scheme);
+          if Instance.nflows inst * Instance.nscenarios inst > 60_000 then
+            raise (Timeout scheme);
           (Cvar_flow.run_static ~jobs inst).Cvar_flow.losses
       | Cvar_flow_ad ->
-          if size_guard && cvar_ad_rows inst > 2_500 then
+          if cvar_ad_rows inst > 2_500 then
             raise (Timeout scheme);
           (Cvar_flow.run_adaptive ~jobs inst).Cvar_flow.losses
       | Swan_maxmin -> Swan.run_maxmin ~jobs inst
       | Swan_throughput -> Swan.run_throughput ~jobs inst
       | Ffc -> (Ffc.run ~jobs inst).Ffc.losses
       | Ip ->
-          if size_guard && ip_binaries inst > 4_000 then raise (Timeout scheme);
+          if ip_binaries inst > 4_000 then raise (Timeout scheme);
           (Ip_direct.solve ~jobs inst).Ip_direct.losses)

@@ -22,15 +22,9 @@ exception Timeout of t
 (** Raised when a scheme exceeds its size guard (the paper reports the
     same schemes as TLE on large instances). *)
 
-val run :
-  ?flexile_config:Flexile_te.Flexile_offline.config ->
-  ?size_guard:bool ->
-  ?jobs:int ->
-  t ->
-  Flexile_te.Instance.t ->
-  Flexile_te.Instance.losses
-(** [size_guard] (default true) raises {!Timeout} instead of launching
-    a CVaR/IP solve whose LP would be intractably large for the
-    pure-OCaml simplex.  [jobs] (default 0 = auto) sets the scenario
+val run : ?jobs:int -> t -> Flexile_te.Instance.t -> Flexile_te.Instance.losses
+(** Raises {!Timeout} instead of launching a CVaR/IP solve whose LP
+    would be intractably large for the pure-OCaml simplex (the size
+    guard).  [jobs] (default 0 = auto) sets the scenario
     fan-out of every scheme's sweep (see
     {!Flexile_te.Scenario_engine}). *)

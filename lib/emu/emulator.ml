@@ -41,8 +41,11 @@ let reconstruct_allocation inst ~sid ~model_losses =
   let value v = if v >= 0 && sol.Simplex.status = Simplex.Optimal then sol.Simplex.x.(v) else 0. in
   Array.map (Array.map (Array.map value)) x
 
-(* Integer select-group weights from a fractional split. *)
-let integer_weights ~weight_scale split =
+(* Integer select-group weights from a fractional split, in the Open
+   vSwitch select-group weight range. *)
+let weight_scale = 100
+
+let integer_weights split =
   let total = Array.fold_left ( +. ) 0. split in
   if total <= 0. then Array.map (fun _ -> 0) split
   else
@@ -109,7 +112,7 @@ let cached_allocation inst ~sid ~model_losses =
       slot.(sid) <- Some a;
       a
 
-let emulate_scenario ?(packets_per_unit = 200) ?(weight_scale = 100) ~seed inst
+let emulate_scenario ?(packets_per_unit = 200) ~seed inst
     ~sid ~model_losses =
   Trace.observe_duration h_scenario @@ fun () ->
   let out = Array.make (Instance.nflows inst) 1. in
@@ -126,7 +129,7 @@ let emulate_scenario ?(packets_per_unit = 200) ?(weight_scale = 100) ~seed inst
           out.(fid) <- 1.
         else begin
           let split = alloc.(f.Instance.cls).(f.Instance.pair) in
-          let weights = integer_weights ~weight_scale split in
+          let weights = integer_weights split in
           let wsum = Array.fold_left ( + ) 0 weights in
           let admitted = demand *. (1. -. model_losses.(fid).(sid)) in
           if wsum = 0 || admitted <= 0. then out.(fid) <- 1.
@@ -192,13 +195,13 @@ let emulate_scenario ?(packets_per_unit = 200) ?(weight_scale = 100) ~seed inst
     inst.Instance.flows;
   out
 
-let emulate ?(packets_per_unit = 200) ?(weight_scale = 100) ~seed inst
+let emulate ?packets_per_unit ~seed inst
     ~model_losses =
   let nq = Instance.nscenarios inst in
   let emulated = Instance.alloc_losses inst in
   for sid = 0 to nq - 1 do
     let per_flow =
-      emulate_scenario ~packets_per_unit ~weight_scale ~seed inst ~sid
+      emulate_scenario ?packets_per_unit ~seed inst ~sid
         ~model_losses
     in
     Array.iteri (fun fid v -> emulated.(fid).(sid) <- v) per_flow

@@ -39,7 +39,6 @@ val reconstruct_allocation :
 
 val emulate_scenario :
   ?packets_per_unit:int ->
-  ?weight_scale:int ->
   seed:Flexile_util.Prng.t ->
   Flexile_te.Instance.t ->
   sid:int ->
@@ -52,14 +51,16 @@ val emulate_scenario :
     advances with each packet, so independent per-scenario seeds give
     draw-order-independent results. *)
 
+(* finer quantization is how test_emu.ml checks that the emulation
+   converges to the model *)
 val emulate :
   ?packets_per_unit:int ->
-  ?weight_scale:int ->
   seed:Flexile_util.Prng.t ->
   Flexile_te.Instance.t ->
   model_losses:Flexile_te.Instance.losses ->
   run
+  [@@lint.allow "u2-single-value-knob"]
 (** Emulate every scenario once (via {!emulate_scenario}, one shared
     PRNG).  [packets_per_unit] (default 200) controls quantization
-    granularity; [weight_scale] (default 100) is the Open vSwitch
-    select-group weight range. *)
+    granularity; forwarding weights are integers in the Open vSwitch
+    select-group range of 100. *)

@@ -110,42 +110,39 @@ let binary ?groups ~nedges probs =
          binary_unit ~uname:(Printf.sprintf "unit-%d" i) ~regime:"independent"
            (Array.copy groups.(i)) probs.(i)))
 
-(* The paper's §6 draw: Weibull with the given median (the median is
-   scale * (ln 2)^(1/shape)), clamped to [1e-5, 0.3]. *)
-let weibull_prob ?(median = 0.001) ?(shape = 0.8) seed =
-  let scale = median /. Float.pow (Float.log 2.) (1. /. shape) in
+(* The paper's §6 draw: Weibull with median 0.001 and shape 0.8 (the
+   median is scale * (ln 2)^(1/shape)), clamped to [1e-5, 0.3]. *)
+let weibull_median = 0.001
+let weibull_shape = 0.8
+
+let weibull_prob seed =
+  let shape = weibull_shape in
+  let scale = weibull_median /. Float.pow (Float.log 2.) (1. /. shape) in
   Float.max 1e-5 (Float.min 0.3 (Prng.weibull seed ~shape ~scale))
 
-let independent_links ?median ?shape ~graph ~seed () =
+let independent_links ~graph ~seed () =
   let nedges = Flexile_net.Graph.nedges graph in
   create ~nedges
     (List.init nedges (fun e ->
          binary_unit ~uname:(Printf.sprintf "link-%d" e) ~regime:"independent"
-           [| e |] (weibull_prob ?median ?shape seed)))
+           [| e |] (weibull_prob seed)))
 
-let srlg ?median ?shape ~nedges ~groups ~seed () =
+let srlg ~nedges ~groups ~seed () =
   create ~nedges
     (List.init (Array.length groups) (fun gi ->
          binary_unit ~uname:(Printf.sprintf "srlg-%d" gi) ~regime:"srlg"
-           (Array.copy groups.(gi)) (weibull_prob ?median ?shape seed)))
+           (Array.copy groups.(gi)) (weibull_prob seed)))
 
-let default_levels = [| (0., 0.5); (0.3, 0.3); (0.7, 0.2) |]
+(* (capacity fraction, weight): a hard cut, 30% and 70% of capacity *)
+let partial_levels = [| (0., 0.5); (0.3, 0.3); (0.7, 0.2) |]
 
-let partial ?median ?shape ?(levels = default_levels) ~graph ~seed () =
+let partial ~graph ~seed () =
   let nedges = Flexile_net.Graph.nedges graph in
-  if Array.length levels = 0 then
-    invalid_arg "Failure_model.partial: no degradation levels";
-  let wtotal =
-    Array.fold_left
-      (fun a (_, w) ->
-        if w <= 0. then
-          invalid_arg "Failure_model.partial: level weights must be positive";
-        a +. w)
-      0. levels
-  in
+  let levels = partial_levels in
+  let wtotal = Array.fold_left (fun a (_, w) -> a +. w) 0. levels in
   create ~nedges
     (List.init nedges (fun e ->
-         let p = weibull_prob ?median ?shape seed in
+         let p = weibull_prob seed in
          {
            uname = Printf.sprintf "partial-%d" e;
            regime = "partial";
@@ -211,21 +208,21 @@ let maintenance ~nedges ~horizon windows =
       };
     ]
 
-let demand_states ?regime ~nedges ~name states =
+let demand_states ~nedges ~name states =
   if Array.length states = 0 then invalid_arg "Failure_model.demand_states: no states";
   create ~nedges
     [
       {
         uname = name;
-        regime = Option.value regime ~default:name;
+        regime = name;
         edges = [||];
         states = Array.map (fun (p, d) -> mk_state ~prob:p ~frac:0. ~demand:d ()) states;
       };
     ]
 
-let diurnal ~nedges ?(levels = [| (1.25, 0.2); (0.75, 0.2) |]) () =
-  demand_states ~nedges ~name:"diurnal"
-    (Array.map (fun (scale, p) -> (p, Scale scale)) levels)
+(* diurnal peak and trough: +/-25% at probability 0.2 each *)
+let diurnal ~nedges =
+  demand_states ~nedges ~name:"diurnal" [| (0.2, Scale 1.25); (0.2, Scale 0.75) |]
 
 (* ------------------------------------------------------------------ *)
 (* Enumeration                                                         *)

@@ -68,28 +68,23 @@ val compose : t list -> t
 
 (** {1 Generator families} *)
 
+(* explicit shared-risk groups build the hand-checked SRLG models of
+   test_failure.ml "srlg groups", test_te_toy.ml "shared-risk link
+   groups" and test_scenario_gen.ml *)
 val binary : ?groups:int array array -> nedges:int -> float array -> t
+  [@@lint.allow "u2-single-value-knob"]
 (** Explicit probabilities: unit [i] is a hard cut of [groups.(i)]
     (default: edge [i] alone, so there is one probability per edge)
     with probability [probs.(i)], regime ["independent"].  For the
     paper's toy examples, where every link fails with 0.01, and for
     tests. *)
 
-val independent_links :
-  ?median:float ->
-  ?shape:float ->
-  graph:Flexile_net.Graph.t ->
-  seed:Flexile_util.Prng.t ->
-  unit ->
-  t
+val independent_links : graph:Flexile_net.Graph.t -> seed:Flexile_util.Prng.t -> unit -> t
 (** The paper's model: one hard-cut unit per link (regime
-    ["independent"]), its probability drawn from a Weibull whose median
-    is [median] (default 0.001), shape default 0.8, clamped to
-    [1e-5, 0.3], in edge order. *)
+    ["independent"]), its probability drawn from a Weibull with median
+    0.001 and shape 0.8, clamped to [1e-5, 0.3], in edge order. *)
 
 val srlg :
-  ?median:float ->
-  ?shape:float ->
   nedges:int ->
   groups:int array array ->
   seed:Flexile_util.Prng.t ->
@@ -101,19 +96,11 @@ val srlg :
     probabilities and scenarios are those of {!independent_links} for
     the same seed; only the regime tag differs. *)
 
-val partial :
-  ?median:float ->
-  ?shape:float ->
-  ?levels:(float * float) array ->
-  graph:Flexile_net.Graph.t ->
-  seed:Flexile_util.Prng.t ->
-  unit ->
-  t
+val partial : graph:Flexile_net.Graph.t -> seed:Flexile_util.Prng.t -> unit -> t
 (** Partial-capacity degradation: per link, a Weibull-drawn total
-    degradation probability split across [levels] by weight, so a
+    degradation probability split across three levels by weight, so a
     degraded link may survive at a fraction of capacity instead of
-    binary down.  Level fractions must be in [0, 1) and weights
-    positive; the default [levels] [(fraction, weight)] are a hard cut
+    binary down.  The levels [(fraction, weight)] are a hard cut
     (frac 0, weight 0.5), 30% (weight 0.3) and 70% (weight 0.2). *)
 
 type window = {
@@ -133,17 +120,15 @@ val maintenance : nedges:int -> horizon:float -> window list -> t
     on overlapping windows, windows outside the horizon, nonpositive
     durations, or total maintenance mass >= 0.5. *)
 
-val demand_states :
-  ?regime:string -> nedges:int -> name:string -> (float * demand_effect) array -> t
+val demand_states : nedges:int -> name:string -> (float * demand_effect) array -> t
 (** An edge-free unit whose states perturb the traffic matrix:
     [(probability, effect)] per state.  The builder feeds
     gravity-perturbation vectors from {!Flexile_traffic.Gravity} in
-    here.  [regime] defaults to [name]. *)
+    here.  Its regime tag is [name]. *)
 
-val diurnal : nedges:int -> ?levels:(float * float) array -> unit -> t
-(** Diurnal demand scaling as an edge-free unit: [levels] is
-    [(scale, probability)] per level (default peak 1.25 and trough
-    0.75 at probability 0.2 each, nominal mass 0.6). *)
+val diurnal : nedges:int -> t
+(** Diurnal demand scaling as an edge-free [demand_states] unit: peak
+    1.25 and trough 0.75 at probability 0.2 each, nominal mass 0.6. *)
 
 (** {1 Enumeration} *)
 

@@ -98,7 +98,7 @@ let fixture = function
    production 120 (the Bland threshold) to 8 so short degenerate
    episodes — invisible in normal operation by design — show up in a
    diagnosis run. *)
-let doctor_thresholds = { Health.default_thresholds with Health.stall_limit = 8 }
+let doctor_stall_limit = 8
 
 (* ------------------------------------------------------------------ *)
 (* Report rendering                                                    *)
@@ -335,7 +335,6 @@ let render ~source ~model ~(sol : Simplex.solution) ~health
           ("iteration", Json.int d.Health.d_iteration);
         ]
   in
-  let t = Health.thresholds health in
   let report =
     Json.Object
       [
@@ -356,11 +355,11 @@ let render ~source ~model ~(sol : Simplex.solution) ~health
         ( "thresholds",
           Json.Object
             [
-              ("cond_limit", num t.Health.cond_limit);
-              ("residual_limit", num t.Health.residual_limit);
-              ("growth_limit", num t.Health.growth_limit);
-              ("stall_limit", Json.int t.Health.stall_limit);
-              ("near_singular_rtol", num t.Health.near_singular_rtol);
+              ("cond_limit", num Health.cond_limit);
+              ("residual_limit", num Health.residual_limit);
+              ("growth_limit", num Health.growth_limit);
+              ("stall_limit", Json.int (Health.stall_limit health));
+              ("near_singular_rtol", num Health.near_singular_rtol);
             ] );
         ( "diagnosis",
           Json.Object
@@ -432,19 +431,21 @@ let render ~source ~model ~(sol : Simplex.solution) ~health
   { r_report = report; r_solution = sol; r_health = health; r_healthy = dg.dg_healthy }
 
 let run_lp ~source ?dump model =
-  let thresholds = doctor_thresholds in
   let eta_limit =
     match dump with
     | Some d -> d.Health.d_eta_limit
     | None -> None
   in
-  let sol, health = Simplex.solve_doctor ?eta_limit ~thresholds model in
+  let sol, health =
+    Simplex.solve_doctor ?eta_limit ~stall_limit:doctor_stall_limit model
+  in
   let dump_state =
     match dump with
     | None -> None
     | Some d ->
         Some
-          (Simplex.diagnose_basis ?eta_limit:d.Health.d_eta_limit ~thresholds
+          (Simplex.diagnose_basis ?eta_limit:d.Health.d_eta_limit
+             ~stall_limit:doctor_stall_limit
              ~phase:d.Health.d_phase ~iteration:d.Health.d_iteration model
              ~bas:d.Health.d_basis ~vstat:d.Health.d_vstat)
   in

@@ -38,30 +38,18 @@ module Json = Flexile_util.Json
 (* Thresholds                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type thresholds = {
-  cond_limit : float;
-  residual_limit : float;
-  growth_limit : float;
-  stall_limit : int;
-  near_singular_rtol : float;
-}
-
 (* Rationale (DESIGN.md section 15): cond_limit 1e10 leaves ~6 digits
    of the double mantissa trustworthy; residual_limit 1e-6 sits two
    decades above the solver's 1e-7 feasibility tolerance so a trip
    means the *factorization* is lying, not the ratio test; growth_limit
    1e8 is far beyond what threshold-0.01 partial pivoting produces on
-   healthy bases; stall_limit matches the simplex Bland fallback
-   threshold so a "stall" is exactly the event that forced the
-   anti-cycling pivot rule. *)
-let default_thresholds =
-  {
-    cond_limit = 1e10;
-    residual_limit = 1e-6;
-    growth_limit = 1e8;
-    stall_limit = 120;
-    near_singular_rtol = 1e-7;
-  }
+   healthy bases; the stall limit's default 120 matches the simplex
+   Bland fallback threshold so a "stall" is exactly the event that
+   forced the anti-cycling pivot rule. *)
+let cond_limit = 1e10
+let residual_limit = 1e-6
+let growth_limit = 1e8
+let near_singular_rtol = 1e-7
 
 (* ------------------------------------------------------------------ *)
 (* Trace metrics (registered once at module initialization)            *)
@@ -133,7 +121,7 @@ type loop_note = {
 
 type state = {
   m : int;
-  thresholds : thresholds;
+  stall_limit : int;
   mutable capture : bool;
   (* estimator scratch, length m, allocated by the first sample: the
      stride leaves most solver states unsampled *)
@@ -145,14 +133,11 @@ type state = {
   mutable on_trip : string list -> unit;
 }
 
-let make ?(capture = false) ?thresholds m =
-  let thresholds =
-    Option.value thresholds ~default:default_thresholds
-  in
+let make ?(stall_limit = 120) m =
   {
     m;
-    thresholds;
-    capture;
+    stall_limit;
+    capture = false;
     hy = [||];
     hz = [||];
     samples = [];
@@ -161,7 +146,7 @@ let make ?(capture = false) ?thresholds m =
     on_trip = (fun _ -> ());
   }
 
-let thresholds state = state.thresholds
+let stall_limit state = state.stall_limit
 let set_capture state b = state.capture <- b
 let capture state = state.capture
 let set_on_trip state f = state.on_trip <- f
@@ -347,8 +332,7 @@ let sample state ~basis ~pat ~kind ~phase ~iteration ~col ~cb ~btilde ~xb
   let dr = dual_residual state ~basis ~pat ~col ~cb in
   let cond = cond1_estimate state ~basis ~pat in
   let growth = Sparse.Basis.lu_growth basis in
-  let t = state.thresholds in
-  let near = Sparse.Basis.near_singular_rows basis ~rtol:t.near_singular_rtol in
+  let near = Sparse.Basis.near_singular_rows basis ~rtol:near_singular_rtol in
   Trace.observe h_primal_res pr;
   Trace.observe h_dual_res dr;
   Trace.observe h_cond (Float.max 0. (Float.log10 cond));
@@ -360,10 +344,10 @@ let sample state ~basis ~pat ~kind ~phase ~iteration ~col ~cb ~btilde ~xb
     List.filter_map
       (fun (name, hit) -> if hit then Some name else None)
       [
-        ("cond", cond > t.cond_limit || Float.is_nan cond);
-        ("primal_residual", pr > t.residual_limit || Float.is_nan pr);
-        ("dual_residual", dr > t.residual_limit || Float.is_nan dr);
-        ("lu_growth", growth > t.growth_limit);
+        ("cond", cond > cond_limit || Float.is_nan cond);
+        ("primal_residual", pr > residual_limit || Float.is_nan pr);
+        ("dual_residual", dr > residual_limit || Float.is_nan dr);
+        ("lu_growth", growth > growth_limit);
       ]
   in
   if tripped <> [] then begin

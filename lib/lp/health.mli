@@ -13,17 +13,20 @@
 
 (** {1 Thresholds} *)
 
-type thresholds = {
-  cond_limit : float;  (** condition estimate above this trips *)
-  residual_limit : float;  (** relative primal/dual residual limit *)
-  growth_limit : float;  (** LU element growth limit *)
-  stall_limit : int;  (** consecutive zero-step pivots before a stall *)
-  near_singular_rtol : float;  (** [Sparse.Basis.near_singular_rows] rtol *)
-}
+(** The sample thresholds.  See DESIGN.md section 15 for the rationale
+    behind each. *)
 
-val default_thresholds : thresholds
-(** The production thresholds (1e10, 1e-6, 1e8, 120, 1e-7).  See
-    DESIGN.md section 15 for the rationale behind each. *)
+val cond_limit : float
+(** A condition estimate above this trips: 1e10. *)
+
+val residual_limit : float
+(** Relative primal/dual residual limit: 1e-6. *)
+
+val growth_limit : float
+(** LU element growth limit: 1e8. *)
+
+val near_singular_rtol : float
+(** [Sparse.Basis.near_singular_rows] rtol: 1e-7. *)
 
 (** {1 Samples} *)
 
@@ -67,16 +70,18 @@ type loop_note = {
 (** {1 State} *)
 
 type state
-(** Per-solver-instance health state: scratch vectors, thresholds, and
+(** Per-solver-instance health state: scratch vectors, stall limit, and
     the captured timeline.  Not shared across domains — each solver
     template owns one. *)
 
-val make : ?capture:bool -> ?thresholds:thresholds -> int -> state
-(** [make m] allocates scratch for an [m]-row basis.  [capture]
-    (default false) records the sample/stall/loop timeline in memory —
-    the elevated-instrumentation mode [flexile doctor] runs under. *)
+val make : ?stall_limit:int -> int -> state
+(** [make m] allocates scratch for an [m]-row basis.  [stall_limit]
+    (default 120) is the number of consecutive zero-step pivots that
+    makes a stall.  Capture (see {!set_capture}) starts off: turned
+    on, it records the sample/stall/loop timeline in memory — the
+    elevated-instrumentation mode [flexile doctor] runs under. *)
 
-val thresholds : state -> thresholds
+val stall_limit : state -> int
 val capture : state -> bool
 val set_capture : state -> bool -> unit
 
@@ -91,7 +96,7 @@ val stalls : state -> stall list
 val loop_notes : state -> loop_note list
 
 val clear : state -> unit
-(** Drops the captured timeline (thresholds and scratch stay). *)
+(** Drops the captured timeline (stall limit and scratch stay). *)
 
 (** {1 Sampling entry points (called by the solver)} *)
 

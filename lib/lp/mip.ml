@@ -2,14 +2,13 @@ module Trace = Flexile_util.Trace
 
 (* Per search: node LPs solved, nodes left open, nodes dropped with an
    unbounded or cut-short LP, and why it stopped (exactly one of the
-   three stop counters).  A search that ran out of nodes to explore but
+   two stop counters).  A search that ran out of nodes to explore but
    dropped some reads [stop_exhausted] with a nonzero [nodes_dropped]. *)
 let c_nodes = Trace.counter "mip.nodes"
 let c_open_at_stop = Trace.counter "mip.open_nodes_at_stop"
 let c_nodes_dropped = Trace.counter "mip.nodes_dropped"
 let c_stop_exhausted = Trace.counter "mip.stop_exhausted"
 let c_stop_node_limit = Trace.counter "mip.stop_node_limit"
-let c_stop_time_limit = Trace.counter "mip.stop_time_limit"
 
 (* The rounding heuristic, per node: splits the search's own time into
    heuristic and bookkeeping. *)
@@ -26,28 +25,23 @@ type result = {
   gap : float;
 }
 
-type options = {
-  node_limit : int;
-  time_limit : float;
-  gap_tol : float;
-  int_tol : float;
-}
-
-let default_options =
-  { node_limit = 5000; time_limit = 60.; gap_tol = 1e-6; int_tol = 1e-6 }
+(* An incumbent within [gap_tol] of the bound is optimal; a value within
+   [int_tol] of an integer is integral. *)
+let gap_tol = 1e-6
+let int_tol = 1e-6
 
 (* A node is the list of (binary variable, fixed value) decisions on the
    path from the root, plus the parent's LP bound for pruning. *)
 type node = { fixings : (Lp_model.var * float) list; parent_bound : float }
 
-let is_integral ~int_tol x binaries =
+let is_integral x binaries =
   Array.for_all
     (fun j ->
       let v = x.(j) in
       Float.abs (v -. Float.round v) <= int_tol)
     binaries
 
-let most_fractional ~int_tol x binaries =
+let most_fractional x binaries =
   let best = ref (-1) and best_frac = ref int_tol in
   Array.iter
     (fun j ->
@@ -60,7 +54,7 @@ let most_fractional ~int_tol x binaries =
     binaries;
   !best
 
-let solve ?(options = default_options) ?heuristic ~binaries model =
+let solve ?(node_limit = 5000) ?heuristic ~binaries model =
   let nv = Lp_model.nvars model in
   let saved_bounds =
     Array.map (fun j -> (j, Lp_model.lb model j, Lp_model.ub model j)) binaries
@@ -74,7 +68,6 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
   (* one solver state for every node LP: each node cold-solves it under
      its own fixings *)
   let lp_state = Simplex.make model in
-  let t0 = Trace.now_s () in
   let incumbent = ref None in
   let incumbent_obj = ref infinity in
   let nodes = ref 0 in
@@ -114,7 +107,7 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
         | Some cand ->
             if
               Array.length cand = nv
-              && is_integral ~int_tol:options.int_tol cand binaries
+              && is_integral cand binaries
               && Lp_model.max_violation model cand <= 1e-6
             then try_incumbent cand (Lp_model.objective_value model cand))
   in
@@ -125,20 +118,14 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
        | [] -> ()
        | nd :: rest ->
            stack := rest;
-           if !nodes >= options.node_limit then begin
+           if !nodes >= node_limit then begin
              hit_limit := true;
              stop := c_stop_node_limit;
              (* keep the node's bound contributing to the frontier bound *)
              stack := nd :: !stack;
              raise Exit
            end;
-           if Trace.now_s () -. t0 > options.time_limit then begin
-             hit_limit := true;
-             stop := c_stop_time_limit;
-             stack := nd :: !stack;
-             raise Exit
-           end;
-           if nd.parent_bound < !incumbent_obj -. options.gap_tol then begin
+           if nd.parent_bound < !incumbent_obj -. gap_tol then begin
              incr nodes;
              List.iter
                (fun (j, v) -> Lp_model.set_bounds model j ~lb:v ~ub:v)
@@ -151,11 +138,10 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
              | Simplex.Infeasible -> ()
              | Simplex.Unbounded | Simplex.Iteration_limit -> drop nd
              | Simplex.Optimal ->
-                 if lp.Simplex.obj < !incumbent_obj -. options.gap_tol then begin
+                 if lp.Simplex.obj < !incumbent_obj -. gap_tol then begin
                    if List.length nd.fixings = 0 then
                      best_proven := lp.Simplex.obj;
-                   if is_integral ~int_tol:options.int_tol lp.Simplex.x binaries
-                   then begin
+                   if is_integral lp.Simplex.x binaries then begin
                      (* snap and accept *)
                      let xi = Array.copy lp.Simplex.x in
                      Array.iter
@@ -165,10 +151,7 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
                    end
                    else begin
                      check_heuristic lp.Simplex.x;
-                     let j =
-                       most_fractional ~int_tol:options.int_tol lp.Simplex.x
-                         binaries
-                     in
+                     let j = most_fractional lp.Simplex.x binaries in
                      if j >= 0 then begin
                        let v = lp.Simplex.x.(j) in
                        let first = if v >= 0.5 then 1. else 0. in
@@ -201,7 +184,7 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
   | Some x ->
       let gap = Float.max 0. (!incumbent_obj -. bound) in
       let status =
-        if !dropped_bound = None && ((not !hit_limit) || gap <= options.gap_tol)
+        if !dropped_bound = None && ((not !hit_limit) || gap <= gap_tol)
         then Optimal
         else Feasible
       in

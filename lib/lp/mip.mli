@@ -4,9 +4,11 @@
     master problem (M)).
 
     The search is depth-first with best-bound pruning, an optional
-    rounding heuristic for incumbents, and node/time limits.  When a
-    limit is hit the best incumbent is returned together with the best
-    proven lower bound, so callers can report an optimality gap.
+    rounding heuristic for incumbents, and a node budget.  It reads no
+    clock: its answer depends only on the model and the budget.  When
+    the budget is spent the best incumbent is returned together with
+    the best proven lower bound, so callers can report an optimality
+    gap.
 
     A node whose LP relaxation reads [Unbounded] or stops at its
     iteration limit is dropped unbounded: it counts as a limit, and its
@@ -23,7 +25,7 @@
     The trace timer [mip.heuristic] times the rounding heuristic. *)
 
 type status =
-  | Optimal  (** incumbent proven optimal (within [gap_tol]) *)
+  | Optimal  (** incumbent proven optimal (absolute gap within 1e-6) *)
   | Feasible  (** limit hit with an incumbent available *)
   | Infeasible
   | Limit  (** limit hit with no incumbent *)
@@ -37,17 +39,8 @@ type result = {
   gap : float;  (** [obj - bound], 0. when optimal *)
 }
 
-type options = {
-  node_limit : int;  (** default 5000 *)
-  time_limit : float;  (** seconds, default 60. *)
-  gap_tol : float;  (** absolute gap considered optimal, default 1e-6 *)
-  int_tol : float;  (** integrality tolerance, default 1e-6 *)
-}
-
-val default_options : options
-
 val solve :
-  ?options:options ->
+  ?node_limit:int ->
   ?heuristic:(float array -> float array option) ->
   binaries:Lp_model.var array ->
   Lp_model.t ->
@@ -55,5 +48,6 @@ val solve :
 (** [solve ~binaries model] minimizes [model] with the given variables
     constrained to {0,1}.  [heuristic lp_x] may propose a full primal
     assignment from a fractional relaxation solution; it is checked for
-    feasibility before being accepted as an incumbent.  The model's
+    feasibility before being accepted as an incumbent.  The search
+    stops after [node_limit] node LPs (default 5000).  The model's
     bounds are mutated during the search and restored on exit. *)

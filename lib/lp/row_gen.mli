@@ -21,12 +21,14 @@ type result = {
           [max_rounds] ran out with violated rows left *)
 }
 
+(* one round cuts a run short in test_lp.ml "cut short by max_rounds" *)
 val solve :
   ?max_rounds:int ->
   ?per_round:int ->
   violated:(float array -> spec list) ->
   Lp_model.t ->
   result
+  [@@lint.allow "u2-single-value-knob"]
 (** [solve ~violated model] solves with a growing row set.  [violated
     x] must return rows of the *full* model violated at [x] (an empty
     list certifies optimality for the full model).  At most [per_round]

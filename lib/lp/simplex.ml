@@ -174,7 +174,7 @@ let slack_bounds sense =
   | Lp_model.Ge -> (neg_infinity, 0.)
   | Lp_model.Eq -> (0., 0.)
 
-let create ?eta_limit ?thresholds model =
+let create ?eta_limit ?stall_limit model =
   let n = Lp_model.nvars model and m = Lp_model.nrows model in
   let ntot = n + (2 * m) in
   let lo = Array.make ntot 0. and up = Array.make ntot 0. in
@@ -242,7 +242,7 @@ let create ?eta_limit ?thresholds model =
     sec_size;
     nsec;
     psec = 0;
-    health = Health.make ?thresholds m;
+    health = Health.make ?stall_limit m;
     hphase = phase_setup;
     hiter = 0;
   }
@@ -268,8 +268,8 @@ let dump_on_trip ?eta_limit st reasons =
              d_vstat = Array.copy st.vstat;
            })
 
-let create ?eta_limit ?thresholds model =
-  let st = create ?eta_limit ?thresholds model in
+let create ?eta_limit ?stall_limit model =
+  let st = create ?eta_limit ?stall_limit model in
   Health.set_on_trip st.health (dump_on_trip ?eta_limit st);
   st
 
@@ -622,7 +622,7 @@ let primal_loop st costs ~iter_limit iter_count =
   let degen = ref 0 in
   (* stall detection: longest run of zero-step ratio tests and the
      Bland dwell, one integer compare per iteration (DESIGN.md s15) *)
-  let stall_lim = (Health.thresholds st.health).Health.stall_limit in
+  let stall_lim = Health.stall_limit st.health in
   let iters0 = !iter_count in
   let max_run = ref 0 and bland_iters = ref 0 in
   let result = ref None in
@@ -1085,7 +1085,7 @@ let dual_loop st ~iter_limit iters =
      costs; rebuild only when the basis has moved under us *)
   if not st.d_valid then recompute_duals ();
   let zero_steps = ref 0 in
-  let stall_lim = (Health.thresholds st.health).Health.stall_limit in
+  let stall_lim = Health.stall_limit st.health in
   let iters0 = !iters in
   let max_run = ref 0 and bland_iters = ref 0 in
   let result = ref None in
@@ -1378,15 +1378,15 @@ let solve_warm ?iter_limit st =
 (* Elevated-instrumentation entry points for [Doctor].                 *)
 (* ------------------------------------------------------------------ *)
 
-let solve_doctor ?iter_limit ?eta_limit ?thresholds model =
-  let st = create ?eta_limit ?thresholds model in
+let solve_doctor ?eta_limit ?stall_limit model =
+  let st = create ?eta_limit ?stall_limit model in
   Health.set_capture st.health true;
-  let sol = cold_solve ?iter_limit st in
+  let sol = cold_solve st in
   (sol, st.health)
 
-let diagnose_basis ?eta_limit ?thresholds ?(phase = 0) ?(iteration = 0) model
+let diagnose_basis ?eta_limit ?stall_limit ?(phase = 0) ?(iteration = 0) model
     ~bas ~vstat =
-  let st = create ?eta_limit ?thresholds model in
+  let st = create ?eta_limit ?stall_limit model in
   if Array.length bas <> st.m || Array.length vstat <> st.ntot then
     invalid_arg "Simplex.diagnose_basis: dimension mismatch";
   Health.set_capture st.health true;
@@ -1405,8 +1405,8 @@ let diagnose_basis ?eta_limit ?thresholds ?(phase = 0) ?(iteration = 0) model
   ignore (refactorize st);
   st.health
 
-let checked_cold_solve ?iter_limit st =
-  let sol = cold_solve ?iter_limit st in
+let checked_cold_solve st =
+  let sol = cold_solve st in
   (if sol.status = Optimal then
      let viol = Lp_model.max_violation st.model sol.x in
      if viol > 1e-5 then
@@ -1415,15 +1415,15 @@ let checked_cold_solve ?iter_limit st =
              (Lp_model.name st.model) viol));
   sol
 
-let solve ?iter_limit model =
-  Trace.in_span sp_solve @@ fun () -> checked_cold_solve ?iter_limit (create model)
+let solve model =
+  Trace.in_span sp_solve @@ fun () -> checked_cold_solve (create model)
 
 (* What a cold solve reads of an old state is re-read ([sync_model]),
    reset ([setup_cold], [primal_loop]'s [recompute_d]) or forgotten
    here, so the answer is the one of a fresh state. *)
-let solve_cold ?iter_limit st =
+let solve_cold st =
   Trace.in_span sp_solve @@ fun () ->
   sync_model st;
   Basis.forget_density st.basis;
   Health.clear st.health;
-  checked_cold_solve ?iter_limit st
+  checked_cold_solve st

@@ -43,9 +43,9 @@ val dual_bound : solution -> rhs:float array -> float
 
 (** {1 One-shot interface} *)
 
-val solve : ?iter_limit:int -> Lp_model.t -> solution
-(** Solve from a cold (slack) basis.  [iter_limit] defaults to
-    [50_000 + 50 * (nvars + nrows)]. *)
+val solve : Lp_model.t -> solution
+(** Solve from a cold (slack) basis, within
+    [50_000 + 50 * (nvars + nrows)] pivots. *)
 
 (** {1 Warm-restart interface}
 
@@ -75,7 +75,10 @@ type basis
     basic in each position and the bound side of every nonbasic one.
     Immutable; one basis may seed any number of solver states. *)
 
+(* a short eta file walks test_lp_props.ml's eta-file properties and
+   test_sparse.ml's refactorization cadences *)
 val make : ?basis:basis -> ?eta_limit:int -> Lp_model.t -> t
+  [@@lint.allow "u2-single-value-knob"]
 (** A solver state for the model.  With [basis] (taken from a model of
     the same dimensions, for example the same template under other
     bounds, RHS or coefficients) the first solve restarts from it
@@ -86,13 +89,17 @@ val make : ?basis:basis -> ?eta_limit:int -> Lp_model.t -> t
 val basis : t -> basis option
 (** The basis of the last solve, if it ended optimal. *)
 
+(* a tiny iteration limit reaches the restart's iteration-limit
+   fallback in test_lp.ml "fallback keeps the abandoned pivots" *)
 val solve_warm : ?iter_limit:int -> t -> solution
+  [@@lint.allow "u2-single-value-knob"]
 (** Re-read the model's variable bounds, RHS and objective (never its
     matrix), then restart from the last optimal basis as described
     above; the first solve is cold unless [make] was given a basis.
-    Runs in the [simplex.solve] span, like {!solve}. *)
+    [iter_limit] defaults to {!solve}'s.  Runs in the [simplex.solve]
+    span, like {!solve}. *)
 
-val solve_cold : ?iter_limit:int -> t -> solution
+val solve_cold : t -> solution
 (** Re-read the model's bounds, RHS and objective like {!solve_warm},
     then solve from the slack basis as {!solve} does, ignoring the
     state's previous basis: the same pivots and the same answer, bit
@@ -114,20 +121,17 @@ val extend : t -> Lp_model.t -> t
     primal, 2 phase-2 primal, 3 dual (warm restart). *)
 
 val solve_doctor :
-  ?iter_limit:int ->
-  ?eta_limit:int ->
-  ?thresholds:Health.thresholds ->
-  Lp_model.t ->
-  solution * Health.state
+  ?eta_limit:int -> ?stall_limit:int -> Lp_model.t -> solution * Health.state
 (** Cold-solve [model] with the health timeline captured in memory
     (every refactorization, stall and loop sampled) — the elevated
     instrumentation [flexile doctor] replays under.  [eta_limit]
     overrides the default eta-file cap, letting a dump replay reproduce
-    the original refactorization cadence. *)
+    the original refactorization cadence; [stall_limit] is
+    {!Health.make}'s. *)
 
 val diagnose_basis :
   ?eta_limit:int ->
-  ?thresholds:Health.thresholds ->
+  ?stall_limit:int ->
   ?phase:int ->
   ?iteration:int ->
   Lp_model.t ->

@@ -153,6 +153,16 @@ let graph_of_text ~name ~prune text =
           | None -> malformed "node without id")
       | _ -> ())
     graph_fields;
+  (* Topology Zoo's LinkSpeedRaw is in bits/s, whatever unit LinkSpeed
+     was written in; once one edge carries it, every edge must, or the
+     others' capacities would be in another unit *)
+  let raw_speeds =
+    List.exists
+      (function
+        | "edge", Record ef -> find_num ef [ "linkspeedraw" ] <> None
+        | _ -> false)
+      graph_fields
+  in
   let seen_links = Hashtbl.create 64 in
   let links = ref [] in
   List.iter
@@ -168,14 +178,20 @@ let graph_of_text ~name ~prune text =
                   let k = if u < v then (u, v) else (v, u) in
                   if not (Hashtbl.mem seen_links k) then begin
                     Hashtbl.replace seen_links k ();
+                    let keys =
+                      if raw_speeds then [ "linkspeedraw" ]
+                      else [ "linkspeed"; "bandwidth"; "capacity" ]
+                    in
                     let cap =
-                      match
-                        find_num ef [ "linkspeed"; "bandwidth"; "capacity" ]
-                      with
+                      match find_num ef keys with
                       | Some c when not (Float.is_finite c) ->
                           malformed (Printf.sprintf "capacity %g is not finite" c)
-                      | Some c when c > 0. -> c
-                      | _ -> 1.0
+                      | Some c when c <= 0. ->
+                          malformed (Printf.sprintf "capacity %g is not positive" c)
+                      | Some c -> c
+                      | None when raw_speeds ->
+                          malformed "edge without LinkSpeedRaw in a file whose other edges carry it"
+                      | None -> 1.0
                     in
                     links := (u, v, cap) :: !links
                   end
@@ -193,9 +209,9 @@ let parse ?(name = "gml") ?(prune = true) text =
   | g -> Ok g
   | exception Malformed msg -> Error msg
 
-let load ?prune path =
+let load path =
   match In_channel.with_open_bin path In_channel.input_all with
   | text ->
       let name = Filename.remove_extension (Filename.basename path) in
-      parse ~name ?prune text
+      parse ~name text
   | exception Sys_error msg -> Error msg

@@ -12,8 +12,8 @@ let nodes g ~src p =
     p;
   out
 
-let length ?(weight = fun _ -> 1.) p =
-  Array.fold_left (fun acc eid -> acc +. weight eid) 0. p
+(* every edge weighs 1: a path's length is its hop count *)
+let length p = float_of_int (Array.length p)
 
 (* Binary-heap priority queue over (distance, node). *)
 module Heap = struct
@@ -72,8 +72,7 @@ module Heap = struct
     end
 end
 
-let shortest g ?(weight = fun _ -> 1.) ?(edge_ok = fun _ -> true)
-    ?(node_ok = fun _ -> true) ~src ~dst () =
+let shortest g ?(edge_ok = fun _ -> true) ?(node_ok = fun _ -> true) ~src ~dst () =
   let n = g.Graph.n in
   let dist = Array.make n infinity in
   let via = Array.make n (-1) in
@@ -91,9 +90,7 @@ let shortest g ?(weight = fun _ -> 1.) ?(edge_ok = fun _ -> true)
           List.iter
             (fun (eid, y) ->
               if edge_ok eid && (y = dst || y = src || node_ok y) then begin
-                let w = weight eid in
-                if w < 0. then invalid_arg "Paths.shortest: negative weight";
-                let nd = d +. w in
+                let nd = d +. 1. in
                 if nd < dist.(y) -. 1e-12 then begin
                   dist.(y) <- nd;
                   via.(y) <- eid;
@@ -121,15 +118,15 @@ let overlap p q =
 
 let path_equal (p : path) q = p = q
 
-let k_shortest g ?(weight = fun _ -> 1.) ~k ~src ~dst () =
-  match shortest g ~weight ~src ~dst () with
+let k_shortest g ~k ~src ~dst () =
+  match shortest g ~src ~dst () with
   | None -> []
   | Some first ->
       let found = ref [ first ] in
       let candidates = ref [] in
       (* candidates: (cost, path), kept sorted by cost *)
       let add_candidate p =
-        let c = length ~weight p in
+        let c = length p in
         if
           not
             (List.exists (fun (_, q) -> path_equal p q) !candidates
@@ -160,7 +157,7 @@ let k_shortest g ?(weight = fun _ -> 1.) ~k ~src ~dst () =
           let edge_ok e = not (Hashtbl.mem blocked_edges e) in
           let node_ok v = not (Hashtbl.mem blocked_nodes v) in
           if not (Hashtbl.mem blocked_nodes spur_node) then
-            match shortest g ~weight ~edge_ok ~node_ok ~src:spur_node ~dst () with
+            match shortest g ~edge_ok ~node_ok ~src:spur_node ~dst () with
             | None -> ()
             | Some spur -> add_candidate (Array.append root spur)
         done;

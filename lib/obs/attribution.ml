@@ -179,7 +179,7 @@ let analyze ?(top = max_int) t ~losses =
     let c = inst.Instance.classes.(k) in
     let beta = c.Instance.beta in
     let promised = t.promised.(k) in
-    let observed = Metrics.perc_loss inst losses ~cls:k () in
+    let observed = Metrics.perc_loss inst losses ~cls:k in
     (* the binding flow: first arg-max of FlowLoss(f, beta) — the flow
        whose tail distribution IS the class percentile *)
     let binding = ref (-1) and best = ref Float.neg_infinity in

@@ -32,7 +32,6 @@ let h_flow_loss = Trace.hist "slo.flow_loss"
 type t = {
   inst : Instance.t;
   promised : float array;
-  tol : float;
   observed : Instance.losses;
   seen : bool array;
   window : int;
@@ -46,14 +45,16 @@ type t = {
   mutable unenumerated : int;
 }
 
-let create ?(window = 100) ?(tol = 1e-6) ~promised inst =
+(* the slack added to every promise comparison *)
+let tol = 1e-6
+
+let create ?(window = 100) ~promised inst =
   let nk = Array.length inst.Instance.classes in
   if Array.length promised <> nk then invalid_arg "Slo.create: promised";
   if window < 1 then invalid_arg "Slo.create: window";
   {
     inst;
     promised = Array.copy promised;
-    tol;
     observed = Instance.alloc_losses inst;
     seen = Array.make (Instance.nscenarios inst) false;
     window;
@@ -99,7 +100,7 @@ let observe t ~sid ~losses =
       let v = Float.max 0. (Float.min 1. losses.(f.Instance.fid)) in
       Trace.observe h_flow_loss v;
       t.observed.(f.Instance.fid).(sid) <- v;
-      if f.Instance.demand > 0. && v > t.promised.(f.Instance.cls) +. t.tol
+      if f.Instance.demand > 0. && v > t.promised.(f.Instance.cls) +. tol
       then bad.(f.Instance.cls) <- true)
     t.inst.Instance.flows;
   t.seen.(sid) <- true;
@@ -109,7 +110,7 @@ let observe_unenumerated t =
   t.unenumerated <- t.unenumerated + 1;
   push t (Array.make (Array.length t.promised) true)
 
-let observed_attainment t ~cls = Metrics.perc_loss t.inst t.observed ~cls ()
+let observed_attainment t ~cls = Metrics.perc_loss t.inst t.observed ~cls
 let observed_losses t = t.observed
 
 let burn_rate t ~cls =
@@ -145,7 +146,7 @@ let class_report t ~cls =
     rbeta = c.Instance.beta;
     rpromised = t.promised.(cls);
     robserved = observed;
-    rattained = observed <= t.promised.(cls) +. t.tol;
+    rattained = observed <= t.promised.(cls) +. tol;
     rbad_draws = t.bad_draws.(cls);
     rwindow_bad = t.win_bad_count.(cls);
     rwindow_len = t.win_len;

@@ -27,12 +27,11 @@
 type t
 
 val create :
-  ?window:int -> ?tol:float -> promised:float array -> Flexile_te.Instance.t -> t
+  ?window:int -> promised:float array -> Flexile_te.Instance.t -> t
 (** [create ~promised inst] with [promised.(k)] the offline PercLoss
     promise of class [k] (length must equal the class count).
-    [window] (default 100, >= 1) is the burn-rate window in draws;
-    [tol] (default 1e-6) is the slack added to every promise
-    comparison. *)
+    [window] (default 100, >= 1) is the burn-rate window in draws.
+    Every promise comparison allows a slack of 1e-6. *)
 
 val observe : t -> sid:int -> losses:float array -> unit
 (** Record one draw of enumerated scenario [sid] with per-flow
@@ -61,7 +60,7 @@ type class_report = {
   robserved : float;
       (** [Metrics.perc_loss] of the observed matrix at the class
           target *)
-  rattained : bool;  (** [robserved <= rpromised + tol] *)
+  rattained : bool;  (** [robserved <= rpromised + 1e-6] *)
   rbad_draws : int;  (** violating draws since creation *)
   rwindow_bad : int;
   rwindow_len : int;

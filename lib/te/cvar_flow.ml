@@ -19,14 +19,10 @@ type result = {
    the scenarios q in c leave it the same routing copy, alive tunnels and
    demand, so their rows are one row, built from c's first member, and
    sum_{q in c} p_q (L - alpha)^+ = P_c (L - alpha)^+. *)
-let run_common ~adaptive ?beta ?jobs inst =
+let run_common ~adaptive ?jobs inst =
   if Array.length inst.Instance.classes <> 1 then
     invalid_arg "Cvar_flow: single traffic class only";
-  let beta =
-    match beta with
-    | Some b -> b
-    | None -> inst.Instance.classes.(0).Instance.beta
-  in
+  let beta = inst.Instance.classes.(0).Instance.beta in
   let nq = Instance.nscenarios inst in
   let flows =
     Array.to_list (Instance.flows_of_class inst 0)
@@ -117,5 +113,5 @@ let run_common ~adaptive ?beta ?jobs inst =
   in
   { losses; max_flow_cvar = sol.Simplex.obj; allocation; rounds }
 
-let run_static ?beta ?jobs inst = run_common ~adaptive:false ?beta ?jobs inst
-let run_adaptive ?beta ?jobs inst = run_common ~adaptive:true ?beta ?jobs inst
+let run_static ?jobs inst = run_common ~adaptive:false ?jobs inst
+let run_adaptive ?jobs inst = run_common ~adaptive:true ?jobs inst

@@ -28,6 +28,7 @@ type result = {
   rounds : int;
 }
 
-val run_static : ?beta:float -> ?jobs:int -> Instance.t -> result
-val run_adaptive : ?beta:float -> ?jobs:int -> Instance.t -> result
-(** [jobs] parallelizes the post-analysis loss sweep (0 = auto). *)
+val run_static : ?jobs:int -> Instance.t -> result
+val run_adaptive : ?jobs:int -> Instance.t -> result
+(** Both take the CVaR level beta from the instance's class target.
+    [jobs] parallelizes the post-analysis loss sweep (0 = auto). *)

@@ -22,7 +22,11 @@ type result = {
   allocation : float array array;  (** pair -> tunnel -> reserved bandwidth *)
 }
 
+(* k = 0 and k = 2 are how test_te_toy.ml "ffc conservatism" checks
+   the protection level, and k = 0 grants the positive share
+   test_te_real.ml's loss recomputation checks FFC on *)
 val run : ?k:int -> ?jobs:int -> Instance.t -> result
+  [@@lint.allow "u2-single-value-knob"]
 (** [k] defaults to 1 (single-link-failure protection; supported up to
     2, by explicit enumeration over the flow's own tunnel links).
     Single traffic class, like the paper's FFC discussion.  Maximizes

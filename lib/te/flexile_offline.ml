@@ -48,8 +48,11 @@ type config = {
   share_cuts : bool;
   prune : bool;
   jobs : int;
-  master : Mip.options;
 }
+
+(* The master's branch and bound stops on this node budget alone, so
+   the plan does not depend on the host's speed. *)
+let master_node_limit = 400
 
 let default_config =
   {
@@ -63,9 +66,6 @@ let default_config =
        scenario is a cold solve, so the result is bit-identical to
        jobs=1. *)
     jobs = 0;
-    (* the node budget alone stops the master, so the plan does not
-       depend on the host's speed *)
-    master = { Mip.default_options with node_limit = 400; time_limit = infinity };
   }
 
 type iterate = {
@@ -530,7 +530,7 @@ let solve_master inst ~config ~cuts ~z_prev ~coverage_target ~perfect =
     finish z
   in
   let r =
-    Mip.solve ~options:config.master ~heuristic
+    Mip.solve ~node_limit:master_node_limit ~heuristic
       ~binaries:(Array.of_list !binaries) model
   in
   match r.Mip.status with
@@ -562,7 +562,7 @@ let solve ?(config = default_config) inst =
   let nf = Instance.nflows inst and nq = Instance.nscenarios inst in
   let scen_loss_opt =
     match config.gamma with
-    | Some _ -> Scenbest.scen_loss_optimal inst
+    | Some _ -> Scenbest.scen_loss_optimal ~jobs:config.jobs inst
     | None -> Array.make nq 0.
   in
   (* compiled here, in the calling domain; workers only read it *)
@@ -769,7 +769,10 @@ let solve ?(config = default_config) inst =
           Log.warn (fun m -> m "master did not produce a solution; stopping");
           stop := Some c_stop_master_failed
       | Some (z_new, bound) ->
-          master_bound := Float.max !master_bound bound;
+          (* under a Hamming row the master is optimal only inside its
+             trust region, so its bound is no bound on the penalty *)
+          if Option.is_none config.hamming_limit then
+            master_bound := Float.max !master_bound bound;
           let flips = ref 0 in
           for fid = 0 to nf - 1 do
             for q = 0 to nq - 1 do

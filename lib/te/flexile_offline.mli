@@ -4,7 +4,9 @@
 
     Implements Algorithm 1 with the paper's accelerations:
     - the problem is decomposed into a master MIP proposing critical
-      scenarios and one small LP subproblem per scenario;
+      scenarios and one small LP subproblem per scenario; each
+      master's branch and bound stops after 400 node LPs, so the plan
+      does not depend on the host's speed;
     - subproblems use the RHS-only reformulation (17)-(18): one
       template LP is compiled per {!solve}, every scenario solves a
       copy of it cold under its own RHS, and one scenario's dual
@@ -31,7 +33,10 @@ type config = {
       (** outer iterations (subproblem sweeps); the paper uses 5.  The
           starting point's sweep always runs *)
   hamming_limit : int option;
-      (** max flips of z per iteration; [None] disables (23) *)
+      (** max flips of z per iteration; [None] disables (23).  A master
+          under this row is optimal only inside its trust region, so
+          with a limit no master bound reaches [lower_bound] or the
+          stop rule *)
   gamma : float option;
       (** §4.4: bound every flow's loss in scenario q by
           [gamma + optimal ScenLoss of q] *)
@@ -44,10 +49,6 @@ type config = {
           {!Scenario_engine}); [0] = auto ([FLEXILE_JOBS] or one per
           core).  No worker keeps state across scenarios, so the result
           is bit-identical for every job count *)
-  master : Flexile_lp.Mip.options;
-      (** the default stops each master on its 400-node budget only
-          (no wall-clock limit), so the plan does not depend on the
-          host's speed *)
 }
 
 val default_config : config
@@ -67,7 +68,8 @@ type result = {
   lower_bound : float;
       (** the largest bound of the masters solved, or [0.] when none
           was (the starting point's sweep closed the gap, or
-          [max_iterations = 1]).  A valid lower bound on the optimal
+          [max_iterations = 1]) or when [hamming_limit] is set.  A
+          valid lower bound on the optimal
           penalty up to the subproblems' secondary loss objective
           (<= ~1e-3) *)
   subproblems_solved : int;

@@ -1,19 +1,15 @@
 module Lp_model = Flexile_lp.Lp_model
 module Mip = Flexile_lp.Mip
 module Failure_model = Flexile_failure.Failure_model
-module Trace = Flexile_util.Trace
 
 type result = {
   losses : Instance.losses;
   penalty : float;
   bound : float;
   optimal : bool;
-  wall_time : float;
 }
 
-let solve ?(options = { Flexile_lp.Mip.default_options with node_limit = 2000; time_limit = 3600. })
-    ?jobs inst =
-  let t0 = Trace.now_s () in
+let solve ?(node_limit = 2000) ?jobs inst =
   let nq = Instance.nscenarios inst in
   let nf = Instance.nflows inst in
   let model = Lp_model.create ~name:"flexile-ip" () in
@@ -87,7 +83,7 @@ let solve ?(options = { Flexile_lp.Mip.default_options with node_limit = 2000; t
           ignore (Lp_model.add_row model Lp_model.Ge target coeffs)
       end)
     inst.Instance.flows;
-  let r = Mip.solve ~options ~binaries:(Array.of_list !binaries) model in
+  let r = Mip.solve ~node_limit ~binaries:(Array.of_list !binaries) model in
   let losses =
     match r.Mip.status with
     | Mip.Optimal | Mip.Feasible ->
@@ -107,5 +103,4 @@ let solve ?(options = { Flexile_lp.Mip.default_options with node_limit = 2000; t
       | _ -> infinity);
     bound = r.Mip.bound;
     optimal = r.Mip.status = Mip.Optimal;
-    wall_time = Trace.now_s () -. t0;
   }

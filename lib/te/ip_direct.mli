@@ -8,9 +8,11 @@ type result = {
   losses : Instance.losses;
   penalty : float;  (** optimal (or best incumbent) weighted PercLoss *)
   bound : float;  (** proven lower bound *)
-  optimal : bool;
-  wall_time : float;
+  optimal : bool;  (** false when the node budget stopped the search *)
 }
 
-val solve : ?options:Flexile_lp.Mip.options -> ?jobs:int -> Instance.t -> result
-(** [jobs] parallelizes the post-analysis loss sweep (0 = auto). *)
+val solve : ?node_limit:int -> ?jobs:int -> Instance.t -> result
+(** [node_limit] bounds the branch-and-bound (default 2000 node LPs;
+    the quick profile's Fig 15 passes a smaller budget); the answer
+    depends only on the instance and that budget.  [jobs] parallelizes
+    the post-analysis loss sweep (0 = auto). *)

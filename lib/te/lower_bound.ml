@@ -49,4 +49,4 @@ let isolated_losses inst =
 
 let perc_loss_lower_bound inst ~cls =
   let iso = isolated_losses inst in
-  Metrics.perc_loss inst iso ~cls ()
+  Metrics.perc_loss inst iso ~cls

@@ -10,10 +10,8 @@ let weighted_losses inst losses (f : Instance.flow) =
 let flow_loss_var inst losses f ~beta =
   Stats.weighted_var (weighted_losses inst losses f) ~beta
 
-let perc_loss inst losses ~cls ?beta () =
-  let beta =
-    match beta with Some b -> b | None -> inst.Instance.classes.(cls).Instance.beta
-  in
+let perc_loss inst losses ~cls =
+  let beta = inst.Instance.classes.(cls).Instance.beta in
   Array.fold_left
     (fun acc (f : Instance.flow) ->
       if f.Instance.cls = cls && f.Instance.demand > 0. then
@@ -21,13 +19,11 @@ let perc_loss inst losses ~cls ?beta () =
       else acc)
     0. inst.Instance.flows
 
-let scen_loss inst losses ~sid ?(connected_only = true) () =
+let scen_loss inst losses ~sid =
   Array.fold_left
     (fun acc (f : Instance.flow) ->
-      if
-        f.Instance.demand > 0.
-        && ((not connected_only) || Instance.flow_connected inst f sid)
-      then Float.max acc losses.(f.Instance.fid).(sid)
+      if f.Instance.demand > 0. && Instance.flow_connected inst f sid then
+        Float.max acc losses.(f.Instance.fid).(sid)
       else acc)
     0. inst.Instance.flows
 
@@ -52,8 +48,8 @@ let scenario_penalty_cdf inst losses ~baseline =
     Array.map
       (fun (s : Failure_model.scenario) ->
         let sid = s.Failure_model.sid in
-        let p = scen_loss inst losses ~sid () in
-        let b = scen_loss inst baseline ~sid () in
+        let p = scen_loss inst losses ~sid in
+        let b = scen_loss inst baseline ~sid in
         (Float.max 0. (p -. b), s.Failure_model.prob))
       inst.Instance.scenarios
   in
@@ -83,6 +79,6 @@ let total_weighted_penalty inst losses =
   let acc = ref 0. in
   Array.iteri
     (fun k (c : Instance.cls) ->
-      acc := !acc +. (c.Instance.weight *. perc_loss inst losses ~cls:k ()))
+      acc := !acc +. (c.Instance.weight *. perc_loss inst losses ~cls:k))
     inst.Instance.classes;
   !acc

@@ -9,15 +9,15 @@ val flow_loss_var : Instance.t -> Instance.losses -> Instance.flow -> beta:float
 (** FlowLoss(f, beta): the beta-percentile of the flow's loss across
     failure scenarios (Definition 4.1). *)
 
-val perc_loss : Instance.t -> Instance.losses -> cls:int -> ?beta:float -> unit -> float
+val perc_loss : Instance.t -> Instance.losses -> cls:int -> float
 (** PercLoss_k (Definition 4.2): max over the class's flows of
-    FlowLoss(f, beta).  [beta] defaults to the class target.  Flows
-    with zero demand are ignored. *)
+    FlowLoss(f, beta), beta the class target.  Flows with zero demand
+    are ignored. *)
 
-val scen_loss : Instance.t -> Instance.losses -> sid:int -> ?connected_only:bool -> unit -> float
-(** ScenLoss_q (Definition 2.1): worst flow loss in a scenario.  With
-    [connected_only] (default true) disconnected flows are excluded,
-    as in the paper's §6.3 comparison. *)
+val scen_loss : Instance.t -> Instance.losses -> sid:int -> float
+(** ScenLoss_q (Definition 2.1): worst flow loss in a scenario over
+    the flows it leaves connected, as in the paper's §6.3
+    comparison. *)
 
 val flow_var_cdf :
   Instance.t -> Instance.losses -> cls:int -> beta:float -> (float * float) list

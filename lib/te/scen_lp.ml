@@ -199,8 +199,11 @@ let binding_edges ctx (row_duals : float array) =
    re-optimizes from the previous level's basis (the first level from
    the nominal basis); freezing a flow caps its loss and deactivates
    its row. *)
+(* a max-min solves at most this many levels *)
+let max_levels = 12
+
 let maxmin ~cold inst ~sid ~class_order ?(merge_classes = false)
-    ?(freeze_routing = false) ?(prefrozen = []) ?(max_levels = 12) ?duals () =
+    ?(freeze_routing = false) ?(prefrozen = []) ?duals () =
   let ctx = build inst ~sid in
   (* bottleneck attribution hook: hand the caller the capacity-row
      duals of the first optimal solve — the binding edges while the

@@ -69,7 +69,6 @@ val maxmin_losses :
   ?merge_classes:bool ->
   ?freeze_routing:bool ->
   ?prefrozen:(int * float) list ->
-  ?max_levels:int ->
   ?duals:((int * float) list -> unit) ->
   unit ->
   (int * float) list
@@ -88,7 +87,8 @@ val maxmin_losses :
     the {e first} optimal solve (the bottlenecks while the top
     priority group is served) — threaded out of the simplex solution
     already computed, never a re-solve.  Returns [(fid, loss)] for
-    every positive-demand flow of the listed classes.
+    every positive-demand flow of the listed classes.  At most 12
+    levels are solved.
 
     Every level re-optimizes with {!Flexile_lp.Simplex.solve_warm},
     the first from the nominal basis, the rest from the previous
@@ -97,7 +97,7 @@ val maxmin_losses :
     arguments: not on call order, earlier calls or the domain. *)
 
 (* test oracle: the warm restarts of [maxmin_losses] are checked
-   against it *)
+   against it, with each of its options, in test_online.ml *)
 val maxmin_losses_cold :
   Instance.t ->
   sid:int ->
@@ -105,11 +105,10 @@ val maxmin_losses_cold :
   ?merge_classes:bool ->
   ?freeze_routing:bool ->
   ?prefrozen:(int * float) list ->
-  ?max_levels:int ->
   ?duals:((int * float) list -> unit) ->
   unit ->
   (int * float) list
-  [@@lint.allow "u1-unused-export"]
+  [@@lint.allow "u1-unused-export u2-single-value-knob"]
 (** {!maxmin_losses} with every LP solved cold, from the slack basis,
     on the same configured template: the reference the warm restarts
     are tested against.  No scheme uses it. *)

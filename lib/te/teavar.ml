@@ -9,14 +9,10 @@ type result = {
   rounds : int;
 }
 
-let run ?beta ?jobs inst =
+let run ?jobs inst =
   if Array.length inst.Instance.classes <> 1 then
     invalid_arg "Teavar.run: single traffic class only";
-  let beta =
-    match beta with
-    | Some b -> b
-    | None -> inst.Instance.classes.(0).Instance.beta
-  in
+  let beta = inst.Instance.classes.(0).Instance.beta in
   let flows = Instance.flows_of_class inst 0 in
   (* TeaVar's s_q is shared by every flow of scenario q, so scenarios
      merge only when they leave every pair the same alive tunnels and

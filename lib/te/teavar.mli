@@ -23,6 +23,6 @@ type result = {
   rounds : int;  (** row-generation rounds *)
 }
 
-val run : ?beta:float -> ?jobs:int -> Instance.t -> result
-(** [beta] defaults to the instance's class-0 target.  [jobs]
+val run : ?jobs:int -> Instance.t -> result
+(** The CVaR level beta is the instance's class target.  [jobs]
     parallelizes the post-analysis loss sweep (0 = auto). *)

@@ -34,19 +34,16 @@ let perturb ~seed ~sigma demands =
       d *. Float.exp (sigma *. (!z -. 6.)))
     demands
 
-let drift_states ~seed ~npairs ?(sigma = 0.1) ?(nstates = 2)
-    ?(total_prob = 0.2) () =
-  if nstates <= 0 then invalid_arg "Gravity.drift_states: nstates <= 0";
-  if total_prob <= 0. || total_prob >= 0.5 then
-    invalid_arg "Gravity.drift_states: total probability out of (0,0.5)";
-  let p = total_prob /. float_of_int nstates in
-  let ones = Array.make npairs 1. in
-  Array.init nstates (fun _ -> (p, perturb ~seed ~sigma ones))
+(* Drift: two perturbation vectors of spread 0.1 sharing probability
+   0.2, below the 0.5 enumeration bound. *)
+let drift_sigma = 0.1
+let drift_nstates = 2
+let drift_total_prob = 0.2
 
-let diurnal_levels ?(amplitude = 0.25) () =
-  if amplitude <= 0. || amplitude >= 1. then
-    invalid_arg "Gravity.diurnal_levels: amplitude out of (0,1)";
-  [| (1. +. amplitude, 0.2); (1. -. amplitude, 0.2) |]
+let drift_states ~seed ~npairs () =
+  let p = drift_total_prob /. float_of_int drift_nstates in
+  let ones = Array.make npairs 1. in
+  Array.init drift_nstates (fun _ -> (p, perturb ~seed ~sigma:drift_sigma ones))
 
 let split_two_class ~seed ~low_scale demands =
   let high = Array.make (Array.length demands) 0. in

@@ -22,26 +22,13 @@ val scale_to_mlu :
     the input is not positive. *)
 
 val drift_states :
-  seed:Flexile_util.Prng.t ->
-  npairs:int ->
-  ?sigma:float ->
-  ?nstates:int ->
-  ?total_prob:float ->
-  unit ->
-  (float * float array) array
-(** Demand-drift states for a scenario generator: [nstates] (default
-    2) perturbation vectors of per-pair factors [exp (sigma * z)] with
-    [z] approximately standard normal (Irwin-Hall sum of 12 uniforms,
-    exactly 12 draws per pair; sigma default 0.1), each carrying
-    probability [total_prob / nstates]
-    (total default 0.2, must stay below the 0.5 enumeration bound).
-    Feed to [Failure_model.demand_states] via the builder. *)
-
-val diurnal_levels : ?amplitude:float -> unit -> (float * float) array
-(** Diurnal scaling levels [(scale, probability)] for
-    [Failure_model.diurnal]: peak [1 + amplitude] and trough
-    [1 - amplitude] (default amplitude 0.25) at probability 0.2
-    each. *)
+  seed:Flexile_util.Prng.t -> npairs:int -> unit -> (float * float array) array
+(** Demand-drift states for a scenario generator: 2 perturbation
+    vectors of per-pair factors [exp (0.1 * z)] with [z] approximately
+    standard normal (Irwin-Hall sum of 12 uniforms, exactly 12 draws
+    per pair), each carrying probability 0.1 (0.2 in all, below the 0.5
+    enumeration bound).  Feed to [Failure_model.demand_states] via the
+    builder. *)
 
 val split_two_class :
   seed:Flexile_util.Prng.t ->

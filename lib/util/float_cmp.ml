@@ -1,4 +1,4 @@
-let eq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
+let eq a b = Float.abs (a -. b) <= 1e-9
 
 (* The one sanctioned home for exact IEEE equality: callers name the
    intent instead of writing a bare [=] that rule d2-float-eq would

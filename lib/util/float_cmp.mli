@@ -8,9 +8,9 @@
     intent — tolerance or deliberate exact IEEE equality — explicit at
     the call site. *)
 
-val eq : ?eps:float -> float -> float -> bool
-(** [eq a b] is [|a - b| <= eps] ([eps] defaults to [1e-9]).  False if
-    either argument is NaN. *)
+val eq : float -> float -> bool
+(** [eq a b] is [|a - b| <= 1e-9].  False if either argument is
+    NaN. *)
 
 val nonzero : float -> bool
 (** Exact IEEE [x <> 0.] ([-0.] is zero, NaN is nonzero).  For sparsity

@@ -38,7 +38,7 @@ let solve inst =
 
 let promises inst losses =
   Array.init (Array.length inst.Instance.classes) (fun k ->
-      Metrics.perc_loss inst losses ~cls:k ())
+      Metrics.perc_loss inst losses ~cls:k)
 
 (* one (instance, offline) pair per mix, shared across tests *)
 let setup =

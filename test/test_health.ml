@@ -35,7 +35,7 @@ let test_eta_limit_walk () =
   for trial = 1 to 10 do
     let m = random_lp prng ~nv:12 ~nr:10 in
     let sol, h =
-      Simplex.solve_doctor ~eta_limit:1 ~thresholds:Health.default_thresholds m
+      Simplex.solve_doctor ~eta_limit:1 m
     in
     let samples = Health.samples h in
     (match sol.Simplex.status with
@@ -72,7 +72,8 @@ let test_eta_limit_walk () =
    per-domain stride of 16 (exactly one hit per 16 consecutive
    opportunities, wherever in the cycle the counter currently is) *)
 let test_sampling_stride () =
-  let cap = Health.make ~capture:true 4 in
+  let cap = Health.make 4 in
+  Health.set_capture cap true;
   for _ = 1 to 40 do
     Alcotest.(check bool) "capture always due" true (Health.sample_due cap)
   done;
@@ -165,7 +166,7 @@ let test_healthy_suite_silent () =
   let prng = Prng.of_string "health-silent" in
   for trial = 1 to 25 do
     let m = random_lp prng ~nv:(4 + Prng.int prng 10) ~nr:(3 + Prng.int prng 8) in
-    let _, h = Simplex.solve_doctor ~thresholds:Health.default_thresholds m in
+    let _, h = Simplex.solve_doctor m in
     List.iter
       (fun (s : Health.sample) ->
         if s.Health.s_tripped <> [] then
@@ -350,8 +351,7 @@ let test_auto_dump_eta_limit () =
   with_dump_dir @@ fun dir ->
   let model = Option.get (Doctor.fixture "near-singular") in
   ignore
-    (Simplex.solve_doctor ~eta_limit:1 ~thresholds:Health.default_thresholds
-       model);
+    (Simplex.solve_doctor ~eta_limit:1 model);
   match
     Health.read_dump
       (Filename.concat dir "health-dump-near-singular-fixture.json")

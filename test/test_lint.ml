@@ -252,14 +252,15 @@ let json_shape () =
     fs
 
 let rules_documented () =
-  Alcotest.(check int) "eleven rules" 11 (List.length E.rules);
+  Alcotest.(check int) "twelve rules" 12 (List.length E.rules);
   List.iter
     (fun id ->
       if not (List.mem_assoc id E.rules) then Alcotest.failf "missing %s" id)
     [
       "d1-nondet"; "d2-float-eq"; "d3-tbl-order"; "c1-concurrency";
       "c2-global-mut"; "h1-io"; "i1-trans-nondet"; "i2-shard-capture";
-      "i3-noalloc"; "u1-unused-export"; "s1-stale-suppress";
+      "i3-noalloc"; "u1-unused-export"; "u2-single-value-knob";
+      "s1-stale-suppress";
     ]
 
 let render () =

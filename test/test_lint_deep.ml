@@ -228,18 +228,19 @@ let u1_negatives () =
       Alcotest.(check bool) (name ^ " stays clean") false (u1_flagged name))
     [ "table"; "oracle"; "called_allowed" ]
 
-(* The fixture interface judged as lib/ code, where u1 is active: the
-   allow on the uncalled oracle is used, the one on the called val is
-   stale, which --strict-suppressions makes a finding. *)
-let u1_suppression_and_staleness () =
-  let mli = "test/lintfx/fx_export.mli" in
+(* A fixture interface judged as lib/ code, where [rule] is active:
+   the allow on the knob or val without a second caller is used, the
+   one on the called or passed val is stale, which
+   --strict-suppressions makes a finding. *)
+let suppression_and_staleness ~rule mli () =
   let path =
-    match List.find_opt Sys.file_exists [ "lintfx/fx_export.mli"; mli ] with
+    match List.find_opt Sys.file_exists [ "lintfx/" ^ mli; "test/lintfx/" ^ mli ] with
     | Some p -> p
-    | None -> Alcotest.fail "fixture source fx_export.mli not found"
+    | None -> Alcotest.failf "fixture source %s not found" mli
   in
   let syntactic =
-    L.check_source ~file:mli (In_channel.with_open_bin path In_channel.input_all)
+    L.check_source ~file:("test/lintfx/" ^ mli)
+      (In_channel.with_open_bin path In_channel.input_all)
   in
   let into_lib s = { s with L.a_file = "lib/" ^ s.L.a_file } in
   let r = L.merge [ syntactic; Lazy.force report ] in
@@ -250,21 +251,19 @@ let u1_suppression_and_staleness () =
       used_allows = List.map into_lib r.L.used_allows;
     }
   in
-  let u1_sites l =
+  let sites l =
     List.filter_map
       (fun s ->
-        if s.L.a_id = "u1-unused-export" && has_suffix s.L.a_file "fx_export.mli"
-        then Some s.L.a_line
+        if s.L.a_id = rule && has_suffix s.L.a_file mli then Some s.L.a_line
         else None)
       l
   in
-  match (u1_sites r.L.declared_allows, u1_sites r.L.used_allows) with
-  | [ oracle; called ], [ used ] ->
-      Alcotest.(check int) "the oracle's allow is used" oracle used;
+  match (sites r.L.declared_allows, sites r.L.used_allows) with
+  | [ kept; called ], [ used ] ->
+      Alcotest.(check int) "the kept val's allow is used" kept used;
       let stale =
         List.filter
-          (fun st ->
-            st.L.st_kind = "allow-attribute" && st.L.st_id = "u1-unused-export")
+          (fun st -> st.L.st_kind = "allow-attribute" && st.L.st_id = rule)
           (L.stale_suppressions ~deep:true r)
       in
       Alcotest.(check (list int)) "the called val's allow is stale" [ called ]
@@ -275,13 +274,68 @@ let u1_suppression_and_staleness () =
             (L.finding_of_stale st).L.rule)
         stale
   | d, u ->
-      Alcotest.failf "expected 2 declared and 1 used u1 allows, got %d and %d"
-        (List.length d) (List.length u)
+      Alcotest.failf "expected 2 declared and 1 used %s allows, got %d and %d"
+        rule (List.length d) (List.length u)
+
+(* ---- u2 ---- *)
+
+(* the test zone's pass: a real caller that u2 must not count *)
+let _ = Flexile_lintfx.Fx_knob.test_passed ~scale:3 0
+
+let u2_flagged what =
+  List.exists
+    (fun f ->
+      has_suffix f.L.file "lintfx/fx_knob.mli"
+      && contains f.L.message ("Flexile_lintfx.Fx_knob." ^ what ^ ":"))
+    (findings "u2-single-value-knob")
+
+let u2_positives () =
+  Alcotest.(check int) "u2 count" 4
+    (List.length (findings "u2-single-value-knob"));
+  List.iter
+    (fun (what, why) -> Alcotest.(check bool) why true (u2_flagged what))
+    [
+      ("never ?scale", "optional nothing passes flagged");
+      ("test_passed ?scale", "optional passed only from test/ flagged");
+      ("first_class ?scale", "optional of a first-class use flagged");
+      ("opts.defaulted", "field only the default sets flagged");
+    ]
+
+let u2_negatives () =
+  List.iter
+    (fun what ->
+      Alcotest.(check bool) (what ^ " stays clean") false (u2_flagged what))
+    [ "forwarded ?scale"; "kept ?scale"; "passed_allowed ?scale"; "opts.overridden" ]
+
+(* ---- d1: a clock read deciding a branch ---- *)
+
+let clock_findings () =
+  List.filter
+    (fun f -> has_suffix f.L.file "lintfx/fx_clock.ml")
+    (findings "d1-nondet")
+
+let d1_clock_in_branch () =
+  let fs = clock_findings () in
+  Alcotest.(check int) "if, while and when" 3 (List.length fs);
+  List.iter
+    (fun fn ->
+      Alcotest.(check bool) (fn ^ " flagged") true
+        (List.exists
+           (fun f -> contains f.L.message ("Flexile_lintfx.Fx_clock." ^ fn ^ ","))
+           fs))
+    [ "deadline"; "spin"; "pick" ];
+  List.iter
+    (fun fn ->
+      Alcotest.(check bool) (fn ^ " stays clean") false
+        (List.exists
+           (fun f -> contains f.L.message ("Flexile_lintfx.Fx_clock." ^ fn ^ ","))
+           fs))
+    [ "elapsed"; "late" ]
 
 (* ---- plumbing ---- *)
 
 let total_findings () =
-  Alcotest.(check int) "exactly the seeded findings" 11
+  Alcotest.(check int) "exactly the seeded findings" 18
     (List.length (Lazy.force report).L.findings)
 
 let cmt_error () =
@@ -318,8 +372,17 @@ let () =
           Alcotest.test_case "positives" `Quick u1_positives;
           Alcotest.test_case "negatives" `Quick u1_negatives;
           Alcotest.test_case "suppression and staleness" `Quick
-            u1_suppression_and_staleness;
+            (suppression_and_staleness ~rule:"u1-unused-export" "fx_export.mli");
         ] );
+      ( "u2",
+        [
+          Alcotest.test_case "positives" `Quick u2_positives;
+          Alcotest.test_case "negatives" `Quick u2_negatives;
+          Alcotest.test_case "suppression and staleness" `Quick
+            (suppression_and_staleness ~rule:"u2-single-value-knob" "fx_knob.mli");
+        ] );
+      ( "d1",
+        [ Alcotest.test_case "clock read in a branch" `Quick d1_clock_in_branch ] );
       ( "plumbing",
         [
           Alcotest.test_case "total findings" `Quick total_findings;

@@ -355,7 +355,7 @@ let test_mip_stop_counters () =
   let names =
     [
       "mip.nodes"; "mip.open_nodes_at_stop"; "mip.stop_exhausted";
-      "mip.stop_node_limit"; "mip.stop_time_limit";
+      "mip.stop_node_limit";
     ]
   in
   let counts () = List.map Trace.value_by_name names in
@@ -371,16 +371,15 @@ let test_mip_stop_counters () =
     Lp_model.add_row m Lp_model.Le 17.5
       (Array.to_list (Array.mapi (fun i v -> (v, float_of_int (3 + (i mod 4)))) items))
   in
-  let options = { Mip.default_options with Mip.node_limit = 4 } in
   let before = counts () in
-  let r = Mip.solve ~options ~binaries:items m in
+  let r = Mip.solve ~node_limit:4 ~binaries:items m in
   (match delta before with
-  | [ nodes; open_; exhausted; node_limit; time_limit ] ->
+  | [ nodes; open_; exhausted; node_limit ] ->
       Alcotest.(check int) "nodes solved" 4 nodes;
       Alcotest.(check int) "result agrees" r.Mip.nodes nodes;
       Alcotest.(check bool) "nodes left open" true (open_ >= 1);
-      Alcotest.(check (list int)) "stopped by the node limit" [ 0; 1; 0 ]
-        [ exhausted; node_limit; time_limit ]
+      Alcotest.(check (list int)) "stopped by the node limit" [ 0; 1 ]
+        [ exhausted; node_limit ]
   | _ -> assert false);
   Alcotest.(check bool) "not proven optimal" true (r.Mip.status <> Mip.Optimal);
   let before = counts () in
@@ -389,7 +388,7 @@ let test_mip_stop_counters () =
     (r.Mip.status = Mip.Optimal);
   Alcotest.(check bool) "and needs more than four nodes" true (r.Mip.nodes > 4);
   Alcotest.(check (list int)) "exhausted: nodes, none open, one stop"
-    [ r.Mip.nodes; 0; 1; 0; 0 ] (delta before)
+    [ r.Mip.nodes; 0; 1; 0 ] (delta before)
 
 let test_mip_heuristic_used () =
   (* A model where the rounding heuristic immediately gives the optimum;

@@ -68,11 +68,11 @@ let test_perc_loss_max_over_flows () =
   (* class hi flows: 0 and 1; give flow 1 a constant 0.2 loss *)
   Array.fill losses.(1) 0 (Instance.nscenarios inst) 0.2;
   check_float ~msg:"PercLoss hi = max over flows" 0.2
-    (Metrics.perc_loss inst losses ~cls:0 ());
+    (Metrics.perc_loss inst losses ~cls:0);
   (* zero-demand flow 3 (class lo, pair 1) must be ignored *)
   Array.fill losses.(3) 0 (Instance.nscenarios inst) 0.9;
   check_float ~msg:"zero-demand flow ignored" 0.
-    (Metrics.perc_loss inst losses ~cls:1 ())
+    (Metrics.perc_loss inst losses ~cls:1)
 
 let test_scen_loss () =
   let inst = make_inst () in
@@ -81,7 +81,7 @@ let test_scen_loss () =
   losses.(0).(0) <- 0.3;
   losses.(1).(0) <- 0.5;
   check_float ~msg:"worst flow in scenario" 0.5
-    (Metrics.scen_loss inst losses ~sid:0 ());
+    (Metrics.scen_loss inst losses ~sid:0);
   (* disconnected flows excluded by default: find a scenario where
      edge 0 is dead -> flow 0 disconnected there *)
   let sid =
@@ -96,9 +96,7 @@ let test_scen_loss () =
   losses.(0).(sid) <- 1.0;
   losses.(1).(sid) <- 0.1;
   check_float ~msg:"disconnected excluded" 0.1
-    (Metrics.scen_loss inst losses ~sid ());
-  check_float ~msg:"disconnected included" 1.0
-    (Metrics.scen_loss inst losses ~sid ~connected_only:false ())
+    (Metrics.scen_loss inst losses ~sid)
 
 let test_weighted_penalty () =
   let inst = make_inst () in
@@ -162,14 +160,14 @@ let test_unenumerated_mass_is_worst_loss () =
   check_float ~msg:"beta 0.8 within observed mass -> 0" 0.
     (Metrics.flow_loss_var inst losses f0 ~beta:0.8);
   check_float ~msg:"PercLoss hi saturates" 1.0
-    (Metrics.perc_loss inst losses ~cls:0 ());
+    (Metrics.perc_loss inst losses ~cls:0);
   check_float ~msg:"PercLoss lo unaffected" 0.
-    (Metrics.perc_loss inst losses ~cls:1 ());
+    (Metrics.perc_loss inst losses ~cls:1);
   (* zero-demand flow 3 (class lo, pair 1) stays ignored even under
      partial enumeration *)
   Array.fill losses.(3) 0 (Instance.nscenarios inst) 0.9;
   check_float ~msg:"zero-demand flow ignored" 0.
-    (Metrics.perc_loss inst losses ~cls:1 ())
+    (Metrics.perc_loss inst losses ~cls:1)
 
 let test_beta_one_full_enumeration () =
   (* beta = 1.0 over the full (mass-1) enumeration: the VaR is the
@@ -184,8 +182,13 @@ let test_beta_one_full_enumeration () =
     inst.Instance.scenarios;
   check_float ~msg:"beta 1.0 = max observed loss" 0.4
     (Metrics.flow_loss_var inst losses f0 ~beta:1.0);
-  check_float ~msg:"PercLoss at explicit beta 1.0" 0.4
-    (Metrics.perc_loss inst losses ~cls:0 ~beta:1.0 ())
+  let at_one =
+    Instance.with_classes inst
+      (Array.map (fun (c : Instance.cls) -> { c with Instance.beta = 1.0 })
+         inst.Instance.classes)
+  in
+  check_float ~msg:"PercLoss at class target 1.0" 0.4
+    (Metrics.perc_loss at_one losses ~cls:0)
 
 let test_single_scenario_degenerate () =
   (* one scenario (all-alive, mass 0.729): the percentile either falls
@@ -231,9 +234,7 @@ let test_scen_loss_fully_disconnected () =
   losses.(0).(sid) <- 1.0;
   losses.(1).(sid) <- 1.0;
   check_float ~msg:"connected-only over no flows" 0.
-    (Metrics.scen_loss inst losses ~sid ());
-  check_float ~msg:"including disconnected" 1.0
-    (Metrics.scen_loss inst losses ~sid ~connected_only:false ())
+    (Metrics.scen_loss inst losses ~sid)
 
 let () =
   Alcotest.run "flexile_metrics"

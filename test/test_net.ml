@@ -253,6 +253,47 @@ let test_gml_errors () =
             (has "not finite")
       | Ok _ -> Alcotest.failf "capacity %s accepted" cap)
     [ "inf"; "1e400"; "nan"; {|"inf"|} ];
+  (* a capacity that is not positive is an error, not a unit link *)
+  List.iter
+    (fun cap ->
+      let text =
+        Printf.sprintf
+          "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 \
+           capacity %s ] ]"
+          cap
+      in
+      match Gml.parse ~prune:false text with
+      | Error e ->
+          let sub = "is not positive" in
+          let n = String.length sub in
+          let rec has i =
+            i + n <= String.length e && (String.sub e i n = sub || has (i + 1))
+          in
+          Alcotest.(check bool) (cap ^ ": says not positive") true (has 0)
+      | Ok _ -> Alcotest.failf "capacity %s accepted" cap)
+    [ "0"; "-5" ];
+  (* LinkSpeedRaw is bits/s: a 10 Gb/s link is a hundred times a
+     100 Mb/s one, whatever LinkSpeed and LinkSpeedUnits say *)
+  let zoo =
+    {|graph [ node [ id 0 ] node [ id 1 ] node [ id 2 ]
+       edge [ source 0 target 1 LinkSpeed "10" LinkSpeedUnits "G"
+              LinkSpeedRaw 10000000000 ]
+       edge [ source 1 target 2 LinkSpeed "100" LinkSpeedUnits "M"
+              LinkSpeedRaw 100000000 ] ]|}
+  in
+  let g = parse_ok ~prune:false zoo in
+  Alcotest.(check (list (float 0.))) "capacities in bits/s" [ 1e10; 1e8 ]
+    (Array.to_list (Array.map (fun (e : Graph.edge) -> e.Graph.capacity) g.Graph.edges));
+  (* an edge without LinkSpeedRaw beside one with it would get a
+     capacity in another unit: an error, not a near-zero link *)
+  let mixed =
+    {|graph [ node [ id 0 ] node [ id 1 ] node [ id 2 ]
+       edge [ source 0 target 1 LinkSpeed "10" LinkSpeedRaw 10000000000 ]
+       edge [ source 1 target 2 LinkSpeed "10" ] ]|}
+  in
+  (match Gml.parse ~prune:false mixed with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "an edge without LinkSpeedRaw accepted beside one with it");
   let missing = Filename.temp_file "flexile-gml" ".gml" in
   Sys.remove missing;
   match Gml.load missing with

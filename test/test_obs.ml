@@ -21,7 +21,7 @@ let with_tracing enabled f =
 
 let promises inst losses =
   Array.init (Array.length inst.Instance.classes) (fun k ->
-      Metrics.perc_loss inst losses ~cls:k ())
+      Metrics.perc_loss inst losses ~cls:k)
 
 (* ---- Slo reconciles exactly with Metrics.perc_loss ---- *)
 
@@ -43,7 +43,7 @@ let test_slo_reconciles () =
     (Slo.scenarios_seen slo);
   Array.iteri
     (fun k _ ->
-      let direct = Metrics.perc_loss inst online ~cls:k () in
+      let direct = Metrics.perc_loss inst online ~cls:k in
       let tracked = observed_attainment slo ~cls:k in
       if Float.abs (direct -. tracked) > 1e-9 then
         Alcotest.failf "class %d: Slo %.12f vs Metrics %.12f" k tracked direct)
@@ -61,7 +61,7 @@ let test_slo_partial_is_conservative () =
     ~losses:(Array.init (Instance.nflows inst) (fun fid -> online.(fid).(0)));
   Array.iteri
     (fun k _ ->
-      let direct = Metrics.perc_loss inst online ~cls:k () in
+      let direct = Metrics.perc_loss inst online ~cls:k in
       if observed_attainment slo ~cls:k < direct -. 1e-12 then
         Alcotest.failf "class %d: partial coverage under-reported" k)
     inst.Instance.classes

@@ -9,6 +9,8 @@
 module FM = Flexile_failure.Failure_model
 module Prng = Flexile_util.Prng
 module Fc = Flexile_util.Float_cmp
+
+let close a b = Float.abs (a -. b) <= 1e-12
 module Instance = Flexile_te.Instance
 
 let quick name f = Alcotest.test_case name `Quick f
@@ -39,7 +41,7 @@ let test_mass_sums_to_one () =
             { FM.wname = "a"; wedges = [| 0 |]; wstart = 0.; wduration = 5. };
             { FM.wname = "b"; wedges = [| 1; 2 |]; wstart = 10.; wduration = 3. };
           ] );
-      ("diurnal", FM.diurnal ~nedges:3 ());
+      ("diurnal", FM.diurnal ~nedges:3);
     ]
   in
   List.iter
@@ -86,16 +88,16 @@ let test_truncated_coverage () =
    it is a member of the configured level set (or nominal 1). *)
 let test_partial_fraction_bounds () =
   let graph = ibm () in
-  let levels = [| (0., 0.4); (0.25, 0.4); (0.6, 0.2) |] in
-  let gen = FM.partial ~levels ~graph ~seed:(Prng.of_string "sg-frac") () in
+  let gen = FM.partial ~graph ~seed:(Prng.of_string "sg-frac") () in
   let scenarios = FM.enumerate ~max_scenarios:200 gen in
-  let allowed = 1. :: Array.to_list (Array.map fst levels) in
+  (* nominal, then the partial family's levels: a hard cut, 30%, 70% *)
+  let allowed = [ 1.; 0.; 0.3; 0.7 ] in
   Array.iter
     (fun (s : FM.scenario) ->
       Array.iter
         (fun f ->
           if f < 0. || f > 1. then Alcotest.failf "cap_frac %f out of [0,1]" f;
-          if not (List.exists (fun a -> Fc.eq ~eps:1e-12 a f) allowed) then
+          if not (List.exists (fun a -> close a f) allowed) then
             Alcotest.failf "cap_frac %f not in the configured level set" f)
         s.FM.cap_frac;
       (* alive mask must be derived from the fraction *)
@@ -204,7 +206,7 @@ let test_maintenance () =
                   (Seq.init 4 Fun.id)))
         in
         let expected =
-          if Fc.eq ~eps:1e-12 s.FM.prob w0 then [ 0 ] else [ 1; 2 ]
+          if close s.FM.prob w0 then [ 0 ] else [ 1; 2 ]
         in
         Alcotest.(check (list int)) "window edge set" expected dead
       end)
@@ -255,7 +257,7 @@ let test_demand_factors () =
     FM.demand_states ~nedges:2 ~name:"drift"
       [| (0.1, FM.Per_pair [| 2.; 0.5 |]) |]
   in
-  let diurnal = FM.diurnal ~nedges:2 ~levels:[| (1.5, 0.2) |] () in
+  let diurnal = FM.demand_states ~nedges:2 ~name:"diurnal" [| (0.2, FM.Scale 1.5) |] in
   let gen = FM.compose [ drift; diurnal ] in
   let scenarios = exhaustive gen in
   (match FM.pair_factors gen scenarios with
@@ -278,7 +280,7 @@ let test_demand_factors () =
             s.FM.failed_units;
           Array.iteri
             (fun p f ->
-              if not (Fc.eq ~eps:1e-12 f expected.(p)) then
+              if not (close f expected.(p)) then
                 Alcotest.failf "scenario %d pair %d factor %f /= %f" sid p f
                   expected.(p))
             pf.(sid))

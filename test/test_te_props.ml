@@ -41,8 +41,8 @@ let qcheck_scheme_invariants =
       let smore = Scenbest.run inst in
       let fx = (Flexile_scheme.run inst).Flexile_scheme.losses in
       let lb = Lower_bound.perc_loss_lower_bound inst ~cls:0 in
-      let p_smore = Metrics.perc_loss inst smore ~cls:0 () in
-      let p_fx = Metrics.perc_loss inst fx ~cls:0 () in
+      let p_smore = Metrics.perc_loss inst smore ~cls:0 in
+      let p_fx = Metrics.perc_loss inst fx ~cls:0 in
       losses_valid inst smore && losses_valid inst fx
       (* Flexile never loses to the scenario-by-scenario optimum at the
          percentile (Proposition 1 + iteration monotonicity) *)
@@ -61,7 +61,7 @@ let qcheck_maxmin_matches_minmax =
       let optimal = Scenbest.scen_loss_optimal inst in
       let ok = ref true in
       for sid = 0 to Instance.nscenarios inst - 1 do
-        let worst = Metrics.scen_loss inst maxmin ~sid () in
+        let worst = Metrics.scen_loss inst maxmin ~sid in
         if Float.abs (worst -. optimal.(sid)) > 1e-5 then ok := false
       done;
       !ok)
@@ -77,7 +77,7 @@ let qcheck_teavar_weaker_than_adaptive =
       let optimal = Scenbest.scen_loss_optimal inst in
       let ok = ref true in
       for sid = 0 to Instance.nscenarios inst - 1 do
-        let worst = Metrics.scen_loss inst tv ~sid () in
+        let worst = Metrics.scen_loss inst tv ~sid in
         if worst < optimal.(sid) -. 1e-5 then ok := false
       done;
       !ok)
@@ -96,14 +96,14 @@ let test_starting_point_at_optimum () =
       let optimal = Scenbest.scen_loss_optimal inst in
       for sid = 0 to Instance.nscenarios inst - 1 do
         let worst =
-          Metrics.scen_loss inst start.Flexile_offline.losses ~sid ()
+          Metrics.scen_loss inst start.Flexile_offline.losses ~sid
         in
         if worst > optimal.(sid) +. 1e-7 then
           Alcotest.failf "%s scenario %d: loss %.9g above the optimum %.9g"
             name sid worst optimal.(sid)
       done;
-      let p_smore = Metrics.perc_loss inst (Scenbest.run inst) ~cls:0 () in
-      let p_fx = Metrics.perc_loss inst r.Flexile_scheme.losses ~cls:0 () in
+      let p_smore = Metrics.perc_loss inst (Scenbest.run inst) ~cls:0 in
+      let p_fx = Metrics.perc_loss inst r.Flexile_scheme.losses ~cls:0 in
       if p_fx > p_smore +. 1e-5 then
         Alcotest.failf "%s: PercLoss %.9g (Flexile) > %.9g (ScenBest)" name
           p_fx p_smore)

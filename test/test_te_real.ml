@@ -98,8 +98,8 @@ let test_prop1_real () =
   let off = Flexile_offline.solve inst in
   let first = List.hd off.Flexile_offline.iterates in
   let scenbest = Scenbest.run inst in
-  let p0 = Metrics.perc_loss inst first.Flexile_offline.losses ~cls:0 () in
-  let pb = Metrics.perc_loss inst scenbest ~cls:0 () in
+  let p0 = Metrics.perc_loss inst first.Flexile_offline.losses ~cls:0 in
+  let pb = Metrics.perc_loss inst scenbest ~cls:0 in
   if p0 > pb +. 1e-5 then
     Alcotest.failf "starting point %.4f worse than ScenBest %.4f" p0 pb;
   let best = off.Flexile_offline.best.Flexile_offline.penalty in
@@ -112,7 +112,7 @@ let test_flexile_bounds () =
   let inst = Lazy.force sprint in
   let r = Flexile_scheme.run inst in
   let lb = Lower_bound.perc_loss_lower_bound inst ~cls:0 in
-  let fx = Metrics.perc_loss inst r.Flexile_scheme.losses ~cls:0 () in
+  let fx = Metrics.perc_loss inst r.Flexile_scheme.losses ~cls:0 in
   if fx < lb -. 1e-5 then Alcotest.failf "Flexile %.4f below lower bound %.4f" fx lb;
   let best = r.Flexile_scheme.offline.Flexile_offline.best in
   Array.iter
@@ -137,8 +137,8 @@ let test_two_class_priority () =
   List.iter
     (fun scheme ->
       let losses = Flexile_core.Schemes.run scheme inst in
-      let hi = Metrics.perc_loss inst losses ~cls:0 () in
-      let lo = Metrics.perc_loss inst losses ~cls:1 ~beta:0.99 () in
+      let hi = Metrics.perc_loss inst losses ~cls:0 in
+      let lo = Metrics.perc_loss inst losses ~cls:1 in
       if hi > lo +. 0.05 then
         Alcotest.failf "%s: high-priority PercLoss %.3f above low %.3f"
           (Flexile_core.Schemes.name scheme) hi lo)
@@ -161,14 +161,33 @@ let test_ip_reference () =
   let inst = Flexile_core.Builder.of_name ~options "Sprint" in
   let ip = Ip_direct.solve inst in
   if not ip.Ip_direct.optimal then Alcotest.fail "IP did not prove optimality";
-  let ip_perc = Metrics.perc_loss inst ip.Ip_direct.losses ~cls:0 () in
+  let ip_perc = Metrics.perc_loss inst ip.Ip_direct.losses ~cls:0 in
   let fx = Flexile_scheme.run inst in
-  let fx_perc = Metrics.perc_loss inst fx.Flexile_scheme.losses ~cls:0 () in
+  let fx_perc = Metrics.perc_loss inst fx.Flexile_scheme.losses ~cls:0 in
   if fx_perc < ip_perc -. 1e-4 then
     Alcotest.failf "Flexile %.4f beats the proven optimum %.4f?!" fx_perc ip_perc;
   if fx_perc > ip_perc +. 0.05 then
     Alcotest.failf "Flexile %.4f far from optimal %.4f on a tiny instance"
       fx_perc ip_perc
+
+(* Sprint with two classes, 30 scenarios and 40 pairs needs no added
+   capacity at zero PercLoss.  A depth-first search without an
+   incumbent needed 1,954 nodes to prove it; the repair heuristic finds
+   the plan the root relaxation's own routing carries, at the
+   relaxation's bound, so the proof needs the root alone. *)
+let test_augment_repair_heuristic () =
+  let options =
+    {
+      Flexile_core.Builder.default_options with
+      Flexile_core.Builder.max_scenarios = 30;
+      max_pairs = 40;
+    }
+  in
+  let inst = Flexile_core.Builder.of_name ~options ~two_classes:true "Sprint" in
+  let r = Augment.min_cost ~mode:`Per_flow ~perc_limit:[| 0.; 0. |] inst in
+  Alcotest.(check bool) "proven optimal" true (r.Augment.status = Flexile_lp.Mip.Optimal);
+  Alcotest.(check int) "at the root" 1 r.Augment.nodes;
+  Alcotest.(check (float 1e-9)) "no added capacity" 0. r.Augment.cost
 
 let test_max_scale_monotone () =
   (* sanity for the Fig 18 search: Flexile sustains at least as much
@@ -239,7 +258,7 @@ let teavar inst () =
   ( r.Teavar.cvar,
     (float_of_int r.Teavar.rounds :: flat2 r.Teavar.losses) @ flat2 r.Teavar.allocation )
 
-let cvar_flow (run : ?beta:float -> ?jobs:int -> Instance.t -> Cvar_flow.result) inst () =
+let cvar_flow (run : ?jobs:int -> Instance.t -> Cvar_flow.result) inst () =
   let r = run ~jobs:1 inst in
   ( r.Cvar_flow.max_flow_cvar,
     float_of_int r.Cvar_flow.rounds :: flat2 r.Cvar_flow.losses )
@@ -249,18 +268,19 @@ let ffc inst () =
   ( Array.fold_left ( +. ) 0. r.Ffc.granted,
     flat2 r.Ffc.losses @ Array.to_list r.Ffc.granted @ flat2 r.Ffc.allocation )
 
-let ip_budget =
-  { Flexile_lp.Mip.default_options with Flexile_lp.Mip.node_limit = 60; time_limit = infinity }
+let ip_budget = 60
 
 let ip_direct inst () =
-  let r = Ip_direct.solve ~options:ip_budget ~jobs:1 inst in
+  let r = Ip_direct.solve ~node_limit:ip_budget ~jobs:1 inst in
   ( r.Ip_direct.penalty,
     r.Ip_direct.bound :: bool_float r.Ip_direct.optimal :: flat2 r.Ip_direct.losses )
 
 let augment mode inst () =
   let perc_limit = Array.map (fun _ -> 0.) inst.Instance.classes in
-  let r = Augment.min_cost ~options:ip_budget ~mode ~perc_limit inst in
-  (r.Augment.cost, bool_float r.Augment.optimal :: Array.to_list r.Augment.added)
+  let r = Augment.min_cost ~node_limit:ip_budget ~mode ~perc_limit inst in
+  ( r.Augment.cost,
+    bool_float (r.Augment.status = Flexile_lp.Mip.Optimal)
+    :: Array.to_list r.Augment.added )
 
 let lower_bound inst () =
   let losses = Lower_bound.isolated_losses inst in
@@ -335,13 +355,13 @@ let golden_cases =
     ("ip-direct sprint two-class", ip_direct, golden_sprint2_tiny,
      "iters=4112 head=0x0p+0 md5=3dfec4d9b813e19467dfb568c06b76e1");
     ("augment common fig1", augment `Common, Flexile_core.Builder.fig1,
-     "iters=261 head=0x1p+1 md5=b160aa762a9adf477a3eac8304b7da6b");
+     "iters=175 head=0x1p+1 md5=b160aa762a9adf477a3eac8304b7da6b");
     ("augment per-flow fig1", augment `Per_flow, Flexile_core.Builder.fig1,
      "iters=50 head=0x1.1f28p-45 md5=418d2c7d1dd2a2376c431492ce75df87");
     ("augment common sprint", augment `Common, golden_sprint,
-     "iters=182 head=0x0p+0 md5=ab0e53a138dbb80f3f38390b2562eaf4");
+     "iters=92 head=0x0p+0 md5=ab0e53a138dbb80f3f38390b2562eaf4");
     ("augment per-flow sprint", augment `Per_flow, golden_sprint,
-     "iters=5690 head=0x0p+0 md5=ab0e53a138dbb80f3f38390b2562eaf4");
+     "iters=158 head=0x0p+0 md5=ab0e53a138dbb80f3f38390b2562eaf4");
     ("lower-bound fig1", lower_bound, Flexile_core.Builder.fig1,
      "iters=22 head=0x1.8p+2 md5=6846322037e3d5d907116ef4a0afeb42");
     ("lower-bound ibm", lower_bound, golden_ibm,
@@ -642,6 +662,7 @@ let () =
       ( "instances",
         [
           quick "instance invariants" test_instance_invariants;
+          quick "augment: repair heuristic proves Sprint" test_augment_repair_heuristic;
         ] );
       ( "schemes",
         [

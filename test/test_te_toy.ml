@@ -12,7 +12,7 @@ let check_float ~msg expected actual =
 
 let fig1 = Flexile_core.Builder.fig1 ()
 
-let perc inst losses = Metrics.perc_loss inst losses ~cls:0 ()
+let perc inst losses = Metrics.perc_loss inst losses ~cls:0
 
 (* In Fig 1's triangle, ScenBest can only guarantee 0.5 units at the
    99th percentile: when A-B fails, the scenario-optimal allocation
@@ -157,15 +157,26 @@ let test_fig1_scenloss_penalty () =
    while the scenario-centric plan must double both access links (the
    "2X upgrade" of §3). *)
 let test_capacity_augmentation () =
+  let optimal (r : Augment.result) = r.Augment.status = Flexile_lp.Mip.Optimal in
   let per_flow = Augment.min_cost ~mode:`Per_flow ~perc_limit:[| 0. |] fig1 in
-  if not per_flow.Augment.optimal then Alcotest.fail "per-flow MIP not optimal";
+  if not (optimal per_flow) then Alcotest.fail "per-flow MIP not optimal";
   check_float ~msg:"Flexile planning cost" 0. per_flow.Augment.cost;
   let common = Augment.min_cost ~mode:`Common ~perc_limit:[| 0. |] fig1 in
-  if not common.Augment.optimal then Alcotest.fail "common MIP not optimal";
+  if not (optimal common) then Alcotest.fail "common MIP not optimal";
   check_float ~msg:"scenario-centric cost" 2. common.Augment.cost;
   (* relaxing the loss target halves the needed upgrade *)
   let relaxed = Augment.min_cost ~mode:`Common ~perc_limit:[| 0.25 |] fig1 in
   check_float ~msg:"relaxed cost" 1. relaxed.Augment.cost
+
+(* A search its node budget cuts short before any incumbent says so:
+   the scenario-centric plan's root relaxation is fractional, so one
+   node finds no plan, and that is [Limit], not [Infeasible]. *)
+let test_augment_node_budget () =
+  let r = Augment.min_cost ~node_limit:1 ~mode:`Common ~perc_limit:[| 0. |] fig1 in
+  Alcotest.(check bool) "stopped by the budget, not infeasible" true
+    (r.Augment.status = Flexile_lp.Mip.Limit);
+  Alcotest.(check int) "one node" 1 r.Augment.nodes;
+  Alcotest.(check bool) "no plan" true (r.Augment.cost = infinity)
 
 (* §4.4 "more general scenarios": per-scenario traffic matrices.  On
    the triangle, let f2's demand vanish in the scenario where A-B
@@ -209,7 +220,7 @@ let test_demand_scenarios () =
      for the surviving flow: PercLoss 0 even at 99.97% *)
   let r = Flexile_scheme.run inst in
   check_float ~msg:"demand-scenario PercLoss" 0.
-    (Metrics.perc_loss inst r.Flexile_scheme.losses ~cls:0 ());
+    (Metrics.perc_loss inst r.Flexile_scheme.losses ~cls:0);
   (* sanity: without the factors the same beta is unattainable *)
   let inst_plain =
     Instance.make ~graph
@@ -220,7 +231,7 @@ let test_demand_scenarios () =
       ~scenarios ()
   in
   let p = Flexile_scheme.run inst_plain in
-  if Metrics.perc_loss inst_plain p.Flexile_scheme.losses ~cls:0 () <= 1e-6 then
+  if Metrics.perc_loss inst_plain p.Flexile_scheme.losses ~cls:0 <= 1e-6 then
     Alcotest.fail "expected nonzero PercLoss without demand scenarios"
 
 (* §6.2's throughput-unfairness example: on a path A-B-C with unit
@@ -333,7 +344,7 @@ let test_srlg_scenarios () =
     inst.Instance.flows;
   let r = Flexile_scheme.run inst in
   check_float ~msg:"SRLG PercLoss at 0.989" 0.
-    (Metrics.perc_loss inst r.Flexile_scheme.losses ~cls:0 ())
+    (Metrics.perc_loss inst r.Flexile_scheme.losses ~cls:0)
 
 (* §4.4 imperfect probability prediction: designing against perturbed
    probabilities at a slightly higher target still meets the true SLO,
@@ -372,7 +383,7 @@ let test_imperfect_probabilities () =
   let off = Flexile_offline.solve predicted in
   let losses = Flexile_online.run truth ~offline:off in
   check_float ~msg:"true SLO met despite prediction error" 0.
-    (Metrics.perc_loss truth losses ~cls:0 ())
+    (Metrics.perc_loss truth losses ~cls:0)
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -401,6 +412,7 @@ let () =
         [
           quick "per-scenario traffic matrices" test_demand_scenarios;
           quick "capacity augmentation (appendix B)" test_capacity_augmentation;
+          quick "augment: node budget, not infeasible" test_augment_node_budget;
           quick "shared-risk link groups" test_srlg_scenarios;
           quick "imperfect probability prediction" test_imperfect_probabilities;
         ] );

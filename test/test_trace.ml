@@ -129,7 +129,10 @@ let solve_counting ?config inst =
 
 (* Exactly one reason per solve; the cases cover three of the four.
    The loop stops after a sweep (the gap closed, or the last sweep) or
-   after a master (the gap closed, or the same plan again). *)
+   after a master (the gap closed, or the same plan again).  A master
+   under a Hamming row is optimal only inside its trust region, so its
+   bound must not reach [lower_bound]: the IBM run limited to no flips
+   reports no bound above what the unlimited run achieves. *)
 let test_flexile_one_stop_reason () =
   with_tracing true @@ fun () ->
   let small name mix =
@@ -145,28 +148,35 @@ let test_flexile_one_stop_reason () =
   in
   let fig1 = Flexile_core.Builder.fig1 () in
   let ibm_mix = small "IBM" "srlg,partial" in
-  List.iter
-    (fun (what, inst, max_iterations, hamming_limit, reason, after_master) ->
-      let config =
-        { Offline.default_config with max_iterations; hamming_limit; jobs = 1 }
-      in
-      let r, masters, stops = solve_counting ~config inst in
-      Alcotest.(check (list int))
-        (what ^ ": only " ^ reason)
-        (List.map (fun n -> if n = reason then 1 else 0) stop_names)
-        stops;
-      let sweeps = List.length r.Offline.iterates in
-      Alcotest.(check int)
-        (what ^ ": masters")
-        (if after_master then sweeps else sweeps - 1)
-        masters)
-    [
-      ("fig1", fig1, 5, None, "flexile.stop_gap_closed", false);
-      ("fig1, one sweep", fig1, 1, None, "flexile.stop_max_iterations", false);
-      ("Sprint", small "Sprint" "independent", 5, None, "flexile.stop_gap_closed", false);
-      ("IBM srlg,partial", ibm_mix, 5, None, "flexile.stop_max_iterations", false);
-      ("IBM srlg,partial, no flips", ibm_mix, 5, Some 0, "flexile.stop_same_plan", true);
-    ]
+  let results =
+    List.map
+      (fun (what, inst, max_iterations, hamming_limit, reason, after_master) ->
+        let config =
+          { Offline.default_config with max_iterations; hamming_limit; jobs = 1 }
+        in
+        let r, masters, stops = solve_counting ~config inst in
+        Alcotest.(check (list int))
+          (what ^ ": only " ^ reason)
+          (List.map (fun n -> if n = reason then 1 else 0) stop_names)
+          stops;
+        let sweeps = List.length r.Offline.iterates in
+        Alcotest.(check int)
+          (what ^ ": masters")
+          (if after_master then sweeps else sweeps - 1)
+          masters;
+        (what, r))
+      [
+        ("fig1", fig1, 5, None, "flexile.stop_gap_closed", false);
+        ("fig1, one sweep", fig1, 1, None, "flexile.stop_max_iterations", false);
+        ("Sprint", small "Sprint" "independent", 5, None, "flexile.stop_gap_closed", false);
+        ("IBM srlg,partial", ibm_mix, 5, None, "flexile.stop_max_iterations", false);
+        ("IBM srlg,partial, no flips", ibm_mix, 5, Some 0, "flexile.stop_same_plan", true);
+      ]
+  in
+  let ibm = List.assoc "IBM srlg,partial" results in
+  let hamming = List.assoc "IBM srlg,partial, no flips" results in
+  Alcotest.(check bool) "a Hamming master's bound is no lower bound" true
+    (hamming.Offline.lower_bound <= ibm.Offline.best.Offline.penalty)
 
 (* IBM two-class is served losslessly from the starting point: its
    penalty 0 meets the initial bound 0, so no master is solved. *)

@@ -7,6 +7,12 @@
      i2-shard-capture mutable captures written inside shard closures
      i3-noalloc       transitive allocation freedom of pivot kernels
      u1-unused-export interface vals no other unit references
+     u2-single-value-knob optional parameters nobody passes, and fields
+                      of a defaulted record that only the default sets
+
+   The walk also reports a Trace clock read inside a branch condition
+   under the syntactic rule id d1-nondet: a search that decides on the
+   clock answers differently on a slower machine.
 
    Soundness boundaries (documented in DESIGN.md section 14): i2 flags
    direct writes to captured state only (aliasing a captured ref into a
@@ -183,13 +189,23 @@ type fn_info = {
   allows : (string * int) list;  (* allow id, attribute line *)
 }
 
-(* A [val] of an analysed unit's interface, for u1. *)
+(* A [val] of an analysed unit's interface, for u1 and u2. *)
 type export = {
   x_key : string;  (* canonical dotted name, e.g. Flexile_util.Tbl.find *)
   x_unit : string;  (* canonical name of the exporting unit *)
   x_file : string;
   x_line : int;
   x_allows : (string * int) list;
+  x_opts : string list;  (* labels of its optional parameters *)
+}
+
+(* A field of an exported record type, for u2. *)
+type field = {
+  f_type : string;  (* canonical type name, e.g. Flexile_core.Builder.options *)
+  f_name : string;
+  f_file : string;
+  f_line : int;
+  f_allows : (string * int) list;
 }
 
 type global = {
@@ -204,6 +220,12 @@ type global = {
   mutable exports : export list;  (* reverse read order *)
   refs : (string, string list) Hashtbl.t;
       (* canonical value name -> units that mention it *)
+  mutable fields : field list;  (* reverse read order *)
+  mutable defaulted : string list;
+      (* record types whose unit exports a [default_*] value of them *)
+  passed : (string, unit) Hashtbl.t;  (* "fn ?label" passed explicitly *)
+  set_fields : (string, unit) Hashtbl.t;
+      (* "type.field" set by a record expression other than its default *)
 }
 
 let has_attr name attrs =
@@ -251,6 +273,7 @@ type walk_state = {
   aliases : (string, string) Hashtbl.t;
   locals : (string, [ `Walked | `Param ]) Hashtbl.t;
   mutable err_depth : int;  (* > 0 inside raise/assert arguments *)
+  mutable cond_depth : int;  (* > 0 inside an if/while condition or guard *)
   mutable allow_scope : (string * int) list;
       (* expression-level [@lint.allow] sites currently in scope *)
 }
@@ -309,6 +332,20 @@ let resolve st path =
 let record_alloc st what line =
   if st.err_depth = 0 then st.fn.allocs <- (what, line) :: st.fn.allocs
 
+let clocks = [ "Flexile_util.Trace.now_s"; "Flexile_util.Trace.now_ns" ]
+
+(* A clock read that decides a branch makes the result depend on the
+   machine's speed.  Only the condition's own syntax is looked at: a
+   read bound by [let] first and tested later is not seen. *)
+let check_clock st n line =
+  if st.cond_depth > 0 && List.mem n clocks then
+    emit_at st.g ~file:st.fn.fi_file ~allows:(st.allow_scope @ st.fn.allows)
+      "d1-nondet" ~line ~chain:[]
+      (Printf.sprintf
+         "%s decides a branch in %s, so the answer depends on machine \
+          speed; stop on a work budget (nodes, pivots, iterations) instead"
+         n st.fn.key)
+
 (* A bare identifier only matters when it denotes a function value (it
    may be handed onward and executed); plain data uses of parameters
    and toplevel constants are not call edges. *)
@@ -322,6 +359,7 @@ let record_ref st path e =
         (match nondet_prim n with
         | Some prim -> record_prim st prim (line_of loc)
         | None -> ());
+        check_clock st n (line_of loc);
         if List.mem n allocators then
           record_alloc st ("call to " ^ n) (line_of loc);
         (* keep an edge to every analysed function referenced, applied
@@ -451,6 +489,11 @@ let rec walk_expr st e =
         ~finally:(fun () -> st.allow_scope <- saved)
         (fun () -> walk_expr_desc st e)
 
+and walk_cond st e =
+  st.cond_depth <- st.cond_depth + 1;
+  walk_expr st e;
+  st.cond_depth <- st.cond_depth - 1
+
 and walk_expr_desc st e =
   let default = Tast_iterator.default_iterator in
   let self =
@@ -469,7 +512,7 @@ and walk_expr_desc st e =
           List.iter
             (fun id -> Hashtbl.replace st.locals (Ident.unique_name id) `Param)
             (pat_bound_idents c.c_lhs);
-          Option.iter (walk_expr st) c.c_guard;
+          Option.iter (walk_cond st) c.c_guard;
           walk_expr st c.c_rhs)
         cases
   | Texp_let
@@ -515,6 +558,7 @@ and walk_expr_desc st e =
               (match nondet_prim n with
               | Some prim -> record_prim st prim (line_of e.exp_loc)
               | None -> ());
+              check_clock st n (line_of e.exp_loc);
               (if List.mem n eq_prims then
                  let pos = positional args in
                  if List.length pos >= 2 && List.exists (fun a -> is_float_ty a.exp_type) pos
@@ -574,6 +618,13 @@ and walk_expr_desc st e =
               st.err_depth <- st.err_depth - 1
           | _ -> ())
       | _ -> ())
+  | Texp_ifthenelse (c, a, b) ->
+      walk_cond st c;
+      walk_expr st a;
+      Option.iter (walk_expr st) b
+  | Texp_while (c, body) ->
+      walk_cond st c;
+      walk_expr st body
   | Texp_assert (inner, _) ->
       st.err_depth <- st.err_depth + 1;
       walk_expr st inner;
@@ -604,7 +655,7 @@ and walk_expr_desc st e =
           List.iter
             (fun id -> Hashtbl.replace st.locals (Ident.unique_name id) `Walked)
             (pat_bound_idents c.c_lhs);
-          Option.iter (walk_expr st) c.c_guard;
+          Option.iter (walk_cond st) c.c_guard;
           walk_expr st c.c_rhs)
         cases
   | Texp_try (body, cases) ->
@@ -614,7 +665,7 @@ and walk_expr_desc st e =
           List.iter
             (fun id -> Hashtbl.replace st.locals (Ident.unique_name id) `Walked)
             (pat_bound_idents c.c_lhs);
-          Option.iter (walk_expr st) c.c_guard;
+          Option.iter (walk_cond st) c.c_guard;
           walk_expr st c.c_rhs)
         cases
   | _ -> default.expr self e
@@ -636,7 +687,7 @@ let rec walk_binding_body st e =
           List.iter
             (fun id -> Hashtbl.replace st.locals (Ident.unique_name id) `Param)
             (pat_bound_idents c.c_lhs);
-          Option.iter (walk_expr st) c.c_guard;
+          Option.iter (walk_cond st) c.c_guard;
           walk_expr st c.c_rhs)
         cases
   | _ -> walk_expr st e
@@ -689,6 +740,7 @@ let rec walk_structure g aliases ~file ~modpath str =
                       aliases;
                       locals = Hashtbl.create 32;
                       err_depth = 0;
+                      cond_depth = 0;
                       allow_scope = [];
                     }
                   in
@@ -720,17 +772,80 @@ and walk_module g aliases ~file ~modpath mb =
 
 let canon_mod modname = canon_component modname
 
-(* ---- u1 inputs: what a unit mentions, what an interface exports --- *)
+(* ---- u1/u2 inputs: what a unit uses, what an interface exports ---- *)
 
-(* Every value path [str] mentions, function or not, applied or not,
-   with module aliases ([module P = ...] and [let module]) resolved. *)
-let add_refs g ~unit str =
+(* Canonical names of a unit's own top-level values, types and
+   structure modules, keyed by [Ident.unique_name]: the unit names them
+   by bare identifiers, which u2 must resolve to the names its
+   interface exports. *)
+let own_names ~unit str =
+  let tbl = Hashtbl.create 64 in
+  let add modpath id =
+    Hashtbl.replace tbl (Ident.unique_name id) (modpath ^ "." ^ Ident.name id)
+  in
+  let rec scan modpath str =
+    List.iter
+      (fun item ->
+        match item.str_desc with
+        | Tstr_value (_, vbs) ->
+            List.iter (fun vb -> List.iter (add modpath) (pat_bound_idents vb.vb_pat)) vbs
+        | Tstr_type (_, decls) -> List.iter (fun d -> add modpath d.typ_id) decls
+        | Tstr_module mb -> module_binding modpath mb
+        | Tstr_recmodule mbs -> List.iter (module_binding modpath) mbs
+        | _ -> ())
+      str.str_items
+  and module_binding modpath mb =
+    let rec body me =
+      match me.mod_desc with
+      | Tmod_structure str -> Some str
+      | Tmod_constraint (me', _, _, _) -> body me'
+      | _ -> None
+    in
+    match (mb.mb_id, body mb.mb_expr) with
+    | Some id, Some str ->
+        add modpath id;
+        scan (modpath ^ "." ^ Ident.name id) str
+    | _ -> ()
+  in
+  scan unit str;
+  tbl
+
+(* An optional argument the caller left out reaches the typedtree as a
+   [None] the type checker made up, located nowhere. *)
+let passed_explicitly a = a.exp_loc <> Location.none
+
+(* Record [str]'s uses: every value path it mentions, function or not,
+   applied or not, with module aliases ([module P = ...] and [let
+   module]) resolved (u1); every optional argument it passes, directly
+   or by forwarding [?x] (u2a); every record field it sets, except in
+   the body of its own [default_*] values (u2b). *)
+let add_uses g ~unit str =
   let aliases = Hashtbl.create 8 in
+  let own = own_names ~unit str in
   let alias name me =
     match module_alias_target me with
     | Some target ->
         Hashtbl.replace aliases name (canon_name aliases (canon_component target))
     | None -> ()
+  in
+  let rec own_prefix = function
+    | Path.Pident id -> Hashtbl.find_opt own (Ident.unique_name id)
+    | Path.Pdot (m, s) -> Option.map (fun k -> k ^ "." ^ s) (own_prefix m)
+    | _ -> None
+  in
+  let qualify p =
+    match own_prefix p with
+    | Some k -> k
+    | None -> canon_name aliases (Path.name p)
+  in
+  let in_default = ref false in
+  let set_field (lbl : Types.label_description) =
+    match Types.get_desc lbl.lbl_res with
+    | Types.Tconstr (p, _, _) ->
+        let ty = qualify p in
+        if not (!in_default && has_prefix ~prefix:(unit ^ ".") ty) then
+          Hashtbl.replace g.set_fields (ty ^ "." ^ lbl.lbl_name) ()
+    | _ -> ()
   in
   let default = Tast_iterator.default_iterator in
   let expr self e =
@@ -739,6 +854,21 @@ let add_refs g ~unit str =
         let n = canon_name aliases (Path.name p) in
         let units = Option.value ~default:[] (Hashtbl.find_opt g.refs n) in
         if not (List.mem unit units) then Hashtbl.replace g.refs n (unit :: units)
+    | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
+        let f = qualify p in
+        List.iter
+          (function
+            | Asttypes.Optional l, Some a when passed_explicitly a ->
+                Hashtbl.replace g.passed (f ^ " ?" ^ l) ()
+            | _ -> ())
+          args
+    | Texp_record { fields; _ } ->
+        Array.iter
+          (function
+            | lbl, Overridden _ -> set_field lbl
+            | _, Kept _ -> ())
+          fields
+    | Texp_setfield (_, _, lbl, _) -> set_field lbl
     | Texp_letmodule (_, { txt = Some name; _ }, _, me, _) -> alias name me
     | _ -> ());
     default.expr self e
@@ -747,23 +877,66 @@ let add_refs g ~unit str =
     Option.iter (fun name -> alias name mb.mb_expr) mb.mb_name.txt;
     default.module_binding self mb
   in
-  let it = { default with expr; module_binding } in
+  let value_binding self vb =
+    let saved = !in_default in
+    (match vb.vb_pat.pat_desc with
+    | Tpat_var (id, _) when has_prefix ~prefix:"default_" (Ident.name id) ->
+        in_default := true
+    | _ -> ());
+    default.value_binding self vb;
+    in_default := saved
+  in
+  let it = { default with expr; module_binding; value_binding } in
   it.structure it str
+
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (Asttypes.Optional l, _, r, _) -> l :: optional_labels r
+  | Types.Tarrow (_, _, r, _) -> optional_labels r
+  | Types.Tpoly (t, _) -> optional_labels t
+  | _ -> []
 
 let rec add_exports g ~unit ~file ~modpath sg =
   List.iter
     (fun item ->
       match item.sig_desc with
       | Tsig_value vd ->
+          let name = Ident.name vd.val_id in
+          let ty = vd.val_val.Types.val_type in
           g.exports <-
             {
-              x_key = modpath ^ "." ^ Ident.name vd.val_id;
+              x_key = modpath ^ "." ^ name;
               x_unit = unit;
               x_file = file;
               x_line = line_of vd.val_loc;
               x_allows = L.allow_sites_of_attrs vd.val_attributes;
+              x_opts = optional_labels ty;
             }
-            :: g.exports
+            :: g.exports;
+          (match Types.get_desc ty with
+          | Types.Tconstr (Path.Pident t, [], _)
+            when has_prefix ~prefix:"default_" name ->
+              g.defaulted <- (modpath ^ "." ^ Ident.name t) :: g.defaulted
+          | _ -> ())
+      | Tsig_type (_, decls) ->
+          List.iter
+            (fun d ->
+              match d.typ_kind with
+              | Ttype_record lds ->
+                  List.iter
+                    (fun ld ->
+                      g.fields <-
+                        {
+                          f_type = modpath ^ "." ^ Ident.name d.typ_id;
+                          f_name = Ident.name ld.ld_id;
+                          f_file = file;
+                          f_line = line_of ld.ld_loc;
+                          f_allows = L.allow_sites_of_attrs ld.ld_attributes;
+                        }
+                        :: g.fields)
+                    lds
+              | _ -> ())
+            decls
       | Tsig_module
           {
             md_name = { txt = Some name; _ };
@@ -785,7 +958,7 @@ let load_cmt g ~analysed path =
     (match cmt.Cmt_format.cmt_annots with
     | Cmt_format.Implementation str ->
         let unit = canon_mod cmt.Cmt_format.cmt_modname in
-        add_refs g ~unit str;
+        add_uses g ~unit str;
         if analysed then begin
           walk_structure g (Hashtbl.create 8) ~file:(sourcefile cmt path)
             ~modpath:unit str;
@@ -976,6 +1149,43 @@ let run_unused g =
     (List.rev g.exports)
 
 (* ------------------------------------------------------------------ *)
+(* u2: every knob reaches a second value                               *)
+(* ------------------------------------------------------------------ *)
+
+let knob_advice =
+  "make it a constant in its module, or keep it with \
+   [@lint.allow \"u2-single-value-knob\"] and a comment naming the test \
+   that needs its second value"
+
+let run_knobs g =
+  List.iter
+    (fun x ->
+      List.iter
+        (fun l ->
+          if not (Hashtbl.mem g.passed (x.x_key ^ " ?" ^ l)) then
+            emit_at g ~file:x.x_file ~allows:x.x_allows "u2-single-value-knob"
+              ~line:x.x_line ~chain:[]
+              (Printf.sprintf
+                 "%s ?%s: no caller outside test/ passes it, so it only ever \
+                  takes its default; %s"
+                 x.x_key l knob_advice))
+        x.x_opts)
+    (List.rev g.exports);
+  List.iter
+    (fun f ->
+      if
+        List.mem f.f_type g.defaulted
+        && not (Hashtbl.mem g.set_fields (f.f_type ^ "." ^ f.f_name))
+      then
+        emit_at g ~file:f.f_file ~allows:f.f_allows "u2-single-value-knob"
+          ~line:f.f_line ~chain:[]
+          (Printf.sprintf
+             "%s.%s: no record expression outside test/ sets it but its \
+              default_* value, so it only ever takes one value; %s"
+             f.f_type f.f_name knob_advice))
+    (List.rev g.fields)
+
+(* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -992,6 +1202,10 @@ let analyze ?(roots = default_roots) ?(callers = []) cmt_paths =
       used_config = [];
       exports = [];
       refs = Hashtbl.create 1024;
+      fields = [];
+      defaulted = [];
+      passed = Hashtbl.create 256;
+      set_fields = Hashtbl.create 256;
     }
   in
   let load analysed n p = if load_cmt g ~analysed p then n + 1 else n in
@@ -1001,6 +1215,7 @@ let analyze ?(roots = default_roots) ?(callers = []) cmt_paths =
   run_taint g roots;
   run_noalloc g;
   run_unused g;
+  run_knobs g;
   let by_pos a b =
     match compare a.L.file b.L.file with
     | 0 -> compare a.L.line b.L.line

@@ -98,6 +98,12 @@ let deep_rules =
       "every val in a lib/ interface is used by another compilation unit \
        of lib/, bin/, bench/, flexbench/ or examples/ (test/ does not \
        count); a test-only oracle carries [@@lint.allow] and a reason" );
+    ( "u2-single-value-knob",
+      "every optional parameter of a val in a lib/ interface is passed \
+       by some caller in lib/, bin/, bench/, flexbench/ or examples/, and \
+       every field of a record type whose unit exports a default_* value \
+       is set by some record expression there other than that default; \
+       a knob only a test sets carries [@lint.allow] and a reason" );
   ]
 
 let driver_rules =
@@ -446,13 +452,24 @@ let make_iterator ctx =
     let sites = allow_sites_of_attrs vb.pvb_attributes in
     with_allow ctx sites (fun () -> default.value_binding self vb)
   in
-  (* an interface [val]'s allow serves the deep stage's u1; declaring
-     it here lets the staleness pass judge it *)
+  (* an interface [val]'s or record field's allow serves the deep
+     stage's u1/u2; declaring it here lets the staleness pass judge it *)
   let value_description self vd =
     let sites = allow_sites_of_attrs vd.pval_attributes in
     with_allow ctx sites (fun () -> default.value_description self vd)
   in
-  { default with expr; structure_item; value_binding; value_description }
+  let label_declaration self ld =
+    let sites = allow_sites_of_attrs ld.pld_attributes in
+    with_allow ctx sites (fun () -> default.label_declaration self ld)
+  in
+  {
+    default with
+    expr;
+    structure_item;
+    value_binding;
+    value_description;
+    label_declaration;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)

@@ -49,7 +49,7 @@ val syntactic_rules : (string * string) list
 (** The subset enforced by this module. *)
 
 val deep_rules : (string * string) list
-(** The subset enforced by {!Deep_engine} (i1/i2/i3). *)
+(** The subset enforced by {!Deep_engine} (i1/i2/i3/u1/u2). *)
 
 type zone = Lib | Bin | Bench | Test | Other
 

@@ -6,9 +6,9 @@
    --deep additionally runs the typedtree stage over the .cmt/.cmti
    artifacts dune left under _build/default for every lib/-zone root,
    and reads the .cmt of every caller directory (bin, bench, flexbench,
-   examples) for the references u1 counts (so run it after
-   `dune build @check`); --strict-suppressions turns stale allowlist
-   entries and [@lint.allow] attributes into s1 findings. *)
+   examples) for the references u1 and the arguments u2 count (so run
+   it after `dune build @check`); --strict-suppressions turns stale
+   allowlist entries and [@lint.allow] attributes into s1 findings. *)
 
 module Lint_engine = Flexile_lint.Lint_engine
 module Deep_engine = Flexile_lint.Deep_engine
@@ -32,8 +32,9 @@ let rec collect ~suffixes acc path =
   else if List.exists (has_suffix path) suffixes then path :: acc
   else acc
 
-(* Directories whose code counts as a caller of lib/ for u1.  test/ is
-   not one: an export only a test calls has not earned its place. *)
+(* Directories whose code counts as a caller of lib/ for u1 and u2.
+   test/ is not one: an export only a test calls, or a knob only a test
+   sets, has not earned its place. *)
 let caller_roots = [ "bin"; "bench"; "flexbench"; "examples" ]
 
 (* cmts for root "lib" live under _build/default/lib/**/.<lib>.objs/byte/ *)
