@@ -161,13 +161,9 @@ let write_json path ~profile_name ~jobs ~figures ~micro =
          ("jobs", Json.int jobs);
          ("figures", Json.Array (rows "seconds" figures));
          ("micro", Json.Array (rows "ms_per_run" micro));
-         (* the trace section is the full registry — every module's
-            counters, gauges, timers and span totals, plus the
-            hierarchical span tree — not just the offline solver's
-            derived summary; histograms adds the per-name quantile
-            summaries with raw bucket lists *)
-         ("trace", Flexile_te.Flexile_offline.trace_json ());
-         ("histograms", Flexile_obs.Metrics_export.histograms_json ());
+         (* the --trace report: the full registry (histograms with
+            their bucket lists) and the hierarchical span tree *)
+         ("trace", Trace_export.report_json ());
        ]);
   Printf.printf "\nwrote timings to %s\n" path
 

@@ -6,6 +6,7 @@ open Cmdliner
 module Instance = Flexile_te.Instance
 module Metrics = Flexile_te.Metrics
 module Trace = Flexile_util.Trace
+module Trace_export = Flexile_util.Trace_export
 module Json = Flexile_util.Json
 
 (* --trace OUT.json: enable the observability layer for this run and
@@ -37,12 +38,12 @@ let with_trace out chrome f =
   f ();
   Option.iter
     (fun path ->
-      Json.write_file path (Flexile_te.Flexile_offline.trace_json ());
+      Json.write_file path (Trace_export.report_json ());
       Printf.printf "wrote trace to %s\n" path)
     out;
   Option.iter
     (fun path ->
-      Json.write_file path (Flexile_util.Trace_export.chrome_json ());
+      Json.write_file path (Trace_export.chrome_json ());
       Printf.printf "wrote Chrome trace to %s (load in Perfetto)\n" path)
     chrome
 
@@ -483,11 +484,7 @@ let monitor_cmd =
           Json.Object
             ([ ("draw", Json.int i); ("slo", Flexile_obs.Slo.report_json slo) ]
             @ attr_field
-            @ [
-                ( "metrics",
-                  Flexile_obs.Metrics_export.snapshot_json ~deterministic:true ()
-                );
-              ])
+            @ [ ("metrics", Trace_export.snapshot_json ()) ])
         in
         Buffer.add_string jsonl_buf (Json.encode line);
         Buffer.add_char jsonl_buf '\n'
@@ -515,8 +512,7 @@ let monitor_cmd =
     Option.iter
       (fun path ->
         let oc = open_out path in
-        output_string oc
-          (Flexile_obs.Metrics_export.prometheus ~deterministic:true ());
+        output_string oc (Trace_export.prometheus ());
         close_out oc;
         Printf.printf "wrote Prometheus metrics to %s\n" path)
       prom;
@@ -691,8 +687,7 @@ let explain_cmd =
     Option.iter
       (fun path ->
         write path
-          (Flexile_obs.Metrics_export.prometheus ~deterministic:true ()
-          ^ prometheus_families rep)
+          (Trace_export.prometheus () ^ prometheus_families rep)
           "Prometheus metrics")
       prom;
     Option.iter
@@ -714,21 +709,14 @@ let explain_cmd =
 (* ---- doctor ---- *)
 
 (* Replay a solve with elevated instrumentation and emit the numerical
-   diagnosis (DESIGN.md section 15).  Three sources: a seeded
-   pathological fixture (--fixture), a snapshot auto-dumped by a
-   health-threshold trip (--from-dump), or a topology, whose full
-   offline pipeline is replayed with tracing on and summarized through
-   the solver_health projection.  Fixture and dump reports are
-   byte-identical for any --jobs value (the flag is accepted for
-   interface uniformity and forwarded only to the topology replay). *)
+   diagnosis (DESIGN.md section 15).  Two sources: a seeded
+   pathological fixture (--fixture) or a snapshot auto-dumped by a
+   health-threshold trip (--from-dump).  Either report is
+   byte-identical for any --jobs value: the solve runs on the calling
+   domain, and the flag is accepted for interface uniformity.  A
+   topology's solver health is the solver_health section of
+   [flexile solve TOPOLOGY --trace]. *)
 let doctor_cmd =
-  let topo_arg =
-    let doc =
-      "Topology to replay through the offline pipeline (omit when using \
-       --fixture or --from-dump)."
-    in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"TOPOLOGY" ~doc)
-  in
   let fixture_arg =
     let doc =
       "Diagnose a seeded pathological fixture: $(b,near-singular) (an \
@@ -753,98 +741,33 @@ let doctor_cmd =
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Write the diagnosis JSON to $(docv) instead of stdout.")
   in
-  let iterations =
-    Arg.(
-      value & opt int 5
-      & info [ "iterations" ]
-          ~doc:"Offline decomposition iterations (topology mode).")
-  in
-  let run () topo fixture dump two scenarios mix max_pairs iterations jobs out
-      chrome =
-    let deliver what report =
-      match out with
-      | None -> print_endline (Json.encode report)
-      | Some path ->
-          Json.write_file path report;
-          Printf.printf "wrote %s to %s\n" what path
-    in
-    let write_chrome () =
-      Option.iter
-        (fun path ->
-          Json.write_file path (Flexile_util.Trace_export.chrome_json ());
-          Printf.printf "wrote Chrome trace to %s (load in Perfetto)\n" path)
-        chrome
-    in
-    let finish (r : Flexile_lp.Doctor.result) =
-      deliver "diagnosis" r.Flexile_lp.Doctor.r_report;
-      write_chrome ()
-    in
-    (* the per-iteration probe/event timeline only exists while the
-       registry is on; the in-memory capture works either way *)
+  let run () fixture dump (_jobs : int) out chrome =
     if chrome <> None then Trace.set_enabled true;
-    match (fixture, dump, topo) with
-    | Some name, None, None -> (
-        match Flexile_lp.Doctor.run_fixture name with
-        | Error e ->
-            prerr_endline ("doctor: " ^ e);
-            exit 1
-        | Ok r -> finish r)
-    | None, Some path, None -> (
-        match Flexile_lp.Doctor.run_dump path with
-        | Error e ->
-            prerr_endline ("doctor: " ^ e);
-            exit 1
-        | Ok r -> finish r)
-    | None, None, Some name ->
-        (* full-pipeline replay: health telemetry accumulates in the
-           registry; the report is its solver_health projection *)
-        Trace.set_enabled true;
-        let inst = build_instance ~two ~scenarios ?mix ~max_pairs name in
-        print_instance inst;
-        let config =
-          {
-            Flexile_te.Flexile_offline.default_config with
-            Flexile_te.Flexile_offline.max_iterations = iterations;
-            jobs;
-          }
-        in
-        let off = Flexile_te.Flexile_offline.solve ~config inst in
-        Printf.printf
-          "offline: %d iterations, %d subproblem solves, %.2fs wall\n"
-          (List.length off.Flexile_te.Flexile_offline.iterates)
-          off.Flexile_te.Flexile_offline.subproblems_solved
-          off.Flexile_te.Flexile_offline.wall_time;
-        let get n = Trace.value_by_name n in
-        Printf.printf
-          "health: %d samples, %d threshold trips, %d stalls, %d dual-guard \
-           trips, %d dumps\n"
-          (get "health.samples")
-          (get "health.threshold_trips")
-          (get "health.stalls")
-          (get "health.dual_guard_trips")
-          (get "health.dumps");
-        deliver "solver health"
-          (Json.Object
-             [
-               ("schema", Json.String "flexile-doctor");
-               ("version", Json.int 2);
-               ( "source",
-                 Json.Object
-                   [ ("kind", Json.String "topology"); ("name", Json.String name) ]
-               );
-               ("solver_health", Flexile_util.Trace_export.solver_health_json ());
-             ]);
-        write_chrome ()
-    | _ ->
-        prerr_endline
-          "doctor: pass exactly one of --fixture NAME, --from-dump FILE or a \
-           TOPOLOGY";
+    let diagnosis =
+      match (fixture, dump) with
+      | Some name, None -> Flexile_lp.Doctor.run_fixture name
+      | None, Some path -> Flexile_lp.Doctor.run_dump path
+      | _ -> Error "pass exactly one of --fixture NAME or --from-dump FILE"
+    in
+    match diagnosis with
+    | Error e ->
+        prerr_endline ("doctor: " ^ e);
         exit 1
+    | Ok r ->
+        (match out with
+        | None -> print_endline (Json.encode r.Flexile_lp.Doctor.r_report)
+        | Some path ->
+            Json.write_file path r.Flexile_lp.Doctor.r_report;
+            Printf.printf "wrote diagnosis to %s\n" path);
+        Option.iter
+          (fun path ->
+            Json.write_file path (Trace_export.chrome_json ());
+            Printf.printf "wrote Chrome trace to %s (load in Perfetto)\n" path)
+          chrome
   in
   let term =
-    Term.(const run $ verbose_term $ topo_arg $ fixture_arg $ dump_arg
-          $ two_class_arg $ scenarios_arg $ mix_arg $ pairs_arg $ iterations
-          $ jobs_arg $ out_arg $ chrome_arg)
+    Term.(const run $ verbose_term $ fixture_arg $ dump_arg $ jobs_arg
+          $ out_arg $ chrome_arg)
   in
   Cmd.v
     (Cmd.info "doctor"

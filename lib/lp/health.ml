@@ -69,9 +69,6 @@ let h_cond = Trace.hist "health.cond1_log10"
 let h_growth = Trace.hist "health.lu_growth"
 let h_eta_growth = Trace.hist "health.eta_growth"
 let h_degen = Trace.hist "health.degen_run"
-let p_sample = Trace.probe "health.sample"
-let p_stall = Trace.probe "health.stall"
-let p_trip = Trace.probe "health.trip"
 
 let note_dual_guard_trip () = Trace.incr c_dual_guard
 
@@ -172,8 +169,8 @@ let clear state =
    opportunity is measured.  The counter is per-domain, so which
    solves get measured depends on how the scheduler spread work
    across domains — production health aggregates are statistical,
-   and Metrics_export excludes the health.* families from its
-   deterministic Prometheus subset accordingly.  The deterministic
+   and Trace_export leaves the health.* families out of its
+   deterministic subset accordingly.  The deterministic
    health story is capture (doctor) mode, which bypasses the stride
    and samples everything. *)
 let sample_stride = 16
@@ -323,7 +320,6 @@ let cond1_estimate state ~basis ~pat =
 let sample state ~basis ~pat ~kind ~phase ~iteration ~col ~cb ~btilde ~xb
     ~eta ~patched =
   Trace.incr c_samples;
-  Trace.event p_sample iteration;
   if Array.length state.hy = 0 then begin
     state.hy <- Array.make (max 1 state.m) 0.;
     state.hz <- Array.make (max 1 state.m) 0.
@@ -350,10 +346,7 @@ let sample state ~basis ~pat ~kind ~phase ~iteration ~col ~cb ~btilde ~xb
         ("lu_growth", growth > growth_limit);
       ]
   in
-  if tripped <> [] then begin
-    Trace.incr c_trips;
-    Trace.event p_trip iteration
-  end;
+  if tripped <> [] then Trace.incr c_trips;
   if state.capture then
     state.samples <-
       {
@@ -376,7 +369,6 @@ let sample state ~basis ~pat ~kind ~phase ~iteration ~col ~cb ~btilde ~xb
 
 let note_stall state ~phase ~iteration ~run =
   Trace.incr c_stalls;
-  Trace.event p_stall iteration;
   state.stalls <-
     { st_phase = phase; st_iteration = iteration; st_run = run } :: state.stalls
 

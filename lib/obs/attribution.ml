@@ -36,6 +36,7 @@
 
 module Trace = Flexile_util.Trace
 module Json = Flexile_util.Json
+module Trace_export = Flexile_util.Trace_export
 module Stats = Flexile_util.Stats
 module Instance = Flexile_te.Instance
 module Metrics = Flexile_te.Metrics
@@ -498,16 +499,16 @@ let prometheus_families r =
   in
   String.concat ""
     [
-      Metrics_export.labeled_gauge ~name:"slo.miss_mass"
+      Trace_export.labeled_gauge ~name:"slo.miss_mass"
         (per_class (fun a -> a.amiss_mass));
-      Metrics_export.labeled_gauge ~name:"slo.budget_burn"
+      Trace_export.labeled_gauge ~name:"slo.budget_burn"
         (per_class (fun a -> a.aburn));
-      Metrics_export.labeled_gauge ~name:"slo.attainment"
+      Trace_export.labeled_gauge ~name:"slo.attainment"
         (List.map
            (fun a -> ([ ("class", a.aname); ("regime", "overall") ], a.aobserved))
            r.classes
         @ per_regime (fun _ g -> g.gattainment));
-      Metrics_export.labeled_gauge ~name:"regret"
+      Trace_export.labeled_gauge ~name:"regret"
         (List.map
            (fun a ->
              ([ ("class", a.aname); ("regime", "overall") ], a.aregret_expected))

@@ -155,8 +155,8 @@ val regimes_json : report -> Flexile_util.Json.t
 
 val prometheus_families : report -> string
 (** Labeled gauge families to append to a
-    {!Metrics_export.prometheus} page: [flexile_slo_miss_mass] and
+    {!Flexile_util.Trace_export.prometheus} page: [flexile_slo_miss_mass] and
     [flexile_slo_budget_burn] by [class]; [flexile_slo_attainment] and
     [flexile_regret] by [class] and [regime] (including
     [regime="overall"]), rendered by
-    {!Metrics_export.labeled_gauge}. *)
+    {!Flexile_util.Trace_export.labeled_gauge}. *)

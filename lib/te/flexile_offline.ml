@@ -27,7 +27,6 @@ let c_stop_max_iterations = Trace.counter "flexile.stop_max_iterations"
 let c_stop_master_failed = Trace.counter "flexile.stop_master_failed"
 let t_sweep = Trace.timer "flexile.subproblem_sweep"
 let t_master = Trace.timer "flexile.master"
-let p_iteration = Trace.probe "flexile.iteration"
 
 (* Hierarchical spans (Trace.in_span): the offline phase's span tree is
    offline > iteration[k] > {pruning, subproblem-sweep > scenario[i] >
@@ -681,7 +680,6 @@ let solve ?(config = default_config) inst =
       not ((config.prune && perfect.(sid)) || unchanged)
     in
     Trace.incr c_iters;
-    Trace.event p_iteration !iteration;
     let results =
       Trace.in_span sp_sweep (fun () ->
           Trace.with_span t_sweep (fun () ->
@@ -799,39 +797,3 @@ let solve ?(config = default_config) inst =
     subproblems_solved = !subproblems;
     wall_time = Trace.now_s () -. t0;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Trace export                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let trace_summary () =
-  let v name = float_of_int (Trace.value_by_name name) in
-  let warm_attempts = v "simplex.warm_attempts" in
-  let hit_rate =
-    if warm_attempts > 0. then v "simplex.warm_hits" /. warm_attempts else 0.
-  in
-  [
-    ("iterations", v "flexile.iterations");
-    ("subproblems_solved", v "flexile.subproblems_solved");
-    ("scenarios_pruned", v "flexile.scenarios_pruned");
-    ("cuts_generated", v "flexile.cuts_generated");
-    ("cuts_shared", v "flexile.cuts_shared");
-    ("hamming_flips", v "flexile.hamming_flips");
-    ("master_solves", v "flexile.master_solves");
-    ("stop_gap_closed", v "flexile.stop_gap_closed");
-    ("stop_same_plan", v "flexile.stop_same_plan");
-    ("stop_max_iterations", v "flexile.stop_max_iterations");
-    ("stop_master_failed", v "flexile.stop_master_failed");
-    ("warm_start_attempts", warm_attempts);
-    ("warm_start_hit_rate", hit_rate);
-    ( "subproblem_sweep_seconds",
-      Trace.timer_seconds_by_name "flexile.subproblem_sweep" );
-    ("master_seconds", Trace.timer_seconds_by_name "flexile.master");
-  ]
-
-(* Full-registry dump: [report] carries every module's metrics
-   (Simplex, Parallel, Scenario_engine, per-scheme timers, GC
-   counters), not just this module's, and [span_tree] the hierarchical
-   profile. *)
-let trace_json () =
-  Flexile_util.Trace_export.report_json ~derived:(trace_summary ()) ()

@@ -1,5 +1,5 @@
 (* Per-domain trace state reached through domain-local storage: the hot
-   path (incr/add/event/with_span) touches only the calling domain's
+   path (incr/add/observe/in_span) touches only the calling domain's
    arrays, so there is no cross-domain contention and no locking.  The
    registry of metric names and the list of domain states are the only
    shared structures, both mutex-protected and touched only at handle
@@ -30,11 +30,11 @@ let env_disabled () = env_setting = Some false
 (* Name registry                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type kind = K_counter | K_gauge | K_timer | K_probe | K_span | K_hist
+type metric_kind = Counter | Gauge | Timer | Span | Hist
 
 let reg_m = Mutex.create ()
 let reg_ids : (string, int) Hashtbl.t = Hashtbl.create 64
-let reg_names : (string * kind) array ref = ref [||]
+let reg_names : (string * metric_kind) array ref = ref [||]
 
 let register name kind =
   Mutex.lock reg_m;
@@ -62,8 +62,6 @@ let lookup name =
 (* ------------------------------------------------------------------ *)
 (* Per-domain state                                                    *)
 (* ------------------------------------------------------------------ *)
-
-let ring_capacity = 4096
 
 (* Hierarchical-span bookkeeping.  Each domain keeps a stack of open
    frames; closing a frame appends one completed record.  Records are
@@ -150,10 +148,6 @@ type dom_state = {
   mutable ints : int array;  (* counter sums / gauge maxima, by id *)
   mutable ns : int64 array;  (* timer accumulators, by id *)
   mutable spans : int array;  (* timer span counts, by id *)
-  ev_id : int array;  (* event ring, slot = seq mod capacity *)
-  ev_arg : int array;
-  ev_ns : int64 array;
-  mutable ev_seq : int;  (* total events ever emitted by this domain *)
   mutable sp_stack : frame list;  (* open spans, innermost first *)
   mutable sp_seq : int;  (* begin sequences handed out *)
   mutable sp_records : raw_span list;  (* completed, newest first *)
@@ -172,10 +166,6 @@ let new_state () =
       ints = Array.make 64 0;
       ns = Array.make 64 0L;
       spans = Array.make 64 0;
-      ev_id = Array.make ring_capacity 0;
-      ev_arg = Array.make ring_capacity 0;
-      ev_ns = Array.make ring_capacity 0L;
-      ev_seq = 0;
       sp_stack = [];
       sp_seq = 0;
       sp_records = [];
@@ -226,7 +216,7 @@ let snapshot_states () =
 
 type counter = int
 
-let counter name = register name K_counter
+let counter name = register name Counter
 
 let add c n =
   if !enabled_flag then begin
@@ -244,7 +234,7 @@ let value c =
 
 type gauge = int
 
-let gauge name = register name K_gauge
+let gauge name = register name Gauge
 
 let gauge_max g v =
   if !enabled_flag then begin
@@ -265,7 +255,7 @@ let gauge_value g =
 
 type timer = int
 
-let timer name = register name K_timer
+let timer name = register name Timer
 let now_ns () = Monotonic_clock.now ()
 let now_s () = Int64.to_float (now_ns ()) *. 1e-9
 
@@ -304,61 +294,12 @@ let timer_count t =
     0 (snapshot_states ())
 
 (* ------------------------------------------------------------------ *)
-(* Events                                                              *)
-(* ------------------------------------------------------------------ *)
-
-type probe = int
-
-let probe name = register name K_probe
-
-let event p arg =
-  if !enabled_flag then begin
-    let st = my_state () in
-    let slot = st.ev_seq mod ring_capacity in
-    st.ev_id.(slot) <- p;
-    st.ev_arg.(slot) <- arg;
-    st.ev_ns.(slot) <- now_ns ();
-    st.ev_seq <- st.ev_seq + 1
-  end
-
-type event_record = {
-  name : string;
-  arg : int;
-  t_ns : int64;
-  dom : int;
-  seq : int;
-}
-
-let events () =
-  snapshot_states ()
-  |> List.concat_map (fun st ->
-         let first = max 0 (st.ev_seq - ring_capacity) in
-         List.init (st.ev_seq - first) (fun k ->
-             let seq = first + k in
-             let slot = seq mod ring_capacity in
-             {
-               name = name_of st.ev_id.(slot);
-               arg = st.ev_arg.(slot);
-               t_ns = st.ev_ns.(slot);
-               dom = st.dom;
-               seq;
-             }))
-
-let events_logged () =
-  List.fold_left (fun acc st -> acc + st.ev_seq) 0 (snapshot_states ())
-
-let events_dropped () =
-  List.fold_left
-    (fun acc st -> acc + max 0 (st.ev_seq - ring_capacity))
-    0 (snapshot_states ())
-
-(* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
 (* ------------------------------------------------------------------ *)
 
 type hist = int
 
-let hist name = register name K_hist
+let hist name = register name Hist
 
 let ensure_hist st id =
   let len = Array.length st.hists in
@@ -485,7 +426,7 @@ let hist_quantile_of s q =
 
 type span = int
 
-let span name = register name K_span
+let span name = register name Span
 
 let span_begin ?(arg = 0) sp =
   if !enabled_flag then begin
@@ -664,25 +605,12 @@ let span_trees () =
   List.filter (fun r -> r.span_parent = -1) records |> List.map build
 
 (* ------------------------------------------------------------------ *)
-(* Aggregated reads, reset, JSON                                       *)
+(* Aggregated reads and reset                                           *)
 (* ------------------------------------------------------------------ *)
-
-type metric_kind = Counter | Gauge | Timer | Probe | Span | Hist
-
-let metric_kind_of_kind = function
-  | K_counter -> Counter
-  | K_gauge -> Gauge
-  | K_timer -> Timer
-  | K_probe -> Probe
-  | K_span -> Span
-  | K_hist -> Hist
 
 let registry () =
   Mutex.lock reg_m;
-  let l =
-    Array.to_list
-      (Array.map (fun (name, k) -> (name, metric_kind_of_kind k)) !reg_names)
-  in
+  let l = Array.to_list !reg_names in
   Mutex.unlock reg_m;
   List.sort compare l
 
@@ -690,8 +618,8 @@ let value_by_name name =
   match lookup name with
   | Some id -> (
       match kind_of id with
-      | K_counter -> value id
-      | K_gauge -> gauge_value id
+      | Counter -> value id
+      | Gauge -> gauge_value id
       | _ -> 0)
   | None -> 0
 
@@ -719,7 +647,6 @@ let reset () =
       Array.fill st.ints 0 (Array.length st.ints) 0;
       Array.fill st.ns 0 (Array.length st.ns) 0L;
       Array.fill st.spans 0 (Array.length st.spans) 0;
-      st.ev_seq <- 0;
       st.sp_stack <- [];
       st.sp_seq <- 0;
       st.sp_records <- [];
@@ -736,67 +663,3 @@ let reset () =
               hs.hmax <- neg_infinity)
         st.hists)
     (snapshot_states ())
-
-(* non-finite summary fields (empty histogram) encode as null *)
-let hist_summary_json ?(buckets = false) s =
-  let quantiles =
-    List.map
-      (fun (label, q) -> (label, Json.Number (hist_quantile_of s q)))
-      [ ("p50", 0.50); ("p90", 0.90); ("p95", 0.95); ("p99", 0.99) ]
-  in
-  let bucket_list =
-    if buckets then
-      [
-        ( "buckets",
-          Json.Array
-            (List.map
-               (fun (ub, c) -> Json.Array [ Json.Number ub; Json.int c ])
-               s.hist_buckets) );
-      ]
-    else []
-  in
-  Json.Object
-    ([
-       ("count", Json.int s.hist_count);
-       ("sum", Json.Number s.hist_sum);
-       ("min", Json.Number s.hist_min);
-       ("max", Json.Number s.hist_max);
-     ]
-    @ quantiles @ bucket_list)
-
-let to_json () =
-  let ids =
-    Mutex.lock reg_m;
-    let a = Array.mapi (fun id (name, kind) -> (name, kind, id)) !reg_names in
-    Mutex.unlock reg_m;
-    Array.sort compare a;
-    Array.to_list a
-  in
-  let section kind render =
-    Json.Object
-      (List.filter_map
-         (fun (name, k, id) -> if k = kind then Some (name, render id) else None)
-         ids)
-  in
-  let totals id =
-    Json.Object
-      [
-        ("seconds", Json.Number (timer_seconds id));
-        ("count", Json.int (timer_count id));
-      ]
-  in
-  let logged_dropped logged dropped =
-    Json.Object [ ("logged", Json.int logged); ("dropped", Json.int dropped) ]
-  in
-  Json.Object
-    [
-      ("enabled", Json.Bool (enabled ()));
-      ("counters", section K_counter (fun id -> Json.int (value id)));
-      ("gauges", section K_gauge (fun id -> Json.int (gauge_value id)));
-      ("timers", section K_timer totals);
-      (* spans reuse the timer accumulators, so totals by name are free *)
-      ("spans", section K_span totals);
-      ("histograms", section K_hist (fun id -> hist_summary_json (hist_snapshot id)));
-      ("span_records", logged_dropped (spans_logged ()) (spans_dropped ()));
-      ("events", logged_dropped (events_logged ()) (events_dropped ()));
-    ]

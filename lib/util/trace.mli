@@ -1,14 +1,14 @@
 (** Low-overhead, domain-safe observability for the solver stack.
 
     The module keeps one private state per domain (counters, gauges,
-    timer accumulators and a bounded event ring), reached through
+    timer accumulators, histograms and span records), reached through
     domain-local storage, so the hot-path operations never contend on a
     lock.  Aggregation happens only at read time, by folding over every
     domain's state, and is meant to be called at {e quiescent points} —
     after a {!Parallel.map} has returned, when the pool's handoff
     protocol has already published the workers' writes.
 
-    Tracing is disabled by default; a disabled probe costs exactly one
+    Tracing is disabled by default; a disabled operation costs exactly one
     load-and-branch per operation.  It is enabled either
     programmatically ({!set_enabled}, e.g. by [flexile --trace] and the
     bench harness) or by setting the [FLEXILE_TRACE] environment
@@ -16,13 +16,17 @@
     explicitly vetoes tracing ({!env_disabled}), which the bench harness
     honors when measuring overhead.
 
+    This module holds the state and its typed reads and renders
+    nothing: every document built from the registry (the [--trace]
+    report, the Prometheus page, the monitor's JSONL snapshots, the
+    solver-health section and the Chrome trace) is a projection written
+    by {!Trace_export}.
+
     Determinism: counter values are integer sums over domains, so they
     are identical for every job count whenever the traced work is
     (which holds for every default — cold-solve — pipeline in this
-    repository).  The merged event stream is ordered by
-    [(domain id, per-domain sequence)], deterministic for a fixed job
-    count.  Timer and gauge values are wall-clock measurements and vary
-    run to run by nature. *)
+    repository).  Timer and gauge values are wall-clock measurements
+    and vary run to run by nature. *)
 
 (** {1 Enabling} *)
 
@@ -76,34 +80,6 @@ val now_s : unit -> float
     source in [lib/] ([flexile-lint] rule [d1-nondet] bans
     [Unix.gettimeofday] / [Sys.time] there): elapsed-time results stay
     comparable and immune to system clock steps. *)
-
-(** {1 Events}
-
-    Each domain owns a fixed-capacity ring; when full, the oldest
-    events are overwritten and counted as dropped.  Events are cheap
-    enough for per-iteration (not per-pivot) granularity. *)
-
-type probe
-
-val probe : string -> probe
-
-val event : probe -> int -> unit
-(** [event p arg] appends [(p, arg, now_ns)] to the calling domain's
-    ring. *)
-
-type event_record = {
-  name : string;
-  arg : int;
-  t_ns : int64;
-  dom : int;  (** id of the emitting domain *)
-  seq : int;  (** per-domain emission index *)
-}
-
-val events : unit -> event_record list
-(** Surviving events, ordered by [(dom, seq)].  Quiescent-point read. *)
-
-val events_logged : unit -> int
-val events_dropped : unit -> int
 
 (** {1 Histograms}
 
@@ -219,14 +195,13 @@ val spans_open : unit -> int
 (** Spans begun but not yet ended, over all domains.  [0] at any
     quiescent point — the balance invariant the tests check. *)
 
-(** {1 Aggregated reads and reporting} *)
+(** {1 Aggregated reads} *)
 
-type metric_kind = Counter | Gauge | Timer | Probe | Span | Hist
+type metric_kind = Counter | Gauge | Timer | Span | Hist
 
 val registry : unit -> (string * metric_kind) list
 (** Every registered metric name with its kind, sorted by name — the
-    enumeration the exporters ({!Trace_export},
-    [Flexile_obs.Metrics_export]) render. *)
+    enumeration {!Trace_export} renders. *)
 
 val value_by_name : string -> int
 (** Counter value (sum over all domains) or gauge value (max over all
@@ -244,23 +219,5 @@ val timer_count_by_name : string -> int
     names. *)
 
 val reset : unit -> unit
-(** Zero every counter, gauge, timer and event ring in every registered
-    domain state.  Quiescent-point operation. *)
-
-val hist_summary_json : ?buckets:bool -> hist_snapshot -> Json.t
-(** [{"count":n,"sum":s,"min":m,"max":M,"p50":..,"p90":..,"p95":..,
-    "p99":..}], plus ["buckets":[[upper bound,count],..]] (raw, not
-    cumulative) when [buckets] (default [false]).  Non-finite fields
-    (empty recorder) encode as [null].  The one histogram summary every
-    report writes. *)
-
-val to_json : unit -> Json.t
-(** The registry as one JSON object:
-    [{"enabled":bool,"counters":{..},"gauges":{..},
-      "timers":{name:{"seconds":s,"count":n},..},
-      "spans":{name:{"seconds":s,"count":n},..},
-      "histograms":{name:<hist_summary_json>,..},
-      "span_records":{"logged":n,"dropped":n},
-      "events":{"logged":n,"dropped":n}}]
-    with keys sorted by name — the {e full} metric registry, every
-    module's counters included. *)
+(** Zero every counter, gauge, timer, histogram and span record in
+    every registered domain state.  Quiescent-point operation. *)

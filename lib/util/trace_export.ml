@@ -1,11 +1,121 @@
-(* Projections of Trace's quiescent-point reads into JSON documents:
-   the structured report (full metric registry + span tree) that
-   `flexile --trace` and `bench --json` write, and the Chrome
-   trace-event document (`--trace-chrome` / `bench --chrome`) loadable
-   in Perfetto or chrome://tracing.  Callers encode with Json.encode. *)
+(* The one exporter of the Trace registry.  One renderer ([sections])
+   turns the metrics one selection rule ([admits]) keeps into JSON
+   values; every artifact is a projection of it: the structured report
+   that `flexile --trace` and `bench --json` write, the solver-health
+   section, the monitor's JSONL snapshots, the Prometheus text page and
+   the counter samples of the Chrome trace.  Callers encode with
+   Json.encode. *)
 
 (* ------------------------------------------------------------------ *)
-(* Structured report                                                   *)
+(* Selection                                                           *)
+(* ------------------------------------------------------------------ *)
+
+type selection =
+  | Full  (* the --trace report: every metric *)
+  | Deterministic  (* the JSONL snapshots and the Prometheus page *)
+  | Health  (* the solver-health section *)
+
+(* The sections an artifact carries, in order. *)
+let kinds = function
+  | Full -> Trace.[ Counter; Gauge; Timer; Span; Hist ]
+  | Deterministic | Health -> Trace.[ Counter; Hist ]
+
+(* Deterministic subset: metrics whose values are pure functions of
+   the (seeded) work — integer counters and value-distribution
+   histograms.  Wall-clock measurements (timers, spans, duration
+   histograms by the "_seconds" naming convention), high-water gauges
+   and GC counters vary run to run and would break the monitor's
+   byte-identical-artifacts guarantee.  Solver-health metrics
+   ("health." prefix) are excluded for the same reason: production
+   sampling passes a per-domain stride (DESIGN.md section 15.1), so
+   which solves get measured depends on how the scheduler spread work
+   across domains — statistical observability, not a deterministic
+   artifact.  Doctor reports carry the deterministic health story. *)
+let admits sel (name, kind) =
+  let prefix p = String.starts_with ~prefix:p name in
+  List.mem kind (kinds sel)
+  &&
+  match sel with
+  | Full -> true
+  | Health -> prefix "health." || prefix "simplex."
+  | Deterministic -> (
+      (not (prefix "health."))
+      &&
+      match kind with
+      | Trace.Counter -> not (prefix "gc.")
+      | _ -> not (String.ends_with ~suffix:"_seconds" name))
+
+(* ------------------------------------------------------------------ *)
+(* The renderer                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let section_name = function
+  | Trace.Counter -> "counters"
+  | Trace.Gauge -> "gauges"
+  | Trace.Timer -> "timers"
+  | Trace.Span -> "spans"
+  | Trace.Hist -> "histograms"
+
+(* [{"count":n,"sum":s,"min":m,"max":M,"p50":..,"p90":..,"p95":..,
+   "p99":..}] plus, with [buckets], the raw (not cumulative)
+   [[upper bound,count],..] list.  Non-finite fields (empty recorder)
+   encode as null. *)
+let hist_json ~buckets (s : Trace.hist_snapshot) =
+  let quantiles =
+    List.map
+      (fun (label, q) -> (label, Json.Number (Trace.hist_quantile_of s q)))
+      [ ("p50", 0.50); ("p90", 0.90); ("p95", 0.95); ("p99", 0.99) ]
+  in
+  let bucket_list =
+    if buckets then
+      [
+        ( "buckets",
+          Json.Array
+            (List.map
+               (fun (ub, c) -> Json.Array [ Json.Number ub; Json.int c ])
+               s.Trace.hist_buckets) );
+      ]
+    else []
+  in
+  Json.Object
+    ([
+       ("count", Json.int s.Trace.hist_count);
+       ("sum", Json.Number s.Trace.hist_sum);
+       ("min", Json.Number s.Trace.hist_min);
+       ("max", Json.Number s.Trace.hist_max);
+     ]
+    @ quantiles @ bucket_list)
+
+let metric_json ~buckets name = function
+  | Trace.Counter | Trace.Gauge -> Json.int (Trace.value_by_name name)
+  | Trace.Timer | Trace.Span ->
+      (* spans reuse the timer accumulators, so totals by name are free *)
+      Json.Object
+        [
+          ("seconds", Json.Number (Trace.timer_seconds_by_name name));
+          ("count", Json.int (Trace.timer_count_by_name name));
+        ]
+  | Trace.Hist -> hist_json ~buckets (Trace.hist_snapshot_by_name name)
+
+(* The selected metrics by kind, each section sorted by name. *)
+let sections sel ~buckets =
+  let metrics = List.filter (admits sel) (Trace.registry ()) in
+  List.map
+    (fun kind ->
+      ( kind,
+        List.filter_map
+          (fun (name, k) ->
+            if k = kind then Some (name, metric_json ~buckets name k) else None)
+          metrics ))
+    (kinds sel)
+
+let fields sel ~buckets =
+  List.map
+    (fun (kind, metrics) -> (section_name kind, Json.Object metrics))
+    (sections sel ~buckets)
+
+(* ------------------------------------------------------------------ *)
+(* JSON documents                                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Times are relative to the earliest root, as in the Chrome export, so
@@ -33,86 +143,169 @@ let span_tree_json () =
   in
   Json.Array (List.map node roots)
 
-(* ------------------------------------------------------------------ *)
-(* Solver-health section                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Schema'd projection of the numerical-health observatory: every
-   [health.*] metric (samples, trips, stalls, residual/condition/growth
-   histograms — see Flexile_lp.Health) plus the [simplex.*] counters
-   that give them context (warm-start attempts/fallbacks, refactor
-   cadence).  Emitted as its own section in `--trace` reports and in
-   the `flexile doctor TOPOLOGY` report, so dashboards can read solver
-   health without parsing the full registry. *)
 let solver_health_json () =
-  let registry = Trace.registry () in
-  let section kind prefixes render =
-    Json.Object
-      (List.filter_map
-         (fun (name, k) ->
-           if
-             k = kind
-             && List.exists
-                  (fun prefix -> String.starts_with ~prefix name)
-                  prefixes
-           then Some (name, render name)
-           else None)
-         registry)
-  in
   Json.Object
-    [
-      ("schema", Json.String "flexile-solver-health");
-      ("version", Json.int 1);
-      ( "counters",
-        section Trace.Counter [ "health."; "simplex." ] (fun name ->
-            Json.int (Trace.value_by_name name)) );
-      ( "histograms",
-        section Trace.Hist [ "health." ] (fun name ->
-            Trace.hist_summary_json (Trace.hist_snapshot_by_name name)) );
-    ]
+    (("schema", Json.String "flexile-solver-health")
+    :: ("version", Json.int 1)
+    :: fields Health ~buckets:false)
 
-let report_json ?(derived = []) () =
+let report_json () =
   Json.Object
     [
-      ("derived", Json.Object (List.map (fun (k, v) -> (k, Json.Number v)) derived));
-      (* [report] is the full registry — every module's counters,
-         gauges, timers and span totals, not just the offline solver's *)
-      ("report", Trace.to_json ());
+      ("enabled", Json.Bool (Trace.enabled ()));
+      ("report", Json.Object (fields Full ~buckets:true));
       ("solver_health", solver_health_json ());
       ("span_tree", span_tree_json ());
-      (* ring/record saturation at top level: a nonzero drop count
-         means the span_tree above (and the event stream) is truncated
-         — silent truncation would read as "nothing else happened" *)
+      (* a nonzero drop count means the span_tree above is truncated —
+         silent truncation would read as "nothing else happened" *)
       ( "drops",
         Json.Object
           [
-            ("events_logged", Json.int (Trace.events_logged ()));
-            ("events_dropped", Json.int (Trace.events_dropped ()));
             ("span_records_logged", Json.int (Trace.spans_logged ()));
             ("span_records_dropped", Json.int (Trace.spans_dropped ()));
             ("spans_open", Json.int (Trace.spans_open ()));
           ] );
     ]
 
+let snapshot_json () = Json.Object (fields Deterministic ~buckets:false)
+
+(* ------------------------------------------------------------------ *)
+(* Prometheus text exposition                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Prometheus metric names are [a-zA-Z_:][a-zA-Z0-9_:]*; the registry
+   uses dotted names ("simplex.iterations_per_solve"), so map every
+   other character to '_'.  The "flexile_" prefix both namespaces the
+   scrape page and guarantees a valid leading character. *)
+let prom_name name =
+  "flexile_"
+  ^ String.map
+      (fun c ->
+        match c with
+        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> c
+        | _ -> '_')
+      name
+
+(* Prometheus floats: literal NaN / +Inf / -Inf, else shortest-ish
+   round-trippable decimal. *)
+let fnum v =
+  if Float.is_finite v then Printf.sprintf "%.9g" v
+  else if Float.is_nan v then "NaN"
+  else if v > 0. then "+Inf"
+  else "-Inf"
+
+(* Prometheus label VALUES have their own escaping rules (exposition
+   format): backslash, double quote and line feed must be escaped;
+   everything else is passed through verbatim.  Metric and label NAMES
+   are sanitized structurally (prom_name) instead. *)
+let label_escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      match c with
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '"' -> Buffer.add_string b "\\\""
+      | '\n' -> Buffer.add_string b "\\n"
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+(* A labeled gauge family: one # TYPE line, then one sample per
+   (label set, value) in the given order.  Label names go through
+   prom_name's character class (minus the prefix); label values are
+   escaped per the exposition format. *)
+let labeled_gauge ~name samples =
+  let b = Buffer.create 256 in
+  let sane =
+    String.map
+      (fun c ->
+        match c with
+        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c
+        | _ -> '_')
+  in
+  Printf.bprintf b "# TYPE %s gauge\n" (prom_name name);
+  List.iter
+    (fun (labels, v) ->
+      Buffer.add_string b (prom_name name);
+      if labels <> [] then begin
+        Buffer.add_char b '{';
+        List.iteri
+          (fun i (k, value) ->
+            if i > 0 then Buffer.add_char b ',';
+            Printf.bprintf b "%s=\"%s\"" (sane k) (label_escape value))
+          labels;
+        Buffer.add_char b '}'
+      end;
+      Printf.bprintf b " %s\n" (fnum v))
+    samples;
+  Buffer.contents b
+
+let number = function Json.Number x -> x | _ -> Float.nan
+
+let field key j =
+  match Json.member key j with Some v -> v | None -> Json.Null
+
+(* The deterministic sections as exposition, one family per metric in
+   name order: counters as [<name>_total], histograms with cumulative
+   [_bucket{le="..."}] lines, a [+Inf] bucket, [_sum] and [_count].
+   Counts print through Json.encode's integer rule, so they read as
+   plain digits. *)
+let prometheus () =
+  let b = Buffer.create 4096 in
+  let metrics =
+    List.concat_map
+      (fun (kind, metrics) -> List.map (fun (name, v) -> (name, kind, v)) metrics)
+      (sections Deterministic ~buckets:true)
+    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+  in
+  List.iter
+    (fun (name, kind, v) ->
+      let p = prom_name name in
+      match (kind : Trace.metric_kind) with
+      | Trace.Hist ->
+          Printf.bprintf b "# TYPE %s histogram\n" p;
+          (* exposition-format buckets are cumulative *)
+          let cum = ref 0. in
+          List.iter
+            (function
+              | Json.Array [ ub; c ] ->
+                  cum := !cum +. number c;
+                  Printf.bprintf b "%s_bucket{le=\"%s\"} %s\n" p
+                    (fnum (number ub))
+                    (Json.encode (Json.Number !cum))
+              | _ -> ())
+            (Option.value ~default:[] (Json.to_list (field "buckets" v)));
+          let count = Json.encode (field "count" v) in
+          Printf.bprintf b "%s_bucket{le=\"+Inf\"} %s\n" p count;
+          Printf.bprintf b "%s_sum %s\n" p (fnum (number (field "sum" v)));
+          Printf.bprintf b "%s_count %s\n" p count
+      | _ ->
+          Printf.bprintf b "# TYPE %s_total counter\n%s_total %s\n" p p
+            (Json.encode v))
+    metrics;
+  (* Span-record saturation is always exported: a nonzero drop total
+     means the span records behind the other artifacts are truncated,
+     and omitting the family would make the scrape page lie by omission
+     exactly when it matters. *)
+  Buffer.add_string b "# TYPE flexile_trace_drops_total counter\n";
+  Printf.bprintf b "flexile_trace_drops_total{ring=\"spans\"} %d\n"
+    (Trace.spans_dropped ());
+  Buffer.contents b
+
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event format                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* One JSON-object-format document: complete (`X`) events for spans on
-   a per-domain track, instant (`i`) events for probes, and one final
-   counter (`C`) sample per counter/gauge.  Timestamps are microseconds
-   relative to the earliest recorded instant, as the format requires. *)
+   a per-domain track, and one final counter (`C`) sample per counter
+   and gauge of the full report.  Timestamps are microseconds relative
+   to the earliest recorded span, as the format requires. *)
 let chrome_json () =
   let spans = Trace.span_records () in
-  let events = Trace.events () in
   let t_min =
     List.fold_left
       (fun acc (r : Trace.span_record) -> min acc r.Trace.span_t0_ns)
       Int64.max_int spans
-    |> fun acc ->
-    List.fold_left
-      (fun acc (e : Trace.event_record) -> min acc e.Trace.t_ns)
-      acc events
   in
   let t_min = if t_min = Int64.max_int then 0L else t_min in
   let us t = Int64.to_float (Int64.sub t t_min) /. 1e3 in
@@ -123,12 +316,10 @@ let chrome_json () =
       @ (("pid", Json.int 0) :: ("tid", Json.int tid) :: tail)
       @ [ ("args", Json.Object args) ])
   in
-  let cat c = ("cat", Json.String c) in
   let ts t = ("ts", Json.Number t) in
   let doms =
     List.sort_uniq compare
-      (List.map (fun (r : Trace.span_record) -> r.Trace.span_dom) spans
-      @ List.map (fun (e : Trace.event_record) -> e.Trace.dom) events)
+      (List.map (fun (r : Trace.span_record) -> r.Trace.span_dom) spans)
   in
   let metadata =
     event "M" "process_name" ~tid:0 [ ("name", Json.String "flexile") ]
@@ -144,7 +335,9 @@ let chrome_json () =
         let dur =
           Int64.to_float (Int64.sub r.Trace.span_t1_ns r.Trace.span_t0_ns) /. 1e3
         in
-        event "X" r.Trace.span_name ~head:[ cat "span" ] ~tid:r.Trace.span_dom
+        event "X" r.Trace.span_name
+          ~head:[ ("cat", Json.String "span") ]
+          ~tid:r.Trace.span_dom
           ~tail:[ ts (us r.Trace.span_t0_ns); ("dur", Json.Number dur) ]
           [
             ("arg", Json.int r.Trace.span_arg);
@@ -154,16 +347,6 @@ let chrome_json () =
           ])
       spans
   in
-  let probe_events =
-    List.map
-      (fun (e : Trace.event_record) ->
-        event "i" e.Trace.name
-          ~head:[ cat "probe"; ("s", Json.String "t") ]
-          ~tid:e.Trace.dom
-          ~tail:[ ts (us e.Trace.t_ns) ]
-          [ ("arg", Json.int e.Trace.arg) ])
-      events
-  in
   (* final counter samples: Trace aggregates totals, not series, so a
      single C event at the trace's end still surfaces every counter and
      gauge in Perfetto's counter tracks *)
@@ -172,23 +355,20 @@ let chrome_json () =
       (fun acc (r : Trace.span_record) -> max acc (us r.Trace.span_t1_ns))
       0. spans
   in
-  let registry = Trace.registry () in
   let counter_events =
     List.concat_map
-      (fun kind ->
-        List.filter_map
-          (fun (name, k) ->
-            if k = kind then
-              Some
-                (event "C" name ~tid:0 ~tail:[ ts t_end ]
-                   [ ("value", Json.int (Trace.value_by_name name)) ])
-            else None)
-          registry)
-      [ Trace.Counter; Trace.Gauge ]
+      (fun (kind, metrics) ->
+        match (kind : Trace.metric_kind) with
+        | Trace.Counter | Trace.Gauge ->
+            List.map
+              (fun (name, v) ->
+                event "C" name ~tid:0 ~tail:[ ts t_end ] [ ("value", v) ])
+              metrics
+        | _ -> [])
+      (sections Full ~buckets:false)
   in
   Json.Object
     [
       ("displayTimeUnit", Json.String "ms");
-      ( "traceEvents",
-        Json.Array (metadata @ span_events @ probe_events @ counter_events) );
+      ("traceEvents", Json.Array (metadata @ span_events @ counter_events));
     ]

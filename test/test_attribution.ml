@@ -17,7 +17,7 @@ module Instance = Flexile_te.Instance
 module Metrics = Flexile_te.Metrics
 module Offline = Flexile_te.Flexile_offline
 module Attribution = Flexile_obs.Attribution
-module Export = Flexile_obs.Metrics_export
+module Export = Flexile_util.Trace_export
 
 let build mix =
   let options =

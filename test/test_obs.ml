@@ -4,7 +4,7 @@
 
 module Trace = Flexile_util.Trace
 module Json = Flexile_util.Json
-module Export = Flexile_obs.Metrics_export
+module Export = Flexile_util.Trace_export
 module Slo = Flexile_obs.Slo
 module Instance = Flexile_te.Instance
 module Metrics = Flexile_te.Metrics
@@ -194,7 +194,49 @@ let test_prometheus_shape () =
   in
   Alcotest.(check (float 0.))
     "+Inf bucket equals count" (value count_line) (value inf_line);
-  Alcotest.(check (float 0.)) "count is 6" 6. (value count_line)
+  Alcotest.(check (float 0.)) "count is 6" 6. (value count_line);
+  (* a traced online allocation and a two-domain map register the
+     span/histogram pairs online.scenario{,_seconds} and
+     parallel.shard{,_seconds}, which must not collide on the page *)
+  let inst = Flexile_core.Builder.fig1 () in
+  let best = (Offline.solve inst).Offline.best in
+  ignore
+    (Online.allocate inst ~sid:0
+       ~critical:(fun fid -> best.Offline.z.(fid).(0))
+       ~offline_loss:(fun fid -> best.Offline.losses.(fid).(0)));
+  ignore
+    (Flexile_util.Parallel.map ~jobs:2 ~n:4 ~init:(fun _ -> ()) ~f:(fun () i -> i) ());
+  let lines =
+    String.split_on_char '\n' (Export.prometheus ())
+    |> List.filter (fun l -> l <> "")
+  in
+  let families = ref [] in
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ "#"; "TYPE"; fam; kind ] ->
+          if List.mem_assoc fam !families then
+            Alcotest.failf "family %s declared twice" fam;
+          families := (fam, kind) :: !families
+      | _ -> (
+          let name =
+            match String.index_opt line '{' with
+            | Some i -> String.sub line 0 i
+            | None -> String.sub line 0 (String.index line ' ')
+          in
+          match !families with
+          | [] -> Alcotest.failf "sample %S before any # TYPE" line
+          | (fam, kind) :: _ ->
+              let own =
+                match kind with
+                | "histogram" ->
+                    List.map (fun sfx -> fam ^ sfx) [ "_bucket"; "_sum"; "_count" ]
+                | "summary" -> List.map (fun sfx -> fam ^ sfx) [ ""; "_sum"; "_count" ]
+                | _ -> [ fam ]
+              in
+              if not (List.mem name own) then
+                Alcotest.failf "sample %S outside its family %s" line fam))
+    lines
 
 let test_prom_name () =
   Alcotest.(check string)
@@ -215,8 +257,7 @@ let test_deterministic_filter () =
   ignore (Trace.gauge "test.det_gauge");
   ignore (Trace.timer "test.det_timer");
   ignore (Trace.span "test.det_span");
-  ignore (Trace.probe "test.det_probe");
-  let page = Export.prometheus ~deterministic:true () in
+  let page = Export.prometheus () in
   let kept family =
     List.exists
       (String.starts_with ~prefix:("# TYPE flexile_" ^ family ^ " "))
@@ -236,10 +277,10 @@ let test_deterministic_filter () =
   List.iter
     (fun family ->
       if kept family then
-        Alcotest.fail "gauges/timers/spans/probes are wall-clock")
+        Alcotest.fail "gauges/timers/spans are wall-clock")
     [ "test_det_gauge"; "test_det_timer_seconds"; "test_det_span_seconds" ];
   let _ = Trace.hist "test.filter_seconds" in
-  let page = Export.prometheus ~deterministic:true () in
+  let page = Export.prometheus () in
   let contains needle hay =
     let n = String.length needle and h = String.length hay in
     let found = ref false in
@@ -255,30 +296,24 @@ let test_deterministic_filter () =
   if contains "test_filter_seconds" page then
     Alcotest.fail "duration histogram survived the filter"
 
-(* the drop counters must survive the deterministic filter: a scrape
-   that silently lost events is exactly what the family is there to
+(* the drop counter survives the deterministic filter: a scrape built
+   over truncated span records is exactly what the family is there to
    reveal *)
 let test_trace_drops_family () =
   with_tracing true @@ fun () ->
-  List.iter
-    (fun deterministic ->
-      let page = Export.prometheus ~deterministic () in
-      let lines = String.split_on_char '\n' page in
-      List.iter
-        (fun ring ->
-          let prefix =
-            Printf.sprintf "flexile_trace_drops_total{ring=%S} " ring
-          in
-          if not (List.exists (String.starts_with ~prefix) lines) then
-            Alcotest.failf "missing %s (deterministic=%b)" prefix deterministic)
-        [ "events"; "spans" ];
-      if
-        not
-          (List.exists
-             (String.equal "# TYPE flexile_trace_drops_total counter")
-             lines)
-      then Alcotest.fail "missing TYPE line for flexile_trace_drops_total")
-    [ true; false ]
+  let lines = String.split_on_char '\n' (Export.prometheus ()) in
+  if
+    not
+      (List.exists
+         (String.starts_with ~prefix:"flexile_trace_drops_total{ring=\"spans\"} ")
+         lines)
+  then Alcotest.fail "missing flexile_trace_drops_total{ring=\"spans\"}";
+  if
+    not
+      (List.exists
+         (String.equal "# TYPE flexile_trace_drops_total counter")
+         lines)
+  then Alcotest.fail "missing TYPE line for flexile_trace_drops_total"
 
 (* ---- JSON snapshot ---- *)
 
@@ -294,7 +329,7 @@ let test_snapshot_json_parses () =
           match Json.member section j with
           | Some (Json.Object _) -> ()
           | _ -> Alcotest.failf "missing section %s" section)
-        [ "counters"; "gauges"; "timers"; "histograms" ];
+        [ "counters"; "histograms" ];
       let entry =
         Option.bind (Json.member "histograms" j) (fun hs ->
             Json.member "test.obs_snapshot_hist" hs)
@@ -310,16 +345,94 @@ let test_snapshot_json_parses () =
               if Option.is_none (Json.member f e) then
                 Alcotest.failf "missing field %s" f)
             [ "sum"; "min"; "max"; "p50"; "p90"; "p95"; "p99" ]);
-      (* histograms_json additionally carries raw bucket lists *)
-      (match Json.parse (Json.encode (Export.histograms_json ())) with
-      | Error e -> Alcotest.failf "histograms_json does not parse: %s" e
-      | Ok hj -> (
-          match
-            Option.bind (Json.member "test.obs_snapshot_hist" hj) (fun e ->
-                Json.member "buckets" e)
-          with
-          | Some (Json.Array (_ :: _)) -> ()
-          | _ -> Alcotest.fail "bucket list missing"))
+      (* the --trace report additionally carries raw bucket lists *)
+      match
+        List.fold_left
+          (fun j k -> Option.bind j (Json.member k))
+          (Some (Export.report_json ()))
+          [ "report"; "histograms"; "test.obs_snapshot_hist"; "buckets" ]
+      with
+      | Some (Json.Array (_ :: _)) -> ()
+      | _ -> Alcotest.fail "bucket list missing"
+
+(* ---- every artifact is a projection of one renderer ---- *)
+
+(* After one traced offline solve, a counter reads the same in the
+   --trace report, the Chrome trace's C sample and, where the
+   deterministic subset keeps it, the page's _total line and the JSONL
+   snapshot; a histogram's count agrees between the report, the page's
+   _count and +Inf lines and the snapshot. *)
+let test_projections_agree () =
+  with_tracing true @@ fun () ->
+  Trace.reset ();
+  ignore (Offline.solve (Flexile_core.Builder.fig1 ()));
+  let report = Export.report_json ()
+  and page = String.split_on_char '\n' (Export.prometheus ())
+  and snapshot = Export.snapshot_json ()
+  and chrome = Export.chrome_json () in
+  let at j keys =
+    List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some j) keys
+  in
+  let fields j keys =
+    match at j keys with
+    | Some (Json.Object l) -> l
+    | _ -> Alcotest.failf "no object at %s" (String.concat "." keys)
+  in
+  let num = function Some (Json.Number x) -> x | _ -> Float.nan in
+  let page_value sample =
+    match List.find_opt (String.starts_with ~prefix:(sample ^ " ")) page with
+    | None -> None
+    | Some l ->
+        Some (float_of_string (String.sub l (String.length sample + 1)
+                                 (String.length l - String.length sample - 1)))
+  in
+  let prom name = "flexile_" ^ String.map (fun c -> if c = '.' then '_' else c) name in
+  let chrome_counters =
+    Option.value ~default:[] (Option.bind (at chrome [ "traceEvents" ]) Json.to_list)
+    |> List.filter_map (fun e ->
+           match (Json.member "ph" e, Json.member "name" e) with
+           | Some (Json.String "C"), Some (Json.String n) ->
+               Some (n, num (at e [ "args"; "value" ]))
+           | _ -> None)
+  in
+  let counters = fields report [ "report"; "counters" ] in
+  let snap_counters = fields snapshot [ "counters" ] in
+  List.iter
+    (fun (name, v) ->
+      let v = num (Some v) in
+      Alcotest.(check (option (float 0.)))
+        (name ^ ": chrome") (Some v) (List.assoc_opt name chrome_counters);
+      match List.assoc_opt name snap_counters with
+      | None ->
+          if page_value (prom name ^ "_total") <> None then
+            Alcotest.failf "%s on the page but not in the snapshot" name
+      | Some sv ->
+          Alcotest.(check (float 0.)) (name ^ ": snapshot") v (num (Some sv));
+          Alcotest.(check (option (float 0.)))
+            (name ^ ": page") (Some v) (page_value (prom name ^ "_total")))
+    counters;
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name counters) then
+        Alcotest.failf "snapshot counter %s missing from the report" name)
+    (List.map fst snap_counters);
+  if num (List.assoc_opt "flexile.subproblems_solved" snap_counters) <= 0. then
+    Alcotest.fail "the solve's counters are missing from the snapshot";
+  let report_hists = fields report [ "report"; "histograms" ] in
+  let snap_hists = fields snapshot [ "histograms" ] in
+  if snap_hists = [] then Alcotest.fail "no deterministic histogram";
+  List.iter
+    (fun (name, h) ->
+      let count = num (Json.member "count" h) in
+      Alcotest.(check (float 0.))
+        (name ^ ": report count") count
+        (num (at (Json.Object report_hists) [ name; "count" ]));
+      Alcotest.(check (option (float 0.)))
+        (name ^ ": page _count") (Some count) (page_value (prom name ^ "_count"));
+      Alcotest.(check (option (float 0.)))
+        (name ^ ": page +Inf") (Some count)
+        (page_value (prom name ^ "_bucket{le=\"+Inf\"}")))
+    snap_hists
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -340,5 +453,8 @@ let () =
           quick "trace drops family always exported" test_trace_drops_family;
         ] );
       ( "json",
-        [ quick "snapshot parses with histograms" test_snapshot_json_parses ] );
+        [
+          quick "snapshot parses with histograms" test_snapshot_json_parses;
+          quick "projections agree" test_projections_agree;
+        ] );
     ]

@@ -169,7 +169,6 @@ let test_chrome_well_formed () =
   Trace.reset ();
   let sp = Trace.span "prof.chrome" in
   Trace.in_span ~arg:5 sp (fun () -> Trace.in_span sp (fun () -> ()));
-  Trace.event (Trace.probe "prof.chrome_event") 9;
   Trace.incr (Trace.counter "prof.chrome_counter");
   let doc = Json.encode (Trace_export.chrome_json ()) in
   match Json.parse doc with
@@ -204,14 +203,14 @@ let test_chrome_well_formed () =
               | "C" ->
                   if Json.member "args" e = None then
                     Alcotest.fail "C without args"
-              | "i" | "M" -> ()
+              | "M" -> ()
               | p -> Alcotest.failf "unexpected phase %s" p)
             events;
           List.iter
             (fun p ->
               if not (List.mem p !phases) then
                 Alcotest.failf "no %s events emitted" p)
-            [ "X"; "M"; "i"; "C" ])
+            [ "X"; "M"; "C" ])
 
 let test_report_has_full_registry () =
   with_tracing true @@ fun () ->
@@ -219,7 +218,7 @@ let test_report_has_full_registry () =
   (* touch metrics from several modules, then check they all appear *)
   let inst = Flexile_core.Builder.fig1 () in
   ignore (Flexile_core.Schemes.run ~jobs:2 Flexile_core.Schemes.Flexile inst);
-  let doc = Json.encode (Flexile_te.Flexile_offline.trace_json ()) in
+  let doc = Json.encode (Trace_export.report_json ()) in
   match Json.parse doc with
   | Error e -> Alcotest.failf "report does not parse: %s" e
   | Ok j ->

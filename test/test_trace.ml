@@ -50,40 +50,21 @@ let test_timer_and_gauge_merge () =
   if Trace.timer_seconds_by_name "test.span" < 0. then
     Alcotest.fail "negative span time"
 
-let test_events_ordered () =
-  with_tracing true @@ fun () ->
-  let p = Trace.probe "test.event" in
-  Trace.event p 1;
-  Trace.event p 2;
-  Trace.event p 3;
-  let mine =
-    Trace.events () |> List.filter (fun e -> e.Trace.name = "test.event")
-  in
-  Alcotest.(check (list int))
-    "args in emission order" [ 1; 2; 3 ]
-    (List.map (fun e -> e.Trace.arg) mine);
-  let seqs = List.map (fun e -> e.Trace.seq) mine in
-  if List.sort compare seqs <> seqs then Alcotest.fail "seq not monotone"
-
 (* ---- disabled tracing records nothing ---- *)
 
 let test_disabled_records_nothing () =
   with_tracing false @@ fun () ->
   let c = Trace.counter "test.disabled_counter" in
   let t = Trace.timer "test.disabled_timer" in
-  let p = Trace.probe "test.disabled_event" in
   let c0 = Trace.value_by_name "test.disabled_counter"
-  and n0 = Trace.timer_count_by_name "test.disabled_timer"
-  and e0 = Trace.events_logged () in
+  and n0 = Trace.timer_count_by_name "test.disabled_timer" in
   Trace.incr c;
   Trace.add c 41;
   Trace.with_span t (fun () -> ());
-  Trace.event p 7;
   Alcotest.(check int) "counter untouched" c0
     (Trace.value_by_name "test.disabled_counter");
   Alcotest.(check int) "timer untouched" n0
-    (Trace.timer_count_by_name "test.disabled_timer");
-  Alcotest.(check int) "no events logged" e0 (Trace.events_logged ())
+    (Trace.timer_count_by_name "test.disabled_timer")
 
 (* ---- solver counters are exact ---- *)
 
@@ -99,15 +80,7 @@ let test_flexile_counters_exact () =
     "iteration counter = iterate count"
     (List.length r.Offline.iterates)
     (Trace.value_by_name "flexile.iterations");
-  let derived = Flexile_util.Json.member "derived" (Offline.trace_json ()) in
-  let get k =
-    match Option.bind derived (Flexile_util.Json.member k) with
-    | Some (Flexile_util.Json.Number v) -> v
-    | _ -> Alcotest.failf "derived %s missing" k
-  in
-  if get "subproblems_solved" <> float_of_int r.Offline.subproblems_solved then
-    Alcotest.fail "trace_summary disagrees with counter";
-  if get "subproblem_sweep_seconds" <= 0. then
+  if Trace.timer_seconds_by_name "flexile.subproblem_sweep" <= 0. then
     Alcotest.fail "sweep timer did not accumulate"
 
 (* ---- the Benders loop's stop reasons ---- *)
@@ -203,42 +176,27 @@ let test_flexile_disabled_counts_zero () =
   if r.Offline.subproblems_solved <= 0 then
     Alcotest.fail "toy instance should solve subproblems";
   Alcotest.(check int) "disabled: counter stays zero" 0
-    (Trace.value_by_name "flexile.subproblems_solved");
-  Alcotest.(check int) "disabled: no events" 0 (Trace.events_logged ())
+    (Trace.value_by_name "flexile.subproblems_solved")
 
 (* ---- JSON report ---- *)
 
 let test_json_shape () =
   with_tracing true @@ fun () ->
   Trace.incr (Trace.counter "test.json_counter");
-  let j = Flexile_util.Json.encode (Trace.to_json ()) in
+  let j = Flexile_util.Json.encode (Flexile_util.Trace_export.report_json ()) in
   let must s =
-    if not (String.length j >= String.length s) then
-      Alcotest.failf "report too short for %s" s;
+    let n = String.length s in
     let found = ref false in
-    for i = 0 to String.length j - String.length s do
-      if String.sub j i (String.length s) = s then found := true
+    for i = 0 to String.length j - n do
+      if String.sub j i n = s then found := true
     done;
     if not !found then Alcotest.failf "report lacks %s: %s" s j
   in
-  must "\"enabled\":true";
-  must "\"counters\"";
-  must "\"test.json_counter\"";
-  must "\"timers\"";
-  must "\"events\"";
-  let oj = Flexile_util.Json.encode (Offline.trace_json ()) in
-  List.iter
-    (fun s ->
-      if
-        not
-          (let n = String.length s in
-           let found = ref false in
-           for i = 0 to String.length oj - n do
-             if String.sub oj i n = s then found := true
-           done;
-           !found)
-      then Alcotest.failf "offline trace lacks %s" s)
-    [ "\"derived\""; "\"warm_start_hit_rate\""; "\"report\"" ]
+  List.iter must
+    [
+      "\"enabled\":true"; "\"report\""; "\"counters\""; "\"test.json_counter\"";
+      "\"timers\""; "\"solver_health\""; "\"span_tree\""; "\"drops\"";
+    ]
 
 (* ---- histograms ---- *)
 
@@ -367,7 +325,6 @@ let () =
         [
           quick "counters sum across domains" test_counter_sums_across_domains;
           quick "timers and gauges merge" test_timer_and_gauge_merge;
-          quick "events keep order" test_events_ordered;
         ] );
       ( "disabled",
         [

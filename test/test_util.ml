@@ -180,7 +180,7 @@ let prop_mutated_report_parses =
     Trace.incr (Trace.counter "test.fuzz_counter");
     Trace.observe (Trace.hist "test.fuzz_hist") 0.25;
     Trace.in_span (Trace.span "test.fuzz_span") (fun () -> ());
-    let s = Json.encode (Flexile_util.Trace_export.report_json ~derived:[ ("x", 0.5) ] ()) in
+    let s = Json.encode (Flexile_util.Trace_export.report_json ()) in
     Trace.set_enabled was;
     s
   in
