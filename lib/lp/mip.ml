@@ -139,7 +139,7 @@ let solve ?(node_limit = 5000) ?heuristic ~binaries model =
              | Simplex.Unbounded | Simplex.Iteration_limit -> drop nd
              | Simplex.Optimal ->
                  if lp.Simplex.obj < !incumbent_obj -. gap_tol then begin
-                   if List.length nd.fixings = 0 then
+                   if nd.fixings = [] then
                      best_proven := lp.Simplex.obj;
                    if is_integral lp.Simplex.x binaries then begin
                      (* snap and accept *)

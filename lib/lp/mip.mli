@@ -48,6 +48,9 @@ val solve :
 (** [solve ~binaries model] minimizes [model] with the given variables
     constrained to {0,1}.  [heuristic lp_x] may propose a full primal
     assignment from a fractional relaxation solution; it is checked for
-    feasibility before being accepted as an incumbent.  The search
-    stops after [node_limit] node LPs (default 5000).  The model's
-    bounds are mutated during the search and restored on exit. *)
+    integrality and feasibility before being accepted as an incumbent,
+    and an accepted candidate is copied.  A candidate is read only
+    before the next call of [heuristic], so the heuristic may return
+    the same buffer, rewritten, every time.  The search stops after
+    [node_limit] node LPs (default 5000).  The model's bounds are
+    mutated during the search and restored on exit. *)

@@ -92,7 +92,11 @@ type dual_info = {
   gamma_duals : (int * float) array;  (** (fid, dual of its gamma row) *)
 }
 
-type cut = { target : int; coef : (int * float) array; const : float }
+type cut = Master_heuristic.cut = {
+  target : int;
+  coef : (int * float) array;
+  const : float;
+}
 
 (* ------------------------------------------------------------------ *)
 (* Subproblem template: one model whose RHS is specialized per scenario *)
@@ -407,129 +411,26 @@ let solve_master inst ~config ~cuts ~z_prev ~coverage_target ~perfect =
         (Lp_model.add_row model Lp_model.Le
            (float_of_int (limit - !ones))
            !coeffs));
-  (* Rounding heuristic: round the LP relaxation, repair per-flow
-     coverage greedily, then locally improve by turning off the
-     costliest critical flags in the scenarios driving the max cut.
-     Respects the Hamming budget when one is configured. *)
-  let prob q = inst.Instance.scenarios.(q).Failure_model.prob in
-  let eval_z z =
-    List.fold_left
-      (fun acc c ->
-        let v =
-          Array.fold_left
-            (fun a (fid, d) -> if z.(fid).(c.target) then a +. d else a)
-            c.const c.coef
-        in
-        Float.max acc v)
-      0. cuts
-  in
-  let coverage_of z fid =
-    let mass = ref 0. in
-    for q = 0 to nq - 1 do
-      (* perfect scenarios are implicitly critical *)
-      if z.(fid).(q) || (perfect.(q) && z_prev.(fid).(q)) then
-        mass := !mass +. prob q
-    done;
-    !mass
-  in
-  let hamming_ok z =
-    match config.hamming_limit with
-    | None -> true
-    | Some limit ->
-        let dist = ref 0 in
-        Array.iteri
-          (fun fid row ->
-            Array.iteri
-              (fun q v -> if v >= 0 && z.(fid).(q) <> z_prev.(fid).(q) then incr dist)
-              row)
-          zv;
-        !dist <= limit
-  in
-  let finish z =
-    if not (hamming_ok z) then None
-    else begin
-      let cand = Array.make (Lp_model.nvars model) 0. in
-      cand.(penalty) <- eval_z z;
-      Array.iteri
-        (fun fid row ->
-          Array.iteri (fun q v -> if v >= 0 && z.(fid).(q) then cand.(v) <- 1.) row)
-        zv;
-      Some cand
-    end
-  in
-  let heuristic lp_x =
-    let z = Array.map Array.copy z_prev in
-    (* LP-guided rounding on the master's variables *)
-    Array.iteri
-      (fun fid row ->
-        Array.iteri (fun q v -> if v >= 0 then z.(fid).(q) <- lp_x.(v) >= 0.5) row)
-      zv;
-    (* coverage repair: re-add the scenarios with the best mass, highest
-       fractional value first *)
-    Array.iter
-      (fun (f : Instance.flow) ->
-        if f.Instance.demand > 0. then begin
-          let fid = f.Instance.fid in
-          let mass = ref (coverage_of z fid) in
-          if !mass < coverage_target.(fid) then begin
-            let key q = (lp_x.(zv.(fid).(q)), prob q) in
-            let candidates =
-              List.init nq (fun q -> q)
-              |> List.filter (fun q -> zv.(fid).(q) >= 0 && not z.(fid).(q))
-              |> List.sort (fun a b -> compare (key b) (key a))
-            in
-            List.iter
-              (fun q ->
-                if !mass < coverage_target.(fid) then begin
-                  z.(fid).(q) <- true;
-                  mass := !mass +. prob q
-                end)
-              candidates
-          end
-        end)
-      inst.Instance.flows;
-    (* local improvement: drop the heaviest on-flag of a max-achieving
-       cut while the flow's coverage allows it *)
-    let continue_ = ref true in
-    let steps = ref 0 in
-    while !continue_ && !steps < 2 * nq do
-      incr steps;
-      continue_ := false;
-      let cur = eval_z z in
-      if cur > 1e-9 then begin
-        let best = ref None in
-        List.iter
-          (fun c ->
-            let v =
-              Array.fold_left
-                (fun a (fid, d) -> if z.(fid).(c.target) then a +. d else a)
-                c.const c.coef
-            in
-            if Float.abs (v -. cur) < 1e-12 then
-              Array.iter
-                (fun (fid, d) ->
-                  if
-                    z.(fid).(c.target) && d > 1e-9
-                    && coverage_of z fid -. prob c.target
-                       >= coverage_target.(fid) -. 1e-12
-                  then
-                    match !best with
-                    | Some (_, _, d') when d' >= d -> ()
-                    | _ -> best := Some (fid, c.target, d))
-                c.coef)
-          cuts;
-        match !best with
-        | Some (fid, q, _) ->
-            z.(fid).(q) <- false;
-            if eval_z z < cur -. 1e-12 then continue_ := true
-            else z.(fid).(q) <- true
-        | None -> ()
-      end
-    done;
-    finish z
+  (* Rounding heuristic (Master_heuristic): round the LP relaxation,
+     repair per-flow coverage greedily, then locally improve by turning
+     off the costliest critical flags in the scenarios driving the max
+     cut.  Respects the Hamming budget when one is configured. *)
+  let heuristic =
+    Master_heuristic.create
+      ~prob:
+        (Array.map
+           (fun (s : Failure_model.scenario) -> s.Failure_model.prob)
+           inst.Instance.scenarios)
+      ~active:
+        (Array.map
+           (fun (f : Instance.flow) -> f.Instance.demand > 0.)
+           inst.Instance.flows)
+      ~coverage_target ~perfect ~z_prev ~zv ~cuts ~penalty
+      ~nvars:(Lp_model.nvars model) ~hamming_limit:config.hamming_limit
   in
   let r =
-    Mip.solve ~node_limit:master_node_limit ~heuristic
+    Mip.solve ~node_limit:master_node_limit
+      ~heuristic:(Master_heuristic.run heuristic)
       ~binaries:(Array.of_list !binaries) model
   in
   match r.Mip.status with

@@ -232,6 +232,140 @@ let qcheck_scenario_classes =
                   ad_classes)
            inst.Instance.flows)
 
+(* Seeded synthetic Benders masters, built the way the master builds
+   its variables: a flag (f, q) is a variable where flow f has demand,
+   is connected in a non-perfect scenario q and some cut mentions the
+   pair; every other flag keeps the previous plan's value, which is
+   off on many connected pairs.  Probabilities, duals and LP values come
+   from small pools, so repair keys tie (equal LP value and
+   probability, LP values of exactly 0.5) and cut values tie. *)
+type master = {
+  prob : float array;
+  active : bool array;
+  coverage_target : float array;
+  perfect : bool array;
+  z_prev : bool array array;
+  zv : int array array;
+  cuts : Master_heuristic.cut list;
+  nvars : int;
+  hamming_limit : int option;
+}
+
+let synthetic_master prng =
+  let pick a = Prng.choose prng a in
+  let nf = 1 + Prng.int prng 8 and nq = 1 + Prng.int prng 10 in
+  let prob = Array.init nq (fun _ -> pick [| 0.01; 0.02; 0.05; 0.1 |]) in
+  let active = Array.init nf (fun _ -> Prng.bool prng 0.85) in
+  let perfect = Array.init nq (fun _ -> Prng.bool prng 0.2) in
+  let connected = Array.init nf (fun _ -> Array.init nq (fun _ -> Prng.bool prng 0.85)) in
+  let z_prev =
+    Array.init nf (fun f ->
+        Array.init nq (fun q ->
+            active.(f) && connected.(f).(q) && Prng.bool prng 0.7))
+  in
+  let entry () = (Prng.int prng nf, pick [| 0.; 1e-10; 0.05; 0.1; 0.2; 0.3; -0.05 |]) in
+  (* a cut may copy the previous one with one dual raised by delta and
+     its constant lowered by delta, give or take less than 1e-12: where
+     that flag is on the two cuts tie, and the copy holds the heavier
+     entry *)
+  let cuts =
+    List.fold_left
+      (fun acc _ ->
+        let c =
+          match acc with
+          | (prev : Master_heuristic.cut) :: _
+            when Array.length prev.coef > 0 && Prng.bool prng 0.5 ->
+              let delta = pick [| 0.3; 0.4 |] and coef = Array.copy prev.coef in
+              let j = Prng.int prng (Array.length coef) in
+              coef.(j) <- (fst coef.(j), snd coef.(j) +. delta);
+              {
+                prev with
+                coef;
+                const = prev.const -. delta +. pick [| 0.; 4e-13; -3e-13 |];
+              }
+          | _ ->
+              {
+                Master_heuristic.target = Prng.int prng nq;
+                coef = Array.init (Prng.int prng (nf + 2)) (fun _ -> entry ());
+                const = pick [| -0.3; -0.1; 0.; 0.1; 0.2 |];
+              }
+        in
+        c :: acc)
+      [] (List.init (Prng.int prng 13) Fun.id)
+    |> List.rev
+  in
+  let mentioned = Array.make_matrix nf nq false in
+  List.iter
+    (fun (c : Master_heuristic.cut) ->
+      Array.iter
+        (fun (f, d) -> if Float.abs d > 1e-10 then mentioned.(f).(c.target) <- true)
+        c.coef)
+    cuts;
+  (* variable 0 is the penalty *)
+  let nvars = ref 1 in
+  let zv =
+    Array.init nf (fun f ->
+        Array.init nq (fun q ->
+            if active.(f) && connected.(f).(q) && (not perfect.(q)) && mentioned.(f).(q)
+            then begin
+              incr nvars;
+              !nvars - 1
+            end
+            else -1))
+  in
+  let coverage_target =
+    Array.init nf (fun f ->
+        if not active.(f) then 0.
+        else begin
+          let mass = ref 0. in
+          Array.iteri (fun q c -> if c then mass := !mass +. prob.(q)) connected.(f);
+          (!mass *. pick [| 0.5; 0.8; 0.95; 1. |]) -. 1e-9
+        end)
+  in
+  let hamming_limit = if Prng.bool prng 0.3 then Some (Prng.int prng 6) else None in
+  { prob; active; coverage_target; perfect; z_prev; zv; cuts; nvars = !nvars; hamming_limit }
+
+let draw_lp_x prng m =
+  Array.init m.nvars (fun _ ->
+      if Prng.bool prng 0.25 then Prng.float prng
+      else Prng.choose prng [| 0.; 0.5; 1.; 0.3; 0.7; 0.5 |])
+
+let same_candidate a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+      Array.length a = Array.length b
+      && Array.for_all2
+           (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+           a b
+  | _ -> false
+
+(* The incremental evaluator returns, call after call on one master (so
+   its reused buffers are covered), exactly the bits of the evaluator
+   it replaced. *)
+let qcheck_master_heuristic_matches_reference =
+  QCheck.Test.make ~name:"master heuristic bits = reference" ~count:2000
+    QCheck.(make ~print:string_of_int Gen.(int_range 0 1_000_000))
+    (fun salt ->
+      let prng = Prng.of_string (Printf.sprintf "mh-%d" salt) in
+      let m = synthetic_master prng in
+      let reference =
+        Master_heuristic_ref.heuristic ~prob:m.prob ~active:m.active
+          ~coverage_target:m.coverage_target ~perfect:m.perfect ~z_prev:m.z_prev
+          ~zv:m.zv ~cuts:m.cuts ~penalty:0 ~nvars:m.nvars ~hamming_limit:m.hamming_limit
+      in
+      let incremental =
+        Master_heuristic.create ~prob:m.prob ~active:m.active
+          ~coverage_target:m.coverage_target ~perfect:m.perfect ~z_prev:m.z_prev
+          ~zv:m.zv ~cuts:m.cuts ~penalty:0 ~nvars:m.nvars ~hamming_limit:m.hamming_limit
+      in
+      List.for_all
+        (fun _ ->
+          let lp_x = draw_lp_x prng m in
+          let want = reference lp_x in
+          same_candidate want (Master_heuristic.run incremental lp_x))
+        (List.init 5 Fun.id))
+
 let () =
   Alcotest.run "flexile_te_props"
     [
@@ -243,6 +377,7 @@ let () =
             qcheck_teavar_weaker_than_adaptive;
             qcheck_routing_block;
             qcheck_scenario_classes;
+            qcheck_master_heuristic_matches_reference;
           ] );
       ( "regression",
         [
