@@ -43,19 +43,18 @@ lint-deep: | $(SMOKE_DIR)
 
 # Determinism smoke (DESIGN.md sections 10, 13 and 15): each row of
 # the table below runs one `flexile` command twice, as run A and run B
-# (a run tag and a --jobs value each), and compares the artifacts both
-# runs wrote byte for byte.  A % in the command or in an artifact name
-# stands for the run's tag.
-#   - monitor: a short seeded failure stream replayed twice; the
-#     Prometheus page and the JSONL snapshot series.
-#   - explain: the attribution report and the regime-conditioned
-#     attainment table across job counts (per-scenario solver state);
-#     the Prometheus page only across repeated runs at a fixed job
-#     count, since trace counters such as warm-start iteration totals
-#     legitimately differ across job counts.
-#   - doctor: the report over the seeded near-singular fixture across
-#     job counts, live (which also exercises the threshold-trip
-#     auto-dump) and replayed from that dump via --from-dump.
+# (a run tag and, where the command takes one, a --jobs value each),
+# and compares the artifacts both runs wrote byte for byte.  A % in
+# the command or in an artifact name stands for the run's tag.
+#   - monitor: a short seeded failure stream replayed at --jobs 1 and
+#     2; the Prometheus page and the JSONL snapshot series, health.*
+#     families included.
+#   - explain: the attribution report, the regime-conditioned
+#     attainment table and the Prometheus page at --jobs 1 and 4.
+#   - doctor: the report over the seeded near-singular fixture, run
+#     twice on the calling domain, live (which also exercises the
+#     threshold-trip auto-dump) and replayed from that dump via
+#     --from-dump.
 # Both doctor answers must also carry a passing LP duality certificate
 # ("certified":true).
 FLEXILE = dune exec --no-build bin/flexile_cli.exe --
@@ -66,21 +65,23 @@ EXPLAIN = $(FLEXILE) explain IBM --two-class --scenarios srlg,partial,drift \
 DOCTOR = FLEXILE_HEALTH_DUMP=$(SMOKE_DIR) $(FLEXILE) doctor --fixture near-singular
 REPLAY = $(FLEXILE) doctor --from-dump $(SMOKE_DIR)/health-dump-near-singular-fixture.json
 
-# $(call same,TAG-A JOBS-A,TAG-B JOBS-B,COMMAND,ARTIFACTS)
-run_as = $(subst %,$(word 1,$(1)),$(2)) --jobs $(word 2,$(1))
+# $(call same,TAG-A [JOBS-A],TAG-B [JOBS-B],COMMAND,ARTIFACTS)
+run_as = $(subst %,$(word 1,$(1)),$(2))$(if $(word 2,$(1)), --jobs $(word 2,$(1)))
 same = $(call run_as,$(1),$(3)) && $(call run_as,$(2),$(3)) && \
   $(foreach f,$(4),cmp $(SMOKE_DIR)/$(subst %,$(word 1,$(1)),$(f)) \
     $(SMOKE_DIR)/$(subst %,$(word 1,$(2)),$(f)) &&) true
 
 determinism: | $(SMOKE_DIR)
 	dune build bin/flexile_cli.exe
-	$(call same,a 2,b 2,$(MONITOR) --prom $(SMOKE_DIR)/monitor-%.prom \
+	$(call same,a 1,b 2,$(MONITOR) --prom $(SMOKE_DIR)/monitor-%.prom \
 	  --jsonl $(SMOKE_DIR)/monitor-%.jsonl,monitor-%.prom monitor-%.jsonl)
+	grep -q '^flexile_health_samples_total [1-9]' $(SMOKE_DIR)/monitor-a.prom
 	$(call same,a 1,b 4,$(EXPLAIN) --out $(SMOKE_DIR)/explain-%.json \
-	  --regimes $(SMOKE_DIR)/explain-%-regimes.json,explain-%.json explain-%-regimes.json)
-	$(call same,b 4,c 4,$(EXPLAIN) --prom $(SMOKE_DIR)/explain-%.prom,explain-%.prom)
-	$(call same,a 1,b 4,$(DOCTOR) --out $(SMOKE_DIR)/doctor-%.json,doctor-%.json)
-	$(call same,c 1,d 4,$(REPLAY) --out $(SMOKE_DIR)/doctor-%.json,doctor-%.json)
+	  --regimes $(SMOKE_DIR)/explain-%-regimes.json \
+	  --prom $(SMOKE_DIR)/explain-%.prom,explain-%.json explain-%-regimes.json explain-%.prom)
+	grep -q '^flexile_health_samples_total [1-9]' $(SMOKE_DIR)/explain-a.prom
+	$(call same,a,b,$(DOCTOR) --out $(SMOKE_DIR)/doctor-%.json,doctor-%.json)
+	$(call same,c,d,$(REPLAY) --out $(SMOKE_DIR)/doctor-%.json,doctor-%.json)
 	grep -q '"certified":true' $(SMOKE_DIR)/doctor-a.json
 	grep -q '"certified":true' $(SMOKE_DIR)/doctor-c.json
 

@@ -192,10 +192,9 @@ let () =
     ]
   in
   Arg.parse args (fun _ -> ()) "flexile benchmark harness";
-  (* tracing is on by default under the bench harness so --json can
-     report solver counters; FLEXILE_TRACE=0 vetoes it, which is how
-     the no-overhead path is itself benchmarked *)
-  if not (Trace.env_disabled ()) then Trace.set_enabled true;
+  (* tracing is on exactly when a trace artifact is asked for: the
+     --json report carries the registry, --chrome the spans *)
+  if !json <> "" || !chrome <> "" then Trace.set_enabled true;
   let profile = if !full then Figures.full else Figures.quick in
   (* environment overrides for constrained machines / CI; a malformed
      value is an error, not a silent fall-back to the default profile *)

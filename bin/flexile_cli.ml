@@ -16,8 +16,7 @@ let trace_arg =
     "Enable solver tracing and write the structured JSON report (the \
      full metric registry — every module's counters, gauges and \
      timers — plus the hierarchical span tree) to $(docv) when the \
-     command completes.  Tracing can also be forced on for any command \
-     with FLEXILE_TRACE=1."
+     command completes."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
@@ -111,12 +110,28 @@ let pairs_arg =
   let doc = "Maximum number of site pairs (sampled deterministically)." in
   Arg.(value & opt int 240 & info [ "max-pairs" ] ~doc)
 
+(* A malformed FLEXILE_JOBS is a usage error naming the value, before
+   any work starts, whatever --jobs says. *)
 let jobs_arg =
   let doc =
     "Worker domains for the per-scenario sweeps (0 = auto: FLEXILE_JOBS or \
      one per core).  Results are identical for every value."
   in
-  Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  let check jobs =
+    match Flexile_util.Parallel.resolve_jobs None with
+    | (_ : int) -> Ok jobs
+    | exception Invalid_argument e -> Error e
+  in
+  Term.term_result' ~usage:true
+    Term.(const check $ Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc))
+
+(* A scheme is parsed where the option is, so a typo is a usage error
+   listing the names. *)
+let scheme_conv =
+  Arg.enum
+    (List.map
+       (fun s -> (Flexile_core.Schemes.name s, s))
+       Flexile_core.Schemes.all)
 
 (* an explicit --mix wins over a mix passed via --scenarios *)
 let build_instance ?(two = false) ?(scenarios = (150, None)) ?mix
@@ -204,23 +219,25 @@ let solve_cmd =
 let compare_cmd =
   let schemes_arg =
     let doc = "Comma-separated schemes (default: Flexile,SMORE,SWAN-Maxmin)." in
-    Arg.(value & opt string "Flexile,SMORE,SWAN-Maxmin" & info [ "schemes" ] ~doc)
+    Arg.(
+      value
+      & opt (list scheme_conv)
+          Flexile_core.Schemes.[ Flexile; Smore; Swan_maxmin ]
+      & info [ "schemes" ] ~doc)
   in
   let run () name two scenarios mix max_pairs schemes jobs trace chrome =
     with_trace trace chrome @@ fun () ->
     let inst = build_instance ~two ~scenarios ?mix ~max_pairs name in
     print_instance inst;
-    String.split_on_char ',' schemes
-    |> List.iter (fun s ->
-           match Flexile_core.Schemes.of_string (String.trim s) with
-           | None -> Printf.printf "unknown scheme: %s\n" s
-           | Some scheme -> (
-               try
-                 let losses = Flexile_core.Schemes.run ~jobs scheme inst in
-                 report inst (Flexile_core.Schemes.name scheme) losses
-               with Flexile_core.Schemes.Timeout _ ->
-                 Printf.printf "%-16s TLE (size guard)\n"
-                   (Flexile_core.Schemes.name scheme)))
+    List.iter
+      (fun scheme ->
+        try
+          let losses = Flexile_core.Schemes.run ~jobs scheme inst in
+          report inst (Flexile_core.Schemes.name scheme) losses
+        with Flexile_core.Schemes.Timeout _ ->
+          Printf.printf "%-16s TLE (size guard)\n"
+            (Flexile_core.Schemes.name scheme))
+      schemes
   in
   let term =
     Term.(const run $ verbose_term $ topology_arg $ two_class_arg
@@ -256,19 +273,19 @@ let topo_cmd =
 
 let scale_cmd =
   let scheme_arg =
-    Arg.(value & opt string "Flexile" & info [ "scheme" ] ~doc:"Scheme to search.")
+    Arg.(
+      value
+      & opt scheme_conv Flexile_core.Schemes.Flexile
+      & info [ "scheme" ] ~doc:"Scheme to search.")
   in
   let run () name scheme jobs =
-    match Flexile_core.Schemes.of_string scheme with
-    | None -> Printf.printf "unknown scheme: %s\n" scheme
-    | Some scheme ->
-        let graph = Flexile_net.Catalog.by_name name in
-        let options =
-          { Flexile_core.Builder.default_options with Flexile_core.Builder.jobs }
-        in
-        let s = Flexile_core.Max_scale.search ~options ~scheme ~graph () in
-        Printf.printf "%s on %s: max low-priority scale with zero 99%%ile loss = %.2f\n"
-          (Flexile_core.Schemes.name scheme) name s
+    let graph = Flexile_net.Catalog.by_name name in
+    let options =
+      { Flexile_core.Builder.default_options with Flexile_core.Builder.jobs }
+    in
+    let s = Flexile_core.Max_scale.search ~options ~scheme ~graph () in
+    Printf.printf "%s on %s: max low-priority scale with zero 99%%ile loss = %.2f\n"
+      (Flexile_core.Schemes.name scheme) name s
   in
   let term = Term.(const run $ verbose_term $ topology_arg $ scheme_arg $ jobs_arg) in
   Cmd.v
@@ -279,33 +296,36 @@ let scale_cmd =
 
 let emulate_cmd =
   let scheme_arg =
-    Arg.(value & opt string "Flexile" & info [ "scheme" ] ~doc:"Scheme to emulate.")
+    Arg.(
+      value
+      & opt scheme_conv Flexile_core.Schemes.Flexile
+      & info [ "scheme" ] ~doc:"Scheme to emulate.")
   in
   let runs_arg =
     Arg.(value & opt int 5 & info [ "runs" ] ~doc:"Independent emulation runs.")
   in
   let run () name two scenarios mix max_pairs scheme runs jobs =
-    match Flexile_core.Schemes.of_string scheme with
-    | None -> Printf.printf "unknown scheme: %s\n" scheme
-    | Some scheme ->
-        let inst = build_instance ~two ~scenarios ?mix ~max_pairs name in
-        print_instance inst;
-        let model = Flexile_core.Schemes.run ~jobs scheme inst in
-        report inst (Flexile_core.Schemes.name scheme ^ " (model)") model;
-        for i = 1 to runs do
-          let seed = Flexile_util.Prng.of_string (Printf.sprintf "emu-%d" i) in
-          let r = Flexile_emu.Emulator.emulate ~seed inst ~model_losses:model in
-          Printf.printf "run %d: PCC=%.6f max|diff|=%.4f%%" i
-            r.Flexile_emu.Emulator.pcc
-            (100. *. r.Flexile_emu.Emulator.max_abs_diff);
-          Array.iteri
-            (fun k (_ : Instance.cls) ->
-              Printf.printf "  PercLoss[%d]=%.2f%%" k
-                (100.
-                *. Metrics.perc_loss inst r.Flexile_emu.Emulator.emulated ~cls:k))
-            inst.Instance.classes;
-          print_newline ()
-        done
+    let inst = build_instance ~two ~scenarios ?mix ~max_pairs name in
+    print_instance inst;
+    let model = Flexile_core.Schemes.run ~jobs scheme inst in
+    report inst (Flexile_core.Schemes.name scheme ^ " (model)") model;
+    let seeds =
+      List.init runs (fun i ->
+          Flexile_util.Prng.of_string (Printf.sprintf "emu-%d" (i + 1)))
+    in
+    List.iteri
+      (fun i r ->
+        Printf.printf "run %d: PCC=%.6f max|diff|=%.4f%%" (i + 1)
+          r.Flexile_emu.Emulator.pcc
+          (100. *. r.Flexile_emu.Emulator.max_abs_diff);
+        Array.iteri
+          (fun k (_ : Instance.cls) ->
+            Printf.printf "  PercLoss[%d]=%.2f%%" k
+              (100.
+              *. Metrics.perc_loss inst r.Flexile_emu.Emulator.emulated ~cls:k))
+          inst.Instance.classes;
+        print_newline ())
+      (Flexile_emu.Emulator.emulate ~seeds inst ~model_losses:model)
   in
   let term =
     Term.(const run $ verbose_term $ topology_arg $ two_class_arg
@@ -323,9 +343,9 @@ let emulate_cmd =
    offline solve's per-class PercLoss is the promise, Flexile_obs.Slo
    tracks observed attainment and burn rate, and metrics snapshots go
    out as JSONL plus a final Prometheus page.  Artifacts are
-   byte-identical across invocations for a fixed seed and job count:
-   the exporters run with [~deterministic:true], which restricts them
-   to metrics that are pure functions of the seeded work. *)
+   byte-identical across invocations and job counts for a fixed seed:
+   both carry only the exporter's deterministic subset, the metrics
+   that are pure functions of the seeded work. *)
 let monitor_cmd =
   let iterations =
     Arg.(value & opt int 5
@@ -712,9 +732,8 @@ let explain_cmd =
    diagnosis (DESIGN.md section 15).  Two sources: a seeded
    pathological fixture (--fixture) or a snapshot auto-dumped by a
    health-threshold trip (--from-dump).  Either report is
-   byte-identical for any --jobs value: the solve runs on the calling
-   domain, and the flag is accepted for interface uniformity.  A
-   topology's solver health is the solver_health section of
+   byte-identical across runs: the solve runs on the calling domain.
+   A topology's solver health is the solver_health section of
    [flexile solve TOPOLOGY --trace]. *)
 let doctor_cmd =
   let fixture_arg =
@@ -741,7 +760,7 @@ let doctor_cmd =
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Write the diagnosis JSON to $(docv) instead of stdout.")
   in
-  let run () fixture dump (_jobs : int) out chrome =
+  let run () fixture dump out chrome =
     if chrome <> None then Trace.set_enabled true;
     let diagnosis =
       match (fixture, dump) with
@@ -766,8 +785,8 @@ let doctor_cmd =
           chrome
   in
   let term =
-    Term.(const run $ verbose_term $ fixture_arg $ dump_arg $ jobs_arg
-          $ out_arg $ chrome_arg)
+    Term.(const run $ verbose_term $ fixture_arg $ dump_arg $ out_arg
+          $ chrome_arg)
   in
   Cmd.v
     (Cmd.info "doctor"
@@ -784,15 +803,15 @@ let augment_cmd =
   in
   let mode_arg =
     let doc = "Planning mode: flexile (per-flow critical scenarios) or common (scenario-centric)." in
-    Arg.(value & opt string "flexile" & info [ "mode" ] ~doc)
+    Arg.(
+      value
+      & opt (enum [ ("flexile", `Per_flow); ("common", `Common) ]) `Per_flow
+      & info [ "mode" ] ~doc)
   in
   let run () name two scenarios mix max_pairs limit mode =
     let inst = build_instance ~two ~scenarios ?mix ~cap_scenarios:30
         ~max_pairs:(min max_pairs 40) name in
     print_instance inst;
-    let mode =
-      if String.lowercase_ascii mode = "common" then `Common else `Per_flow
-    in
     let perc_limit =
       Array.map (fun (_ : Instance.cls) -> limit) inst.Instance.classes
     in

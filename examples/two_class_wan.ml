@@ -34,16 +34,15 @@ let () =
 
   (* emulate Flexile's allocation with OvS-style integer weights *)
   Printf.printf "\nemulating Flexile with integer select-group weights (5 runs):\n";
-  for i = 1 to 5 do
-    let seed = Flexile_util.Prng.of_string (Printf.sprintf "two-class-emu-%d" i) in
-    let r =
-      Flexile_emu.Emulator.emulate ~seed inst
-        ~model_losses:fx.Flexile_scheme.losses
-    in
-    Printf.printf
-      "  run %d: PCC=%.6f  max |emulated - model| = %.2f%%  high=%.2f%% low=%.2f%%\n"
-      i r.Flexile_emu.Emulator.pcc
-      (pct r.Flexile_emu.Emulator.max_abs_diff)
-      (pct (Metrics.perc_loss inst r.Flexile_emu.Emulator.emulated ~cls:0))
-      (pct (Metrics.perc_loss inst r.Flexile_emu.Emulator.emulated ~cls:1))
-  done
+  let seeds =
+    List.init 5 (fun i ->
+        Flexile_util.Prng.of_string (Printf.sprintf "two-class-emu-%d" (i + 1)))
+  in
+  Flexile_emu.Emulator.emulate ~seeds inst ~model_losses:fx.Flexile_scheme.losses
+  |> List.iteri (fun i r ->
+         Printf.printf
+           "  run %d: PCC=%.6f  max |emulated - model| = %.2f%%  high=%.2f%% low=%.2f%%\n"
+           (i + 1) r.Flexile_emu.Emulator.pcc
+           (pct r.Flexile_emu.Emulator.max_abs_diff)
+           (pct (Metrics.perc_loss inst r.Flexile_emu.Emulator.emulated ~cls:0))
+           (pct (Metrics.perc_loss inst r.Flexile_emu.Emulator.emulated ~cls:1)))

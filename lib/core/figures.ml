@@ -207,12 +207,16 @@ let fig9 p =
   Printf.printf "  (a) two classes, %d flows, %d scenarios\n"
     (Instance.nflows inst2) (Instance.nscenarios inst2);
   let emu_percentiles inst model =
-    List.init p.emu_runs (fun i ->
-        let seed = Prng.of_string (Printf.sprintf "fig9-run-%d" i) in
-        let r = Flexile_emu.Emulator.emulate ~seed inst ~model_losses:model in
+    let seeds =
+      List.init p.emu_runs (fun i ->
+          Prng.of_string (Printf.sprintf "fig9-run-%d" i))
+    in
+    List.map
+      (fun r ->
         ( Array.init (Array.length inst.Instance.classes) (fun k ->
               perc inst r.Flexile_emu.Emulator.emulated k),
           r ))
+      (Flexile_emu.Emulator.emulate ~seeds inst ~model_losses:model)
   in
   let report2 name model =
     let runs = emu_percentiles inst2 model in

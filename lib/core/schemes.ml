@@ -38,10 +38,6 @@ let all =
     Ip;
   ]
 
-let of_string s =
-  let l = String.lowercase_ascii s in
-  List.find_opt (fun t -> String.lowercase_ascii (name t) = l) all
-
 exception Timeout of t
 
 (* Rough size guards mirroring the paper's TLE rows: past these sizes

@@ -16,7 +16,9 @@ type t =
   | Ip
 
 val name : t -> string
-val of_string : string -> t option
+
+val all : t list
+(** Every scheme, in the order above. *)
 
 exception Timeout of t
 (** Raised when a scheme exceeds its size guard (the paper reports the

@@ -81,42 +81,10 @@ let link_pass_factors inst ~sid tunnel_traffic =
   done;
   factors
 
-(* Reconstruction depends only on (instance, model losses, scenario),
-   not on the emulation seed; cache it so repeated runs (the paper does
-   5 per scheme) only pay for the LPs once. *)
-(* c2-global-mut: single-domain memo list; reconstruction is a pure
-   function of (instance, model losses), so a hit returns exactly what
-   a recomputation would. *)
-let alloc_cache :
-    (Instance.losses * float array array array option array) list ref =
-  (ref [] [@lint.allow "c2-global-mut"])
-
-let cached_allocation inst ~sid ~model_losses =
-  let slot =
-    match
-      List.find_opt (fun (key, _) -> key == model_losses) !alloc_cache
-    with
-    | Some (_, slots) -> slots
-    | None ->
-        let slots = Array.make (Instance.nscenarios inst) None in
-        alloc_cache := (model_losses, slots) :: !alloc_cache;
-        if List.length !alloc_cache > 16 then
-          alloc_cache :=
-            List.filteri (fun i _ -> i < 16) !alloc_cache;
-        slots
-  in
-  match slot.(sid) with
-  | Some a -> a
-  | None ->
-      let a = reconstruct_allocation inst ~sid ~model_losses in
-      slot.(sid) <- Some a;
-      a
-
-let emulate_scenario ?(packets_per_unit = 200) ~seed inst
-    ~sid ~model_losses =
+(* One scenario's emulation over its reconstructed allocation. *)
+let emulate_alloc ~packets_per_unit ~seed inst ~sid ~model_losses alloc =
   Trace.observe_duration h_scenario @@ fun () ->
   let out = Array.make (Instance.nflows inst) 1. in
-  let alloc = cached_allocation inst ~sid ~model_losses in
   (* per-flow packetized tunnel volumes *)
   let tunnel_traffic = ref [] in
   let flow_sent = Array.make (Instance.nflows inst) 0. in
@@ -195,18 +163,16 @@ let emulate_scenario ?(packets_per_unit = 200) ~seed inst
     inst.Instance.flows;
   out
 
-let emulate ?packets_per_unit ~seed inst
-    ~model_losses =
+(* packets per unit of admitted traffic *)
+let default_packets = 200
+
+let emulate_scenario ~seed inst ~sid ~model_losses =
+  emulate_alloc ~packets_per_unit:default_packets ~seed inst ~sid ~model_losses
+    (reconstruct_allocation inst ~sid ~model_losses)
+
+(* The run record of one emulated loss matrix against the model. *)
+let compare_to_model inst ~model_losses emulated =
   let nq = Instance.nscenarios inst in
-  let emulated = Instance.alloc_losses inst in
-  for sid = 0 to nq - 1 do
-    let per_flow =
-      emulate_scenario ?packets_per_unit ~seed inst ~sid
-        ~model_losses
-    in
-    Array.iteri (fun fid v -> emulated.(fid).(sid) <- v) per_flow
-  done;
-  (* compare against the model *)
   let em = ref [] and mo = ref [] and diffs = ref [] in
   Array.iter
     (fun (f : Instance.flow) ->
@@ -239,3 +205,22 @@ let emulate ?packets_per_unit ~seed inst
     max_abs_diff = Array.fold_left (fun a d -> Float.max a (Float.abs d)) 0. diffs;
     diff_cdf;
   }
+
+(* Reconstruction depends only on (instance, model losses, scenario),
+   not on the seed: each scenario's allocation is solved once and
+   emulated under every run's seed.  A run's PRNG advances through the
+   scenarios in order, so interleaving the runs leaves each unchanged. *)
+let emulate ?(packets_per_unit = default_packets) ~seeds inst ~model_losses =
+  let nq = Instance.nscenarios inst in
+  let runs = List.map (fun seed -> (seed, Instance.alloc_losses inst)) seeds in
+  for sid = 0 to nq - 1 do
+    let alloc = reconstruct_allocation inst ~sid ~model_losses in
+    List.iter
+      (fun (seed, emulated) ->
+        let per_flow =
+          emulate_alloc ~packets_per_unit ~seed inst ~sid ~model_losses alloc
+        in
+        Array.iteri (fun fid v -> emulated.(fid).(sid) <- v) per_flow)
+      runs
+  done;
+  List.map (fun (_, emulated) -> compare_to_model inst ~model_losses emulated) runs

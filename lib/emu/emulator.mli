@@ -38,7 +38,6 @@ val reconstruct_allocation :
     controller would solve to install forwarding weights. *)
 
 val emulate_scenario :
-  ?packets_per_unit:int ->
   seed:Flexile_util.Prng.t ->
   Flexile_te.Instance.t ->
   sid:int ->
@@ -49,18 +48,22 @@ val emulate_scenario :
     read, so a replay driver (the [flexile monitor] subcommand) can
     fill the matrix lazily as scenarios are drawn.  The PRNG state
     advances with each packet, so independent per-scenario seeds give
-    draw-order-independent results. *)
+    draw-order-independent results.  Reconstructs the scenario's
+    allocation on every call. *)
 
 (* finer quantization is how test_emu.ml checks that the emulation
    converges to the model *)
 val emulate :
   ?packets_per_unit:int ->
-  seed:Flexile_util.Prng.t ->
+  seeds:Flexile_util.Prng.t list ->
   Flexile_te.Instance.t ->
   model_losses:Flexile_te.Instance.losses ->
-  run
+  run list
   [@@lint.allow "u2-single-value-knob"]
-(** Emulate every scenario once (via {!emulate_scenario}, one shared
-    PRNG).  [packets_per_unit] (default 200) controls quantization
+(** One run per seed, in order: the run of a seed emulates every
+    scenario under it, one PRNG shared across its scenarios, exactly as
+    {!emulate_scenario} would.  Each scenario's allocation is
+    reconstructed once per call and shared by the runs.
+    [packets_per_unit] (default 200) controls quantization
     granularity; forwarding weights are integers in the Open vSwitch
     select-group range of 100. *)

@@ -120,10 +120,11 @@ type state = {
   m : int;
   stall_limit : int;
   mutable capture : bool;
-  (* estimator scratch, length m, allocated by the first sample: the
-     stride leaves most solver states unsampled *)
+  (* estimator scratch, length m, allocated by the first sample: an
+     untraced solve takes none *)
   mutable hy : float array;
   mutable hz : float array;
+  mutable stride_pos : int; (* production stride position, -1 unset *)
   mutable samples : sample list; (* newest first *)
   mutable stalls : stall list;
   mutable loops : loop_note list;
@@ -137,6 +138,7 @@ let make ?(stall_limit = 120) m =
     capture = false;
     hy = [||];
     hz = [||];
+    stride_pos = -1;
     samples = [];
     stalls = [];
     loops = [];
@@ -166,25 +168,22 @@ let clear state =
    solve-heavy workloads (hundreds of small scenario LPs, or one
    continental-scale LP whose extraction-time eta file is long).  In
    production (non-capture) mode only every [sample_stride]-th
-   opportunity is measured.  The counter is per-domain, so which
-   solves get measured depends on how the scheduler spread work
-   across domains — production health aggregates are statistical,
-   and Trace_export leaves the health.* families out of its
-   deterministic subset accordingly.  The deterministic
-   health story is capture (doctor) mode, which bypasses the stride
-   and samples everything. *)
+   opportunity of a solver state is measured, from a phase hashed out
+   of its first basis, so that the states of one-opportunity LPs are
+   sampled about once in 16 too (DESIGN.md section 15.1).  Capture
+   (doctor) mode bypasses the stride and samples everything. *)
 let sample_stride = 16
 
-(* per-domain counter with no cross-domain communication: DLS is the
-   sanctioned per-worker-state pattern (lint i2 exempts it) *)
-let stride_key = Domain.DLS.new_key (fun () -> ref 0)
-
-let sample_due state =
+let sample_due state ~basic =
   state.capture
   ||
-  let c = Domain.DLS.get stride_key in
-  let n = !c in
-  c := n + 1;
+  let n =
+    if state.stride_pos >= 0 then state.stride_pos
+    else
+      let h = Array.fold_left (fun h j -> (h * 31) + j) 0 basic in
+      Flexile_util.Prng.(int (create (Int64.of_int h)) sample_stride)
+  in
+  state.stride_pos <- n + 1;
   n mod sample_stride = 0
 
 (* ------------------------------------------------------------------ *)
@@ -501,10 +500,12 @@ let model_of_json j =
 let dump_schema = "flexile-health-dump"
 let dump_version = 1
 
+(* A deployment setting: where trips may write their snapshots. *)
 let dump_dir () =
   match Sys.getenv_opt "FLEXILE_HEALTH_DUMP" with
   | Some d when String.length d > 0 -> Some d
   | _ -> None
+[@@lint.allow "d1-nondet"]
 
 let sanitize_name s =
   let b = Bytes.of_string (if s = "" then "lp" else s) in

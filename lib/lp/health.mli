@@ -70,8 +70,8 @@ type loop_note = {
 (** {1 State} *)
 
 type state
-(** Per-solver-instance health state: scratch vectors, stall limit, and
-    the captured timeline.  Not shared across domains — each solver
+(** Per-solver-instance health state: scratch vectors, stall limit,
+    sampling stride count and the captured timeline.  Not shared across domains — each solver
     template owns one. *)
 
 val make : ?stall_limit:int -> int -> state
@@ -100,16 +100,16 @@ val clear : state -> unit
 
 (** {1 Sampling entry points (called by the solver)} *)
 
-val sample_due : state -> bool
+val sample_due : state -> basic:int array -> bool
 (** Sampling-policy gate the solver consults at each opportunity
-    (refactorization or extraction).  Always true in capture (doctor)
-    mode; in production, true once every 16 opportunities per
-    domain — a full sample costs a dozen basis solves, and the stride
-    is what keeps the observatory inside its 2% overhead budget
-    (DESIGN.md section 15).  The per-domain counter makes the sampled
-    subset schedule-dependent, which is why the health.* families sit
-    outside the deterministic Prometheus subset.  Calling it advances
-    the stride counter. *)
+    (refactorization or extraction), [basic] being the basic variable
+    of each row there.  Always true in capture (doctor) mode; in
+    production, true once every 16 opportunities of the state, at a
+    phase hashed from [basic] at its first — a full sample costs a
+    dozen basis solves, and the stride keeps the observatory inside
+    its 2% overhead budget (DESIGN.md section 15).  The sampled subset
+    depends only on the solve, not on the job count.  Calling it
+    advances the count. *)
 
 val sample :
   state ->

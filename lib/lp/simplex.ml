@@ -428,7 +428,7 @@ let eta_epoch_of st =
   }
 
 let health_sample st ~kind ~eta ~patched =
-  if Health.sample_due st.health then begin
+  if Health.sample_due st.health ~basic:st.bas then begin
   nonbasic_residual st;
   Health.sample st.health ~basis:st.basis ~pat:st.dpat ~kind
     ~phase:st.hphase ~iteration:st.hiter
@@ -442,11 +442,9 @@ let health_sample st ~kind ~eta ~patched =
    the dependent positions with slack unit columns and we repair the
    recorded basis to match (the evicted variable goes to a bound), then
    let the simplex iterate onward from the repaired point. *)
-let refactorize st =
+let refactor_basis st =
   Trace.incr c_refactorizations;
   Trace.observe h_eta_at_refactor (float_of_int (Basis.eta_count st.basis));
-  let active = health_active st in
-  let eta = if active then eta_epoch_of st else Health.empty_epoch in
   for pos = 0 to st.m - 1 do
     let q = st.bas.(pos) in
     st.fcols.(pos) <- (if q < st.n then q else Basis.unit_col (unit_row st q))
@@ -480,6 +478,14 @@ let refactorize st =
     patched;
   recompute_xb st;
   if patched <> [] then st.d_valid <- false;
+  patched
+
+(* [refactor_basis] plus a health-sampling opportunity; returns true
+   when the basis was repaired. *)
+let refactorize st =
+  let active = health_active st in
+  let eta = if active then eta_epoch_of st else Health.empty_epoch in
+  let patched = refactor_basis st in
   if active then health_sample st ~kind:Health.Refactor ~eta ~patched;
   patched <> []
 
@@ -791,7 +797,8 @@ let setup_cold st =
     end
   done;
   (* slacks basic (identity basis, factored trivially with no
-     patches); artificials fixed nonbasic *)
+     patches, and no health-sampling opportunity: there is nothing to
+     measure); artificials fixed nonbasic *)
   for i = 0 to m - 1 do
     st.bas.(i) <- n + i;
     st.vstat.(n + i) <- basic;
@@ -801,7 +808,7 @@ let setup_cold st =
     st.xn.(n + m + i) <- 0.
   done;
   st.psec <- 0;
-  ignore (refactorize st)
+  ignore (refactor_basis st)
 
 (* Phase 1: replace infeasible basic slacks by artificials; returns the
    phase-1 cost vector, or None if the start is already feasible.  The
@@ -895,10 +902,10 @@ let extract_solution st ~status ~iterations =
   }
 
 (* Extraction with a final health sample: small LPs rarely exhaust the
-   eta limit mid-solve, so without this the observatory would only ever
-   see the trivial slack basis of [setup_cold].  The *answer* basis is
-   the one whose residuals and conditioning decide whether the solution
-   can be trusted. *)
+   eta limit mid-solve, so without this the observatory would never see
+   their bases (the slack basis of [setup_cold] is not sampled).  The
+   *answer* basis is the one whose residuals and conditioning decide
+   whether the solution can be trusted. *)
 let finish_solve st ~status ~iterations =
   if health_active st then
     health_sample st ~kind:Health.Final ~eta:(eta_epoch_of st) ~patched:[];

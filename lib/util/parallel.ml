@@ -1,7 +1,8 @@
 let max_jobs = 64
 
-(* per-map sweep accounting: each worker times its own shard (recorded
-   into its domain's trace state), the caller derives the imbalance *)
+(* per-map sweep accounting: one [parallel.maps] per call at any job
+   count; each worker of a fan-out times its own shard (recorded into
+   its domain's trace state), the caller derives the imbalance *)
 let c_maps = Trace.counter "parallel.maps"
 let t_busy = Trace.timer "parallel.worker_busy"
 let g_imbalance = Trace.gauge "parallel.imbalance_permille"
@@ -11,13 +12,19 @@ let sp_shard = Trace.span "parallel.shard"
    is the straggler signal the imbalance gauge only summarizes *)
 let h_shard = Trace.hist "parallel.shard_seconds"
 
+(* A deployment setting, read where the job count is resolved; unset
+   or empty means "auto", anything but a positive integer is an
+   error. *)
 let env_jobs () =
-  match Sys.getenv_opt "FLEXILE_JOBS" with
-  | None -> None
+  match Option.map String.trim (Sys.getenv_opt "FLEXILE_JOBS") with
+  | None | Some "" -> None
   | Some v -> (
-      match int_of_string_opt (String.trim v) with
+      match int_of_string_opt v with
       | Some j when j >= 1 -> Some (min j max_jobs)
-      | _ -> None)
+      | _ ->
+          invalid_arg
+            (Printf.sprintf "FLEXILE_JOBS=%S is not a positive integer" v))
+[@@lint.allow "d1-nondet"]
 
 let default_jobs () =
   match env_jobs () with
@@ -212,7 +219,6 @@ let parallel_map pool ~n ~init ~f =
   in
   run_tasks pool task;
   if tracing then begin
-    Trace.incr c_maps;
     let total = Array.fold_left Int64.add 0L busy in
     let slowest = Array.fold_left max 0L busy in
     if Int64.compare total 0L > 0 then
@@ -228,6 +234,7 @@ let parallel_map pool ~n ~init ~f =
   Array.map (function Some v -> v | None -> assert false) out
 
 let map ?jobs ~n ~init ~f () =
+  Trace.incr c_maps;
   let j = resolve_jobs jobs in
   if j <= 1 || n <= 1 then sequential_map ~n ~init ~f
   else parallel_map (global_pool j) ~n ~init ~f

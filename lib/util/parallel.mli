@@ -16,9 +16,11 @@
 
 val resolve_jobs : int option -> int
 (** [None] and [Some 0] mean "auto": the [FLEXILE_JOBS] environment
-    variable if it parses to a positive integer, otherwise
+    variable if it is set and not empty, otherwise
     [Domain.recommended_domain_count ()], clamped to [1, 64].  [Some j]
-    with [j >= 1] is clamped to at most 64. *)
+    with [j >= 1] is clamped to at most 64.  Raises [Invalid_argument],
+    naming the value, when "auto" reads a [FLEXILE_JOBS] that is not a
+    positive integer. *)
 
 val map :
   ?jobs:int ->
@@ -32,7 +34,8 @@ val map :
     state [init w] (created once per call, only for workers that have
     work).  A process-global pool of the resolved job count is (re)used
     and joined [at_exit]; one [map] runs at a time, and neither [init]
-    nor [f] may call [map].  If any [init] or [f] application raises,
+    nor [f] may call [map].  Each call counts one [parallel.maps],
+    whatever the job count.  If any [init] or [f] application raises,
     the first exception (in scheduling order) is re-raised in the
     caller after all workers have drained. *)
 

@@ -13,18 +13,9 @@
 (* Enable flag                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let env_setting =
-  match Sys.getenv_opt "FLEXILE_TRACE" with
-  | None -> None
-  | Some v -> (
-      match String.lowercase_ascii (String.trim v) with
-      | "" | "0" | "false" | "off" -> Some false
-      | _ -> Some true)
-
-let enabled_flag = ref (env_setting = Some true)
+let enabled_flag = ref false
 let enabled () = !enabled_flag
 let set_enabled b = enabled_flag := b
-let env_disabled () = env_setting = Some false
 
 (* ------------------------------------------------------------------ *)
 (* Name registry                                                       *)

@@ -9,12 +9,10 @@
     protocol has already published the workers' writes.
 
     Tracing is disabled by default; a disabled operation costs exactly one
-    load-and-branch per operation.  It is enabled either
-    programmatically ({!set_enabled}, e.g. by [flexile --trace] and the
-    bench harness) or by setting the [FLEXILE_TRACE] environment
-    variable to anything but [0]/[false]/[off].  [FLEXILE_TRACE=0]
-    explicitly vetoes tracing ({!env_disabled}), which the bench harness
-    honors when measuring overhead.
+    load-and-branch per operation.  It is on exactly when a command
+    asks for trace output ({!set_enabled}: [flexile --trace] or
+    [--trace-chrome], [bench --json] or [--chrome], and the [monitor]
+    and [explain] subcommands, whose reports read the registry).
 
     This module holds the state and its typed reads and renders
     nothing: every document built from the registry (the [--trace]
@@ -24,19 +22,17 @@
 
     Determinism: counter values are integer sums over domains, so they
     are identical for every job count whenever the traced work is
-    (which holds for every default — cold-solve — pipeline in this
-    repository).  Timer and gauge values are wall-clock measurements
+    (which holds for every pipeline in this repository, solver health
+    included: its sampling stride is counted per solver state).  So
+    are a histogram's count, extremes and buckets; its float sum
+    depends on how the observations were split among domains in its
+    last digits.  Timer and gauge values are wall-clock measurements
     and vary run to run by nature. *)
 
 (** {1 Enabling} *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
-
-val env_disabled : unit -> bool
-(** [true] iff the [FLEXILE_TRACE] environment variable explicitly
-    disables tracing ([0], [false], [off] or empty).  Harnesses that
-    enable tracing by default check this first. *)
 
 (** {1 Metrics}
 

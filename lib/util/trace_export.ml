@@ -22,15 +22,12 @@ let kinds = function
 
 (* Deterministic subset: metrics whose values are pure functions of
    the (seeded) work — integer counters and value-distribution
-   histograms.  Wall-clock measurements (timers, spans, duration
-   histograms by the "_seconds" naming convention), high-water gauges
-   and GC counters vary run to run and would break the monitor's
-   byte-identical-artifacts guarantee.  Solver-health metrics
-   ("health." prefix) are excluded for the same reason: production
-   sampling passes a per-domain stride (DESIGN.md section 15.1), so
-   which solves get measured depends on how the scheduler spread work
-   across domains — statistical observability, not a deterministic
-   artifact.  Doctor reports carry the deterministic health story. *)
+   histograms, the health.* families included (production sampling
+   strides per solver state, DESIGN.md section 15.1).  Wall-clock
+   measurements (timers, spans, duration histograms by the "_seconds"
+   naming convention), high-water gauges and GC counters vary run to
+   run and would break the monitor's byte-identical-artifacts
+   guarantee. *)
 let admits sel (name, kind) =
   let prefix p = String.starts_with ~prefix:p name in
   List.mem kind (kinds sel)
@@ -39,8 +36,6 @@ let admits sel (name, kind) =
   | Full -> true
   | Health -> prefix "health." || prefix "simplex."
   | Deterministic -> (
-      (not (prefix "health."))
-      &&
       match kind with
       | Trace.Counter -> not (prefix "gc.")
       | _ -> not (String.ends_with ~suffix:"_seconds" name))
@@ -59,8 +54,11 @@ let section_name = function
 (* [{"count":n,"sum":s,"min":m,"max":M,"p50":..,"p90":..,"p95":..,
    "p99":..}] plus, with [buckets], the raw (not cumulative)
    [[upper bound,count],..] list.  Non-finite fields (empty recorder)
-   encode as null. *)
-let hist_json ~buckets (s : Trace.hist_snapshot) =
+   encode as null.  The deterministic subset leaves [sum] out: a float
+   sum depends on the order of its additions, so one merged over
+   domains depends on how the observations were split among them,
+   while the count, the extremes and the bucket counts do not. *)
+let hist_json sel ~buckets (s : Trace.hist_snapshot) =
   let quantiles =
     List.map
       (fun (label, q) -> (label, Json.Number (Trace.hist_quantile_of s q)))
@@ -77,16 +75,18 @@ let hist_json ~buckets (s : Trace.hist_snapshot) =
       ]
     else []
   in
+  let sum =
+    if sel = Deterministic then [] else [ ("sum", Json.Number s.Trace.hist_sum) ]
+  in
   Json.Object
-    ([
-       ("count", Json.int s.Trace.hist_count);
-       ("sum", Json.Number s.Trace.hist_sum);
-       ("min", Json.Number s.Trace.hist_min);
-       ("max", Json.Number s.Trace.hist_max);
-     ]
+    ((("count", Json.int s.Trace.hist_count) :: sum)
+    @ [
+        ("min", Json.Number s.Trace.hist_min);
+        ("max", Json.Number s.Trace.hist_max);
+      ]
     @ quantiles @ bucket_list)
 
-let metric_json ~buckets name = function
+let metric_json sel ~buckets name = function
   | Trace.Counter | Trace.Gauge -> Json.int (Trace.value_by_name name)
   | Trace.Timer | Trace.Span ->
       (* spans reuse the timer accumulators, so totals by name are free *)
@@ -95,7 +95,7 @@ let metric_json ~buckets name = function
           ("seconds", Json.Number (Trace.timer_seconds_by_name name));
           ("count", Json.int (Trace.timer_count_by_name name));
         ]
-  | Trace.Hist -> hist_json ~buckets (Trace.hist_snapshot_by_name name)
+  | Trace.Hist -> hist_json sel ~buckets (Trace.hist_snapshot_by_name name)
 
 (* The selected metrics by kind, each section sorted by name. *)
 let sections sel ~buckets =
@@ -105,7 +105,8 @@ let sections sel ~buckets =
       ( kind,
         List.filter_map
           (fun (name, k) ->
-            if k = kind then Some (name, metric_json ~buckets name k) else None)
+            if k = kind then Some (name, metric_json sel ~buckets name k)
+            else None)
           metrics ))
     (kinds sel)
 
@@ -247,7 +248,8 @@ let field key j =
 
 (* The deterministic sections as exposition, one family per metric in
    name order: counters as [<name>_total], histograms with cumulative
-   [_bucket{le="..."}] lines, a [+Inf] bucket, [_sum] and [_count].
+   [_bucket{le="..."}] lines, a [+Inf] bucket and [_count] (no [_sum],
+   which the exposition format makes optional: see [hist_json]).
    Counts print through Json.encode's integer rule, so they read as
    plain digits. *)
 let prometheus () =
@@ -277,7 +279,6 @@ let prometheus () =
             (Option.value ~default:[] (Json.to_list (field "buckets" v)));
           let count = Json.encode (field "count" v) in
           Printf.bprintf b "%s_bucket{le=\"+Inf\"} %s\n" p count;
-          Printf.bprintf b "%s_sum %s\n" p (fnum (number (field "sum" v)));
           Printf.bprintf b "%s_count %s\n" p count
       | _ ->
           Printf.bprintf b "# TYPE %s_total counter\n%s_total %s\n" p p

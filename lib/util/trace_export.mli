@@ -8,11 +8,11 @@
       {!prometheus}.  It holds the metrics that are pure functions of
       the seeded work: counters (minus the [gc.*] family) and
       value-distribution histograms (minus the wall-clock ones, by the
-      [*_seconds] naming convention), and drops the whole [health.*]
-      family, whose production sampling stride makes it
-      schedule-dependent (DESIGN.md section 15.1).  This subset is
-      what makes [flexile monitor] and [flexile explain] artifacts
-      byte-identical across invocations;
+      [*_seconds] naming convention), [health.*] included, each
+      histogram without its float [sum], which depends on how the
+      observations were split among domains.  This subset is what
+      makes [flexile monitor] and [flexile explain] artifacts
+      byte-identical across invocations and job counts;
     - the [health.*] and [simplex.*] counters and histograms: the
       [solver_health] section of {!report_json}.
 
@@ -47,14 +47,14 @@ val report_json : unit -> Json.t
 
 val snapshot_json : unit -> Json.t
 (** [{"counters":{..},"histograms":{..}}] over the deterministic
-    subset, histograms without bucket lists.  Encoded, one JSONL
+    subset, histograms without bucket lists or [sum].  Encoded, one JSONL
     record of [flexile monitor]. *)
 
 val prometheus : unit -> string
 (** The deterministic subset as Prometheus text exposition: counters
     as [<name>_total], histograms with cumulative
     [<name>_bucket{le="..."}] lines, a [le="+Inf"] bucket and
-    [_sum] / [_count]; each family preceded by its [# TYPE] line and
+    [_count] (no [_sum]); each family preceded by its [# TYPE] line and
     named [flexile_] plus the metric name with every character outside
     [[a-zA-Z0-9_:]] mapped to [_].  The page always ends with the
     [flexile_trace_drops_total{ring="spans"}] family, so a nonzero

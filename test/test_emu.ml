@@ -10,6 +10,12 @@ let quick name f = Alcotest.test_case name `Quick f
 
 let fig1 = Flexile_core.Builder.fig1 ()
 
+(* the run of one seed *)
+let emulate1 ?packets_per_unit seed model_losses =
+  match Emu.emulate ?packets_per_unit ~seeds:[ seed ] fig1 ~model_losses with
+  | [ r ] -> r
+  | _ -> Alcotest.fail "one run per seed"
+
 let test_reconstruct_feasible () =
   let model_losses = Scenbest.run fig1 in
   for sid = 0 to Instance.nscenarios fig1 - 1 do
@@ -55,7 +61,7 @@ let test_reconstruct_feasible () =
 let test_emulation_close_to_model () =
   let model_losses = (Flexile_scheme.run fig1).Flexile_scheme.losses in
   let seed = Prng.of_string "emu-test" in
-  let r = Emu.emulate ~packets_per_unit:500 ~seed fig1 ~model_losses in
+  let r = emulate1 ~packets_per_unit:500 seed model_losses in
   (* Fig 9c: high correlation and small discretization error *)
   if r.Emu.pcc < 0.99 then Alcotest.failf "PCC too low: %f" r.Emu.pcc;
   if r.Emu.max_abs_diff > 0.05 then
@@ -65,7 +71,7 @@ let test_emulation_deterministic_per_seed () =
   let model_losses = Scenbest.run fig1 in
   let run () =
     let seed = Prng.of_string "emu-fixed" in
-    (Emu.emulate ~seed fig1 ~model_losses).Emu.emulated
+    (emulate1 seed model_losses).Emu.emulated
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "same emulated losses" true (a = b)
@@ -74,7 +80,7 @@ let test_quantization_noise_shrinks () =
   let model_losses = Scenbest.run fig1 in
   let max_diff ppu =
     let seed = Prng.of_string "emu-granularity" in
-    (Emu.emulate ~packets_per_unit:ppu ~seed fig1 ~model_losses).Emu.max_abs_diff
+    (emulate1 ~packets_per_unit:ppu seed model_losses).Emu.max_abs_diff
   in
   let coarse = max_diff 20 and fine = max_diff 2000 in
   if fine > coarse +. 0.01 then
@@ -84,7 +90,7 @@ let test_quantization_noise_shrinks () =
 let test_disconnected_flow_loses_everything () =
   let model_losses = Scenbest.run fig1 in
   let seed = Prng.of_string "emu-disc" in
-  let r = Emu.emulate ~seed fig1 ~model_losses in
+  let r = emulate1 seed model_losses in
   Array.iter
     (fun (f : Instance.flow) ->
       for sid = 0 to Instance.nscenarios fig1 - 1 do
@@ -94,6 +100,30 @@ let test_disconnected_flow_loses_everything () =
             r.Emu.emulated.(f.Instance.fid).(sid)
       done)
     fig1.Instance.flows
+
+(* Runs that share each scenario's reconstruction are, bit for bit, the
+   runs of one seed each through every scenario in order. *)
+let test_runs_share_reconstruction () =
+  let model_losses = (Flexile_scheme.run fig1).Flexile_scheme.losses in
+  let names = [ "emu-share-1"; "emu-share-2"; "emu-share-3" ] in
+  let runs =
+    Emu.emulate ~seeds:(List.map Prng.of_string names) fig1 ~model_losses
+  in
+  Alcotest.(check int) "one run per seed" (List.length names) (List.length runs);
+  List.iter2
+    (fun name r ->
+      let seed = Prng.of_string name in
+      for sid = 0 to Instance.nscenarios fig1 - 1 do
+        let alone = Emu.emulate_scenario ~seed fig1 ~sid ~model_losses in
+        Array.iteri
+          (fun fid v ->
+            Alcotest.(check int64)
+              (Printf.sprintf "%s scenario %d flow %d" name sid fid)
+              (Int64.bits_of_float v)
+              (Int64.bits_of_float r.Emu.emulated.(fid).(sid)))
+          alone
+      done)
+    names runs
 
 let () =
   Alcotest.run "flexile_emu"
@@ -105,5 +135,6 @@ let () =
           quick "deterministic per seed" test_emulation_deterministic_per_seed;
           quick "granularity shrinks noise" test_quantization_noise_shrinks;
           quick "disconnected flows lose all" test_disconnected_flow_loses_everything;
+          quick "runs share reconstruction" test_runs_share_reconstruction;
         ] );
     ]

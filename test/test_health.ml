@@ -68,26 +68,117 @@ let test_eta_limit_walk () =
 
 (* ---- production sampling stride ---- *)
 
-(* capture mode samples every opportunity; production passes a
-   per-domain stride of 16 (exactly one hit per 16 consecutive
-   opportunities, wherever in the cycle the counter currently is) *)
+(* capture mode samples every opportunity; production samples every
+   16th opportunity of a state, at a phase hashed from the basis of
+   its first: calls on one state never move another's stride, and
+   later bases do not move it either *)
 let test_sampling_stride () =
+  let basic k = Array.init 4 (fun i -> (7 * k) + i) in
   let cap = Health.make 4 in
   Health.set_capture cap true;
-  for _ = 1 to 40 do
-    Alcotest.(check bool) "capture always due" true (Health.sample_due cap)
+  for k = 1 to 40 do
+    Alcotest.(check bool)
+      "capture always due" true
+      (Health.sample_due cap ~basic:(basic k))
   done;
-  let prod = Health.make 4 in
-  let hits = ref 0 in
-  for _ = 1 to 16 do
-    if Health.sample_due prod then incr hits
+  (* the opportunities among the first [n] at which a fresh state
+     samples, given its first basis *)
+  let alone ~first n =
+    let st = Health.make 4 in
+    List.filter
+      (fun k ->
+        Health.sample_due st ~basic:(basic (if k = 0 then first else 1000 + k)))
+      (List.init n Fun.id)
+  in
+  let a = alone ~first:1 96 in
+  (match a with
+  | p :: _ when p < 16 ->
+      Alcotest.(check (list int))
+        "every 16th opportunity from a phase below 16"
+        (List.init 6 (fun i -> p + (16 * i)))
+        a
+  | _ -> Alcotest.fail "no sample among the first 16 opportunities");
+  let sa = Health.make 4 and sb = Health.make 4 in
+  let hits_a = ref [] and hits_b = ref [] in
+  for i = 0 to 95 do
+    if Health.sample_due sa ~basic:(basic (if i = 0 then 1 else 2000 + i))
+    then hits_a := i :: !hits_a;
+    if i mod 3 = 0
+       && Health.sample_due sb ~basic:(basic (if i = 0 then 2 else 3000 + i))
+    then hits_b := (i / 3) :: !hits_b
   done;
-  Alcotest.(check int) "one hit per 16 production opportunities" 1 !hits;
-  let hits2 = ref 0 in
-  for _ = 1 to 64 do
-    if Health.sample_due prod then incr hits2
+  Alcotest.(check (list int))
+    "a's samples move with neither b nor a's later bases" a
+    (List.rev !hits_a);
+  Alcotest.(check (list int))
+    "b's samples move with neither a nor b's later bases" (alone ~first:2 32)
+    (List.rev !hits_b);
+  (* short-lived states: one opportunity each, over 1,600 distinct
+     first bases, sample about one in 16 (100 expected) *)
+  let firsts = ref 0 in
+  for k = 0 to 1599 do
+    if Health.sample_due (Health.make 4) ~basic:(basic k) then incr firsts
   done;
-  Alcotest.(check int) "four hits per 64" 4 !hits2
+  Alcotest.(check bool)
+    (Printf.sprintf "one-opportunity states sampled %d of 1600" !firsts)
+    true
+    (!firsts >= 60 && !firsts <= 140)
+
+(* ---- health metrics do not depend on the job count ---- *)
+
+(* The health.* counters and histograms (count, extremes, buckets) of
+   a traced offline solve, by name. *)
+let health_metrics inst ~jobs =
+  Trace.reset ();
+  let config =
+    {
+      Flexile_te.Flexile_offline.default_config with
+      Flexile_te.Flexile_offline.max_iterations = 2;
+      jobs;
+    }
+  in
+  ignore (Flexile_te.Flexile_offline.solve ~config inst);
+  List.filter_map
+    (fun (name, kind) ->
+      if not (String.starts_with ~prefix:"health." name) then None
+      else
+        match (kind : Trace.metric_kind) with
+        | Trace.Counter -> Some (name, Printf.sprintf "%d" (Trace.value_by_name name))
+        | Trace.Hist ->
+            let h = Trace.hist_snapshot_by_name name in
+            Some
+              ( name,
+                Printf.sprintf "count %d min %h max %h buckets %s"
+                  h.Trace.hist_count h.Trace.hist_min h.Trace.hist_max
+                  (String.concat ","
+                     (List.map
+                        (fun (ub, c) -> Printf.sprintf "%h:%d" ub c)
+                        h.Trace.hist_buckets)) )
+        | _ -> None)
+    (Trace.registry ())
+
+let test_health_across_jobs () =
+  Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Trace.set_enabled false) @@ fun () ->
+  let inst =
+    Flexile_core.Builder.of_name
+      ~options:
+        {
+          Flexile_core.Builder.default_options with
+          Flexile_core.Builder.max_scenarios = 24;
+          max_pairs = 40;
+        }
+      "IBM"
+  in
+  let one = health_metrics inst ~jobs:1 in
+  Alcotest.(check bool) "samples taken" true
+    (List.assoc "health.samples" one <> "0");
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list (pair string string)))
+        (Printf.sprintf "jobs %d = jobs 1" jobs)
+        one (health_metrics inst ~jobs))
+    [ 2; 4 ]
 
 (* ---- the crafted near-singular fixture fires every detector ---- *)
 
@@ -480,6 +571,8 @@ let () =
             test_eta_limit_walk;
           Alcotest.test_case "production sampling stride" `Quick
             test_sampling_stride;
+          Alcotest.test_case "health equal at jobs 1, 2, 4" `Quick
+            test_health_across_jobs;
           Alcotest.test_case "near-singular fixture fires cond+stall+rows"
             `Quick test_near_singular_fixture;
           Alcotest.test_case "degenerate fixture stalls without trips" `Quick

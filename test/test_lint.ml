@@ -25,7 +25,9 @@ let d1_positive () =
   check_rules "Hashtbl.hash" [ "d1-nondet" ]
     (lint {|let f x = Hashtbl.hash x|});
   check_rules "random table" [ "d1-nondet" ]
-    (lint {|let f () = Hashtbl.create ~random:true 16|})
+    (lint {|let f () = Hashtbl.create ~random:true 16|});
+  check_rules "Sys.getenv_opt" [ "d1-nondet" ]
+    (lint {|let f () = Sys.getenv_opt "X"|})
 
 let d1_negative () =
   check_rules "Prng is fine" []

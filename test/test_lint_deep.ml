@@ -332,6 +332,30 @@ let d1_clock_in_branch () =
            fs))
     [ "elapsed"; "late" ]
 
+(* ---- d1: environment reads ---- *)
+
+(* fx_env judged as lib/ code: the two raw reads are findings, the
+   allowed deployment setting is not, and its allow is used *)
+let d1_env_reads () =
+  let path =
+    match
+      List.find_opt Sys.file_exists [ "lintfx/fx_env.ml"; "test/lintfx/fx_env.ml" ]
+    with
+    | Some p -> p
+    | None -> Alcotest.fail "fixture source fx_env.ml not found"
+  in
+  let r =
+    L.check_source ~file:"lib/fx_env.ml"
+      (In_channel.with_open_bin path In_channel.input_all)
+  in
+  Alcotest.(check (list (pair string int)))
+    "getenv_opt and getenv flagged"
+    [ ("d1-nondet", 6); ("d1-nondet", 9) ]
+    (List.sort compare (List.map (fun f -> (f.L.rule, f.L.line)) r.L.findings));
+  Alcotest.(check int) "the allowed setting is suppressed" 1 r.L.suppressed;
+  Alcotest.(check (list string)) "its allow is used, not stale" []
+    (List.map (fun st -> st.L.st_id) (L.stale_suppressions ~deep:false r))
+
 (* ---- plumbing ---- *)
 
 let total_findings () =
@@ -382,7 +406,10 @@ let () =
             (suppression_and_staleness ~rule:"u2-single-value-knob" "fx_knob.mli");
         ] );
       ( "d1",
-        [ Alcotest.test_case "clock read in a branch" `Quick d1_clock_in_branch ] );
+        [
+          Alcotest.test_case "clock read in a branch" `Quick d1_clock_in_branch;
+          Alcotest.test_case "environment reads" `Quick d1_env_reads;
+        ] );
       ( "plumbing",
         [
           Alcotest.test_case "total findings" `Quick total_findings;

@@ -271,9 +271,9 @@ let test_deterministic_filter () =
     Alcotest.fail "value histograms are deterministic";
   if kept "test_det_seconds" then
     Alcotest.fail "duration histograms are wall-clock";
-  if kept "health_test_det_samples_total" || kept "health_test_det_cond" then
-    Alcotest.fail
-      "health metrics are stride-sampled per domain, not deterministic";
+  if not (kept "health_test_det_samples_total" && kept "health_test_det_cond")
+  then
+    Alcotest.fail "health metrics are sampled per solver state: deterministic";
   List.iter
     (fun family ->
       if kept family then
@@ -294,7 +294,9 @@ let test_deterministic_filter () =
          if String.starts_with ~prefix:"flexile_gc_" l then
            Alcotest.failf "gc line survived the filter: %S" l);
   if contains "test_filter_seconds" page then
-    Alcotest.fail "duration histogram survived the filter"
+    Alcotest.fail "duration histogram survived the filter";
+  if contains "flexile_test_det_loss_sum" page then
+    Alcotest.fail "a float sum depends on the domain split: no _sum line"
 
 (* the drop counter survives the deterministic filter: a scrape built
    over truncated span records is exactly what the family is there to
@@ -344,14 +346,22 @@ let test_snapshot_json_parses () =
             (fun f ->
               if Option.is_none (Json.member f e) then
                 Alcotest.failf "missing field %s" f)
-            [ "sum"; "min"; "max"; "p50"; "p90"; "p95"; "p99" ]);
-      (* the --trace report additionally carries raw bucket lists *)
-      match
+            [ "min"; "max"; "p50"; "p90"; "p95"; "p99" ];
+          (* a float sum depends on how observations split over domains *)
+          if Option.is_some (Json.member "sum" e) then
+            Alcotest.fail "the deterministic snapshot carries no sum");
+      (* the --trace report additionally carries the sum and raw bucket
+         lists *)
+      let report_hist k =
         List.fold_left
           (fun j k -> Option.bind j (Json.member k))
           (Some (Export.report_json ()))
-          [ "report"; "histograms"; "test.obs_snapshot_hist"; "buckets" ]
-      with
+          [ "report"; "histograms"; "test.obs_snapshot_hist"; k ]
+      in
+      (match report_hist "sum" with
+      | Some (Json.Number 6.) -> ()
+      | _ -> Alcotest.fail "report sum missing");
+      match report_hist "buckets" with
       | Some (Json.Array (_ :: _)) -> ()
       | _ -> Alcotest.fail "bucket list missing"
 

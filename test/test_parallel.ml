@@ -87,6 +87,57 @@ let test_resolve_jobs () =
     (Parallel.resolve_jobs None)
     (Parallel.resolve_jobs (Some 0))
 
+(* FLEXILE_JOBS, when "auto" reads it: a positive integer, or unset or
+   empty; anything else is an error naming the value *)
+let test_env_jobs () =
+  let saved = Option.value ~default:"" (Sys.getenv_opt "FLEXILE_JOBS") in
+  Fun.protect ~finally:(fun () -> Unix.putenv "FLEXILE_JOBS" saved) @@ fun () ->
+  Unix.putenv "FLEXILE_JOBS" "3";
+  Alcotest.(check int) "read by auto" 3 (Parallel.resolve_jobs None);
+  Alcotest.(check int) "explicit wins" 5 (Parallel.resolve_jobs (Some 5));
+  List.iter
+    (fun bad ->
+      Unix.putenv "FLEXILE_JOBS" bad;
+      match Parallel.resolve_jobs None with
+      | j -> Alcotest.failf "FLEXILE_JOBS=%S resolved to %d" bad j
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S named in %S" bad msg)
+            true
+            (String.starts_with ~prefix:(Printf.sprintf "FLEXILE_JOBS=%S" bad) msg))
+    [ "abc"; "0"; "-2"; "2x" ];
+  Unix.putenv "FLEXILE_JOBS" "";
+  Alcotest.(check bool) "empty means auto" true (Parallel.resolve_jobs None >= 1)
+
+(* every map counts one parallel.maps, fan-out or not, so the counter
+   of a traced solve is the same at every job count *)
+let test_maps_counted_per_call () =
+  let module Trace = Flexile_util.Trace in
+  Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Trace.set_enabled false) @@ fun () ->
+  let maps jobs =
+    Trace.reset ();
+    List.iter
+      (fun n -> ignore (Parallel.map ~jobs ~n ~init:ignore ~f:(fun () i -> i) ()))
+      [ 0; 1; 5 ];
+    let direct = Trace.value_by_name "parallel.maps" in
+    Trace.reset ();
+    ignore
+      (Flexile_offline.solve
+         ~config:{ Flexile_offline.default_config with Flexile_offline.jobs }
+         (Flexile_core.Builder.fig1 ()));
+    (direct, Trace.value_by_name "parallel.maps")
+  in
+  let direct, solve = maps 1 in
+  Alcotest.(check int) "three calls, three maps" 3 direct;
+  Alcotest.(check bool) "the solve maps" true (solve > 0);
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "jobs %d = jobs 1" jobs)
+        (direct, solve) (maps jobs))
+    [ 2; 4 ]
+
 (* ---- the engine on real instances ---- *)
 
 let losses_testable =
@@ -155,6 +206,8 @@ let () =
           quick "static-sharding" test_static_sharding_contract;
           quick "exception-propagation" test_exception_propagation;
           quick "resolve-jobs" test_resolve_jobs;
+          quick "flexile-jobs-env" test_env_jobs;
+          quick "maps-counted-per-call" test_maps_counted_per_call;
         ] );
       ( "engine",
         [

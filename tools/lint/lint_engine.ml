@@ -57,9 +57,10 @@ let empty_report =
 let syntactic_rules =
   [
     ( "d1-nondet",
-      "no Random.*, Sys.time, Unix.gettimeofday or hash-randomised tables \
-       in lib/; only Flexile_util.Prng and the Trace clock may source \
-       nondeterminism" );
+      "no Random.*, Sys.time, Unix.gettimeofday, Sys.getenv or \
+       hash-randomised tables in lib/; only Flexile_util.Prng and the \
+       Trace clock may source nondeterminism, and a deployment setting \
+       read from the environment carries an allow" );
     ( "d2-float-eq",
       "no polymorphic =/<>/compare on float operands in lib/; use \
        Flexile_util.Float_cmp helpers" );
@@ -158,6 +159,11 @@ let d1_ident n =
         Some (n ^ " reads the system clock; use Flexile_util.Trace.now_s")
     | "Hashtbl.hash" | "Hashtbl.seeded_hash" | "Hashtbl.randomize" ->
         Some (n ^ " invites hash-order dependence; key tables explicitly")
+    | "Sys.getenv" | "Sys.getenv_opt" ->
+        Some
+          (n
+         ^ " lets the environment change results; pass the value in, or \
+            allow a deployment setting with a reason")
     | _ -> None
 
 let c1_ident n =
