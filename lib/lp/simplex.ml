@@ -112,15 +112,31 @@ type t = {
   xb : float array;
   xn : float array; (* bound value of each nonbasic variable *)
   mutable last_status : status option;
-  (* persistent workspaces: the pivot loops allocate nothing.  [w] and
-     [rho] are zero outside their ascending patterns, which every
-     per-pivot loop walks instead of all m rows. *)
-  w : float array; (* FTRAN column, length m *)
-  w_pat : int array;
+  (* pivot workspaces, allocated by the first pivot loop of the state
+     ([pivot_work]) and kept, so that the pivot loops allocate nothing;
+     a state that never pivots, like a template that is only copied,
+     holds none.  Every loop re-initializes what it reads of them
+     ([gamma] and [dsc] at the start of [primal_loop], [asv] at each
+     scatter, the choice slots before each read), and [w] and [rho] are
+     zero outside their ascending patterns, which every per-pivot loop
+     walks instead of all m rows: a [copy] starts without them. *)
+  mutable w : float array; (* FTRAN column, length m *)
+  mutable w_pat : int array;
   mutable w_nnz : int;
-  rho : float array; (* BTRAN row of B^-1, length m *)
-  rho_pat : int array;
+  mutable rho : float array; (* BTRAN row of B^-1, length m *)
+  mutable rho_pat : int array;
   mutable rho_nnz : int;
+  mutable asv : Svec.t; (* alpha = A^T rho scatter, dimension ntot *)
+  mutable choice_f : float array;
+      (* pivot choice of the pricing and ratio-test kernels: the floats
+         sit in a float array, at the ch_ slots, since a float returned
+         from a call that is not inlined, or stored in a mutable field,
+         is boxed *)
+  mutable gamma : float array; (* devex reference weights over ntot *)
+  mutable dsc : float array;
+      (* pricing score over ntot, a pure function of the column's
+         [vstat], bounds, [d] and [gamma] ([refresh_score]): rebuilt with
+         [d], refreshed wherever the primal loop changes one of them *)
   y : float array; (* row duals, length m *)
   bt : float array;
       (* b - N x_N for recompute_xb and the health sampler; [y]'s array:
@@ -133,26 +149,16 @@ type t = {
   row_start : int array; (* length m+1 *)
   row_col : int array;
   row_val : float array;
-  asv : Svec.t; (* alpha = A^T rho scatter, dimension ntot *)
   fcols : int array; (* basis columns in [Basis.factor]'s encoding *)
-  (* pivot choice of the pricing and ratio-test kernels; the floats sit
-     in a float array, at the ch_ slots, since a float returned from a
-     call that is not inlined, or stored in a mutable field, is boxed *)
   mutable enter : int; (* entering column, -1 for none *)
   mutable leave : int; (* leaving basis position, -1 for none *)
   mutable leave_up : bool; (* the leaving variable goes to its upper bound *)
-  choice_f : float array;
   d : float array; (* reduced costs over ntot *)
   mutable d_valid : bool;
       (* [d] holds phase-2 reduced costs of the current basis, kept
          exact by the optimality confirmation and maintained by the
          dual pivots — lets a warm restart after bound and RHS changes
          skip the full rebuild *)
-  gamma : float array; (* devex reference weights over ntot *)
-  dsc : float array;
-      (* pricing score over ntot, a pure function of the column's
-         [vstat], bounds, [d] and [gamma] ([refresh_score]): rebuilt with
-         [d], refreshed wherever the primal loop changes one of them *)
   infeas : int array;
       (* rows whose basic value may violate a bound, in no order: every
          violated row is listed, a listed row may have become feasible.
@@ -166,6 +172,9 @@ type t = {
   health : Health.state;
   mutable hphase : int; (* phase_setup/_primal1/_primal2/_dual *)
   mutable hiter : int; (* iteration count at the last loop step *)
+  eta_cap : int option;
+      (* [make]'s eta limit, [None] for the default; copies keep it and
+         a health dump replays under it *)
 }
 
 let slack_bounds sense =
@@ -214,28 +223,28 @@ let create ?eta_limit ?stall_limit model =
     xb = Array.make m 0.;
     xn = Array.make ntot 0.;
     last_status = None;
-    w = Array.make m 0.;
-    w_pat = Array.make m 0;
+    w = [||];
+    w_pat = [||];
     w_nnz = 0;
-    rho = Array.make m 0.;
-    rho_pat = Array.make m 0;
+    rho = [||];
+    rho_pat = [||];
     rho_nnz = 0;
+    asv = Svec.create 0;
+    choice_f = [||];
+    gamma = [||];
+    dsc = [||];
     y;
     bt = y;
     dpat = fcols;
     row_start = csr.Lp_model.row_start;
     row_col = csr.Lp_model.col_idx;
     row_val = csr.Lp_model.row_values;
-    asv = Svec.create ntot;
     fcols;
     enter = -1;
     leave = -1;
     leave_up = false;
-    choice_f = Array.make 3 0.;
     d = Array.make ntot 0.;
     d_valid = false;
-    gamma = Array.make ntot 1.;
-    dsc = Array.make ntot 0.;
     infeas = Array.make m 0;
     n_infeas = 0;
     listed = Array.make m false;
@@ -245,14 +254,14 @@ let create ?eta_limit ?stall_limit model =
     health = Health.make ?stall_limit m;
     hphase = phase_setup;
     hiter = 0;
+    eta_cap = eta_limit;
   }
 
 (* Threshold trip -> reproducible snapshot (model + basis + variable
    statuses + trip metadata), so the failing LP can be replayed by
    [flexile doctor --from-dump].  Gated on FLEXILE_HEALTH_DUMP inside
-   [Health.write_dump]; the copies happen only on a trip.  [eta_limit]
-   is the state's own ([None]: the default). *)
-let dump_on_trip ?eta_limit st reasons =
+   [Health.write_dump]; the copies happen only on a trip. *)
+let dump_on_trip st reasons =
   match Health.dump_dir () with
   | None -> ()
   | Some _ ->
@@ -262,7 +271,7 @@ let dump_on_trip ?eta_limit st reasons =
              Health.d_reasons = reasons;
              d_phase = st.hphase;
              d_iteration = st.hiter;
-             d_eta_limit = eta_limit;
+             d_eta_limit = st.eta_cap;
              d_model = st.model;
              d_basis = Array.copy st.bas;
              d_vstat = Array.copy st.vstat;
@@ -270,8 +279,23 @@ let dump_on_trip ?eta_limit st reasons =
 
 let create ?eta_limit ?stall_limit model =
   let st = create ?eta_limit ?stall_limit model in
-  Health.set_on_trip st.health (dump_on_trip ?eta_limit st);
+  Health.set_on_trip st.health (dump_on_trip st);
   st
+
+(* The pivot workspaces, allocated at the first pivot loop. *)
+let pivot_work st =
+  if Array.length st.choice_f = 0 then begin
+    st.w <- Array.make st.m 0.;
+    st.w_pat <- Array.make st.m 0;
+    st.w_nnz <- 0;
+    st.rho <- Array.make st.m 0.;
+    st.rho_pat <- Array.make st.m 0;
+    st.rho_nnz <- 0;
+    st.asv <- Svec.create st.ntot;
+    st.choice_f <- Array.make 3 0.;
+    st.gamma <- Array.make st.ntot 1.;
+    st.dsc <- Array.make st.ntot 0.
+  end
 
 (* Slots of [choice_f]. *)
 let ch_dir = 0 (* entering direction, 1. or -1. *)
@@ -609,6 +633,7 @@ let[@lint.noalloc] primal_ratio st ~bland =
   st.choice_f.(ch_step) <- !tmax
 
 let primal_loop st costs ~iter_limit iter_count =
+  pivot_work st;
   let y = st.y and w = st.w and wpat = st.w_pat in
   (* reduced costs, maintained incrementally (O(nnz) per pivot instead
      of a BTRAN per iteration) and recomputed periodically; devex
@@ -1085,6 +1110,7 @@ let[@lint.noalloc] dual_leaving st =
   st.leave_up <- !above
 
 let dual_loop st ~iter_limit iters =
+  pivot_work st;
   let w = st.w and wpat = st.w_pat in
   let d = st.d in
   let recompute_duals () = exact_duals st in
@@ -1197,8 +1223,8 @@ let dual_feasible st =
   nonbasic_signs_ok st ~exact:true
 
 (* Exact reduced costs of a basis whose duals are not maintained (fresh
-   from [extend] or [make ~basis], or after a cost change), checked for
-   dual feasibility. *)
+   from [extend] or [restart_from], or after a cost change), checked
+   for dual feasibility. *)
 let dual_start_ok st =
   exact_duals st;
   nonbasic_signs_ok st ~exact:false
@@ -1308,27 +1334,122 @@ let sync_model st =
     st.b.(i) <- Lp_model.rhs model i
   done
 
-(* An optimal basis, copied out of a solver state. *)
-type basis = { b_bas : int array; b_vstat : int array }
+(* A fresh state of [model] at [src]'s last optimal basis: nonbasics on
+   their bounds under [model]'s bounds, the basis factorized against
+   [model]'s matrix (a singular one is repaired), and the state flagged
+   warm so that its first solve restarts. *)
+let restart_from src model =
+  let st = create ?eta_limit:src.eta_cap model in
+  if st.n <> src.n || st.m <> src.m then
+    invalid_arg "Simplex.restart_from: dimension mismatch";
+  if src.last_status = Some Optimal then begin
+    Array.blit src.bas 0 st.bas 0 st.m;
+    Array.blit src.vstat 0 st.vstat 0 st.ntot;
+    for j = 0 to st.ntot - 1 do
+      if st.vstat.(j) <> basic then ignore (place_nonbasic st j)
+    done;
+    ignore (refactorize st);
+    st.last_status <- Some Optimal
+  end;
+  st
 
-let basis st =
-  match st.last_status with
-  | Some Optimal -> Some { b_bas = Array.copy st.bas; b_vstat = Array.copy st.vstat }
-  | _ -> None
+(* The exact reduced costs of [st]'s optimal basis, computed once for
+   its copies.  They are kept only when the basis is dual feasible
+   under them, which is what the first restart of a copy would find
+   and check: [sync_model] and [copy] drop them wherever a nonbasic
+   variable changes side or stops being fixed, a cost moves or a
+   column changes. *)
+let prime_duals st =
+  if st.last_status = Some Optimal && not (dual_start_ok st) then st.d_valid <- false
 
-(* Start [st] from a recorded basis: nonbasics on their bounds under the
-   model's current bounds, the basis factorized (a singular one is
-   repaired), and the state flagged warm so the next solve restarts. *)
-let seed_basis st b =
-  if Array.length b.b_bas <> st.m || Array.length b.b_vstat <> st.ntot then
-    invalid_arg "Simplex.make: basis dimension mismatch";
-  Array.blit b.b_bas 0 st.bas 0 st.m;
-  Array.blit b.b_vstat 0 st.vstat 0 st.ntot;
-  for j = 0 to st.ntot - 1 do
-    if st.vstat.(j) <> basic then ignore (place_nonbasic st j)
+(* Whether structural column [j] has the same entries in [a] and [b],
+   two matrices with one sparsity pattern. *)
+let same_column (a : Lp_model.csc) (b : Lp_model.csc) j =
+  let same = ref true in
+  for k = a.Lp_model.col_start.(j) to a.Lp_model.col_start.(j + 1) - 1 do
+    if not (Float.equal a.Lp_model.values.(k) b.Lp_model.values.(k)) then same := false
   done;
-  ignore (refactorize st);
-  st.last_status <- Some Optimal
+  !same
+
+(* A deep copy of [src] that solves [model]: every array is copied, the
+   ones that share an array in [create] share one copy, the pivot
+   workspaces are left for the copy's first pivot loop to allocate, and
+   the health state is fresh.  The factors stay valid unless [model]
+   changed a basic column; the reduced costs unless it changed any
+   column. *)
+let copy src model =
+  let csc = Lp_model.csc model and csr = Lp_model.csr model in
+  let same_senses () =
+    let ok = ref true in
+    for i = 0 to src.m - 1 do
+      let lo, up = slack_bounds (Lp_model.row_sense model i) in
+      if not (Float.equal lo src.lo.(src.n + i) && Float.equal up src.up.(src.n + i)) then
+        ok := false
+    done;
+    !ok
+  in
+  if
+    Lp_model.nvars model <> src.n
+    || Lp_model.nrows model <> src.m
+    || (not (same_senses ()))
+    || not
+         (csc == src.csc
+         || csc.Lp_model.col_start = src.csc.Lp_model.col_start
+            && csc.Lp_model.row_idx = src.csc.Lp_model.row_idx)
+  then invalid_arg "Simplex.copy: the model has another shape";
+  let y = Array.copy src.y and fcols = Array.copy src.fcols in
+  let st =
+    {
+      src with
+      model;
+      csc;
+      lo = Array.copy src.lo;
+      up = Array.copy src.up;
+      cost = Array.copy src.cost;
+      b = Array.copy src.b;
+      vstat = Array.copy src.vstat;
+      bas = Array.copy src.bas;
+      basis = Basis.copy src.basis;
+      xb = Array.copy src.xb;
+      xn = Array.copy src.xn;
+      w = [||];
+      w_pat = [||];
+      w_nnz = 0;
+      rho = [||];
+      rho_pat = [||];
+      rho_nnz = 0;
+      asv = Svec.create 0;
+      choice_f = [||];
+      gamma = [||];
+      dsc = [||];
+      y;
+      bt = y;
+      dpat = fcols;
+      row_start = csr.Lp_model.row_start;
+      row_col = csr.Lp_model.col_idx;
+      row_val = csr.Lp_model.row_values;
+      fcols;
+      d = Array.copy src.d;
+      infeas = Array.copy src.infeas;
+      listed = Array.copy src.listed;
+      health = Health.make ~stall_limit:(Health.stall_limit src.health) src.m;
+    }
+  in
+  Health.set_on_trip st.health (dump_on_trip st);
+  if csc != src.csc then begin
+    let basic_changed = ref false in
+    for j = 0 to st.n - 1 do
+      if not (same_column csc src.csc j) then begin
+        st.d_valid <- false;
+        if st.vstat.(j) = basic then basic_changed := true
+      end
+    done;
+    if !basic_changed && st.last_status = Some Optimal then begin
+      sync_model st;
+      ignore (refactorize st)
+    end
+  end;
+  st
 
 let extend st model =
   let st2 = create model in
@@ -1371,10 +1492,7 @@ let extend st model =
       st2)
   | _ -> st2
 
-let make ?basis ?eta_limit model =
-  let st = create ?eta_limit model in
-  Option.iter (seed_basis st) basis;
-  st
+let make ?eta_limit model = create ?eta_limit model
 
 let solve_warm ?iter_limit st =
   Trace.in_span sp_solve @@ fun () ->

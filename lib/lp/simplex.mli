@@ -70,24 +70,44 @@ val solve : Lp_model.t -> solution
 
 type t
 
-type basis
-(** An optimal basis copied out of a solver state: which variable is
-    basic in each position and the bound side of every nonbasic one.
-    Immutable; one basis may seed any number of solver states. *)
-
 (* a short eta file walks test_lp_props.ml's eta-file properties and
    test_sparse.ml's refactorization cadences *)
-val make : ?basis:basis -> ?eta_limit:int -> Lp_model.t -> t
+val make : ?eta_limit:int -> Lp_model.t -> t
   [@@lint.allow "u2-single-value-knob"]
-(** A solver state for the model.  With [basis] (taken from a model of
-    the same dimensions, for example the same template under other
-    bounds, RHS or coefficients) the first solve restarts from it
-    instead of solving cold.  [eta_limit] caps the eta file before a
-    refactorization (default [max 64 (m/2)], see
-    {!Sparse.Basis.create}). *)
+(** A solver state for the model; its first solve is cold.
+    [eta_limit] caps the eta file before a refactorization (default
+    [max 64 (m/2)], see {!Sparse.Basis.create}). *)
 
-val basis : t -> basis option
-(** The basis of the last solve, if it ended optimal. *)
+val restart_from : t -> Lp_model.t -> t
+(** [restart_from t model] is a new solver state for [model], which
+    has [t]'s dimensions (for example the same template under other
+    bounds, RHS or coefficients), started at the basis of [t]'s last
+    solve: its nonbasic variables on [model]'s bounds and the basis
+    factorized against [model]'s matrix, so that the first solve
+    restarts from it.  When [t]'s last solve did not end optimal (or
+    [t] never solved) the state is as fresh as {!make}'s. *)
+
+val prime_duals : t -> unit
+(** [prime_duals t] computes the exact reduced costs of [t]'s optimal
+    basis now, for its {!copy}s: a copy whose changes keep them valid
+    (bounds that move no nonbasic variable off its side and fix no
+    fixed one free, RHS changes) restarts without recomputing them, as
+    it would have found them.  They are kept only when the basis is
+    dual feasible under them.  No effect unless [t]'s last solve, or
+    {!restart_from}, left it optimal. *)
+
+val copy : t -> Lp_model.t -> t
+(** [copy t model] is an independent state that solves [model] as [t]
+    would have solved it: a deep copy of [t] (basis, factors, eta file,
+    workspaces) bound to [model]'s matrix, with a fresh health state.
+    [model] must have [t]'s variables, rows, row senses and sparsity
+    pattern, for example an {!Lp_model.copy} of [t]'s model under other
+    bounds, RHS, costs or coefficients; [Invalid_argument] on another
+    shape.  When [model] changed the coefficients of a basic column the
+    copy refactors its basis, as {!restart_from} does.  [t] is only
+    read, so one state may be copied from any number of domains at
+    once.  Its solves are those of [t] after the same changes, pivot
+    for pivot. *)
 
 (* a tiny iteration limit reaches the restart's iteration-limit
    fallback in test_lp.ml "fallback keeps the abandoned pivots" *)
@@ -95,7 +115,7 @@ val solve_warm : ?iter_limit:int -> t -> solution
   [@@lint.allow "u2-single-value-knob"]
 (** Re-read the model's variable bounds, RHS and objective (never its
     matrix), then restart from the last optimal basis as described
-    above; the first solve is cold unless [make] was given a basis.
+    above; the first solve of a {!make} state is cold.
     [iter_limit] defaults to {!solve}'s.  Runs in the [simplex.solve]
     span, like {!solve}. *)
 

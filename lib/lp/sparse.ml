@@ -289,6 +289,50 @@ module Basis = struct
       eta_rejections = 0;
     }
 
+  (* Every array is copied once, and the scratch arrays that share one
+     array in [create] share one copy. *)
+  let copy t =
+    let row_cnt = Array.copy t.row_cnt and col_nnz = Array.copy t.col_nnz in
+    let order = Array.copy t.order and deferred = Array.copy t.deferred in
+    {
+      t with
+      prow = Array.copy t.prow;
+      qpos = Array.copy t.qpos;
+      step_of_row = Array.copy t.step_of_row;
+      step_of_pos = Array.copy t.step_of_pos;
+      l_start = Array.copy t.l_start;
+      l_idx = Array.copy t.l_idx;
+      l_val = Array.copy t.l_val;
+      u_start = Array.copy t.u_start;
+      u_idx = Array.copy t.u_idx;
+      u_val = Array.copy t.u_val;
+      u_diag = Array.copy t.u_diag;
+      active = Array.copy t.active;
+      e_pos = Array.copy t.e_pos;
+      e_diag = Array.copy t.e_diag;
+      e_start = Array.copy t.e_start;
+      e_idx = Array.copy t.e_idx;
+      e_val = Array.copy t.e_val;
+      e_head = Array.copy t.e_head;
+      e_next = Array.copy t.e_next;
+      ut_start = Array.copy t.ut_start;
+      ut_idx = Array.copy t.ut_idx;
+      lt_start = row_cnt;
+      lt_idx = Array.copy t.lt_idx;
+      stamp = col_nnz;
+      heap = order;
+      list = deferred;
+      step_vec = Array.copy t.step_vec;
+      row_cnt;
+      order;
+      col_nnz;
+      c_start = Array.copy t.c_start;
+      c_idx = Array.copy t.c_idx;
+      c_val = Array.copy t.c_val;
+      deferred;
+      stat = Array.copy t.stat;
+    }
+
   let eta_count t = t.n_eta
   let eta_nnz t = t.e_len
 

@@ -85,6 +85,12 @@ module Basis : sig
       them, which grow with their arena.  [eta_limit] caps the eta file
       before [needs_refactor] trips (default [max 64 (m/2)]). *)
 
+  val copy : t -> t
+  (** An independent basis in the same state: the factors, the eta
+      file, the density counts of the last solves and the health
+      statistics.  Solves and updates of either leave the other as it
+      was. *)
+
   val unit_col : int -> int
   (** [unit_col row] is the [cols] entry that denotes the unit column
       of [row] in [factor]. *)

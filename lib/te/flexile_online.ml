@@ -43,9 +43,9 @@ let run ?jobs inst ~offline =
 (* The same sweep, additionally capturing each scenario's binding
    capacity edges from the LP solution the allocation already
    computed.  Each allocation restarts from the instance's nominal
-   basis with solver state of its own (no shard-local state), so both
-   the loss matrix and the dual lists are bit-identical for every job
-   count. *)
+   basis on a copy of the nominal solver state (no shard-local state,
+   and the shared state is only read), so both the loss matrix and
+   the dual lists are bit-identical for every job count. *)
 let run_with_duals ?jobs inst ~offline =
   Trace.in_span sp_online @@ fun () ->
   let best = offline.Flexile_offline.best in

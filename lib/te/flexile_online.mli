@@ -36,5 +36,6 @@ val run_with_duals :
 (** {!run}, additionally returning each scenario's binding capacity
     edges [(edge, |dual|)] captured from the LP solution the
     allocation already computed.  Every allocation restarts from the
-    instance's nominal basis with solver state of its own, so both
-    results are bit-identical for every job count. *)
+    instance's nominal basis on its own copy of the nominal solver
+    state, which it never writes, so both results are bit-identical
+    for every job count. *)

@@ -11,7 +11,8 @@ module Log = (val Logs.src_log src : Logs.LOG)
    level variable [lambda] (objective 1).  Under its nominal settings
    every tunnel is alive, capacities and demands are the base ones and
    every level row is inactive; a scenario changes only bounds, RHS and
-   demand coefficients.  Never written after [compile]. *)
+   demand coefficients.  Never written after [compile]; [nominal] is
+   only ever copied, from any domain. *)
 type template = {
   base : Lp_model.t;
   tx : Lp_model.var array array array;
@@ -20,7 +21,7 @@ type template = {
   demand_rows : Lp_model.row array;
   tcap_rows : Lp_model.row array;
   tlevel_rows : Lp_model.row array;
-  nominal : Simplex.basis option;
+  nominal : Simplex.t;
 }
 
 type Instance.memo += Template of template
@@ -34,7 +35,7 @@ type ctx = {
   lambda : Lp_model.var;
   cap_rows : Lp_model.row array;
   level_rows : Lp_model.row array;
-  nominal : Simplex.basis option;
+  nominal : Simplex.t;
 }
 
 (* A level row [lambda - l_f >= rhs] is active at RHS 0 and inactive at
@@ -42,16 +43,19 @@ type ctx = {
 let level_active = 0.
 let level_inactive = -2.
 
-(* The restart point of every scenario: an optimal basis of the nominal
-   template, where every level row is inactive, so lambda = 0 and the
-   basis is a feasible routing of the base demands.  On the failover
-   replay of IBM two-class this start takes ~15% fewer dual pivots
-   than the min-max-loss optimum over all flows.  The solve only reads
-   the model. *)
-let nominal_basis model =
+(* The restart point of every scenario: a solver state factored at an
+   optimal basis of the nominal template, where every level row is
+   inactive, so lambda = 0 and the basis is a feasible routing of the
+   base demands.  On the failover replay of IBM two-class this start
+   takes ~15% fewer dual pivots than the min-max-loss optimum over all
+   flows.  Without an optimal basis it is a fresh state, whose copies
+   solve cold.  The solve only reads the model. *)
+let nominal_state model =
   let st = Simplex.make model in
   ignore (Simplex.solve_warm st);
-  Simplex.basis st
+  let nominal = Simplex.restart_from st model in
+  Simplex.prime_duals nominal;
+  nominal
 
 let compile inst =
   let model = Lp_model.create ~name:"scen-template" () in
@@ -96,7 +100,7 @@ let compile inst =
     demand_rows;
     tcap_rows = cap_rows;
     tlevel_rows = level_rows;
-    nominal = nominal_basis model;
+    nominal = nominal_state model;
   }
 
 (* Compiled and solved on first use, then cached on the instance.  Only
@@ -151,10 +155,10 @@ let build inst ~sid =
     nominal = tpl.nominal;
   }
 
-(* Solver state for one call, seeded with the nominal basis.  It is
-   never kept: everything an allocation computes comes from (instance,
-   scenario, frozen set). *)
-let solver ctx = Simplex.make ?basis:ctx.nominal ctx.model
+(* Solver state for one call: a copy of the nominal state bound to the
+   scenario's model.  It is never kept: everything an allocation
+   computes comes from (instance, scenario, frozen set). *)
+let solver ctx = Simplex.copy ctx.nominal ctx.model
 
 let min_max_loss ctx ~flows =
   Array.iter

@@ -2,14 +2,15 @@
     bandwidth variable on every tunnel, a loss variable, coverage row
     and level row per positive-demand flow, a capacity row per edge
     that some tunnel crosses, and the max-min level [lambda].  It is
-    compiled once per instance, on first use, together with the
-    optimal basis of its nominal settings (all tunnels alive, base
-    capacities and demands, every level row inactive: a feasible
-    routing of the base demands), and cached
-    on the instance.  A scenario only sets bounds (dead tunnels
-    [ub = 0], loss bounds, frozen caps), capacity and demand RHS and
-    demand-factor coefficients; every solve restarts from the nominal
-    basis.  ScenBest/SMORE, SWAN and Flexile's online allocation share
+    compiled once per instance, on first use, together with a solver
+    state factored at an optimal basis of its nominal settings (all
+    tunnels alive, base capacities and demands, every level row
+    inactive: a feasible routing of the base demands), and cached on
+    the instance.  A scenario only sets bounds (dead tunnels [ub = 0],
+    loss bounds, frozen caps), capacity and demand RHS and
+    demand-factor coefficients; every scenario solve starts from a copy
+    of that state ({!solver}), so no scenario factors the nominal basis
+    again.  ScenBest/SMORE, SWAN and Flexile's online allocation share
     it. *)
 
 type ctx = {
@@ -32,9 +33,9 @@ type ctx = {
   level_rows : Flexile_lp.Lp_model.row array;
       (** flow id -> row [lambda - l_f >= r], active at [r = 0] and
           inactive at [r = -2] (every row starts inactive), or -1 *)
-  nominal : Flexile_lp.Simplex.basis option;
-      (** the template's nominal basis, where every solve on [model]
-          restarts *)
+  nominal : Flexile_lp.Simplex.t;
+      (** the instance's nominal state, shared by every scenario and
+          domain: read-only, only ever {!Flexile_lp.Simplex.copy}'d *)
 }
 
 val build : Instance.t -> sid:int -> ctx
@@ -44,13 +45,20 @@ val build : Instance.t -> sid:int -> ctx
       scenario's demand (a flow with none has [l_f] fixed to 0);
     - for each edge: [sum of x crossing it <= capacity];
     - dead tunnels fixed to 0, disconnected flows' [l_f] fixed to 1.
-    Compiles the template and its nominal basis on the instance's
+    Compiles the template and its nominal state on the instance's
     first call. *)
+
+val solver : ctx -> Flexile_lp.Simplex.t
+(** A solver state for [ctx.model] of its own: a
+    {!Flexile_lp.Simplex.copy} of the nominal state, whose first
+    {!Flexile_lp.Simplex.solve_warm} restarts from the nominal basis
+    (factored once per instance, refactored only when the scenario's
+    demand factors changed a basic column). *)
 
 val min_max_loss : ctx -> flows:(Instance.flow -> bool) -> float option
 (** Minimize the maximum loss over the flows selected by [flows]
-    (activating their level rows in [ctx.model]), restarting from the
-    nominal basis.  Returns the optimal max loss, or [None] if the LP
+    (activating their level rows in [ctx.model]) on a {!solver} of
+    [ctx].  Returns the optimal max loss, or [None] if the LP
     fails (it should not: loss 1 is always feasible). *)
 
 val class_optimum : Instance.t -> sid:int -> cls:int -> float
@@ -91,8 +99,8 @@ val maxmin_losses :
     levels are solved.
 
     Every level re-optimizes with {!Flexile_lp.Simplex.solve_warm},
-    the first from the nominal basis, the rest from the previous
-    level's basis.  The solver state lives for one call only, so the
+    on one {!solver} of the scenario: the first from the nominal
+    basis, the rest from the previous level's basis.  The solver state lives for one call only, so the
     result depends on nothing but the instance, the scenario and the
     arguments: not on call order, earlier calls or the domain. *)
 

@@ -20,7 +20,7 @@ let run_maxmin ?jobs inst =
 let throughput_scenario inst sid =
   let ctx = Scen_lp.build inst ~sid in
   let model = ctx.Scen_lp.model in
-  let st = Simplex.make ?basis:ctx.Scen_lp.nominal model in
+  let st = Scen_lp.solver ctx in
   ignore (Simplex.solve_warm st);
   Lp_model.set_obj model ctx.Scen_lp.lambda 0.;
   let results = ref [] in

@@ -1,0 +1,226 @@
+(* The scenario restarts of Flexile_te.Scen_lp and SWAN-Throughput as
+   they were before every scenario solve began from a copy of one
+   factored nominal state: each call creates a solver state for its
+   scenario's model and seeds it with the recorded nominal basis,
+   placing every nonbasic variable and factoring that basis again
+   ([Simplex.restart_from] of the nominal state: [create] plus the old
+   [seed_basis]).  The max-min, the min-max loss, the class optimum and
+   SWAN-Throughput are kept unchanged over the public [Scen_lp.ctx], as
+   the reference the shared-state restarts must match bit for bit.
+   [solves] collects every solve's iteration count, newest first. *)
+
+module Lp_model = Flexile_lp.Lp_model
+module Simplex = Flexile_lp.Simplex
+module Instance = Flexile_te.Instance
+module Scen_lp = Flexile_te.Scen_lp
+
+let solves = ref []
+
+let solver (ctx : Scen_lp.ctx) =
+  let st = Simplex.restart_from ctx.Scen_lp.nominal ctx.Scen_lp.model in
+  fun () ->
+    let sol = Simplex.solve_warm st in
+    solves := sol.Simplex.iterations :: !solves;
+    sol
+
+let level_active = 0.
+let level_inactive = -2.
+
+let min_max_loss (ctx : Scen_lp.ctx) ~flows =
+  Array.iter
+    (fun (f : Instance.flow) ->
+      let r = ctx.Scen_lp.level_rows.(f.Instance.fid) in
+      if r >= 0 && flows f then Lp_model.set_rhs ctx.Scen_lp.model r level_active)
+    ctx.Scen_lp.inst.Instance.flows;
+  let sol = solver ctx () in
+  match sol.Simplex.status with
+  | Simplex.Optimal -> Some sol.Simplex.x.(ctx.Scen_lp.lambda)
+  | _ -> None
+
+let class_optimum inst ~sid ~cls =
+  match
+    min_max_loss (Scen_lp.build inst ~sid) ~flows:(fun (f : Instance.flow) -> f.Instance.cls = cls)
+  with
+  | Some v -> Float.max 0. (Float.min 1. v)
+  | None -> 1.
+
+let binding_edges (ctx : Scen_lp.ctx) (row_duals : float array) =
+  let acc = ref [] in
+  for e = Array.length ctx.Scen_lp.cap_rows - 1 downto 0 do
+    let row = ctx.Scen_lp.cap_rows.(e) in
+    if row >= 0 then begin
+      let d = Float.abs row_duals.(row) in
+      if d > 1e-9 then acc := (e, d) :: !acc
+    end
+  done;
+  !acc
+
+let max_levels = 12
+
+let maxmin_losses inst ~sid ~class_order ~merge_classes ~freeze_routing ~prefrozen ~duals =
+  let ctx = Scen_lp.build inst ~sid in
+  let duals_pending = ref (Some duals) in
+  let capture (sol : Simplex.solution) =
+    match !duals_pending with
+    | None -> ()
+    | Some f ->
+        duals_pending := None;
+        f (binding_edges ctx sol.Simplex.row_duals)
+  in
+  let model = ctx.Scen_lp.model
+  and lambda = ctx.Scen_lp.lambda
+  and level_rows = ctx.Scen_lp.level_rows in
+  let solve = solver ctx in
+  let participating =
+    Array.to_list inst.Instance.flows
+    |> List.filter (fun (f : Instance.flow) ->
+           f.Instance.demand > 0. && List.mem f.Instance.cls class_order)
+  in
+  List.iter
+    (fun (fid, cap) ->
+      if ctx.Scen_lp.l.(fid) >= 0 && Lp_model.lb model ctx.Scen_lp.l.(fid) <= cap then
+        Lp_model.set_bounds model ctx.Scen_lp.l.(fid)
+          ~lb:(Lp_model.lb model ctx.Scen_lp.l.(fid))
+          ~ub:(Float.min 1. cap))
+    prefrozen;
+  let results = ref [] in
+  let freeze fid v =
+    if ctx.Scen_lp.l.(fid) >= 0 then begin
+      let lb = Lp_model.lb model ctx.Scen_lp.l.(fid) in
+      let ub = Float.min (Lp_model.ub model ctx.Scen_lp.l.(fid)) (Float.max lb v) in
+      Lp_model.set_bounds model ctx.Scen_lp.l.(fid) ~lb ~ub;
+      Lp_model.set_rhs model level_rows.(fid) level_inactive;
+      results := (fid, ub) :: !results
+    end
+    else results := (fid, v) :: !results
+  in
+  let groups = if merge_classes then [ class_order ] else List.map (fun k -> [ k ]) class_order in
+  List.iter
+    (fun group ->
+      let active =
+        ref
+          (List.filter_map
+             (fun (f : Instance.flow) ->
+               if not (List.mem f.Instance.cls group) then None
+               else if Instance.demand_in inst f sid <= 0. then begin
+                 results := (f.Instance.fid, 0.) :: !results;
+                 None
+               end
+               else if not (Instance.flow_connected inst f sid) then begin
+                 results := (f.Instance.fid, 1.) :: !results;
+                 None
+               end
+               else Some f.Instance.fid)
+             participating)
+      in
+      List.iter (fun fid -> Lp_model.set_rhs model level_rows.(fid) level_active) !active;
+      let level = ref 0 in
+      let last_lambda = ref 1. in
+      let last_sol = ref None in
+      while !active <> [] && !level < max_levels do
+        incr level;
+        let sol = solve () in
+        match sol.Simplex.status with
+        | Simplex.Optimal ->
+            capture sol;
+            last_sol := Some sol.Simplex.x;
+            let lam = Float.max 0. sol.Simplex.x.(lambda) in
+            last_lambda := lam;
+            if lam <= 1e-7 then begin
+              List.iter (fun fid -> freeze fid 0.) !active;
+              active := []
+            end
+            else begin
+              let stuck, rest =
+                List.partition (fun fid -> sol.Simplex.row_duals.(level_rows.(fid)) > 1e-9) !active
+              in
+              if stuck <> [] then begin
+                List.iter (fun fid -> freeze fid lam) stuck;
+                active := rest
+              end
+              else begin
+                Lp_model.set_obj model lambda 0.;
+                Lp_model.set_bounds model lambda ~lb:0. ~ub:lam;
+                List.iter (fun fid -> Lp_model.set_obj model ctx.Scen_lp.l.(fid) 1.) !active;
+                let sol2 = solve () in
+                (match sol2.Simplex.status with
+                | Simplex.Optimal -> last_sol := Some sol2.Simplex.x
+                | _ -> ());
+                List.iter (fun fid -> Lp_model.set_obj model ctx.Scen_lp.l.(fid) 0.) !active;
+                Lp_model.set_obj model lambda 1.;
+                Lp_model.set_bounds model lambda ~lb:0. ~ub:1.;
+                let stuck, rest =
+                  match sol2.Simplex.status with
+                  | Simplex.Optimal ->
+                      List.partition
+                        (fun fid -> sol2.Simplex.x.(ctx.Scen_lp.l.(fid)) >= lam -. 1e-6)
+                        !active
+                  | _ -> (!active, [])
+                in
+                let stuck = if stuck = [] then !active else stuck in
+                List.iter (fun fid -> freeze fid lam) stuck;
+                active := (match sol2.Simplex.status with Simplex.Optimal -> rest | _ -> [])
+              end
+            end
+        | _ ->
+            List.iter (fun fid -> freeze fid 1.) !active;
+            active := []
+      done;
+      List.iter (fun fid -> freeze fid !last_lambda) !active;
+      if freeze_routing then
+        match !last_sol with
+        | None -> ()
+        | Some xs ->
+            List.iter
+              (fun k ->
+                Array.iter
+                  (Array.iter (fun v -> Lp_model.set_bounds model v ~lb:xs.(v) ~ub:xs.(v)))
+                  ctx.Scen_lp.x.(k))
+              group)
+    groups;
+  !results
+
+let throughput_scenario inst sid =
+  let ctx = Scen_lp.build inst ~sid in
+  let model = ctx.Scen_lp.model in
+  let solve = solver ctx in
+  ignore (solve ());
+  Lp_model.set_obj model ctx.Scen_lp.lambda 0.;
+  let results = ref [] in
+  List.iter
+    (fun k ->
+      let class_flows =
+        Array.to_list inst.Instance.flows
+        |> List.filter (fun (f : Instance.flow) -> f.Instance.cls = k && f.Instance.demand > 0.)
+      in
+      List.iter
+        (fun (f : Instance.flow) ->
+          if ctx.Scen_lp.l.(f.Instance.fid) >= 0 then
+            Lp_model.set_obj model ctx.Scen_lp.l.(f.Instance.fid) f.Instance.demand)
+        class_flows;
+      let sol = solve () in
+      List.iter
+        (fun (f : Instance.flow) ->
+          let fid = f.Instance.fid in
+          if ctx.Scen_lp.l.(fid) >= 0 then begin
+            Lp_model.set_obj model ctx.Scen_lp.l.(fid) 0.;
+            match sol.Simplex.status with
+            | Simplex.Optimal ->
+                let v = sol.Simplex.x.(ctx.Scen_lp.l.(fid)) in
+                results := (fid, v) :: !results;
+                Lp_model.set_bounds model ctx.Scen_lp.l.(fid)
+                  ~lb:(Lp_model.lb model ctx.Scen_lp.l.(fid))
+                  ~ub:(Float.min 1. (v +. 1e-9))
+            | _ -> results := (fid, 1.) :: !results
+          end
+          else results := (fid, if f.Instance.demand <= 0. then 0. else 1.) :: !results)
+        class_flows;
+      match sol.Simplex.status with
+      | Simplex.Optimal ->
+          Array.iter
+            (Array.iter (fun v ->
+                 Lp_model.set_bounds model v ~lb:sol.Simplex.x.(v) ~ub:sol.Simplex.x.(v)))
+            ctx.Scen_lp.x.(k)
+      | _ -> ())
+    (List.init (Array.length inst.Instance.classes) Fun.id);
+  !results

@@ -241,8 +241,18 @@ let test_duplicate_rows_recovery () =
 (* [Simplex.solve_warm] re-reads whatever the caller changed in the
    model.  A walk that moves bounds (fixing and freeing variables),
    right-hand sides and now and then the costs exercises every restart
-   leg: dual simplex, primal phase 2 and the cold fallback.  A second
-   state seeded with the first one's basis must agree too. *)
+   leg: dual simplex, primal phase 2 and the cold fallback.  A state
+   restarted from the first one's basis must agree too, and a copy of
+   the first one must solve as it does, bit for bit. *)
+let same_solution (a : Simplex.solution) (b : Simplex.solution) =
+  let bits = Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) in
+  a.Simplex.status = b.Simplex.status
+  && a.Simplex.iterations = b.Simplex.iterations
+  && bits [| a.Simplex.obj; a.Simplex.bound_term |] [| b.Simplex.obj; b.Simplex.bound_term |]
+  && bits a.Simplex.x b.Simplex.x
+  && bits a.Simplex.row_duals b.Simplex.row_duals
+  && bits a.Simplex.reduced_costs b.Simplex.reduced_costs
+
 let qcheck_bound_walk_differential =
   let gen = QCheck.Gen.(pair (int_range 2 7) (int_range 1 6)) in
   QCheck.Test.make ~name:"bound/cost/rhs walk matches cold solves to 1e-6"
@@ -271,13 +281,54 @@ let qcheck_bound_walk_differential =
           for r = 0 to nr - 1 do
             Lp_model.set_rhs m r (Prng.uniform prng (-3.) 8.)
           done;
-          let seeded = Simplex.make ?basis:(Simplex.basis st) m in
+          let restarted = Simplex.restart_from st m and copied = Simplex.copy st m in
           let warm = Simplex.solve_warm st in
           let cold = Simplex.solve m in
-          ok := agree warm cold && agree (Simplex.solve_warm seeded) cold
+          ok :=
+            agree warm cold
+            && agree (Simplex.solve_warm restarted) cold
+            && same_solution (Simplex.solve_warm copied) warm
         end
       done;
       !ok)
+
+(* A copy of a restart point (a state at an optimal basis, factored
+   once, its reduced costs primed) solves a changed model as a state
+   restarted from that point for the changed model does, bit for bit:
+   under new bounds, RHS and costs, and under a changed coefficient,
+   basic (the copy refactors) or nonbasic (it drops the primed reduced
+   costs).  Scen_lp's nominal state and its scenario copies are this. *)
+let qcheck_copy_matches_restart =
+  let gen = QCheck.Gen.(triple (int_range 2 7) (int_range 1 6) (int_bound 1_000_000)) in
+  QCheck.Test.make ~name:"copies of a restart point solve as restarts, bit for bit" ~count:200
+    (QCheck.make gen) (fun (nv, nr, salt) ->
+      let prng = Prng.of_string (Printf.sprintf "qc-copy-%d-%d-%d" nv nr salt) in
+      let m = random_lp prng ~nv ~nr in
+      let st = Simplex.make m in
+      ignore (Simplex.solve_warm st);
+      let point = Simplex.restart_from st m in
+      Simplex.prime_duals point;
+      List.for_all
+        (fun _ ->
+          let m2 = Lp_model.copy m in
+          for j = 0 to nv - 1 do
+            if Prng.bool prng 0.4 then begin
+              let lb = if Prng.bool prng 0.3 then Prng.uniform prng 0. 1. else 0. in
+              let ub = if Prng.bool prng 0.2 then lb else Prng.uniform prng lb 4. in
+              Lp_model.set_bounds m2 j ~lb ~ub
+            end;
+            if Prng.bool prng 0.1 then Lp_model.set_obj m2 j (Prng.uniform prng (-2.) 2.)
+          done;
+          for r = 0 to nr - 1 do
+            if Prng.bool prng 0.4 then Lp_model.set_rhs m2 r (Prng.uniform prng (-2.) 6.)
+          done;
+          (if Prng.bool prng 0.6 then
+             let c = float_of_int (1 + Prng.int prng 3) in
+             try Lp_model.set_coef m2 (Prng.int prng nr) (Prng.int prng nv) c
+             with Invalid_argument _ -> ());
+          let copied = Simplex.copy point m2 and restarted = Simplex.restart_from point m2 in
+          same_solution (Simplex.solve_warm copied) (Simplex.solve_warm restarted))
+        (List.init 5 Fun.id))
 
 (* ---- the warm/cold decision is visible in the trace counters ---- *)
 
@@ -395,6 +446,7 @@ let () =
             qcheck_warm_walk_differential;
             qcheck_warm_walk_tight_refactor;
             qcheck_bound_walk_differential;
+            qcheck_copy_matches_restart;
           ]
         @ [
             QCheck_alcotest.to_alcotest ~rand:(Fuzz.rand ())

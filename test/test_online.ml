@@ -1,12 +1,16 @@
 (* The online allocator restarts every scenario's max-min from the
-   instance's nominal basis.  These tests hold it to a cold solve of the
-   same configured template (the oracle), to purity (an allocation
-   depends only on instance, scenario and frozen set) and to the warm
-   counter accounting the benchmark reads. *)
+   instance's nominal basis, on a copy of one state factored there.
+   These tests hold it to a cold solve of the same configured template
+   (the oracle), bit for bit to the restart that factored the nominal
+   basis per scenario (Online_restart_ref), to purity (an allocation
+   depends only on instance, scenario and frozen set, and never writes
+   the shared nominal state) and to the warm counter accounting the
+   benchmark reads. *)
 
 open Flexile_te
 module Builder = Flexile_core.Builder
 module Trace = Flexile_util.Trace
+module Prng = Flexile_util.Prng
 
 let quick name f = Alcotest.test_case name `Quick f
 
@@ -149,6 +153,225 @@ let test_purity () =
         (Flexile_online.run_with_duals ~jobs (fresh ()) ~offline))
     [ 1; 2 ]
 
+(* ---- bit identity: copies of the nominal state vs seeded states ---- *)
+
+(* The solver work compared between the two restarts: every count the
+   benchmark gates except refactorizations (the seeded restart factors
+   the nominal basis once more per solver state), and the histogram of
+   iterations per solve. *)
+let work_counters =
+  [ "simplex.iterations"; "simplex.eta_updates"; "simplex.warm_attempts"; "simplex.warm_hits";
+    "simplex.warm_fallbacks"; "simplex.cold_solves"; "simplex.basis_repairs" ]
+
+let traced f =
+  Trace.reset ();
+  let v = f () in
+  (v, List.map Trace.value_by_name work_counters,
+   Trace.hist_snapshot_by_name "simplex.iterations_per_solve")
+
+let same_hist (a : Trace.hist_snapshot) (b : Trace.hist_snapshot) =
+  a.Trace.hist_count = b.Trace.hist_count
+  && same_bits a.Trace.hist_sum b.Trace.hist_sum
+  && same_bits a.Trace.hist_min b.Trace.hist_min
+  && same_bits a.Trace.hist_max b.Trace.hist_max
+  && a.Trace.hist_buckets = b.Trace.hist_buckets
+
+(* [reference] ran [Online_restart_ref]: its per-solve iteration counts
+   must be the ones the histograms of both runs hold. *)
+let same_run ~same (v1, c1, h1) (v2, c2, h2) =
+  let its = !Online_restart_ref.solves in
+  same v1 v2 && c1 = c2 && same_hist h1 h2
+  && h2.Trace.hist_count = List.length its
+  && same_bits h2.Trace.hist_sum (float_of_int (List.fold_left ( + ) 0 its))
+
+let reference f =
+  traced (fun () ->
+      Online_restart_ref.solves := [];
+      f ())
+
+let same_pairs a b =
+  List.length a = List.length b
+  && List.for_all2 (fun (i1, v1) (i2, v2) -> i1 = i2 && same_bits v1 v2) a b
+
+let same_matrix a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun r1 r2 -> Array.length r1 = Array.length r2 && Array.for_all2 same_bits r1 r2) a b
+
+(* B4, IBM and Sprint, with one class and two, under the independent,
+   srlg,partial and drift mixes (drift's demand factors change
+   coefficients, so some copies refactor), built once each *)
+let restart_keys =
+  Array.of_list
+    (List.concat_map
+       (fun topo ->
+         List.concat_map
+           (fun two -> List.map (fun mix -> (topo, two, mix)) [ "independent"; "srlg,partial"; "drift" ])
+           [ false; true ])
+       [ "B4"; "IBM"; "Sprint" ])
+
+let restart_instances = Hashtbl.create 18
+
+let restart_instance k =
+  let ((topo, two, mix) as key) = restart_keys.(k) in
+  match Hashtbl.find_opt restart_instances key with
+  | Some inst -> inst
+  | None ->
+      let options =
+        { Builder.default_options with Builder.max_scenarios = 20; max_pairs = 40; scenario_mix = mix }
+      in
+      let inst = Builder.of_name ~options ~two_classes:two topo in
+      (* the template's nominal solve is not part of any restart *)
+      ignore (Scen_lp.build inst ~sid:0);
+      Hashtbl.add restart_instances key inst;
+      inst
+
+(* Every scenario of the instance: the max-min under a random class
+   order, random caps on random flows and the drawn merge and freeze
+   options, with its captured duals; every class optimum; and
+   SWAN-Throughput's loss matrix. *)
+let restart_case (k, salt, merge_classes, freeze_routing) =
+  let inst = restart_instance k in
+  let prng = Prng.of_string (Printf.sprintf "restart-%d" salt) in
+  let classes = Array.of_list (all_classes inst) in
+  Prng.shuffle prng classes;
+  let class_order = Array.to_list classes in
+  let ok = ref true in
+  for sid = 0 to Instance.nscenarios inst - 1 do
+    let prefrozen =
+      Array.to_list inst.Instance.flows
+      |> List.filter_map (fun (f : Instance.flow) ->
+             if f.Instance.demand > 0. && Prng.bool prng 0.25 then
+               Some (f.Instance.fid, Prng.uniform prng 0. 1.2)
+             else None)
+    in
+    let production =
+      traced (fun () ->
+          let duals = ref [] in
+          let r =
+            Scen_lp.maxmin_losses inst ~sid ~class_order ~merge_classes ~freeze_routing ~prefrozen
+              ~duals:(fun d -> duals := d)
+              ()
+          in
+          (r, !duals))
+    in
+    let seeded =
+      reference (fun () ->
+          let duals = ref [] in
+          let r =
+            Online_restart_ref.maxmin_losses inst ~sid ~class_order ~merge_classes ~freeze_routing
+              ~prefrozen ~duals:(fun d -> duals := d)
+          in
+          (r, !duals))
+    in
+    ok :=
+      !ok
+      && same_run production seeded ~same:(fun (r1, d1) (r2, d2) -> same_pairs r1 r2 && same_pairs d1 d2);
+    List.iter
+      (fun cls ->
+        ok :=
+          !ok
+          && same_run ~same:same_bits
+               (traced (fun () -> Scen_lp.class_optimum inst ~sid ~cls))
+               (reference (fun () -> Online_restart_ref.class_optimum inst ~sid ~cls)))
+      class_order
+  done;
+  !ok
+  && same_run ~same:same_matrix
+       (traced (fun () -> Swan.run_throughput ~jobs:1 inst))
+       (reference (fun () ->
+            matrix inst (fun sid -> Online_restart_ref.throughput_scenario inst sid)))
+
+let qcheck_restart_bits =
+  QCheck.Test.make ~name:"online restart bits = reference" ~count:60
+    QCheck.(
+      make
+        ~print:(fun (k, salt, merge, freeze) ->
+          let topo, two, mix = restart_keys.(k) in
+          Printf.sprintf "%s two_classes=%b mix=%s salt=%d merge=%b freeze=%b" topo two mix salt
+            merge freeze)
+        Gen.(quad (int_bound (Array.length restart_keys - 1)) (int_bound 1_000_000) bool bool))
+    (fun case ->
+      let was = Trace.enabled () in
+      Trace.set_enabled true;
+      Fun.protect ~finally:(fun () -> Trace.set_enabled was) @@ fun () -> restart_case case)
+
+(* The refactor-on-coefficient branch runs: on IBM drift some copies
+   refactor.  A seeded restart factors once per solver state, a copy
+   only there, and both solve with the same other refactorizations. *)
+let test_copies_refactor () =
+  let inst = ibm_drift () in
+  ignore (Scen_lp.build inst ~sid:0);
+  let was = Trace.enabled () in
+  Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Trace.set_enabled was) @@ fun () ->
+  let refactorizations f =
+    Trace.reset ();
+    f ();
+    Trace.value_by_name "simplex.refactorizations"
+  in
+  let order = all_classes inst in
+  let ns = Instance.nscenarios inst in
+  let copies =
+    refactorizations (fun () ->
+        for sid = 0 to ns - 1 do
+          ignore (Scen_lp.maxmin_losses inst ~sid ~class_order:order ())
+        done)
+  and seeded =
+    refactorizations (fun () ->
+        for sid = 0 to ns - 1 do
+          ignore
+            (Online_restart_ref.maxmin_losses inst ~sid ~class_order:order ~merge_classes:false
+               ~freeze_routing:false ~prefrozen:[] ~duals:ignore)
+        done)
+  in
+  let refactored = ns - (seeded - copies) in
+  if refactored <= 0 || refactored >= ns then
+    Alcotest.failf "%d of %d copies refactored (%d vs %d refactorizations)" refactored ns copies
+      seeded
+
+(* ---- the nominal state is read-only across domains ---- *)
+
+(* Copies of one nominal state solve every scenario on 1, 2 and 4
+   domains: the allocations are bit-identical at every job count, and
+   a digest of everything reachable from the nominal state (every
+   array of it, its factors and its model) is the same before and
+   after. *)
+let test_nominal_read_only () =
+  let inst = ibm_drift () in
+  let nominal = (Scen_lp.build inst ~sid:0).Scen_lp.nominal in
+  let digest () = Digest.to_hex (Digest.string (Marshal.to_string nominal [ Marshal.Closures ])) in
+  let before = digest () in
+  let order = all_classes inst in
+  let run jobs =
+    let per_sid =
+      Flexile_util.Parallel.map ~jobs ~n:(Instance.nscenarios inst) ~init:ignore
+        ~f:(fun () sid ->
+          let duals = ref [] in
+          let r =
+            Scen_lp.maxmin_losses inst ~sid ~class_order:(List.rev order)
+              ~duals:(fun d -> duals := d)
+              ()
+          in
+          (r, !duals, List.map (fun cls -> Scen_lp.class_optimum inst ~sid ~cls) order))
+        ()
+    in
+    (per_sid, Swan.run_throughput ~jobs inst)
+  in
+  let reference = run 1 in
+  List.iter
+    (fun jobs ->
+      let per_sid, swan = run jobs in
+      Array.iteri
+        (fun sid (r, d, opt) ->
+          let r0, d0, opt0 = (fst reference).(sid) in
+          if not (same_pairs r r0 && same_pairs d d0 && List.for_all2 same_bits opt opt0) then
+            Alcotest.failf "scenario %d differs at jobs %d" sid jobs)
+        per_sid;
+      if not (same_matrix swan (snd reference)) then
+        Alcotest.failf "SWAN-Throughput differs at jobs %d" jobs)
+    [ 2; 4 ];
+  Alcotest.(check string) "nominal state digest" before (digest ())
+
 (* ---- the template is compiled once per instance ---- *)
 
 (* With jobs 2 both workers' first scenarios need the template of a
@@ -232,6 +455,12 @@ let () =
           quick "SWAN freeze_routing" test_oracle_swan;
           quick "ScenBest merge_classes" test_oracle_scenbest;
         ] );
+      ( "restart",
+        QCheck_alcotest.to_alcotest qcheck_restart_bits
+        :: [
+             quick "demand factors refactor some copies" test_copies_refactor;
+             quick "nominal state read-only at jobs 1, 2, 4" test_nominal_read_only;
+           ] );
       ("purity", [ quick "order, repeat and job count" test_purity ]);
       ("template", [ quick "compiled once at jobs 2" test_compile_once ]);
       ( "counters",
