@@ -111,13 +111,14 @@ let micro_benchmarks ~jobs () =
               ( z.(Prng.int prng nf).(Prng.int prng nq),
                 if Prng.bool prng 0.5 then 1. else 0. )))
     in
-    let st = Flexile_lp.Simplex.make model in
+    let module Simplex = Flexile_lp.Simplex in
+    let st = Simplex.make model in
     Test.make ~name:"master-node-lps" (Staged.stage (fun () ->
         Array.iter
           (fun fx ->
-            List.iter (fun (v, x) -> Lp_model.set_bounds model v ~lb:x ~ub:x) fx;
-            ignore (Flexile_lp.Simplex.solve_cold st);
-            List.iter (fun (v, _) -> Lp_model.set_bounds model v ~lb:0. ~ub:1.) fx)
+            List.iter (fun (v, x) -> Simplex.set_bounds st v ~lb:x ~ub:x) fx;
+            ignore (Simplex.solve_cold st);
+            List.iter (fun (v, _) -> Simplex.set_bounds st v ~lb:0. ~ub:1.) fx)
           fixings))
   in
   let open Bechamel.Toolkit in

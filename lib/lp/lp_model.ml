@@ -61,23 +61,6 @@ let create ?(name = "lp") () =
 
 let name t = t.model_name
 
-(* Per-row coefficient arrays and the matrix views are never written
-   in place, so the copy shares them; every per-entry array is copied,
-   without the spare capacity. *)
-let copy t =
-  let vars a = Array.sub a 0 t.nv and rows a = Array.sub a 0 t.nr in
-  {
-    t with
-    lbs = vars t.lbs;
-    ubs = vars t.ubs;
-    objs = vars t.objs;
-    vnames = vars t.vnames;
-    senses = rows t.senses;
-    rhss = rows t.rhss;
-    rnames = rows t.rnames;
-    row_cols = rows t.row_cols;
-    row_vals = rows t.row_vals;
-  }
 let nvars t = t.nv
 let nrows t = t.nr
 
@@ -165,11 +148,6 @@ let check_row t i =
 let check_var t j =
   if j < 0 || j >= t.nv then invalid_arg "Lp_model: variable out of range"
 
-let set_rhs t i v =
-  check_row t i;
-  check_bound "rhs" v;
-  t.rhss.(i) <- v
-
 let rhs t i =
   check_row t i;
   t.rhss.(i)
@@ -178,39 +156,9 @@ let row_sense t i =
   check_row t i;
   t.senses.(i)
 
-(* Coefficient of an existing entry; the sparsity pattern never changes.
-   Row arrays are shared with [copy]s, so the row is copied before the
-   write. *)
-let set_coef t i j v =
-  check_row t i;
-  check_bound "coefficient" v;
-  if not (Float_cmp.nonzero v) then invalid_arg "Lp_model.set_coef: zero";
-  let cols = t.row_cols.(i) in
-  let k = ref (-1) in
-  Array.iteri (fun idx c -> if c = j then k := idx) cols;
-  if !k < 0 then invalid_arg "Lp_model.set_coef: no such entry";
-  let vals = Array.copy t.row_vals.(i) in
-  vals.(!k) <- v;
-  t.row_vals.(i) <- vals;
-  t.csc_cache <- None;
-  t.csr_cache <- None
-
-let set_obj t j v =
-  check_var t j;
-  check_bound "objective" v;
-  t.objs.(j) <- v
-
 let obj_coef t j =
   check_var t j;
   t.objs.(j)
-
-let set_bounds t j ~lb ~ub =
-  check_var t j;
-  check_bound "lower bound" lb;
-  check_bound "upper bound" ub;
-  if lb > ub then invalid_arg "Lp_model.set_bounds: lb > ub";
-  t.lbs.(j) <- lb;
-  t.ubs.(j) <- ub
 
 let lb t j =
   check_var t j;

@@ -3,8 +3,9 @@
     A model is a minimization problem over variables with (possibly
     infinite) lower/upper bounds, linear rows with a sense ([Le], [Ge],
     [Eq]) and a right-hand side, and a linear objective.  Models are
-    mutable while being built; the solver compiles them to a
-    computational form on demand.
+    built once and never changed after: a solver state
+    ([Simplex.make]) reads the model's data at creation and owns its
+    bounds, RHS, costs and coefficients from then on.
 
     Infinities are represented by [infinity] / [neg_infinity]. *)
 
@@ -22,10 +23,6 @@ val create : ?name:string -> unit -> t
 
 val name : t -> string
 
-val copy : t -> t
-(** An independent model with the same variables, rows, bounds, RHS and
-    objective: changes to either leave the other as it was. *)
-
 val add_var : t -> ?name:string -> ?lb:float -> ?ub:float -> ?obj:float -> unit -> var
 (** Add a variable.  Defaults: [lb = 0.], [ub = infinity], [obj = 0.].
     Raises [Invalid_argument] if [lb > ub] or a bound is NaN. *)
@@ -35,19 +32,11 @@ val add_row : t -> ?name:string -> sense -> float -> (var * float) list -> row
     [sum_j c_j x_j  <sense>  rhs].  Duplicate variable entries are
     summed.  Raises [Invalid_argument] on an out-of-range variable. *)
 
-val set_rhs : t -> row -> float -> unit
 val rhs : t -> row -> float
 val row_sense : t -> row -> sense
 
-val set_coef : t -> row -> var -> float -> unit
-(** [set_coef t row var c] changes the coefficient of an existing
-    nonzero entry to the nonzero [c]; the sparsity pattern is fixed.
-    Raises [Invalid_argument] if [row] has no entry for [var]. *)
-
-val set_obj : t -> var -> float -> unit
 val obj_coef : t -> var -> float
 
-val set_bounds : t -> var -> lb:float -> ub:float -> unit
 val lb : t -> var -> float
 val ub : t -> var -> float
 val var_name : t -> var -> string
@@ -60,9 +49,8 @@ val row_coeffs : t -> row -> (var * float) list
 (** Coefficients of a row, in insertion order (duplicates pre-summed). *)
 
 (** Column-compressed view of the coefficient matrix, rebuilt lazily
-    whenever rows were added or a coefficient changed since the last
-    call.  Both views are shared by {!copy}s until one of them changes
-    its matrix. *)
+    whenever variables or rows were added since the last call.  The
+    solver states made from the model share both views read-only. *)
 type csc = private {
   col_start : int array;  (** length nvars+1 *)
   row_idx : int array;

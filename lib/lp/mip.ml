@@ -56,18 +56,10 @@ let most_fractional x binaries =
 
 let solve ?(node_limit = 5000) ?heuristic ~binaries model =
   let nv = Lp_model.nvars model in
-  let saved_bounds =
-    Array.map (fun j -> (j, Lp_model.lb model j, Lp_model.ub model j)) binaries
-  in
-  Array.iter (fun j -> Lp_model.set_bounds model j ~lb:0. ~ub:1.) binaries;
-  let restore () =
-    Array.iter
-      (fun (j, lb, ub) -> Lp_model.set_bounds model j ~lb ~ub)
-      saved_bounds
-  in
   (* one solver state for every node LP: each node cold-solves it under
-     its own fixings *)
+     its own fixings, set on the state and undone after the solve *)
   let lp_state = Simplex.make model in
+  Array.iter (fun j -> Simplex.set_bounds lp_state j ~lb:0. ~ub:1.) binaries;
   let incumbent = ref None in
   let incumbent_obj = ref infinity in
   let nodes = ref 0 in
@@ -108,7 +100,7 @@ let solve ?(node_limit = 5000) ?heuristic ~binaries model =
             if
               Array.length cand = nv
               && is_integral cand binaries
-              && Lp_model.max_violation model cand <= 1e-6
+              && Simplex.max_violation lp_state cand <= 1e-6
             then try_incumbent cand (Lp_model.objective_value model cand))
   in
   let best_proven = ref neg_infinity in
@@ -128,11 +120,11 @@ let solve ?(node_limit = 5000) ?heuristic ~binaries model =
            if nd.parent_bound < !incumbent_obj -. gap_tol then begin
              incr nodes;
              List.iter
-               (fun (j, v) -> Lp_model.set_bounds model j ~lb:v ~ub:v)
+               (fun (j, v) -> Simplex.set_bounds lp_state j ~lb:v ~ub:v)
                nd.fixings;
              let lp = Simplex.solve_cold lp_state in
              List.iter
-               (fun (j, _) -> Lp_model.set_bounds model j ~lb:0. ~ub:1.)
+               (fun (j, _) -> Simplex.set_bounds lp_state j ~lb:0. ~ub:1.)
                nd.fixings;
              match lp.Simplex.status with
              | Simplex.Infeasible -> ()
@@ -173,7 +165,6 @@ let solve ?(node_limit = 5000) ?heuristic ~binaries model =
   Trace.add c_open_at_stop (List.length !stack);
   Trace.incr !stop;
   let frontier = frontier_bound () in
-  restore ();
   let bound =
     if !stack = [] && !dropped_bound = None then
       (* search exhausted: the incumbent (if any) is optimal *)

@@ -18,10 +18,10 @@
     search cut by a dropped node is told apart from one that exhausted
     its tree (both stop with [mip.stop_exhausted]).
 
-    A search makes one [Simplex] state.  Each node re-reads the model's
-    bounds into it and solves it cold from slack
-    ([Simplex.solve_cold]): the node LP pivots and answers exactly as a
-    fresh [Simplex.solve] would, without building a state per node.
+    A search makes one [Simplex] state.  Each node sets its fixings on
+    that state, solves it cold from slack ([Simplex.solve_cold]) and
+    undoes them: the node LP pivots and answers exactly as a fresh
+    [Simplex.solve] would, without building a state per node.
     The trace timer [mip.heuristic] times the rounding heuristic. *)
 
 type status =
@@ -52,5 +52,4 @@ val solve :
     and an accepted candidate is copied.  A candidate is read only
     before the next call of [heuristic], so the heuristic may return
     the same buffer, rewritten, every time.  The search stops after
-    [node_limit] node LPs (default 5000).  The model's bounds are
-    mutated during the search and restored on exit. *)
+    [node_limit] node LPs (default 5000).  The model is only read. *)

@@ -99,9 +99,12 @@ type t = {
   m : int;
   ntot : int;
   model : Lp_model.t;
-      (* re-read by [sync_model] (bounds, RHS, costs) and captured by
-         health snapshots; the matrix is fixed at [create] *)
-  csc : Lp_model.csc;
+      (* the build-time model: its names and row senses, for health
+         dumps and warnings; bounds, RHS, costs and coefficients are
+         the state's own, read at [create] and set by the setters *)
+  col_start : int array; (* CSC of the structural columns *)
+  row_idx : int array;
+  mutable col_val : float array;
   lo : float array;
   up : float array;
   cost : float array; (* phase-2 costs over ntot *)
@@ -144,11 +147,17 @@ type t = {
   dpat : int array;
       (* pattern scratch of the dense solves (xb, duals); [fcols]'s
          array, which only [refactorize] reads, before its solves *)
-  (* CSR mirror of the structural columns, for pivot-row products
-     (the model's cached row view, shared and never written) *)
+  (* CSR mirror of the structural columns, for pivot-row products *)
   row_start : int array; (* length m+1 *)
   row_col : int array;
-  row_val : float array;
+  mutable row_val : float array;
+  mutable own_vals : bool;
+      (* [col_val] and [row_val] are this state's own; otherwise they
+         are the model's matrix views, shared read-only with every
+         state made from it, and [set_coef] copies both first *)
+  mutable refactor_due : bool;
+      (* [set_coef] changed a basic column of an optimal basis: the
+         next restart refactors first *)
   fcols : int array; (* basis columns in [Basis.factor]'s encoding *)
   mutable enter : int; (* entering column, -1 for none *)
   mutable leave : int; (* leaving basis position, -1 for none *)
@@ -205,14 +214,16 @@ let create ?eta_limit ?stall_limit model =
   done;
   let sec_size = max 256 ((ntot + 7) / 8) in
   let nsec = max 1 ((ntot + sec_size - 1) / sec_size) in
-  let csr = Lp_model.csr model in
+  let csc = Lp_model.csc model and csr = Lp_model.csr model in
   let fcols = Array.make m 0 and y = Array.make m 0. in
   {
     n;
     m;
     ntot;
     model;
-    csc = Lp_model.csc model;
+    col_start = csc.Lp_model.col_start;
+    row_idx = csc.Lp_model.row_idx;
+    col_val = csc.Lp_model.values;
     lo;
     up;
     cost;
@@ -239,6 +250,8 @@ let create ?eta_limit ?stall_limit model =
     row_start = csr.Lp_model.row_start;
     row_col = csr.Lp_model.col_idx;
     row_val = csr.Lp_model.row_values;
+    own_vals = false;
+    refactor_due = false;
     fcols;
     enter = -1;
     leave = -1;
@@ -257,10 +270,34 @@ let create ?eta_limit ?stall_limit model =
     eta_cap = eta_limit;
   }
 
-(* Threshold trip -> reproducible snapshot (model + basis + variable
-   statuses + trip metadata), so the failing LP can be replayed by
-   [flexile doctor --from-dump].  Gated on FLEXILE_HEALTH_DUMP inside
-   [Health.write_dump]; the copies happen only on a trip. *)
+(* The LP the state holds, as a model: the build-time model's names
+   and row senses, with the state's bounds, costs, RHS and
+   coefficients. *)
+let to_model st =
+  let src = st.model in
+  let md = Lp_model.create ~name:(Lp_model.name src) () in
+  for j = 0 to st.n - 1 do
+    ignore
+      (Lp_model.add_var md ~name:(Lp_model.var_name src j) ~lb:st.lo.(j)
+         ~ub:st.up.(j) ~obj:st.cost.(j) ())
+  done;
+  for i = 0 to st.m - 1 do
+    let k0 = st.row_start.(i) in
+    let coeffs =
+      List.init (st.row_start.(i + 1) - k0) (fun k ->
+          (st.row_col.(k0 + k), st.row_val.(k0 + k)))
+    in
+    ignore
+      (Lp_model.add_row md ~name:(Lp_model.row_name src i)
+         (Lp_model.row_sense src i) st.b.(i) coeffs)
+  done;
+  md
+
+(* Threshold trip -> reproducible snapshot (the state's LP + basis +
+   variable statuses + trip metadata), so the failing LP can be
+   replayed by [flexile doctor --from-dump].  Gated on
+   FLEXILE_HEALTH_DUMP inside [Health.write_dump]; the copies happen
+   only on a trip. *)
 let dump_on_trip st reasons =
   match Health.dump_dir () with
   | None -> ()
@@ -272,7 +309,7 @@ let dump_on_trip st reasons =
              d_phase = st.hphase;
              d_iteration = st.hiter;
              d_eta_limit = st.eta_cap;
-             d_model = st.model;
+             d_model = to_model st;
              d_basis = Array.copy st.bas;
              d_vstat = Array.copy st.vstat;
            })
@@ -309,9 +346,9 @@ let[@inline] unit_row st j = if j < st.n + st.m then j - st.n else j - st.n - st
    health sampler only, the solver loops read the CSC arrays. *)
 let col_iter st j f =
   if j < st.n then begin
-    let c = st.csc in
-    for k = c.Lp_model.col_start.(j) to c.Lp_model.col_start.(j + 1) - 1 do
-      f c.Lp_model.row_idx.(k) c.Lp_model.values.(k)
+    let cv = st.col_val in
+    for k = st.col_start.(j) to st.col_start.(j + 1) - 1 do
+      f st.row_idx.(k) cv.(k)
     done
   end
   else f (unit_row st j) 1.0
@@ -319,10 +356,10 @@ let col_iter st j f =
 (* Dot of a dense m-vector with column j. *)
 let[@inline][@lint.noalloc] col_dot st y j =
   if j < st.n then begin
-    let c = st.csc in
+    let ri = st.row_idx and cv = st.col_val in
     let s = ref 0. in
-    for k = c.Lp_model.col_start.(j) to c.Lp_model.col_start.(j + 1) - 1 do
-      s := !s +. (y.(c.Lp_model.row_idx.(k)) *. c.Lp_model.values.(k))
+    for k = st.col_start.(j) to st.col_start.(j + 1) - 1 do
+      s := !s +. (y.(ri.(k)) *. cv.(k))
     done;
     !s
   end
@@ -337,14 +374,14 @@ let[@lint.noalloc] ftran st j =
   done;
   let nnz =
     if j < st.n then begin
-      let c = st.csc in
-      let k0 = c.Lp_model.col_start.(j) in
-      for k = k0 to c.Lp_model.col_start.(j + 1) - 1 do
-        let r = c.Lp_model.row_idx.(k) in
-        w.(r) <- w.(r) +. c.Lp_model.values.(k);
+      let ri = st.row_idx and cv = st.col_val in
+      let k0 = st.col_start.(j) in
+      for k = k0 to st.col_start.(j + 1) - 1 do
+        let r = ri.(k) in
+        w.(r) <- w.(r) +. cv.(k);
         pat.(k - k0) <- r
       done;
-      c.Lp_model.col_start.(j + 1) - k0
+      st.col_start.(j + 1) - k0
     end
     else begin
       let r = unit_row st j in
@@ -388,10 +425,10 @@ let[@lint.noalloc] nonbasic_residual st =
     let xj = st.xn.(j) in
     if st.vstat.(j) <> basic && nonzero xj then
       if j < st.n then begin
-        let c = st.csc in
-        for k = c.Lp_model.col_start.(j) to c.Lp_model.col_start.(j + 1) - 1 do
-          let i = c.Lp_model.row_idx.(k) in
-          bt.(i) <- bt.(i) -. (c.Lp_model.values.(k) *. xj)
+        let ri = st.row_idx and cv = st.col_val in
+        for k = st.col_start.(j) to st.col_start.(j + 1) - 1 do
+          let i = ri.(k) in
+          bt.(i) <- bt.(i) -. (cv.(k) *. xj)
         done
       end
       else
@@ -468,6 +505,7 @@ let health_sample st ~kind ~eta ~patched =
    let the simplex iterate onward from the repaired point. *)
 let refactor_basis st =
   Trace.incr c_refactorizations;
+  st.refactor_due <- false;
   Trace.observe h_eta_at_refactor (float_of_int (Basis.eta_count st.basis));
   for pos = 0 to st.m - 1 do
     let q = st.bas.(pos) in
@@ -475,9 +513,8 @@ let refactor_basis st =
   done;
   let patched =
     Trace.with_span t_factor @@ fun () ->
-    let c = st.csc in
-    Basis.factor st.basis ~col_start:c.Lp_model.col_start
-      ~row_idx:c.Lp_model.row_idx ~values:c.Lp_model.values ~cols:st.fcols
+    Basis.factor st.basis ~col_start:st.col_start ~row_idx:st.row_idx
+      ~values:st.col_val ~cols:st.fcols
   in
   List.iter
     (fun (pos, row) ->
@@ -1262,6 +1299,7 @@ let restart ~iter_limit st =
   match st.last_status with
   | Some Optimal ->
       Trace.incr c_warm_attempts;
+      if st.refactor_due then ignore (refactorize st);
       recompute_xb st;
       let iters = ref 0 in
       if st.d_valid || dual_start_ok st then begin
@@ -1309,39 +1347,111 @@ let place_nonbasic st j =
     (if s' = at_lower then st.lo.(j) else if s' = at_upper then st.up.(j) else 0.);
   s' <> s
 
-(* Re-read the structural bounds, the RHS and the costs from the model.
-   Reduced costs stay valid under bound and RHS changes unless a
-   nonbasic variable changes side or stops being fixed (its reduced
-   cost then has to be checked again), and never under cost changes. *)
-let sync_model st =
-  let model = st.model in
-  for j = 0 to st.n - 1 do
-    let c = Lp_model.obj_coef model j in
-    if not (Float.equal c st.cost.(j)) then begin
-      st.cost.(j) <- c;
-      st.d_valid <- false
-    end;
-    let lo = Lp_model.lb model j and up = Lp_model.ub model j in
-    if not (Float.equal lo st.lo.(j) && Float.equal up st.up.(j)) then begin
-      let was_fixed = st.lo.(j) >= st.up.(j) in
-      st.lo.(j) <- lo;
-      st.up.(j) <- up;
-      if st.vstat.(j) <> basic && (place_nonbasic st j || was_fixed) then
-        st.d_valid <- false
-    end
-  done;
-  for i = 0 to st.m - 1 do
-    st.b.(i) <- Lp_model.rhs model i
-  done
+let check_var st j =
+  if j < 0 || j >= st.n then invalid_arg "Simplex: variable out of range"
 
-(* A fresh state of [model] at [src]'s last optimal basis: nonbasics on
-   their bounds under [model]'s bounds, the basis factorized against
-   [model]'s matrix (a singular one is repaired), and the state flagged
-   warm so that its first solve restarts. *)
-let restart_from src model =
-  let st = create ?eta_limit:src.eta_cap model in
+let check_row st i =
+  if i < 0 || i >= st.m then invalid_arg "Simplex: row out of range"
+
+let check_value what x =
+  if Float.is_nan x then invalid_arg (Printf.sprintf "Simplex: NaN %s" what)
+
+(* The setters write the state directly.  Reduced costs stay valid
+   under bound and RHS changes unless a nonbasic variable changes side
+   or stops being fixed (its reduced cost then has to be checked
+   again), and never under cost or coefficient changes. *)
+let set_bounds st j ~lb ~ub =
+  check_var st j;
+  check_value "lower bound" lb;
+  check_value "upper bound" ub;
+  if lb > ub then invalid_arg "Simplex.set_bounds: lb > ub";
+  if not (Float.equal lb st.lo.(j) && Float.equal ub st.up.(j)) then begin
+    let was_fixed = st.lo.(j) >= st.up.(j) in
+    st.lo.(j) <- lb;
+    st.up.(j) <- ub;
+    if st.vstat.(j) <> basic && (place_nonbasic st j || was_fixed) then
+      st.d_valid <- false
+  end
+
+let lb st j =
+  check_var st j;
+  st.lo.(j)
+
+let ub st j =
+  check_var st j;
+  st.up.(j)
+
+let set_obj st j c =
+  check_var st j;
+  check_value "objective" c;
+  if not (Float.equal c st.cost.(j)) then begin
+    st.cost.(j) <- c;
+    st.d_valid <- false
+  end
+
+let set_rhs st i v =
+  check_row st i;
+  check_value "rhs" v;
+  st.b.(i) <- v
+
+(* Position of entry (i, j) in [idx.(start.(k)) .. idx.(start.(k+1)-1)]. *)
+let find_entry start idx k target =
+  let p = ref (-1) in
+  for q = start.(k) to start.(k + 1) - 1 do
+    if idx.(q) = target then p := q
+  done;
+  if !p < 0 then invalid_arg "Simplex.set_coef: no such entry";
+  !p
+
+(* The matrix views are shared with the model and with every state
+   made from it until the first write, which copies both value
+   arrays.  A changed basic column of an optimal basis has its
+   factors rebuilt by the next restart. *)
+let set_coef st i j v =
+  check_row st i;
+  check_var st j;
+  check_value "coefficient" v;
+  if not (nonzero v) then invalid_arg "Simplex.set_coef: zero";
+  let kc = find_entry st.col_start st.row_idx j i in
+  if not (Float.equal v st.col_val.(kc)) then begin
+    if not st.own_vals then begin
+      st.col_val <- Array.copy st.col_val;
+      st.row_val <- Array.copy st.row_val;
+      st.own_vals <- true
+    end;
+    st.col_val.(kc) <- v;
+    st.row_val.(find_entry st.row_start st.row_col i j) <- v;
+    st.d_valid <- false;
+    if st.vstat.(j) = basic && st.last_status = Some Optimal then
+      st.refactor_due <- true
+  end
+
+(* The value arrays a copy of [src] may write: its own when [src] owns
+   them, the shared ones otherwise. *)
+let copy_vals st src =
+  if src.own_vals then begin
+    st.col_val <- Array.copy src.col_val;
+    st.row_val <- Array.copy src.row_val;
+    st.own_vals <- true
+  end
+  else begin
+    st.col_val <- src.col_val;
+    st.row_val <- src.row_val
+  end
+
+(* A fresh state of [src]'s LP at [src]'s last optimal basis:
+   nonbasics on their bounds, the basis factorized (a singular one is
+   repaired), and the state flagged warm so that its first solve
+   restarts. *)
+let restart_from src =
+  let st = create ?eta_limit:src.eta_cap src.model in
   if st.n <> src.n || st.m <> src.m then
-    invalid_arg "Simplex.restart_from: dimension mismatch";
+    invalid_arg "Simplex.restart_from: the model changed shape";
+  Array.blit src.lo 0 st.lo 0 st.n;
+  Array.blit src.up 0 st.up 0 st.n;
+  Array.blit src.cost 0 st.cost 0 st.n;
+  Array.blit src.b 0 st.b 0 st.m;
+  copy_vals st src;
   if src.last_status = Some Optimal then begin
     Array.blit src.bas 0 st.bas 0 st.m;
     Array.blit src.vstat 0 st.vstat 0 st.ntot;
@@ -1356,53 +1466,22 @@ let restart_from src model =
 (* The exact reduced costs of [st]'s optimal basis, computed once for
    its copies.  They are kept only when the basis is dual feasible
    under them, which is what the first restart of a copy would find
-   and check: [sync_model] and [copy] drop them wherever a nonbasic
-   variable changes side or stops being fixed, a cost moves or a
-   column changes. *)
+   and check: the setters drop them wherever a nonbasic variable
+   changes side or stops being fixed, a cost moves or a coefficient
+   changes. *)
 let prime_duals st =
   if st.last_status = Some Optimal && not (dual_start_ok st) then st.d_valid <- false
 
-(* Whether structural column [j] has the same entries in [a] and [b],
-   two matrices with one sparsity pattern. *)
-let same_column (a : Lp_model.csc) (b : Lp_model.csc) j =
-  let same = ref true in
-  for k = a.Lp_model.col_start.(j) to a.Lp_model.col_start.(j + 1) - 1 do
-    if not (Float.equal a.Lp_model.values.(k) b.Lp_model.values.(k)) then same := false
-  done;
-  !same
-
-(* A deep copy of [src] that solves [model]: every array is copied, the
-   ones that share an array in [create] share one copy, the pivot
-   workspaces are left for the copy's first pivot loop to allocate, and
-   the health state is fresh.  The factors stay valid unless [model]
-   changed a basic column; the reduced costs unless it changed any
-   column. *)
-let copy src model =
-  let csc = Lp_model.csc model and csr = Lp_model.csr model in
-  let same_senses () =
-    let ok = ref true in
-    for i = 0 to src.m - 1 do
-      let lo, up = slack_bounds (Lp_model.row_sense model i) in
-      if not (Float.equal lo src.lo.(src.n + i) && Float.equal up src.up.(src.n + i)) then
-        ok := false
-    done;
-    !ok
-  in
-  if
-    Lp_model.nvars model <> src.n
-    || Lp_model.nrows model <> src.m
-    || (not (same_senses ()))
-    || not
-         (csc == src.csc
-         || csc.Lp_model.col_start = src.csc.Lp_model.col_start
-            && csc.Lp_model.row_idx = src.csc.Lp_model.row_idx)
-  then invalid_arg "Simplex.copy: the model has another shape";
+(* A deep copy of [src]: every array is copied, the ones that share an
+   array in [create] share one copy, the matrix values are shared
+   while [src] shares them, the pivot workspaces are left for the
+   copy's first pivot loop to allocate, and the health state is
+   fresh. *)
+let copy src =
   let y = Array.copy src.y and fcols = Array.copy src.fcols in
   let st =
     {
       src with
-      model;
-      csc;
       lo = Array.copy src.lo;
       up = Array.copy src.up;
       cost = Array.copy src.cost;
@@ -1425,9 +1504,6 @@ let copy src model =
       y;
       bt = y;
       dpat = fcols;
-      row_start = csr.Lp_model.row_start;
-      row_col = csr.Lp_model.col_idx;
-      row_val = csr.Lp_model.row_values;
       fcols;
       d = Array.copy src.d;
       infeas = Array.copy src.infeas;
@@ -1435,20 +1511,8 @@ let copy src model =
       health = Health.make ~stall_limit:(Health.stall_limit src.health) src.m;
     }
   in
+  copy_vals st src;
   Health.set_on_trip st.health (dump_on_trip st);
-  if csc != src.csc then begin
-    let basic_changed = ref false in
-    for j = 0 to st.n - 1 do
-      if not (same_column csc src.csc j) then begin
-        st.d_valid <- false;
-        if st.vstat.(j) = basic then basic_changed := true
-      end
-    done;
-    if !basic_changed && st.last_status = Some Optimal then begin
-      sync_model st;
-      ignore (refactorize st)
-    end
-  end;
   st
 
 let extend st model =
@@ -1496,7 +1560,6 @@ let make ?eta_limit model = create ?eta_limit model
 
 let solve_warm ?iter_limit st =
   Trace.in_span sp_solve @@ fun () ->
-  sync_model st;
   restart ~iter_limit:(iter_limit_of st iter_limit) st
 
 (* ------------------------------------------------------------------ *)
@@ -1530,10 +1593,31 @@ let diagnose_basis ?eta_limit ?stall_limit ?(phase = 0) ?(iteration = 0) model
   ignore (refactorize st);
   st.health
 
+(* [Lp_model.max_violation] over the state's bounds, RHS and
+   coefficients, summed in the same order. *)
+let max_violation st x =
+  let worst = ref 0. in
+  for j = 0 to st.n - 1 do
+    worst := Float.max !worst (st.lo.(j) -. x.(j));
+    worst := Float.max !worst (x.(j) -. st.up.(j))
+  done;
+  for i = 0 to st.m - 1 do
+    let a = ref 0. in
+    for k = st.row_start.(i) to st.row_start.(i + 1) - 1 do
+      a := !a +. (st.row_val.(k) *. x.(st.row_col.(k)))
+    done;
+    let a = !a and r = st.b.(i) in
+    match Lp_model.row_sense st.model i with
+    | Lp_model.Le -> worst := Float.max !worst (a -. r)
+    | Lp_model.Ge -> worst := Float.max !worst (r -. a)
+    | Lp_model.Eq -> worst := Float.max !worst (Float.abs (a -. r))
+  done;
+  !worst
+
 let checked_cold_solve st =
   let sol = cold_solve st in
   (if sol.status = Optimal then
-     let viol = Lp_model.max_violation st.model sol.x in
+     let viol = max_violation st sol.x in
      if viol > 1e-5 then
        Log.warn (fun m ->
            m "solution of %s violates constraints by %g"
@@ -1543,12 +1627,11 @@ let checked_cold_solve st =
 let solve model =
   Trace.in_span sp_solve @@ fun () -> checked_cold_solve (create model)
 
-(* What a cold solve reads of an old state is re-read ([sync_model]),
+(* What a cold solve reads of an old state besides its LP data is
    reset ([setup_cold], [primal_loop]'s [recompute_d]) or forgotten
    here, so the answer is the one of a fresh state. *)
 let solve_cold st =
   Trace.in_span sp_solve @@ fun () ->
-  sync_model st;
   Basis.forget_density st.basis;
   Health.clear st.health;
   checked_cold_solve st

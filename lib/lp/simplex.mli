@@ -49,7 +49,7 @@ val solve : Lp_model.t -> solution
 
 (** {1 Warm-restart interface}
 
-    A [t] captures the model's matrix at creation time.  Every later
+    A [t] holds the model's LP data from its creation on.  Every later
     solve restarts from the previous optimal basis: with the dual
     simplex while that basis stays dual feasible (bound and RHS
     changes), and with primal phase 2 when only a cost change broke
@@ -78,14 +78,42 @@ val make : ?eta_limit:int -> Lp_model.t -> t
     [eta_limit] caps the eta file before a refactorization (default
     [max 64 (m/2)], see {!Sparse.Basis.create}). *)
 
-val restart_from : t -> Lp_model.t -> t
-(** [restart_from t model] is a new solver state for [model], which
-    has [t]'s dimensions (for example the same template under other
-    bounds, RHS or coefficients), started at the basis of [t]'s last
-    solve: its nonbasic variables on [model]'s bounds and the basis
-    factorized against [model]'s matrix, so that the first solve
-    restarts from it.  When [t]'s last solve did not end optimal (or
-    [t] never solved) the state is as fresh as {!make}'s. *)
+(** {2 The LP data}
+
+    A state owns its LP's bounds, RHS, costs and coefficients, read
+    from the model at {!make} and changed only by these setters; the
+    model itself is never written.  Every change takes effect at the
+    next solve. *)
+
+val set_bounds : t -> Lp_model.var -> lb:float -> ub:float -> unit
+(** Raises [Invalid_argument] on an out-of-range variable, a NaN bound
+    or [lb > ub]. *)
+
+val lb : t -> Lp_model.var -> float
+val ub : t -> Lp_model.var -> float
+
+val set_obj : t -> Lp_model.var -> float -> unit
+val set_rhs : t -> Lp_model.row -> float -> unit
+
+val set_coef : t -> Lp_model.row -> Lp_model.var -> float -> unit
+(** [set_coef t row var c] changes the coefficient of an existing
+    entry to the nonzero [c]; the sparsity pattern is fixed.  Raises
+    [Invalid_argument] if [row] has no entry for [var].  The matrix is
+    shared with the model and with the states made from it until the
+    first change, which copies its values; when [var] is basic in an
+    optimal basis, the next restart refactors that basis first. *)
+
+val max_violation : t -> float array -> float
+(** {!Lp_model.max_violation} of a full primal assignment under the
+    state's bounds, RHS and coefficients. *)
+
+val restart_from : t -> t
+(** [restart_from t] is a new solver state for [t]'s LP (its current
+    bounds, RHS, costs and coefficients), started at the basis of
+    [t]'s last solve: its nonbasic variables on their bounds and the
+    basis factorized afresh, so that the first solve restarts from it.
+    When [t]'s last solve did not end optimal (or [t] never solved)
+    the state is as fresh as {!make}'s. *)
 
 val prime_duals : t -> unit
 (** [prime_duals t] computes the exact reduced costs of [t]'s optimal
@@ -96,40 +124,32 @@ val prime_duals : t -> unit
     dual feasible under them.  No effect unless [t]'s last solve, or
     {!restart_from}, left it optimal. *)
 
-val copy : t -> Lp_model.t -> t
-(** [copy t model] is an independent state that solves [model] as [t]
-    would have solved it: a deep copy of [t] (basis, factors, eta file,
-    workspaces) bound to [model]'s matrix, with a fresh health state.
-    [model] must have [t]'s variables, rows, row senses and sparsity
-    pattern, for example an {!Lp_model.copy} of [t]'s model under other
-    bounds, RHS, costs or coefficients; [Invalid_argument] on another
-    shape.  When [model] changed the coefficients of a basic column the
-    copy refactors its basis, as {!restart_from} does.  [t] is only
-    read, so one state may be copied from any number of domains at
-    once.  Its solves are those of [t] after the same changes, pivot
-    for pivot. *)
+val copy : t -> t
+(** [copy t] is an independent state that solves as [t] would: a deep
+    copy of [t] (LP data, basis, factors, eta file, workspaces) with a
+    fresh health state.  [t] is only read, so one state may be copied
+    from any number of domains at once.  After the same setter calls,
+    the copy's solves are those of [t], pivot for pivot. *)
 
 (* a tiny iteration limit reaches the restart's iteration-limit
    fallback in test_lp.ml "fallback keeps the abandoned pivots" *)
 val solve_warm : ?iter_limit:int -> t -> solution
   [@@lint.allow "u2-single-value-knob"]
-(** Re-read the model's variable bounds, RHS and objective (never its
-    matrix), then restart from the last optimal basis as described
-    above; the first solve of a {!make} state is cold.
-    [iter_limit] defaults to {!solve}'s.  Runs in the [simplex.solve]
-    span, like {!solve}. *)
+(** Restart from the last optimal basis as described above; the first
+    solve of a {!make} state is cold.  [iter_limit] defaults to
+    {!solve}'s.  Runs in the [simplex.solve] span, like {!solve}. *)
 
 val solve_cold : t -> solution
-(** Re-read the model's bounds, RHS and objective like {!solve_warm},
-    then solve from the slack basis as {!solve} does, ignoring the
-    state's previous basis: the same pivots and the same answer, bit
-    for bit, as [solve] of the model, without building a new state.
-    [Mip] solves every node LP of a search on one state this way. *)
+(** Solve from the slack basis as {!solve} does, ignoring the state's
+    previous basis: the same pivots and the same answer, bit for bit,
+    as [solve] of a model holding the state's LP data, without
+    building a new state.  [Mip] solves every node LP of a search on
+    one state this way. *)
 
 val extend : t -> Lp_model.t -> t
 (** [extend t model] builds a new solver state for [model], which must
     be the same model [t] was created from with extra rows appended
-    (same variables).  The previous optimal basis is reused with the
+    (same variables); its LP data is [model]'s, not [t]'s.  The previous optimal basis is reused with the
     new rows' slacks basic — a dual-feasible starting point, so the
     next [solve_warm] continues with the dual simplex
     instead of solving from scratch (the classic cutting-plane warm

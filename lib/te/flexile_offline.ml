@@ -202,13 +202,13 @@ let scenario_rhs inst tpl ~sid ~z ~scen_loss_opt ~gamma =
     inst.Instance.flows;
   rhs
 
-(* The scenario's own copy of the template under [rhs]: a flow whose
-   demand row's RHS differs from the base demand also gets it as its
-   loss coefficient (§4.4 demand scenarios).  A demand of 0 keeps the
+(* A solver state of the template under [rhs]: a flow whose demand
+   row's RHS differs from the base demand also gets it as its loss
+   coefficient (§4.4 demand scenarios).  A demand of 0 keeps the
    coefficient, and its RHS of 0 leaves the row slack. *)
-let scenario_model inst tpl rhs =
-  let model = Lp_model.copy tpl.model in
-  Array.iteri (fun r v -> Lp_model.set_rhs model r v) rhs;
+let scenario_state inst tpl rhs =
+  let st = Simplex.make tpl.model in
+  Array.iteri (fun r v -> Simplex.set_rhs st r v) rhs;
   Array.iter
     (fun (f : Instance.flow) ->
       let fid = f.Instance.fid in
@@ -216,9 +216,9 @@ let scenario_model inst tpl rhs =
       if
         row >= 0 && rhs.(row) > 0.
         && not (Float.equal rhs.(row) f.Instance.demand)
-      then Lp_model.set_coef model row tpl.l_var.(fid) rhs.(row))
+      then Simplex.set_coef st row tpl.l_var.(fid) rhs.(row))
     inst.Instance.flows;
-  model
+  st
 
 (* Extract the dual information needed for cuts (21)/(22). *)
 let extract_dual inst tpl (sol : Simplex.solution) rhs =
@@ -257,18 +257,17 @@ let extract_dual inst tpl (sol : Simplex.solution) rhs =
    d / eps, and then every critical flow's loss sits above the
    scenario's optimum, breaking Proposition 1 for the loss matrix and
    for the online caps taken from it.  [st] holds the optimal basis of
-   [sol] on the scenario's model [m]; restarting from it, the penalty
-   alone is re-optimized and, only when it comes out lower, the
-   tie-break is re-solved with every class's alpha held at that
-   optimum.  [m] keeps the changed bounds; [sol] itself still supplies
-   the cut. *)
-let lexicographic_losses tpl m st (sol : Simplex.solution) =
+   [sol] for the scenario; restarting from it, the penalty alone is
+   re-optimized and, only when it comes out lower, the tie-break is
+   re-solved with every class's alpha held at that optimum.  [st]
+   keeps the changed bounds; [sol] itself still supplies the cut. *)
+let lexicographic_losses tpl st (sol : Simplex.solution) =
   let set_loss_obj v =
-    Array.iter (fun lv -> if lv >= 0 then Lp_model.set_obj m lv v) tpl.l_var
+    Array.iter (fun lv -> if lv >= 0 then Simplex.set_obj st lv v) tpl.l_var
   in
   let penalty =
     Array.fold_left
-      (fun a av -> a +. (Lp_model.obj_coef m av *. sol.Simplex.x.(av)))
+      (fun a av -> a +. (Lp_model.obj_coef tpl.model av *. sol.Simplex.x.(av)))
       0. tpl.alpha_var
   in
   set_loss_obj 0.;
@@ -280,7 +279,7 @@ let lexicographic_losses tpl m st (sol : Simplex.solution) =
   then sol
   else begin
     Array.iter
-      (fun av -> Lp_model.set_bounds m av ~lb:0. ~ub:pure.Simplex.x.(av))
+      (fun av -> Simplex.set_bounds st av ~lb:0. ~ub:pure.Simplex.x.(av))
       tpl.alpha_var;
     let lex = Simplex.solve_warm st in
     if lex.Simplex.status = Simplex.Optimal then lex else sol
@@ -502,7 +501,7 @@ let solve ?(config = default_config) inst =
     config.share_cuts && inst.Instance.demand_factors = None
   in
   (* Worker-side subproblem solve: a cold solve of the scenario's own
-     model.  It reads [z]/[scen_loss_opt] (frozen during a sweep) and
+     solver state.  It reads [z]/[scen_loss_opt] (frozen during a sweep) and
      returns the scenario's loss column plus the dual certificate; all
      bookkeeping mutation happens in the merge loop below, in ascending
      scenario order. *)
@@ -511,12 +510,11 @@ let solve ?(config = default_config) inst =
     let rhs =
       scenario_rhs inst tpl ~sid ~z ~scen_loss_opt ~gamma:config.gamma
     in
-    let model = scenario_model inst tpl rhs in
-    let st = Simplex.make model in
+    let st = scenario_state inst tpl rhs in
     let sol = Simplex.solve_warm st in
     match sol.Simplex.status with
     | Simplex.Optimal ->
-        let lex = lexicographic_losses tpl model st sol in
+        let lex = lexicographic_losses tpl st sol in
         let loss_col =
           Array.to_list inst.Instance.flows
           |> List.filter_map (fun (f : Instance.flow) ->

@@ -56,7 +56,7 @@ let capacity_rows ?sid model inst x =
         Lp_model.add_row model Lp_model.Le cap coeffs)
     (edge_load g inst.Instance.tunnels x)
 
-let fix_dead model inst x ~sid =
+let fix_dead st inst x ~sid =
   let live = Array.make (Graph.nedges inst.Instance.graph) false in
   Array.iteri
     (fun k per_pair ->
@@ -71,7 +71,7 @@ let fix_dead model inst x ~sid =
                 Array.iter (fun e -> live.(e) <- true) tun.Tunnels.path
               end
               else if x.(k).(i).(t) >= 0 then
-                Lp_model.set_bounds model x.(k).(i).(t) ~lb:0. ~ub:0.)
+                Flexile_lp.Simplex.set_bounds st x.(k).(i).(t) ~lb:0. ~ub:0.)
             ts)
         per_pair)
     inst.Instance.tunnels;

@@ -38,9 +38,9 @@ val capacity_rows :
     nominal capacity or, with [sid], at {!Instance.edge_capacity}.
     Returns edge -> row, or [-1] on an unloaded edge. *)
 
-val fix_dead : Flexile_lp.Lp_model.t -> Instance.t -> vars -> sid:int -> bool array
-(** Fixes to 0 every variable whose tunnel is dead in scenario [sid]
-    (a scenario's copy of a model built over every tunnel) and returns
+val fix_dead : Flexile_lp.Simplex.t -> Instance.t -> vars -> sid:int -> bool array
+(** Fixes to 0, in a solver state of a model built over every tunnel,
+    every variable whose tunnel is dead in scenario [sid] and returns
     edge -> whether a tunnel alive in [sid] crosses it.  Allocates only
     that array: it runs on every online allocation. *)
 

@@ -11,10 +11,9 @@ module Log = (val Logs.src_log src : Logs.LOG)
    level variable [lambda] (objective 1).  Under its nominal settings
    every tunnel is alive, capacities and demands are the base ones and
    every level row is inactive; a scenario changes only bounds, RHS and
-   demand coefficients.  Never written after [compile]; [nominal] is
-   only ever copied, from any domain. *)
+   demand coefficients, on its own copy of [nominal].  Never written
+   after [compile]; [nominal] is only ever copied, from any domain. *)
 type template = {
-  base : Lp_model.t;
   tx : Lp_model.var array array array;
   tl : Lp_model.var array;
   tlambda : Lp_model.var;
@@ -29,7 +28,7 @@ type Instance.memo += Template of template
 type ctx = {
   inst : Instance.t;
   sid : int;
-  model : Lp_model.t;
+  st : Simplex.t;
   x : Lp_model.var array array array;
   l : Lp_model.var array;
   lambda : Lp_model.var;
@@ -49,11 +48,11 @@ let level_inactive = -2.
    base demands.  On the failover replay of IBM two-class this start
    takes ~15% fewer dual pivots than the min-max-loss optimum over all
    flows.  Without an optimal basis it is a fresh state, whose copies
-   solve cold.  The solve only reads the model. *)
+   solve cold. *)
 let nominal_state model =
   let st = Simplex.make model in
   ignore (Simplex.solve_warm st);
-  let nominal = Simplex.restart_from st model in
+  let nominal = Simplex.restart_from st in
   Simplex.prime_duals nominal;
   nominal
 
@@ -93,7 +92,6 @@ let compile inst =
   ignore (Lp_model.csc model);
   ignore (Lp_model.csr model);
   {
-    base = model;
     tx = x;
     tl = l;
     tlambda = lambda;
@@ -113,8 +111,8 @@ let template inst =
 
 let build inst ~sid =
   let tpl = template inst in
-  let model = Lp_model.copy tpl.base in
-  let live = Routing.fix_dead model inst tpl.tx ~sid in
+  let st = Simplex.copy tpl.nominal in
+  let live = Routing.fix_dead st inst tpl.tx ~sid in
   Array.iter
     (fun (f : Instance.flow) ->
       let fid = f.Instance.fid in
@@ -123,15 +121,15 @@ let build inst ~sid =
         let d = Instance.demand_in inst f sid in
         if d <= 0. then begin
           (* nothing requested in this scenario: loss pinned to 0 *)
-          Lp_model.set_bounds model lv ~lb:0. ~ub:0.;
-          Lp_model.set_rhs model row 0.
+          Simplex.set_bounds st lv ~lb:0. ~ub:0.;
+          Simplex.set_rhs st row 0.
         end
         else begin
           if not (Instance.flow_connected inst f sid) then
-            Lp_model.set_bounds model lv ~lb:1. ~ub:1.;
+            Simplex.set_bounds st lv ~lb:1. ~ub:1.;
           if not (Float.equal d f.Instance.demand) then begin
-            Lp_model.set_rhs model row d;
-            Lp_model.set_coef model row lv d
+            Simplex.set_rhs st row d;
+            Simplex.set_coef st row lv d
           end
         end
       end)
@@ -139,14 +137,14 @@ let build inst ~sid =
   let cap_rows =
     Array.mapi
       (fun e row ->
-        if row >= 0 then Lp_model.set_rhs model row (Instance.edge_capacity inst ~sid e);
+        if row >= 0 then Simplex.set_rhs st row (Instance.edge_capacity inst ~sid e);
         if live.(e) then row else -1)
       tpl.tcap_rows
   in
   {
     inst;
     sid;
-    model;
+    st;
     x = tpl.tx;
     l = tpl.tl;
     lambda = tpl.tlambda;
@@ -155,18 +153,13 @@ let build inst ~sid =
     nominal = tpl.nominal;
   }
 
-(* Solver state for one call: a copy of the nominal state bound to the
-   scenario's model.  It is never kept: everything an allocation
-   computes comes from (instance, scenario, frozen set). *)
-let solver ctx = Simplex.copy ctx.nominal ctx.model
-
 let min_max_loss ctx ~flows =
   Array.iter
     (fun (f : Instance.flow) ->
       let r = ctx.level_rows.(f.Instance.fid) in
-      if r >= 0 && flows f then Lp_model.set_rhs ctx.model r level_active)
+      if r >= 0 && flows f then Simplex.set_rhs ctx.st r level_active)
     ctx.inst.Instance.flows;
-  let sol = Simplex.solve_warm (solver ctx) in
+  let sol = Simplex.solve_warm ctx.st in
   match sol.Simplex.status with
   | Simplex.Optimal -> Some sol.Simplex.x.(ctx.lambda)
   | _ -> None
@@ -198,14 +191,11 @@ let binding_edges ctx (row_duals : float array) =
   done;
   !acc
 
-(* SWAN-style max-min on flow loss over the scenario's template.  Each
+(* SWAN-style max-min on flow loss over the scenario's state.  Each
    level activates the level rows of the flows still active and
    re-optimizes from the previous level's basis (the first level from
    the nominal basis); freezing a flow caps its loss and deactivates
    its row. *)
-(* a max-min solves at most this many levels *)
-let max_levels = 12
-
 let maxmin ~cold inst ~sid ~class_order ?(merge_classes = false)
     ?(freeze_routing = false) ?(prefrozen = []) ?duals () =
   let ctx = build inst ~sid in
@@ -220,12 +210,9 @@ let maxmin ~cold inst ~sid ~class_order ?(merge_classes = false)
         duals_pending := None;
         f (binding_edges ctx sol.Simplex.row_duals)
   in
-  let model = ctx.model and lambda = ctx.lambda and level_rows = ctx.level_rows in
+  let st = ctx.st and lambda = ctx.lambda and level_rows = ctx.level_rows in
   let solve =
-    if cold then fun () -> Simplex.solve model
-    else
-      let st = solver ctx in
-      fun () -> Simplex.solve_warm st
+    if cold then fun () -> Simplex.solve_cold st else fun () -> Simplex.solve_warm st
   in
   let participating =
     Array.to_list inst.Instance.flows
@@ -234,17 +221,17 @@ let maxmin ~cold inst ~sid ~class_order ?(merge_classes = false)
   in
   List.iter
     (fun (fid, cap) ->
-      if ctx.l.(fid) >= 0 && Lp_model.lb model ctx.l.(fid) <= cap then
-        Lp_model.set_bounds model ctx.l.(fid) ~lb:(Lp_model.lb model ctx.l.(fid))
+      if ctx.l.(fid) >= 0 && Simplex.lb st ctx.l.(fid) <= cap then
+        Simplex.set_bounds st ctx.l.(fid) ~lb:(Simplex.lb st ctx.l.(fid))
           ~ub:(Float.min 1. cap))
     prefrozen;
   let results = ref [] in
   let freeze fid v =
     if ctx.l.(fid) >= 0 then begin
-      let lb = Lp_model.lb model ctx.l.(fid) in
-      let ub = Float.min (Lp_model.ub model ctx.l.(fid)) (Float.max lb v) in
-      Lp_model.set_bounds model ctx.l.(fid) ~lb ~ub;
-      Lp_model.set_rhs model level_rows.(fid) level_inactive;
+      let lb = Simplex.lb st ctx.l.(fid) in
+      let ub = Float.min (Simplex.ub st ctx.l.(fid)) (Float.max lb v) in
+      Simplex.set_bounds st ctx.l.(fid) ~lb ~ub;
+      Simplex.set_rhs st level_rows.(fid) level_inactive;
       results := (fid, ub) :: !results
     end
     else results := (fid, v) :: !results
@@ -272,19 +259,24 @@ let maxmin ~cold inst ~sid ~class_order ?(merge_classes = false)
              participating)
       in
       (* activate level rows for this class *)
-      List.iter (fun fid -> Lp_model.set_rhs model level_rows.(fid) level_active) !active;
-      let level = ref 0 in
-      let last_lambda = ref 1. in
+      List.iter (fun fid -> Simplex.set_rhs st level_rows.(fid) level_active) !active;
       let last_sol = ref None in
-      while !active <> [] && !level < max_levels do
-        incr level;
+      (* Every level freezes at least one flow, so at most |active|
+         levels are solved.  lambda has objective coefficient 1 and
+         appears only in the level rows, of which only the active ones
+         can bind (an inactive row has lambda - l_f >= -1 > -2).  When
+         lambda > 1e-7 it is basic or at its upper bound, so its
+         reduced cost 1 - (sum of the active rows' duals) is 0 or
+         negative: the duals sum to at least 1 and some active flow's
+         is at least 1/|active| > 1e-9.  Should numerics still leave
+         no row dual-binding, all active flows freeze at lam. *)
+      while !active <> [] do
         let sol = solve () in
         match sol.Simplex.status with
         | Simplex.Optimal ->
             capture sol;
             last_sol := Some sol.Simplex.x;
             let lam = Float.max 0. sol.Simplex.x.(lambda) in
-            last_lambda := lam;
             if lam <= 1e-7 then begin
               List.iter (fun fid -> freeze fid 0.) !active;
               active := []
@@ -298,50 +290,15 @@ let maxmin ~cold inst ~sid ~class_order ?(merge_classes = false)
                     sol.Simplex.row_duals.(level_rows.(fid)) > 1e-9)
                   !active
               in
-              if stuck <> [] then begin
-                List.iter (fun fid -> freeze fid lam) stuck;
-                active := rest
-              end
-              else begin
-                (* degenerate duals: fall back to the identification LP
-                   (minimize total active loss at level lam) *)
-                Lp_model.set_obj model lambda 0.;
-                Lp_model.set_bounds model lambda ~lb:0. ~ub:lam;
-                List.iter
-                  (fun fid -> Lp_model.set_obj model ctx.l.(fid) 1.)
-                  !active;
-                let sol2 = solve () in
-                (match sol2.Simplex.status with
-                | Simplex.Optimal -> last_sol := Some sol2.Simplex.x
-                | _ -> ());
-                List.iter
-                  (fun fid -> Lp_model.set_obj model ctx.l.(fid) 0.)
-                  !active;
-                Lp_model.set_obj model lambda 1.;
-                Lp_model.set_bounds model lambda ~lb:0. ~ub:1.;
-                let stuck, rest =
-                  match sol2.Simplex.status with
-                  | Simplex.Optimal ->
-                      List.partition
-                        (fun fid -> sol2.Simplex.x.(ctx.l.(fid)) >= lam -. 1e-6)
-                        !active
-                  | _ -> (!active, [])
-                in
-                let stuck = if stuck = [] then !active else stuck in
-                List.iter (fun fid -> freeze fid lam) stuck;
-                active :=
-                  (match sol2.Simplex.status with
-                  | Simplex.Optimal -> rest
-                  | _ -> [])
-              end
+              let stuck, rest = if stuck = [] then (!active, []) else (stuck, rest) in
+              List.iter (fun fid -> freeze fid lam) stuck;
+              active := rest
             end
         | _ ->
             Log.warn (fun m -> m "maxmin scenario %d: LP not optimal" sid);
             List.iter (fun fid -> freeze fid 1.) !active;
             active := []
       done;
-      (* level budget exhausted: freeze the rest at the last level *)
-      List.iter (fun fid -> freeze fid !last_lambda) !active;
       (* SWAN pins the routing of a class before serving lower classes *)
       if freeze_routing then
         match !last_sol with
@@ -350,7 +307,7 @@ let maxmin ~cold inst ~sid ~class_order ?(merge_classes = false)
             List.iter
               (fun k ->
                 Array.iter
-                  (Array.iter (fun v -> Lp_model.set_bounds model v ~lb:xs.(v) ~ub:xs.(v)))
+                  (Array.iter (fun v -> Simplex.set_bounds st v ~lb:xs.(v) ~ub:xs.(v)))
                   ctx.x.(k))
               group)
     groups;

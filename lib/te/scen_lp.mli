@@ -6,18 +6,21 @@
     state factored at an optimal basis of its nominal settings (all
     tunnels alive, base capacities and demands, every level row
     inactive: a feasible routing of the base demands), and cached on
-    the instance.  A scenario only sets bounds (dead tunnels [ub = 0],
-    loss bounds, frozen caps), capacity and demand RHS and
-    demand-factor coefficients; every scenario solve starts from a copy
-    of that state ({!solver}), so no scenario factors the nominal basis
-    again.  ScenBest/SMORE, SWAN and Flexile's online allocation share
-    it. *)
+    the instance.  Every scenario copies that state ({!build}) and sets
+    on the copy only bounds (dead tunnels [ub = 0], loss bounds, frozen
+    caps), capacity and demand RHS and demand-factor coefficients, so
+    no scenario copies the model or factors the nominal basis again.
+    ScenBest/SMORE, SWAN and Flexile's online allocation share it. *)
 
 type ctx = {
   inst : Instance.t;
   sid : int;
-  model : Flexile_lp.Lp_model.t;
-      (** this call's copy of the template, set to the scenario *)
+  st : Flexile_lp.Simplex.t;
+      (** this call's solver state: a {!Flexile_lp.Simplex.copy} of
+          the nominal state, set to the scenario, whose first
+          {!Flexile_lp.Simplex.solve_warm} restarts from the nominal
+          basis (factored once per instance, refactored only when the
+          scenario's demand factors changed a basic column) *)
   x : Flexile_lp.Lp_model.var array array array;
       (** class -> pair -> tunnel index -> variable; dead tunnels are
           fixed to 0 *)
@@ -39,7 +42,8 @@ type ctx = {
 }
 
 val build : Instance.t -> sid:int -> ctx
-(** A fresh copy of the instance's template set to scenario [sid]:
+(** A fresh copy of the instance's nominal state set to scenario
+    [sid]:
     - for each flow with positive demand:
       [sum_t x_t + d_f * l_f >= d_f] over the flow's tunnels, [d_f] the
       scenario's demand (a flow with none has [l_f] fixed to 0);
@@ -48,17 +52,10 @@ val build : Instance.t -> sid:int -> ctx
     Compiles the template and its nominal state on the instance's
     first call. *)
 
-val solver : ctx -> Flexile_lp.Simplex.t
-(** A solver state for [ctx.model] of its own: a
-    {!Flexile_lp.Simplex.copy} of the nominal state, whose first
-    {!Flexile_lp.Simplex.solve_warm} restarts from the nominal basis
-    (factored once per instance, refactored only when the scenario's
-    demand factors changed a basic column). *)
-
 val min_max_loss : ctx -> flows:(Instance.flow -> bool) -> float option
 (** Minimize the maximum loss over the flows selected by [flows]
-    (activating their level rows in [ctx.model]) on a {!solver} of
-    [ctx].  Returns the optimal max loss, or [None] if the LP
+    (activating their level rows in [ctx.st]) with one restart of
+    [ctx.st].  Returns the optimal max loss, or [None] if the LP
     fails (it should not: loss 1 is always feasible). *)
 
 val class_optimum : Instance.t -> sid:int -> cls:int -> float
@@ -95,12 +92,13 @@ val maxmin_losses :
     the {e first} optimal solve (the bottlenecks while the top
     priority group is served) — threaded out of the simplex solution
     already computed, never a re-solve.  Returns [(fid, loss)] for
-    every positive-demand flow of the listed classes.  At most 12
-    levels are solved.
+    every positive-demand flow of the listed classes.  Every level
+    freezes at least one flow.
 
     Every level re-optimizes with {!Flexile_lp.Simplex.solve_warm},
-    on one {!solver} of the scenario: the first from the nominal
-    basis, the rest from the previous level's basis.  The solver state lives for one call only, so the
+    on the state of one {!build} of the scenario: the first from the
+    nominal basis, the rest from the previous level's basis.  The
+    solver state lives for one call only, so the
     result depends on nothing but the instance, the scenario and the
     arguments: not on call order, earlier calls or the domain. *)
 
@@ -117,6 +115,7 @@ val maxmin_losses_cold :
   unit ->
   (int * float) list
   [@@lint.allow "u1-unused-export u2-single-value-knob"]
-(** {!maxmin_losses} with every LP solved cold, from the slack basis,
-    on the same configured template: the reference the warm restarts
+(** {!maxmin_losses} with every LP solved cold, from the slack basis
+    ({!Flexile_lp.Simplex.solve_cold}), on the same scenario state: the
+    reference the warm restarts
     are tested against.  No scheme uses it. *)

@@ -1,4 +1,3 @@
-module Lp_model = Flexile_lp.Lp_model
 module Simplex = Flexile_lp.Simplex
 
 let class_order inst =
@@ -19,10 +18,9 @@ let run_maxmin ?jobs inst =
    restart fall back cold. *)
 let throughput_scenario inst sid =
   let ctx = Scen_lp.build inst ~sid in
-  let model = ctx.Scen_lp.model in
-  let st = Scen_lp.solver ctx in
+  let st = ctx.Scen_lp.st in
   ignore (Simplex.solve_warm st);
-  Lp_model.set_obj model ctx.Scen_lp.lambda 0.;
+  Simplex.set_obj st ctx.Scen_lp.lambda 0.;
   let results = ref [] in
   List.iter
     (fun k ->
@@ -35,23 +33,22 @@ let throughput_scenario inst sid =
       List.iter
         (fun (f : Instance.flow) ->
           if ctx.Scen_lp.l.(f.Instance.fid) >= 0 then
-            Lp_model.set_obj model ctx.Scen_lp.l.(f.Instance.fid)
-              f.Instance.demand)
+            Simplex.set_obj st ctx.Scen_lp.l.(f.Instance.fid) f.Instance.demand)
         class_flows;
       let sol = Simplex.solve_warm st in
       List.iter
         (fun (f : Instance.flow) ->
           let fid = f.Instance.fid in
           if ctx.Scen_lp.l.(fid) >= 0 then begin
-            Lp_model.set_obj model ctx.Scen_lp.l.(fid) 0.;
+            Simplex.set_obj st ctx.Scen_lp.l.(fid) 0.;
             match sol.Simplex.status with
             | Simplex.Optimal ->
                 let v = sol.Simplex.x.(ctx.Scen_lp.l.(fid)) in
                 results := (fid, v) :: !results;
                 (* pin the achieved loss so lower classes cannot
                    cannibalize this class's allocation *)
-                Lp_model.set_bounds model ctx.Scen_lp.l.(fid)
-                  ~lb:(Lp_model.lb model ctx.Scen_lp.l.(fid))
+                Simplex.set_bounds st ctx.Scen_lp.l.(fid)
+                  ~lb:(Simplex.lb st ctx.Scen_lp.l.(fid))
                   ~ub:(Float.min 1. (v +. 1e-9))
             | _ -> results := (fid, 1.) :: !results
           end
@@ -64,7 +61,7 @@ let throughput_scenario inst sid =
       | Simplex.Optimal ->
           Array.iter
             (Array.iter (fun v ->
-                 Lp_model.set_bounds model v ~lb:sol.Simplex.x.(v) ~ub:sol.Simplex.x.(v)))
+                 Simplex.set_bounds st v ~lb:sol.Simplex.x.(v) ~ub:sol.Simplex.x.(v)))
             ctx.Scen_lp.x.(k)
       | _ -> ())
     (class_order inst);

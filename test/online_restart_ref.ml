@@ -1,27 +1,27 @@
 (* The scenario restarts of Flexile_te.Scen_lp and SWAN-Throughput as
    they were before every scenario solve began from a copy of one
-   factored nominal state: each call creates a solver state for its
-   scenario's model and seeds it with the recorded nominal basis,
-   placing every nonbasic variable and factoring that basis again
-   ([Simplex.restart_from] of the nominal state: [create] plus the old
-   [seed_basis]).  The max-min, the min-max loss, the class optimum and
-   SWAN-Throughput are kept unchanged over the public [Scen_lp.ctx], as
-   the reference the shared-state restarts must match bit for bit.
-   [solves] collects every solve's iteration count, newest first. *)
+   factored nominal state: each call creates a fresh solver state for
+   its scenario and seeds it with the recorded nominal basis, placing
+   every nonbasic variable and factoring that basis again
+   ([Simplex.restart_from] of the scenario's state, never a copy of
+   it).  The max-min (with its identification-LP fallback and level
+   budget), the min-max loss, the class optimum and SWAN-Throughput are
+   kept unchanged over the public [Scen_lp.ctx], as the reference the
+   shared-state restarts must match bit for bit.  [solves] collects
+   every solve's iteration count, newest first. *)
 
-module Lp_model = Flexile_lp.Lp_model
 module Simplex = Flexile_lp.Simplex
 module Instance = Flexile_te.Instance
 module Scen_lp = Flexile_te.Scen_lp
 
 let solves = ref []
 
-let solver (ctx : Scen_lp.ctx) =
-  let st = Simplex.restart_from ctx.Scen_lp.nominal ctx.Scen_lp.model in
-  fun () ->
-    let sol = Simplex.solve_warm st in
-    solves := sol.Simplex.iterations :: !solves;
-    sol
+let restarted (ctx : Scen_lp.ctx) = Simplex.restart_from ctx.Scen_lp.st
+
+let solve st () =
+  let sol = Simplex.solve_warm st in
+  solves := sol.Simplex.iterations :: !solves;
+  sol
 
 let level_active = 0.
 let level_inactive = -2.
@@ -30,9 +30,9 @@ let min_max_loss (ctx : Scen_lp.ctx) ~flows =
   Array.iter
     (fun (f : Instance.flow) ->
       let r = ctx.Scen_lp.level_rows.(f.Instance.fid) in
-      if r >= 0 && flows f then Lp_model.set_rhs ctx.Scen_lp.model r level_active)
+      if r >= 0 && flows f then Simplex.set_rhs ctx.Scen_lp.st r level_active)
     ctx.Scen_lp.inst.Instance.flows;
-  let sol = solver ctx () in
+  let sol = solve (restarted ctx) () in
   match sol.Simplex.status with
   | Simplex.Optimal -> Some sol.Simplex.x.(ctx.Scen_lp.lambda)
   | _ -> None
@@ -67,10 +67,10 @@ let maxmin_losses inst ~sid ~class_order ~merge_classes ~freeze_routing ~prefroz
         duals_pending := None;
         f (binding_edges ctx sol.Simplex.row_duals)
   in
-  let model = ctx.Scen_lp.model
+  let st = restarted ctx
   and lambda = ctx.Scen_lp.lambda
   and level_rows = ctx.Scen_lp.level_rows in
-  let solve = solver ctx in
+  let solve = solve st in
   let participating =
     Array.to_list inst.Instance.flows
     |> List.filter (fun (f : Instance.flow) ->
@@ -78,18 +78,18 @@ let maxmin_losses inst ~sid ~class_order ~merge_classes ~freeze_routing ~prefroz
   in
   List.iter
     (fun (fid, cap) ->
-      if ctx.Scen_lp.l.(fid) >= 0 && Lp_model.lb model ctx.Scen_lp.l.(fid) <= cap then
-        Lp_model.set_bounds model ctx.Scen_lp.l.(fid)
-          ~lb:(Lp_model.lb model ctx.Scen_lp.l.(fid))
+      if ctx.Scen_lp.l.(fid) >= 0 && Simplex.lb st ctx.Scen_lp.l.(fid) <= cap then
+        Simplex.set_bounds st ctx.Scen_lp.l.(fid)
+          ~lb:(Simplex.lb st ctx.Scen_lp.l.(fid))
           ~ub:(Float.min 1. cap))
     prefrozen;
   let results = ref [] in
   let freeze fid v =
     if ctx.Scen_lp.l.(fid) >= 0 then begin
-      let lb = Lp_model.lb model ctx.Scen_lp.l.(fid) in
-      let ub = Float.min (Lp_model.ub model ctx.Scen_lp.l.(fid)) (Float.max lb v) in
-      Lp_model.set_bounds model ctx.Scen_lp.l.(fid) ~lb ~ub;
-      Lp_model.set_rhs model level_rows.(fid) level_inactive;
+      let lb = Simplex.lb st ctx.Scen_lp.l.(fid) in
+      let ub = Float.min (Simplex.ub st ctx.Scen_lp.l.(fid)) (Float.max lb v) in
+      Simplex.set_bounds st ctx.Scen_lp.l.(fid) ~lb ~ub;
+      Simplex.set_rhs st level_rows.(fid) level_inactive;
       results := (fid, ub) :: !results
     end
     else results := (fid, v) :: !results
@@ -113,7 +113,7 @@ let maxmin_losses inst ~sid ~class_order ~merge_classes ~freeze_routing ~prefroz
                else Some f.Instance.fid)
              participating)
       in
-      List.iter (fun fid -> Lp_model.set_rhs model level_rows.(fid) level_active) !active;
+      List.iter (fun fid -> Simplex.set_rhs st level_rows.(fid) level_active) !active;
       let level = ref 0 in
       let last_lambda = ref 1. in
       let last_sol = ref None in
@@ -139,16 +139,16 @@ let maxmin_losses inst ~sid ~class_order ~merge_classes ~freeze_routing ~prefroz
                 active := rest
               end
               else begin
-                Lp_model.set_obj model lambda 0.;
-                Lp_model.set_bounds model lambda ~lb:0. ~ub:lam;
-                List.iter (fun fid -> Lp_model.set_obj model ctx.Scen_lp.l.(fid) 1.) !active;
+                Simplex.set_obj st lambda 0.;
+                Simplex.set_bounds st lambda ~lb:0. ~ub:lam;
+                List.iter (fun fid -> Simplex.set_obj st ctx.Scen_lp.l.(fid) 1.) !active;
                 let sol2 = solve () in
                 (match sol2.Simplex.status with
                 | Simplex.Optimal -> last_sol := Some sol2.Simplex.x
                 | _ -> ());
-                List.iter (fun fid -> Lp_model.set_obj model ctx.Scen_lp.l.(fid) 0.) !active;
-                Lp_model.set_obj model lambda 1.;
-                Lp_model.set_bounds model lambda ~lb:0. ~ub:1.;
+                List.iter (fun fid -> Simplex.set_obj st ctx.Scen_lp.l.(fid) 0.) !active;
+                Simplex.set_obj st lambda 1.;
+                Simplex.set_bounds st lambda ~lb:0. ~ub:1.;
                 let stuck, rest =
                   match sol2.Simplex.status with
                   | Simplex.Optimal ->
@@ -174,7 +174,7 @@ let maxmin_losses inst ~sid ~class_order ~merge_classes ~freeze_routing ~prefroz
             List.iter
               (fun k ->
                 Array.iter
-                  (Array.iter (fun v -> Lp_model.set_bounds model v ~lb:xs.(v) ~ub:xs.(v)))
+                  (Array.iter (fun v -> Simplex.set_bounds st v ~lb:xs.(v) ~ub:xs.(v)))
                   ctx.Scen_lp.x.(k))
               group)
     groups;
@@ -182,10 +182,10 @@ let maxmin_losses inst ~sid ~class_order ~merge_classes ~freeze_routing ~prefroz
 
 let throughput_scenario inst sid =
   let ctx = Scen_lp.build inst ~sid in
-  let model = ctx.Scen_lp.model in
-  let solve = solver ctx in
+  let st = restarted ctx in
+  let solve = solve st in
   ignore (solve ());
-  Lp_model.set_obj model ctx.Scen_lp.lambda 0.;
+  Simplex.set_obj st ctx.Scen_lp.lambda 0.;
   let results = ref [] in
   List.iter
     (fun k ->
@@ -196,20 +196,20 @@ let throughput_scenario inst sid =
       List.iter
         (fun (f : Instance.flow) ->
           if ctx.Scen_lp.l.(f.Instance.fid) >= 0 then
-            Lp_model.set_obj model ctx.Scen_lp.l.(f.Instance.fid) f.Instance.demand)
+            Simplex.set_obj st ctx.Scen_lp.l.(f.Instance.fid) f.Instance.demand)
         class_flows;
       let sol = solve () in
       List.iter
         (fun (f : Instance.flow) ->
           let fid = f.Instance.fid in
           if ctx.Scen_lp.l.(fid) >= 0 then begin
-            Lp_model.set_obj model ctx.Scen_lp.l.(fid) 0.;
+            Simplex.set_obj st ctx.Scen_lp.l.(fid) 0.;
             match sol.Simplex.status with
             | Simplex.Optimal ->
                 let v = sol.Simplex.x.(ctx.Scen_lp.l.(fid)) in
                 results := (fid, v) :: !results;
-                Lp_model.set_bounds model ctx.Scen_lp.l.(fid)
-                  ~lb:(Lp_model.lb model ctx.Scen_lp.l.(fid))
+                Simplex.set_bounds st ctx.Scen_lp.l.(fid)
+                  ~lb:(Simplex.lb st ctx.Scen_lp.l.(fid))
                   ~ub:(Float.min 1. (v +. 1e-9))
             | _ -> results := (fid, 1.) :: !results
           end
@@ -219,7 +219,7 @@ let throughput_scenario inst sid =
       | Simplex.Optimal ->
           Array.iter
             (Array.iter (fun v ->
-                 Lp_model.set_bounds model v ~lb:sol.Simplex.x.(v) ~ub:sol.Simplex.x.(v)))
+                 Simplex.set_bounds st v ~lb:sol.Simplex.x.(v) ~ub:sol.Simplex.x.(v)))
             ctx.Scen_lp.x.(k)
       | _ -> ())
     (List.init (Array.length inst.Instance.classes) Fun.id);

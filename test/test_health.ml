@@ -495,6 +495,52 @@ let test_auto_dump_and_patch_path () =
             (s.Health.s_patched <> [])
       | l -> Alcotest.failf "expected one sample, got %d" (List.length l))
 
+(* A trip on a copied state dumps the LP the state holds after its
+   setter calls, not the build-time model it was made from: the dumped
+   bound, cost, RHS and coefficient are the ones set, and a replay of
+   the dump reaches the state's status and objective. *)
+let test_copy_dump_after_setters () =
+  with_dump_dir @@ fun dir ->
+  let was = Trace.enabled () in
+  Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Trace.set_enabled was) @@ fun () ->
+  let model = Option.get (Doctor.fixture "near-singular") in
+  let path = Filename.concat dir "health-dump-near-singular-fixture.json" in
+  (* eta limit 1: every pivot refactors, so the near-singular basis is
+     sampled often enough to trip under the production stride *)
+  let st = Simplex.make ~eta_limit:1 model in
+  ignore (Simplex.solve_warm st);
+  if Sys.file_exists path then Sys.remove path;
+  let copy = Simplex.copy st in
+  (* the chain: y_i is variable i + 2, y_0 <= rhs on row 2 and
+     y_i - y_(i-1) <= 0 on row i + 2 *)
+  let y3 = 5 and y1 = 3 and r0 = 2 and r1 = 3 in
+  Simplex.set_bounds copy y3 ~lb:0. ~ub:7.;
+  Simplex.set_obj copy y3 0.25;
+  Simplex.set_rhs copy r0 1.;
+  Simplex.set_coef copy r1 y1 2.;
+  let sol = Simplex.solve_cold copy in
+  Alcotest.(check bool) "the copy's solve tripped and dumped" true (Sys.file_exists path);
+  match Health.read_dump path with
+  | Error e -> Alcotest.failf "read_dump: %s" e
+  | Ok d -> (
+      let dm = d.Health.d_model in
+      let bits = Int64.bits_of_float in
+      let same what a b = Alcotest.(check int64) what (bits a) (bits b) in
+      same "dumped ub" 7. (Lp_model.ub dm y3);
+      same "dumped cost" 0.25 (Lp_model.obj_coef dm y3);
+      same "dumped rhs" 1. (Lp_model.rhs dm r0);
+      same "dumped coefficient" 2. (List.assoc y1 (Lp_model.row_coeffs dm r1));
+      same "build-time model unchanged" 10. (Lp_model.ub model y3);
+      match Doctor.run_dump path with
+      | Error e -> Alcotest.failf "run_dump: %s" e
+      | Ok r ->
+          let replay = r.Doctor.r_solution in
+          Alcotest.(check bool) "replay status" true (replay.Simplex.status = sol.Simplex.status);
+          if Float.abs (replay.Simplex.obj -. sol.Simplex.obj) > 1e-9 then
+            Alcotest.failf "replay objective %.17g, state %.17g" replay.Simplex.obj
+              sol.Simplex.obj)
+
 (* ---- doctor reports are deterministic ---- *)
 
 let test_doctor_deterministic () =
@@ -590,6 +636,8 @@ let () =
             test_auto_dump_eta_limit;
           Alcotest.test_case "trip auto-dumps; patch path reported" `Quick
             test_auto_dump_and_patch_path;
+          Alcotest.test_case "copied state dumps its set LP" `Quick
+            test_copy_dump_after_setters;
           Alcotest.test_case "missing dump file is an error" `Quick
             test_dump_missing_file;
           Alcotest.test_case "basis entry out of range is an error" `Quick

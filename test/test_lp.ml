@@ -155,15 +155,15 @@ let test_warm_restart () =
   let cold1 = Simplex.solve (build 10. 15.) in
   check_float ~msg:"warm=cold initial" cold1.Simplex.obj sol1.Simplex.obj;
   (* tighten rhs *)
-  Lp_model.set_rhs m 0 6.;
-  Lp_model.set_rhs m 1 9.;
+  Simplex.set_rhs st 0 6.;
+  Simplex.set_rhs st 1 9.;
   let sol2 = Simplex.solve_warm st in
   expect_optimal sol2;
   let cold2 = Simplex.solve (build 6. 9.) in
   check_float ~msg:"warm=cold tightened" cold2.Simplex.obj sol2.Simplex.obj;
   (* loosen rhs *)
-  Lp_model.set_rhs m 0 20.;
-  Lp_model.set_rhs m 1 30.;
+  Simplex.set_rhs st 0 20.;
+  Simplex.set_rhs st 1 30.;
   let sol3 = Simplex.solve_warm st in
   expect_optimal sol3;
   let cold3 = Simplex.solve (build 20. 30.) in
@@ -177,7 +177,7 @@ let test_warm_restart_infeasible () =
   let sol1 = Simplex.solve_warm st in
   expect_optimal sol1;
   check_float ~msg:"initial obj" 2. sol1.Simplex.obj;
-  Lp_model.set_rhs m 0 7.;
+  Simplex.set_rhs st 0 7.;
   let sol2 = Simplex.solve_warm st in
   Alcotest.(check string)
     "infeasible rhs" "infeasible"
@@ -200,7 +200,7 @@ let test_fallback_pivots_counted () =
   expect_optimal (Simplex.solve_warm st);
   (* the optimal basis {x, y} now puts x at -1.2: one dual pivot, then
      the limit *)
-  Lp_model.set_rhs m 1 2.;
+  Simplex.set_rhs st 1 2.;
   let names = [ "simplex.iterations"; "simplex.warm_fallbacks"; "simplex.cold_solves" ] in
   let before = List.map Trace.value_by_name names in
   let sol = Simplex.solve_warm ~iter_limit:1 st in
@@ -572,9 +572,9 @@ let qcheck_warm_rhs_sequences =
             Array.init (Lp_model.nrows m) (fun _ ->
                 Flexile_util.Prng.uniform prng (-2.) 6.)
           in
-          Array.iteri (fun i r -> Lp_model.set_rhs m i r) rhs;
+          Array.iteri (Simplex.set_rhs st) rhs;
           let warm = Simplex.solve_warm st in
-          let cold = Simplex.solve m in
+          let cold = Simplex.solve (Lp_walk.with_rhs m rhs) in
           ok :=
             (match (warm.Simplex.status, cold.Simplex.status) with
             | Simplex.Optimal, Simplex.Optimal ->
@@ -908,19 +908,19 @@ let test_pin_warm () =
      List.concat_map
        (fun (nv, nr) ->
          let m = warm_lp prng ~nv ~nr in
-         let st = Simplex.make m in
+         let st = Simplex.make m and w = Lp_walk.of_model m in
          let first = pin_line (Simplex.solve_warm st) in
          first
          :: List.init 6 (fun round ->
                 for _ = 1 to 1 + (nr / 4) do
                   let r = Prng.int prng nr in
-                  let v = Lp_model.rhs m r in
-                  Lp_model.set_rhs m r (v *. Prng.uniform prng 0.3 1.2)
+                  let v = w.Lp_walk.rhs.(r) in
+                  Lp_walk.set_rhs w st r (v *. Prng.uniform prng 0.3 1.2)
                 done;
                 if round mod 2 = 1 then
                   for _ = 1 to 1 + (nv / 8) do
                     let v = Prng.int prng nv in
-                    Lp_model.set_bounds m v ~lb:0.
+                    Lp_walk.set_bounds w st v ~lb:0.
                       ~ub:(float_of_int (Prng.int prng 4))
                   done;
                 pin_line (Simplex.solve_warm st)))

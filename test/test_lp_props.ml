@@ -31,13 +31,12 @@ let random_lp prng ~nv ~nr =
   done;
   m
 
-let cold_with_rhs m rhs =
-  Array.iteri (fun r v -> Lp_model.set_rhs m r v) rhs;
-  Simplex.solve m
+(* A cold solve of a fresh model of [m] under [rhs]. *)
+let cold_with_rhs m rhs = Simplex.solve (Lp_walk.with_rhs m rhs)
 
-(* Restart [st], a solver state of [m], after moving only the RHS. *)
-let warm_with_rhs st m rhs =
-  Array.iteri (fun r v -> Lp_model.set_rhs m r v) rhs;
+(* Restart [st] after moving only the RHS. *)
+let warm_with_rhs st rhs =
+  Array.iteri (Simplex.set_rhs st) rhs;
   Simplex.solve_warm st
 
 (* ---- weak duality of Simplex.dual_bound ---- *)
@@ -97,14 +96,15 @@ let qcheck_warm_walk_differential =
           let rhs =
             Array.init (Lp_model.nrows m) (fun _ -> Prng.uniform prng (-3.) 8.)
           in
-          let warm = warm_with_rhs st m rhs in
-          let cold = cold_with_rhs m rhs in
+          let warm = warm_with_rhs st rhs in
+          let reference = Lp_walk.with_rhs m rhs in
+          let cold = Simplex.solve reference in
           ok :=
             (match (warm.Simplex.status, cold.Simplex.status) with
             | Simplex.Optimal, Simplex.Optimal ->
                 Float.abs (warm.Simplex.obj -. cold.Simplex.obj)
                 <= 1e-6 *. (1. +. Float.abs cold.Simplex.obj)
-                && Lp_model.max_violation m warm.Simplex.x <= 1e-6
+                && Lp_model.max_violation reference warm.Simplex.x <= 1e-6
             | a, b -> a = b)
         end
       done;
@@ -133,18 +133,18 @@ let qcheck_reused_state_cold =
     ~count:80 (QCheck.make gen) (fun (nv, nr, walk) ->
       let prng = Prng.of_string (Printf.sprintf "qc-reuse-%d-%d-%d" nv nr walk) in
       let m = random_lp prng ~nv ~nr in
-      let st = Simplex.make m in
+      let st = Simplex.make m and w = Lp_walk.of_model m in
       List.for_all
         (fun _ ->
           for _ = 1 to 1 + Prng.int prng 3 do
             let v = Prng.int prng nv in
-            if Prng.bool prng 0.3 then Lp_model.set_bounds m v ~lb:0. ~ub:4.
+            if Prng.bool prng 0.3 then Lp_walk.set_bounds w st v ~lb:0. ~ub:4.
             else
               let x = float_of_int (Prng.int prng 3) in
-              Lp_model.set_bounds m v ~lb:x ~ub:x
+              Lp_walk.set_bounds w st v ~lb:x ~ub:x
           done;
           if Prng.bool prng 0.3 then ignore (Simplex.solve_warm st);
-          same_answer (Simplex.solve_cold st) (Simplex.solve m))
+          same_answer (Simplex.solve_cold st) (Simplex.solve (Lp_walk.model w)))
         (List.init 8 Fun.id))
 
 (* The same walk under an eta limit of 2: every second pivot rebuilds
@@ -166,14 +166,15 @@ let qcheck_warm_walk_tight_refactor =
             Array.init (Lp_model.nrows m) (fun _ ->
                 Prng.uniform prng (-3.) 8.)
           in
-          let warm = warm_with_rhs st m rhs in
-          let cold = cold_with_rhs m rhs in
+          let warm = warm_with_rhs st rhs in
+          let reference = Lp_walk.with_rhs m rhs in
+          let cold = Simplex.solve reference in
           ok :=
             (match (warm.Simplex.status, cold.Simplex.status) with
             | Simplex.Optimal, Simplex.Optimal ->
                 Float.abs (warm.Simplex.obj -. cold.Simplex.obj)
                 <= 1e-6 *. (1. +. Float.abs cold.Simplex.obj)
-                && Lp_model.max_violation m warm.Simplex.x <= 1e-6
+                && Lp_model.max_violation reference warm.Simplex.x <= 1e-6
             | a, b -> a = b)
         end
       done;
@@ -214,8 +215,9 @@ let test_duplicate_rows_recovery () =
   in
   List.iteri
     (fun i (rhs, expected) ->
-      let warm = warm_with_rhs st m rhs in
-      let cold = cold_with_rhs m rhs in
+      let warm = warm_with_rhs st rhs in
+      let reference = Lp_walk.with_rhs m rhs in
+      let cold = Simplex.solve reference in
       Alcotest.(check string)
         (Printf.sprintf "step %d cold status" i)
         expected
@@ -231,19 +233,20 @@ let test_duplicate_rows_recovery () =
         then
           Alcotest.failf "step %d: warm obj %.12g vs cold %.12g" i
             warm.Simplex.obj cold.Simplex.obj;
-        if Lp_model.max_violation m warm.Simplex.x > 1e-6 then
+        if Lp_model.max_violation reference warm.Simplex.x > 1e-6 then
           Alcotest.failf "step %d: warm solution infeasible" i
       end)
     steps
 
 (* ---- differential: bound, cost and rhs walk vs cold re-solves ---- *)
 
-(* [Simplex.solve_warm] re-reads whatever the caller changed in the
-   model.  A walk that moves bounds (fixing and freeing variables),
-   right-hand sides and now and then the costs exercises every restart
-   leg: dual simplex, primal phase 2 and the cold fallback.  A state
-   restarted from the first one's basis must agree too, and a copy of
-   the first one must solve as it does, bit for bit. *)
+(* A walk that moves a state's bounds (fixing and freeing variables),
+   right-hand sides and now and then costs, through its setters,
+   exercises every restart leg: dual simplex, primal phase 2 and the
+   cold fallback.  Each step must agree with a cold solve of a freshly
+   built model of the same data; a state restarted from the first
+   one's basis must agree too, and a copy of the first one must solve
+   as it does, bit for bit. *)
 let same_solution (a : Simplex.solution) (b : Simplex.solution) =
   let bits = Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) in
   a.Simplex.status = b.Simplex.status
@@ -259,14 +262,14 @@ let qcheck_bound_walk_differential =
     ~count:100 (QCheck.make gen) (fun (nv, nr) ->
       let prng = Prng.of_string (Printf.sprintf "qc-bounds-%d-%d" nv nr) in
       let m = random_lp prng ~nv ~nr in
-      let st = Simplex.make m in
+      let st = Simplex.make m and w = Lp_walk.of_model m in
       let _ = Simplex.solve_warm st in
-      let agree (a : Simplex.solution) (b : Simplex.solution) =
+      let agree reference (a : Simplex.solution) (b : Simplex.solution) =
         match (a.Simplex.status, b.Simplex.status) with
         | Simplex.Optimal, Simplex.Optimal ->
             Float.abs (a.Simplex.obj -. b.Simplex.obj)
             <= 1e-6 *. (1. +. Float.abs b.Simplex.obj)
-            && Lp_model.max_violation m a.Simplex.x <= 1e-6
+            && Lp_model.max_violation reference a.Simplex.x <= 1e-6
         | x, y -> x = y
       in
       let ok = ref true in
@@ -275,29 +278,33 @@ let qcheck_bound_walk_differential =
           for j = 0 to nv - 1 do
             let lb = if Prng.bool prng 0.3 then Prng.uniform prng 0. 2. else 0. in
             let ub = if Prng.bool prng 0.2 then lb else Prng.uniform prng lb 4. in
-            Lp_model.set_bounds m j ~lb ~ub;
-            if step mod 3 = 0 then Lp_model.set_obj m j (Prng.uniform prng (-2.) 2.)
+            Lp_walk.set_bounds w st j ~lb ~ub;
+            if step mod 3 = 0 then Lp_walk.set_obj w st j (Prng.uniform prng (-2.) 2.)
           done;
           for r = 0 to nr - 1 do
-            Lp_model.set_rhs m r (Prng.uniform prng (-3.) 8.)
+            Lp_walk.set_rhs w st r (Prng.uniform prng (-3.) 8.)
           done;
-          let restarted = Simplex.restart_from st m and copied = Simplex.copy st m in
+          let restarted = Simplex.restart_from st and copied = Simplex.copy st in
           let warm = Simplex.solve_warm st in
-          let cold = Simplex.solve m in
+          let reference = Lp_walk.model w in
+          let cold = Simplex.solve reference in
           ok :=
-            agree warm cold
-            && agree (Simplex.solve_warm restarted) cold
+            agree reference warm cold
+            && agree reference (Simplex.solve_warm restarted) cold
             && same_solution (Simplex.solve_warm copied) warm
         end
       done;
       !ok)
 
 (* A copy of a restart point (a state at an optimal basis, factored
-   once, its reduced costs primed) solves a changed model as a state
-   restarted from that point for the changed model does, bit for bit:
-   under new bounds, RHS and costs, and under a changed coefficient,
-   basic (the copy refactors) or nonbasic (it drops the primed reduced
-   costs).  Scen_lp's nominal state and its scenario copies are this. *)
+   once, its reduced costs primed) solves after setter calls as a state
+   restarted from that copy's data and basis does, bit for bit: under
+   new bounds, RHS and costs, and under a changed coefficient of a
+   basic column (the copy refactors) or of a nonbasic one (it drops
+   the primed reduced costs).  The coefficient writes go to the copy's
+   own matrix: the point, a copy taken before them and one taken after
+   still solve as the point did.  Scen_lp's nominal state and its
+   scenario copies are this. *)
 let qcheck_copy_matches_restart =
   let gen = QCheck.Gen.(triple (int_range 2 7) (int_range 1 6) (int_bound 1_000_000)) in
   QCheck.Test.make ~name:"copies of a restart point solve as restarts, bit for bit" ~count:200
@@ -305,30 +312,49 @@ let qcheck_copy_matches_restart =
       let prng = Prng.of_string (Printf.sprintf "qc-copy-%d-%d-%d" nv nr salt) in
       let m = random_lp prng ~nv ~nr in
       let st = Simplex.make m in
-      ignore (Simplex.solve_warm st);
-      let point = Simplex.restart_from st m in
+      let first = Simplex.solve_warm st in
+      let point = Simplex.restart_from st in
       Simplex.prime_duals point;
-      List.for_all
-        (fun _ ->
-          let m2 = Lp_model.copy m in
-          for j = 0 to nv - 1 do
-            if Prng.bool prng 0.4 then begin
-              let lb = if Prng.bool prng 0.3 then Prng.uniform prng 0. 1. else 0. in
-              let ub = if Prng.bool prng 0.2 then lb else Prng.uniform prng lb 4. in
-              Lp_model.set_bounds m2 j ~lb ~ub
-            end;
-            if Prng.bool prng 0.1 then Lp_model.set_obj m2 j (Prng.uniform prng (-2.) 2.)
-          done;
-          for r = 0 to nr - 1 do
-            if Prng.bool prng 0.4 then Lp_model.set_rhs m2 r (Prng.uniform prng (-2.) 6.)
-          done;
-          (if Prng.bool prng 0.6 then
-             let c = float_of_int (1 + Prng.int prng 3) in
-             try Lp_model.set_coef m2 (Prng.int prng nr) (Prng.int prng nv) c
-             with Invalid_argument _ -> ());
-          let copied = Simplex.copy point m2 and restarted = Simplex.restart_from point m2 in
-          same_solution (Simplex.solve_warm copied) (Simplex.solve_warm restarted))
-        (List.init 5 Fun.id))
+      let sibling = Simplex.copy point in
+      let nominal = Simplex.solve_warm (Simplex.copy point) in
+      (* columns surely basic (strictly inside their bounds) and surely
+         nonbasic (a nonzero reduced cost) at the point *)
+      let cols p = List.filter p (List.init nv Fun.id) in
+      let basic = cols (fun j -> first.Simplex.x.(j) > 1e-6 && first.Simplex.x.(j) < 4. -. 1e-6)
+      and nonbasic = cols (fun j -> Float.abs first.Simplex.reduced_costs.(j) > 1e-6) in
+      let pick = function [] -> None | l -> Some (List.nth l (Prng.int prng (List.length l))) in
+      let restarts_agree =
+        List.for_all
+          (fun _ ->
+            let copied = Simplex.copy point in
+            for j = 0 to nv - 1 do
+              if Prng.bool prng 0.4 then begin
+                let lb = if Prng.bool prng 0.3 then Prng.uniform prng 0. 1. else 0. in
+                let ub = if Prng.bool prng 0.2 then lb else Prng.uniform prng lb 4. in
+                Simplex.set_bounds copied j ~lb ~ub
+              end;
+              if Prng.bool prng 0.1 then Simplex.set_obj copied j (Prng.uniform prng (-2.) 2.)
+            done;
+            for r = 0 to nr - 1 do
+              if Prng.bool prng 0.4 then Simplex.set_rhs copied r (Prng.uniform prng (-2.) 6.)
+            done;
+            List.iter
+              (fun col ->
+                match col with
+                | Some j when Prng.bool prng 0.6 ->
+                    let c = float_of_int (1 + Prng.int prng 3) in
+                    (try Simplex.set_coef copied (Prng.int prng nr) j c
+                     with Invalid_argument _ -> ())
+                | _ -> ())
+              [ pick basic; pick nonbasic ];
+            let restarted = Simplex.restart_from copied in
+            same_solution (Simplex.solve_warm copied) (Simplex.solve_warm restarted))
+          (List.init 5 Fun.id)
+      in
+      restarts_agree
+      && same_solution (Simplex.solve_warm sibling) nominal
+      && same_solution (Simplex.solve_warm (Simplex.copy point)) nominal
+      && same_solution (Simplex.solve_warm point) nominal)
 
 (* ---- the warm/cold decision is visible in the trace counters ---- *)
 
@@ -352,14 +378,14 @@ let test_warm_fallback_counters () =
   expect_status "first solve" "optimal" sol1;
   Alcotest.(check int) "first solve is cold" (c0 + 1) (v "simplex.cold_solves");
   let a0 = v "simplex.warm_attempts" and c1 = v "simplex.cold_solves" in
-  let sol2 = warm_with_rhs st m [| 7. |] in
+  let sol2 = warm_with_rhs st [| 7. |] in
   expect_status "rhs 7" "infeasible" sol2;
   Alcotest.(check int) "warm attempt counted" (a0 + 1)
     (v "simplex.warm_attempts");
   Alcotest.(check int) "infeasibility confirmed by a cold solve" (c1 + 1)
     (v "simplex.cold_solves");
   let c2 = v "simplex.cold_solves" in
-  let sol3 = warm_with_rhs st m [| 3. |] in
+  let sol3 = warm_with_rhs st [| 3. |] in
   expect_status "rhs 3" "optimal" sol3;
   if Float.abs (sol3.Simplex.obj -. 3.) > 1e-9 then
     Alcotest.failf "rhs 3: expected obj 3, got %.9g" sol3.Simplex.obj;
@@ -380,7 +406,7 @@ let test_warm_hit_counted () =
   let sol1 = Simplex.solve_warm st in
   expect_status "initial" "optimal" sol1;
   let h0 = v "simplex.warm_hits" in
-  let sol2 = warm_with_rhs st m [| 8.; 12. |] in
+  let sol2 = warm_with_rhs st [| 8.; 12. |] in
   expect_status "warm resolve" "optimal" sol2;
   Alcotest.(check int) "warm hit counted" (h0 + 1) (v "simplex.warm_hits")
 
@@ -392,7 +418,7 @@ let restart_lp () =
   let r = Lp_model.add_row m Lp_model.Ge 2. [ (x, 1.); (y, 1.) ] in
   let st = Simplex.make m in
   expect_status "initial" "optimal" (Simplex.solve_warm st);
-  (m, x, y, r, st)
+  (x, y, r, st)
 
 let test_restart_legs_counted () =
   let was = Trace.enabled () in
@@ -414,23 +440,23 @@ let test_restart_legs_counted () =
   in
   (* x <= 1 leaves the basis primal infeasible but dual feasible: the
      dual simplex moves the rest onto y *)
-  let m, x, _, _, st = restart_lp () in
+  let x, _, _, st = restart_lp () in
   let before = counts () in
-  Lp_model.set_bounds m x ~lb:0. ~ub:1.;
+  Simplex.set_bounds st x ~lb:0. ~ub:1.;
   delta "bound change (dual simplex)" ~before ~obj:3. (Simplex.solve_warm st) [ 1; 1; 0; 0 ];
   (* min -y: no longer dual feasible, still primal feasible *)
-  let m, x, y, _, st = restart_lp () in
+  let x, y, _, st = restart_lp () in
   let before = counts () in
-  Lp_model.set_obj m x 0.;
-  Lp_model.set_obj m y (-1.);
+  Simplex.set_obj st x 0.;
+  Simplex.set_obj st y (-1.);
   delta "cost change (primal phase 2)" ~before ~obj:(-10.) (Simplex.solve_warm st) [ 1; 1; 0; 0 ];
   (* the same cost change with x + y >= 12: neither feasibility holds,
      so the restart falls back to a cold solve *)
-  let m, x, y, r, st = restart_lp () in
+  let x, y, r, st = restart_lp () in
   let before = counts () in
-  Lp_model.set_obj m x 0.;
-  Lp_model.set_obj m y (-1.);
-  Lp_model.set_rhs m r 12.;
+  Simplex.set_obj st x 0.;
+  Simplex.set_obj st y (-1.);
+  Simplex.set_rhs st r 12.;
   delta "cost and rhs change (cold fallback)" ~before ~obj:(-10.) (Simplex.solve_warm st)
     [ 1; 0; 1; 1 ]
 

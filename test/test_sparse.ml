@@ -588,31 +588,31 @@ let test_extend_certificates () =
   done;
   at_least "extend" 340 !n
 
-(* [solve_warm] re-reads bounds and RHS: each step moves a few of both
-   in the model, and the certificate is checked against the model as it
-   stands. *)
+(* Each step moves a few bounds and RHS of the state, and the
+   certificate is checked against a model built afresh with the data
+   as it stands. *)
 let test_warm_walk_certificates () =
   let n = ref 0 in
   for trial = 1 to 200 do
     let prng, m = random_model (2000 + trial) in
-    let st = Simplex.make m in
+    let st = Simplex.make m and w = Lp_walk.of_model m in
     n :=
       !n + certify (Printf.sprintf "walk %d/0" trial) m (Simplex.solve_warm st);
     for step = 1 to 10 do
       for _ = 1 to 2 do
         let j = Prng.int prng (Lp_model.nvars m) in
         let lb = Prng.uniform prng (-1.) 1. in
-        Lp_model.set_bounds m j ~lb ~ub:(lb +. Prng.uniform prng 0. 4.)
+        Lp_walk.set_bounds w st j ~lb ~ub:(lb +. Prng.uniform prng 0. 4.)
       done;
       if Lp_model.nrows m > 0 then begin
         let i = Prng.int prng (Lp_model.nrows m) in
-        Lp_model.set_rhs m i (Lp_model.rhs m i +. Prng.uniform prng (-1.) 1.)
+        Lp_walk.set_rhs w st i (w.Lp_walk.rhs.(i) +. Prng.uniform prng (-1.) 1.)
       end;
       n :=
         !n
         + certify
             (Printf.sprintf "walk %d/%d" trial step)
-            m (Simplex.solve_warm st)
+            (Lp_walk.model w) (Simplex.solve_warm st)
     done
   done;
   at_least "solve_warm walks" 450 !n
@@ -624,18 +624,18 @@ let test_rhs_walk_certificates () =
   let n = ref 0 in
   for trial = 1 to 200 do
     let prng, m = random_model (3000 + trial) in
-    let st = Simplex.make m in
+    let st = Simplex.make m and w = Lp_walk.of_model m in
     n :=
       !n + certify (Printf.sprintf "rhs %d/0" trial) m (Simplex.solve_warm st);
     for step = 1 to 10 do
       let rhs =
         Array.init (Lp_model.nrows m) (fun i ->
-            Lp_model.rhs m i +. Prng.uniform prng (-1.) 1.)
+            w.Lp_walk.rhs.(i) +. Prng.uniform prng (-1.) 1.)
       in
-      Array.iteri (Lp_model.set_rhs m) rhs;
+      Array.iteri (Lp_walk.set_rhs w st) rhs;
       n :=
         !n
-        + certify (Printf.sprintf "rhs %d/%d" trial step) m
+        + certify (Printf.sprintf "rhs %d/%d" trial step) (Lp_walk.model w)
             (Simplex.solve_warm st)
     done
   done;
@@ -736,9 +736,9 @@ let test_known_status () =
   ignore (Lp_model.add_row m Lp_model.Ge 1. [ (x, 1.); (y, -1.) ]);
   let st = Simplex.make m in
   expect "box" "optimal" (Simplex.solve_warm st);
-  Lp_model.set_rhs m 0 (-1.);
+  Simplex.set_rhs st 0 (-1.);
   expect "warm rhs into infeasibility" "infeasible" (Simplex.solve_warm st);
-  Lp_model.set_rhs m 0 4.;
+  Simplex.set_rhs st 0 4.;
   expect "warm rhs back" "optimal" (Simplex.solve_warm st);
   ignore (Lp_model.add_row m Lp_model.Ge 5. [ (x, 1.) ]);
   expect "extend with a cut past the box" "infeasible"
@@ -762,7 +762,7 @@ let test_known_status () =
   ignore (Lp_model.add_row m Lp_model.Ge 1. [ (x, 1.); (y, 1.) ]);
   let st = Simplex.make m in
   expect "bounded" "optimal" (Simplex.solve_warm st);
-  Lp_model.set_obj m x (-1.);
+  Simplex.set_obj st x (-1.);
   expect "warm cost change" "unbounded" (Simplex.solve_warm st)
 
 (* ---- mutations: the certificate rejects broken answers ---- *)
@@ -882,7 +882,7 @@ let walk_objs ?eta_limit m nsteps =
     let rhs =
       Array.init (Lp_model.nrows m) (fun _ -> Prng.uniform prng (-2.) 8.)
     in
-    Array.iteri (Lp_model.set_rhs m) rhs;
+    Array.iteri (Simplex.set_rhs st) rhs;
     let sol = Simplex.solve_warm st in
     objs := (sparse_status sol.Simplex.status, sol.Simplex.obj) :: !objs
   done;
@@ -927,7 +927,7 @@ let test_pivot_loop_allocation () =
     in
     ignore (Lp_model.add_row m Lp_model.Le (Prng.uniform prng 2. 6.) coeffs)
   done;
-  let st = Simplex.make m in
+  let st = Simplex.make m and walk = Lp_walk.of_model m in
   let w0 = Gc.minor_words () in
   let cold = Simplex.solve_warm st in
   let w1 = Gc.minor_words () in
@@ -939,13 +939,13 @@ let test_pivot_loop_allocation () =
       let x = cold.Simplex.x.(v) in
       if !fixed < 20 && x > 0.1 && x < 0.9 then begin
         incr fixed;
-        Lp_model.set_bounds m v ~lb:0. ~ub:0.
+        Lp_walk.set_bounds walk st v ~lb:0. ~ub:0.
       end)
     vars;
   let w2 = Gc.minor_words () in
   let warm = Simplex.solve_warm st in
   let w3 = Gc.minor_words () in
-  Alcotest.(check int) "restart is optimal" 1 (certify "warm" m warm);
+  Alcotest.(check int) "restart is optimal" 1 (certify "warm" (Lp_walk.model walk) warm);
   at_least_iters "dual restart" 100 warm;
   let per_iter =
     (w1 -. w0 +. (w3 -. w2))
