@@ -106,9 +106,44 @@ let mix_arg =
   in
   Arg.(value & opt (some mix_conv) None & info [ "mix" ] ~docv:"MIX" ~doc)
 
+(* A number outside its option's range is a usage error naming the
+   value, raised where the option is parsed, before any work starts. *)
+let bounded conv ~what ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s must be %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = bounded Arg.int ~what:"positive" (fun n -> n > 0)
+let nonnegative_int = bounded Arg.int ~what:"nonnegative" (fun n -> n >= 0)
+let nonnegative_float = bounded Arg.float ~what:"nonnegative" (fun x -> x >= 0.)
+
 let pairs_arg =
   let doc = "Maximum number of site pairs (sampled deterministically)." in
-  Arg.(value & opt int 240 & info [ "max-pairs" ] ~doc)
+  Arg.(value & opt positive_int 240 & info [ "max-pairs" ] ~doc)
+
+let iterations_arg =
+  Arg.(value & opt positive_int 5 & info [ "iterations" ] ~doc:"Offline decomposition iterations.")
+
+let offline_config ?gamma ~iterations ~jobs () =
+  {
+    Flexile_te.Flexile_offline.default_config with
+    Flexile_te.Flexile_offline.max_iterations = iterations;
+    gamma;
+    jobs;
+  }
+
+(* The offline plan that monitor and explain hold the online phase to,
+   and its per-class PercLoss: the promise. *)
+let offline_promise inst ~iterations ~jobs =
+  let off =
+    Flexile_te.Flexile_offline.solve ~config:(offline_config ~iterations ~jobs ()) inst
+  in
+  let losses = off.Flexile_te.Flexile_offline.best.Flexile_te.Flexile_offline.losses in
+  (off, Array.init (Array.length inst.Instance.classes) (fun k -> Metrics.perc_loss inst losses ~cls:k))
 
 (* A malformed FLEXILE_JOBS is a usage error naming the value, before
    any work starts, whatever --jobs says. *)
@@ -177,11 +212,8 @@ let report inst name losses =
 (* ---- solve ---- *)
 
 let solve_cmd =
-  let iterations =
-    Arg.(value & opt int 5 & info [ "iterations" ] ~doc:"Offline decomposition iterations.")
-  in
   let gamma =
-    Arg.(value & opt (some float) None & info [ "gamma" ]
+    Arg.(value & opt (some nonnegative_float) None & info [ "gamma" ]
            ~doc:"Bound non-critical flows' loss to gamma + per-scenario optimum (section 4.4).")
   in
   let run () name two scenarios mix max_pairs iterations gamma jobs trace
@@ -189,15 +221,9 @@ let solve_cmd =
     with_trace trace chrome @@ fun () ->
     let inst = build_instance ~two ~scenarios ?mix ~max_pairs name in
     print_instance inst;
-    let config =
-      {
-        Flexile_te.Flexile_offline.default_config with
-        Flexile_te.Flexile_offline.max_iterations = iterations;
-        gamma;
-        jobs;
-      }
+    let r =
+      Flexile_te.Flexile_scheme.run ~config:(offline_config ?gamma ~iterations ~jobs ()) inst
     in
-    let r = Flexile_te.Flexile_scheme.run ~config inst in
     report inst "Flexile" r.Flexile_te.Flexile_scheme.losses;
     let off = r.Flexile_te.Flexile_scheme.offline in
     Printf.printf
@@ -209,7 +235,7 @@ let solve_cmd =
   in
   let term =
     Term.(const run $ verbose_term $ topology_arg $ two_class_arg
-          $ scenarios_arg $ mix_arg $ pairs_arg $ iterations $ gamma
+          $ scenarios_arg $ mix_arg $ pairs_arg $ iterations_arg $ gamma
           $ jobs_arg $ trace_arg $ chrome_arg)
   in
   Cmd.v (Cmd.info "solve" ~doc:"Run Flexile (offline + online) on a topology.") term
@@ -302,7 +328,7 @@ let emulate_cmd =
       & info [ "scheme" ] ~doc:"Scheme to emulate.")
   in
   let runs_arg =
-    Arg.(value & opt int 5 & info [ "runs" ] ~doc:"Independent emulation runs.")
+    Arg.(value & opt nonnegative_int 5 & info [ "runs" ] ~doc:"Independent emulation runs.")
   in
   let run () name two scenarios mix max_pairs scheme runs jobs =
     let inst = build_instance ~two ~scenarios ?mix ~max_pairs name in
@@ -347,10 +373,6 @@ let emulate_cmd =
    both carry only the exporter's deterministic subset, the metrics
    that are pure functions of the seeded work. *)
 let monitor_cmd =
-  let iterations =
-    Arg.(value & opt int 5
-         & info [ "iterations" ] ~doc:"Offline decomposition iterations.")
-  in
   let seed_arg =
     Arg.(value & opt int 42
          & info [ "seed" ] ~docv:"N"
@@ -358,17 +380,17 @@ let monitor_cmd =
                    replay).")
   in
   let draws_arg =
-    Arg.(value & opt int 200
+    Arg.(value & opt positive_int 200
          & info [ "draws" ] ~docv:"N" ~doc:"Number of failure draws to replay.")
   in
   let snapshot_arg =
-    Arg.(value & opt int 50
+    Arg.(value & opt positive_int 50
          & info [ "snapshot-every" ] ~docv:"N"
              ~doc:"Emit one JSONL metrics+SLO snapshot every $(docv) draws \
                    (and a final one).")
   in
   let window_arg =
-    Arg.(value & opt int 100
+    Arg.(value & opt positive_int 100
          & info [ "window" ] ~docv:"N"
              ~doc:"Sliding window (in draws) of the burn-rate computation.")
   in
@@ -408,19 +430,8 @@ let monitor_cmd =
     Trace.set_enabled true;
     let inst = build_instance ~two ~scenarios ?mix ~max_pairs name in
     print_instance inst;
-    let config =
-      {
-        Flexile_te.Flexile_offline.default_config with
-        Flexile_te.Flexile_offline.max_iterations = iterations;
-        jobs;
-      }
-    in
-    let off = Flexile_te.Flexile_offline.solve ~config inst in
+    let off, promised = offline_promise inst ~iterations ~jobs in
     let best = off.Flexile_te.Flexile_offline.best in
-    let promised =
-      Array.init (Array.length inst.Instance.classes) (fun k ->
-          Metrics.perc_loss inst best.Flexile_te.Flexile_offline.losses ~cls:k)
-    in
     Array.iteri
       (fun k p ->
         Printf.printf "promise class %d (%s): PercLoss <= %.4f%%\n" k
@@ -558,7 +569,7 @@ let monitor_cmd =
   in
   let term =
     Term.(const run $ verbose_term $ topology_arg $ two_class_arg
-          $ scenarios_arg $ mix_arg $ pairs_arg $ iterations $ jobs_arg
+          $ scenarios_arg $ mix_arg $ pairs_arg $ iterations_arg $ jobs_arg
           $ seed_arg $ draws_arg $ snapshot_arg $ window_arg $ prom_arg
           $ jsonl_arg $ emulate_arg $ explain_arg)
   in
@@ -577,17 +588,13 @@ let monitor_cmd =
    All artifacts are byte-identical for a fixed instance across runs
    and across --jobs values. *)
 let explain_cmd =
-  let iterations =
-    Arg.(value & opt int 5
-         & info [ "iterations" ] ~doc:"Offline decomposition iterations.")
-  in
   let tol_arg =
-    Arg.(value & opt float 1e-6
+    Arg.(value & opt nonnegative_float 1e-6
          & info [ "tol" ] ~docv:"EPS"
              ~doc:"Slack added to every promise comparison.")
   in
   let top_arg =
-    Arg.(value & opt int 5
+    Arg.(value & opt nonnegative_int 5
          & info [ "top" ] ~docv:"N"
              ~doc:"Attributed scenarios listed per class; the rest folds \
                    into the report's other_mass (the reconciliation still \
@@ -619,19 +626,7 @@ let explain_cmd =
     Trace.set_enabled true;
     let inst = build_instance ~two ~scenarios ?mix ~max_pairs name in
     print_instance inst;
-    let config =
-      {
-        Flexile_te.Flexile_offline.default_config with
-        Flexile_te.Flexile_offline.max_iterations = iterations;
-        jobs;
-      }
-    in
-    let off = Flexile_te.Flexile_offline.solve ~config inst in
-    let best = off.Flexile_te.Flexile_offline.best in
-    let promised =
-      Array.init (Array.length inst.Instance.classes) (fun k ->
-          Metrics.perc_loss inst best.Flexile_te.Flexile_offline.losses ~cls:k)
-    in
+    let off, promised = offline_promise inst ~iterations ~jobs in
     let inp =
       Flexile_obs.Attribution.prepare ~jobs ~tol inst ~offline:off ~promised ()
     in
@@ -717,7 +712,7 @@ let explain_cmd =
   in
   let term =
     Term.(const run $ verbose_term $ topology_arg $ two_class_arg
-          $ scenarios_arg $ mix_arg $ pairs_arg $ iterations $ jobs_arg
+          $ scenarios_arg $ mix_arg $ pairs_arg $ iterations_arg $ jobs_arg
           $ tol_arg $ top_arg $ out_arg $ prom_arg $ regimes_arg)
   in
   Cmd.v

@@ -104,21 +104,14 @@ let run_scheme ?(jobs = 0) scheme inst =
 
 let perc inst losses k = Metrics.perc_loss inst losses ~cls:k
 
-(* quantile of a weighted CDF given as sorted (value, cumulative)
-   points: the smallest value whose cumulative mass reaches [mass]
-   (worst case 1.0 when the distribution doesn't cover it) *)
+(* quantile of a CDF given as sorted (value, cumulative) points, over
+   scenario mass or over the fraction of flows: the smallest value
+   whose cumulative share reaches [mass] (worst case 1.0 when the
+   distribution doesn't cover it) *)
 let cdf_at cdf mass =
   let rec go = function
     | [] -> 1.0
     | (v, c) :: tl -> if c >= mass -. 1e-12 then v else go tl
-  in
-  go cdf
-
-(* value at a given fraction of flows in a flow CDF *)
-let flow_cdf_at cdf frac =
-  let rec go = function
-    | [] -> 1.0
-    | (v, c) :: tl -> if c >= frac -. 1e-12 then v else go tl
   in
   go cdf
 
@@ -170,7 +163,7 @@ let fig5 p =
       List.iter
         (fun (_, losses) ->
           let cdf = Metrics.flow_var_cdf inst losses ~cls:0 ~beta in
-          Printf.printf " %9.2f%%" (pct (flow_cdf_at cdf frac)))
+          Printf.printf " %9.2f%%" (pct (cdf_at cdf frac)))
         schemes;
       print_newline ())
     [ 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ];

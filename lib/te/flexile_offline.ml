@@ -99,16 +99,17 @@ type cut = Master_heuristic.cut = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Subproblem template: one model whose RHS is specialized per scenario *)
+(* Subproblem template: one solver state, copied and set per scenario  *)
 (* ------------------------------------------------------------------ *)
 
 (* The subproblem LP of every scenario, compiled once per [solve] under
-   the base demands and never written afterwards: each scenario solves
-   a copy.  Across scenarios without demand factors only the RHS varies
-   (the reformulation (17)-(18)), which is what makes one scenario's
-   duals a valid cut for every other (cut sharing, eq. (22)). *)
+   the base demands into a solver state that never solves and is never
+   written afterwards: each scenario solves a copy.  Across scenarios
+   without demand factors only the RHS varies (the reformulation
+   (17)-(18)), which is what makes one scenario's duals a valid cut for
+   every other (cut sharing, eq. (22)). *)
 type template = {
-  model : Lp_model.t;
+  st : Simplex.t;
   alpha_var : int array;  (** class -> its alpha var *)
   l_var : int array;  (** fid -> loss var or -1 *)
   loss_obj : float;  (** objective coefficient of every loss var *)
@@ -116,8 +117,19 @@ type template = {
   gamma_row : int array;  (** fid -> gamma row or -1 *)
   cap_row : int array;  (** edge -> capacity row or -1 *)
   demand_contrib : int array;  (** fid -> demand row or -1 *)
-  base_rhs : float array;
 }
+
+(* the RHS of a gamma row [l_f <= rhs] that bounds nothing *)
+let gamma_inactive = 2.
+
+(* §4.4: a flow connected in [sid] loses at most gamma plus the
+   scenario's optimal ScenLoss; [None] where its gamma row is
+   inactive *)
+let gamma_bound inst (f : Instance.flow) ~sid ~scen_loss_opt ~gamma =
+  match gamma with
+  | Some gm when Instance.flow_connected inst f sid ->
+      Some (Float.min 1. (gm +. scen_loss_opt.(sid)))
+  | _ -> None
 
 let build_template inst ~with_gamma =
   let nf = Instance.nflows inst in
@@ -153,23 +165,19 @@ let build_template inst ~with_gamma =
                (Array.map (fun v -> (v, 1.)) x.(f.Instance.cls).(f.Instance.pair))
         in
         demand_contrib.(fid) <- Lp_model.add_row model Lp_model.Ge demand coeffs;
+        (* alpha - l_f >= z - 1, at z = 0 until a scenario sets it *)
         crit_row.(fid) <-
           Lp_model.add_row model Lp_model.Ge (-1.)
             [ (alphas.(f.Instance.cls), 1.); (lv, -1.) ];
         if with_gamma then
           (* l_f <= gamma + scenloss_q; rhs set per scenario *)
-          gamma_row.(fid) <- Lp_model.add_row model Lp_model.Le 2. [ (lv, 1.) ]
+          gamma_row.(fid) <-
+            Lp_model.add_row model Lp_model.Le gamma_inactive [ (lv, 1.) ]
       end)
     inst.Instance.flows;
   let cap_row = Routing.capacity_rows model inst x in
-  let base_rhs =
-    Array.init (Lp_model.nrows model) (fun r -> Lp_model.rhs model r)
-  in
-  (* the matrix views are built here, before the template is shared *)
-  ignore (Lp_model.csc model);
-  ignore (Lp_model.csr model);
   {
-    model;
+    st = Simplex.make model;
     alpha_var = alphas;
     l_var;
     loss_obj = eps;
@@ -177,51 +185,30 @@ let build_template inst ~with_gamma =
     gamma_row;
     cap_row;
     demand_contrib;
-    base_rhs;
   }
 
-let scenario_rhs inst tpl ~sid ~z ~scen_loss_opt ~gamma =
-  let rhs = Array.copy tpl.base_rhs in
-  Array.iteri
-    (fun e row ->
-      if row >= 0 then rhs.(row) <- Instance.edge_capacity inst ~sid e)
-    tpl.cap_row;
+(* A copy of the template set to scenario [sid]: its demands and
+   capacities ({!Routing.set_scenario}), then the criticality rows of
+   the flows [z] makes critical and the gamma rows of the connected
+   flows.  Every other row keeps the template's RHS. *)
+let scenario_state inst tpl ~sid ~z ~scen_loss_opt ~gamma =
+  let st = Simplex.copy tpl.st in
+  Routing.set_scenario st inst ~sid ~l:tpl.l_var ~demand_rows:tpl.demand_contrib
+    ~cap_rows:tpl.cap_row;
   Array.iter
     (fun (f : Instance.flow) ->
       let fid = f.Instance.fid in
-      if tpl.demand_contrib.(fid) >= 0 then
-        rhs.(tpl.demand_contrib.(fid)) <- Instance.demand_in inst f sid;
-      if tpl.crit_row.(fid) >= 0 then
-        rhs.(tpl.crit_row.(fid)) <- (if z.(fid).(sid) then 0. else -1.);
+      if tpl.crit_row.(fid) >= 0 && z.(fid).(sid) then
+        Simplex.set_rhs st tpl.crit_row.(fid) 0.;
       if tpl.gamma_row.(fid) >= 0 then
-        rhs.(tpl.gamma_row.(fid)) <-
-          (match gamma with
-          | Some gm when Instance.flow_connected inst f sid ->
-              Float.min 1. (gm +. scen_loss_opt.(sid))
-          | _ -> 2.))
-    inst.Instance.flows;
-  rhs
-
-(* A solver state of the template under [rhs]: a flow whose demand
-   row's RHS differs from the base demand also gets it as its loss
-   coefficient (§4.4 demand scenarios).  A demand of 0 keeps the
-   coefficient, and its RHS of 0 leaves the row slack. *)
-let scenario_state inst tpl rhs =
-  let st = Simplex.make tpl.model in
-  Array.iteri (fun r v -> Simplex.set_rhs st r v) rhs;
-  Array.iter
-    (fun (f : Instance.flow) ->
-      let fid = f.Instance.fid in
-      let row = tpl.demand_contrib.(fid) in
-      if
-        row >= 0 && rhs.(row) > 0.
-        && not (Float.equal rhs.(row) f.Instance.demand)
-      then Simplex.set_coef st row tpl.l_var.(fid) rhs.(row))
+        Option.iter
+          (Simplex.set_rhs st tpl.gamma_row.(fid))
+          (gamma_bound inst f ~sid ~scen_loss_opt ~gamma))
     inst.Instance.flows;
   st
 
 (* Extract the dual information needed for cuts (21)/(22). *)
-let extract_dual inst tpl (sol : Simplex.solution) rhs =
+let extract_dual inst tpl (sol : Simplex.solution) ~sid =
   let y = sol.Simplex.row_duals in
   let coef = ref [] and gamma_duals = ref [] in
   let fixed = ref sol.Simplex.bound_term in
@@ -233,7 +220,7 @@ let extract_dual inst tpl (sol : Simplex.solution) rhs =
         if Float.abs d > 1e-10 then coef := (fid, d) :: !coef
       end;
       if tpl.demand_contrib.(fid) >= 0 then
-        fixed := !fixed +. (y.(tpl.demand_contrib.(fid)) *. rhs.(tpl.demand_contrib.(fid)));
+        fixed := !fixed +. (y.(tpl.demand_contrib.(fid)) *. Instance.demand_in inst f sid);
       if tpl.gamma_row.(fid) >= 0 then begin
         let d = y.(tpl.gamma_row.(fid)) in
         if Float.abs d > 1e-10 then gamma_duals := (fid, d) :: !gamma_duals
@@ -261,14 +248,15 @@ let extract_dual inst tpl (sol : Simplex.solution) rhs =
    re-optimized and, only when it comes out lower, the tie-break is
    re-solved with every class's alpha held at that optimum.  [st]
    keeps the changed bounds; [sol] itself still supplies the cut. *)
-let lexicographic_losses tpl st (sol : Simplex.solution) =
+let lexicographic_losses inst tpl st (sol : Simplex.solution) =
   let set_loss_obj v =
     Array.iter (fun lv -> if lv >= 0 then Simplex.set_obj st lv v) tpl.l_var
   in
   let penalty =
-    Array.fold_left
-      (fun a av -> a +. (Lp_model.obj_coef tpl.model av *. sol.Simplex.x.(av)))
-      0. tpl.alpha_var
+    Array.fold_left ( +. ) 0.
+      (Array.mapi
+         (fun k av -> inst.Instance.classes.(k).Instance.weight *. sol.Simplex.x.(av))
+         tpl.alpha_var)
   in
   set_loss_obj 0.;
   let pure = Simplex.solve_warm st in
@@ -295,12 +283,9 @@ let cut_for inst di ~target ~scen_loss_opt ~gamma =
     di.cap_duals;
   Array.iter
     (fun (fid, d) ->
-      let f = inst.Instance.flows.(fid) in
       let bound =
-        match gamma with
-        | Some gm when Instance.flow_connected inst f target ->
-            Float.min 1. (gm +. scen_loss_opt.(target))
-        | _ -> 2.
+        Option.value ~default:gamma_inactive
+          (gamma_bound inst inst.Instance.flows.(fid) ~sid:target ~scen_loss_opt ~gamma)
       in
       const := !const +. (d *. bound))
     di.gamma_duals;
@@ -507,14 +492,11 @@ let solve ?(config = default_config) inst =
      scenario order. *)
   let solve_scenario sid =
     Trace.in_span ~arg:sid sp_scenario @@ fun () ->
-    let rhs =
-      scenario_rhs inst tpl ~sid ~z ~scen_loss_opt ~gamma:config.gamma
-    in
-    let st = scenario_state inst tpl rhs in
+    let st = scenario_state inst tpl ~sid ~z ~scen_loss_opt ~gamma:config.gamma in
     let sol = Simplex.solve_warm st in
     match sol.Simplex.status with
     | Simplex.Optimal ->
-        let lex = lexicographic_losses tpl st sol in
+        let lex = lexicographic_losses inst tpl st sol in
         let loss_col =
           Array.to_list inst.Instance.flows
           |> List.filter_map (fun (f : Instance.flow) ->
@@ -526,7 +508,7 @@ let solve ?(config = default_config) inst =
                          (Float.min 1. lex.Simplex.x.(tpl.l_var.(fid))) )
                  else None)
         in
-        let di = extract_dual inst tpl sol rhs in
+        let di = extract_dual inst tpl sol ~sid in
         Some (sol.Simplex.obj, loss_col, di)
     | _ -> None
   in

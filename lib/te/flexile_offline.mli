@@ -8,10 +8,13 @@
       master's branch and bound stops after 400 node LPs, so the plan
       does not depend on the host's speed;
     - subproblems use the RHS-only reformulation (17)-(18): one
-      template LP is compiled per {!solve}, every scenario solves a
-      copy of it cold under its own RHS, and one scenario's dual
-      solution yields valid cuts for every other scenario (cut
-      sharing, eq. (22));
+      template LP is compiled per {!solve} into a solver state that
+      never solves, every scenario solves a
+      {!Flexile_lp.Simplex.copy} of it cold, set to the scenario by
+      {!Routing.set_scenario} (as {!Scen_lp.build} is) and by its
+      criticality and gamma RHS, and one scenario's dual solution
+      yields valid cuts for every other scenario (cut sharing,
+      eq. (22));
     - perfect scenarios (all flows served losslessly) and scenarios
       whose critical-flow set did not change are pruned;
     - a Hamming-distance constraint (23) stabilizes the master;

@@ -44,6 +44,24 @@ val fix_dead : Flexile_lp.Simplex.t -> Instance.t -> vars -> sid:int -> bool arr
     edge -> whether a tunnel alive in [sid] crosses it.  Allocates only
     that array: it runs on every online allocation. *)
 
+val set_scenario :
+  Flexile_lp.Simplex.t ->
+  Instance.t ->
+  sid:int ->
+  l:Flexile_lp.Lp_model.var array ->
+  demand_rows:Flexile_lp.Lp_model.row array ->
+  cap_rows:Flexile_lp.Lp_model.row array ->
+  unit
+(** Sets scenario [sid]'s demands and capacities in a solver state of
+    a model built at the base ones, where [demand_rows] maps a flow id
+    to its row [sum_t x_t + d_f * l_f >= d_f] (loss variable
+    [l.(fid)]) or [-1], and [cap_rows] maps an edge to its capacity
+    row or [-1].  A drifted demand becomes the row's RHS and its loss
+    coefficient (§4.4 demand scenarios); a flow with no demand in
+    [sid] gets RHS 0 and keeps its coefficient, which leaves the row
+    slack; every capacity row gets {!Instance.edge_capacity}.  Writes
+    only RHS and coefficients, so it commutes with bound changes. *)
+
 val alive : Instance.t -> vars -> sid:int -> Instance.flow -> Flexile_lp.Lp_model.var list
 (** The flow's variables on tunnels alive in scenario [sid], in tunnel
     order. *)

@@ -88,9 +88,6 @@ let compile inst =
         else Lp_model.add_row model Lp_model.Ge level_inactive [ (lambda, 1.); (lv, -1.) ])
       l
   in
-  (* the matrix views are built here, before the template is shared *)
-  ignore (Lp_model.csc model);
-  ignore (Lp_model.csr model);
   {
     tx = x;
     tl = l;
@@ -113,34 +110,19 @@ let build inst ~sid =
   let tpl = template inst in
   let st = Simplex.copy tpl.nominal in
   let live = Routing.fix_dead st inst tpl.tx ~sid in
+  Routing.set_scenario st inst ~sid ~l:tpl.tl ~demand_rows:tpl.demand_rows
+    ~cap_rows:tpl.tcap_rows;
   Array.iter
     (fun (f : Instance.flow) ->
-      let fid = f.Instance.fid in
-      let lv = tpl.tl.(fid) and row = tpl.demand_rows.(fid) in
-      if lv >= 0 then begin
-        let d = Instance.demand_in inst f sid in
-        if d <= 0. then begin
+      let lv = tpl.tl.(f.Instance.fid) in
+      if lv >= 0 then
+        if Instance.demand_in inst f sid <= 0. then
           (* nothing requested in this scenario: loss pinned to 0 *)
-          Simplex.set_bounds st lv ~lb:0. ~ub:0.;
-          Simplex.set_rhs st row 0.
-        end
-        else begin
-          if not (Instance.flow_connected inst f sid) then
-            Simplex.set_bounds st lv ~lb:1. ~ub:1.;
-          if not (Float.equal d f.Instance.demand) then begin
-            Simplex.set_rhs st row d;
-            Simplex.set_coef st row lv d
-          end
-        end
-      end)
+          Simplex.set_bounds st lv ~lb:0. ~ub:0.
+        else if not (Instance.flow_connected inst f sid) then
+          Simplex.set_bounds st lv ~lb:1. ~ub:1.)
     inst.Instance.flows;
-  let cap_rows =
-    Array.mapi
-      (fun e row ->
-        if row >= 0 then Simplex.set_rhs st row (Instance.edge_capacity inst ~sid e);
-        if live.(e) then row else -1)
-      tpl.tcap_rows
-  in
+  let cap_rows = Array.mapi (fun e row -> if live.(e) then row else -1) tpl.tcap_rows in
   {
     inst;
     sid;
@@ -196,7 +178,7 @@ let binding_edges ctx (row_duals : float array) =
    re-optimizes from the previous level's basis (the first level from
    the nominal basis); freezing a flow caps its loss and deactivates
    its row. *)
-let maxmin ~cold inst ~sid ~class_order ?(merge_classes = false)
+let maxmin_losses inst ~sid ~class_order ?(merge_classes = false)
     ?(freeze_routing = false) ?(prefrozen = []) ?duals () =
   let ctx = build inst ~sid in
   (* bottleneck attribution hook: hand the caller the capacity-row
@@ -211,9 +193,6 @@ let maxmin ~cold inst ~sid ~class_order ?(merge_classes = false)
         f (binding_edges ctx sol.Simplex.row_duals)
   in
   let st = ctx.st and lambda = ctx.lambda and level_rows = ctx.level_rows in
-  let solve =
-    if cold then fun () -> Simplex.solve_cold st else fun () -> Simplex.solve_warm st
-  in
   let participating =
     Array.to_list inst.Instance.flows
     |> List.filter (fun (f : Instance.flow) ->
@@ -271,7 +250,7 @@ let maxmin ~cold inst ~sid ~class_order ?(merge_classes = false)
          is at least 1/|active| > 1e-9.  Should numerics still leave
          no row dual-binding, all active flows freeze at lam. *)
       while !active <> [] do
-        let sol = solve () in
+        let sol = Simplex.solve_warm st in
         match sol.Simplex.status with
         | Simplex.Optimal ->
             capture sol;
@@ -312,6 +291,3 @@ let maxmin ~cold inst ~sid ~class_order ?(merge_classes = false)
               group)
     groups;
   !results
-
-let maxmin_losses = maxmin ~cold:false
-let maxmin_losses_cold = maxmin ~cold:true

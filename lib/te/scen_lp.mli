@@ -101,21 +101,3 @@ val maxmin_losses :
     solver state lives for one call only, so the
     result depends on nothing but the instance, the scenario and the
     arguments: not on call order, earlier calls or the domain. *)
-
-(* test oracle: the warm restarts of [maxmin_losses] are checked
-   against it, with each of its options, in test_online.ml *)
-val maxmin_losses_cold :
-  Instance.t ->
-  sid:int ->
-  class_order:int list ->
-  ?merge_classes:bool ->
-  ?freeze_routing:bool ->
-  ?prefrozen:(int * float) list ->
-  ?duals:((int * float) list -> unit) ->
-  unit ->
-  (int * float) list
-  [@@lint.allow "u1-unused-export u2-single-value-knob"]
-(** {!maxmin_losses} with every LP solved cold, from the slack basis
-    ({!Flexile_lp.Simplex.solve_cold}), on the same scenario state: the
-    reference the warm restarts
-    are tested against.  No scheme uses it. *)

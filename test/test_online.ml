@@ -78,24 +78,29 @@ let check_against_cold name inst ~warm ~cold =
   if Float.abs (pw -. pc) > 1e-9 then
     Alcotest.failf "%s: weighted penalty %.12g warm vs %.12g cold" name pw pc
 
+let cold_maxmin ?(merge_classes = false) ?(freeze_routing = false) ?(prefrozen = []) inst sid =
+  Online_restart_ref.maxmin_losses ~cold:true inst ~sid ~class_order:(all_classes inst)
+    ~merge_classes ~freeze_routing ~prefrozen ~duals:ignore
+
 let test_oracle_online mk name () =
   let inst = mk () in
   let p = plan inst in
   check_against_cold name inst ~warm:(online inst p) ~cold:(fun sid ->
-      Scen_lp.maxmin_losses_cold inst ~sid ~class_order:(all_classes inst)
-        ~prefrozen:(prefrozen inst p sid) ())
-
-let maxmin ~cold = if cold then Scen_lp.maxmin_losses_cold else Scen_lp.maxmin_losses
+      cold_maxmin ~prefrozen:(prefrozen inst p sid) inst sid)
 
 let test_oracle_swan () =
   let inst = ibm2 () in
-  let run cold sid = maxmin ~cold inst ~sid ~class_order:(all_classes inst) ~freeze_routing:true () in
-  check_against_cold "SWAN freeze_routing" inst ~warm:(run false) ~cold:(run true)
+  check_against_cold "SWAN freeze_routing" inst
+    ~warm:(fun sid ->
+      Scen_lp.maxmin_losses inst ~sid ~class_order:(all_classes inst) ~freeze_routing:true ())
+    ~cold:(cold_maxmin ~freeze_routing:true inst)
 
 let test_oracle_scenbest () =
   let inst = ibm_mix () in
-  let run cold sid = maxmin ~cold inst ~sid ~class_order:(all_classes inst) ~merge_classes:true () in
-  check_against_cold "ScenBest merge_classes" inst ~warm:(run false) ~cold:(run true)
+  check_against_cold "ScenBest merge_classes" inst
+    ~warm:(fun sid ->
+      Scen_lp.maxmin_losses inst ~sid ~class_order:(all_classes inst) ~merge_classes:true ())
+    ~cold:(cold_maxmin ~merge_classes:true inst)
 
 (* ---- purity: (instance, scenario, frozen set) -> allocation ---- *)
 

@@ -316,9 +316,16 @@ let maxmin inst () =
   in
   (List.fold_left ( +. ) 0. values, values)
 
-let offline inst () =
+(* [iterations] past the starting point's sweep reach master plans
+   with non-critical pairs *)
+let offline_with ~iterations ~gamma inst () =
   let config =
-    { Flexile_offline.default_config with Flexile_offline.max_iterations = 1; jobs = 1 }
+    {
+      Flexile_offline.default_config with
+      Flexile_offline.max_iterations = iterations;
+      gamma;
+      jobs = 1;
+    }
   in
   let r = Flexile_offline.solve ~config inst in
   let b = r.Flexile_offline.best in
@@ -331,6 +338,18 @@ let offline inst () =
            :: flat2 it.Flexile_offline.losses
            @ List.map bool_float (flat2 it.Flexile_offline.z))
          r.Flexile_offline.iterates )
+
+let offline = offline_with ~iterations:1 ~gamma:None
+
+let drift_sprint () =
+  Flexile_core.Builder.of_name
+    ~options:{ golden_options with Flexile_core.Builder.scenario_mix = "independent,drift" }
+    "Sprint"
+
+let drift_ibm2 () =
+  Flexile_core.Builder.of_name
+    ~options:{ golden_options with Flexile_core.Builder.scenario_mix = "independent,drift" }
+    ~two_classes:true "IBM"
 
 let golden_cases =
   [
@@ -382,6 +401,15 @@ let golden_cases =
      "iters=65 head=0x1p-1 md5=5f4e5ace552fbd881ec8c2c2b31a9c17");
     ("offline sprint two-class", offline, golden_sprint2,
      "iters=232 head=0x0p+0 md5=cd47c95fd65bcf4184d43e98145ac700");
+    ("maxmin sprint drift", maxmin, drift_sprint,
+     "iters=28 head=0x1.18p+8 md5=9a624536cba35ae39186dc7d53657e01");
+    ("offline sprint drift", offline, drift_sprint,
+     "iters=118 head=0x0p+0 md5=049143dfdceb4be08a69e22e7a0e54bb");
+    ("offline fig1 gamma", offline_with ~iterations:3 ~gamma:(Some 0.05),
+     Flexile_core.Builder.fig1,
+     "iters=153 head=0x1.cccccccccccccp-2 md5=f6427a1ff0e24fb513a0556fbb1035db");
+    ("offline ibm two-class drift", offline_with ~iterations:3 ~gamma:None, drift_ibm2,
+     "iters=307 head=0x1p+0 md5=d4675a703f615b140ee8a6ce04694968");
   ]
 
 let golden_tests =
@@ -426,11 +454,6 @@ let test_unit_factors_identical () =
           Alcotest.(check string) name plain (pin (builder (with_unit_factors inst))))
         [ Flexile_core.Builder.fig1; golden_sprint ])
     static_schemes
-
-let drift_sprint () =
-  Flexile_core.Builder.of_name
-    ~options:{ golden_options with Flexile_core.Builder.scenario_mix = "independent,drift" }
-    "Sprint"
 
 (* Losses recomputed from an allocation (pair -> tunnel): the flow's
    scenario demand against what its alive tunnels carry, capped by
