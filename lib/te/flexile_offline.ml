@@ -188,23 +188,20 @@ let build_template inst ~with_gamma =
   }
 
 (* A copy of the template set to scenario [sid]: its demands and
-   capacities ({!Routing.set_scenario}), then the criticality rows of
-   the flows [z] makes critical and the gamma rows of the connected
-   flows.  Every other row keeps the template's RHS. *)
+   capacities ({!Routing.set_scenario}) and, in the same pass, the
+   criticality rows of the flows [z] makes critical and the gamma rows
+   of the connected flows.  Every other row keeps the template's RHS. *)
 let scenario_state inst tpl ~sid ~z ~scen_loss_opt ~gamma =
   let st = Simplex.copy tpl.st in
   Routing.set_scenario st inst ~sid ~l:tpl.l_var ~demand_rows:tpl.demand_contrib
-    ~cap_rows:tpl.cap_row;
-  Array.iter
-    (fun (f : Instance.flow) ->
+    ~cap_rows:tpl.cap_row ~flow:(fun f _ ->
       let fid = f.Instance.fid in
       if tpl.crit_row.(fid) >= 0 && z.(fid).(sid) then
         Simplex.set_rhs st tpl.crit_row.(fid) 0.;
       if tpl.gamma_row.(fid) >= 0 then
         Option.iter
           (Simplex.set_rhs st tpl.gamma_row.(fid))
-          (gamma_bound inst f ~sid ~scen_loss_opt ~gamma))
-    inst.Instance.flows;
+          (gamma_bound inst f ~sid ~scen_loss_opt ~gamma));
   st
 
 (* Extract the dual information needed for cuts (21)/(22). *)

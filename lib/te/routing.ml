@@ -77,18 +77,19 @@ let fix_dead st inst x ~sid =
     inst.Instance.tunnels;
   live
 
-let set_scenario st inst ~sid ~l ~demand_rows ~cap_rows =
+let set_scenario st inst ~sid ~l ~demand_rows ~cap_rows ~flow =
   Array.iter
     (fun (f : Instance.flow) ->
       let row = demand_rows.(f.Instance.fid) in
+      let d = Instance.demand_in inst f sid in
       if row >= 0 then begin
-        let d = Instance.demand_in inst f sid in
         if d <= 0. then Flexile_lp.Simplex.set_rhs st row 0.
         else if not (Float.equal d f.Instance.demand) then begin
           Flexile_lp.Simplex.set_rhs st row d;
           Flexile_lp.Simplex.set_coef st row l.(f.Instance.fid) d
         end
-      end)
+      end;
+      flow f d)
     inst.Instance.flows;
   Array.iteri
     (fun e row ->

@@ -51,6 +51,7 @@ val set_scenario :
   l:Flexile_lp.Lp_model.var array ->
   demand_rows:Flexile_lp.Lp_model.row array ->
   cap_rows:Flexile_lp.Lp_model.row array ->
+  flow:(Instance.flow -> float -> unit) ->
   unit
 (** Sets scenario [sid]'s demands and capacities in a solver state of
     a model built at the base ones, where [demand_rows] maps a flow id
@@ -59,8 +60,11 @@ val set_scenario :
     row or [-1].  A drifted demand becomes the row's RHS and its loss
     coefficient (§4.4 demand scenarios); a flow with no demand in
     [sid] gets RHS 0 and keeps its coefficient, which leaves the row
-    slack; every capacity row gets {!Instance.edge_capacity}.  Writes
-    only RHS and coefficients, so it commutes with bound changes. *)
+    slack; every capacity row gets {!Instance.edge_capacity}.  After
+    a flow's demand row, [flow f d] runs with [d] its demand in [sid],
+    so the caller sets its own per-flow rows and bounds in the same
+    pass.  Writes only RHS and coefficients, so it commutes with bound
+    changes. *)
 
 val alive : Instance.t -> vars -> sid:int -> Instance.flow -> Flexile_lp.Lp_model.var list
 (** The flow's variables on tunnels alive in scenario [sid], in tunnel

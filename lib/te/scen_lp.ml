@@ -111,17 +111,14 @@ let build inst ~sid =
   let st = Simplex.copy tpl.nominal in
   let live = Routing.fix_dead st inst tpl.tx ~sid in
   Routing.set_scenario st inst ~sid ~l:tpl.tl ~demand_rows:tpl.demand_rows
-    ~cap_rows:tpl.tcap_rows;
-  Array.iter
-    (fun (f : Instance.flow) ->
+    ~cap_rows:tpl.tcap_rows ~flow:(fun f d ->
       let lv = tpl.tl.(f.Instance.fid) in
       if lv >= 0 then
-        if Instance.demand_in inst f sid <= 0. then
+        if d <= 0. then
           (* nothing requested in this scenario: loss pinned to 0 *)
           Simplex.set_bounds st lv ~lb:0. ~ub:0.
         else if not (Instance.flow_connected inst f sid) then
-          Simplex.set_bounds st lv ~lb:1. ~ub:1.)
-    inst.Instance.flows;
+          Simplex.set_bounds st lv ~lb:1. ~ub:1.);
   let cap_rows = Array.mapi (fun e row -> if live.(e) then row else -1) tpl.tcap_rows in
   {
     inst;
@@ -173,11 +170,15 @@ let binding_edges ctx (row_duals : float array) =
   done;
   !acc
 
+(* a class group of the max-min solves at most this many levels *)
+let max_levels = 12
+
 (* SWAN-style max-min on flow loss over the scenario's state.  Each
    level activates the level rows of the flows still active and
    re-optimizes from the previous level's basis (the first level from
    the nominal basis); freezing a flow caps its loss and deactivates
    its row. *)
+
 let maxmin_losses inst ~sid ~class_order ?(merge_classes = false)
     ?(freeze_routing = false) ?(prefrozen = []) ?duals () =
   let ctx = build inst ~sid in
@@ -239,23 +240,18 @@ let maxmin_losses inst ~sid ~class_order ?(merge_classes = false)
       in
       (* activate level rows for this class *)
       List.iter (fun fid -> Simplex.set_rhs st level_rows.(fid) level_active) !active;
+      let level = ref 0 in
+      let last_lambda = ref 1. in
       let last_sol = ref None in
-      (* Every level freezes at least one flow, so at most |active|
-         levels are solved.  lambda has objective coefficient 1 and
-         appears only in the level rows, of which only the active ones
-         can bind (an inactive row has lambda - l_f >= -1 > -2).  When
-         lambda > 1e-7 it is basic or at its upper bound, so its
-         reduced cost 1 - (sum of the active rows' duals) is 0 or
-         negative: the duals sum to at least 1 and some active flow's
-         is at least 1/|active| > 1e-9.  Should numerics still leave
-         no row dual-binding, all active flows freeze at lam. *)
-      while !active <> [] do
+      while !active <> [] && !level < max_levels do
+        incr level;
         let sol = Simplex.solve_warm st in
         match sol.Simplex.status with
         | Simplex.Optimal ->
             capture sol;
             last_sol := Some sol.Simplex.x;
             let lam = Float.max 0. sol.Simplex.x.(lambda) in
+            last_lambda := lam;
             if lam <= 1e-7 then begin
               List.iter (fun fid -> freeze fid 0.) !active;
               active := []
@@ -269,15 +265,46 @@ let maxmin_losses inst ~sid ~class_order ?(merge_classes = false)
                     sol.Simplex.row_duals.(level_rows.(fid)) > 1e-9)
                   !active
               in
-              let stuck, rest = if stuck = [] then (!active, []) else (stuck, rest) in
-              List.iter (fun fid -> freeze fid lam) stuck;
-              active := rest
+              if stuck <> [] then begin
+                List.iter (fun fid -> freeze fid lam) stuck;
+                active := rest
+              end
+              else begin
+                (* degenerate duals: fall back to the identification LP
+                   (minimize total active loss at level lam) *)
+                Simplex.set_obj st lambda 0.;
+                Simplex.set_bounds st lambda ~lb:0. ~ub:lam;
+                List.iter (fun fid -> Simplex.set_obj st ctx.l.(fid) 1.) !active;
+                let sol2 = Simplex.solve_warm st in
+                (match sol2.Simplex.status with
+                | Simplex.Optimal -> last_sol := Some sol2.Simplex.x
+                | _ -> ());
+                List.iter (fun fid -> Simplex.set_obj st ctx.l.(fid) 0.) !active;
+                Simplex.set_obj st lambda 1.;
+                Simplex.set_bounds st lambda ~lb:0. ~ub:1.;
+                let stuck, rest =
+                  match sol2.Simplex.status with
+                  | Simplex.Optimal ->
+                      List.partition
+                        (fun fid -> sol2.Simplex.x.(ctx.l.(fid)) >= lam -. 1e-6)
+                        !active
+                  | _ -> (!active, [])
+                in
+                let stuck = if stuck = [] then !active else stuck in
+                List.iter (fun fid -> freeze fid lam) stuck;
+                active :=
+                  (match sol2.Simplex.status with
+                  | Simplex.Optimal -> rest
+                  | _ -> [])
+              end
             end
         | _ ->
             Log.warn (fun m -> m "maxmin scenario %d: LP not optimal" sid);
             List.iter (fun fid -> freeze fid 1.) !active;
             active := []
       done;
+      (* level budget exhausted: freeze the rest at the last level *)
+      List.iter (fun fid -> freeze fid !last_lambda) !active;
       (* SWAN pins the routing of a class before serving lower classes *)
       if freeze_routing then
         match !last_sol with

@@ -92,8 +92,11 @@ val maxmin_losses :
     the {e first} optimal solve (the bottlenecks while the top
     priority group is served) — threaded out of the simplex solution
     already computed, never a re-solve.  Returns [(fid, loss)] for
-    every positive-demand flow of the listed classes.  Every level
-    freezes at least one flow.
+    every positive-demand flow of the listed classes.  Each class group
+    solves at most 12 levels; flows still active then freeze at the
+    last level's loss.  A level whose duals leave no level row binding
+    freezes the flows an identification LP (minimum total active loss
+    at that level) cannot lower.
 
     Every level re-optimizes with {!Flexile_lp.Simplex.solve_warm},
     on the state of one {!build} of the scenario: the first from the

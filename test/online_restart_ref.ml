@@ -4,11 +4,10 @@
    its scenario and seeds it with the recorded nominal basis, placing
    every nonbasic variable and factoring that basis again
    ([Simplex.restart_from] of the scenario's state, never a copy of
-   it).  The max-min (a level that leaves no level row dual-binding
-   freezes every active flow, as [Scen_lp.maxmin_losses] does), the
-   min-max loss, the class optimum and SWAN-Throughput are kept over
-   the public [Scen_lp.ctx], as the reference the shared-state
-   restarts must match bit for bit.  With [~cold:true]
+   it).  The max-min (with its identification-LP fallback and level
+   budget), the min-max loss, the class optimum and SWAN-Throughput are
+   kept unchanged over the public [Scen_lp.ctx], as the reference the
+   shared-state restarts must match bit for bit.  With [~cold:true]
    the max-min solves every level with [Simplex.solve_cold], from the
    slack basis: the oracle the restarts' losses are checked against.
    [solves] collects every solve's iteration count, newest first. *)
@@ -57,6 +56,8 @@ let binding_edges (ctx : Scen_lp.ctx) (row_duals : float array) =
     end
   done;
   !acc
+
+let max_levels = 12
 
 let maxmin_losses ?cold inst ~sid ~class_order ~merge_classes ~freeze_routing ~prefrozen ~duals =
   let ctx = Scen_lp.build inst ~sid in
@@ -115,14 +116,18 @@ let maxmin_losses ?cold inst ~sid ~class_order ~merge_classes ~freeze_routing ~p
              participating)
       in
       List.iter (fun fid -> Simplex.set_rhs st level_rows.(fid) level_active) !active;
+      let level = ref 0 in
+      let last_lambda = ref 1. in
       let last_sol = ref None in
-      while !active <> [] do
+      while !active <> [] && !level < max_levels do
+        incr level;
         let sol = solve () in
         match sol.Simplex.status with
         | Simplex.Optimal ->
             capture sol;
             last_sol := Some sol.Simplex.x;
             let lam = Float.max 0. sol.Simplex.x.(lambda) in
+            last_lambda := lam;
             if lam <= 1e-7 then begin
               List.iter (fun fid -> freeze fid 0.) !active;
               active := []
@@ -131,14 +136,39 @@ let maxmin_losses ?cold inst ~sid ~class_order ~merge_classes ~freeze_routing ~p
               let stuck, rest =
                 List.partition (fun fid -> sol.Simplex.row_duals.(level_rows.(fid)) > 1e-9) !active
               in
-              let stuck, rest = if stuck = [] then (!active, []) else (stuck, rest) in
-              List.iter (fun fid -> freeze fid lam) stuck;
-              active := rest
+              if stuck <> [] then begin
+                List.iter (fun fid -> freeze fid lam) stuck;
+                active := rest
+              end
+              else begin
+                Simplex.set_obj st lambda 0.;
+                Simplex.set_bounds st lambda ~lb:0. ~ub:lam;
+                List.iter (fun fid -> Simplex.set_obj st ctx.Scen_lp.l.(fid) 1.) !active;
+                let sol2 = solve () in
+                (match sol2.Simplex.status with
+                | Simplex.Optimal -> last_sol := Some sol2.Simplex.x
+                | _ -> ());
+                List.iter (fun fid -> Simplex.set_obj st ctx.Scen_lp.l.(fid) 0.) !active;
+                Simplex.set_obj st lambda 1.;
+                Simplex.set_bounds st lambda ~lb:0. ~ub:1.;
+                let stuck, rest =
+                  match sol2.Simplex.status with
+                  | Simplex.Optimal ->
+                      List.partition
+                        (fun fid -> sol2.Simplex.x.(ctx.Scen_lp.l.(fid)) >= lam -. 1e-6)
+                        !active
+                  | _ -> (!active, [])
+                in
+                let stuck = if stuck = [] then !active else stuck in
+                List.iter (fun fid -> freeze fid lam) stuck;
+                active := (match sol2.Simplex.status with Simplex.Optimal -> rest | _ -> [])
+              end
             end
         | _ ->
             List.iter (fun fid -> freeze fid 1.) !active;
             active := []
       done;
+      List.iter (fun fid -> freeze fid !last_lambda) !active;
       if freeze_routing then
         match !last_sol with
         | None -> ()

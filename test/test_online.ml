@@ -286,6 +286,11 @@ let restart_case (k, salt, merge_classes, freeze_routing) =
        (reference (fun () ->
             matrix inst (fun sid -> Online_restart_ref.throughput_scenario inst sid)))
 
+let restart_case_traced case =
+  let was = Trace.enabled () in
+  Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Trace.set_enabled was) @@ fun () -> restart_case case
+
 let qcheck_restart_bits =
   QCheck.Test.make ~name:"online restart bits = reference" ~count:60
     QCheck.(
@@ -295,10 +300,16 @@ let qcheck_restart_bits =
           Printf.sprintf "%s two_classes=%b mix=%s salt=%d merge=%b freeze=%b" topo two mix salt
             merge freeze)
         Gen.(quad (int_bound (Array.length restart_keys - 1)) (int_bound 1_000_000) bool bool))
-    (fun case ->
-      let was = Trace.enabled () in
-      Trace.set_enabled true;
-      Fun.protect ~finally:(fun () -> Trace.set_enabled was) @@ fun () -> restart_case case)
+    restart_case_traced
+
+(* A drawn case whose scenario 13 still has 42 flows active after 12
+   levels, so the level budget freezes them at the twelfth level's
+   loss: the restarts keep the reference's budget. *)
+let test_restart_level_budget () =
+  let k = ref (-1) in
+  Array.iteri (fun i key -> if key = ("IBM", true, "srlg,partial") then k := i) restart_keys;
+  if not (restart_case_traced (!k, 687709, true, true)) then
+    Alcotest.fail "IBM two-class srlg,partial salt 687709: restarts differ from the reference"
 
 (* The refactor-on-coefficient branch runs: on IBM drift some copies
    refactor.  A seeded restart factors once per solver state, a copy
@@ -463,6 +474,7 @@ let () =
       ( "restart",
         QCheck_alcotest.to_alcotest qcheck_restart_bits
         :: [
+             quick "level budget = reference" test_restart_level_budget;
              quick "demand factors refactor some copies" test_copies_refactor;
              quick "nominal state read-only at jobs 1, 2, 4" test_nominal_read_only;
            ] );
