@@ -1,4 +1,4 @@
-.PHONY: all build test bench lint lint-deep determinism bench-runs bench-smoke work-counts verify clean
+.PHONY: all build test qcheck-seeds bench lint lint-deep determinism bench-runs bench-smoke work-counts verify clean
 
 all: build
 
@@ -17,6 +17,26 @@ SMOKE_DIR := smoke
 
 $(SMOKE_DIR):
 	mkdir -p $(SMOKE_DIR)
+
+# The QCheck suites at QCHECK_SEED 1 to 20.  Every property draws its
+# cases from test/fuzz.ml's random state: QCHECK_SEED when set, 27
+# otherwise, so `dune runtest` sees the same cases on every run and a
+# property that holds for one seed only shows here.  A failing suite's
+# output is printed with the seed.
+QCHECK_SUITES = test_failure test_health test_lp test_lp_props test_net \
+  test_online test_scenario_gen test_te_props test_traffic test_util
+
+qcheck-seeds: | $(SMOKE_DIR)
+	dune build $(QCHECK_SUITES:%=test/%.exe)
+	@for s in $$(seq 1 20); do \
+	  for t in $(QCHECK_SUITES); do \
+	    (cd _build/default/test && QCHECK_SEED=$$s ./$$t.exe --compact) \
+	      > $(SMOKE_DIR)/qcheck-$$t.txt 2>&1 || { \
+	      echo "qcheck-seeds: $$t fails at QCHECK_SEED=$$s"; \
+	      cat $(SMOKE_DIR)/qcheck-$$t.txt; exit 1; }; \
+	  done; \
+	  echo "qcheck-seeds: QCHECK_SEED=$$s passed"; \
+	done
 
 # flexile-lint, fast syntactic stage: AST-level determinism/
 # concurrency/hygiene invariants (DESIGN.md section 9).  Writes the
@@ -115,7 +135,7 @@ work-counts: bench-runs
 
 # Tier-1 verification: full build, both lint stages (syntactic
 # pre-build signal, then the deep typedtree stage over the fresh cmts),
-# the test suite, the determinism smoke (monitor, explain, doctor), the
+# the test suite, its QCheck properties at 20 more seeds, the determinism smoke (monitor, explain, doctor), the
 # benchmark smoke (reference penalties, the CWIX plan digest and the
 # exact work counts), and a smoke run of the micro-benchmarks
 # (exercises the parallel sweep at jobs 1 and 4).
@@ -124,6 +144,7 @@ verify:
 	dune build
 	$(MAKE) lint-deep
 	dune runtest
+	$(MAKE) qcheck-seeds
 	$(MAKE) determinism
 	$(MAKE) bench-smoke
 	dune exec bench/main.exe -- --micro

@@ -793,7 +793,7 @@ let doctor_cmd =
 
 let augment_cmd =
   let limit_arg =
-    Arg.(value & opt float 0.0 & info [ "loss-limit" ]
+    Arg.(value & opt nonnegative_float 0.0 & info [ "loss-limit" ]
            ~doc:"Allowed PercLoss per class after augmentation.")
   in
   let mode_arg =

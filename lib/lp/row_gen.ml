@@ -29,7 +29,7 @@ let solve ?(max_rounds = 60) ?(per_round = 500) ~violated model =
             end)
           rows;
         (* reuse the basis: new slacks basic, dual simplex continues *)
-        st := Simplex.extend !st model
+        st := Simplex.restart_from !st
       end
     end
   done;

@@ -182,8 +182,8 @@ type t = {
   mutable hphase : int; (* phase_setup/_primal1/_primal2/_dual *)
   mutable hiter : int; (* iteration count at the last loop step *)
   eta_cap : int option;
-      (* [make]'s eta limit, [None] for the default; copies keep it and
-         a health dump replays under it *)
+      (* [make]'s eta limit, [None] for the default; copies and
+         restarts keep it and a health dump replays under it *)
 }
 
 let slack_bounds sense =
@@ -191,84 +191,6 @@ let slack_bounds sense =
   | Lp_model.Le -> (0., infinity)
   | Lp_model.Ge -> (neg_infinity, 0.)
   | Lp_model.Eq -> (0., 0.)
-
-let create ?eta_limit ?stall_limit model =
-  let n = Lp_model.nvars model and m = Lp_model.nrows model in
-  let ntot = n + (2 * m) in
-  let lo = Array.make ntot 0. and up = Array.make ntot 0. in
-  let cost = Array.make ntot 0. in
-  for j = 0 to n - 1 do
-    lo.(j) <- Lp_model.lb model j;
-    up.(j) <- Lp_model.ub model j;
-    cost.(j) <- Lp_model.obj_coef model j
-  done;
-  let b = Array.make m 0. in
-  for i = 0 to m - 1 do
-    let slo, sup = slack_bounds (Lp_model.row_sense model i) in
-    lo.(n + i) <- slo;
-    up.(n + i) <- sup;
-    (* artificial bounds adjusted during phase-1 setup *)
-    lo.(n + m + i) <- 0.;
-    up.(n + m + i) <- 0.;
-    b.(i) <- Lp_model.rhs model i
-  done;
-  let sec_size = max 256 ((ntot + 7) / 8) in
-  let nsec = max 1 ((ntot + sec_size - 1) / sec_size) in
-  let csc = Lp_model.csc model and csr = Lp_model.csr model in
-  let fcols = Array.make m 0 and y = Array.make m 0. in
-  {
-    n;
-    m;
-    ntot;
-    model;
-    col_start = csc.Lp_model.col_start;
-    row_idx = csc.Lp_model.row_idx;
-    col_val = csc.Lp_model.values;
-    lo;
-    up;
-    cost;
-    b;
-    vstat = Array.make ntot at_lower;
-    bas = Array.make m 0;
-    basis = Basis.create ?eta_limit m;
-    xb = Array.make m 0.;
-    xn = Array.make ntot 0.;
-    last_status = None;
-    w = [||];
-    w_pat = [||];
-    w_nnz = 0;
-    rho = [||];
-    rho_pat = [||];
-    rho_nnz = 0;
-    asv = Svec.create 0;
-    choice_f = [||];
-    gamma = [||];
-    dsc = [||];
-    y;
-    bt = y;
-    dpat = fcols;
-    row_start = csr.Lp_model.row_start;
-    row_col = csr.Lp_model.col_idx;
-    row_val = csr.Lp_model.row_values;
-    own_vals = false;
-    refactor_due = false;
-    fcols;
-    enter = -1;
-    leave = -1;
-    leave_up = false;
-    d = Array.make ntot 0.;
-    d_valid = false;
-    infeas = Array.make m 0;
-    n_infeas = 0;
-    listed = Array.make m false;
-    sec_size;
-    nsec;
-    psec = 0;
-    health = Health.make ?stall_limit m;
-    hphase = phase_setup;
-    hiter = 0;
-    eta_cap = eta_limit;
-  }
 
 (* The LP the state holds, as a model: the build-time model's names
    and row senses, with the state's bounds, costs, RHS and
@@ -315,7 +237,84 @@ let dump_on_trip st reasons =
            })
 
 let create ?eta_limit ?stall_limit model =
-  let st = create ?eta_limit ?stall_limit model in
+  let n = Lp_model.nvars model and m = Lp_model.nrows model in
+  let ntot = n + (2 * m) in
+  let lo = Array.make ntot 0. and up = Array.make ntot 0. in
+  let cost = Array.make ntot 0. in
+  for j = 0 to n - 1 do
+    lo.(j) <- Lp_model.lb model j;
+    up.(j) <- Lp_model.ub model j;
+    cost.(j) <- Lp_model.obj_coef model j
+  done;
+  let b = Array.make m 0. in
+  for i = 0 to m - 1 do
+    let slo, sup = slack_bounds (Lp_model.row_sense model i) in
+    lo.(n + i) <- slo;
+    up.(n + i) <- sup;
+    (* artificial bounds adjusted during phase-1 setup *)
+    lo.(n + m + i) <- 0.;
+    up.(n + m + i) <- 0.;
+    b.(i) <- Lp_model.rhs model i
+  done;
+  let sec_size = max 256 ((ntot + 7) / 8) in
+  let nsec = max 1 ((ntot + sec_size - 1) / sec_size) in
+  let csc = Lp_model.csc model and csr = Lp_model.csr model in
+  let fcols = Array.make m 0 and y = Array.make m 0. in
+  let st =
+    {
+      n;
+      m;
+      ntot;
+      model;
+      col_start = csc.Lp_model.col_start;
+      row_idx = csc.Lp_model.row_idx;
+      col_val = csc.Lp_model.values;
+      lo;
+      up;
+      cost;
+      b;
+      vstat = Array.make ntot at_lower;
+      bas = Array.make m 0;
+      basis = Basis.create ?eta_limit m;
+      xb = Array.make m 0.;
+      xn = Array.make ntot 0.;
+      last_status = None;
+      w = [||];
+      w_pat = [||];
+      w_nnz = 0;
+      rho = [||];
+      rho_pat = [||];
+      rho_nnz = 0;
+      asv = Svec.create 0;
+      choice_f = [||];
+      gamma = [||];
+      dsc = [||];
+      y;
+      bt = y;
+      dpat = fcols;
+      row_start = csr.Lp_model.row_start;
+      row_col = csr.Lp_model.col_idx;
+      row_val = csr.Lp_model.row_values;
+      own_vals = false;
+      refactor_due = false;
+      fcols;
+      enter = -1;
+      leave = -1;
+      leave_up = false;
+      d = Array.make ntot 0.;
+      d_valid = false;
+      infeas = Array.make m 0;
+      n_infeas = 0;
+      listed = Array.make m false;
+      sec_size;
+      nsec;
+      psec = 0;
+      health = Health.make ?stall_limit m;
+      hphase = phase_setup;
+      hiter = 0;
+      eta_cap = eta_limit;
+    }
+  in
   Health.set_on_trip st.health (dump_on_trip st);
   st
 
@@ -1260,8 +1259,8 @@ let dual_feasible st =
   nonbasic_signs_ok st ~exact:true
 
 (* Exact reduced costs of a basis whose duals are not maintained (fresh
-   from [extend] or [restart_from], or after a cost change), checked
-   for dual feasibility. *)
+   from [restart_from], or after a cost change), checked for dual
+   feasibility. *)
 let dual_start_ok st =
   exact_duals st;
   nonbasic_signs_ok st ~exact:false
@@ -1321,9 +1320,12 @@ let restart ~iter_limit st =
               sol
             end
             else begin
-              (* the warm dual correctly proved infeasibility *)
+              (* the warm dual correctly proved infeasibility; the
+                 answer is the cold solve's, already extracted and
+                 counted once in the per-solve histogram *)
               Trace.incr c_warm_hits;
-              extract_solution st ~status:Infeasible ~iterations:!iters
+              st.last_status <- Some Infeasible;
+              { sol with status = Infeasible }
             end
         | D_iter_limit -> fallback ()
       end
@@ -1439,38 +1441,56 @@ let copy_vals st src =
     st.row_val <- src.row_val
   end
 
-(* A fresh state of [src]'s LP at [src]'s last optimal basis:
-   nonbasics on their bounds, the basis factorized (a singular one is
-   repaired), and the state flagged warm so that its first solve
-   restarts. *)
+(* Seat a basis given over [st]'s dimensions: the nonbasic variables
+   on their bounds and the basis factorized once (a singular one is
+   repaired).  Every basis that enters a state from outside, another
+   state's or a health dump's, comes in here. *)
+let seat st ~bas ~vstat =
+  Array.blit bas 0 st.bas 0 st.m;
+  Array.blit vstat 0 st.vstat 0 st.ntot;
+  for j = 0 to st.ntot - 1 do
+    if st.vstat.(j) <> basic then ignore (place_nonbasic st j)
+  done;
+  ignore (refactorize st)
+
+(* A fresh state of [src]'s LP at [src]'s last optimal basis.  Rows
+   appended to the model since [src] was made enter with their slacks
+   basic: the basis stays block triangular, [[B, 0], [C, I]], and,
+   with the same costs, its duals stay feasible.  The exact reduced
+   costs are computed here, once for the state and all its copies, and
+   kept only when the basis is dual feasible under them: that is what
+   the first restart would compute and check.  The setters drop them
+   wherever a nonbasic variable changes side or stops being fixed, a
+   cost moves or a coefficient changes. *)
 let restart_from src =
   let st = create ?eta_limit:src.eta_cap src.model in
-  if st.n <> src.n || st.m <> src.m then
+  let m0 = src.m in
+  let added = st.m - m0 in
+  if st.n <> src.n || added < 0 then
     invalid_arg "Simplex.restart_from: the model changed shape";
+  if added > 0 && src.own_vals then
+    invalid_arg "Simplex.restart_from: rows appended to changed coefficients";
   Array.blit src.lo 0 st.lo 0 st.n;
   Array.blit src.up 0 st.up 0 st.n;
   Array.blit src.cost 0 st.cost 0 st.n;
-  Array.blit src.b 0 st.b 0 st.m;
-  copy_vals st src;
+  Array.blit src.b 0 st.b 0 m0;
+  if added = 0 then copy_vals st src;
   if src.last_status = Some Optimal then begin
-    Array.blit src.bas 0 st.bas 0 st.m;
-    Array.blit src.vstat 0 st.vstat 0 st.ntot;
-    for j = 0 to st.ntot - 1 do
-      if st.vstat.(j) <> basic then ignore (place_nonbasic st j)
+    (* the artificials sit [added] columns further on *)
+    let remap j = if j < st.n + m0 then j else j + added in
+    let vstat = Array.make st.ntot at_lower in
+    Array.iteri (fun j s -> vstat.(remap j) <- s) src.vstat;
+    for i = m0 to st.m - 1 do
+      vstat.(st.n + i) <- basic
     done;
-    ignore (refactorize st);
-    st.last_status <- Some Optimal
+    let bas =
+      Array.init st.m (fun i -> if i < m0 then remap src.bas.(i) else st.n + i)
+    in
+    seat st ~bas ~vstat;
+    st.last_status <- Some Optimal;
+    if not (dual_start_ok st) then st.d_valid <- false
   end;
   st
-
-(* The exact reduced costs of [st]'s optimal basis, computed once for
-   its copies.  They are kept only when the basis is dual feasible
-   under them, which is what the first restart of a copy would find
-   and check: the setters drop them wherever a nonbasic variable
-   changes side or stops being fixed, a cost moves or a coefficient
-   changes. *)
-let prime_duals st =
-  if st.last_status = Some Optimal && not (dual_start_ok st) then st.d_valid <- false
 
 (* A deep copy of [src]: every array is copied, the ones that share an
    array in [create] share one copy, the matrix values are shared
@@ -1515,47 +1535,6 @@ let copy src =
   Health.set_on_trip st.health (dump_on_trip st);
   st
 
-let extend st model =
-  let st2 = create model in
-  if st2.n <> st.n || st2.m < st.m then
-    invalid_arg "Simplex.extend: model must only gain rows";
-  match st.last_status with
-  | Some Optimal -> (
-      let remap j =
-        if j < st.n then j
-        else if j < st.n + st.m then st2.n + (j - st.n)
-        else st2.n + st2.m + (j - st.n - st.m)
-      in
-      for j = 0 to st.n - 1 do
-        st2.vstat.(j) <- st.vstat.(j);
-        st2.xn.(j) <- st.xn.(j)
-      done;
-      for i = 0 to st.m - 1 do
-        let os = st.n + i and oa = st.n + st.m + i in
-        st2.vstat.(remap os) <- st.vstat.(os);
-        st2.xn.(remap os) <- st.xn.(os);
-        st2.vstat.(remap oa) <- at_lower;
-        st2.xn.(remap oa) <- 0.
-      done;
-      for i = 0 to st.m - 1 do
-        let b = remap st.bas.(i) in
-        st2.bas.(i) <- b;
-        st2.vstat.(b) <- basic
-      done;
-      for i = st.m to st2.m - 1 do
-        st2.bas.(i) <- st2.n + i;
-        st2.vstat.(st2.n + i) <- basic
-      done;
-      (* With the new rows' slacks basic the basis is block
-         triangular, [[B, 0], [C, I]]; a fresh sparse factorization is
-         cheap (the appended unit columns pivot first). *)
-      ignore (refactorize st2);
-      (* same costs, appended basic slacks: the old duals remain
-         feasible, so flag the state warm for the dual simplex *)
-      st2.last_status <- Some Optimal;
-      st2)
-  | _ -> st2
-
 let make ?eta_limit model = create ?eta_limit model
 
 let solve_warm ?iter_limit st =
@@ -1578,19 +1557,9 @@ let diagnose_basis ?eta_limit ?stall_limit ?(phase = 0) ?(iteration = 0) model
   if Array.length bas <> st.m || Array.length vstat <> st.ntot then
     invalid_arg "Simplex.diagnose_basis: dimension mismatch";
   Health.set_capture st.health true;
-  Array.blit bas 0 st.bas 0 st.m;
-  Array.blit vstat 0 st.vstat 0 st.ntot;
-  for j = 0 to st.ntot - 1 do
-    let s = st.vstat.(j) in
-    if s = at_lower then
-      st.xn.(j) <- (if st.lo.(j) > neg_infinity then st.lo.(j) else 0.)
-    else if s = at_upper then
-      st.xn.(j) <- (if st.up.(j) < infinity then st.up.(j) else 0.)
-    else if s = free then st.xn.(j) <- 0.
-  done;
   st.hphase <- phase;
   st.hiter <- iteration;
-  ignore (refactorize st);
+  seat st ~bas ~vstat;
   st.health
 
 (* [Lp_model.max_violation] over the state's bounds, RHS and

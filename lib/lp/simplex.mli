@@ -49,17 +49,20 @@ val solve : Lp_model.t -> solution
 
 (** {1 Warm-restart interface}
 
-    A [t] holds the model's LP data from its creation on.  Every later
-    solve restarts from the previous optimal basis: with the dual
-    simplex while that basis stays dual feasible (bound and RHS
-    changes), and with primal phase 2 when only a cost change broke
-    dual feasibility.  When the dual simplex ends primal feasible but
-    the exactly recomputed reduced costs show it drifted out of dual
-    feasibility ([health.dual_guard_trips]), primal phase 2 finishes
-    from that basis and the restart still counts as a hit.  A cold
-    solve of the same state is left for a failed primal phase 2, an
-    iteration limit, a start that is neither primal nor dual feasible,
-    and to confirm an infeasibility proof of the dual simplex.
+    A state is born by {!make} (its first solve is cold), {!copy} (it
+    solves as its source would) or {!restart_from} (it starts at its
+    source's last optimal basis).  A [t] holds the model's LP data from
+    its creation on.  Every later solve restarts from the previous
+    optimal basis: with the dual simplex while that basis stays dual
+    feasible (bound and RHS changes), and with primal phase 2 when only
+    a cost change broke dual feasibility.  When the dual simplex ends
+    primal feasible but the exactly recomputed reduced costs show it
+    drifted out of dual feasibility ([health.dual_guard_trips]),
+    primal phase 2 finishes from that basis and the restart still
+    counts as a hit.  A cold solve of the same state is left for a
+    failed primal phase 2, an iteration limit, a start that is neither
+    primal nor dual feasible, and to confirm an infeasibility proof of
+    the dual simplex, whose answer a confirmed proof returns.
     Restarts count in [simplex.warm_attempts], each ending in exactly
     one of [simplex.warm_hits] and [simplex.warm_fallbacks]; a
     fallback's cold solve also counts in [simplex.cold_solves].
@@ -81,7 +84,8 @@ val make : ?eta_limit:int -> Lp_model.t -> t
 (** {2 The LP data}
 
     A state owns its LP's bounds, RHS, costs and coefficients, read
-    from the model at {!make} and changed only by these setters; the
+    from the model at {!make} (a row appended later, at the
+    {!restart_from} that adds it) and changed only by these setters; the
     model itself is never written.  Every change takes effect at the
     next solve. *)
 
@@ -109,20 +113,17 @@ val max_violation : t -> float array -> float
 
 val restart_from : t -> t
 (** [restart_from t] is a new solver state for [t]'s LP (its current
-    bounds, RHS, costs and coefficients), started at the basis of
-    [t]'s last solve: its nonbasic variables on their bounds and the
-    basis factorized afresh, so that the first solve restarts from it.
-    When [t]'s last solve did not end optimal (or [t] never solved)
-    the state is as fresh as {!make}'s. *)
-
-val prime_duals : t -> unit
-(** [prime_duals t] computes the exact reduced costs of [t]'s optimal
-    basis now, for its {!copy}s: a copy whose changes keep them valid
-    (bounds that move no nonbasic variable off its side and fix no
-    fixed one free, RHS changes) restarts without recomputing them, as
-    it would have found them.  They are kept only when the basis is
-    dual feasible under them.  No effect unless [t]'s last solve, or
-    {!restart_from}, left it optimal. *)
+    bounds, RHS, costs, coefficients and eta-file cap), started at the
+    basis of [t]'s last solve: its nonbasic variables on their bounds,
+    the basis factorized afresh and its reduced costs computed, so that
+    the first solve restarts from it.  Rows appended to the model since
+    [t] was made join with their own bounds and RHS and their slacks
+    basic, which keeps the basis dual feasible: this is the
+    cutting-plane warm start of {!Row_gen}.  Raises [Invalid_argument]
+    if the model gained variables, or gained rows while [t] holds
+    coefficients changed by {!set_coef}.  When [t]'s last solve did not
+    end optimal (or [t] never solved) the state is as fresh as
+    {!make}'s. *)
 
 val copy : t -> t
 (** [copy t] is an independent state that solves as [t] would: a deep
@@ -145,15 +146,6 @@ val solve_cold : t -> solution
     as [solve] of a model holding the state's LP data, without
     building a new state.  [Mip] solves every node LP of a search on
     one state this way. *)
-
-val extend : t -> Lp_model.t -> t
-(** [extend t model] builds a new solver state for [model], which must
-    be the same model [t] was created from with extra rows appended
-    (same variables); its LP data is [model]'s, not [t]'s.  The previous optimal basis is reused with the
-    new rows' slacks basic — a dual-feasible starting point, so the
-    next [solve_warm] continues with the dual simplex
-    instead of solving from scratch (the classic cutting-plane warm
-    start). *)
 
 (** {1 Health observatory}
 

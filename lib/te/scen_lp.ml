@@ -52,9 +52,7 @@ let level_inactive = -2.
 let nominal_state model =
   let st = Simplex.make model in
   ignore (Simplex.solve_warm st);
-  let nominal = Simplex.restart_from st in
-  Simplex.prime_duals nominal;
-  nominal
+  Simplex.restart_from st
 
 let compile inst =
   let model = Lp_model.create ~name:"scen-template" () in

@@ -32,5 +32,7 @@ solve B4 --scenarios 6 --iterations 0
 explain B4 --scenarios 6 --tol=-1
 explain B4 --scenarios 6 --top=-1
 emulate B4 --scenarios 6 --runs=-1
+augment B4 --loss-limit=-1
+augment B4 --loss-limit nan
 CASES
 exit $failed

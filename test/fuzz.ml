@@ -1,9 +1,26 @@
-(* Seeded byte mutations for parser fuzzing: each case is a seed
-   document with one to four bytes replaced, deleted or inserted, or
-   its tail cut.  Inserted and replacing bytes favour JSON's structural
-   characters, so mutations reach past the first token. *)
+(* The random state of every QCheck property of the suite, and seeded
+   byte mutations for parser fuzzing.
 
-let rand () = Random.State.make [| 27 |]
+   Every property runs through [to_alcotest], whose random state is
+   seeded from QCHECK_SEED when that is set and from 27 otherwise, so
+   that each run of the suite draws the same cases and
+   [make qcheck-seeds] can sweep others.
+
+   A mutation case is a seed document with one to four bytes replaced,
+   deleted or inserted, or its tail cut.  Inserted and replacing bytes
+   favour JSON's structural characters, so mutations reach past the
+   first token. *)
+
+let to_alcotest t =
+  let seed =
+    match Sys.getenv_opt "QCHECK_SEED" with
+    | None | Some "" -> 27
+    | Some s -> (
+        match int_of_string_opt s with
+        | Some n -> n
+        | None -> invalid_arg ("QCHECK_SEED is not an integer: " ^ s))
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) t
 
 let structural = "{}[]\":,\\-+.eE0123456789ntrufals "
 

@@ -124,5 +124,5 @@ let () =
           quick "cutoff" test_enumeration_cutoff;
           quick "alive mask" test_scenario_alive_mask;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest qcheck_enumeration_is_top_k ]);
+      ("properties", [ Fuzz.to_alcotest qcheck_enumeration_is_top_k ]);
     ]

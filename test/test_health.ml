@@ -646,8 +646,7 @@ let () =
             test_dump_basis_too_short;
           Alcotest.test_case "non-integral basis entry is an error" `Quick
             test_dump_basis_not_an_int;
-          QCheck_alcotest.to_alcotest ~rand:(Fuzz.rand ())
-            prop_mutated_dump_reads;
+          Fuzz.to_alcotest prop_mutated_dump_reads;
         ] );
       ( "doctor",
         [

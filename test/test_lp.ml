@@ -212,33 +212,38 @@ let test_fallback_pivots_counted () =
       Alcotest.(check int) "dual and cold pivots" (1 + sol.Simplex.iterations) iterations
   | _ -> assert false
 
-let test_extend_rows () =
-  (* cutting-plane warm start: solve, add rows, extend, re-solve; must
-     match a cold solve of the extended model *)
+(* The cutting-plane walk: solve, append two rows, restart from the
+   last basis, solve, append one more, restart, solve.  [check] sees
+   the model and the solution after each solve. *)
+let cut_walk ~check =
   let m = Lp_model.create () in
   let x = Lp_model.add_var m ~obj:(-1.) ~ub:10. () in
   let y = Lp_model.add_var m ~obj:(-1.) ~ub:10. () in
   let _ = Lp_model.add_row m Lp_model.Le 12. [ (x, 1.); (y, 1.) ] in
   let st = Simplex.make m in
-  let sol1 = Simplex.solve_warm st in
-  expect_optimal sol1;
-  check_float ~msg:"initial" (-12.) sol1.Simplex.obj;
+  check m (Simplex.solve_warm st);
   let _ = Lp_model.add_row m Lp_model.Le 4. [ (x, 1.) ] in
   let _ = Lp_model.add_row m Lp_model.Le 9. [ (x, 1.); (y, 2.) ] in
-  let st2 = Simplex.extend st m in
-  let sol2 = Simplex.solve_warm st2 in
-  expect_optimal sol2;
-  let cold = Simplex.solve m in
-  check_float ~msg:"extended warm = cold" cold.Simplex.obj sol2.Simplex.obj;
-  if Lp_model.max_violation m sol2.Simplex.x > 1e-6 then
-    Alcotest.fail "warm-extended solution infeasible";
-  (* a second extension round *)
+  let st2 = Simplex.restart_from st in
+  check m (Simplex.solve_warm st2);
   let _ = Lp_model.add_row m Lp_model.Ge 2. [ (y, 1.) ] in
-  let st3 = Simplex.extend st2 m in
-  let sol3 = Simplex.solve_warm st3 in
-  expect_optimal sol3;
-  let cold3 = Simplex.solve m in
-  check_float ~msg:"second extension" cold3.Simplex.obj sol3.Simplex.obj
+  check m (Simplex.solve_warm (Simplex.restart_from st2))
+
+let test_extend_rows () =
+  (* each warm re-solve of the grown model must match its cold solve *)
+  let round = ref 0 in
+  cut_walk ~check:(fun m sol ->
+      expect_optimal sol;
+      if !round = 0 then check_float ~msg:"initial" (-12.) sol.Simplex.obj
+      else begin
+        let cold = Simplex.solve m in
+        check_float
+          ~msg:(Printf.sprintf "extension %d: warm = cold" !round)
+          cold.Simplex.obj sol.Simplex.obj;
+        if Lp_model.max_violation m sol.Simplex.x > 1e-6 then
+          Alcotest.failf "extension %d: warm solution infeasible" !round
+      end;
+      incr round)
 
 (* ---------------- lazy row generation ---------------- *)
 
@@ -620,7 +625,7 @@ let qcheck_extend_rows =
           ignore
             (Lp_model.add_row m sense (Flexile_util.Prng.uniform prng (-1.) 5.)
                coeffs);
-          st := Simplex.extend !st m;
+          st := Simplex.restart_from !st;
           let warm = Simplex.solve_warm !st in
           let cold = Simplex.solve m in
           ok :=
@@ -926,6 +931,148 @@ let test_pin_warm () =
                 pin_line (Simplex.solve_warm st)))
        [ (12, 8); (60, 40); (150, 90) ])
 
+(* Append [k] rows that cut off the optimum [x] of a [warm_lp]: each
+   bounds a positive combination of the variables by 0.8 of its value
+   at [x], so x = 0 still satisfies every cut. *)
+let add_cuts prng m ~nv x k =
+  for _ = 1 to k do
+    let v0 = Prng.int prng nv in
+    let coeffs =
+      List.filter_map
+        (fun v ->
+          if v = v0 || Prng.bool prng 0.3 then
+            Some (v, float_of_int (1 + Prng.int prng 3))
+          else None)
+        (List.init nv Fun.id)
+    in
+    let act = List.fold_left (fun a (v, c) -> a +. (c *. x.(v))) 0. coeffs in
+    ignore (Lp_model.add_row m Lp_model.Le (0.8 *. act) coeffs)
+  done
+
+(* Cutting-plane restarts, as [Row_gen] makes them: each round appends
+   rows the last optimum violates and restarts from its basis with the
+   new rows' slacks basic.  The LPs stay feasible and bounded.  The
+   first lines are [cut_walk]'s. *)
+let test_pin_cuts () =
+  let prng = Prng.of_string "pivot-pin-cuts" in
+  check_pin "cutting-plane restarts"
+      [
+        "optimal 3 c028000000000000";
+        "optimal 3 c01a000000000000";
+        "optimal 1 c01a000000000000";
+        "optimal 6 c0194f8b9234210d";
+        "optimal 4 c01887b85182ec5d";
+        "optimal 5 c0154cd5a6aca921";
+        "optimal 4 c0119b7e98b23879";
+        "optimal 2 c011925a2f55604b";
+        "optimal 18 c00aaa1505ae4eaa";
+        "optimal 21 c007dbf384a24171";
+        "optimal 20 c005989b7b681564";
+        "optimal 31 c002da9fa4bea5d4";
+        "optimal 42 bfff5745d79b2b22";
+        "optimal 53 c014261aa5917c65";
+        "optimal 76 c0116e873cbb5874";
+        "optimal 82 c00d2c09831390f6";
+        "optimal 138 c008f44e2cae792f";
+        "optimal 139 c0049c75f2ac5bb1";
+        "simplex.iterations=648 simplex.refactorizations=34 simplex.cold_solves=4 simplex.warm_hits=14 health.bland_pivots=0";
+      ]
+    (with_counts @@ fun () ->
+     let walk = ref [] in
+     cut_walk ~check:(fun _ sol -> walk := pin_line sol :: !walk);
+     List.rev !walk
+     @ List.concat_map
+         (fun (nv, nr) ->
+           let m = warm_lp prng ~nv ~nr in
+           let st = ref (Simplex.make m) in
+           let sol = ref (Simplex.solve_warm !st) in
+           let first = pin_line !sol in
+           first
+           :: List.init 4 (fun _ ->
+                  add_cuts prng m ~nv !sol.Simplex.x (1 + (nr / 4));
+                  st := Simplex.restart_from !st;
+                  sol := Simplex.solve_warm !st;
+                  pin_line !sol))
+         [ (12, 8); (60, 40); (150, 90) ])
+
+(* A restart over appended rows keeps its source's eta-file cap: under
+   a cap of one every pivot refactorizes, under the default most do
+   not. *)
+let test_restart_keeps_eta_cap () =
+  let module Trace = Flexile_util.Trace in
+  let restart ?eta_limit () =
+    let prng = Prng.of_string "restart-eta-cap" in
+    let m = warm_lp prng ~nv:40 ~nr:25 in
+    let st = Simplex.make ?eta_limit m in
+    let sol = Simplex.solve_warm st in
+    add_cuts prng m ~nv:40 sol.Simplex.x 8;
+    let names = [ "simplex.iterations"; "simplex.refactorizations" ] in
+    let was = Trace.enabled () in
+    Trace.set_enabled true;
+    Fun.protect ~finally:(fun () -> Trace.set_enabled was) @@ fun () ->
+    let before = List.map Trace.value_by_name names in
+    expect_optimal (Simplex.solve_warm (Simplex.restart_from st));
+    match List.map2 (fun n b -> Trace.value_by_name n - b) names before with
+    | [ iters; refactors ] -> (iters, refactors)
+    | _ -> assert false
+  in
+  let iters, refactors = restart ~eta_limit:1 () in
+  if iters < 2 then Alcotest.failf "only %d pivots after the cuts" iters;
+  (* the dual loop counts its last, pivot-free pass as an iteration *)
+  Alcotest.(check int) "cap 1: the seat and one per pivot" iters refactors;
+  let iters, refactors = restart () in
+  if refactors >= iters then
+    Alcotest.failf "default cap: %d refactorizations over %d pivots" refactors iters
+
+(* Bounds and RHS set on the old columns and rows before a restart over
+   appended rows are the restarted state's, not the model's. *)
+let test_restart_keeps_set_data () =
+  let build ~ub ~rhs =
+    let m = Lp_model.create () in
+    let x = Lp_model.add_var m ~obj:(-1.) ~ub () in
+    let y = Lp_model.add_var m ~obj:(-1.) ~ub:10. () in
+    ignore (Lp_model.add_row m Lp_model.Le rhs [ (x, 1.); (y, 1.) ]);
+    (m, x, y)
+  in
+  let cut m x y = ignore (Lp_model.add_row m Lp_model.Le 9. [ (x, 1.); (y, 2.) ]) in
+  let m, x, y = build ~ub:10. ~rhs:12. in
+  let st = Simplex.make m in
+  expect_optimal (Simplex.solve_warm st);
+  Simplex.set_bounds st x ~lb:0. ~ub:3.;
+  Simplex.set_rhs st 0 5.;
+  cut m x y;
+  let st2 = Simplex.restart_from st in
+  check_float ~msg:"upper bound kept" 3. (Simplex.ub st2 x);
+  let sol = Simplex.solve_warm st2 in
+  expect_optimal sol;
+  let expected, ex, ey = build ~ub:3. ~rhs:5. in
+  cut expected ex ey;
+  check_float ~msg:"restart = cold solve of the set LP"
+    (Simplex.solve expected).Simplex.obj sol.Simplex.obj;
+  check_float ~msg:"the set RHS binds" (-5.) sol.Simplex.obj
+
+(* A state whose coefficients [set_coef] changed restarts with them
+   while the model keeps its rows, and refuses appended rows; a state
+   sharing the model's coefficients takes them. *)
+let test_restart_rows_over_set_coef () =
+  let m = Lp_model.create () in
+  let x = Lp_model.add_var m ~obj:(-1.) ~ub:10. () in
+  let y = Lp_model.add_var m ~obj:(-1.) ~ub:10. () in
+  ignore (Lp_model.add_row m Lp_model.Le 4. [ (x, 1.); (y, 1.) ]);
+  let st = Simplex.make m in
+  expect_optimal (Simplex.solve_warm st);
+  ignore (Lp_model.add_row m Lp_model.Le 3. [ (x, 1.) ]);
+  let st = Simplex.restart_from st in
+  check_float ~msg:"shared coefficients take the row" (-4.)
+    (Simplex.solve_warm st).Simplex.obj;
+  Simplex.set_coef st 0 y 2.;
+  check_float ~msg:"changed coefficient restarts" (-3.5)
+    (Simplex.solve_warm (Simplex.restart_from st)).Simplex.obj;
+  ignore (Lp_model.add_row m Lp_model.Le 1. [ (y, 1.) ]);
+  match Simplex.restart_from st with
+  | _ -> Alcotest.fail "rows appended to changed coefficients were taken"
+  | exception Invalid_argument _ -> ()
+
 (* A seeded binary MIP: nodes, status, bound and incumbent bits, and
    the pivots of every node LP. *)
 let test_pin_mip () =
@@ -987,6 +1134,10 @@ let () =
           quick "rhs re-solve infeasible" test_warm_restart_infeasible;
           quick "row extension (cutting planes)" test_extend_rows;
           quick "fallback keeps the abandoned pivots" test_fallback_pivots_counted;
+          quick "restart over cuts keeps the eta cap" test_restart_keeps_eta_cap;
+          quick "restart over cuts keeps set bounds and rhs" test_restart_keeps_set_data;
+          quick "rows appended to changed coefficients refused"
+            test_restart_rows_over_set_coef;
         ] );
       ( "row-generation",
         [ quick "lazy rows" test_row_gen; quick "cut short by max_rounds" test_row_gen_cut_short ] );
@@ -1003,10 +1154,11 @@ let () =
         [
           quick "cold solves" test_pin_cold;
           quick "warm restarts" test_pin_warm;
+          quick "cutting-plane restarts" test_pin_cuts;
           quick "mip" test_pin_mip;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Fuzz.to_alcotest
           [
             qcheck_2d_lp;
             qcheck_feasibility;

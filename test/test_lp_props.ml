@@ -314,7 +314,6 @@ let qcheck_copy_matches_restart =
       let st = Simplex.make m in
       let first = Simplex.solve_warm st in
       let point = Simplex.restart_from st in
-      Simplex.prime_duals point;
       let sibling = Simplex.copy point in
       let nominal = Simplex.solve_warm (Simplex.copy point) in
       (* columns surely basic (strictly inside their bounds) and surely
@@ -378,12 +377,21 @@ let test_warm_fallback_counters () =
   expect_status "first solve" "optimal" sol1;
   Alcotest.(check int) "first solve is cold" (c0 + 1) (v "simplex.cold_solves");
   let a0 = v "simplex.warm_attempts" and c1 = v "simplex.cold_solves" in
+  let per_solve () = Trace.hist_snapshot_by_name "simplex.iterations_per_solve" in
+  let p0 = per_solve () in
   let sol2 = warm_with_rhs st [| 7. |] in
   expect_status "rhs 7" "infeasible" sol2;
   Alcotest.(check int) "warm attempt counted" (a0 + 1)
     (v "simplex.warm_attempts");
   Alcotest.(check int) "infeasibility confirmed by a cold solve" (c1 + 1)
     (v "simplex.cold_solves");
+  (* the restart and its confirming cold solve are one solve *)
+  let p1 = per_solve () in
+  Alcotest.(check int) "one per-solve observation" (p0.Trace.hist_count + 1)
+    p1.Trace.hist_count;
+  Alcotest.(check (float 0.)) "of the reported iterations"
+    (float_of_int sol2.Simplex.iterations)
+    (p1.Trace.hist_sum -. p0.Trace.hist_sum);
   let c2 = v "simplex.cold_solves" in
   let sol3 = warm_with_rhs st [| 3. |] in
   expect_status "rhs 3" "optimal" sol3;
@@ -465,9 +473,9 @@ let () =
   Alcotest.run "flexile_lp_props"
     [
       ( "duality",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_weak_duality ] );
+        List.map Fuzz.to_alcotest [ qcheck_weak_duality ] );
       ( "warm-vs-cold",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Fuzz.to_alcotest
           [
             qcheck_warm_walk_differential;
             qcheck_warm_walk_tight_refactor;
@@ -475,8 +483,7 @@ let () =
             qcheck_copy_matches_restart;
           ]
         @ [
-            QCheck_alcotest.to_alcotest ~rand:(Fuzz.rand ())
-              qcheck_reused_state_cold;
+            Fuzz.to_alcotest qcheck_reused_state_cold;
           ]
         @ [ quick "duplicate rows recovery" test_duplicate_rows_recovery ] );
       ( "trace-counters",

@@ -348,9 +348,8 @@ let () =
           quick "parse without pruning" test_gml_no_prune;
           quick "roundtrip" test_gml_roundtrip;
           quick "malformed input" test_gml_errors;
-          QCheck_alcotest.to_alcotest ~rand:(Fuzz.rand ())
-            prop_mutated_gml_parses;
+          Fuzz.to_alcotest prop_mutated_gml_parses;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest qcheck_generator_invariants ] );
+        [ Fuzz.to_alcotest qcheck_generator_invariants ] );
     ]

@@ -472,7 +472,7 @@ let () =
           quick "ScenBest merge_classes" test_oracle_scenbest;
         ] );
       ( "restart",
-        QCheck_alcotest.to_alcotest qcheck_restart_bits
+        Fuzz.to_alcotest qcheck_restart_bits
         :: [
              quick "level budget = reference" test_restart_level_budget;
              quick "demand factors refactor some copies" test_copies_refactor;

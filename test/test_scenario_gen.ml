@@ -695,7 +695,7 @@ let () =
       ( "mix parsing",
         [
           quick "errors name the token" test_parse_mix_errors;
-          QCheck_alcotest.to_alcotest ~rand:(Fuzz.rand ()) prop_mutated_mix_parses;
+          Fuzz.to_alcotest prop_mutated_mix_parses;
         ] );
       ( "regression",
         [

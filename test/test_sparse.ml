@@ -553,7 +553,8 @@ let test_mixed_bound_certificates () =
   at_least "free and one-sided" 400 !n
 
 (* Cutting-plane rounds: each cut is a random row through a point just
-   inside the current optimum's activity, appended with [extend]. *)
+   inside the current optimum's activity, appended to the model, and the
+   next round restarts from the last basis with [restart_from]. *)
 let test_extend_certificates () =
   let n = ref 0 in
   for trial = 1 to 200 do
@@ -578,7 +579,7 @@ let test_extend_certificates () =
             (Lp_model.add_row m Lp_model.Le
                (act -. Prng.uniform prng 0. 1.)
                coeffs);
-          st := Simplex.extend !st m;
+          st := Simplex.restart_from !st;
           sol := Simplex.solve_warm !st;
           n :=
             !n + certify (Printf.sprintf "extend %d/%d" trial round) m !sol
@@ -742,7 +743,7 @@ let test_known_status () =
   expect "warm rhs back" "optimal" (Simplex.solve_warm st);
   ignore (Lp_model.add_row m Lp_model.Ge 5. [ (x, 1.) ]);
   expect "extend with a cut past the box" "infeasible"
-    (Simplex.solve_warm (Simplex.extend st m));
+    (Simplex.solve_warm (Simplex.restart_from st));
   (* min -x - y  s.t.  x - y <= 1 over the nonnegative quadrant *)
   let m = Lp_model.create () in
   let x = Lp_model.add_var m ~obj:(-1.) () in

@@ -370,7 +370,7 @@ let () =
   Alcotest.run "flexile_te_props"
     [
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Fuzz.to_alcotest
           [
             qcheck_scheme_invariants;
             qcheck_maxmin_matches_minmax;

@@ -421,6 +421,55 @@ let golden_tests =
           Alcotest.(check string) name expected (pin (builder inst))))
     golden_cases
 
+(* ---------- cutting-plane restarts ----------
+
+   Row generation on IBM (40 scenarios, 60 pairs): each round appends the
+   violated rows to the model and restarts from the last optimal basis
+   with the new rows' slacks basic.  Its rounds, the objective's bits,
+   the pivots and the refactorizations (one per restart, plus those the
+   eta file forces) pin that restart. *)
+
+let row_gen_pin run =
+  let module Trace = Flexile_util.Trace in
+  let names = [ "simplex.iterations"; "simplex.refactorizations" ] in
+  let inst = Flexile_core.Builder.of_name ~options:small_options "IBM" in
+  let was = Trace.enabled () in
+  Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Trace.set_enabled was) @@ fun () ->
+  let before = List.map Trace.value_by_name names in
+  let rounds, obj = run inst in
+  match List.map2 (fun n b -> Trace.value_by_name n - b) names before with
+  | [ iters; refactors ] ->
+      Printf.sprintf "rounds=%d obj=%Lx iters=%d refactors=%d" rounds
+        (Int64.bits_of_float obj) iters refactors
+  | _ -> assert false
+
+let row_gen_cvar (run : ?jobs:int -> Instance.t -> Cvar_flow.result) inst =
+  let r = run ~jobs:1 inst in
+  (r.Cvar_flow.rounds, r.Cvar_flow.max_flow_cvar)
+
+let row_gen_cases =
+  [
+    ( "teavar ibm",
+      (fun inst ->
+        let r = Teavar.run ~jobs:1 inst in
+        (r.Teavar.rounds, r.Teavar.cvar)),
+      "rounds=5 obj=3fef397afbcbd007 iters=563 refactors=10" );
+    ( "cvar-flow-st ibm",
+      row_gen_cvar Cvar_flow.run_static,
+      "rounds=2 obj=3fee1627df6ce0b5 iters=945 refactors=10" );
+    ( "cvar-flow-ad ibm",
+      row_gen_cvar Cvar_flow.run_adaptive,
+      "rounds=4 obj=3fee15e3d5d3a876 iters=2871 refactors=10" );
+  ]
+
+let row_gen_tests =
+  List.map
+    (fun (name, run, expected) ->
+      quick name (fun () ->
+          Alcotest.(check string) name expected (row_gen_pin run)))
+    row_gen_cases
+
 (* ---------- demand drift in the static-allocation schemes ---------- *)
 
 (* The same instance with every demand factor 1. *)
@@ -697,6 +746,7 @@ let () =
           slow "max-scale ordering" test_max_scale_monotone;
         ] );
       ("golden builders", golden_tests);
+      ("row-gen pin", row_gen_tests);
       ( "demand drift",
         [
           quick "unit factors change nothing" test_unit_factors_identical;

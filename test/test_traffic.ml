@@ -151,6 +151,6 @@ let () =
           quick "pearson" test_pearson;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Fuzz.to_alcotest
           [ qcheck_var_monotone; qcheck_cvar_dominates_var ] );
     ]

@@ -210,7 +210,5 @@ let () =
           quick "number rule and escapes" test_number_rule;
           quick "to_int" test_to_int;
         ]
-        @ List.map
-            (QCheck_alcotest.to_alcotest ~rand:(Fuzz.rand ()))
-            [ prop_round_trip; prop_mutated_report_parses ] );
+        @ List.map Fuzz.to_alcotest [ prop_round_trip; prop_mutated_report_parses ] );
     ]
