@@ -13,7 +13,8 @@
      dune exec bench/main.exe -- --chrome out.json -- Chrome/Perfetto trace
 
    FLEXILE_BENCH_SCENARIOS, FLEXILE_BENCH_PAIRS, FLEXILE_BENCH_EMU_RUNS
-   and FLEXILE_BENCH_CVAR_SCENARIOS shrink the figure profile. *)
+   and FLEXILE_BENCH_CVAR_SCENARIOS shrink the figure profile; each must
+   be a positive integer, and --jobs nonnegative. *)
 
 open Flexile_core
 module Parallel = Flexile_util.Parallel
@@ -198,18 +199,23 @@ let () =
   if !json <> "" || !chrome <> "" then Trace.set_enabled true;
   let profile = if !full then Figures.full else Figures.quick in
   (* environment overrides for constrained machines / CI; a malformed
-     value is an error, not a silent fall-back to the default profile *)
+     or out-of-range value is an error before any figure runs, not a
+     silent fall-back to the default profile *)
   let getenv_int name current =
     match Sys.getenv_opt name with
     | None -> current
     | Some v -> (
         match int_of_string_opt (String.trim v) with
-        | Some i -> i
-        | None ->
-            Printf.eprintf "bench: %s=%S is not an integer\n" name v;
+        | Some i when i >= 1 -> i
+        | _ ->
+            Printf.eprintf "bench: %s=%S is not a positive integer\n" name v;
             exit 2)
   in
   let jobs = !jobs in
+  if jobs < 0 then begin
+    Printf.eprintf "bench: --jobs %d is negative (0 = auto)\n" jobs;
+    exit 2
+  end;
   let profile =
     {
       profile with

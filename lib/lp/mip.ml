@@ -1,8 +1,9 @@
 module Trace = Flexile_util.Trace
 
 (* Per search: node LPs solved, nodes left open, nodes dropped with an
-   unbounded or cut-short LP, and why it stopped (exactly one of the
-   two stop counters).  A search that ran out of nodes to explore but
+   unbounded or cut-short LP or an optimal point that breaks the node's
+   constraints, and why it stopped (exactly one of the two stop
+   counters).  A search that ran out of nodes to explore but
    dropped some reads [stop_exhausted] with a nonzero [nodes_dropped]. *)
 let c_nodes = Trace.counter "mip.nodes"
 let c_open_at_stop = Trace.counter "mip.open_nodes_at_stop"
@@ -26,9 +27,11 @@ type result = {
 }
 
 (* An incumbent within [gap_tol] of the bound is optimal; a value within
-   [int_tol] of an integer is integral. *)
+   [int_tol] of an integer is integral; a point within [feas_tol] of
+   every bound and row is feasible. *)
 let gap_tol = 1e-6
 let int_tol = 1e-6
+let feas_tol = 1e-6
 
 (* A node is the list of (binary variable, fixed value) decisions on the
    path from the root, plus the parent's LP bound for pruning. *)
@@ -100,7 +103,7 @@ let solve ?(node_limit = 5000) ?heuristic ~binaries model =
             if
               Array.length cand = nv
               && is_integral cand binaries
-              && Simplex.max_violation lp_state cand <= 1e-6
+              && Simplex.max_violation lp_state cand <= feas_tol
             then try_incumbent cand (Lp_model.objective_value model cand))
   in
   let best_proven = ref neg_infinity in
@@ -123,12 +126,19 @@ let solve ?(node_limit = 5000) ?heuristic ~binaries model =
                (fun (j, v) -> Simplex.set_bounds lp_state j ~lb:v ~ub:v)
                nd.fixings;
              let lp = Simplex.solve_cold lp_state in
+             (* an optimal basis whose point breaks the node's own
+                bounds or rows proves no bound: dropped as cut short *)
+             let broken =
+               lp.Simplex.status = Simplex.Optimal
+               && Simplex.max_violation lp_state lp.Simplex.x > feas_tol
+             in
              List.iter
                (fun (j, _) -> Simplex.set_bounds lp_state j ~lb:0. ~ub:1.)
                nd.fixings;
              match lp.Simplex.status with
              | Simplex.Infeasible -> ()
              | Simplex.Unbounded | Simplex.Iteration_limit -> drop nd
+             | Simplex.Optimal when broken -> drop nd
              | Simplex.Optimal ->
                  if lp.Simplex.obj < !incumbent_obj -. gap_tol then begin
                    if nd.fixings = [] then

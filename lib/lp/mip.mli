@@ -10,13 +10,15 @@
     the best proven lower bound, so callers can report an optimality
     gap.
 
-    A node whose LP relaxation reads [Unbounded] or stops at its
-    iteration limit is dropped unbounded: it counts as a limit, and its
-    parent's bound stays in the frontier.  Such a search ends
-    [Feasible] or [Limit], never [Optimal] or [Infeasible], and the
-    trace counter [mip.nodes_dropped] counts the dropped nodes, so a
-    search cut by a dropped node is told apart from one that exhausted
-    its tree (both stop with [mip.stop_exhausted]).
+    A node whose LP relaxation reads [Unbounded], stops at its
+    iteration limit, or ends [Optimal] at a point that breaks the
+    node's bounds or rows by more than 1e-6 (a degenerate pivot on a
+    tiny element can leave one) is dropped unbounded: it counts as a
+    limit, and its parent's bound stays in the frontier.  Such a
+    search ends [Feasible] or [Limit], never [Optimal] or
+    [Infeasible], and the trace counter [mip.nodes_dropped] counts the
+    dropped nodes, so a search cut by a dropped node is told apart from
+    one that exhausted its tree (both stop with [mip.stop_exhausted]).
 
     A search makes one [Simplex] state.  Each node sets its fixings on
     that state, solves it cold from slack ([Simplex.solve_cold]) and

@@ -168,15 +168,11 @@ let binding_edges ctx (row_duals : float array) =
   done;
   !acc
 
-(* a class group of the max-min solves at most this many levels *)
-let max_levels = 12
-
 (* SWAN-style max-min on flow loss over the scenario's state.  Each
    level activates the level rows of the flows still active and
    re-optimizes from the previous level's basis (the first level from
    the nominal basis); freezing a flow caps its loss and deactivates
    its row. *)
-
 let maxmin_losses inst ~sid ~class_order ?(merge_classes = false)
     ?(freeze_routing = false) ?(prefrozen = []) ?duals () =
   let ctx = build inst ~sid in
@@ -204,15 +200,13 @@ let maxmin_losses inst ~sid ~class_order ?(merge_classes = false)
           ~ub:(Float.min 1. cap))
     prefrozen;
   let results = ref [] in
+  (* a participating flow has positive demand, hence a loss variable *)
   let freeze fid v =
-    if ctx.l.(fid) >= 0 then begin
-      let lb = Simplex.lb st ctx.l.(fid) in
-      let ub = Float.min (Simplex.ub st ctx.l.(fid)) (Float.max lb v) in
-      Simplex.set_bounds st ctx.l.(fid) ~lb ~ub;
-      Simplex.set_rhs st level_rows.(fid) level_inactive;
-      results := (fid, ub) :: !results
-    end
-    else results := (fid, v) :: !results
+    let lb = Simplex.lb st ctx.l.(fid) in
+    let ub = Float.min (Simplex.ub st ctx.l.(fid)) (Float.max lb v) in
+    Simplex.set_bounds st ctx.l.(fid) ~lb ~ub;
+    Simplex.set_rhs st level_rows.(fid) level_inactive;
+    results := (fid, ub) :: !results
   in
   let groups =
     if merge_classes then [ class_order ]
@@ -238,71 +232,37 @@ let maxmin_losses inst ~sid ~class_order ?(merge_classes = false)
       in
       (* activate level rows for this class *)
       List.iter (fun fid -> Simplex.set_rhs st level_rows.(fid) level_active) !active;
-      let level = ref 0 in
-      let last_lambda = ref 1. in
       let last_sol = ref None in
-      while !active <> [] && !level < max_levels do
-        incr level;
+      (* Every level freezes at least one active flow, so the group
+         solves at most |active| levels.  A level at lam > 1e-7 freezes
+         the flows whose level rows are dual-binding: they cannot do
+         better than lam.  lambda has cost 1 and appears only in the
+         active level rows (an inactive row holds with slack), so when
+         lambda > 0 their duals sum to 1 and some row binds; should
+         numerics leave none above 1e-9, every active flow freezes at
+         lam, which only guards termination. *)
+      while !active <> [] do
         let sol = Simplex.solve_warm st in
         match sol.Simplex.status with
         | Simplex.Optimal ->
             capture sol;
             last_sol := Some sol.Simplex.x;
             let lam = Float.max 0. sol.Simplex.x.(lambda) in
-            last_lambda := lam;
-            if lam <= 1e-7 then begin
-              List.iter (fun fid -> freeze fid 0.) !active;
-              active := []
-            end
-            else begin
-              (* freeze the flows whose level rows are dual-binding:
-                 they are the ones that cannot do better than lam *)
-              let stuck, rest =
-                List.partition
-                  (fun fid ->
-                    sol.Simplex.row_duals.(level_rows.(fid)) > 1e-9)
-                  !active
-              in
-              if stuck <> [] then begin
-                List.iter (fun fid -> freeze fid lam) stuck;
-                active := rest
-              end
-              else begin
-                (* degenerate duals: fall back to the identification LP
-                   (minimize total active loss at level lam) *)
-                Simplex.set_obj st lambda 0.;
-                Simplex.set_bounds st lambda ~lb:0. ~ub:lam;
-                List.iter (fun fid -> Simplex.set_obj st ctx.l.(fid) 1.) !active;
-                let sol2 = Simplex.solve_warm st in
-                (match sol2.Simplex.status with
-                | Simplex.Optimal -> last_sol := Some sol2.Simplex.x
-                | _ -> ());
-                List.iter (fun fid -> Simplex.set_obj st ctx.l.(fid) 0.) !active;
-                Simplex.set_obj st lambda 1.;
-                Simplex.set_bounds st lambda ~lb:0. ~ub:1.;
-                let stuck, rest =
-                  match sol2.Simplex.status with
-                  | Simplex.Optimal ->
-                      List.partition
-                        (fun fid -> sol2.Simplex.x.(ctx.l.(fid)) >= lam -. 1e-6)
-                        !active
-                  | _ -> (!active, [])
-                in
-                let stuck = if stuck = [] then !active else stuck in
-                List.iter (fun fid -> freeze fid lam) stuck;
-                active :=
-                  (match sol2.Simplex.status with
-                  | Simplex.Optimal -> rest
-                  | _ -> [])
-              end
-            end
+            let binding fid = sol.Simplex.row_duals.(level_rows.(fid)) > 1e-9 in
+            let v, stuck, rest =
+              if lam <= 1e-7 then (0., !active, [])
+              else
+                match List.partition binding !active with
+                | [], _ -> (lam, !active, [])
+                | stuck, rest -> (lam, stuck, rest)
+            in
+            List.iter (fun fid -> freeze fid v) stuck;
+            active := rest
         | _ ->
             Log.warn (fun m -> m "maxmin scenario %d: LP not optimal" sid);
             List.iter (fun fid -> freeze fid 1.) !active;
             active := []
       done;
-      (* level budget exhausted: freeze the rest at the last level *)
-      List.iter (fun fid -> freeze fid !last_lambda) !active;
       (* SWAN pins the routing of a class before serving lower classes *)
       if freeze_routing then
         match !last_sol with

@@ -92,11 +92,18 @@ val maxmin_losses :
     the {e first} optimal solve (the bottlenecks while the top
     priority group is served) — threaded out of the simplex solution
     already computed, never a re-solve.  Returns [(fid, loss)] for
-    every positive-demand flow of the listed classes.  Each class group
-    solves at most 12 levels; flows still active then freeze at the
-    last level's loss.  A level whose duals leave no level row binding
-    freezes the flows an identification LP (minimum total active loss
-    at that level) cannot lower.
+    every positive-demand flow of the listed classes.
+
+    Each level solves for the least [lambda] over the active flows and
+    freezes, at [lambda], those whose level row has a dual above 1e-9;
+    a level at [lambda <= 1e-7] freezes every active flow at 0.
+    [lambda] has cost 1 and appears only in the active level rows, so
+    at [lambda > 0] their duals sum to 1 and some row binds: every
+    level freezes at least one flow, and a class group solves at most
+    as many levels as it has active flows.  There is no level budget.
+    Should numerics leave no row above 1e-9, every active flow freezes
+    at [lambda]; that guard only ends the loop.  A level whose LP does
+    not end optimal freezes every active flow at loss 1.
 
     Every level re-optimizes with {!Flexile_lp.Simplex.solve_warm},
     on the state of one {!build} of the scenario: the first from the

@@ -29,32 +29,26 @@ let throughput_scenario inst sid =
         |> List.filter (fun (f : Instance.flow) ->
                f.Instance.cls = k && f.Instance.demand > 0.)
       in
-      (* maximize delivered volume = minimize sum of l_f * d_f *)
+      (* maximize delivered volume = minimize sum of l_f * d_f; a
+         positive-demand flow always has a loss variable *)
       List.iter
         (fun (f : Instance.flow) ->
-          if ctx.Scen_lp.l.(f.Instance.fid) >= 0 then
-            Simplex.set_obj st ctx.Scen_lp.l.(f.Instance.fid) f.Instance.demand)
+          Simplex.set_obj st ctx.Scen_lp.l.(f.Instance.fid) f.Instance.demand)
         class_flows;
       let sol = Simplex.solve_warm st in
       List.iter
         (fun (f : Instance.flow) ->
           let fid = f.Instance.fid in
-          if ctx.Scen_lp.l.(fid) >= 0 then begin
-            Simplex.set_obj st ctx.Scen_lp.l.(fid) 0.;
-            match sol.Simplex.status with
-            | Simplex.Optimal ->
-                let v = sol.Simplex.x.(ctx.Scen_lp.l.(fid)) in
-                results := (fid, v) :: !results;
-                (* pin the achieved loss so lower classes cannot
-                   cannibalize this class's allocation *)
-                Simplex.set_bounds st ctx.Scen_lp.l.(fid)
-                  ~lb:(Simplex.lb st ctx.Scen_lp.l.(fid))
-                  ~ub:(Float.min 1. (v +. 1e-9))
-            | _ -> results := (fid, 1.) :: !results
-          end
-          else
-            results :=
-              (fid, if f.Instance.demand <= 0. then 0. else 1.) :: !results)
+          let lv = ctx.Scen_lp.l.(fid) in
+          Simplex.set_obj st lv 0.;
+          match sol.Simplex.status with
+          | Simplex.Optimal ->
+              let v = sol.Simplex.x.(lv) in
+              results := (fid, v) :: !results;
+              (* pin the achieved loss so lower classes cannot
+                 cannibalize this class's allocation *)
+              Simplex.set_bounds st lv ~lb:(Simplex.lb st lv) ~ub:(Float.min 1. (v +. 1e-9))
+          | _ -> results := (fid, 1.) :: !results)
         class_flows;
       (* SWAN pins the class's routing before the next class *)
       match sol.Simplex.status with

@@ -4,19 +4,25 @@
    its scenario and seeds it with the recorded nominal basis, placing
    every nonbasic variable and factoring that basis again
    ([Simplex.restart_from] of the scenario's state, never a copy of
-   it).  The max-min (with its identification-LP fallback and level
-   budget), the min-max loss, the class optimum and SWAN-Throughput are
-   kept unchanged over the public [Scen_lp.ctx], as the reference the
-   shared-state restarts must match bit for bit.  With [~cold:true]
-   the max-min solves every level with [Simplex.solve_cold], from the
-   slack basis: the oracle the restarts' losses are checked against.
-   [solves] collects every solve's iteration count, newest first. *)
+   it).  The max-min, the min-max loss, the class optimum and
+   SWAN-Throughput are kept over the public [Scen_lp.ctx], as the
+   reference the shared-state restarts must match bit for bit.  Like
+   [Scen_lp.maxmin_losses], the max-min has no level budget; unlike it,
+   a level that leaves no level row dual-binding runs an identification
+   LP (minimum total active loss at that level), so a run that reaches
+   such a level differs from the library's, which freezes every active
+   flow there.  With [~cold:true] the max-min solves every level with
+   [Simplex.solve_cold], from the slack basis: the oracle the restarts'
+   losses are checked against.  [solves] collects every solve's
+   iteration count and [levels] every class group's level count,
+   newest first. *)
 
 module Simplex = Flexile_lp.Simplex
 module Instance = Flexile_te.Instance
 module Scen_lp = Flexile_te.Scen_lp
 
 let solves = ref []
+let levels = ref []
 
 let restarted (ctx : Scen_lp.ctx) = Simplex.restart_from ctx.Scen_lp.st
 
@@ -56,8 +62,6 @@ let binding_edges (ctx : Scen_lp.ctx) (row_duals : float array) =
     end
   done;
   !acc
-
-let max_levels = 12
 
 let maxmin_losses ?cold inst ~sid ~class_order ~merge_classes ~freeze_routing ~prefrozen ~duals =
   let ctx = Scen_lp.build inst ~sid in
@@ -117,9 +121,8 @@ let maxmin_losses ?cold inst ~sid ~class_order ~merge_classes ~freeze_routing ~p
       in
       List.iter (fun fid -> Simplex.set_rhs st level_rows.(fid) level_active) !active;
       let level = ref 0 in
-      let last_lambda = ref 1. in
       let last_sol = ref None in
-      while !active <> [] && !level < max_levels do
+      while !active <> [] do
         incr level;
         let sol = solve () in
         match sol.Simplex.status with
@@ -127,7 +130,6 @@ let maxmin_losses ?cold inst ~sid ~class_order ~merge_classes ~freeze_routing ~p
             capture sol;
             last_sol := Some sol.Simplex.x;
             let lam = Float.max 0. sol.Simplex.x.(lambda) in
-            last_lambda := lam;
             if lam <= 1e-7 then begin
               List.iter (fun fid -> freeze fid 0.) !active;
               active := []
@@ -168,7 +170,7 @@ let maxmin_losses ?cold inst ~sid ~class_order ~merge_classes ~freeze_routing ~p
             List.iter (fun fid -> freeze fid 1.) !active;
             active := []
       done;
-      List.iter (fun fid -> freeze fid !last_lambda) !active;
+      levels := !level :: !levels;
       if freeze_routing then
         match !last_sol with
         | None -> ()

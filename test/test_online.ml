@@ -230,25 +230,32 @@ let restart_instance k =
       Hashtbl.add restart_instances key inst;
       inst
 
+(* A case's drawn class order and, per scenario, its random caps on
+   random flows. *)
+let restart_draws (k, salt) =
+  let inst = restart_instance k in
+  let prng = Prng.of_string (Printf.sprintf "restart-%d" salt) in
+  let classes = Array.of_list (all_classes inst) in
+  Prng.shuffle prng classes;
+  let prefrozen =
+    Array.init (Instance.nscenarios inst) (fun _ ->
+        Array.to_list inst.Instance.flows
+        |> List.filter_map (fun (f : Instance.flow) ->
+               if f.Instance.demand > 0. && Prng.bool prng 0.25 then
+                 Some (f.Instance.fid, Prng.uniform prng 0. 1.2)
+               else None))
+  in
+  (inst, Array.to_list classes, prefrozen)
+
 (* Every scenario of the instance: the max-min under a random class
    order, random caps on random flows and the drawn merge and freeze
    options, with its captured duals; every class optimum; and
    SWAN-Throughput's loss matrix. *)
 let restart_case (k, salt, merge_classes, freeze_routing) =
-  let inst = restart_instance k in
-  let prng = Prng.of_string (Printf.sprintf "restart-%d" salt) in
-  let classes = Array.of_list (all_classes inst) in
-  Prng.shuffle prng classes;
-  let class_order = Array.to_list classes in
+  let inst, class_order, drawn = restart_draws (k, salt) in
   let ok = ref true in
   for sid = 0 to Instance.nscenarios inst - 1 do
-    let prefrozen =
-      Array.to_list inst.Instance.flows
-      |> List.filter_map (fun (f : Instance.flow) ->
-             if f.Instance.demand > 0. && Prng.bool prng 0.25 then
-               Some (f.Instance.fid, Prng.uniform prng 0. 1.2)
-             else None)
-    in
+    let prefrozen = drawn.(sid) in
     let production =
       traced (fun () ->
           let duals = ref [] in
@@ -302,14 +309,28 @@ let qcheck_restart_bits =
         Gen.(quad (int_bound (Array.length restart_keys - 1)) (int_bound 1_000_000) bool bool))
     restart_case_traced
 
-(* A drawn case whose scenario 13 still has 42 flows active after 12
-   levels, so the level budget freezes them at the twelfth level's
-   loss: the restarts keep the reference's budget. *)
-let test_restart_level_budget () =
+(* A drawn case (merged classes, frozen routing) whose scenario 13
+   max-mins a 79-flow class group in 13 levels: past twelve levels the
+   restarts still equal the reference bit for bit, and their losses
+   are those of cold solves. *)
+let test_restart_many_levels () =
   let k = ref (-1) in
   Array.iteri (fun i key -> if key = ("IBM", true, "srlg,partial") then k := i) restart_keys;
-  if not (restart_case_traced (!k, 687709, true, true)) then
-    Alcotest.fail "IBM two-class srlg,partial salt 687709: restarts differ from the reference"
+  let salt = 687709 in
+  Online_restart_ref.levels := [];
+  if not (restart_case_traced (!k, salt, true, true)) then
+    Alcotest.fail "IBM two-class srlg,partial salt 687709: restarts differ from the reference";
+  let most = List.fold_left max 0 !Online_restart_ref.levels in
+  if most <= 12 then Alcotest.failf "the longest class group took %d levels, not more than 12" most;
+  let inst, class_order, prefrozen = restart_draws (!k, salt) in
+  let warm sid =
+    Scen_lp.maxmin_losses inst ~sid ~class_order ~merge_classes:true ~freeze_routing:true
+      ~prefrozen:prefrozen.(sid) ()
+  and cold sid =
+    Online_restart_ref.maxmin_losses ~cold:true inst ~sid ~class_order ~merge_classes:true
+      ~freeze_routing:true ~prefrozen:prefrozen.(sid) ~duals:ignore
+  in
+  check_against_cold "salt 687709" inst ~warm ~cold
 
 (* The refactor-on-coefficient branch runs: on IBM drift some copies
    refactor.  A seeded restart factors once per solver state, a copy
@@ -474,7 +495,7 @@ let () =
       ( "restart",
         Fuzz.to_alcotest qcheck_restart_bits
         :: [
-             quick "level budget = reference" test_restart_level_budget;
+             quick "past twelve levels = reference and cold" test_restart_many_levels;
              quick "demand factors refactor some copies" test_copies_refactor;
              quick "nominal state read-only at jobs 1, 2, 4" test_nominal_read_only;
            ] );

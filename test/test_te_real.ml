@@ -470,6 +470,29 @@ let row_gen_tests =
           Alcotest.(check string) name expected (row_gen_pin run)))
     row_gen_cases
 
+(* ---------- B&B node LPs that break their own bounds ---------- *)
+
+(* The offline solve of B4 at the CLI's defaults: some Benders-master
+   node LPs end "optimal" at a point off their bounds (a basic binary
+   at 1.71 under upper bound 1).  Branch and bound drops those nodes,
+   as it drops a cut-short LP, and the best penalty keeps its bits. *)
+let test_mip_drops_broken_nodes () =
+  let module Trace = Flexile_util.Trace in
+  let inst = Flexile_core.Builder.of_name "B4" in
+  let was = Trace.enabled () in
+  Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Trace.set_enabled was) @@ fun () ->
+  let before = Trace.value_by_name "mip.nodes_dropped" in
+  let r =
+    Flexile_offline.solve
+      ~config:{ Flexile_offline.default_config with Flexile_offline.jobs = 1 }
+      inst
+  in
+  Alcotest.(check string) "best penalty bits" "0x1.b479e416cae7fp-4"
+    (Printf.sprintf "%h" r.Flexile_offline.best.Flexile_offline.penalty);
+  if Trace.value_by_name "mip.nodes_dropped" - before <= 0 then
+    Alcotest.fail "no node LP was dropped"
+
 (* ---------- demand drift in the static-allocation schemes ---------- *)
 
 (* The same instance with every demand factor 1. *)
@@ -747,6 +770,7 @@ let () =
         ] );
       ("golden builders", golden_tests);
       ("row-gen pin", row_gen_tests);
+      ("mip", [ quick "B4 drops node LPs off their bounds" test_mip_drops_broken_nodes ]);
       ( "demand drift",
         [
           quick "unit factors change nothing" test_unit_factors_identical;
