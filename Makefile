@@ -40,7 +40,7 @@ qcheck-seeds: | $(SMOKE_DIR)
 
 # flexile-lint, fast syntactic stage: AST-level determinism/
 # concurrency/hygiene invariants (DESIGN.md section 9).  Writes the
-# machine-readable v2 summary to smoke/lint-summary.json (uploaded as
+# machine-readable v3 summary to smoke/lint-summary.json (uploaded as
 # a CI artifact on failure) and exits non-zero on any unsuppressed
 # finding.  Runs pre-build by design: it parses sources directly.
 lint: | $(SMOKE_DIR)

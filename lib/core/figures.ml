@@ -1,3 +1,7 @@
+(* A human-readable report renderer whose whole job is terminal
+   output, invoked only from the CLI / bench driver. *)
+[@@@lint.allow "h1-io"]
+
 open Flexile_te
 module Stats = Flexile_util.Stats
 module Prng = Flexile_util.Prng

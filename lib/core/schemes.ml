@@ -103,7 +103,8 @@ let run ?(jobs = 0) scheme inst =
     (fun () ->
       match scheme with
       | Flexile ->
-          (Flexile_scheme.run ~jobs inst).Flexile_scheme.losses
+          let config = { Flexile_offline.default_config with jobs } in
+          (Flexile_scheme.run ~config inst).Flexile_scheme.losses
       | Smore -> Scenbest.run ~jobs inst
       | Scenbest_multi -> Scenbest.run_multi ~jobs inst
       | Teavar ->

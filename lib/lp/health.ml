@@ -368,8 +368,10 @@ let sample state ~basis ~pat ~kind ~phase ~iteration ~col ~cb ~btilde ~xb
 
 let note_stall state ~phase ~iteration ~run =
   Trace.incr c_stalls;
-  state.stalls <-
-    { st_phase = phase; st_iteration = iteration; st_run = run } :: state.stalls
+  if state.capture then
+    state.stalls <-
+      { st_phase = phase; st_iteration = iteration; st_run = run }
+      :: state.stalls
 
 let note_loop_end state ~phase ~iterations ~max_run ~bland =
   if max_run > 0 then Trace.observe h_degen (float_of_int max_run);

@@ -93,6 +93,8 @@ val samples : state -> sample list
 (** Captured samples, oldest first.  Empty unless [capture]. *)
 
 val stalls : state -> stall list
+(** Captured stalls, oldest first.  Empty unless [capture]. *)
+
 val loop_notes : state -> loop_note list
 
 val clear : state -> unit

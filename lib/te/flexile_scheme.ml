@@ -3,14 +3,7 @@ type result = {
   offline : Flexile_offline.result;
 }
 
-let run ?config ?(jobs = 0) inst =
-  let config =
-    match config with Some c -> c | None -> Flexile_offline.default_config
-  in
-  (* an explicit [jobs] overrides the config's knob for both phases *)
-  let config =
-    if jobs = 0 then config else { config with Flexile_offline.jobs }
-  in
+let run ?(config = Flexile_offline.default_config) inst =
   let offline = Flexile_offline.solve ~config inst in
   let losses =
     Flexile_online.run ~jobs:config.Flexile_offline.jobs inst ~offline

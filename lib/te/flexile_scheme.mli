@@ -8,6 +8,6 @@ type result = {
   offline : Flexile_offline.result;
 }
 
-val run : ?config:Flexile_offline.config -> ?jobs:int -> Instance.t -> result
-(** [jobs] (0 = auto) overrides [config.jobs] for the offline sweep and
-    sets the online phase's fan-out. *)
+val run : ?config:Flexile_offline.config -> Instance.t -> result
+(** [config.jobs] (0 = auto) sets the fan-out of both the offline sweep
+    and the online phase. *)

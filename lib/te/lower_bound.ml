@@ -32,20 +32,15 @@ let max_alone inst (f : Instance.flow) sid =
   end
 
 let isolated_losses inst =
-  let losses = Instance.alloc_losses inst in
-  Array.iter
-    (fun (f : Instance.flow) ->
-      for sid = 0 to Instance.nscenarios inst - 1 do
-        let demand = Instance.demand_in inst f sid in
-        if demand <= 0. then losses.(f.Instance.fid).(sid) <- 0.
-        else begin
-          let m = max_alone inst f sid in
-          losses.(f.Instance.fid).(sid) <-
-            Float.max 0. (Float.min 1. (1. -. (m /. demand)))
-        end
-      done)
-    inst.Instance.flows;
-  losses
+  Scenario_engine.sweep_losses inst ~f:(fun sid ->
+      Array.fold_right
+        (fun (f : Instance.flow) acc ->
+          let demand = Instance.demand_in inst f sid in
+          let loss =
+            if demand <= 0. then 0. else 1. -. (max_alone inst f sid /. demand)
+          in
+          (f.Instance.fid, loss) :: acc)
+        inst.Instance.flows [])
 
 let perc_loss_lower_bound inst ~cls =
   let iso = isolated_losses inst in

@@ -1,3 +1,11 @@
+(* The domain pool and the per-domain trace state are the only modules
+   allowed to own concurrency primitives (DESIGN.md sections 6-7). *)
+[@@@lint.allow "c1-concurrency"]
+
+(* A mutex-guarded process-global pool: shared by design and touched
+   only at handle creation / aggregation time. *)
+[@@@lint.allow "c2-global-mut"]
+
 let max_jobs = 64
 
 (* per-map sweep accounting: one [parallel.maps] per call at any job

@@ -9,6 +9,14 @@
    task handoff orders their state writes before the caller's reads, so
    quiescent-point aggregation needs no further synchronization. *)
 
+(* The domain pool and the per-domain trace state are the only modules
+   allowed to own concurrency primitives (DESIGN.md sections 6-7). *)
+[@@@lint.allow "c1-concurrency"]
+
+(* A mutex-guarded process-global metric registry: shared by design
+   and touched only at handle creation / aggregation time. *)
+[@@@lint.allow "c2-global-mut"]
+
 (* ------------------------------------------------------------------ *)
 (* Enable flag                                                         *)
 (* ------------------------------------------------------------------ *)

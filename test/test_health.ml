@@ -66,6 +66,21 @@ let test_eta_limit_walk () =
       (List.length (Health.stalls h))
   done
 
+(* the stall timeline, like samples and loop notes, is kept only
+   under capture *)
+let test_stalls_need_capture () =
+  let st = Health.make 4 in
+  Health.note_stall st ~phase:2 ~iteration:7 ~run:120;
+  Alcotest.(check int) "no capture, no timeline" 0
+    (List.length (Health.stalls st));
+  Health.set_capture st true;
+  Health.note_stall st ~phase:2 ~iteration:9 ~run:121;
+  match Health.stalls st with
+  | [ s ] ->
+      Alcotest.(check (list int)) "captured stall" [ 2; 9; 121 ]
+        [ s.Health.st_phase; s.Health.st_iteration; s.Health.st_run ]
+  | l -> Alcotest.failf "expected 1 captured stall, got %d" (List.length l)
+
 (* ---- production sampling stride ---- *)
 
 (* capture mode samples every opportunity; production samples every
@@ -617,6 +632,8 @@ let () =
             test_eta_limit_walk;
           Alcotest.test_case "production sampling stride" `Quick
             test_sampling_stride;
+          Alcotest.test_case "stalls kept only under capture" `Quick
+            test_stalls_need_capture;
           Alcotest.test_case "health equal at jobs 1, 2, 4" `Quick
             test_health_across_jobs;
           Alcotest.test_case "near-singular fixture fires cond+stall+rows"

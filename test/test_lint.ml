@@ -1,6 +1,6 @@
 (* flexile-lint engine tests: one positive (flagged) and one negative
-   (clean) fixture per rule id, suppression via [@lint.allow], config
-   allowlisting, zone gating, and the JSON summary shape. *)
+   (clean) fixture per rule id, suppression via [@lint.allow] and
+   floating [@@@lint.allow], zone gating, and the JSON summary shape. *)
 
 module E = Flexile_lint.Lint_engine
 module Json = Flexile_util.Json
@@ -37,17 +37,14 @@ let d1_negative () =
   check_rules "~random:false is fine" []
     (lint {|let f () = Hashtbl.create ~random:false 16|})
 
-let d1_config_allow () =
-  (* the stale d1 entry for prng.ml was removed when staleness checking
-     landed: a raw Random use there is a finding again... *)
-  let r = lint ~file:"lib/util/prng.ml" {|let f () = Random.int 5|} in
-  check_rules "prng.ml no longer allowlisted" [ "d1-nondet" ] r;
-  (* ...while the live h1 entry for the figure renderer still counts *)
-  let r =
-    lint ~file:"lib/core/figures.ml" {|let f x = Printf.printf "%d" x|}
-  in
-  check_rules "figures.ml allowlisted for h1" [] r;
-  Alcotest.(check int) "counted as config-allowed" 1 r.E.config_suppressed
+let d1_no_path_allow () =
+  (* a path exempts nothing by itself: a raw Random use in prng.ml, or
+     a printf in the figure renderer without its file's floating
+     allow, is a finding *)
+  check_rules "prng.ml" [ "d1-nondet" ]
+    (lint ~file:"lib/util/prng.ml" {|let f () = Random.int 5|});
+  check_rules "figures.ml without its allow" [ "h1-io" ]
+    (lint ~file:"lib/core/figures.ml" {|let f x = Printf.printf "%d" x|})
 
 let d1_zone_gate () =
   (* d1 only applies to lib/: the bench driver may read the wall clock *)
@@ -110,12 +107,14 @@ let c1_positive () =
 let c1_negative () =
   check_rules "Parallel API is the fix" []
     (lint {|let f xs = Flexile_util.Parallel.map ~jobs:4 xs|});
-  (* the pool implementation itself is allowlisted in Lint_config *)
+  (* the pool implementation itself carries a floating allow *)
   let r =
-    lint ~file:"lib/util/parallel.ml" {|let f () = Mutex.create ()|}
+    lint ~file:"lib/util/parallel.ml"
+      {|[@@@lint.allow "c1-concurrency"]
+let f () = Mutex.create ()|}
   in
   check_rules "pool module exempt" [] r;
-  Alcotest.(check int) "via config" 1 r.E.config_suppressed
+  Alcotest.(check int) "via its floating allow" 1 r.E.suppressed
 
 (* ------------------------------------------------------------------ *)
 (* c2-global-mut                                                       *)
@@ -178,6 +177,35 @@ let suppress_multi () =
   check_rules "comma list silences both" [] r;
   Alcotest.(check int) "both counted" 2 r.E.suppressed
 
+let suppress_floating () =
+  (* a floating allow covers the rest of its own structure: not the
+     items above it, not the code after a nested structure it sits in,
+     and not another file *)
+  let r =
+    lint
+      {|let before () = Random.int 5
+module M = struct
+  [@@@lint.allow "d1-nondet"]
+  let inner () = Random.int 5
+end
+let between () = Random.int 5
+[@@@lint.allow "d1-nondet"]
+let after () = Random.int 5
+module N = struct let nested () = Random.bool () end|}
+  in
+  Alcotest.(check (list int)) "lines still flagged" [ 1; 6 ]
+    (List.map (fun f -> f.E.line) r.E.findings);
+  Alcotest.(check int) "counted as suppressed" 3 r.E.suppressed;
+  let sites l = List.map (fun a -> (a.E.a_line, a.E.a_id)) l in
+  Alcotest.(check (list (pair int string))) "declared"
+    [ (3, "d1-nondet"); (7, "d1-nondet") ]
+    (sites r.E.declared_allows);
+  Alcotest.(check (list (pair int string))) "both used"
+    [ (3, "d1-nondet"); (7, "d1-nondet") ]
+    (sites r.E.used_allows);
+  let other = lint ~file:"lib/other.ml" {|let g () = Random.int 5|} in
+  check_rules "another file is not covered" [ "d1-nondet" ] other
+
 (* ------------------------------------------------------------------ *)
 (* Interfaces, parse errors, merge                                     *)
 (* ------------------------------------------------------------------ *)
@@ -221,7 +249,7 @@ let json_shape () =
     | None -> Alcotest.failf "missing int member %s" k
   in
   Alcotest.(check string) "schema" "flexile-lint-summary" (str_member "schema");
-  Alcotest.(check int) "version" 2 (int_member "version");
+  Alcotest.(check int) "version" 3 (int_member "version");
   Alcotest.(check int) "files" 2 (int_member "files_checked");
   Alcotest.(check int) "total" 2 (int_member "total_findings");
   (* per-rule counts cover every rule id *)
@@ -287,24 +315,17 @@ let stale_unknown_id () =
   let st = E.stale_suppressions ~deep:false r in
   Alcotest.(check int) "one stale" 1 (List.length st);
   match st with
-  | [ s ] ->
-      Alcotest.(check string) "id" "d1-nondte" s.E.st_id;
-      Alcotest.(check string) "kind" "allow-attribute" s.E.st_kind
+  | [ s ] -> Alcotest.(check string) "id" "d1-nondte" s.E.st_id
   | _ -> Alcotest.fail "unreachable"
-
-let attr_stales ~deep r =
-  List.filter
-    (fun s -> s.E.st_kind = "allow-attribute")
-    (E.stale_suppressions ~deep r)
 
 let stale_unused_attr () =
   let r = lint {|let f () = () [@lint.allow "d1-nondet"]|} in
   (* syntactic-only runs do not adjudicate: the deep stage might still
      need the attribute as a taint-seed waiver *)
   Alcotest.(check int) "not judged shallow" 0
-    (List.length (attr_stales ~deep:false r));
+    (List.length (E.stale_suppressions ~deep:false r));
   (* a full run knows both stages ran, so unused means stale *)
-  match attr_stales ~deep:true r with
+  match E.stale_suppressions ~deep:true r with
   | [ st ] ->
       let f = E.finding_of_stale st in
       Alcotest.(check string) "as finding" "s1-stale-suppress" f.E.rule
@@ -313,32 +334,29 @@ let stale_unused_attr () =
 let stale_used_attr_clean () =
   let r = lint {|let f () = Random.int 5 [@lint.allow "d1-nondet"]|} in
   Alcotest.(check int) "suppressed" 1 r.E.suppressed;
-  Alcotest.(check int) "not stale" 0 (List.length (attr_stales ~deep:true r))
+  Alcotest.(check int) "not stale" 0 (List.length (E.stale_suppressions ~deep:true r))
 
 let stale_zone_exempt () =
   (* the rule is inactive in test/, so the attribute cannot match and
      must not be called stale *)
   let r = lint ~file:"test/fixture.ml" {|let f () = () [@lint.allow "d1-nondet"]|} in
-  Alcotest.(check int) "exempt" 0 (List.length (attr_stales ~deep:true r))
+  Alcotest.(check int) "exempt" 0 (List.length (E.stale_suppressions ~deep:true r))
 
-let stale_config_entries () =
-  (* only the h1/figures pair earns its keep in this report; the other
-     Lint_config pairs show up as stale *)
-  let r =
-    lint ~file:"lib/core/figures.ml" {|let f x = Printf.printf "%d" x|}
-  in
-  let st = E.stale_suppressions ~deep:true r in
-  let stale_pairs =
-    List.filter_map
-      (fun s ->
-        if s.E.st_kind = "config-entry" then Some (s.E.st_id, s.E.st_file)
-        else None)
-      st
-  in
-  Alcotest.(check bool) "used pair not stale" false
-    (List.mem ("h1-io", "lib/core/figures.ml") stale_pairs);
-  Alcotest.(check bool) "unused pair stale" true
-    (List.mem ("c1-concurrency", "lib/util/parallel.ml") stale_pairs)
+let stale_floating_allow () =
+  (* a floating allow with no hit is stale like any other site, and
+     a finding under --strict-suppressions; one with a hit is not *)
+  let r = lint {|[@@@lint.allow "h1-io"]
+let f () = 1|} in
+  (match E.stale_suppressions ~deep:true r with
+  | [ st ] ->
+      let f = E.finding_of_stale st in
+      Alcotest.(check (pair string int)) "strict finding at the attribute"
+        ("s1-stale-suppress", 1) (f.E.rule, f.E.line)
+  | st -> Alcotest.failf "expected 1 stale allow, got %d" (List.length st));
+  let r = lint {|[@@@lint.allow "h1-io"]
+let f () = print_endline "x"|} in
+  Alcotest.(check int) "used, not stale" 0
+    (List.length (E.stale_suppressions ~deep:true r))
 
 let () =
   Alcotest.run "flexile_lint"
@@ -347,7 +365,7 @@ let () =
         [
           Alcotest.test_case "positive" `Quick d1_positive;
           Alcotest.test_case "negative" `Quick d1_negative;
-          Alcotest.test_case "config allowlist" `Quick d1_config_allow;
+          Alcotest.test_case "no path allowlist" `Quick d1_no_path_allow;
           Alcotest.test_case "zone gating" `Quick d1_zone_gate;
         ] );
       ( "d2-float-eq",
@@ -381,6 +399,7 @@ let () =
           Alcotest.test_case "binding attribute" `Quick suppress_binding;
           Alcotest.test_case "wrong id" `Quick suppress_wrong_id;
           Alcotest.test_case "multiple ids" `Quick suppress_multi;
+          Alcotest.test_case "floating allow" `Quick suppress_floating;
         ] );
       ( "plumbing",
         [
@@ -394,8 +413,8 @@ let () =
           Alcotest.test_case "stale used attr clean" `Quick
             stale_used_attr_clean;
           Alcotest.test_case "stale zone exempt" `Quick stale_zone_exempt;
-          Alcotest.test_case "stale config entries" `Quick
-            stale_config_entries;
+          Alcotest.test_case "stale floating allow" `Quick
+            stale_floating_allow;
           Alcotest.test_case "rendering" `Quick render;
         ] );
     ]

@@ -263,7 +263,7 @@ let suppression_and_staleness ~rule mli () =
       Alcotest.(check int) "the kept val's allow is used" kept used;
       let stale =
         List.filter
-          (fun st -> st.L.st_kind = "allow-attribute" && st.L.st_id = rule)
+          (fun st -> st.L.st_id = rule)
           (L.stale_suppressions ~deep:true r)
       in
       Alcotest.(check (list int)) "the called val's allow is stale" [ called ]

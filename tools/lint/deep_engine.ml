@@ -214,9 +214,7 @@ type global = {
   ident_keys : (string, string) Hashtbl.t;  (* Ident.unique_name -> key *)
   mutable findings : L.finding list;
   mutable n_suppressed : int;
-  mutable n_config : int;
   mutable used_allows : L.allow_site list;
-  mutable used_config : (string * string) list;
   mutable exports : export list;  (* reverse read order *)
   refs : (string, string list) Hashtbl.t;
       (* canonical value name -> units that mention it *)
@@ -235,7 +233,7 @@ let line_of (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
 
 (* Suppression for a deep finding in [file]: a matching [@lint.allow]
    among [allows] (the attributes on the function's binding, or on an
-   exported [val]), else a Lint_config entry for the file. *)
+   exported [val]). *)
 let emit_at g ~file ~allows rule ~line ~chain message =
   match List.find_opt (fun (id, _) -> id = rule) allows with
   | Some (id, aline) ->
@@ -243,15 +241,9 @@ let emit_at g ~file ~allows rule ~line ~chain message =
       let s = { L.a_file = file; a_line = aline; a_id = id } in
       if not (List.mem s g.used_allows) then
         g.used_allows <- s :: g.used_allows
-  | None -> (
-      match Lint_config.find_with_suffix ~rule ~file with
-      | Some (_, suffix) ->
-          g.n_config <- g.n_config + 1;
-          if not (List.mem (rule, suffix) g.used_config) then
-            g.used_config <- (rule, suffix) :: g.used_config
-      | None ->
-          g.findings <-
-            { L.file; line; col = 0; rule; message; chain } :: g.findings)
+  | None ->
+      g.findings <-
+        { L.file; line; col = 0; rule; message; chain } :: g.findings
 
 let emit g fn = emit_at g ~file:fn.fi_file ~allows:fn.allows
 
@@ -1197,9 +1189,7 @@ let analyze ?(roots = default_roots) ?(callers = []) cmt_paths =
       ident_keys = Hashtbl.create 256;
       findings = [];
       n_suppressed = 0;
-      n_config = 0;
       used_allows = [];
-      used_config = [];
       exports = [];
       refs = Hashtbl.create 1024;
       fields = [];
@@ -1225,8 +1215,6 @@ let analyze ?(roots = default_roots) ?(callers = []) cmt_paths =
     L.files_checked = n;
     findings = List.sort by_pos (List.rev g.findings);
     suppressed = g.n_suppressed;
-    config_suppressed = g.n_config;
     declared_allows = [];
     used_allows = List.rev g.used_allows;
-    used_config = List.rev g.used_config;
   }

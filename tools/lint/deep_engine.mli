@@ -31,14 +31,6 @@
     [flexbench/] and [examples/] as callers; the fixture tests feed it
     seeded-violation modules under [test/]). *)
 
-val default_roots : string list
-(** Module prefixes whose top-level functions seed the i1 taint walk:
-    [Flexile_te.Scenario_engine] and [Flexile_util.Parallel]. *)
-
-val shard_apis : string list
-(** Canonical names of the shard entry points whose [~init] / [~f]
-    closures are subject to [i2-shard-capture]. *)
-
 val analyze :
   ?roots:string list -> ?callers:string list -> string list ->
   Lint_engine.report
@@ -47,8 +39,10 @@ val analyze :
     builds the cross-module call graph and runs the analyses; the
     exports u1 and u2 check come from the [.cmti] next to each [.cmt].
     The [callers] cmts are read for the references, applications and
-    record expressions they make, nothing else.  [roots] overrides {!default_roots}.  Unreadable cmts yield a
-    [cmt-error] finding rather than an exception.  [files_checked]
-    counts cmts; [used_allows] / [used_config] feed the driver's
-    staleness pass (declaration of suppression sites is the syntactic
-    stage's job, since it parses the sources). *)
+    record expressions they make, nothing else.  [roots] (module
+    prefixes whose top-level functions seed the i1 taint walk) defaults
+    to [Flexile_te.Scenario_engine] and [Flexile_util.Parallel].
+    Unreadable cmts yield a [cmt-error] finding rather than an
+    exception.  [files_checked] counts cmts; [used_allows] feeds the
+    driver's staleness pass (declaration of suppression sites is the
+    syntactic stage's job, since it parses the sources). *)

@@ -25,19 +25,18 @@ type finding = {
       (* call-chain witness for deep findings; [] for syntactic ones *)
 }
 
-(* A [@lint.allow]/[@lint.alloc_ok] site, identified by the attribute's
-   own source position plus one rule id it names.  Declared sites that
-   are never [used] by either stage are stale suppressions. *)
+(* A [@lint.allow]/[@@@lint.allow]/[@lint.alloc_ok] site, identified by
+   the attribute's own source position plus one rule id it names.
+   Declared sites that are never [used] by either stage are stale
+   suppressions. *)
 type allow_site = { a_file : string; a_line : int; a_id : string }
 
 type report = {
   files_checked : int;
   findings : finding list;
   suppressed : int;
-  config_suppressed : int;
   declared_allows : allow_site list;
   used_allows : allow_site list;
-  used_config : (string * string) list;  (* (rule, matched file suffix) *)
 }
 
 let empty_report =
@@ -45,10 +44,8 @@ let empty_report =
     files_checked = 0;
     findings = [];
     suppressed = 0;
-    config_suppressed = 0;
     declared_allows = [];
     used_allows = [];
-    used_config = [];
   }
 
 (* The full rule vocabulary.  d/c/h rules are enforced by the syntactic
@@ -71,8 +68,8 @@ let syntactic_rules =
       "no Domain.spawn, Mutex, Atomic or Condition outside \
        lib/util/parallel.ml and lib/util/trace.ml" );
     ( "c2-global-mut",
-      "no module-level mutable ref/Hashtbl globals in lib/ outside the \
-       allowlist" );
+      "no module-level mutable ref/Hashtbl globals in lib/ without an \
+       allow" );
     ( "h1-io",
       "no Obj.magic, exit or direct printing in lib/; output flows \
        through Trace or the CLI layer" );
@@ -110,9 +107,9 @@ let deep_rules =
 let driver_rules =
   [
     ( "s1-stale-suppress",
-      "every Lint_config entry and [@lint.allow]/[@lint.alloc_ok] \
-       attribute must still match at least one finding; stale \
-       suppressions are reported and fatal under --strict-suppressions" );
+      "every [@lint.allow]/[@@@lint.allow]/[@lint.alloc_ok] attribute \
+       must still match at least one finding; stale suppressions are \
+       reported and fatal under --strict-suppressions" );
   ]
 
 let rules = syntactic_rules @ deep_rules @ driver_rules
@@ -123,8 +120,10 @@ let rules = syntactic_rules @ deep_rules @ driver_rules
 
 type zone = Lib | Bin | Bench | Test | Other
 
+let norm file = String.map (fun c -> if c = '\\' then '/' else c) file
+
 let zone_of_file file =
-  let segs = String.split_on_char '/' (Lint_config.norm file) in
+  let segs = String.split_on_char '/' (norm file) in
   let rec first = function
     | [] -> Other
     | "lib" :: _ -> Lib
@@ -286,12 +285,10 @@ type ctx = {
   zone : zone;
   mutable out : finding list;
   mutable n_suppressed : int;
-  mutable n_config : int;
   mutable allow_stack : stack_entry list;
   mutable expr_depth : int;
   mutable declared : allow_site list;
   mutable used : allow_site list;
-  mutable cfg_used : (string * string) list;
 }
 
 let declare_site ctx (id, line) =
@@ -311,24 +308,18 @@ let hit ctx rule (loc : Location.t) message =
     | Some se ->
         mark_used ctx se;
         ctx.n_suppressed <- ctx.n_suppressed + 1
-    | None -> (
-        match Lint_config.find_with_suffix ~rule ~file:ctx.cfile with
-        | Some (_, suffix) ->
-            if not (List.mem (rule, suffix) ctx.cfg_used) then
-              ctx.cfg_used <- (rule, suffix) :: ctx.cfg_used;
-            ctx.n_config <- ctx.n_config + 1
-        | None ->
-            let p = loc.loc_start in
-            ctx.out <-
-              {
-                file = ctx.cfile;
-                line = p.pos_lnum;
-                col = p.pos_cnum - p.pos_bol;
-                rule;
-                message;
-                chain = [];
-              }
-              :: ctx.out)
+    | None ->
+        let p = loc.loc_start in
+        ctx.out <-
+          {
+            file = ctx.cfile;
+            line = p.pos_lnum;
+            col = p.pos_cnum - p.pos_bol;
+            rule;
+            message;
+            chain = [];
+          }
+          :: ctx.out
 
 let with_allow ctx sites f =
   List.iter (declare_site ctx) sites;
@@ -424,8 +415,7 @@ let check_global_binding ctx vb =
           hit ctx "c2-global-mut" vb.pvb_loc
             ("module-level mutable state (" ^ kind ^ " '" ^ binding_name vb
            ^ "'); pass state explicitly, or annotate with [@lint.allow \
-              \"c2-global-mut\"] / add a Lint_config entry with a \
-              justification"))
+              \"c2-global-mut\"] and a justification"))
 
 let make_iterator ctx =
   let default = Ast_iterator.default_iterator in
@@ -440,6 +430,19 @@ let make_iterator ctx =
         Fun.protect
           ~finally:(fun () -> ctx.expr_depth <- ctx.expr_depth - 1)
           (fun () -> default.expr self e))
+  in
+  (* a floating [@@@lint.allow] covers the rest of its structure *)
+  let structure self items =
+    let rec go = function
+      | [] -> ()
+      | ({ pstr_desc = Pstr_attribute a; _ } as item) :: rest ->
+          self.Ast_iterator.structure_item self item;
+          with_allow ctx (allow_sites_of_attrs [ a ]) (fun () -> go rest)
+      | item :: rest ->
+          self.Ast_iterator.structure_item self item;
+          go rest
+    in
+    go items
   in
   let structure_item self item =
     let item_sites =
@@ -471,6 +474,7 @@ let make_iterator ctx =
   {
     default with
     expr;
+    structure;
     structure_item;
     value_binding;
     value_description;
@@ -487,16 +491,14 @@ let is_intf file =
 let check_source ~file src =
   let ctx =
     {
-      cfile = Lint_config.norm file;
+      cfile = norm file;
       zone = zone_of_file file;
       out = [];
       n_suppressed = 0;
-      n_config = 0;
       allow_stack = [];
       expr_depth = 0;
       declared = [];
       used = [];
-      cfg_used = [];
     }
   in
   let lexbuf = Lexing.from_string src in
@@ -527,10 +529,8 @@ let check_source ~file src =
     files_checked = 1;
     findings = List.rev ctx.out;
     suppressed = ctx.n_suppressed;
-    config_suppressed = ctx.n_config;
     declared_allows = List.rev ctx.declared;
     used_allows = List.rev ctx.used;
-    used_config = List.rev ctx.cfg_used;
   }
 
 let read_file path =
@@ -550,10 +550,8 @@ let merge reports =
         files_checked = acc.files_checked + r.files_checked;
         findings = acc.findings @ r.findings;
         suppressed = acc.suppressed + r.suppressed;
-        config_suppressed = acc.config_suppressed + r.config_suppressed;
         declared_allows = union acc.declared_allows r.declared_allows;
         used_allows = union acc.used_allows r.used_allows;
-        used_config = union acc.used_config r.used_config;
       })
     empty_report reports
 
@@ -561,13 +559,12 @@ let merge reports =
 (* Staleness                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A suppression kind is only judged by a run that actually enforces
-   the rules it can silence: a syntactic-only run must not call the
+(* A suppression is only judged by a run that actually enforces the
+   rules it can silence: a syntactic-only run must not call the
    deep-stage attributes stale. *)
 type stale = {
-  st_kind : string;  (* "allow-attribute" | "config-entry" *)
   st_file : string;
-  st_line : int;  (* 0 for config entries *)
+  st_line : int;
   st_id : string;  (* rule id, or "alloc-ok" *)
   st_detail : string;
 }
@@ -585,58 +582,27 @@ let stale_suppressions ~deep report =
        || List.mem_assoc id deep_rules
        || id = "alloc-ok")
   in
-  let attr_stales =
-    List.filter_map
-      (fun s ->
-        if List.mem s report.used_allows then None
-        else if not (List.mem s.a_id known_ids) then
-          Some
-            {
-              st_kind = "allow-attribute";
-              st_file = s.a_file;
-              st_line = s.a_line;
-              st_id = s.a_id;
-              st_detail = "names an unknown rule id (typo?)";
-            }
-        else if
-          checked s.a_id
-          && rule_active
-               (if s.a_id = "alloc-ok" then "i3-noalloc" else s.a_id)
-               (zone_of_file s.a_file)
-          (* deep-rule attributes only count where the deep stage looks *)
-          && ((not (List.mem_assoc s.a_id deep_rules)) && s.a_id <> "alloc-ok"
-             || zone_of_file s.a_file = Lib)
-        then
-          Some
-            {
-              st_kind = "allow-attribute";
-              st_file = s.a_file;
-              st_line = s.a_line;
-              st_id = s.a_id;
-              st_detail = "no longer matches any finding; delete it";
-            }
-        else None)
-      report.declared_allows
-  in
-  let config_stales =
-    List.filter_map
-      (fun (rule, suffix) ->
-        if List.mem (rule, suffix) report.used_config then None
-        else if not (checked rule) then None
-        else
-          Some
-            {
-              st_kind = "config-entry";
-              st_file = suffix;
-              st_line = 0;
-              st_id = rule;
-              st_detail =
-                "Lint_config entry no longer matches any finding in this \
-                 file; remove the suffix (or the whole entry)";
-            })
-      Lint_config.declared_pairs
-  in
-  attr_stales @ config_stales
+  List.filter_map
+    (fun s ->
+      let stale detail =
+        Some
+          { st_file = s.a_file; st_line = s.a_line; st_id = s.a_id;
+            st_detail = detail }
+      in
+      if List.mem s report.used_allows then None
+      else if not (List.mem s.a_id known_ids) then
+        stale "names an unknown rule id (typo?)"
+      else if
+        checked s.a_id
+        && rule_active
+             (if s.a_id = "alloc-ok" then "i3-noalloc" else s.a_id)
+             (zone_of_file s.a_file)
+        (* deep-rule attributes only count where the deep stage looks *)
+        && ((not (List.mem_assoc s.a_id deep_rules)) && s.a_id <> "alloc-ok"
+           || zone_of_file s.a_file = Lib)
+      then stale "no longer matches any finding; delete it"
+      else None)
+    report.declared_allows
 
 let finding_of_stale s =
   {
@@ -644,8 +610,7 @@ let finding_of_stale s =
     line = s.st_line;
     col = 0;
     rule = "s1-stale-suppress";
-    message =
-      Printf.sprintf "stale %s for '%s': %s" s.st_kind s.st_id s.st_detail;
+    message = Printf.sprintf "stale suppression '%s': %s" s.st_id s.st_detail;
     chain = [];
   }
 
@@ -700,7 +665,6 @@ let json_summary ?(stale = []) r =
   let stale_json s =
     Json.Object
       [
-        ("kind", str s.st_kind);
         ("file", str s.st_file);
         ("line", Json.int s.st_line);
         ("id", str s.st_id);
@@ -710,11 +674,10 @@ let json_summary ?(stale = []) r =
   Json.Object
     [
       ("schema", str "flexile-lint-summary");
-      ("version", Json.int 2);
+      ("version", Json.int 3);
       ("files_checked", Json.int r.files_checked);
       ("total_findings", Json.int (List.length r.findings));
       ("suppressed", Json.int r.suppressed);
-      ("config_suppressed", Json.int r.config_suppressed);
       ( "counts",
         Json.Object
           (List.map

@@ -3,9 +3,11 @@
     Parses [.ml] / [.mli] sources into the compiler's Parsetree and
     walks them with an [Ast_iterator], enforcing the repo-specific
     determinism / concurrency / hygiene rules documented in DESIGN.md
-    section 9.  Findings can be suppressed per-site with a
-    [[\@lint.allow "rule-id"]] attribute (ids separated by spaces or
-    commas) or per-file via {!Lint_config}.
+    section 9.  A finding is suppressed by a [[\@lint.allow "rule-id"]]
+    attribute (ids separated by spaces or commas) on an enclosing
+    expression, binding or [val], or by a floating
+    [[\@\@\@lint.allow "rule-id"]] that covers the rest of its
+    structure.
 
     This module also owns the finding/report vocabulary shared with the
     typedtree-based deep stage ({!Deep_engine}, DESIGN.md section 14),
@@ -25,18 +27,15 @@ type finding = {
 }
 
 type allow_site = { a_file : string; a_line : int; a_id : string }
-(** One rule id declared by a [[\@lint.allow]] / [[\@lint.alloc_ok]]
-    attribute at a specific source position. *)
+(** One rule id declared by a [[\@lint.allow]] (floating or not) /
+    [[\@lint.alloc_ok]] attribute at a specific source position. *)
 
 type report = {
   files_checked : int;
   findings : finding list;  (** source order within a file *)
   suppressed : int;  (** silenced by a [\@lint.allow] attribute *)
-  config_suppressed : int;  (** silenced by a {!Lint_config} entry *)
   declared_allows : allow_site list;  (** every suppression site seen *)
   used_allows : allow_site list;  (** sites that silenced >= 1 finding *)
-  used_config : (string * string) list;
-      (** (rule, file suffix) config pairs that silenced >= 1 finding *)
 }
 
 val empty_report : report
@@ -77,9 +76,8 @@ val merge : report list -> report
 (** {1 Stale suppressions} *)
 
 type stale = {
-  st_kind : string;  (** ["allow-attribute"] or ["config-entry"] *)
-  st_file : string;  (** file, or config suffix *)
-  st_line : int;  (** 0 for config entries *)
+  st_file : string;
+  st_line : int;  (** of the attribute *)
   st_id : string;
   st_detail : string;
 }
@@ -101,7 +99,7 @@ val render_finding : finding -> string
     for deep findings. *)
 
 val json_summary : ?stale:stale list -> report -> Flexile_util.Json.t
-(** Machine-readable summary, schema [flexile-lint-summary] version 2:
+(** Machine-readable summary, schema [flexile-lint-summary] version 3:
     per-rule counts over the full vocabulary, findings with optional
     ["chain"] witnesses, suppression totals, and the
     ["stale_suppressions"] array. *)

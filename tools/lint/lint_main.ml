@@ -1,21 +1,25 @@
 (* flexile-lint CLI: walk the given directories (default: lib bin bench
    test), lint every .ml/.mli with the syntactic stage, print one
-   diagnostic per finding and optionally a JSON summary (schema v2),
-   exit non-zero on any unsuppressed hit.
+   diagnostic per finding and optionally a JSON summary (schema v3),
+   exit 1 on any unsuppressed hit and 2 on a malformed command line.
 
    --deep additionally runs the typedtree stage over the .cmt/.cmti
    artifacts dune left under _build/default for every lib/-zone root,
    and reads the .cmt of every caller directory (bin, bench, flexbench,
    examples) for the references u1 and the arguments u2 count (so run
    it after `dune build @check`); --strict-suppressions turns stale
-   allowlist entries and [@lint.allow] attributes into s1 findings. *)
+   [@lint.allow] attributes into s1 findings. *)
 
 module Lint_engine = Flexile_lint.Lint_engine
 module Deep_engine = Flexile_lint.Deep_engine
 
 let usage =
-  "flexile-lint [--deep] [--strict-suppressions] [--json FILE] [--quiet]\n\
-  \             [--deep-root Module.Path]... [DIR|FILE]..."
+  "flexile-lint [--deep] [--strict-suppressions] [--json FILE] [DIR|FILE]..."
+
+(* A malformed command line exits 2, before any file is read. *)
+let usage_error msg =
+  Printf.eprintf "flexile-lint: %s\nusage: %s\n" msg usage;
+  exit 2
 
 let has_suffix s suf =
   let ls = String.length s and lu = String.length suf in
@@ -46,31 +50,23 @@ let cmts_for_root root =
 
 let () =
   let json_out = ref None in
-  let quiet = ref false in
   let deep = ref false in
   let strict = ref false in
-  let deep_roots = ref [] in
   let roots = ref [] in
   let rec parse_args = function
     | [] -> ()
-    | "--json" :: f :: rest ->
+    | "--json" :: f :: rest when f <> "" && f.[0] <> '-' ->
         json_out := Some f;
         parse_args rest
-    | "--quiet" :: rest ->
-        quiet := true;
-        parse_args rest
+    | "--json" :: _ -> usage_error "option --json needs a FILE"
     | "--deep" :: rest ->
         deep := true;
         parse_args rest
     | "--strict-suppressions" :: rest ->
         strict := true;
         parse_args rest
-    | "--deep-root" :: m :: rest ->
-        deep_roots := m :: !deep_roots;
-        parse_args rest
-    | ("--help" | "-h") :: _ ->
-        print_endline usage;
-        exit 0
+    | a :: _ when a <> "" && a.[0] = '-' ->
+        usage_error ("unknown option " ^ a)
     | a :: rest ->
         roots := a :: !roots;
         parse_args rest
@@ -106,13 +102,8 @@ let () =
         Printf.eprintf
           "flexile-lint: --deep found no .cmt artifacts under \
            _build/default (run `dune build @check` first)\n";
-      let dr =
-        match List.rev !deep_roots with
-        | [] -> Deep_engine.default_roots
-        | rs -> rs
-      in
       let callers = List.concat_map cmts_for_root caller_roots in
-      Some (Deep_engine.analyze ~roots:dr ~callers cmts)
+      Some (Deep_engine.analyze ~callers cmts)
     end
   in
   let report =
@@ -131,29 +122,25 @@ let () =
       }
     else report
   in
-  if not !quiet then begin
+  List.iter
+    (fun f -> print_endline (Lint_engine.render_finding f))
+    report.Lint_engine.findings;
+  if not !strict then
     List.iter
-      (fun f -> print_endline (Lint_engine.render_finding f))
-      report.Lint_engine.findings;
-    if not !strict then
-      List.iter
-        (fun s ->
-          Printf.printf "warning: %s\n"
-            (Lint_engine.render_finding (Lint_engine.finding_of_stale s)))
-        stale
-  end;
+      (fun s ->
+        Printf.printf "warning: %s\n"
+          (Lint_engine.render_finding (Lint_engine.finding_of_stale s)))
+      stale;
   (match !json_out with
   | None -> ()
   | Some path ->
       Flexile_util.Json.write_file path (Lint_engine.json_summary ~stale report));
   let n = List.length report.Lint_engine.findings in
-  if not !quiet then
-    Printf.printf
-      "flexile-lint: %d file(s)%s, %d finding(s), %d suppressed, \
-       %d config-allowed, %d stale suppression(s)%s\n"
-      report.Lint_engine.files_checked
-      (if !deep then " (deep)" else "")
-      n report.Lint_engine.suppressed report.Lint_engine.config_suppressed
-      (List.length stale)
-      (if stale <> [] && not !strict then " [warning]" else "");
+  Printf.printf
+    "flexile-lint: %d file(s)%s, %d finding(s), %d suppressed, %d stale \
+     suppression(s)%s\n"
+    report.Lint_engine.files_checked
+    (if !deep then " (deep)" else "")
+    n report.Lint_engine.suppressed (List.length stale)
+    (if stale <> [] && not !strict then " [warning]" else "");
   if n > 0 || missing <> [] then exit 1
